@@ -29,7 +29,7 @@ from repro.errors import BoundednessError
 from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
 from repro.store.snapshot import ExplorationView
-from repro.types import EdgeUpdate, Label, MatchDelta, MatchStatus, VertexId
+from repro.types import EdgeUpdate, MatchDelta, MatchStatus, VertexId
 
 
 class Explorer:
@@ -73,10 +73,12 @@ class Explorer:
         # Per-exploration state (reset by explore_update).
         self._view: ExplorationView = None  # type: ignore[assignment]
         self._verts: List[VertexId] = []
-        self._labels_pre: List[Label] = []
-        self._labels_post: List[Label] = []
         self._out: List[MatchDelta] = []
         self._last_filter_passed = True
+        # Resolvers handed to every SubgraphView: nothing is read from the
+        # store until filter/match (or freeze) asks for it.
+        self._label_pre = None
+        self._label_post = None
         self._edge_label_pre = None
         self._edge_label_post = None
         self._direction_pre = None
@@ -104,10 +106,9 @@ class Explorer:
             self._direction_post = lambda a, b: store.edge_direction_at(a, b, ts)
         else:
             self._direction_pre = self._direction_post = None
-        u, v = update.u, update.v
-        self._verts = [u, v]
-        self._labels_pre = [view.vertex_label(u, pre=True), view.vertex_label(v, pre=True)]
-        self._labels_post = [view.vertex_label(u), view.vertex_label(v)]
+        self._label_pre = lambda v: view.vertex_label(v, True)
+        self._label_post = view.vertex_label
+        self._verts = [update.u, update.v]
         if self.algorithm.induced is InducedMode.VERTEX:
             self._explore_vertex_induced(update)
         else:
@@ -122,8 +123,9 @@ class Explorer:
         post = BitMatrix()
         pre.append_row(0)
         post.append_row(0)
-        pre.append_row(1 if view.alive_pre(update.u, update.v) else 0)
-        post.append_row(1 if view.alive_post(update.u, update.v) else 0)
+        alive_pre, alive_post = view.update_edge_state(update.u, update.v)
+        pre.append_row(1 if alive_pre else 0)
+        post.append_row(1 if alive_post else 0)
         c_pre, c_post = self._detect_changes(pre, post, True, True)
         if c_pre or c_post:
             self._explore_v(pre, post, update.key, c_pre, c_post)
@@ -143,7 +145,6 @@ class Explorer:
                 f"exploration reached {len(verts)} vertices; the algorithm's "
                 f"filter does not appear to be bounded"
             )
-        view = self._view
         candidates = self._candidate_bits()
         timing = self.metrics.timing_enabled
         for v in sorted(candidates):
@@ -173,18 +174,20 @@ class Explorer:
             if self._profiling:
                 self.profile.expansion()
             verts.append(v)
-            self._labels_pre.append(view.vertex_label(v, pre=True))
-            self._labels_post.append(view.vertex_label(v))
-            pre.append_row(pre_bits)
-            post.append_row(post_bits)
+            # A version whose flag dropped stays down for the whole subtree
+            # and its matrix is never read there: only live versions grow.
+            if c_pre:
+                pre.append_row(pre_bits)
+            if c_post:
+                post.append_row(post_bits)
             c_pre2, c_post2 = self._detect_changes(pre, post, c_pre, c_post)
             if c_pre2 or c_post2:
                 self._explore_v(pre, post, start_key, c_pre2, c_post2)
-            pre.pop_row()
-            post.pop_row()
+            if c_pre:
+                pre.pop_row()
+            if c_post:
+                post.pop_row()
             verts.pop()
-            self._labels_pre.pop()
-            self._labels_post.pop()
 
     def _candidate_bits(self):
         """Expansion candidates with their subgraph adjacency bitmasks.
@@ -221,9 +224,10 @@ class Explorer:
             s_pre = SubgraphView(
                 self._verts,
                 pre,
-                self._labels_pre,
+                None,
                 self._edge_label_pre,
                 self._direction_pre,
+                self._label_pre,
             )
             if self._evaluate(s_pre, pre):
                 self._emit(MatchStatus.REM, s_pre)
@@ -233,9 +237,10 @@ class Explorer:
             s_post = SubgraphView(
                 self._verts,
                 post,
-                self._labels_post,
+                None,
                 self._edge_label_post,
                 self._direction_post,
+                self._label_post,
             )
             if self._evaluate(s_post, post):
                 self._emit(MatchStatus.NEW, s_post)
@@ -287,8 +292,7 @@ class Explorer:
         chosen = BitMatrix()
         chosen.append_row(0)
         chosen.append_row(1)  # the update edge is always part of the subgraph
-        alive_pre = view.alive_pre(update.u, update.v)
-        alive_post = view.alive_post(update.u, update.v)
+        alive_pre, alive_post = view.update_edge_state(update.u, update.v)
         missing_pre = 0 if alive_pre else 1
         missing_post = 0 if alive_post else 1
         c_pre, c_post = self._detect_changes_edge(chosen, missing_pre, missing_post, True, True)
@@ -311,7 +315,6 @@ class Explorer:
                 f"exploration reached {len(verts)} vertices; the algorithm's "
                 f"filter does not appear to be bounded"
             )
-        view = self._view
         candidates = self._candidate_bits()
         timing = self.metrics.timing_enabled
         for v in sorted(candidates):
@@ -353,8 +356,6 @@ class Explorer:
                 if self._profiling:
                     self.profile.expansion()
                 verts.append(v)
-                self._labels_pre.append(view.vertex_label(v, pre=True))
-                self._labels_post.append(view.vertex_label(v))
                 chosen.append_row(bits)
                 c_pre2, c_post2 = self._detect_changes_edge(
                     chosen,
@@ -374,8 +375,6 @@ class Explorer:
                     )
                 chosen.pop_row()
                 verts.pop()
-                self._labels_pre.pop()
-                self._labels_post.pop()
 
     def _detect_changes_edge(
         self,
@@ -400,9 +399,10 @@ class Explorer:
                 s_pre = SubgraphView(
                     self._verts,
                     chosen,
-                    self._labels_pre,
+                    None,
                     self._edge_label_pre,
                     self._direction_pre,
+                    self._label_pre,
                 )
                 if self._evaluate(s_pre, chosen):
                     self._emit(MatchStatus.REM, s_pre)
@@ -415,9 +415,10 @@ class Explorer:
                 s_post = SubgraphView(
                     self._verts,
                     chosen,
-                    self._labels_post,
+                    None,
                     self._edge_label_post,
                     self._direction_post,
+                    self._label_post,
                 )
                 if self._evaluate(s_post, chosen):
                     self._emit(MatchStatus.NEW, s_post)

@@ -18,13 +18,16 @@ class BitMatrix:
 
     Slots are positions in the exploration order (0, 1, 2, ...), not graph
     vertex ids.  The matrix supports O(1) row append/pop, which is exactly
-    the expand/backtrack pattern of the EXPLORE algorithm.
+    the expand/backtrack pattern of the EXPLORE algorithm.  The edge count
+    is kept as a running total, so ``num_edges`` (what a clique ``filter``
+    asks of every candidate) is a field read.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_num_edges")
 
     def __init__(self, rows: List[int] | None = None) -> None:
         self._rows = list(rows) if rows else []
+        self._num_edges = sum(r.bit_count() for r in self._rows) // 2
 
     # -- construction ------------------------------------------------------
 
@@ -52,25 +55,32 @@ class BitMatrix:
         ``neighbor_bits`` may only reference existing slots.  This is the
         EXPAND step: the new vertex's connections to the current subgraph.
         """
-        n = len(self._rows)
+        rows = self._rows
+        n = len(rows)
         if neighbor_bits >> n:
             raise ValueError("neighbor_bits references slots beyond the matrix")
         bit = 1 << n
-        for i in range(n):
-            if neighbor_bits & (1 << i):
-                self._rows[i] |= bit
-        self._rows.append(neighbor_bits)
+        bits = neighbor_bits
+        while bits:
+            low = bits & -bits
+            rows[low.bit_length() - 1] |= bit
+            bits ^= low
+        rows.append(neighbor_bits)
+        self._num_edges += neighbor_bits.bit_count()
 
     def pop_row(self) -> None:
         """Remove the most recently appended slot (the backtrack step)."""
-        if not self._rows:
+        rows = self._rows
+        if not rows:
             raise IndexError("pop from empty BitMatrix")
-        n = len(self._rows) - 1
-        bit = 1 << n
-        self._rows.pop()
-        mask = ~bit
-        for i in range(n):
-            self._rows[i] &= mask
+        bits = rows.pop()
+        self._num_edges -= bits.bit_count()
+        mask = ~(1 << len(rows))
+        # rows are symmetric, so the popped row names every row to clear
+        while bits:
+            low = bits & -bits
+            rows[low.bit_length() - 1] &= mask
+            bits ^= low
 
     # -- edge accessors ------------------------------------------------------
 
@@ -78,16 +88,16 @@ class BitMatrix:
         """Connect slots ``i`` and ``j`` (symmetric; self-loops rejected)."""
         if i == j:
             raise ValueError("self-loops are not representable")
-        self._check(i)
-        self._check(j)
-        self._rows[i] |= 1 << j
-        self._rows[j] |= 1 << i
+        if not self.has_edge(i, j):
+            self._rows[i] |= 1 << j
+            self._rows[j] |= 1 << i
+            self._num_edges += 1
 
     def clear_edge(self, i: int, j: int) -> None:
-        self._check(i)
-        self._check(j)
-        self._rows[i] &= ~(1 << j)
-        self._rows[j] &= ~(1 << i)
+        if self.has_edge(i, j):
+            self._rows[i] &= ~(1 << j)
+            self._rows[j] &= ~(1 << i)
+            self._num_edges -= 1
 
     def has_edge(self, i: int, j: int) -> bool:
         self._check(i)
@@ -109,8 +119,8 @@ class BitMatrix:
         return self.row(i).bit_count()
 
     def num_edges(self) -> int:
-        """Number of undirected edges (half the total popcount)."""
-        return sum(r.bit_count() for r in self._rows) // 2
+        """Number of undirected edges (the running total; O(1))."""
+        return self._num_edges
 
     def is_connected(self) -> bool:
         """Whether the subgraph is connected, via bitwise frontier expansion."""

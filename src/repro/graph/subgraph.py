@@ -6,6 +6,13 @@ among them, plus the vertex labels at the relevant graph version.  During
 differential processing the engine builds two views over the same vertex
 list — one with the pre-update edges and one with the post-update edges
 (paper section 4.3).
+
+Inside the engine a view is a window onto the explorer's live DFS state
+(the vertex list and bit matrix it was built over are mutated as soon as
+``filter``/``match`` returns), and its vertex labels are resolved from the
+store only when first asked for: an algorithm that never looks at a label
+never costs a label read.  Call :meth:`SubgraphView.freeze` to keep a
+subgraph beyond the call it was handed to.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ class SubgraphView:
         "_vertices",
         "_matrix",
         "_labels",
+        "_label_fn",
         "_slot_of",
         "_edge_label_fn",
         "_direction_fn",
@@ -41,12 +49,16 @@ class SubgraphView:
         labels: Optional[List[Label]] = None,
         edge_label_fn=None,
         direction_fn=None,
+        label_fn=None,
     ) -> None:
         if len(matrix) != len(vertices):
             raise ValueError("matrix size must match vertex count")
         self._vertices = vertices
         self._matrix = matrix
         self._labels = labels
+        #: optional resolver ``v -> label`` at the subgraph's graph version,
+        #: consulted on the first label read when ``labels`` was not given
+        self._label_fn = label_fn
         self._slot_of: Optional[Dict[VertexId, int]] = None
         #: optional resolver ``(u, v) -> label`` for edge labels at the
         #: subgraph's graph version; None when the algorithm does not use
@@ -96,21 +108,30 @@ class SubgraphView:
 
     # -- labels --------------------------------------------------------------
 
+    def _resolved_labels(self) -> Optional[List[Label]]:
+        labels = self._labels
+        if labels is None and self._label_fn is not None:
+            labels = self._labels = [self._label_fn(v) for v in self._vertices]
+        return labels
+
     def label_of(self, v: VertexId) -> Label:
-        if self._labels is None:
+        labels = self._resolved_labels()
+        if labels is None:
             return None
-        return self._labels[self._slot(v)]
+        return labels[self._slot(v)]
 
     def labels(self) -> Tuple[Label, ...]:
-        if self._labels is None:
+        labels = self._resolved_labels()
+        if labels is None:
             return tuple(None for _ in self._vertices)
-        return tuple(self._labels)
+        return tuple(labels)
 
     def count_label(self, label: Label) -> int:
         """Number of vertices carrying ``label`` (Algorithm 1's num_<color>)."""
-        if self._labels is None:
+        labels = self._resolved_labels()
+        if labels is None:
             return 0
-        return sum(1 for x in self._labels if x == label)
+        return labels.count(label)
 
     # -- edge labels -------------------------------------------------------
 

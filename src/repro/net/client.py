@@ -53,7 +53,7 @@ from repro.net.wire import (
     split_address,
 )
 from repro.store.api import GraphStore, ReclaimStats
-from repro.store.mvstore import MultiVersionStore, VertexRecord
+from repro.store.mvstore import MultiVersionStore, VertexRecord, neighbor_states
 from repro.store.remote import FetchCosts, FetchLog
 from repro.store.shard import AccessStats, ShardMap
 from repro.telemetry import Telemetry, ensure
@@ -410,25 +410,7 @@ class NetStoreClient(GraphStore):
     def neighbor_states_at(
         self, v: VertexId, ts: Timestamp
     ) -> Dict[VertexId, Tuple[bool, bool]]:
-        record = self._fetch(v)
-        out: Dict[VertexId, Tuple[bool, bool]] = {}
-        pre_ts = ts - 1
-        for dst, versions in record.edges.items():
-            pre = any(iv.alive_at(pre_ts) for iv in versions)
-            post = any(iv.alive_at(ts) for iv in versions)
-            if pre or post:
-                out[dst] = (pre, post)
-        return out
-
-    def neighbors_at(self, v: VertexId, ts: Timestamp) -> List[VertexId]:
-        return sorted(
-            dst
-            for dst, versions in self._fetch(v).edges.items()
-            if any(iv.alive_at(ts) for iv in versions)
-        )
-
-    def union_neighbors_at(self, v: VertexId, ts: Timestamp) -> List[VertexId]:
-        return sorted(self.neighbor_states_at(v, ts))
+        return neighbor_states(self._fetch(v).edges, ts)
 
     def edge_alive_at(self, u: VertexId, v: VertexId, ts: Timestamp) -> bool:
         return any(iv.alive_at(ts) for iv in self._fetch(u).edges.get(v, ()))

@@ -82,6 +82,39 @@ class VertexRecord:
         return result
 
 
+def neighbor_states(
+    edges: Dict[VertexId, List[EdgeInterval]], ts: Timestamp
+) -> Dict[VertexId, Tuple[bool, bool]]:
+    """Union-view adjacency of one record for window ``ts``: nbr -> (pre, post).
+
+    The one record -> states derivation every store kind reads through:
+    for each neighbor, whether the edge is alive in the pre-window snapshot
+    (``ts - 1``) and the post-window snapshot (``ts``); neighbors dead in
+    both (tombstones, version lists emptied by ``put_record``) are left
+    out.  Nearly every entry of a record is one version alive since before
+    the window, which costs two attribute reads and no method call.
+    """
+    out: Dict[VertexId, Tuple[bool, bool]] = {}
+    pre_ts = ts - 1
+    for dst, versions in edges.items():
+        if not versions:
+            continue
+        latest = versions[-1]
+        if latest.deleted_ts is None and latest.added_ts <= pre_ts:
+            out[dst] = (True, True)
+            continue
+        pre = post = False
+        for iv in versions:
+            added, deleted = iv.added_ts, iv.deleted_ts
+            if added <= pre_ts and (deleted is None or pre_ts < deleted):
+                pre = True
+            if added <= ts and (deleted is None or ts < deleted):
+                post = True
+        if pre or post:
+            out[dst] = (pre, post)
+    return out
+
+
 class BaseRecordStore(GraphStore):
     """Protocol implementation over an abstract vertex-record map.
 
@@ -180,6 +213,12 @@ class BaseRecordStore(GraphStore):
         if current is None or not current.alive_at(ts - 1) or current.added_ts == ts:
             raise InvalidUpdateError(f"edge ({u}, {v}) does not exist before ts {ts}")
         current.deleted_ts = ts
+        # add_edge shares one interval between both endpoint records, but
+        # records installed by put_record (checkpoint restore, bulk load
+        # over the wire) hold a copy each: tombstone the mirror too.
+        mirror = self._current_interval(v, u)
+        if mirror is not None:
+            mirror.deleted_ts = ts
         self._after_edge_write(u, v, ts, added=False)
         self._latest_ts = max(self._latest_ts, ts)
 
@@ -362,15 +401,9 @@ class BaseRecordStore(GraphStore):
     def neighbor_states_at(
         self, v: VertexId, ts: Timestamp
     ) -> Dict[VertexId, Tuple[bool, bool]]:
-        """Adjacency map of ``v`` for window ``ts``: nbr -> (pre, post).
-
-        One pass over the vertex record yields, for every union-view
-        neighbor, whether the edge is alive in the pre-window snapshot
-        (``ts - 1``) and the post-window snapshot (``ts``).  This is the
-        record a worker fetches to explore around ``v``.  Results are
-        cached per ``(v, ts)`` snapshot key; the returned mapping may be
-        shared between callers and must not be mutated.
-        """
+        """:func:`neighbor_states` of ``v``'s record, cached per ``(v, ts)``
+        snapshot key; the returned mapping may be shared between callers
+        and must not be mutated."""
         cache = self._cache
         if cache.enabled:
             cached = cache.get(v, ts)
@@ -379,19 +412,7 @@ class BaseRecordStore(GraphStore):
         rec = self._get_rec(v)
         if rec is None:
             return {}
-        out: Dict[VertexId, Tuple[bool, bool]] = {}
-        pre_ts = ts - 1
-        for dst, versions in rec.edges.items():
-            pre = post = False
-            for iv in versions:
-                if not pre and iv.alive_at(pre_ts):
-                    pre = True
-                if not post and iv.alive_at(ts):
-                    post = True
-                if pre and post:
-                    break
-            if pre or post:
-                out[dst] = (pre, post)
+        out = neighbor_states(rec.edges, ts)
         if cache.enabled:
             cache.put(v, ts, out)
         return out

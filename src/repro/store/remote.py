@@ -19,10 +19,10 @@ tracing hooks in the engine itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.store.api import GraphStore, ReclaimStats
-from repro.store.mvstore import BaseRecordStore
+from repro.store.mvstore import BaseRecordStore, neighbor_states
 from repro.types import EdgeKey, Label, Timestamp, VertexId
 
 
@@ -140,25 +140,7 @@ class RemoteStoreClient(GraphStore):
         self, v: VertexId, ts: Timestamp
     ) -> Dict[VertexId, Tuple[bool, bool]]:
         """Union-view adjacency of ``v`` computed from the fetched record."""
-        edges = self._fetch(v)
-        out: Dict[VertexId, Tuple[bool, bool]] = {}
-        pre_ts = ts - 1
-        for dst, versions in edges.items():
-            pre = any(iv.alive_at(pre_ts) for iv in versions)
-            post = any(iv.alive_at(ts) for iv in versions)
-            if pre or post:
-                out[dst] = (pre, post)
-        return out
-
-    def union_neighbors_at(self, v: VertexId, ts: Timestamp) -> List[VertexId]:
-        return sorted(self.neighbor_states_at(v, ts))
-
-    def neighbors_at(self, v: VertexId, ts: Timestamp) -> List[VertexId]:
-        return sorted(
-            dst
-            for dst, versions in self._fetch(v).items()
-            if any(iv.alive_at(ts) for iv in versions)
-        )
+        return neighbor_states(self._fetch(v), ts)
 
     def edge_alive_at(self, u: VertexId, v: VertexId, ts: Timestamp) -> bool:
         return any(iv.alive_at(ts) for iv in self._fetch(u).get(v, ()))

@@ -118,6 +118,18 @@ class ExplorationView:
         """(alive_pre, alive_post) for edge {u, v}."""
         return self.adjacency(u).get(v, (False, False))
 
+    def update_edge_state(self, u: VertexId, v: VertexId) -> tuple:
+        """(alive_pre, alive_post) of the update edge an exploration roots at.
+
+        Two point probes instead of :meth:`adjacency`: a root that fails
+        ``filter`` never walks ``u``'s neighbors, so deriving the whole
+        adjacency map for this one edge would be wasted.  The probes read
+        ``u``'s record, which counts as a fetch like any other first touch.
+        """
+        self._touch(u)
+        store, ts = self.store, self.ts
+        return store.edge_alive_at(u, v, ts - 1), store.edge_alive_at(u, v, ts)
+
     def alive_pre(self, u: VertexId, v: VertexId) -> bool:
         """Whether edge {u, v} exists in the snapshot preceding the window."""
         return self.edge_state(u, v)[0]
@@ -125,10 +137,6 @@ class ExplorationView:
     def alive_post(self, u: VertexId, v: VertexId) -> bool:
         """Whether edge {u, v} exists in the snapshot after the window."""
         return self.edge_state(u, v)[1]
-
-    def alive_union(self, u: VertexId, v: VertexId) -> bool:
-        state = self.edge_state(u, v)
-        return state[0] or state[1]
 
     def updated_in_window(self, u: VertexId, v: VertexId) -> bool:
         """Whether edge {u, v} was added or deleted in this window.

@@ -40,10 +40,13 @@ class WorkQueue:
     """Single-partition durable queue: append, poll, ack, redeliver."""
 
     def __init__(self, telemetry=None) -> None:
-        self._log: List[WorkItem] = []
+        # Only unacked items are retained, so queue state is bounded by the
+        # backlog, not by how long the stream has been running.
+        self._items: Dict[int, WorkItem] = {}  # offset -> unacked item
+        self._appended = 0
         self._ready: List[int] = []  # min-heap of offsets ready to poll
         self._in_flight: Dict[int, WorkItem] = {}
-        self._acked: set = set()
+        self._acked = 0
         self._closed = False
         self._last_ts: Timestamp = 0
         self._lock = threading.Lock()  # consumers may run on threads
@@ -83,9 +86,10 @@ class WorkQueue:
                     f"after {self._last_ts})"
                 )
             self._last_ts = timestamp
-            offset = len(self._log)
+            offset = self._appended
+            self._appended += 1
             item = WorkItem(offset=offset, timestamp=timestamp, update=update)
-            self._log.append(item)
+            self._items[offset] = item
             heapq.heappush(self._ready, offset)
             self._c_appended.inc()
             self._g_depth.set(len(self._ready))
@@ -104,7 +108,7 @@ class WorkQueue:
             if not self._ready:
                 return None
             offset = heapq.heappop(self._ready)
-            item = self._log[offset]
+            item = self._items[offset]
             self._in_flight[offset] = item
             if self._telemetry_on:
                 self._poll_times[offset] = time.perf_counter()
@@ -117,7 +121,8 @@ class WorkQueue:
             if offset not in self._in_flight:
                 raise OffsetError(f"offset {offset} is not in flight")
             del self._in_flight[offset]
-            self._acked.add(offset)
+            del self._items[offset]
+            self._acked += 1
             self._c_acked.inc()
             if self._telemetry_on:
                 polled_at = self._poll_times.pop(offset, None)
@@ -190,10 +195,10 @@ class WorkQueue:
         return sorted(self._in_flight)
 
     def total_appended(self) -> int:
-        return len(self._log)
+        return self._appended
 
     def acked_count(self) -> int:
-        return len(self._acked)
+        return self._acked
 
     def low_watermark(self) -> Timestamp:
         """Highest timestamp T such that every item with ts <= T is acked.
@@ -202,7 +207,7 @@ class WorkQueue:
         sections 5.1, 5.4).  Returns 0 when nothing can be guaranteed.
         """
         watermark = self._last_ts
-        pending = [self._log[o].timestamp for o in self._ready]
+        pending = [self._items[o].timestamp for o in self._ready]
         pending.extend(item.timestamp for item in self._in_flight.values())
         if pending:
             watermark = min(pending) - 1

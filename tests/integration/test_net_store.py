@@ -19,7 +19,7 @@ import pytest
 from repro.apps import CliqueMining
 from repro.graph.generators import erdos_renyi
 from repro.graph.io import write_edge_list
-from repro.net import NetStoreClient, RetryPolicy
+from repro.net import NetStoreClient, RetryPolicy, StoreServer
 from repro.net.errors import NetError
 from repro.runtime.session import StreamingSession
 from repro.store.api import make_store
@@ -202,6 +202,38 @@ class TestLifecycleAndForking:
             outputs.append(session.deltas())
             session.close()
         assert outputs[0] == outputs[1]
+
+
+class TestBulkLoadOverTheWire:
+    def test_deletions_after_wire_bulk_load_mine_identically_to_mv(self):
+        """``NetStoreClient(address, graph=...)`` pushes the snapshot with
+        ``put_record``, so the server's endpoint records share no interval
+        objects; deleting preloaded edges must still tombstone both ends,
+        or the stale endpoint yields spurious NEW deltas."""
+        graph = erdos_renyi(24, 110, seed=3)
+        edges = graph.sorted_edges()
+        updates = [Update.delete_edge(u, v) for u, v in edges[::3]]
+        updates += [Update.add_edge(u, v) for u, v in edges[:30:3]]
+        server = StoreServer(MultiVersionStore()).start()
+        try:
+            client = NetStoreClient(server.address, graph=graph)
+            via_net = StreamingSession(
+                CliqueMining(4, min_size=3), window_size=7, store=client
+            )
+            via_mv = StreamingSession(
+                CliqueMining(4, min_size=3), window_size=7, initial_graph=graph
+            )
+            outputs = []
+            for session in (via_net, via_mv):
+                session.submit_many(updates)
+                session.flush()
+                outputs.append(session.deltas())
+            client.close()
+        finally:
+            server.close()
+        assert outputs[0] == outputs[1]
+        assert any(d.is_rem() for d in outputs[0])
+        assert any(d.is_new() for d in outputs[0])
 
 
 class TestServeStoreCli:

@@ -21,6 +21,7 @@ from repro.core.engine import collect_matches
 from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.session import StreamingSession
 from repro.store.api import STORE_NAMES, make_store
+from repro.store.mvstore import VertexRecord, neighbor_states
 from repro.store.snapshot import ExplorationView, SnapshotView
 from repro.types import Update
 
@@ -140,6 +141,38 @@ class TestStoreReadEquivalence:
                     )
         finally:
             for store in stores.values():
+                store.close()
+
+    @SETTINGS
+    @given(edit_scripts())
+    def test_neighbor_states_agree_with_point_probes(self, script):
+        """The shared record -> states derivation equals two
+        ``edge_alive_at`` probes per neighbor, on delete-then-re-add
+        histories and on an empty version list left by ``put_record``."""
+        if not script:
+            return
+        vertices = sorted({v for _, key, _ in script for v in key})
+        hollow = max(vertices) + 1
+        for kind in STORE_NAMES:
+            store = apply_script(make_store(kind), script)
+            last_ts = store.latest_timestamp
+            store.put_record(hollow, VertexRecord(edges={vertices[0]: []}))
+            try:
+                for ts in range(1, last_ts + 1):
+                    for v in (*vertices, hollow):
+                        states = store.neighbor_states_at(v, ts)
+                        record = store.get_record(v)
+                        assert neighbor_states(record.edges, ts) == states
+                        assert (False, False) not in states.values()
+                        for u in (*vertices, hollow):
+                            probes = (
+                                store.edge_alive_at(v, u, ts - 1),
+                                store.edge_alive_at(v, u, ts),
+                            )
+                            assert states.get(u, (False, False)) == probes, (
+                                f"{kind}: ({v}, {u}) at ts {ts}"
+                            )
+            finally:
                 store.close()
 
     @SETTINGS

@@ -73,6 +73,27 @@ class TestBitMatrixProperties:
         assert m.is_connected() == (len(seen) == n)
 
     @SETTINGS
+    @given(st.lists(st.tuples(st.integers(0, 4), st.randoms(use_true_random=False))))
+    def test_running_edge_count_equals_recomputed_popcount(self, ops):
+        """``num_edges`` is a running total; it must equal half the popcount
+        after any mix of append/pop/set/clear/copy."""
+        m = BitMatrix()
+        for op, rng in ops:
+            n = len(m)
+            if op == 0 and n < 8:
+                m.append_row(rng.randrange(1 << n))
+            elif op == 1 and n:
+                m.pop_row()
+            elif op in (2, 3) and n >= 2:
+                i, j = rng.sample(range(n), 2)
+                (m.set_edge if op == 2 else m.clear_edge)(i, j)
+            elif op == 4:
+                m = m.copy()
+            popcount = sum(m.row(i).bit_count() for i in range(len(m)))
+            assert m.num_edges() * 2 == popcount
+            assert m.num_edges() == sum(1 for _ in m.edges())
+
+    @SETTINGS
     @given(slot_graphs())
     def test_edge_count_consistent(self, graph):
         n, edges = graph

@@ -240,6 +240,18 @@ class TestViews:
         view.alive_post(2, 1)
         assert touched == {1, 2}
 
+    def test_update_edge_state_probes_and_records_the_touch(self):
+        s = MultiVersionStore()
+        s.add_edge(1, 2, ts=1)
+        s.delete_edge(1, 2, ts=2)
+        s.add_edge(1, 3, ts=2)
+        touched = set()
+        view = ExplorationView(s, 2, recorder=touched)
+        assert view.update_edge_state(1, 2) == view.edge_state(1, 2) == (True, False)
+        assert view.update_edge_state(3, 1) == (False, True)
+        assert view.update_edge_state(2, 3) == (False, False)
+        assert touched == {1, 2, 3}
+
     def test_view_labels_pre_post(self):
         s = MultiVersionStore()
         s.add_edge(1, 2, ts=1)

@@ -137,3 +137,26 @@ class TestWatermark:
         assert q.low_watermark() == 0  # ts=1 still in flight
         q.ack(a.offset)
         assert q.low_watermark() == 2
+
+
+class TestBoundedState:
+    @staticmethod
+    def retained(q):
+        """Entries held across every container the queue owns."""
+        return sum(
+            len(value)
+            for value in vars(q).values()
+            if isinstance(value, (list, dict, set))
+        )
+
+    def test_state_after_drained_windows_does_not_grow(self):
+        q = WorkQueue()
+        sizes = []
+        for ts in range(1, 41):
+            for i in range(25):
+                q.append(ts, upd(i, i + 1))
+            assert sum(1 for _ in q.drain()) == 25
+            sizes.append(self.retained(q))
+        assert sizes[-1] == sizes[0] == 0
+        assert q.acked_count() == q.total_appended() == 1000
+        assert q.is_drained() and q.low_watermark() == 40

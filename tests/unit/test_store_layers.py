@@ -19,6 +19,7 @@ from repro.store import (
     make_store,
     restore_store,
 )
+from repro.store.mvstore import EdgeInterval, VertexRecord
 
 
 def diamond_graph():
@@ -255,3 +256,36 @@ class TestCheckpointKinds:
 
         with pytest.raises(GraphStoreError):
             store_from_dict({"format": 99})
+
+
+class TestDeleteAfterPutRecord:
+    """Records installed by ``put_record`` need not share interval objects
+    (a wire bulk load or a ``net``-kind restore decodes each endpoint on
+    its own); ``delete_edge`` must still tombstone both endpoints."""
+
+    @staticmethod
+    def unshared(kind):
+        store = make_store(kind)
+        store.put_record(1, VertexRecord(edges={2: [EdgeInterval(added_ts=1)]}))
+        store.put_record(2, VertexRecord(edges={1: [EdgeInterval(added_ts=1)]}))
+        store.set_latest_timestamp(1)
+        return store
+
+    @pytest.mark.parametrize("kind", STORE_NAMES)
+    def test_delete_tombstones_both_endpoints(self, kind):
+        store = self.unshared(kind)
+        store.delete_edge(1, 2, 2)
+        assert not store.edge_alive_at(1, 2, 2)
+        assert not store.edge_alive_at(2, 1, 2)
+        assert store.neighbor_states_at(1, 2) == {2: (True, False)}
+        assert store.neighbor_states_at(2, 2) == {1: (True, False)}
+        store.close()
+
+    def test_delete_from_the_other_endpoint_and_re_add(self):
+        store = self.unshared("mv")
+        store.delete_edge(2, 1, 2)
+        assert not store.edge_alive_at(1, 2, 2) and not store.edge_alive_at(2, 1, 2)
+        store.add_edge(1, 2, 3)
+        assert store.edge_alive_at(1, 2, 3) and store.edge_alive_at(2, 1, 3)
+        assert store.reclaim(2).reclaimed == 1
+        assert store.neighbor_states_at(2, 3) == {1: (False, True)}

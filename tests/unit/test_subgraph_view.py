@@ -61,6 +61,22 @@ class TestLabels:
         assert s.count_label("b") == 1
         assert s.count_label("z") == 0
 
+    def test_labels_resolve_lazily_through_the_resolver(self):
+        reads = []
+
+        def label_fn(v):
+            reads.append(v)
+            return {1: "a", 2: "b", 3: "a"}[v]
+
+        m = BitMatrix.from_edges(3, iter([(0, 1), (1, 2)]))
+        s = SubgraphView([1, 2, 3], m, label_fn=label_fn)
+        assert len(s) == 3 and s.num_edges() == 2 and s.is_connected()
+        assert reads == []  # structure never costs a label read
+        assert s.count_label("a") == 2
+        assert s.label_of(2) == "b" and s.labels() == ("a", "b", "a")
+        assert s.freeze().vertex_labels == ("a", "b", "a")
+        assert reads == [1, 2, 3]  # resolved once, on first use
+
     def test_unlabeled_view(self):
         s = make_view([1, 2], [(1, 2)])
         assert s.labels() == (None, None)
