@@ -57,6 +57,7 @@ from repro.apps import (
     PathMining,
     count_motifs,
 )
+from repro.dataflow.aggregation import SumAggregator
 from repro.graph.datasets import GKS_LABELS, dataset_names, dataset_spec, load_dataset
 from repro.graph.io import read_edge_list, read_update_stream, write_edge_list
 from repro.runtime.backend import BACKEND_NAMES
@@ -149,18 +150,21 @@ def cmd_mine(args: argparse.Namespace) -> int:
     )
     from repro.net.errors import NetError
 
+    # NEW - REM.  A REM may retract a match that pre-dates the preload and
+    # was never emitted as NEW, so a COUNT sink would go below zero there.
+    signed_sum = SumAggregator(key=lambda _delta: 1)
     start = time.perf_counter()
     try:
         if args.updates:
             session = StreamingSession(
                 algorithm, args.backend, initial_graph=initial, **session_kwargs
             )
-            count = session.output_stream().count()
+            net = session.output_stream().agg(signed_sum)
             session.submit_many(read_update_stream(args.updates))
         else:
             # static mode: re-mine the provided graph as an addition stream
             session = StreamingSession(algorithm, args.backend, **session_kwargs)
-            count = session.output_stream().count()
+            net = session.output_stream().agg(signed_sum)
             for v in sorted(initial.vertices()):
                 label = initial.vertex_label(v)
                 session.submit(Update.add_vertex(v, label))
@@ -178,9 +182,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
             vertices = ",".join(str(v) for v in sorted(delta.subgraph.vertices))
             print(f"{delta.timestamp}\t{delta.status.value}\t{vertices}")
     news = sum(1 for d in deltas if d.is_new())
+    if args.updates and initial is not None:
+        total = f"{net.value():+d} net change"
+    else:
+        total = f"{net.value()} live matches"
     print(
         f"# {algorithm.name}: {news} NEW / {len(deltas) - news} REM, "
-        f"{count.value()} live matches, {elapsed:.2f}s",
+        f"{total}, {elapsed:.2f}s",
         file=sys.stderr,
     )
     print(

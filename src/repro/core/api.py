@@ -3,9 +3,10 @@
 Applications implement two functions over candidate subgraphs:
 
 * ``filter(s)`` — whether to keep exploring ``s`` and its extensions.  Must
-  be **anti-monotone** (once false, false for every extension) and
-  **bounded** (false beyond a bounded neighborhood of the update, typically
-  via a maximum subgraph size).
+  be **anti-monotone** (once false, false for every extension).  The
+  paper's second requirement, **boundedness**, is enforced by the engine:
+  a subgraph of :attr:`MiningAlgorithm.max_size` vertices is evaluated but
+  never expanded.
 * ``match(s)`` — whether ``s`` is a match.  Only called on subgraphs that
   pass ``filter`` and are connected; the connectivity check is performed by
   the system, as in Algorithm 2.
@@ -50,7 +51,8 @@ class MiningAlgorithm(abc.ABC):
     by e.g. frequent subgraph mining).
     """
 
-    #: Maximum number of vertices in any explored subgraph (boundedness).
+    #: Maximum number of vertices in any explored subgraph (boundedness);
+    #: ``filter`` is never handed more.
     max_size: int = 4
 
     #: Subgraph semantics; vertex-induced unless overridden.

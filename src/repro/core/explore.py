@@ -25,7 +25,6 @@ from repro.core.canonicality import (
     vertex_expansion_reason,
 )
 from repro.core.metrics import Metrics, Stopwatch
-from repro.errors import BoundednessError
 from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
 from repro.store.snapshot import ExplorationView
@@ -39,7 +38,6 @@ class Explorer:
         self,
         algorithm: MiningAlgorithm,
         metrics: Optional[Metrics] = None,
-        hard_limit: int = 12,
         telemetry=None,
         profile=None,
     ) -> None:
@@ -47,7 +45,6 @@ class Explorer:
 
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else Metrics()
-        self.hard_limit = max(hard_limit, algorithm.max_size + 1)
         # Exploration attribution: one cached flag guards every recording
         # site, so the disabled path costs a branch per event (RL004 allows
         # branching on ``.enabled``, never on ``profile is None``).
@@ -127,7 +124,7 @@ class Explorer:
         pre.append_row(1 if alive_pre else 0)
         post.append_row(1 if alive_post else 0)
         c_pre, c_post = self._detect_changes(pre, post, True, True)
-        if c_pre or c_post:
+        if (c_pre or c_post) and len(self._verts) < self.algorithm.max_size:
             self._explore_v(pre, post, update.key, c_pre, c_post)
 
     def _explore_v(
@@ -140,11 +137,7 @@ class Explorer:
     ) -> None:
         self.metrics.explore_calls += 1
         verts = self._verts
-        if len(verts) >= self.hard_limit:
-            raise BoundednessError(
-                f"exploration reached {len(verts)} vertices; the algorithm's "
-                f"filter does not appear to be bounded"
-            )
+        max_size = self.algorithm.max_size
         candidates = self._candidate_bits()
         timing = self.metrics.timing_enabled
         for v in sorted(candidates):
@@ -181,7 +174,9 @@ class Explorer:
             if c_post:
                 post.append_row(post_bits)
             c_pre2, c_post2 = self._detect_changes(pre, post, c_pre, c_post)
-            if c_pre2 or c_post2:
+            # The frontier is a leaf: a subgraph of ``max_size`` vertices is
+            # evaluated like any other but never expanded.
+            if (c_pre2 or c_post2) and len(verts) < max_size:
                 self._explore_v(pre, post, start_key, c_pre2, c_post2)
             if c_pre:
                 pre.pop_row()
@@ -296,7 +291,7 @@ class Explorer:
         missing_pre = 0 if alive_pre else 1
         missing_post = 0 if alive_post else 1
         c_pre, c_post = self._detect_changes_edge(chosen, missing_pre, missing_post, True, True)
-        if c_pre or c_post:
+        if (c_pre or c_post) and len(self._verts) < self.algorithm.max_size:
             self._explore_e(chosen, update.key, missing_pre, missing_post, c_pre, c_post)
 
     def _explore_e(
@@ -310,11 +305,7 @@ class Explorer:
     ) -> None:
         self.metrics.explore_calls += 1
         verts = self._verts
-        if len(verts) >= self.hard_limit:
-            raise BoundednessError(
-                f"exploration reached {len(verts)} vertices; the algorithm's "
-                f"filter does not appear to be bounded"
-            )
+        max_size = self.algorithm.max_size
         candidates = self._candidate_bits()
         timing = self.metrics.timing_enabled
         for v in sorted(candidates):
@@ -364,7 +355,7 @@ class Explorer:
                     c_pre,
                     c_post,
                 )
-                if c_pre2 or c_post2:
+                if (c_pre2 or c_post2) and len(verts) < max_size:
                     self._explore_e(
                         chosen,
                         start_key,

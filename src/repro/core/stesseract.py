@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from repro.core.api import InducedMode, MiningAlgorithm
 from repro.core.metrics import Metrics, Stopwatch
-from repro.errors import BoundednessError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
@@ -43,7 +42,6 @@ class STesseractEngine:
         self,
         algorithm: MiningAlgorithm,
         metrics: Optional[Metrics] = None,
-        hard_limit: int = 12,
     ) -> None:
         if algorithm.induced is not InducedMode.VERTEX:
             raise NotImplementedError(
@@ -51,7 +49,6 @@ class STesseractEngine:
             )
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else Metrics()
-        self.hard_limit = max(hard_limit, algorithm.max_size + 1)
         self._graph: AdjacencyGraph = None  # type: ignore[assignment]
         self._verts: List[VertexId] = []
         self._labels: List[Label] = []
@@ -81,17 +78,13 @@ class STesseractEngine:
         matrix = BitMatrix()
         matrix.append_row(0)
         matrix.append_row(1)
-        if self._detect(matrix):
+        if self._detect(matrix) and len(self._verts) < self.algorithm.max_size:
             self._explore(matrix, (u, v))
 
     def _explore(self, matrix: BitMatrix, start_key: EdgeKey) -> None:
         self.metrics.explore_calls += 1
         verts = self._verts
-        if len(verts) >= self.hard_limit:
-            raise BoundednessError(
-                f"exploration reached {len(verts)} vertices; the algorithm's "
-                f"filter does not appear to be bounded"
-            )
+        max_size = self.algorithm.max_size
         graph = self._graph
         members = set(verts)
         candidates = sorted(
@@ -111,7 +104,8 @@ class STesseractEngine:
             verts.append(v)
             self._labels.append(graph.vertex_label(v))
             matrix.append_row(bits)
-            if self._detect(matrix):
+            # Same frontier rule as ``Explorer``: ``max_size`` is a leaf.
+            if self._detect(matrix) and len(verts) < max_size:
                 self._explore(matrix, start_key)
             matrix.pop_row()
             verts.pop()

@@ -52,19 +52,6 @@ class OffsetError(QueueError, ValueError):
     """A consumer referenced an invalid queue offset."""
 
 
-class AlgorithmError(TesseractError):
-    """A user-supplied mining algorithm violated a required property."""
-
-
-class BoundednessError(AlgorithmError):
-    """The algorithm's filter failed to bound exploration.
-
-    Raised when exploration exceeds the engine's hard expansion limit, which
-    indicates that the user's ``filter`` does not satisfy the boundedness
-    property required by the programming model (paper section 3.1).
-    """
-
-
 class DataflowError(TesseractError):
     """An output-processing pipeline was misconfigured or misused."""
 

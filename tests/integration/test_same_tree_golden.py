@@ -1,11 +1,17 @@
-"""Golden counters: EXPLORE walks exactly the same tree.
+"""Golden counters: EXPLORE walks exactly the recorded tree.
 
-Making one EXPLORE node cheaper must not change *which* nodes are
-explored.  These tests pin the six ``core.*`` counters and a digest of the
-full delta listing on small fixed seeded streams; the values were recorded
-at the commit before the hot loop was made cheaper (lazy labels,
-live-version bitsets, O(1) edge counts), so any drift is a behaviour
-change, not a speed-up.
+These tests pin the six ``core.*`` counters and a digest of the full delta
+listing on small fixed seeded streams.  The NEW/REM counts and the digests
+were recorded before the hot loop was made cheaper (lazy labels,
+live-version bitsets, O(1) edge counts) and have not moved since; the
+counters now pin the *frontier-bounded* tree, in which a subgraph of
+``max_size`` vertices is evaluated but never expanded.  ``match_calls`` and
+``emits`` are the values of the unbounded tree, the other four fell.  Any
+drift is a behaviour change, not a speed-up.
+
+The unbounded tree is not lost: ``ParentTree`` rebuilds it without touching
+the engine, and the equivalence tests below hold every shipped app's delta
+listing to it.
 
 The labelled cases relabel vertices mid-stream: ingress lands the label
 change and the deletion of the vertex's incident edges in one window, so
@@ -20,25 +26,39 @@ import pytest
 
 from repro.apps import (
     CliqueMining,
+    CycleMining,
+    CyclicTriads,
+    DiamondMining,
+    FeedForwardLoops,
     FrequentSubgraphMining,
     GraphKeywordSearch,
     LabeledCliqueMining,
     MotifCounting,
+    PathMining,
+    PatternQuery,
 )
+from repro.core.api import MiningAlgorithm
 from repro.core.engine import TesseractEngine
 from repro.core.explore import Explorer
+from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.generators import erdos_renyi
+from repro.graph.pattern import Pattern
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
 from repro.streaming.ingress import Window
-from repro.types import EdgeUpdate, Update
+from repro.types import EdgeUpdate, Update, UpdateKind
 
 LABELS = ("a", "b", "c", "d")
 
 
-def seeded_stream(seed, n, m, num_updates, labelled):
-    """A fixed graph plus a fixed add/delete/relabel stream drawn from ``seed``."""
+def seeded_stream(seed, n, m, num_updates, labelled, directed=False):
+    """A fixed graph plus a fixed add/delete/relabel stream drawn from ``seed``.
+
+    ``directed`` orients every edge (preloaded or added) at random; the
+    orientations come from their own generator, so the stream is otherwise
+    the undirected one.
+    """
     rng = random.Random(seed)
     graph = erdos_renyi(n, m, seed=seed)
     if labelled:
@@ -65,6 +85,20 @@ def seeded_stream(seed, n, m, num_updates, labelled):
             present.append(key)
             present_set.add(key)
             updates.append(Update.add_edge(*key))
+    if directed:
+        arrows = random.Random(seed + 1)
+        oriented = AdjacencyGraph()
+        for v in sorted(graph.vertices()):
+            oriented.add_vertex(v, graph.vertex_label(v))
+        for u, v in graph.sorted_edges():
+            oriented.add_edge(u, v, direction=arrows.choice(("fwd", "rev")))
+        graph = oriented
+        updates = [
+            Update.add_edge(up.src, up.dst, direction=arrows.choice(("fwd", "rev")))
+            if up.kind is UpdateKind.ADD_EDGE
+            else up
+            for up in updates
+        ]
     return graph, updates
 
 
@@ -78,8 +112,8 @@ def listing(deltas):
     ]
 
 
-def run_stream(algorithm, seed, n, m, num_updates, labelled, window_size):
-    graph, updates = seeded_stream(seed, n, m, num_updates, labelled)
+def run_stream(algorithm, seed, n, m, num_updates, labelled, window_size, **stream):
+    graph, updates = seeded_stream(seed, n, m, num_updates, labelled, **stream)
     session = StreamingSession(
         algorithm, window_size=window_size, initial_graph=graph
     )
@@ -106,12 +140,14 @@ def mine(algorithm, **params):
 
 
 #: name -> (algorithm factory, stream parameters, recorded
-#: (filter, match, can_expand, expansions, emits, explore) counters,
+#: (filter, match, can_expand, expansions, emits, explore) counters, the
+#: same six as recorded before ``max_size`` was enforced (the parent tree),
 #: (NEW, REM) counts, first 16 hex digits of the listing's sha256)
 GOLDEN = {
     "4-C": (
         lambda: CliqueMining(4, min_size=3),
         dict(seed=5, n=40, m=220, num_updates=160, labelled=False, window_size=8),
+        (8532, 701, 11795, 8216, 543, 557),
         (10119, 701, 15531, 9803, 543, 701),
         (273, 270),
         "922dd3274dde2aa7",
@@ -119,6 +155,7 @@ GOLDEN = {
     "3-MC": (
         lambda: MotifCounting(3),
         dict(seed=6, n=40, m=120, num_updates=120, labelled=False, window_size=8),
+        (2822, 1514, 1336, 1293, 1396, 118),
         (27068, 1514, 21055, 13416, 1396, 1411),
         (716, 680),
         "f99deabb2038669c",
@@ -126,6 +163,7 @@ GOLDEN = {
     "4-CL relabel": (
         lambda: LabeledCliqueMining(4, min_size=3),
         dict(seed=8, n=30, m=200, num_updates=160, labelled=True, window_size=8),
+        (18306, 1699, 31128, 16840, 1138, 1451),
         (19661, 1699, 37068, 18195, 1138, 1699),
         (594, 544),
         "7ece1b4f9d948852",
@@ -133,6 +171,7 @@ GOLDEN = {
     "4-GKS-2 relabel": (
         lambda: GraphKeywordSearch(["a", "b"], k=4),
         dict(seed=9, n=30, m=70, num_updates=100, labelled=True, window_size=6),
+        (16048, 5273, 12553, 8037, 396, 1155),
         (62441, 5273, 66393, 32541, 396, 5167),
         (206, 190),
         "887e34a07d4f603c",
@@ -140,6 +179,7 @@ GOLDEN = {
     "3-FSM edge-induced": (
         lambda: FrequentSubgraphMining(3),
         dict(seed=10, n=30, m=70, num_updates=80, labelled=True, window_size=6),
+        (2387, 1264, 1123, 2279, 1264, 119),
         (42002, 1264, 29253, 42159, 1264, 2387),
         (789, 475),
         "a24b27ed2a11849f",
@@ -149,9 +189,87 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_counters_and_deltas_match_the_recorded_tree(name):
-    factory, params, counters, new_rem, digest = GOLDEN[name]
+    factory, params, counters, _, new_rem, digest = GOLDEN[name]
     got = mine(factory(), **params)
     assert got == (counters, new_rem, digest)
+
+
+class ParentTree(MiningAlgorithm):
+    """``inner`` with the engine's bound ``slack`` vertices past the filter's.
+
+    With ``slack=1`` the frontier rule never fires before ``inner.filter``
+    (unchanged, still rejecting ``inner.max_size + 1`` vertices) has said
+    no, so EXPLORE walks the tree it walked before ``max_size`` was
+    enforced, with no change to the engine.  With ``slack=0`` it is a plain
+    recording proxy.  Either way ``largest`` is the biggest subgraph
+    ``filter`` was handed.
+    """
+
+    def __init__(self, inner, slack):
+        self.inner = inner
+        self.max_size = inner.max_size + slack
+        self.induced = inner.induced
+        self.ordered_output = inner.ordered_output
+        self.uses_edge_labels = inner.uses_edge_labels
+        self.uses_directions = inner.uses_directions
+        self.largest = 0
+
+    def filter(self, s):
+        self.largest = max(self.largest, len(s))
+        return self.inner.filter(s)
+
+    def match(self, s):
+        return self.inner.match(s)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_wrapper_rebuilds_the_recorded_parent_tree(name):
+    """The counters this file pinned before the frontier rule are the
+    wrapper's counters now, with the same deltas: the old tree and the new
+    one differ only in nodes whose first ``filter`` call said no."""
+    factory, params, _, parent_counters, new_rem, digest = GOLDEN[name]
+    got = mine(ParentTree(factory(), slack=1), **params)
+    assert got == (parent_counters, new_rem, digest)
+
+
+_SPARSE = dict(n=30, m=70, num_updates=80, window_size=6)
+_DENSE = dict(n=24, m=130, num_updates=100, window_size=8)
+
+#: every algorithm ``repro.apps`` exports, in its own induced mode:
+#: name -> (factory, stream parameters)
+APPS = {
+    "4-C": (lambda: CliqueMining(4, min_size=3), dict(_DENSE, labelled=False)),
+    "4-CL": (lambda: LabeledCliqueMining(4, min_size=3), dict(_DENSE, labelled=True)),
+    "4-Cycle": (lambda: CycleMining(4), dict(_SPARSE, labelled=False)),
+    "Diamond": (DiamondMining, dict(_DENSE, labelled=False)),
+    "Cycle3": (CyclicTriads, dict(_DENSE, labelled=False, directed=True)),
+    "FFL": (FeedForwardLoops, dict(_DENSE, labelled=False, directed=True)),
+    "3-FSM": (lambda: FrequentSubgraphMining(3), dict(_SPARSE, labelled=True)),
+    "4-GKS-2": (lambda: GraphKeywordSearch(["a", "b"], k=4), dict(_SPARSE, labelled=True)),
+    "3-MC": (lambda: MotifCounting(3), dict(_SPARSE, labelled=False)),
+    "4-Path": (lambda: PathMining(4), dict(_SPARSE, labelled=False)),
+    "query(star4)": (lambda: PatternQuery(Pattern.star(4)), dict(_SPARSE, labelled=False)),
+}
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("name", sorted(APPS))
+def test_frontier_bounded_tree_emits_what_the_parent_tree_emitted(name, seed):
+    """Same deltas, in the same order, from strictly fewer expansions; and
+    ``filter`` is never handed more than ``max_size`` vertices."""
+    factory, params = APPS[name]
+    bounded = ParentTree(factory(), slack=0)
+    parent = ParentTree(factory(), slack=1)
+    now = run_stream(bounded, seed=seed, **params)
+    then = run_stream(parent, seed=seed, **params)
+    assert now.deltas()
+    assert listing(now.deltas()) == listing(then.deltas())
+    assert now.metrics().match_calls == then.metrics().match_calls
+    assert now.metrics().expansions < then.metrics().expansions
+    assert bounded.largest == bounded.max_size
+    # the wrapper did rebuild the old tree: the filter saw (and rejected)
+    # subgraphs one vertex past the app's own bound
+    assert parent.largest == bounded.max_size + 1
 
 
 def test_relabel_streams_do_read_differing_pre_and_post_labels():

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import (
-    BoundednessError,
     InvalidUpdateError,
     OffsetError,
     QueueClosedError,
@@ -17,7 +16,6 @@ from repro.errors import (
 class TestErrorHierarchy:
     def test_all_library_errors_are_tesseract_errors(self):
         for exc_type in (
-            BoundednessError,
             InvalidUpdateError,
             OffsetError,
             QueueClosedError,

@@ -1,12 +1,9 @@
 """Unit tests for the EXPLORE algorithm and change detection."""
 
-import pytest
-
 from repro.apps import CliqueMining, PathMining
 from repro.core.api import EdgeInduced, MiningAlgorithm
 from repro.core.explore import Explorer
 from repro.core.metrics import Metrics
-from repro.errors import BoundednessError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
@@ -132,25 +129,37 @@ class TestSameWindowDedup:
 
 
 class TestBoundedness:
-    def test_unbounded_filter_detected(self):
+    def test_engine_enforces_max_size(self):
+        """``max_size`` is the engine's bound, not a promise the filter must
+        keep: an always-true filter terminates and never sees a subgraph
+        larger than ``max_size``."""
+        seen = []
+
         class Unbounded(MiningAlgorithm):
-            max_size = 4  # claimed bound, but filter ignores it
+            max_size = 4
 
             def filter(self, s):
+                seen.append(len(s))
                 return True
 
             def match(self, s):
                 return False
 
         store = MultiVersionStore()
-        # A clique of 14 vertices guarantees depth > hard limit.
         verts = list(range(14))
         for i in verts:
             for j in verts:
                 if i < j:
                     store.add_edge(i, j, ts=1)
-        with pytest.raises(BoundednessError):
-            explore(store, 1, EdgeUpdate(0, 1, added=True), Unbounded())
+        metrics = Metrics()
+        out = Explorer(Unbounded(), metrics=metrics).explore_update(
+            ExplorationView(store, 1), EdgeUpdate(0, 1, added=True)
+        )
+        assert out == []
+        assert max(seen) == 4
+        # {0,1} plus every 1- and 2-subset of the other twelve vertices,
+        # each grown in exactly one (canonical) order
+        assert metrics.expansions == 12 + 12 * 11 // 2
 
 
 class TestMetricsInstrumentation:

@@ -214,6 +214,23 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "NEW\t1,2,3" in out
 
+    def test_mine_deletion_after_preload(self, tmp_path, capsys):
+        """A REM may retract a match that pre-dates ``--graph``: the summary
+        reports the signed net change instead of a count going negative."""
+        from repro.cli import main
+
+        graph = tmp_path / "g.edges"
+        write_edge_list(AdjacencyGraph.from_edges([(1, 2), (2, 3), (1, 3)]), graph)
+        stream = tmp_path / "s.updates"
+        write_update_stream([Update.delete_edge(1, 2)], stream)
+        assert main(["mine", "3-C", "--graph", str(graph), "--updates", str(stream)]) == 0
+        captured = capsys.readouterr()
+        assert "REM\t1,2,3" in captured.out
+        assert "0 NEW / 1 REM, -1 net change" in captured.err
+        # the static mode still counts what is live
+        assert main(["mine", "3-C", "--graph", str(graph)]) == 0
+        assert "1 NEW / 0 REM, 1 live matches" in capsys.readouterr().err
+
     def test_mine_requires_input(self):
         from repro.cli import main
 

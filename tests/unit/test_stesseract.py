@@ -40,16 +40,20 @@ class TestRestrictions:
 
 
 class TestCostAdvantage:
-    def test_fewer_filter_calls_than_dynamic(self):
+    @pytest.mark.parametrize(
+        "alg", [CliqueMining(4, min_size=3), MotifCounting(3)], ids=lambda a: a.name
+    )
+    def test_fewer_filter_calls_than_dynamic(self, alg):
         """STesseract evaluates one subgraph version instead of two, so it
-        must call filter at most as often as the dynamic engine."""
+        must call filter at most as often as the dynamic engine — which
+        holds because both engines stop at the same ``max_size`` frontier."""
         from repro.core.metrics import Metrics
 
         g = erdos_renyi(20, 50, seed=3)
-        alg = CliqueMining(4, min_size=3)
         m_dyn = Metrics()
         TesseractEngine.run_static(g, alg, metrics=m_dyn)
         m_static = Metrics()
         STesseractEngine(alg, metrics=m_static).run(g)
         assert m_static.filter_calls <= m_dyn.filter_calls
+        assert m_static.expansions == m_dyn.expansions
         assert m_static.emits == m_dyn.emits
