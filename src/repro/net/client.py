@@ -2,9 +2,9 @@
 
 This is :class:`~repro.store.remote.RemoteStoreClient` with the simulation
 removed: the fetch boundary is identical — whole vertex records cross it,
-every read is computed worker-side from the fetched copy, writes
-invalidate the touched copies — but the fetch is an actual RPC to a
-:class:`~repro.net.server.StoreServer` instead of an in-process method
+every read is computed worker-side from the fetched copy, edge writes
+are written through to the held copies — but the fetch is an actual RPC to
+a :class:`~repro.net.server.StoreServer` instead of an in-process method
 call.  Because engines, GC, and checkpointing only ever see the
 :class:`~repro.store.api.GraphStore` protocol, mining output over this
 client is byte-identical to the in-process stores (the acceptance
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.net.frames import FLAG_BINARY, FLAG_PIPELINE
@@ -53,11 +54,23 @@ from repro.net.wire import (
     split_address,
 )
 from repro.store.api import GraphStore, ReclaimStats
-from repro.store.mvstore import MultiVersionStore, VertexRecord, neighbor_states
+from repro.store.mvstore import (
+    MultiVersionStore,
+    VertexRecord,
+    apply_edge_write,
+    neighbor_states,
+)
 from repro.store.remote import FetchCosts, FetchLog
 from repro.store.shard import AccessStats, ShardMap
 from repro.telemetry import Telemetry, ensure
-from repro.types import EdgeKey, EdgeUpdate, Label, Timestamp, VertexId
+from repro.types import (
+    EdgeKey,
+    EdgeUpdate,
+    Label,
+    Timestamp,
+    VertexId,
+    normalize_direction,
+)
 
 #: default records per multi_get RPC when scanning (iter_records, prefetch);
 #: override per client with ``NetStoreClient(batch_size=...)`` or end to end
@@ -76,6 +89,12 @@ class NetStoreClient(GraphStore):
     The cache is soft state exactly as in the simulated client: it can be
     dropped at any time (worker restart, reclaim) without correctness
     impact, because every entry is a private deep copy of a server record.
+
+    Coherence is **write-through, single writer**: an acknowledged edge
+    write is applied to the held copies of its endpoints, and a window's
+    endpoints not yet held arrive in one batched ``multi_get``; a failed
+    write or a patch that does not fit drops the copy instead.  A copy is
+    never refreshed for another client's write — one writer per server.
     """
 
     kind = "net"
@@ -185,29 +204,36 @@ class NetStoreClient(GraphStore):
         """
         cached = self._cache.get(v)
         if cached is not None:
+            self.log.hits += 1
             return cached
+        self.log.misses += 1
         reply = self._rpc.call("get_record", {"v": v}, binary=self._binary)
-        record = self._record_from(v, reply)
-        if record is None:
-            record = VertexRecord()  # missing vertex reads as empty
-        self._charge_fetch(v, record)
+        # a missing vertex reads as empty
+        record = self._record_from(v, reply) or VertexRecord()
+        entries = self._hold(v, record)
+        self.log.simulated_seconds += (
+            self.costs.round_trip + entries * self.costs.per_edge
+        )
+        return record
+
+    def _hold(self, v: VertexId, record: VertexRecord) -> int:
+        """Charge one shipped record and cache it, FIFO-evicting at capacity.
+
+        Returns its entry count: the caller charges the latency, one round
+        trip per single fetch or per ``multi_get`` chunk.
+        """
+        entries = sum(map(len, record.edges.values()))
+        self.log.fetches += 1
+        self.log.records_bytes_proxy += max(entries, 1)
+        shard = self.shards.shard_of(v)
+        self.log.per_shard[shard] = self.log.per_shard.get(shard, 0) + 1
         if (
             self.cache_capacity is not None
             and len(self._cache) >= self.cache_capacity
         ):
             self._cache.pop(next(iter(self._cache)))  # FIFO eviction
         self._cache[v] = record
-        return record
-
-    def _charge_fetch(self, v: VertexId, record: VertexRecord) -> None:
-        entries = sum(map(len, record.edges.values()))
-        self.log.fetches += 1
-        self.log.records_bytes_proxy += max(entries, 1)
-        self.log.simulated_seconds += (
-            self.costs.round_trip + entries * self.costs.per_edge
-        )
-        shard = self.shards.shard_of(v)
-        self.log.per_shard[shard] = self.log.per_shard.get(shard, 0) + 1
+        return entries
 
     @staticmethod
     def _record_from(v: VertexId, reply: Any) -> Optional[VertexRecord]:
@@ -228,8 +254,14 @@ class NetStoreClient(GraphStore):
             for v in chunk:
                 yield v, decode_record(reply.get(str(v)))
 
+    def _chunks(self, items: list) -> List[list]:
+        """``items`` cut to what one RPC may carry: :attr:`batch_size`,
+        clamped to the ``max_batch`` the server advertised in hello."""
+        size = min(self.batch_size, self._server_max_batch)
+        return [items[i : i + size] for i in range(0, len(items), size)]
+
     def _multi_get_stream(
-        self, chunks: List[List[VertexId]]
+        self, vertices: List[VertexId]
     ) -> Iterator[Tuple[List[VertexId], Any]]:
         """Yield ``(chunk, reply)`` per multi_get, fetch-ahead pipelined.
 
@@ -241,79 +273,48 @@ class NetStoreClient(GraphStore):
         of the blocking loop; against an old server this *is* the
         blocking loop.
         """
+        chunks = self._chunks(vertices)
         if not self._pipeline:
             for chunk in chunks:
                 yield chunk, self._rpc.call(
                     "multi_get", {"vs": chunk}, binary=self._binary
                 )
             return
-        pending = deque()
-        remaining = iter(chunks)
-        for chunk in remaining:
-            pending.append(
-                (
-                    chunk,
-                    self._rpc.submit(
-                        "multi_get",
-                        {"vs": chunk},
-                        binary=self._binary,
-                        flags=FLAG_PIPELINE,
-                    ),
-                )
+
+        def submit(chunk: List[VertexId]):
+            future = self._rpc.submit(
+                "multi_get", {"vs": chunk}, binary=self._binary, flags=FLAG_PIPELINE
             )
-            if len(pending) >= FETCH_AHEAD:
-                break
+            return chunk, future
+
+        remaining = iter(chunks)
+        pending = deque(map(submit, islice(remaining, FETCH_AHEAD)))
         while pending:
             chunk, future = pending.popleft()
             reply = future.result()
-            upcoming = next(remaining, None)
-            if upcoming is not None:
-                pending.append(
-                    (
-                        upcoming,
-                        self._rpc.submit(
-                            "multi_get",
-                            {"vs": upcoming},
-                            binary=self._binary,
-                            flags=FLAG_PIPELINE,
-                        ),
-                    )
-                )
+            pending.extend(map(submit, islice(remaining, 1)))
             yield chunk, reply
 
     def prefetch(self, vertices: List[VertexId]) -> int:
         """Batch-fetch records not yet cached; returns how many shipped.
 
-        One ``multi_get`` RPC per :attr:`batch_size` records, issued
+        One ``multi_get`` RPC per :meth:`_chunks` chunk, issued
         fetch-ahead (see :meth:`_multi_get_stream`).  Each record is
         charged to the :class:`FetchLog` as a fetch, but a batch shares
         one modeled round-trip — the batching discount the benchmark
         measures against per-record fetching; the charging per chunk is
         identical whether the chunks were pipelined or blocking.
         """
-        missing = [v for v in vertices if v not in self._cache]
-        shipped = 0
-        chunks = [
-            missing[i : i + self.batch_size]
-            for i in range(0, len(missing), self.batch_size)
-        ]
-        for chunk, reply in self._multi_get_stream(chunks):
-            batch_entries = 0
-            for v, record in self._chunk_records(chunk, reply):
-                if record is None:
-                    record = VertexRecord()
-                self.log.fetches += 1
-                entries = sum(map(len, record.edges.values()))
-                self.log.records_bytes_proxy += max(entries, 1)
-                batch_entries += entries
-                shard = self.shards.shard_of(v)
-                self.log.per_shard[shard] = self.log.per_shard.get(shard, 0) + 1
-                self._cache[v] = record
-                shipped += 1
+        missing = [v for v in dict.fromkeys(vertices) if v not in self._cache]
+        for chunk, reply in self._multi_get_stream(missing):
+            batch_entries = sum(
+                self._hold(v, record or VertexRecord())
+                for v, record in self._chunk_records(chunk, reply)
+            )
             self.log.simulated_seconds += (
                 self.costs.round_trip + batch_entries * self.costs.per_edge
             )
-        return shipped
+        return len(missing)
 
     def drop_cache(self) -> None:
         """Simulate a worker restart: soft state vanishes."""
@@ -322,6 +323,30 @@ class NetStoreClient(GraphStore):
     def _invalidate(self, *vertices: VertexId) -> None:
         for v in vertices:
             self._cache.pop(v, None)
+
+    def _edge_write(self, op: str, args: dict, edges, encoder=None) -> None:
+        """An edge write RPC, written through to the held endpoint copies.
+
+        ``edges`` lists ``(u, v, added[, label, direction])`` per update
+        carried.  Acknowledged, each is patched into the copies held of
+        ``u`` and ``v``; a copy the patch does not fit is dropped.  If the
+        RPC raises (retries exhausted, a chunk rejected part way) what the
+        server applied is unknown and every endpoint's copy is dropped:
+        the fallback is a refetch on next touch, never a guess.
+        """
+        try:
+            self._write(op, args, encoder=encoder)
+        except BaseException:
+            self._invalidate(*(x for edge in edges for x in edge[:2]))
+            raise
+        ts = args["ts"]
+        for u, v, *patch in edges:
+            for a, b in ((u, v), (v, u)):
+                held = self._cache.get(a)
+                if held is not None and not apply_edge_write(
+                    held.edges, b, ts, *patch
+                ):
+                    del self._cache[a]
 
     # -- write path (RPCs tagged for exactly-once retries) -----------------
 
@@ -355,12 +380,13 @@ class NetStoreClient(GraphStore):
         """Coalesce one window's updates into ``put_edges`` round trips.
 
         Instead of one exactly-once RPC per edge update (the inherited
-        loop, still used against servers without the feature), the whole
-        window ships as :attr:`batch_size`-bounded ``put_edges`` batches
-        — each tagged with its own ``seq``, so a retried batch replays
-        from the dedup window rather than re-applying.  The server
-        applies updates in list order at the shared ``ts``, exactly as
-        the per-op loop would have, which keeps all stores byte-identical.
+        loop, still used against servers without the feature), the window
+        ships as :meth:`_chunks`-bounded ``put_edges`` batches — each with
+        its own ``seq``, so a retried batch replays from the dedup window
+        rather than re-applying — applied by the server in list order at
+        the shared ``ts``, exactly as the per-op loop would have.  EXPLORE
+        reads every endpoint next: those not held yet are then filled by
+        one pipelined ``multi_get`` instead of a blocking fetch each.
         """
         updates = list(updates)
         if not updates:
@@ -369,16 +395,14 @@ class NetStoreClient(GraphStore):
             # pre-put_edges server: fall back to the per-update protocol
             super().apply_edge_updates(ts, updates)
             return
-        chunk_size = min(self.batch_size, self._server_max_batch)
-        for i in range(0, len(updates), chunk_size):
-            chunk = updates[i : i + chunk_size]
-            self._write(
+        for chunk in self._chunks(updates):
+            self._edge_write(
                 "put_edges",
                 {"ts": ts, "updates": chunk},
+                [(e.u, e.v, e.added, e.label, e.direction) for e in chunk],
                 encoder=self._edges_encoder,
             )
-        touched = {v for upd in updates for v in (upd.u, upd.v)}
-        self._invalidate(*touched)
+        self.prefetch([v for upd in updates for v in (upd.u, upd.v)])
 
     def add_edge(
         self,
@@ -388,15 +412,12 @@ class NetStoreClient(GraphStore):
         label: Label = None,
         direction: Optional[str] = None,
     ) -> None:
-        self._write(
-            "add_edge",
-            {"u": u, "v": v, "ts": ts, "label": label, "direction": direction},
-        )
-        self._invalidate(u, v)
+        args = {"u": u, "v": v, "ts": ts, "label": label, "direction": direction}
+        patch = (u, v, True, label, normalize_direction(u, v, direction))
+        self._edge_write("add_edge", args, [patch])
 
     def delete_edge(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
-        self._write("delete_edge", {"u": u, "v": v, "ts": ts})
-        self._invalidate(u, v)
+        self._edge_write("delete_edge", {"u": u, "v": v, "ts": ts}, [(u, v, False)])
 
     def set_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
         self._write("set_vertex_label", {"v": v, "ts": ts, "label": label})
@@ -466,10 +487,7 @@ class NetStoreClient(GraphStore):
 
     def iter_records(self) -> Iterator[Tuple[VertexId, VertexRecord]]:
         vs = self._rpc.call("list_vertices", {})
-        chunks = [
-            vs[i : i + self.batch_size] for i in range(0, len(vs), self.batch_size)
-        ]
-        for chunk, reply in self._multi_get_stream(chunks):
+        for chunk, reply in self._multi_get_stream(vs):
             for v, record in self._chunk_records(chunk, reply):
                 if record is not None:
                     yield v, record
@@ -503,10 +521,7 @@ class NetStoreClient(GraphStore):
     def store_stats(self) -> Dict[str, object]:
         stats: Dict[str, object] = dict(self._rpc.call("store_stats", {}))
         stats["kind"] = self.kind
-        stats["fetches"] = self.log.fetches
-        stats["fetch_bytes_proxy"] = self.log.records_bytes_proxy
-        stats["fetch_simulated_seconds"] = self.log.simulated_seconds
-        stats["client_cache_entries"] = len(self._cache)
+        stats.update(self.log.stats(len(self._cache)))
         net = self.net_log
         stats["net_rpcs"] = net.rpcs
         stats["net_retries"] = net.retries

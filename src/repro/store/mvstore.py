@@ -115,6 +115,41 @@ def neighbor_states(
     return out
 
 
+def apply_edge_write(
+    edges: Dict[VertexId, List[EdgeInterval]],
+    nbr: VertexId,
+    ts: Timestamp,
+    added: bool,
+    label: Label = None,
+    direction: Optional[str] = None,
+) -> bool:
+    """Write one acknowledged edge update through to a fetched copy.
+
+    ``edges`` is one endpoint's copy of its adjacency, ``nbr`` the other
+    endpoint, ``direction`` already normalized.  Does what the store did
+    to its own record: an add appends an interval, a delete tombstones the
+    current one.  Returns False, touching nothing, where the store would
+    have rejected the update (add over a live or just-deleted interval,
+    delete with no older live one): the copy is not the store's record,
+    and the caller drops it rather than guess.
+    """
+    versions = edges.get(nbr)
+    current = versions[-1] if versions else None
+    if added:
+        if current is not None and (
+            current.deleted_ts is None or current.deleted_ts >= ts
+        ):
+            return False
+        edges.setdefault(nbr, []).append(
+            EdgeInterval(added_ts=ts, label=label, direction=direction)
+        )
+        return True
+    if current is None or current.deleted_ts is not None or current.added_ts >= ts:
+        return False
+    current.deleted_ts = ts
+    return True
+
+
 class BaseRecordStore(GraphStore):
     """Protocol implementation over an abstract vertex-record map.
 

@@ -10,10 +10,13 @@ worker-side from the fetched copy.
 implementing the full :class:`~repro.store.api.GraphStore` protocol, so
 engines, GC, and checkpointing run unmodified over it.  Every first touch
 of a vertex on the read path performs a *fetch*: it is logged, charged
-simulated latency, and cached worker-side.  Writes pass through to the
-inner store and invalidate the client's fetched copies of the touched
-endpoints; the accumulated accounting feeds cost analyses without any
-tracing hooks in the engine itself.
+simulated latency, and cached worker-side.  Edge writes pass through to
+the inner store and *write through* to the fetched copies of both
+endpoints, so a client never re-fetches what it just wrote (label,
+``put_record`` and ``reclaim`` writes still drop the copies they touch);
+a copy is never refreshed for another client's write — one writer per
+store, the ingress node of §4.1.  The accumulated accounting feeds cost
+analyses without any tracing hooks in the engine itself.
 """
 
 from __future__ import annotations
@@ -42,6 +45,25 @@ class FetchLog:
     records_bytes_proxy: int = 0  # adjacency entries shipped
     simulated_seconds: float = 0.0
     per_shard: Dict[int, int] = field(default_factory=dict)
+    #: record reads served by a held copy / that had to fetch first
+    hits: int = 0
+    misses: int = 0
+
+    def stats(self, entries: int) -> Dict[str, object]:
+        """The client half of ``store_stats``.  The fetched-copy cache takes
+        the ``cache_*`` keys from the inner (or server) store's
+        ``NeighborCache``, which a client reading whole records never uses."""
+        total = self.hits + self.misses
+        return {
+            "fetches": self.fetches,
+            "fetch_bytes_proxy": self.records_bytes_proxy,
+            "fetch_simulated_seconds": self.simulated_seconds,
+            "cache_entries": entries,
+            "cache_hits": self.hits,
+            "cache_misses": self.misses,
+            "cache_hit_ratio": self.hits / total if total else 0.0,
+            "client_cache_entries": entries,
+        }
 
 
 class RemoteStoreClient(GraphStore):
@@ -82,7 +104,9 @@ class RemoteStoreClient(GraphStore):
     def _fetch(self, v: VertexId) -> dict:
         cached = self._cache.get(v)
         if cached is not None:
+            self.log.hits += 1
             return cached
+        self.log.misses += 1
         record = self.store.get_record(v)
         edges = dict(record.edges) if record is not None else {}
         entries = sum(len(versions) for versions in edges.values())
@@ -106,9 +130,19 @@ class RemoteStoreClient(GraphStore):
         self._cache.clear()
 
     def _invalidate(self, *vertices: VertexId) -> None:
-        """A write touched these records; drop the fetched copies."""
+        """A write replaced these records; drop the fetched copies."""
         for v in vertices:
             self._cache.pop(v, None)
+
+    def _write_through(self, u: VertexId, v: VertexId) -> None:
+        """The inner store applied an edge write on {u, v}.  A held copy is
+        ``dict(record.edges)``, its version lists *are* the record's, so the
+        interval is already in it (:func:`~repro.store.mvstore.\
+        apply_edge_write` would double it): all it can lack is a new key."""
+        for a, b in ((u, v), (v, u)):
+            held = self._cache.get(a)
+            if held is not None and b not in held:
+                held[b] = self.store.get_record(a).edges[b]
 
     # -- write path (delegates to the inner store) -------------------------
 
@@ -121,11 +155,11 @@ class RemoteStoreClient(GraphStore):
         direction: Optional[str] = None,
     ) -> None:
         self.store.add_edge(u, v, ts, label=label, direction=direction)
-        self._invalidate(u, v)
+        self._write_through(u, v)
 
     def delete_edge(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
         self.store.delete_edge(u, v, ts)
-        self._invalidate(u, v)
+        self._write_through(u, v)
 
     def set_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
         self.store.set_vertex_label(v, ts, label)
@@ -213,8 +247,5 @@ class RemoteStoreClient(GraphStore):
     def store_stats(self) -> Dict[str, object]:
         stats = self.store.store_stats()
         stats["kind"] = self.kind
-        stats["fetches"] = self.log.fetches
-        stats["fetch_bytes_proxy"] = self.log.records_bytes_proxy
-        stats["fetch_simulated_seconds"] = self.log.simulated_seconds
-        stats["client_cache_entries"] = len(self._cache)
+        stats.update(self.log.stats(len(self._cache)))
         return stats

@@ -16,9 +16,10 @@ from net_proxy import FaultProxy
 from repro.apps import CliqueMining
 from repro.graph.generators import erdos_renyi
 from repro.net import NetStoreClient, RetryPolicy, StoreServer
+from repro.net.errors import RetriesExhausted
 from repro.runtime.session import StreamingSession
-from repro.store.mvstore import MultiVersionStore
-from repro.types import Update
+from repro.store.mvstore import MultiVersionStore, VertexRecord
+from repro.types import EdgeUpdate, Update
 
 # Tight deadline + fast backoff: each dropped frame costs one deadline
 # wait, so chaos runs stay quick while still exercising real timeouts.
@@ -166,3 +167,50 @@ class TestChaosWrites:
         # post-reclaim reads still come back clean through the proxy
         assert client.neighbors_at(2, 3) == [3]
         assert client.edge_alive_at(1, 2, 3) is False
+
+
+class TestChaosWriteThrough:
+    """The client patches its held copies only on an acknowledgement, so
+    the interesting faults are the ones that lose exactly that."""
+
+    WINDOW_1 = [EdgeUpdate(1, 2, added=True, label="a"), EdgeUpdate(2, 3, added=True)]
+    WINDOW_2 = [
+        EdgeUpdate(1, 2, added=False),
+        EdgeUpdate(1, 3, added=True, direction="rev"),
+        EdgeUpdate(3, 4, added=True),
+    ]
+
+    def test_lost_put_edges_reply_replays_then_patches(self, proxied):
+        client, proxy = proxied
+        client.apply_edge_updates(1, self.WINDOW_1)
+        client.neighbor_states_at(9, 1)  # an untouched held copy
+        fetches = client.log.fetches
+        assert set(client._cache) == {1, 2, 3, 9}
+
+        proxy.drop_replies = 1  # put_edges lands, its ack is lost
+        client.apply_edge_updates(2, self.WINDOW_2)
+        assert proxy.fault_counts()[0] == 1
+        assert client.net_log.retries == 1
+        # the retry replayed from the dedup table (a second apply would
+        # have raised "already exists"), and the ack then patched 1, 2, 3
+        # in place: only vertex 4 was not held and had to be shipped
+        assert client.log.fetches == fetches + 1
+        assert set(client._cache) == {1, 2, 3, 4, 9}
+        for v, held in client._cache.items():
+            assert held == (client.get_record(v) or VertexRecord()), v
+        assert client.neighbor_states_at(1, 2) == {2: (True, False), 3: (False, True)}
+
+    def test_exhausted_write_raises_and_drops_the_chunks_copies(self, proxied):
+        client, proxy = proxied
+        client.apply_edge_updates(1, self.WINDOW_1)
+        client.neighbor_states_at(9, 1)
+
+        proxy.drop_replies = CHAOS_RETRY.max_attempts  # every ack is lost
+        with pytest.raises(RetriesExhausted):
+            client.apply_edge_updates(2, self.WINDOW_2)
+        # the server did apply the window; the client cannot know that, so
+        # it holds no copy of any endpoint of the chunk — and keeps 9
+        assert set(client._cache) == {9}
+        assert proxy.drop_replies == 0
+        assert client.neighbor_states_at(1, 2) == {2: (True, False), 3: (False, True)}
+        assert client.neighbor_states_at(4, 2) == {3: (False, True)}

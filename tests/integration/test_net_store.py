@@ -110,9 +110,12 @@ class TestFetchAccountingParity:
             for store in (remote, net):
                 store.add_edge(1, 2, 1)
                 store.neighbor_states_at(1, 1)  # fetch + cache
-                store.add_edge(1, 3, 2)  # invalidates 1's copy
-                store.neighbor_states_at(1, 2)  # re-fetch
-            assert net.log.fetches == remote.log.fetches == 2
+                store.add_edge(1, 3, 2)  # written through to 1's copy
+                assert store.neighbor_states_at(1, 2) == {
+                    2: (True, True),
+                    3: (False, True),
+                }  # no re-fetch, and the new neighbour is there
+            assert net.log.fetches == remote.log.fetches == 1
         finally:
             net.close()
 
@@ -135,6 +138,33 @@ class TestTelemetryBridge:
         assert dumped["repro_net_retries"].labels().value == 0
         hist = dumped["repro_net_rpc_seconds"].labels()
         assert hist.count > 0
+
+    @pytest.mark.parametrize("kind", ["net", "remote"])
+    def test_cache_keys_describe_the_fetched_copy_cache(self, kind):
+        """``cache_*`` in ``store_stats`` count the client's held records,
+        not the server's (inner store's) neighbour cache, which a client
+        that reads whole records never touches — and they reach the
+        registry through the unchanged ``repro_store_cache_*`` gauges."""
+        session = StreamingSession(
+            CliqueMining(3, min_size=3), "serial", window_size=4, store=kind
+        )
+        store = session.store
+        store.add_edge(1, 2, 1)
+        store.neighbor_states_at(1, 1)  # miss
+        store.neighbor_states_at(1, 1)  # hit
+        store.edge_alive_at(1, 2, 1)  # hit
+        stats = store.store_stats()
+        assert (stats["cache_hits"], stats["cache_misses"]) == (2, 1)
+        assert stats["cache_hit_ratio"] == pytest.approx(2 / 3)
+        assert stats["cache_entries"] == stats["client_cache_entries"] == 1
+        dumped = {f.name: f for f in session.collect_registry().families()}
+        session.close()
+        assert dumped["repro_store_cache_hits"].labels().value == 2
+        assert dumped["repro_store_cache_misses"].labels().value == 1
+        assert dumped["repro_store_cache_hit_ratio"].labels().value == pytest.approx(
+            2 / 3
+        )
+        assert dumped["repro_store_cache_entries"].labels().value == 1
 
     def test_counter_totals_identical_to_mv(self):
         """The cross-backend determinism contract extends across the wire:

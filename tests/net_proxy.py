@@ -44,6 +44,10 @@ class FaultProxy:
     both directions and all connections, so fault schedules are
     reproducible for a serially-issuing client; the reorder counter is
     per direction, since swapping is only meaningful within one stream.
+
+    :attr:`drop_replies` is the one rule a test sets mid-run: the next
+    that many server -> client frames are dropped, whatever the counters
+    say — "the request lands, its acknowledgement is lost".
     """
 
     def __init__(
@@ -62,6 +66,7 @@ class FaultProxy:
         self.delay_every = delay_every
         self.delay_s = delay_s
         self.reorder_every = reorder_every
+        self.drop_replies = 0
         self.frames = 0
         self.dropped = 0
         self.duplicated = 0
@@ -118,12 +123,12 @@ class FaultProxy:
                     server.close()
                     return
                 self._conns.extend((client, server))
-            for src, dst in ((client, server), (server, client)):
+            for src, dst, reply in ((client, server, False), (server, client, True)):
                 threading.Thread(
-                    target=self._pump, args=(src, dst), daemon=True
+                    target=self._pump, args=(src, dst, reply), daemon=True
                 ).start()
 
-    def _pump(self, src: socket.socket, dst: socket.socket) -> None:
+    def _pump(self, src: socket.socket, dst: socket.socket, reply: bool) -> None:
         held: List[bytes] = []  # frame awaiting an adjacent swap
         seen = 0  # per-direction frame count for reorder_every
         try:
@@ -138,7 +143,10 @@ class FaultProxy:
                 with self._lock:
                     self.frames += 1
                     n = self.frames
-                if self.drop_every and n % self.drop_every == 0:
+                    lose_reply = reply and self.drop_replies > 0
+                    if lose_reply:
+                        self.drop_replies -= 1
+                if lose_reply or (self.drop_every and n % self.drop_every == 0):
                     with self._lock:
                         self.dropped += 1
                     continue

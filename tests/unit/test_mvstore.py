@@ -5,7 +5,7 @@ import pytest
 from repro.errors import InvalidUpdateError, UnknownVertexError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.store.gc import collect_garbage
-from repro.store.mvstore import EdgeInterval, MultiVersionStore
+from repro.store.mvstore import EdgeInterval, MultiVersionStore, apply_edge_write
 from repro.store.snapshot import ExplorationView, SnapshotView
 
 
@@ -26,6 +26,47 @@ class TestEdgeIntervals:
         iv = EdgeInterval(added_ts=2, deleted_ts=5)
         assert iv.updated_at(2) and iv.updated_at(5)
         assert not iv.updated_at(3)
+
+
+class TestApplyEdgeWrite:
+    """The update -> record patch the fetch-boundary clients write through."""
+
+    def test_add_appends_and_delete_tombstones(self):
+        edges = {}
+        assert apply_edge_write(edges, 2, 1, True, "a", "fwd")
+        assert edges == {2: [EdgeInterval(1, None, "a", "fwd")]}
+        assert apply_edge_write(edges, 2, 3, False)
+        assert apply_edge_write(edges, 2, 4, True)
+        assert edges == {2: [EdgeInterval(1, 3, "a", "fwd"), EdgeInterval(4)]}
+
+    def test_matches_what_the_store_does_to_its_own_record(self):
+        store = MultiVersionStore()
+        copy = {}
+        for ts, added in enumerate([True, False, True, False], start=1):
+            if added:
+                store.add_edge(1, 2, ts, label="x", direction="rev")
+            else:
+                store.delete_edge(2, 1, ts)
+            assert apply_edge_write(copy, 2, ts, added, "x", "rev")
+            assert copy == store.get_record(1).edges
+
+    @pytest.mark.parametrize(
+        "versions, ts, added",
+        [
+            ([EdgeInterval(1)], 2, True),  # add over a live interval
+            ([EdgeInterval(1, 2)], 2, True),  # re-add in the deleting window
+            ([], 2, False),  # nothing to tombstone
+            ([EdgeInterval(1, 2)], 3, False),  # already dead
+            ([EdgeInterval(2)], 2, False),  # added in this very window
+        ],
+    )
+    def test_a_copy_the_update_does_not_fit_is_left_alone(self, versions, ts, added):
+        """Every one of these the store itself rejects, so an acknowledged
+        update that hits one means the copy is not the store's record."""
+        edges = {2: list(versions)} if versions else {}
+        before = {k: list(v) for k, v in edges.items()}
+        assert apply_edge_write(edges, 2, ts, added) is False
+        assert edges == before
 
 
 class TestWrites:

@@ -270,6 +270,55 @@ class TestBatchSizePlumbing:
             client.close()
             server.close()
 
+    @pytest.fixture
+    def small_batch_client(self):
+        """A client asking for 100-record batches of a server allowing 2."""
+        inner = MultiVersionStore()
+        for v in range(6):
+            inner.ensure_vertex(v)
+        server = StoreServer(inner, max_batch=2).start()
+        from repro.net.client import NetStoreClient
+
+        client = NetStoreClient(server.address, batch_size=100)
+        yield client
+        client.close()
+        server.close()
+
+    def test_prefetch_clamps_chunks_to_server_max_batch(self, small_batch_client):
+        client = small_batch_client
+        assert client.prefetch(list(range(6))) == 6
+        assert client.net_log.per_op["multi_get"] == 3
+
+    def test_iter_records_clamps_chunks_to_server_max_batch(self, small_batch_client):
+        client = small_batch_client
+        assert [v for v, _ in client.iter_records()] == list(range(6))
+        assert client.net_log.per_op["multi_get"] == 3
+
+    def test_prefetch_honours_cache_capacity(self):
+        client = make_store("net", cache_size=2)
+        try:
+            for v in range(6):
+                client.ensure_vertex(v)
+            for v in range(6):
+                client.neighbor_states_at(v, 1)
+            assert len(client._cache) == 2
+            client.drop_cache()
+            assert client.prefetch(list(range(6))) == 6
+            assert list(client._cache) == [4, 5]  # FIFO, as for single fetches
+            assert client.log.fetches == 12
+            assert sum(client.log.per_shard.values()) == 12
+        finally:
+            client.close()
+
+    def test_prefetch_ships_a_repeated_vertex_once(self):
+        client = make_store("net")
+        try:
+            client.ensure_vertex(1)
+            assert client.prefetch([1, 1, 2, 1]) == 2
+            assert client.log.fetches == 2
+        finally:
+            client.close()
+
     def test_mine_accepts_store_batch_flag(self, tmp_path, capsys):
         from repro.cli import main
         from repro.graph.generators import erdos_renyi
