@@ -184,8 +184,9 @@ class NetStoreClient(GraphStore):
         """Wire activity since the last take (see
         :meth:`~repro.net.rpc.RpcClient.take_log_delta`).
 
-        This is what a process worker ships back per task: deltas
-        partition the reconnected client's activity, so the parent can
+        This is what a process worker ships back per window: deltas
+        partition its client's own activity (a forked worker's first
+        delta leaves out the history it inherited), so the parent can
         accumulate them without resetting or double-counting.
         """
         return self._rpc.take_log_delta()

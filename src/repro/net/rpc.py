@@ -44,7 +44,7 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.net.errors import (
@@ -557,12 +557,25 @@ class RpcClient:
 
     # -- pool --------------------------------------------------------------
 
-    def _checkout(self, timeout: float) -> _Connection:
+    def _leave_parent(self) -> None:
+        """In a forked child, let go of what belongs to the parent process.
+
+        Its sockets must not be shared, and its wire history is the
+        parent's to report: without advancing the baseline, the child's
+        first :meth:`take_log_delta` would re-ship every RPC the parent
+        made before the fork.
+        """
+        if os.getpid() == self._pid:  # unlocked read: only a fork changes it
+            return
         with self._lock:
-            if os.getpid() != self._pid:
-                # forked child: parent's sockets must not be shared
-                self._idle.clear()
-                self._pid = os.getpid()
+            self._idle.clear()
+            self._pipe = None
+            self._pid = os.getpid()
+        self.take_log_delta()  # discarded: it is the inherited history
+
+    def _checkout(self, timeout: float) -> _Connection:
+        self._leave_parent()
+        with self._lock:
             if self._idle:
                 return self._idle.pop()
         try:
@@ -585,12 +598,8 @@ class RpcClient:
 
     def _pipe_channel(self) -> _Channel:
         """The live pipelined channel, dialing a fresh one when needed."""
+        self._leave_parent()
         with self._lock:
-            if os.getpid() != self._pid:
-                # forked child: parent's sockets must not be shared
-                self._idle.clear()
-                self._pipe = None
-                self._pid = os.getpid()
             channel = self._pipe
             if channel is not None and not channel.dead:
                 return channel
@@ -629,6 +638,7 @@ class RpcClient:
         without double-counting (see
         :func:`repro.telemetry.bridge.net_delta_to_registry`).
         """
+        self._leave_parent()
         with self._lock:
             log, base = self.log, self._log_base
             delta = NetLog(
@@ -644,14 +654,7 @@ class RpcClient:
                 },
                 latencies_s=log.latencies_s[self._latency_base :],
             )
-            self._log_base = NetLog(
-                rpcs=log.rpcs,
-                retries=log.retries,
-                deadline_hits=log.deadline_hits,
-                bytes_sent=log.bytes_sent,
-                bytes_received=log.bytes_received,
-                per_op=dict(log.per_op),
-            )
+            self._log_base = replace(log, per_op=dict(log.per_op), latencies_s=[])
             self._latency_base = len(log.latencies_s)
         return delta
 

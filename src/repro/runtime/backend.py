@@ -28,11 +28,11 @@ Backends:
     (locking, nondeterministic interleaving) rather than for speedup.
 
 ``process``
-    N worker processes, each holding its own copy of the multiversioned
-    store (the paper's workers likewise keep an in-memory graph copy and no
-    shared soft state).  Real CPU parallelism; the store copy is re-shipped
-    on every batch, so it is safe for *evolving* stores, not just
-    pre-applied static batches.
+    N processes per window, the caller being one of them: each mines a
+    stride slice of the window on one engine over its own copy of the
+    multiversioned store (the paper's workers likewise keep an in-memory
+    graph copy and no shared soft state).  Real CPU parallelism; workers
+    start per window, so it is safe for *evolving* stores.
 
 ``simulated``
     Executes every task once on one host while routing store reads through
@@ -52,10 +52,10 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro.core.api import MiningAlgorithm
 from repro.core.engine import TesseractEngine
 from repro.core.metrics import Metrics
+from repro.errors import WorkerCrashed
 from repro.store.api import GraphStore
 from repro.telemetry import (
     NULL_PROFILE,
-    NULL_REGISTRY,
     NULL_TELEMETRY,
     ExplorationProfile,
     MetricsRegistry,
@@ -296,72 +296,72 @@ class ThreadBackend(ExecutionBackend):
 
 # -- process backend ---------------------------------------------------------
 
-# Per-process state, initialized once per worker process per batch.
-_WORKER_STORE: Optional[GraphStore] = None
-_WORKER_ALGORITHM: Optional[MiningAlgorithm] = None
-_WORKER_TELEMETRY_ON: bool = False
-_WORKER_PROFILE_ON: bool = False
 
-
-def _init_process_worker(
+def _mine_slice(
+    tasks: Sequence[Task],
     store: GraphStore,
     algorithm: MiningAlgorithm,
-    telemetry_on: bool = False,
-    profile_on: bool = False,
-) -> None:
-    global _WORKER_STORE, _WORKER_ALGORITHM, _WORKER_TELEMETRY_ON
-    global _WORKER_PROFILE_ON
-    _WORKER_STORE = store
-    _WORKER_ALGORITHM = algorithm
-    _WORKER_TELEMETRY_ON = telemetry_on
-    _WORKER_PROFILE_ON = profile_on
+    telemetry_on: bool,
+    profile_on: bool,
+):
+    """Mine one worker's slice of a window on one engine; build its reply.
 
-
-def _run_process_task(task: Tuple[int, Timestamp, EdgeUpdate]):
-    index, ts, update = task
-    assert _WORKER_STORE is not None and _WORKER_ALGORITHM is not None
-    # A fresh engine per task gives a per-task Metrics (and, with telemetry
-    # on, per-task spans and a per-task registry) we can ship back and merge
-    # deterministically (in task order) on the caller side — spans travel
-    # over the exact same channel as the merged metrics.
-    telemetry = Telemetry(trace_capacity=256) if _WORKER_TELEMETRY_ON else NULL_TELEMETRY
-    profile = ExplorationProfile() if _WORKER_PROFILE_ON else NULL_PROFILE
+    The reply is the single message a slice worker sends per window:
+    ``(per-task delta lists in slice order, Metrics, spans, registry,
+    profile)``.  With telemetry or profiling off the slot ships the inert
+    null object (an empty span list for the tracer) — one shape either way.
+    """
+    # One engine where there used to be one (with a 256-span ring) per
+    # task: sized so that no span kept then is dropped now.
+    telemetry = (
+        Telemetry(trace_capacity=256 * len(tasks)) if telemetry_on else NULL_TELEMETRY
+    )
+    profile = ExplorationProfile() if profile_on else NULL_PROFILE
     engine = TesseractEngine(
-        _WORKER_STORE,
-        _WORKER_ALGORITHM,
+        store,
+        algorithm,
         telemetry=telemetry,
         worker_label=os.getpid(),
         profile=profile,
     )
-    deltas = engine.process_update(ts, update)
-    if _WORKER_TELEMETRY_ON:
-        # Ship this reconnected client's wire activity since the last task
-        # as additive gauges: the pickle-reconnect gave this worker a fresh
-        # NetLog, so without the per-task delta the worker's RPC counts
-        # would silently vanish from the session's repro_net_* gauges.
-        net_delta_to_registry(telemetry.registry, _WORKER_STORE)
-    # With telemetry off the null tracer ships an empty span list and the
-    # null registry merges as a no-op — one return shape either way.  The
-    # profile slot likewise ships the inert null object when profiling is
-    # off (it is stateless, so it pickles to another inert instance).
-    return (
-        index,
-        deltas,
-        engine.metrics,
-        telemetry.tracer.records(),
-        telemetry.registry,
-        profile,
-    )
+    deltas = [engine.process_update(ts, update) for ts, update in tasks]
+    if telemetry_on:
+        # Ship this worker's own wire activity as additive gauges, or its
+        # RPC counts vanish from the session's repro_net_* gauges.
+        net_delta_to_registry(telemetry.registry, store)
+    spans = telemetry.tracer.records()
+    return deltas, engine.metrics, spans, telemetry.registry, profile
+
+
+def _slice_worker(conn, *slice_args) -> None:
+    """Entry point of a slice worker process: one slice in, one message out.
+
+    An exception from the algorithm travels back in place of the reply,
+    carrying the worker's traceback text the way ``Pool.map`` ships it.
+    """
+    try:
+        reply = _mine_slice(*slice_args)
+    except Exception as exc:
+        from multiprocessing.pool import ExceptionWithTraceback  # 2 MB: failures only
+        reply = ExceptionWithTraceback(exc, exc.__traceback__)
+    with conn:
+        conn.send(reply)
 
 
 class ProcessBackend(ExecutionBackend):
-    """N worker processes, each with its own store copy; real parallelism.
+    """``num_processes`` processes per window, the caller being worker 0.
 
-    The store snapshot is shipped to each process at the start of every
-    batch (fork or pickle), so batches may run against an *evolving* store:
-    a new batch always sees the store's current version history.  Batches
-    below ``min_parallel`` tasks run inline on a fallback engine that
-    shares this backend's metrics — counters never silently vanish.
+    A window of ``len(tasks) >= min_parallel`` is cut into
+    ``n = min(num_processes, len(tasks))`` stride slices and ``n - 1``
+    slice workers are started (fork where available, else spawn).  Worker
+    ``w`` mines ``tasks[w::n]`` on **one** engine against its own copy of
+    the store as it stands now — so batches may run against an *evolving*
+    store — and sends **one** message (see :func:`_mine_slice`).  The
+    caller meanwhile mines slice 0 on its inline engine, then reads each
+    message, reassembles the deltas by task index and joins every child:
+    workers are reaped every window.  Smaller windows run wholly on the
+    inline engine, which shares this backend's metrics, registry and
+    profile — counters never silently vanish.
     """
 
     name = "process"
@@ -382,18 +382,11 @@ class ProcessBackend(ExecutionBackend):
         self.min_parallel = min_parallel
         self._metrics = metrics if metrics is not None else Metrics()
         self.telemetry = ensure(telemetry)
+        # The inline engine records into these directly and each worker's
+        # message merges into them — one merged view either way (the null
+        # objects swallow merges when telemetry or profiling is off).
         self._worker_tel = self._worker_telemetry(telemetry)
-        # Registry accumulating what worker processes ship back per batch;
-        # the null registry swallows merges when telemetry is off.
-        self._shipped_registry = (
-            MetricsRegistry() if self.telemetry.enabled else NULL_REGISTRY
-        )
-        # Shipped per-task profiles merge into this accumulator, which the
-        # inline fallback engine records into directly — one merged view
-        # either way (the null profile swallows merges when profiling is
-        # off).
         self._profile = self._worker_profile(profile)
-        # The inline fallback engine accumulates into the same metrics.
         self._inline = TesseractEngine(
             store,
             algorithm,
@@ -405,40 +398,51 @@ class ProcessBackend(ExecutionBackend):
     def run_tasks(self, tasks: Sequence[Task]) -> List[MatchDelta]:
         if not tasks:
             return []
-        if self.num_processes == 1 or len(tasks) < self.min_parallel:
-            out: List[MatchDelta] = []
-            for ts, update in tasks:
-                out.extend(self._inline.process_update(ts, update))
-            return out
-        indexed = [(i, ts, upd) for i, (ts, upd) in enumerate(tasks)]
+        n = min(self.num_processes, len(tasks))
+        if len(tasks) < self.min_parallel:
+            n = 1
         ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
-        with ctx.Pool(
-            processes=self.num_processes,
-            initializer=_init_process_worker,
-            initargs=(
-                self.store,
-                self.algorithm,
-                self.telemetry.enabled,
-                self._profile.enabled,
-            ),
-        ) as pool:
-            results = pool.map(
-                _run_process_task,
-                indexed,
-                chunksize=max(1, len(tasks) // (self.num_processes * 4)),
-            )
-        results.sort(key=lambda entry: entry[0])
-        out = []
-        for _, deltas, task_metrics, spans, registry, task_profile in results:
-            out.extend(deltas)
-            self._metrics.merge(task_metrics)
-            if spans:
+        switches = (self.telemetry.enabled, self._profile.enabled)
+        slots: List[List[MatchDelta]] = [[]] * len(tasks)
+        workers = []
+        try:
+            for w in range(1, n):
+                receiver, sender = ctx.Pipe(duplex=False)
+                worker = ctx.Process(
+                    target=_slice_worker,
+                    args=(sender, tasks[w::n], self.store, self.algorithm, *switches),
+                )
+                worker.start()
+                # only the child holds the write end now: its death reads as EOF
+                sender.close()
+                workers.append((worker, receiver))
+            slots[0::n] = [
+                self._inline.process_update(ts, update) for ts, update in tasks[0::n]
+            ]
+            for w, (_, receiver) in enumerate(workers, start=1):
+                try:
+                    reply = receiver.recv()
+                except EOFError:
+                    # w is also the window index of its slice's first task
+                    raise WorkerCrashed(w, w) from None
+                if isinstance(reply, Exception):
+                    raise reply
+                slots[w::n], metrics, spans, registry, profile = reply
+                self._metrics.merge(metrics)
                 # Re-parent the worker's spans under the caller's current
                 # span (the session's open window span).
                 self.telemetry.tracer.absorb(spans)
-            self._shipped_registry.merge(registry)
-            self._profile.merge(task_profile)
-        return out
+                self._worker_tel.registry.merge(registry)
+                self._profile.merge(profile)
+        except BaseException:
+            for worker, _ in workers:
+                worker.terminate()  # its reply is moot: do not wait for it
+            raise
+        finally:
+            for worker, receiver in workers:
+                receiver.close()
+                worker.join()
+        return [delta for slot in slots for delta in slot]
 
     def metrics(self) -> Metrics:
         merged = Metrics()
@@ -449,12 +453,7 @@ class ProcessBackend(ExecutionBackend):
         self._metrics.record_window(wall_seconds)
 
     def worker_registries(self) -> List[MetricsRegistry]:
-        out = []
-        if self._worker_tel.enabled:
-            out.append(self._worker_tel.registry)
-        if self.telemetry.enabled:
-            out.append(self._shipped_registry)
-        return out
+        return [self._worker_tel.registry] if self._worker_tel.enabled else []
 
     def worker_profiles(self) -> List[ExplorationProfile]:
         return [self._profile] if self._profile.enabled else []

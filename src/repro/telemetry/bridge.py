@@ -147,8 +147,8 @@ def net_to_registry(registry: "MetricsRegistry", store: "GraphStore") -> None:
     (:data:`~repro.net.rpc.LATENCY_SAMPLE_CAP`).
 
     The gauges are bridged **additively** (``inc`` onto a freshly built
-    scrape registry, never ``set``): process workers ship their
-    reconnected clients' wire activity as gauge values in their per-task
+    scrape registry, never ``set``): process workers ship their own
+    clients' wire activity as gauge values in their per-window
     registries, which the session merges in *before* this bridge runs —
     a ``set`` here would silently clobber those worker counts with the
     parent client's view alone (the PR 9 bug sweep finding).
@@ -163,10 +163,11 @@ def net_delta_to_registry(registry: "MetricsRegistry", store: "GraphStore") -> N
     """Ship a wire-backed store's activity *since the last take*.
 
     The worker-side half of the net-accounting contract: called once per
-    process task against the worker's reconnected client, it consumes the
-    client's :meth:`~repro.net.client.NetStoreClient.take_net_delta` and
-    records it additively, so merged task registries sum to exactly the
-    wire truth (every RPC counted once, none lost to reconnection).
+    window by each process-backend slice worker against its own
+    (redialled or reconnected) client, it consumes the client's
+    :meth:`~repro.net.client.NetStoreClient.take_net_delta` and records
+    it additively, so merged worker registries sum to exactly the wire
+    truth (every RPC counted once, none lost, none inherited).
     No-op for stores without a delta source.
     """
     take = getattr(store, "take_net_delta", None)

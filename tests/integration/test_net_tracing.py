@@ -330,31 +330,40 @@ class TestProcessBackendNetAccounting:
     def test_process_backend_gauges_include_worker_wire_activity(self):
         updates = [
             Update.add_edge(u, v)
-            for u, v in erdos_renyi(12, 28, seed=7).sorted_edges()
+            for u, v in erdos_renyi(30, 120, seed=7).sorted_edges()
         ]
+        # A two-record copy cache: forked workers inherit almost nothing
+        # they need and must fetch over the wire themselves.
+        store = make_store("net", cache_size=2)
         session = StreamingSession(
             CliqueMining(3, min_size=3),
             "process",
-            window_size=len(updates),  # wide window: defeats inline fallback
+            window_size=20,  # six windows: the fork-inherited history grows
             num_workers=2,
-            store="net",
+            store=store,
             telemetry=Telemetry(),
         )
+
+        def served():
+            return sum(store._server.stats_snapshot()["requests"].values())
+
         try:
             session.submit_many(updates)
             session.flush()
-            parent_rpcs = session.store.net_log.rpcs
             dumped = {f.name: f for f in session.collect_registry().families()}
             total = dumped["repro_net_rpcs"].labels().value
-            # parent client wire counts plus the workers' shipped deltas:
-            # strictly more than the parent alone (workers redial and fetch)
-            assert parent_rpcs > 0
-            assert total > parent_rpcs
+            # the wire truth: every request the server dispatched, the
+            # parent client's and the workers', each counted exactly once
+            # (a forked worker must not re-ship the history it inherited)
+            parent_rpcs = store.net_log.rpcs
+            assert total == served()
+            assert total > parent_rpcs > 0
             # collecting again must not double-count the shipped worker
             # deltas: the gauge may only grow by the parent client's own new
             # RPCs (the scrape itself issues a store_stats call)
-            parent_growth = session.store.net_log.rpcs - parent_rpcs
             again = {f.name: f for f in session.collect_registry().families()}
+            parent_growth = store.net_log.rpcs - parent_rpcs
             assert again["repro_net_rpcs"].labels().value == total + parent_growth
         finally:
             session.close()
+            store.close()

@@ -9,6 +9,7 @@ deletion-heavy streams, and any window size.
 
 import itertools
 import pickle
+from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -19,15 +20,30 @@ def stream_bytes(deltas):
     Pickling the whole list at once would entangle the encoding with
     object-identity memoization (serial runs share subgraph objects across
     deltas; process runs return fresh copies), so each delta is encoded
-    independently.
+    independently.  Its edge set is encoded sorted: iteration order is not
+    part of a frozenset's value, and a set rebuilt on the far side of a
+    pipe can iterate differently from an equal one built in place.
     """
-    return b"\x00".join(pickle.dumps(d) for d in deltas)
+    return b"\x00".join(
+        pickle.dumps(
+            (
+                d.timestamp,
+                d.status,
+                d.subgraph.vertices,
+                sorted(d.subgraph.edges),
+                d.subgraph.vertex_labels,
+                d.subgraph.edge_labels,
+            )
+        )
+        for d in deltas
+    )
 
 from repro.apps import CliqueMining, MotifCounting
 from repro.core.engine import collect_matches
 from repro.runtime.backend import BACKEND_NAMES, ProcessBackend
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
+from repro.telemetry import Telemetry
 from repro.types import Update
 
 SETTINGS = settings(
@@ -73,6 +89,10 @@ def evolving_workloads(draw, max_vertices=7, length=22):
 
 
 def run_session(algorithm, backend, ops, window, **kwargs):
+    return finished_session(algorithm, backend, ops, window, **kwargs).deltas()
+
+
+def finished_session(algorithm, backend, ops, window, **kwargs):
     session = StreamingSession(
         algorithm, backend, window_size=window, **kwargs
     )
@@ -84,7 +104,7 @@ def run_session(algorithm, backend, ops, window, **kwargs):
     session.submit_many(ops[half:])
     session.flush()
     session.close()
-    return session.deltas()
+    return session
 
 
 class TestBackendEquivalence:
@@ -111,18 +131,47 @@ class TestBackendEquivalence:
     def test_process_backend_streams_window_by_window(self, workload):
         """The process backend mines a live stream, window by window.
 
-        ``min_parallel=1`` forces a real worker pool for *every* window, so
-        each window forks against the store as it stood after that window's
+        ``min_parallel=1`` puts slice workers under *every* window, so each
+        window forks against the store as it stood after that window's
         ingress application — the streaming capability the old
-        ``MultiprocessRunner`` (pre-applied batches only) lacked.
+        ``MultiprocessRunner`` (pre-applied batches only) lacked.  With 2,
+        3 and 5 processes over windows of 1, 2, 3 and 6 updates, windows
+        smaller than, equal to and not a multiple of the process count all
+        occur; whichever process mined a task, the stream, the counters,
+        the profile and the trace must read as serial's do.
         """
         ops, window = workload
         algorithm = CliqueMining(4, min_size=3)
-        store = MultiVersionStore()
-        backend = ProcessBackend(
-            store, algorithm, num_processes=2, min_parallel=1
+        serial = finished_session(
+            algorithm, "serial", ops, window, telemetry=Telemetry(), profile=True
         )
-        deltas = run_session(algorithm, backend, ops, window, store=store)
-        reference = run_session(algorithm, "serial", ops, window)
-        assert deltas == reference
-        assert collect_matches(deltas) == collect_matches(reference)
+        reference = serial.deltas()
+        reference_totals = serial.collect_registry().counter_totals()
+        reference_profile = serial.collect_profile().to_dict()
+        for num_processes in (2, 3, 5):
+            store = MultiVersionStore()
+            telemetry = Telemetry()
+            backend = ProcessBackend(
+                store,
+                algorithm,
+                num_processes=num_processes,
+                min_parallel=1,
+                telemetry=telemetry,
+                profile=True,
+            )
+            session = finished_session(
+                algorithm, backend, ops, window, store=store, telemetry=telemetry
+            )
+            deltas = session.deltas()
+            assert deltas == reference
+            assert stream_bytes(deltas) == stream_bytes(reference)
+            assert collect_matches(deltas) == collect_matches(reference)
+            assert session.collect_registry().counter_totals() == reference_totals
+            assert session.collect_profile().to_dict() == reference_profile
+            # exactly one task span per task, under that task's window span
+            records = telemetry.tracer.records()
+            tasks_under = Counter(r.parent_id for r in records if r.name == "task")
+            windows = {
+                r.span_id: r.attrs["updates"] for r in records if r.name == "window"
+            }
+            assert tasks_under == Counter(windows)

@@ -1,13 +1,18 @@
 """Unit tests for execution backends, the streaming session, and WorkQueue.drain."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.apps import CliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.metrics import Metrics
+from repro.errors import WorkerCrashed
 from repro.graph.generators import erdos_renyi, shuffled_edges
 from repro.runtime.backend import (
     BACKEND_NAMES,
+    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     make_backend,
@@ -198,3 +203,77 @@ class TestStreamingSession:
         backend = ThreadBackend(store, CliqueMining(3, min_size=3), num_workers=4)
         serial = make_backend("serial", store, CliqueMining(3, min_size=3))
         assert backend.run_tasks(tasks) == serial.run_tasks(tasks)
+
+
+class PoisonedVertex(CliqueMining):
+    """Triangles, except that any subgraph holding ``vertex`` raises."""
+
+    def __init__(self, vertex):
+        super().__init__(3, min_size=3)
+        self.vertex = vertex
+
+    def filter(self, s):
+        if self.vertex in s:
+            raise LookupError(f"poisoned vertex {self.vertex}")
+        return super().filter(s)
+
+
+class DiesOutsideCaller(CliqueMining):
+    """Triangles, except that any process but ``caller`` exits on the spot."""
+
+    def __init__(self):
+        super().__init__(3, min_size=3)
+        self.caller = os.getpid()
+
+    def filter(self, s):
+        if self.caller not in (None, os.getpid()):
+            os._exit(3)
+        return super().filter(s)
+
+
+class TestProcessBackendFailures:
+    """A failing slice worker surfaces in the caller and leaves no child."""
+
+    # Three disjoint triangles on {0,1,2}, {10,11,12}, {20,21,22}, their
+    # edges interleaved: with three processes, stride slice w is triangle w.
+    TASKS = [
+        (1, EdgeUpdate(base + u, base + v, added=True))
+        for u, v in [(0, 1), (1, 2), (0, 2)]
+        for base in (0, 10, 20)
+    ]
+
+    def _backend(self, algorithm):
+        store = MultiVersionStore()
+        for ts, update in self.TASKS:
+            store.add_edge(update.u, update.v, ts)
+        return ProcessBackend(store, algorithm, num_processes=3, min_parallel=1)
+
+    def _assert_reusable(self, backend):
+        """No child is left behind, and the next window mines normally."""
+        assert multiprocessing.active_children() == []
+        serial = make_backend("serial", backend.store, CliqueMining(3, min_size=3))
+        deltas = backend.run_tasks(self.TASKS)
+        assert len(deltas) == 3
+        assert deltas == serial.run_tasks(self.TASKS)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("slice_index", [0, 1, 2])
+    def test_algorithm_exception_keeps_type_and_worker_traceback(self, slice_index):
+        # slice 0 raises in the caller itself, slices 1 and 2 in a worker
+        poisoned = 10 * slice_index
+        backend = self._backend(PoisonedVertex(poisoned))
+        with pytest.raises(LookupError, match=f"poisoned vertex {poisoned}") as info:
+            backend.run_tasks(self.TASKS)
+        if slice_index:
+            # what Pool.map gave: the worker's traceback text as the cause
+            assert "in filter" in str(info.value.__cause__)
+        backend.algorithm.vertex = None  # disarm
+        self._assert_reusable(backend)
+
+    def test_worker_exit_without_reply_raises_worker_crashed(self):
+        backend = self._backend(DiesOutsideCaller())
+        with pytest.raises(WorkerCrashed) as info:
+            backend.run_tasks(self.TASKS)
+        assert info.value.worker_id == 1
+        backend.algorithm.caller = None  # disarm
+        self._assert_reusable(backend)
