@@ -11,6 +11,12 @@ that does is a *new* match (NEW).  The continuation flags ``c_pre`` and
 Both added and deleted edges are treated identically (the store's
 :class:`~repro.store.snapshot.ExplorationView` exposes the union of the two
 snapshots, so deletions' neighborhoods remain reachable).
+
+Most nodes are built, rejected by ``filter`` and torn down again, so a node
+is kept cheap: the two :class:`~repro.graph.subgraph.SubgraphView` objects
+are built once per update over the live vertex list and matrices and re-used
+by every node, expanding and backtracking are O(1) row operations, and
+attempts and expansions are accounted once per EXPLORE call.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
 from repro.store.snapshot import ExplorationView
 from repro.types import EdgeUpdate, MatchDelta, MatchStatus, VertexId
+
+#: outcomes of evaluating one subgraph version
+_REJECTED, _KEPT, _MATCHED = range(3)
 
 
 class Explorer:
@@ -71,15 +80,10 @@ class Explorer:
         self._view: ExplorationView = None  # type: ignore[assignment]
         self._verts: List[VertexId] = []
         self._out: List[MatchDelta] = []
-        self._last_filter_passed = True
-        # Resolvers handed to every SubgraphView: nothing is read from the
-        # store until filter/match (or freeze) asks for it.
-        self._label_pre = None
-        self._label_post = None
-        self._edge_label_pre = None
-        self._edge_label_post = None
-        self._direction_pre = None
-        self._direction_post = None
+        # The pre- and post-window views, built once per update over the
+        # live ``_verts`` and matrices and handed to every node's filter.
+        self._s_pre: SubgraphView = None  # type: ignore[assignment]
+        self._s_post: SubgraphView = None  # type: ignore[assignment]
 
     # -- entry point -----------------------------------------------------
 
@@ -91,41 +95,60 @@ class Explorer:
         self._out = []
         if self._profiling:
             self.profile.begin_update(view.ts, update)
+        # Resolvers handed to the two views: nothing is read from the store
+        # until filter/match (or freeze) asks for it.
+        store, ts = view.store, view.ts
+        edge_label_pre = edge_label_post = direction_pre = direction_post = None
         if self.algorithm.uses_edge_labels:
-            store, ts = view.store, view.ts
-            self._edge_label_pre = lambda a, b: store.edge_label_at(a, b, ts - 1)
-            self._edge_label_post = lambda a, b: store.edge_label_at(a, b, ts)
-        else:
-            self._edge_label_pre = self._edge_label_post = None
+            edge_label_pre = lambda a, b: store.edge_label_at(a, b, ts - 1)
+            edge_label_post = lambda a, b: store.edge_label_at(a, b, ts)
         if self.algorithm.uses_directions:
-            store, ts = view.store, view.ts
-            self._direction_pre = lambda a, b: store.edge_direction_at(a, b, ts - 1)
-            self._direction_post = lambda a, b: store.edge_direction_at(a, b, ts)
+            direction_pre = lambda a, b: store.edge_direction_at(a, b, ts - 1)
+            direction_post = lambda a, b: store.edge_direction_at(a, b, ts)
+        self._verts = verts = [update.u, update.v]
+        alive_pre, alive_post = view.update_edge_state(update.u, update.v)
+        vertex_induced = self.algorithm.induced is InducedMode.VERTEX
+        if vertex_induced:
+            pre = BitMatrix([0, 1 if alive_pre else 0])
+            post = BitMatrix([0, 1 if alive_post else 0])
         else:
-            self._direction_pre = self._direction_post = None
-        self._label_pre = lambda v: view.vertex_label(v, True)
-        self._label_post = view.vertex_label
-        self._verts = [update.u, update.v]
-        if self.algorithm.induced is InducedMode.VERTEX:
-            self._explore_vertex_induced(update)
+            # the update edge is always part of an edge-induced subgraph
+            pre = post = BitMatrix([0, 1])
+        self._s_pre = SubgraphView(
+            verts,
+            pre,
+            edge_label_fn=edge_label_pre,
+            direction_fn=direction_pre,
+            label_fn=lambda v: view.vertex_label(v, True),
+        )
+        self._s_post = SubgraphView(
+            verts,
+            post,
+            edge_label_fn=edge_label_post,
+            direction_fn=direction_post,
+            label_fn=view.vertex_label,
+        )
+        if self._profiling:
+            self.profile.node(2)
+        if vertex_induced:
+            c_pre, c_post = self._detect_changes(True, True)
+            if (c_pre or c_post) and 2 < self.algorithm.max_size:
+                self._explore_v(pre, post, update.key, c_pre, c_post)
         else:
-            self._explore_edge_induced(update)
+            # a version in which the update edge is missing does not exist
+            c_pre, c_post = self._detect_changes(alive_pre, alive_post)
+            if (c_pre or c_post) and 2 < self.algorithm.max_size:
+                self._explore_e(
+                    pre,
+                    update.key,
+                    int(not alive_pre),
+                    int(not alive_post),
+                    c_pre,
+                    c_post,
+                )
         return self._out
 
     # -- vertex-induced mode ---------------------------------------------
-
-    def _explore_vertex_induced(self, update: EdgeUpdate) -> None:
-        view = self._view
-        pre = BitMatrix()
-        post = BitMatrix()
-        pre.append_row(0)
-        post.append_row(0)
-        alive_pre, alive_post = view.update_edge_state(update.u, update.v)
-        pre.append_row(1 if alive_pre else 0)
-        post.append_row(1 if alive_post else 0)
-        c_pre, c_post = self._detect_changes(pre, post, True, True)
-        if (c_pre or c_post) and len(self._verts) < self.algorithm.max_size:
-            self._explore_v(pre, post, update.key, c_pre, c_post)
 
     def _explore_v(
         self,
@@ -135,23 +158,28 @@ class Explorer:
         c_pre: bool,
         c_post: bool,
     ) -> None:
-        self.metrics.explore_calls += 1
+        metrics = self.metrics
         verts = self._verts
-        max_size = self.algorithm.max_size
+        depth = len(verts) + 1
+        # The frontier is a leaf: a subgraph of ``max_size`` vertices is
+        # evaluated like any other but never expanded.
+        descend = depth < self.algorithm.max_size
         candidates = self._candidate_bits()
-        timing = self.metrics.timing_enabled
+        timing = metrics.timing_enabled
+        # For a child of the root rule 2 is vacuous (it looks at slots 2..),
+        # and with equal masks no edge to the candidate was updated in this
+        # window, so there is no same-window edge to reject either.
+        at_root = depth == 3
+        expansions = 0
         for v in sorted(candidates):
             pre_bits, post_bits = candidates[v]
-            self.metrics.can_expand_calls += 1
-            if self._profiling:
-                self.profile.attempt()
             if timing:
-                with Stopwatch(
-                    self.metrics, "can_expand_seconds", self._hist_can_expand
-                ):
+                with Stopwatch(metrics, "can_expand_seconds", self._hist_can_expand):
                     reason = vertex_expansion_reason(
                         verts, start_key, v, pre_bits, post_bits
                     )
+            elif at_root and pre_bits == post_bits:
+                reason = ALLOWED
             else:
                 reason = vertex_expansion_reason(
                     verts, start_key, v, pre_bits, post_bits
@@ -163,9 +191,7 @@ class Explorer:
                     else:
                         self.profile.pruned_same_window()
                 continue
-            self.metrics.expansions += 1
-            if self._profiling:
-                self.profile.expansion()
+            expansions += 1
             verts.append(v)
             # A version whose flag dropped stays down for the whole subtree
             # and its matrix is never read there: only live versions grow.
@@ -173,16 +199,27 @@ class Explorer:
                 pre.append_row(pre_bits)
             if c_post:
                 post.append_row(post_bits)
-            c_pre2, c_post2 = self._detect_changes(pre, post, c_pre, c_post)
-            # The frontier is a leaf: a subgraph of ``max_size`` vertices is
-            # evaluated like any other but never expanded.
-            if (c_pre2 or c_post2) and len(verts) < max_size:
+            c_pre2, c_post2 = self._detect_changes(c_pre, c_post)
+            if descend and (c_pre2 or c_post2):
                 self._explore_v(pre, post, start_key, c_pre2, c_post2)
             if c_pre:
                 pre.pop_row()
             if c_post:
                 post.pop_row()
             verts.pop()
+        self._account(len(candidates), expansions, depth)
+
+    def _account(self, attempts: int, expansions: int, depth: int) -> None:
+        """One EXPLORE call's counts: all its children share ``depth``."""
+        metrics = self.metrics
+        metrics.explore_calls += 1
+        metrics.can_expand_calls += attempts
+        metrics.expansions += expansions
+        if self._profiling:
+            self.profile.attempt(attempts)
+            if expansions:
+                self.profile.expansion(expansions)
+                self.profile.node(depth, expansions)
 
     def _candidate_bits(self):
         """Expansion candidates with their subgraph adjacency bitmasks.
@@ -209,45 +246,37 @@ class Explorer:
                     entry[1] |= bit
         return candidates
 
-    def _detect_changes(
-        self, pre: BitMatrix, post: BitMatrix, c_pre: bool, c_post: bool
-    ):
-        """DETECT_CHANGES (Algorithm 2 lines 8-18) for vertex-induced mode."""
-        if self._profiling:
-            self.profile.node(len(self._verts))
+    def _detect_changes(self, c_pre: bool, c_post: bool):
+        """DETECT_CHANGES (Algorithm 2 lines 8-18) at the current node.
+
+        Returns the continuation flags: a version's flag drops when its
+        ``filter`` fails.  Edge-induced callers pass a flag already lowered
+        for a version in which a chosen edge is missing: that version does
+        not exist, here or in any extension.
+        """
         if c_pre:
-            s_pre = SubgraphView(
-                self._verts,
-                pre,
-                None,
-                self._edge_label_pre,
-                self._direction_pre,
-                self._label_pre,
-            )
-            if self._evaluate(s_pre, pre):
-                self._emit(MatchStatus.REM, s_pre)
-            elif not self._last_filter_passed:
+            s = self._s_pre
+            s.rebind()
+            state = self._evaluate(s)
+            if state == _MATCHED:
+                self._emit(MatchStatus.REM, s)
+            elif state == _REJECTED:
                 c_pre = False
         if c_post:
-            s_post = SubgraphView(
-                self._verts,
-                post,
-                None,
-                self._edge_label_post,
-                self._direction_post,
-                self._label_post,
-            )
-            if self._evaluate(s_post, post):
-                self._emit(MatchStatus.NEW, s_post)
-            elif not self._last_filter_passed:
+            s = self._s_post
+            s.rebind()
+            state = self._evaluate(s)
+            if state == _MATCHED:
+                self._emit(MatchStatus.NEW, s)
+            elif state == _REJECTED:
                 c_post = False
         return c_pre, c_post
 
-    def _evaluate(self, s: SubgraphView, matrix: BitMatrix) -> bool:
-        """filter -> connectivity -> match; returns whether ``s`` matched.
+    def _evaluate(self, s: SubgraphView) -> int:
+        """filter -> connectivity -> match, as a tri-state.
 
-        Sets ``_last_filter_passed`` so the caller can distinguish a failed
-        filter (stop exploring this version) from a mere non-match.
+        A failed filter (stop exploring this version) is distinct from a
+        subgraph that is kept but is not a match.
         """
         algorithm = self.algorithm
         metrics = self.metrics
@@ -257,11 +286,12 @@ class Explorer:
                 keep = algorithm.filter(s)
         else:
             keep = algorithm.filter(s)
-        self._last_filter_passed = keep
         if self._profiling:
             self.profile.filter_call(keep)
-        if not keep or not matrix.is_connected():
-            return False
+        if not keep:
+            return _REJECTED
+        if not s.is_connected():
+            return _KEPT
         metrics.match_calls += 1
         if metrics.timing_enabled:
             with Stopwatch(metrics, "match_seconds", self._hist_match):
@@ -270,7 +300,7 @@ class Explorer:
             matched = algorithm.match(s)
         if self._profiling:
             self.profile.match_call(matched)
-        return matched
+        return _MATCHED if matched else _KEPT
 
     def _emit(self, status: MatchStatus, s: SubgraphView) -> None:
         self.metrics.emits += 1
@@ -282,18 +312,6 @@ class Explorer:
 
     # -- edge-induced mode -----------------------------------------------
 
-    def _explore_edge_induced(self, update: EdgeUpdate) -> None:
-        view = self._view
-        chosen = BitMatrix()
-        chosen.append_row(0)
-        chosen.append_row(1)  # the update edge is always part of the subgraph
-        alive_pre, alive_post = view.update_edge_state(update.u, update.v)
-        missing_pre = 0 if alive_pre else 1
-        missing_post = 0 if alive_post else 1
-        c_pre, c_post = self._detect_changes_edge(chosen, missing_pre, missing_post, True, True)
-        if (c_pre or c_post) and len(self._verts) < self.algorithm.max_size:
-            self._explore_e(chosen, update.key, missing_pre, missing_post, c_pre, c_post)
-
     def _explore_e(
         self,
         chosen: BitMatrix,
@@ -303,20 +321,17 @@ class Explorer:
         c_pre: bool,
         c_post: bool,
     ) -> None:
-        self.metrics.explore_calls += 1
+        metrics = self.metrics
         verts = self._verts
-        max_size = self.algorithm.max_size
+        depth = len(verts) + 1
+        descend = depth < self.algorithm.max_size
         candidates = self._candidate_bits()
-        timing = self.metrics.timing_enabled
+        timing = metrics.timing_enabled
+        expansions = 0
         for v in sorted(candidates):
             pre_bits, post_bits = candidates[v]
-            self.metrics.can_expand_calls += 1
-            if self._profiling:
-                self.profile.attempt()
             if timing:
-                with Stopwatch(
-                    self.metrics, "can_expand_seconds", self._hist_can_expand
-                ):
+                with Stopwatch(metrics, "can_expand_seconds", self._hist_can_expand):
                     pool, excluded = edge_expansion_pool_ex(
                         verts, start_key, v, pre_bits, post_bits
                     )
@@ -333,89 +348,38 @@ class Explorer:
             # One expansion per subset of the connecting edges, including the
             # empty subset: a vertex may join now and become connected by a
             # later vertex's edges (connectivity is checked at match time).
+            expansions += 1 << len(pool)
             for subset in _subsets(pool):
                 bits = 0
-                add_missing_pre = 0
-                add_missing_post = 0
+                child_missing_pre = missing_pre
+                child_missing_post = missing_post
                 for slot, a_pre, a_post in subset:
                     bits |= 1 << slot
                     if not a_pre:
-                        add_missing_pre += 1
+                        child_missing_pre += 1
                     if not a_post:
-                        add_missing_post += 1
-                self.metrics.expansions += 1
-                if self._profiling:
-                    self.profile.expansion()
+                        child_missing_post += 1
                 verts.append(v)
                 chosen.append_row(bits)
-                c_pre2, c_post2 = self._detect_changes_edge(
-                    chosen,
-                    missing_pre + add_missing_pre,
-                    missing_post + add_missing_post,
-                    c_pre,
-                    c_post,
+                # An edge-induced version exists only when all chosen edges
+                # are alive in that snapshot; a missing edge stays missing in
+                # every extension, so the flag drops permanently.
+                c_pre2, c_post2 = self._detect_changes(
+                    c_pre and not child_missing_pre,
+                    c_post and not child_missing_post,
                 )
-                if (c_pre2 or c_post2) and len(verts) < max_size:
+                if descend and (c_pre2 or c_post2):
                     self._explore_e(
                         chosen,
                         start_key,
-                        missing_pre + add_missing_pre,
-                        missing_post + add_missing_post,
+                        child_missing_pre,
+                        child_missing_post,
                         c_pre2,
                         c_post2,
                     )
                 chosen.pop_row()
                 verts.pop()
-
-    def _detect_changes_edge(
-        self,
-        chosen: BitMatrix,
-        missing_pre: int,
-        missing_post: int,
-        c_pre: bool,
-        c_post: bool,
-    ):
-        """DETECT_CHANGES for edge-induced mode.
-
-        An edge-induced subgraph version exists only when *all* chosen edges
-        are alive in that snapshot; a missing edge stays missing in every
-        extension, so the continuation flag drops permanently.
-        """
-        if self._profiling:
-            self.profile.node(len(self._verts))
-        if c_pre:
-            if missing_pre:
-                c_pre = False
-            else:
-                s_pre = SubgraphView(
-                    self._verts,
-                    chosen,
-                    None,
-                    self._edge_label_pre,
-                    self._direction_pre,
-                    self._label_pre,
-                )
-                if self._evaluate(s_pre, chosen):
-                    self._emit(MatchStatus.REM, s_pre)
-                elif not self._last_filter_passed:
-                    c_pre = False
-        if c_post:
-            if missing_post:
-                c_post = False
-            else:
-                s_post = SubgraphView(
-                    self._verts,
-                    chosen,
-                    None,
-                    self._edge_label_post,
-                    self._direction_post,
-                    self._label_post,
-                )
-                if self._evaluate(s_post, chosen):
-                    self._emit(MatchStatus.NEW, s_post)
-                elif not self._last_filter_passed:
-                    c_post = False
-        return c_pre, c_post
+        self._account(len(candidates), expansions, depth)
 
 
 def _subsets(pool):

@@ -26,7 +26,6 @@ from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
 from repro.types import (
     EdgeKey,
-    Label,
     MatchDelta,
     MatchStatus,
     MatchSubgraph,
@@ -51,8 +50,10 @@ class STesseractEngine:
         self.metrics = metrics if metrics is not None else Metrics()
         self._graph: AdjacencyGraph = None  # type: ignore[assignment]
         self._verts: List[VertexId] = []
-        self._labels: List[Label] = []
         self._out: List[MatchDelta] = []
+        # The one view of the current root's exploration, built over the
+        # live ``_verts`` and matrix and handed to every node's filter.
+        self._s: SubgraphView = None  # type: ignore[assignment]
 
     def run(self, graph: AdjacencyGraph) -> List[MatchDelta]:
         """Enumerate all matches of the static graph, once each.
@@ -73,43 +74,49 @@ class STesseractEngine:
 
     def _explore_root(self, u: VertexId, v: VertexId) -> None:
         graph = self._graph
+        algorithm = self.algorithm
         self._verts = [u, v]
-        self._labels = [graph.vertex_label(u), graph.vertex_label(v)]
-        matrix = BitMatrix()
-        matrix.append_row(0)
-        matrix.append_row(1)
-        if self._detect(matrix) and len(self._verts) < self.algorithm.max_size:
+        matrix = BitMatrix([0, 1])
+        self._s = SubgraphView(
+            self._verts,
+            matrix,
+            edge_label_fn=graph.edge_label if algorithm.uses_edge_labels else None,
+            direction_fn=graph.edge_direction if algorithm.uses_directions else None,
+            label_fn=graph.vertex_label,
+        )
+        if self._detect() and 2 < algorithm.max_size:
             self._explore(matrix, (u, v))
 
     def _explore(self, matrix: BitMatrix, start_key: EdgeKey) -> None:
-        self.metrics.explore_calls += 1
+        metrics = self.metrics
         verts = self._verts
-        max_size = self.algorithm.max_size
+        # Same frontier rule as ``Explorer``: ``max_size`` is a leaf.
+        descend = len(verts) + 1 < self.algorithm.max_size
         graph = self._graph
         members = set(verts)
         candidates = sorted(
             {n for w in verts for n in graph.neighbors(w)} - members
         )
-        timing = self.metrics.timing_enabled
+        timing = metrics.timing_enabled
+        expansions = 0
         for v in candidates:
-            self.metrics.can_expand_calls += 1
             if timing:
-                with Stopwatch(self.metrics, "can_expand_seconds"):
+                with Stopwatch(metrics, "can_expand_seconds"):
                     bits = self._can_expand(v)
             else:
                 bits = self._can_expand(v)
             if bits is None:
                 continue
-            self.metrics.expansions += 1
+            expansions += 1
             verts.append(v)
-            self._labels.append(graph.vertex_label(v))
             matrix.append_row(bits)
-            # Same frontier rule as ``Explorer``: ``max_size`` is a leaf.
-            if self._detect(matrix) and len(verts) < max_size:
+            if self._detect() and descend:
                 self._explore(matrix, start_key)
             matrix.pop_row()
             verts.pop()
-            self._labels.pop()
+        metrics.explore_calls += 1
+        metrics.can_expand_calls += len(candidates)
+        metrics.expansions += expansions
 
     def _can_expand(self, v: VertexId) -> Optional[int]:
         """Update canonicality with a pure edge-order root rule.
@@ -137,20 +144,13 @@ class STesseractEngine:
                 return None
         return bits
 
-    def _detect(self, matrix: BitMatrix) -> bool:
+    def _detect(self) -> bool:
         """Filter/connectivity/match on the single (static) subgraph version."""
         algorithm = self.algorithm
         metrics = self.metrics
         timing = metrics.timing_enabled
-        edge_label_fn = (
-            self._graph.edge_label if self.algorithm.uses_edge_labels else None
-        )
-        direction_fn = (
-            self._graph.edge_direction if self.algorithm.uses_directions else None
-        )
-        s = SubgraphView(
-            self._verts, matrix, self._labels, edge_label_fn, direction_fn
-        )
+        s = self._s
+        s.rebind()
         metrics.filter_calls += 1
         if timing:
             with Stopwatch(metrics, "filter_seconds"):
@@ -159,7 +159,7 @@ class STesseractEngine:
             keep = algorithm.filter(s)
         if not keep:
             return False
-        if matrix.is_connected():
+        if s.is_connected():
             metrics.match_calls += 1
             if timing:
                 with Stopwatch(metrics, "match_seconds"):

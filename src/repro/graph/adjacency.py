@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import UnknownVertexError
-from repro.types import EdgeKey, Label, VertexId, edge_key
+from repro.types import EdgeKey, Label, VertexId, edge_key, normalize_direction
 
 
 class AdjacencyGraph:
@@ -88,8 +88,6 @@ class AdjacencyGraph:
         if label is not None:
             self._edge_labels[edge_key(u, v)] = label
         if direction is not None:
-            from repro.types import normalize_direction
-
             self._edge_directions[edge_key(u, v)] = normalize_direction(
                 u, v, direction
             )

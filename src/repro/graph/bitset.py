@@ -6,6 +6,12 @@ edge counting, degree computation, expansion, and backtracking are cheap
 bitwise operations.  Python integers are arbitrary-precision bitsets, which
 makes this representation natural: row ``i`` of the matrix is an int whose
 bit ``j`` is set iff vertices ``i`` and ``j`` are adjacent in the subgraph.
+
+Only the lower triangle is stored: slot ``i`` keeps the bits ``j < i``, which
+are exactly the bits EXPLORE hands to :meth:`BitMatrix.append_row`.  Expanding
+and backtracking therefore never touch an earlier row; the symmetric rows
+are mirrored on demand by the queries that need them, and those run only on
+subgraphs that survived ``filter``.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ class BitMatrix:
     __slots__ = ("_rows", "_num_edges")
 
     def __init__(self, rows: List[int] | None = None) -> None:
-        self._rows = list(rows) if rows else []
-        self._num_edges = sum(r.bit_count() for r in self._rows) // 2
+        """Build from full symmetric ``rows`` (bit ``j`` of ``rows[i]``)."""
+        self._rows = [r & ((1 << i) - 1) for i, r in enumerate(rows or ())]
+        self._num_edges = sum(r.bit_count() for r in self._rows)
 
     # -- construction ------------------------------------------------------
 
@@ -56,31 +63,16 @@ class BitMatrix:
         EXPAND step: the new vertex's connections to the current subgraph.
         """
         rows = self._rows
-        n = len(rows)
-        if neighbor_bits >> n:
+        if neighbor_bits >> len(rows):
             raise ValueError("neighbor_bits references slots beyond the matrix")
-        bit = 1 << n
-        bits = neighbor_bits
-        while bits:
-            low = bits & -bits
-            rows[low.bit_length() - 1] |= bit
-            bits ^= low
         rows.append(neighbor_bits)
         self._num_edges += neighbor_bits.bit_count()
 
     def pop_row(self) -> None:
         """Remove the most recently appended slot (the backtrack step)."""
-        rows = self._rows
-        if not rows:
+        if not self._rows:
             raise IndexError("pop from empty BitMatrix")
-        bits = rows.pop()
-        self._num_edges -= bits.bit_count()
-        mask = ~(1 << len(rows))
-        # rows are symmetric, so the popped row names every row to clear
-        while bits:
-            low = bits & -bits
-            rows[low.bit_length() - 1] &= mask
-            bits ^= low
+        self._num_edges -= self._rows.pop().bit_count()
 
     # -- edge accessors ------------------------------------------------------
 
@@ -89,28 +81,43 @@ class BitMatrix:
         if i == j:
             raise ValueError("self-loops are not representable")
         if not self.has_edge(i, j):
-            self._rows[i] |= 1 << j
-            self._rows[j] |= 1 << i
+            self._rows[max(i, j)] |= 1 << min(i, j)
             self._num_edges += 1
 
     def clear_edge(self, i: int, j: int) -> None:
         if self.has_edge(i, j):
-            self._rows[i] &= ~(1 << j)
-            self._rows[j] &= ~(1 << i)
+            self._rows[max(i, j)] &= ~(1 << min(i, j))
             self._num_edges -= 1
 
     def has_edge(self, i: int, j: int) -> bool:
         self._check(i)
         self._check(j)
-        return bool(self._rows[i] >> j & 1)
+        return bool(self._rows[max(i, j)] >> min(i, j) & 1)
 
     def row(self, i: int) -> int:
+        """The full symmetric row of slot ``i``."""
         self._check(i)
-        return self._rows[i]
+        rows = self._rows
+        bits = rows[i]
+        for k in range(i + 1, len(rows)):
+            if rows[k] >> i & 1:
+                bits |= 1 << k
+        return bits
 
     def _check(self, i: int) -> None:
         if not 0 <= i < len(self._rows):
             raise IndexError(f"slot {i} out of range for {len(self._rows)} slots")
+
+    def _symmetric_rows(self) -> List[int]:
+        """Every full row at once: the lower triangle mirrored upwards."""
+        full = list(self._rows)
+        for i, bits in enumerate(self._rows):
+            bit = 1 << i
+            while bits:
+                low = bits & -bits
+                full[low.bit_length() - 1] |= bit
+                bits ^= low
+        return full
 
     # -- bulk queries (bitwise, per the paper's optimization) ----------------
 
@@ -125,22 +132,11 @@ class BitMatrix:
     def is_connected(self) -> bool:
         """Whether the subgraph is connected, via bitwise frontier expansion."""
         n = len(self._rows)
-        if n == 0:
+        if n == 0 or self._num_edges < n - 1:
             return False
-        if n == 1:
-            return True
-        visited = 1  # slot 0
-        frontier = self._rows[0]
-        while frontier:
-            visited |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= self._rows[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~visited
-        return visited.bit_count() == n
+        if n <= 3:
+            return True  # n - 1 edges on at most three slots always span them
+        return _reaches(self._symmetric_rows(), 0, 0) == n
 
     def is_connected_without(self, i: int) -> bool:
         """Whether the subgraph stays connected when slot ``i`` is removed.
@@ -154,24 +150,12 @@ class BitMatrix:
             return False
         if n == 2:
             return True
-        excluded = 1 << i
         start = 0 if i != 0 else 1
-        visited = 1 << start
-        frontier = self._rows[start] & ~excluded
-        while frontier:
-            visited |= frontier
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= self._rows[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & ~(visited | excluded)
-        return visited.bit_count() == n - 1
+        return _reaches(self._symmetric_rows(), start, 1 << i) == n - 1
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Yield undirected slot pairs (i, j) with i < j for each edge."""
-        for i, r in enumerate(self._rows):
+        for i, r in enumerate(self._symmetric_rows()):
             bits = r >> (i + 1)
             j = i + 1
             while bits:
@@ -193,3 +177,18 @@ class BitMatrix:
     def __repr__(self) -> str:
         n = len(self._rows)
         return f"BitMatrix({n} slots, {self.num_edges()} edges)"
+
+
+def _reaches(rows: List[int], start: int, excluded: int) -> int:
+    """Number of slots reachable from ``start`` avoiding the ``excluded`` bits."""
+    visited = 1 << start
+    frontier = rows[start] & ~excluded
+    while frontier:
+        visited |= frontier
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~(visited | excluded)
+    return visited.bit_count()

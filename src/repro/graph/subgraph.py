@@ -7,12 +7,14 @@ differential processing the engine builds two views over the same vertex
 list — one with the pre-update edges and one with the post-update edges
 (paper section 4.3).
 
-Inside the engine a view is a window onto the explorer's live DFS state
-(the vertex list and bit matrix it was built over are mutated as soon as
-``filter``/``match`` returns), and its vertex labels are resolved from the
-store only when first asked for: an algorithm that never looks at a label
-never costs a label read.  Call :meth:`SubgraphView.freeze` to keep a
-subgraph beyond the call it was handed to.
+Inside the engine a view is a window onto the explorer's live DFS state:
+one view per graph version is built per update over the vertex list and bit
+matrix the explorer mutates, and every node of that update's search tree is
+handed the same object (:meth:`SubgraphView.rebind` drops what the previous
+node derived).  Its vertex labels are resolved from the store only when
+first asked for: an algorithm that never looks at a label never costs a
+label read.  Call :meth:`SubgraphView.freeze` to keep a subgraph beyond the
+call it was handed to.
 """
 
 from __future__ import annotations
@@ -66,6 +68,16 @@ class SubgraphView:
         self._edge_label_fn = edge_label_fn
         #: optional resolver ``(u, v) -> normalized direction``
         self._direction_fn = direction_fn
+
+    def rebind(self) -> None:
+        """Forget what was derived from the vertex list, which has changed.
+
+        The engine calls this before handing the view to ``filter`` at each
+        node; labels given explicitly to the constructor are kept.
+        """
+        self._slot_of = None
+        if self._label_fn is not None:
+            self._labels = None
 
     # -- size / structure --------------------------------------------------
 

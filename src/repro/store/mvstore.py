@@ -39,7 +39,14 @@ from repro.store.api import GraphStore, ReclaimStats
 from repro.store.cache import DEFAULT_CACHE_CAPACITY, NeighborCache
 from repro.store.delta import DeltaIndex
 from repro.store.shard import AccessStats, ShardMap
-from repro.types import EdgeKey, Label, Timestamp, VertexId, edge_key
+from repro.types import (
+    EdgeKey,
+    Label,
+    Timestamp,
+    VertexId,
+    edge_key,
+    normalize_direction,
+)
 
 
 @dataclass
@@ -229,8 +236,6 @@ class BaseRecordStore(GraphStore):
             raise InvalidUpdateError(
                 f"edge ({u}, {v}) deleted and re-added in the same window"
             )
-        from repro.types import normalize_direction
-
         interval = EdgeInterval(
             added_ts=ts,
             label=label,

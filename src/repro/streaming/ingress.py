@@ -33,6 +33,7 @@ from repro.types import (
     Update,
     UpdateKind,
     edge_key,
+    normalize_direction,
 )
 
 
@@ -160,8 +161,6 @@ class IngressNode:
     def _apply_to_pending(self, update: Update) -> None:
         kind = update.kind
         if kind is UpdateKind.ADD_EDGE:
-            from repro.types import normalize_direction
-
             self._pend_add(
                 edge_key(update.src, update.dst),
                 update.label,

@@ -153,8 +153,9 @@ class ExplorationProfile:
 
     One instance is held per worker (no shared soft state); the session
     merges worker profiles at collection time.  The hot-path recording
-    methods mutate the record selected by :meth:`begin_update`, one
-    attribute store per event.
+    methods mutate the record selected by :meth:`begin_update`; the
+    explorer batches attempts, expansions and nodes into one call each per
+    EXPLORE call (all children of one call share a depth).
     """
 
     enabled = True
@@ -175,20 +176,20 @@ class ExplorationProfile:
             )
         self._current = record
 
-    def node(self, depth: int) -> None:
-        """One subgraph state of ``depth`` vertices examined."""
+    def node(self, depth: int, n: int = 1) -> None:
+        """``n`` subgraph states of ``depth`` vertices examined."""
         record = self._current
-        record.nodes += 1
+        record.nodes += n
         if depth > record.max_depth:
             record.max_depth = depth
         depth_nodes = record.depth_nodes
         while len(depth_nodes) <= depth:
             depth_nodes.append(0)
-        depth_nodes[depth] += 1
+        depth_nodes[depth] += n
 
-    def attempt(self) -> None:
-        """One candidate expansion considered by CAN_EXPAND."""
-        self._current.attempts += 1
+    def attempt(self, n: int = 1) -> None:
+        """Candidate expansion(s) considered by CAN_EXPAND."""
+        self._current.attempts += n
 
     def pruned_same_window(self, n: int = 1) -> None:
         """Expansion(s) rejected by same-snapshot edge ordering (§4.4.3)."""
@@ -198,9 +199,9 @@ class ExplorationProfile:
         """Expansion rejected by update canonicality rule 2 (§4.4.1)."""
         self._current.pruned_rule2 += 1
 
-    def expansion(self) -> None:
-        """One expansion actually performed (a child state created)."""
-        self._current.expansions += 1
+    def expansion(self, n: int = 1) -> None:
+        """Expansion(s) actually performed (child states created)."""
+        self._current.expansions += n
 
     def filter_call(self, passed: bool) -> None:
         record = self._current
@@ -329,10 +330,10 @@ class NullProfile:
     def begin_update(self, ts: Timestamp, update: EdgeUpdate) -> None:
         return None
 
-    def node(self, depth: int) -> None:
+    def node(self, depth: int, n: int = 1) -> None:
         return None
 
-    def attempt(self) -> None:
+    def attempt(self, n: int = 1) -> None:
         return None
 
     def pruned_same_window(self, n: int = 1) -> None:
@@ -341,7 +342,7 @@ class NullProfile:
     def pruned_rule2(self) -> None:
         return None
 
-    def expansion(self) -> None:
+    def expansion(self, n: int = 1) -> None:
         return None
 
     def filter_call(self, passed: bool) -> None:

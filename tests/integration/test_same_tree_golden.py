@@ -20,6 +20,7 @@ post-window one.
 """
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -112,21 +113,20 @@ def listing(deltas):
     ]
 
 
-def run_stream(algorithm, seed, n, m, num_updates, labelled, window_size, **stream):
+def run_stream(
+    algorithm, seed, n, m, num_updates, labelled, window_size, profile=False, **stream
+):
     graph, updates = seeded_stream(seed, n, m, num_updates, labelled, **stream)
     session = StreamingSession(
-        algorithm, window_size=window_size, initial_graph=graph
+        algorithm, window_size=window_size, initial_graph=graph, profile=profile
     )
     session.submit_many(updates)
     session.flush()
     return session
 
 
-def mine(algorithm, **params):
-    session = run_stream(algorithm, **params)
-    metrics = session.metrics()
-    deltas = session.deltas()
-    counters = (
+def counters_of(metrics):
+    return (
         metrics.filter_calls,
         metrics.match_calls,
         metrics.can_expand_calls,
@@ -134,6 +134,13 @@ def mine(algorithm, **params):
         metrics.emits,
         metrics.explore_calls,
     )
+
+
+def mine(algorithm, **params):
+    session = run_stream(algorithm, **params)
+    metrics = session.metrics()
+    deltas = session.deltas()
+    counters = counters_of(metrics)
     digest = hashlib.sha256("\n".join(listing(deltas)).encode()).hexdigest()
     news = sum(1 for d in deltas if d.is_new())
     return counters, (news, len(deltas) - news), digest[:16]
@@ -270,6 +277,58 @@ def test_frontier_bounded_tree_emits_what_the_parent_tree_emitted(name, seed):
     # the wrapper did rebuild the old tree: the filter saw (and rejected)
     # subgraphs one vertex past the app's own bound
     assert parent.largest == bounded.max_size + 1
+
+
+#: profiled runs: every ``GOLDEN`` stream, and every ``APPS`` stream on seed 11
+PROFILE_CASES = {
+    **{f"golden {name}": (entry[0], entry[1]) for name, entry in GOLDEN.items()},
+    **{
+        f"apps {name}": (factory, dict(params, seed=11))
+        for name, (factory, params) in APPS.items()
+    },
+}
+
+#: case -> first 16 hex digits of the sha256 of ``ExplorationProfile.to_dict()``
+#: (per-update nodes, attempts, expansions, pruned_*, depth_nodes, max_depth,
+#: per-window rows, totals), recorded while every event was still one
+#: profile call; accounting per EXPLORE call must not move one number
+PROFILE_GOLDEN = {
+    "apps 3-FSM": "d325558ba1130ff8",
+    "apps 3-MC": "4cd2d8d4afed4da7",
+    "apps 4-C": "67a0f46ca0807488",
+    "apps 4-CL": "6427705667037910",
+    "apps 4-Cycle": "940eab5515bd86fa",
+    "apps 4-GKS-2": "e8cc54d93f78201b",
+    "apps 4-Path": "1718cef73864bf5d",
+    "apps Cycle3": "ccf16690a38e6a42",
+    "apps Diamond": "5ba6718f440ed873",
+    "apps FFL": "8339e075f5d14fbd",
+    "apps query(star4)": "ed6478cd2f5f98e6",
+    "golden 3-FSM edge-induced": "c67beb193bcb833d",
+    "golden 3-MC": "985e80dfe5150512",
+    "golden 4-C": "81d49691f889ae84",
+    "golden 4-CL relabel": "8a7acc8d4503514b",
+    "golden 4-GKS-2 relabel": "6be7917499959dad",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROFILE_CASES))
+def test_profile_attributes_the_recorded_tree(case):
+    factory, params = PROFILE_CASES[case]
+    session = run_stream(factory(), profile=True, **params)
+    profile = session.collect_profile()
+    totals = profile.totals()
+    # profiling on or off, the profile and the metrics count the same events
+    assert (
+        totals["filter_calls"],
+        totals["match_calls"],
+        totals["attempts"],
+        totals["expansions"],
+        totals["new"] + totals["rem"],
+    ) == counters_of(session.metrics())[:5]
+    assert totals["nodes"] == totals["expansions"] + totals["updates"]
+    doc = json.dumps(profile.to_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest()[:16] == PROFILE_GOLDEN[case]
 
 
 def test_relabel_streams_do_read_differing_pre_and_post_labels():

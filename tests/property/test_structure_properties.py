@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.graph.bitset import BitMatrix
@@ -38,6 +39,47 @@ def labeled_slot_graphs(draw, max_n=5):
     return n, edges, labels
 
 
+def _connected(slots, pairs):
+    """Reference connectivity of ``slots`` under ``pairs`` (empty: False)."""
+    if not slots:
+        return False
+    seen = {slots[0]}
+    stack = [slots[0]]
+    while stack:
+        x = stack.pop()
+        for i, j in pairs:
+            for y in ((j,) if i == x else (i,) if j == x else ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return len(seen) == len(slots)
+
+
+def _assert_matches_model(m, model):
+    n = len(m)
+    slots = list(range(n))
+    for i in slots:
+        full = sum(1 << j for j in slots if (min(i, j), max(i, j)) in model)
+        assert m.row(i) == full
+        assert m.degree(i) == full.bit_count()
+        for j in slots:
+            assert m.has_edge(i, j) == bool(full >> j & 1)
+        rest = [s for s in slots if s != i]
+        kept = [e for e in model if i not in e]
+        # one slot left counts as connected, none left does not
+        assert m.is_connected_without(i) == _connected(rest, kept)
+    assert m.num_edges() == len(model)
+    assert list(m.edges()) == sorted(model)
+    assert m.is_connected() == _connected(slots, model)
+    twin = BitMatrix([m.row(i) for i in slots])
+    assert m.copy() == m and twin == m and hash(twin) == hash(m)
+    with pytest.raises(ValueError):
+        m.copy().append_row(1 << n)
+    if not n:
+        with pytest.raises(IndexError):
+            m.pop_row()
+
+
 class TestBitMatrixProperties:
     @SETTINGS
     @given(slot_graphs(), st.randoms(use_true_random=False))
@@ -55,43 +97,36 @@ class TestBitMatrixProperties:
     def test_connectivity_matches_reference(self, graph):
         n, edges = graph
         m = BitMatrix.from_edges(n, iter(edges))
-        adj = {i: set() for i in range(n)}
-        for i, j in edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        if n == 0:
-            assert not m.is_connected()
-            return
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        assert m.is_connected() == (len(seen) == n)
+        assert m.is_connected() == _connected(list(range(n)), edges)
 
     @SETTINGS
     @given(st.lists(st.tuples(st.integers(0, 4), st.randoms(use_true_random=False))))
-    def test_running_edge_count_equals_recomputed_popcount(self, ops):
-        """``num_edges`` is a running total; it must equal half the popcount
-        after any mix of append/pop/set/clear/copy."""
+    def test_matches_a_set_of_pairs_model(self, ops):
+        """Any mix of append/pop/set/clear/copy against a plain set of
+        ``(i, j)``, ``i < j`` pairs: every accessor answers from the model,
+        whichever triangle the matrix keeps."""
         m = BitMatrix()
+        model = set()
         for op, rng in ops:
             n = len(m)
-            if op == 0 and n < 8:
-                m.append_row(rng.randrange(1 << n))
+            if op == 0 and n < 7:
+                bits = rng.randrange(1 << n)
+                m.append_row(bits)
+                model |= {(j, n) for j in range(n) if bits >> j & 1}
             elif op == 1 and n:
                 m.pop_row()
+                model = {(i, j) for i, j in model if j != n - 1}
             elif op in (2, 3) and n >= 2:
                 i, j = rng.sample(range(n), 2)
-                (m.set_edge if op == 2 else m.clear_edge)(i, j)
+                if op == 2:
+                    m.set_edge(i, j)
+                    model.add((min(i, j), max(i, j)))
+                else:
+                    m.clear_edge(i, j)
+                    model.discard((min(i, j), max(i, j)))
             elif op == 4:
                 m = m.copy()
-            popcount = sum(m.row(i).bit_count() for i in range(len(m)))
-            assert m.num_edges() * 2 == popcount
-            assert m.num_edges() == sum(1 for _ in m.edges())
+            _assert_matches_model(m, model)
 
     @SETTINGS
     @given(slot_graphs())
@@ -112,20 +147,7 @@ class TestBitMatrixProperties:
         for exclude in range(n):
             rest = [v for v in range(n) if v != exclude]
             sub_edges = [e for e in edges if exclude not in e]
-            adj = {v: set() for v in rest}
-            for i, j in sub_edges:
-                adj[i].add(j)
-                adj[j].add(i)
-            seen = {rest[0]}
-            stack = [rest[0]]
-            while stack:
-                x = stack.pop()
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            expected = len(seen) == n - 1
-            assert m.is_connected_without(exclude) == expected
+            assert m.is_connected_without(exclude) == _connected(rest, sub_edges)
 
 
 class TestCanonicalProperties:

@@ -1,13 +1,23 @@
 """Unit tests for the EXPLORE algorithm and change detection."""
 
+import random
+
+import pytest
+
 from repro.apps import CliqueMining, PathMining
-from repro.core.api import EdgeInduced, MiningAlgorithm
+from repro.core.api import EdgeInduced, MiningAlgorithm, VertexInduced
 from repro.core.explore import Explorer
 from repro.core.metrics import Metrics
+from repro.core.stesseract import STesseractEngine
 from repro.graph.adjacency import AdjacencyGraph
+from repro.graph.bitset import BitMatrix
+from repro.graph.generators import erdos_renyi
+from repro.graph.subgraph import SubgraphView
 from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
-from repro.types import EdgeUpdate, MatchStatus
+from repro.streaming.ingress import IngressNode
+from repro.streaming.queue import WorkQueue
+from repro.types import EdgeUpdate, MatchStatus, Update
 
 
 def explore(store, ts, update, algorithm):
@@ -213,3 +223,140 @@ class TestEdgeInducedMode:
             frozenset({(2, 3)}),
             frozenset({(1, 2), (2, 3)}),
         }
+
+
+def observe(s):
+    """Everything an algorithm can read off a view, by every accessor."""
+    verts = s.vertices()
+    return (
+        len(s),
+        s.labels(),
+        tuple(s.label_of(v) for v in verts),
+        sorted(s.edges()),
+        tuple(s.degree(v) for v in verts),
+        [s.has_edge(u, v) for u in verts for v in verts],
+    )
+
+
+class ViewChecker(MiningAlgorithm):
+    """Keeps and matches every subgraph, and at every node compares the
+    view it is handed with a fresh one built from the graph.
+
+    The engine hands ``filter``/``match`` the same view object at every
+    node of an update; a lazy cache that survives from one node to the
+    next, or a view whose matrix stopped growing, shows up here as a
+    label, slot or edge that belongs to another node.
+    """
+
+    max_size = 4
+
+    def __init__(self, alive, label, induced=VertexInduced):
+        self.induced = induced
+        self._alive = alive  # (u, v, version) -> bool
+        self._label = label  # (v, version) -> label
+        self.versions = ()  # the versions the current update may be read at
+        self.nodes = 0
+        self.differing = 0
+
+    def fresh(self, verts, version):
+        n = len(verts)
+        pairs = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if self._alive(verts[i], verts[j], version)
+        ]
+        return SubgraphView(
+            list(verts),
+            BitMatrix.from_edges(n, iter(pairs)),
+            [self._label(v, version) for v in verts],
+        )
+
+    def check(self, s):
+        self.nodes += 1
+        seen = observe(s)
+        expected = [observe(self.fresh(s.vertices(), t)) for t in self.versions]
+        self.differing += len(expected) == 2 and expected[0] != expected[1]
+        if self.induced is VertexInduced:
+            assert seen in expected
+            return
+        # edge-induced: the labels of one version, a subset of its edges,
+        # and accessors that agree with one another
+        size, labels, labels_of, edges, degrees, has = seen
+        assert size == len(s.vertices()) and labels == labels_of
+        assert any(
+            labels == want[1] and set(edges) <= set(want[3]) for want in expected
+        )
+        verts = s.vertices()
+        assert degrees == tuple(sum(v in e for e in edges) for v in verts)
+        assert has == [
+            (min(u, v), max(u, v)) in edges for u in verts for v in verts
+        ]
+
+    def filter(self, s):
+        self.check(s)
+        return True
+
+    def match(self, s):
+        self.check(s)
+        return True
+
+
+def relabelling_stream(seed=3, n=12, m=22, num_updates=40):
+    rng = random.Random(seed)
+    graph = erdos_renyi(n, m, seed=seed)
+    for v in sorted(graph.vertices()):
+        graph.set_vertex_label(v, rng.choice("abc"))
+    updates = []
+    for _ in range(num_updates):
+        roll = rng.random()
+        u, v = rng.sample(range(n), 2)
+        if roll < 0.15:
+            updates.append(Update.set_vertex_label(u, rng.choice("abc")))
+        elif roll < 0.5:
+            updates.append(Update.delete_edge(u, v))
+        else:
+            updates.append(Update.add_edge(u, v))
+    return graph, updates
+
+
+class TestOneViewPerUpdate:
+    @pytest.mark.parametrize("induced", [VertexInduced, EdgeInduced])
+    def test_every_node_reads_its_own_subgraph(self, induced):
+        graph, updates = relabelling_stream()
+        store = MultiVersionStore.from_adjacency(graph, ts=1)
+        queue = WorkQueue()
+        ingress = IngressNode(store, queue, window_size=5)
+        ingress.submit_many(updates)
+        ingress.flush()
+        checker = ViewChecker(store.edge_alive_at, store.vertex_label_at, induced)
+        explorer = Explorer(checker)
+        emitted = 0
+        for item in queue.drain():
+            ts = item.timestamp
+            checker.versions = (ts - 1, ts)
+            for d in explorer.explore_update(ExplorationView(store, ts), item.update):
+                want = checker.fresh(
+                    d.subgraph.vertices, ts if d.is_new() else ts - 1
+                ).freeze()
+                assert d.subgraph.vertex_labels == want.vertex_labels
+                if induced is VertexInduced:
+                    assert d.subgraph == want
+                else:
+                    assert d.subgraph.edges <= want.edges
+                emitted += 1
+        assert checker.nodes > emitted > 0
+        # deletions and relabels did make the two versions differ
+        assert checker.differing > 50
+        assert explorer.metrics.expansions > explorer.metrics.explore_calls > 0
+
+    def test_stesseract_reads_its_own_subgraph_at_every_node(self):
+        graph, _ = relabelling_stream()
+        checker = ViewChecker(
+            lambda u, v, _: graph.has_edge(u, v), lambda v, _: graph.vertex_label(v)
+        )
+        checker.versions = (None,)
+        deltas = STesseractEngine(checker).run(graph)
+        assert deltas and checker.nodes > len(deltas)
+        for d in deltas:
+            assert d.subgraph == checker.fresh(d.subgraph.vertices, None).freeze()

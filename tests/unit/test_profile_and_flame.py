@@ -49,6 +49,25 @@ class TestExplorationProfile:
         assert record.match_calls == 1 and record.match_rejected == 0
         assert record.new == 1 and record.rem == 1
 
+    def test_one_counted_call_equals_that_many_single_calls(self):
+        """The explorer records one EXPLORE call's children in one call."""
+        single, batched = ExplorationProfile(), ExplorationProfile()
+        for p in (single, batched):
+            record_one_update(p)
+            p.node(2)
+        for _ in range(5):
+            single.attempt()
+        for _ in range(3):
+            single.expansion()
+            single.node(3)
+        batched.attempt(5)
+        batched.expansion(3)
+        batched.node(3, 3)
+        assert batched.to_dict() == single.to_dict()
+        NULL_PROFILE.attempt(5)
+        NULL_PROFILE.expansion(3)
+        NULL_PROFILE.node(3, 3)
+
     def test_begin_update_reuses_record_for_same_key(self):
         p = ExplorationProfile()
         record_one_update(p)

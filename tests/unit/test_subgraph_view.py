@@ -111,3 +111,53 @@ class TestFreeze:
         b = make_view([2, 1], [(1, 2)]).freeze()
         assert a.identity == b.identity
         assert a != b  # but order-preserving equality differs
+
+
+class TestLiveView:
+    """One view over the explorer's live vertex list and matrix."""
+
+    def live(self):
+        verts = [5, 9]
+        matrix = BitMatrix([0, 1])
+        label_of = {5: "a", 9: "b", 2: "c", 7: "d"}
+        return verts, matrix, SubgraphView(verts, matrix, label_fn=label_of.get)
+
+    def test_frozen_match_is_unaffected_by_later_nodes(self):
+        verts, matrix, s = self.live()
+        frozen = s.freeze()
+        for v, bits in ((2, 0b01), (7, 0b110)):
+            verts.append(v)
+            matrix.append_row(bits)
+            s.rebind()
+            assert s.has_edge(v, verts[1]) == bool(bits & 0b10)
+        deeper = s.freeze()
+        matrix.pop_row()
+        verts.pop()
+        s.rebind()
+        assert frozen.vertices == (5, 9)
+        assert frozen.edges == frozenset({(5, 9)})
+        assert frozen.vertex_labels == ("a", "b")
+        assert deeper.vertices == (5, 9, 2, 7)
+        assert deeper.edges == frozenset({(5, 9), (2, 5), (7, 9), (2, 7)})
+        assert deeper.vertex_labels == ("a", "b", "c", "d")
+
+    def test_rebind_drops_what_the_previous_node_derived(self):
+        verts, matrix, s = self.live()
+        assert s.labels() == ("a", "b") and s.degree(9) == 1
+        verts.append(2)
+        matrix.append_row(0b10)
+        s.rebind()
+        assert len(s) == 3 and s.labels() == ("a", "b", "c")
+        assert s.label_of(2) == "c" and s.degree(9) == 2 and s.has_edge(2, 9)
+        matrix.pop_row()
+        verts.pop()
+        verts.append(7)
+        matrix.append_row(0b01)
+        s.rebind()
+        assert s.labels() == ("a", "b", "d") and s.degree(9) == 1
+        assert s.has_edge(7, 5) and 2 not in s
+
+    def test_rebind_keeps_labels_given_to_the_constructor(self):
+        s = make_view([1, 2], [(1, 2)], labels=["x", "y"])
+        s.rebind()
+        assert s.labels() == ("x", "y")
