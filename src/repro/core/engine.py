@@ -133,12 +133,8 @@ class TesseractEngine:
         elapsed = time.perf_counter() - start
         self.metrics.record_window(elapsed)
         self.window_stats.append(
-            WindowStats(
-                timestamp=window.timestamp,
-                num_updates=len(window.updates),
-                num_new=sum(1 for d in deltas if d.is_new()),
-                num_rem=sum(1 for d in deltas if d.is_rem()),
-                wall_seconds=elapsed,
+            WindowStats.from_deltas(
+                window.timestamp, len(window.updates), deltas, elapsed
             )
         )
         return deltas

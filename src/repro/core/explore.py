@@ -306,9 +306,7 @@ class Explorer:
         self.metrics.emits += 1
         if self._profiling:
             self.profile.emit(status is MatchStatus.NEW)
-        self._out.append(
-            MatchDelta(timestamp=self._view.ts, status=status, subgraph=s.freeze())
-        )
+        self._out.append(MatchDelta(self._view.ts, status, s.freeze()))
 
     # -- edge-induced mode -----------------------------------------------
 

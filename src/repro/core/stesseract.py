@@ -28,7 +28,6 @@ from repro.types import (
     EdgeKey,
     MatchDelta,
     MatchStatus,
-    MatchSubgraph,
     VertexId,
     edge_key,
 )
@@ -168,7 +167,5 @@ class STesseractEngine:
                 matched = algorithm.match(s)
             if matched:
                 self.metrics.emits += 1
-                self._out.append(
-                    MatchDelta(timestamp=1, status=MatchStatus.NEW, subgraph=s.freeze())
-                )
+                self._out.append(MatchDelta(1, MatchStatus.NEW, s.freeze()))
         return True

@@ -372,16 +372,24 @@ class AggregateNode(Stream):
         self._state: Dict[Hashable, Any] = {}
 
     def _process(self, record: Record) -> Iterable[Record]:
-        k = self.key(record.value)
-        state = self._state.get(k, self.aggregator.zero())
+        value = record.value
+        k = self.key(value)
+        states = self._state
+        aggregator = self.aggregator
+        try:
+            state = states[k]
+        except KeyError:
+            state = aggregator.zero()
         if record.sign > 0:
-            state = self.aggregator.add(state, record.value)
+            state = aggregator.add(state, value)
         else:
-            state = self.aggregator.remove(state, record.value)
-        if self.aggregator.is_zero(state):
-            self._state.pop(k, None)
+            state = aggregator.remove(state, value)
+        if aggregator.is_zero(state):
+            states.pop(k, None)
         else:
-            self._state[k] = state
+            states[k] = state
+        if not self._downstream:
+            return ()  # nobody to tell: the state is the output
         return (record.with_value((k, state)),)
 
     # -- state access ----------------------------------------------------

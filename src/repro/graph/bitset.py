@@ -104,6 +104,10 @@ class BitMatrix:
                 bits |= 1 << k
         return bits
 
+    def lower_rows(self) -> Iterator[int]:
+        """The stored rows in slot order: each bit ``j`` of row ``i`` is edge (j, i)."""
+        return iter(self._rows)
+
     def _check(self, i: int) -> None:
         if not 0 <= i < len(self._rows):
             raise IndexError(f"slot {i} out of range for {len(self._rows)} slots")

@@ -119,96 +119,6 @@ def _canonical_cached(
     edge_tuple: Tuple[SlotEdge, ...],
     labels: Tuple[Label, ...],
     edge_label_tuple: Tuple[Tuple[SlotEdge, Label], ...] = (),
-) -> CanonicalForm:
-    adj: List[set] = [set() for _ in range(n)]
-    for i, j in edge_tuple:
-        adj[i].add(j)
-        adj[j].add(i)
-    frozen_adj = [frozenset(s) for s in adj]
-    edge_label_map: Dict[SlotEdge, Label] = dict(edge_label_tuple)
-    sigs = _signature(n, frozen_adj, labels, edge_label_map or None)
-
-    best_key = None
-    best: Optional[CanonicalForm] = None
-    for perm in _cell_preserving_permutations(sigs):
-        edges = tuple(
-            sorted(
-                (perm[i], perm[j]) if perm[i] < perm[j] else (perm[j], perm[i])
-                for i, j in edge_tuple
-            )
-        )
-        new_labels = [None] * n
-        for old, new in enumerate(perm):
-            new_labels[new] = labels[old]
-        if edge_label_map:
-            mapped_edge_labels = tuple(
-                sorted(
-                    (
-                        (perm[i], perm[j]) if perm[i] < perm[j] else (perm[j], perm[i]),
-                        edge_label_map.get((i, j)),
-                    )
-                    for i, j in edge_tuple
-                )
-            )
-        else:
-            mapped_edge_labels = ()
-        key = (
-            edges,
-            tuple(str(x) for x in new_labels),
-            tuple((e, str(x)) for e, x in mapped_edge_labels),
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best = CanonicalForm(n, edges, tuple(new_labels), mapped_edge_labels)
-    assert best is not None
-    return best
-
-
-def canonical_form(
-    num_vertices: int,
-    edges: Iterable[SlotEdge],
-    labels: Optional[Sequence[Label]] = None,
-    edge_labels: Optional[Dict[SlotEdge, Label]] = None,
-) -> CanonicalForm:
-    """Canonical form of a small graph given as slot edges.
-
-    ``edges`` use vertex slots ``0..num_vertices-1``; ``labels`` (optional)
-    give the label of each slot; ``edge_labels`` (optional) maps slot edges
-    to their labels.  Pass neither to identify the unlabeled motif.
-    """
-    if num_vertices < 0:
-        raise ValueError("num_vertices must be non-negative")
-    label_tuple: Tuple[Label, ...] = (
-        tuple(labels) if labels is not None else tuple(None for _ in range(num_vertices))
-    )
-    if len(label_tuple) != num_vertices:
-        raise ValueError("labels must align with num_vertices")
-    norm = tuple(sorted((i, j) if i < j else (j, i) for i, j in edges))
-    for i, j in norm:
-        if i == j or not (0 <= i < num_vertices and 0 <= j < num_vertices):
-            raise ValueError(f"invalid slot edge ({i}, {j})")
-    if edge_labels:
-        norm_edge_labels = tuple(
-            sorted(
-                ((i, j) if i < j else (j, i), label)
-                for (i, j), label in edge_labels.items()
-            )
-        )
-        known = set(norm)
-        for (i, j), _label in norm_edge_labels:
-            if (i, j) not in known:
-                raise ValueError(f"edge label on missing edge ({i}, {j})")
-    else:
-        norm_edge_labels = ()
-    return _canonical_cached(num_vertices, norm, label_tuple, norm_edge_labels)
-
-
-@lru_cache(maxsize=65536)
-def _canonical_mapping_cached(
-    n: int,
-    edge_tuple: Tuple[SlotEdge, ...],
-    labels: Tuple[Label, ...],
-    edge_label_tuple: Tuple[Tuple[SlotEdge, Label], ...] = (),
 ) -> Tuple[CanonicalForm, Tuple[int, ...]]:
     adj: List[set] = [set() for _ in range(n)]
     for i, j in edge_tuple:
@@ -263,17 +173,25 @@ def canonical_form_with_mapping(
 ) -> Tuple[CanonicalForm, Tuple[int, ...]]:
     """Canonical form plus the permutation mapping input slots to canonical slots.
 
-    ``mapping[i]`` is the canonical slot of input slot ``i``.  Needed by
-    minimum-image-based support (FSM): each match vertex is attributed to
-    the canonical slot it occupies.  Edge labels, when given, participate
-    in the canonicalization (and hence in the returned mapping).
+    ``edges`` use vertex slots ``0..num_vertices-1``; ``labels`` (optional)
+    give the label of each slot; ``edge_labels`` (optional) maps slot edges
+    to their labels and participates in the canonicalization (and hence in
+    the returned mapping).  ``mapping[i]`` is the canonical slot of input
+    slot ``i``.  Needed by minimum-image-based support (FSM): each match
+    vertex is attributed to the canonical slot it occupies.
     """
+    if num_vertices < 0:
+        raise ValueError("num_vertices must be non-negative")
     label_tuple: Tuple[Label, ...] = (
-        tuple(labels) if labels is not None else tuple(None for _ in range(num_vertices))
+        tuple(labels) if labels is not None else (None,) * num_vertices
     )
     if len(label_tuple) != num_vertices:
         raise ValueError("labels must align with num_vertices")
-    norm = tuple(sorted((i, j) if i < j else (j, i) for i, j in edges))
+    # a set: (u, v) and (v, u), or one edge listed twice, are one edge
+    norm = tuple(sorted({(i, j) if i < j else (j, i) for i, j in edges}))
+    for i, j in norm:
+        if i == j or not (0 <= i < num_vertices and 0 <= j < num_vertices):
+            raise ValueError(f"invalid slot edge ({i}, {j})")
     if edge_labels:
         norm_edge_labels = tuple(
             sorted(
@@ -281,9 +199,27 @@ def canonical_form_with_mapping(
                 for (i, j), label in edge_labels.items()
             )
         )
+        known = set(norm)
+        for (i, j), _label in norm_edge_labels:
+            if (i, j) not in known:
+                raise ValueError(f"edge label on missing edge ({i}, {j})")
     else:
         norm_edge_labels = ()
-    return _canonical_mapping_cached(num_vertices, norm, label_tuple, norm_edge_labels)
+    return _canonical_cached(num_vertices, norm, label_tuple, norm_edge_labels)
+
+
+def canonical_form(
+    num_vertices: int,
+    edges: Iterable[SlotEdge],
+    labels: Optional[Sequence[Label]] = None,
+    edge_labels: Optional[Dict[SlotEdge, Label]] = None,
+) -> CanonicalForm:
+    """Canonical form of a small graph given as slot edges.
+
+    Arguments as for :func:`canonical_form_with_mapping`; pass neither
+    ``labels`` nor ``edge_labels`` to identify the unlabeled motif.
+    """
+    return canonical_form_with_mapping(num_vertices, edges, labels, edge_labels)[0]
 
 
 @lru_cache(maxsize=8192)
@@ -339,13 +275,40 @@ def automorphism_orbits(form: CanonicalForm) -> Tuple[int, ...]:
     return tuple(orbits)
 
 
+#: bound on the distinct unlabeled shapes :func:`motif_of` remembers
+SHAPE_TABLE_SIZE = 4096
+
+
+@lru_cache(maxsize=SHAPE_TABLE_SIZE)
+def _shape_form(n: int, mask: int) -> CanonicalForm:
+    """Unlabeled form of the ``n``-slot graph with edge (i, j) at bit ``i * n + j``."""
+    slot_edges = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        slot_edges.append(divmod(low.bit_length() - 1, n))
+    return canonical_form(n, slot_edges)
+
+
 def motif_of(
     match: MatchSubgraph,
     with_labels: bool = False,
     with_edge_labels: bool = False,
 ) -> CanonicalForm:
-    """The MOTIF helper (Table 2): canonical form of an emitted match."""
+    """The MOTIF helper (Table 2): canonical form of an emitted match.
+
+    Without labels the form depends on the shape alone, so it is looked up
+    by ``(n, slot-edge bitmask)``: sorting, validation and the canonical
+    search run once per shape, not once per match.
+    """
     index = {v: i for i, v in enumerate(match.vertices)}
+    n = len(match.vertices)
+    if not (with_labels or with_edge_labels):
+        mask = 0
+        for u, v in match.edges:
+            i, j = index[u], index[v]
+            mask |= 1 << (i * n + j if i < j else j * n + i)
+        return _shape_form(n, mask)
     slot_edges = [(index[u], index[v]) for u, v in match.edges]
     labels = match.vertex_labels if with_labels and match.vertex_labels else None
     edge_labels = None
@@ -354,7 +317,7 @@ def motif_of(
         for (u, v), label in match.edge_labels:
             i, j = index[u], index[v]
             edge_labels[(i, j) if i < j else (j, i)] = label
-    return canonical_form(len(match.vertices), slot_edges, labels, edge_labels)
+    return canonical_form(n, slot_edges, labels, edge_labels)
 
 
 def is_isomorphic(

@@ -215,17 +215,28 @@ class SubgraphView:
     # -- conversion --------------------------------------------------------
 
     def freeze(self) -> MatchSubgraph:
-        """Materialize an immutable :class:`MatchSubgraph` for emission."""
-        edge_labels = ()
-        if self._edge_label_fn is not None:
-            edge_labels = tuple(
-                sorted(((u, v), self._edge_label_fn(u, v)) for u, v in self.edges())
-            )
+        """Materialize an immutable :class:`MatchSubgraph` for emission.
+
+        One pass over the stored triangle: each set bit is one edge, keyed
+        and (when edge labels are loaded) labelled where it is found.
+        """
+        verts = self._vertices
+        edge_label_fn = self._edge_label_fn
+        edges = []
+        labelled = []
+        for i, bits in enumerate(self._matrix.lower_rows()):
+            v = verts[i]
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                u = verts[low.bit_length() - 1]
+                key = (u, v) if u <= v else (v, u)
+                edges.append(key)
+                if edge_label_fn is not None:
+                    labelled.append((key, edge_label_fn(*key)))
+        labelled.sort()
         return MatchSubgraph(
-            vertices=tuple(self._vertices),
-            edges=self.edge_set(),
-            vertex_labels=self.labels(),
-            edge_labels=edge_labels,
+            tuple(verts), frozenset(edges), self.labels(), tuple(labelled)
         )
 
     def __repr__(self) -> str:

@@ -215,13 +215,7 @@ class StreamingSession:
                 span.set(deltas=len(deltas), seconds=elapsed)
             self.backend.record_window(elapsed)
             self.window_stats.append(
-                WindowStats(
-                    timestamp=ts,
-                    num_updates=len(tasks),
-                    num_new=sum(1 for d in deltas if d.is_new()),
-                    num_rem=sum(1 for d in deltas if d.is_rem()),
-                    wall_seconds=elapsed,
-                )
+                WindowStats.from_deltas(ts, len(tasks), deltas, elapsed)
             )
             new_deltas.extend(deltas)
             # No later task reads snapshots below this window; let the

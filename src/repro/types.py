@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 VertexId = int
 Timestamp = int
@@ -230,6 +230,19 @@ class WindowStats:
     num_new: int = 0
     num_rem: int = 0
     wall_seconds: float = 0.0
+
+    @classmethod
+    def from_deltas(
+        cls,
+        timestamp: Timestamp,
+        num_updates: int,
+        deltas: Sequence[MatchDelta],
+        wall_seconds: float,
+    ) -> "WindowStats":
+        """Stats of one window's delta list: NEW counted in one pass, REM the rest."""
+        new = MatchStatus.NEW
+        num_new = sum(1 for delta in deltas if delta.status is new)
+        return cls(timestamp, num_updates, num_new, len(deltas) - num_new, wall_seconds)
 
     @property
     def num_deltas(self) -> int:

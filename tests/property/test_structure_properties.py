@@ -12,6 +12,8 @@ from repro.graph.canonical import (
     canonical_form_with_mapping,
 )
 from repro.graph.pattern import Pattern
+from repro.graph.subgraph import SubgraphView
+from repro.types import MatchSubgraph
 
 SETTINGS = settings(
     max_examples=60,
@@ -71,6 +73,22 @@ def _assert_matches_model(m, model):
     assert m.num_edges() == len(model)
     assert list(m.edges()) == sorted(model)
     assert m.is_connected() == _connected(slots, model)
+    assert list(m.lower_rows()) == [m.row(i) & ((1 << i) - 1) for i in slots]
+    # freeze() reads the stored triangle: vertex ids in no particular order
+    verts = [(7 * i + 3) % 11 for i in slots]
+    keys = sorted(tuple(sorted((verts[i], verts[j]))) for i, j in model)
+    view = SubgraphView(
+        verts, m, [str(v % 3) for v in verts], edge_label_fn=lambda u, v: (u, v)
+    )
+    assert view.freeze() == MatchSubgraph(
+        tuple(verts),
+        frozenset(keys),
+        tuple(str(v % 3) for v in verts),
+        tuple((key, key) for key in keys),
+    )
+    assert SubgraphView(verts, m).freeze() == MatchSubgraph(
+        tuple(verts), frozenset(keys), (None,) * n
+    )
     twin = BitMatrix([m.row(i) for i in slots])
     assert m.copy() == m and twin == m and hash(twin) == hash(m)
     with pytest.raises(ValueError):

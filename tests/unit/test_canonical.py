@@ -1,10 +1,14 @@
 """Unit tests for canonical labeling (the motif library)."""
 
 import itertools
+import random
 
 import pytest
 
 from repro.graph.canonical import (
+    SHAPE_TABLE_SIZE,
+    _canonical_cached,
+    _shape_form,
     automorphism_orbits,
     canonical_form,
     canonical_form_with_mapping,
@@ -12,7 +16,7 @@ from repro.graph.canonical import (
     is_isomorphic,
     motif_of,
 )
-from repro.types import MatchSubgraph
+from repro.types import MatchSubgraph, edge_key
 
 
 class TestCanonicalForm:
@@ -154,6 +158,31 @@ class TestMapping:
             assert form.labels[mapping[i]] == label
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(edges=[(0, 0)]),  # self-loop: was silently kept
+            dict(edges=[(0, 2)]),  # out of range: was a bare IndexError
+            dict(edges=[(0, -1)]),  # wrapped around to the last slot
+            # label on a missing edge: was ignored
+            dict(edges=[(0, 1)], edge_labels={(1, 0): "x", (0, 2): "y"}),
+        ],
+    )
+    def test_rejects_what_canonical_form_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            canonical_form(2, **kwargs)
+        with pytest.raises(ValueError):
+            canonical_form_with_mapping(2, **kwargs)
+        with pytest.raises(ValueError):
+            canonical_form_with_mapping(-1, [])
+
+    def test_form_and_mapping_come_from_one_search(self):
+        args = (4, [(2, 1), (0, 1), (3, 2)], ["a", None, "b", "a"], {(1, 2): "s"})
+        form, mapping = canonical_form_with_mapping(*args)
+        assert canonical_form(*args) is form
+        assert dict(form.edge_labels)[tuple(sorted((mapping[1], mapping[2])))] == "s"
+
+
 class TestOrbits:
     def test_triangle_single_orbit(self):
         form = canonical_form(3, [(0, 1), (1, 2), (0, 2)])
@@ -192,3 +221,93 @@ class TestMotifOf:
         )
         labeled = motif_of(match, with_labels=True)
         assert labeled.labels == ("a", "b")
+
+
+def _uncached(n, slot_edges):
+    """The canonical search itself, behind both caches."""
+    norm = tuple(sorted((i, j) if i < j else (j, i) for i, j in slot_edges))
+    return _canonical_cached.__wrapped__(n, norm, (None,) * n)[0]
+
+
+class TestShapeTable:
+    """``motif_of`` without labels answers from ``(n, slot-edge bitmask)``."""
+
+    #: graphs on n vertices up to isomorphism (OEIS A000088)
+    CLASSES = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
+    IDS = (17, 3, 11, 8, 29)  # vertex ids in no particular order
+
+    @pytest.mark.parametrize("n", sorted(CLASSES))
+    def test_every_graph_under_every_vertex_order(self, n):
+        rng = random.Random(n)
+        orders = list(itertools.permutations(range(n)))
+        possible = list(itertools.combinations(range(n), 2))
+        forms = set()
+        for r in range(len(possible) + 1):
+            for subset in itertools.combinations(possible, r):
+                want = _uncached(n, subset)
+                forms.add(want)
+                edges = frozenset(edge_key(self.IDS[i], self.IDS[j]) for i, j in subset)
+                # every order up to n = 4; three drawn per graph at n = 5
+                for order in orders if n <= 4 else rng.sample(orders, 3):
+                    vertices = tuple(self.IDS[i] for i in order)
+                    slot = {i: s for s, i in enumerate(order)}
+                    assert motif_of(MatchSubgraph(vertices, edges)) == want
+                    assert want == _uncached(n, [(slot[i], slot[j]) for i, j in subset])
+        assert len(forms) == self.CLASSES[n]
+
+    def test_labelled_calls_bypass_the_table(self):
+        match = MatchSubgraph(
+            (10, 20, 30),
+            frozenset({(10, 20), (20, 30)}),
+            ("a", "b", "a"),
+            (((10, 20), "s"), ((20, 30), "w")),
+        )
+        plain = motif_of(match)
+        before = _shape_form.cache_info()
+        path = [(0, 1), (1, 2)]
+        assert motif_of(match, with_labels=True) == canonical_form(3, path, "aba")
+        assert motif_of(match, with_edge_labels=True) == canonical_form(
+            3, path, edge_labels={(0, 1): "s", (1, 2): "w"}
+        )
+        assert motif_of(match, True, True) == canonical_form(
+            3, path, "aba", {(0, 1): "s", (1, 2): "w"}
+        )
+        assert _shape_form.cache_info() == before
+        assert motif_of(match) is plain
+        assert _shape_form.cache_info().hits == before.hits + 1
+
+    def test_invalid_matches_are_still_rejected(self):
+        with pytest.raises(ValueError):
+            motif_of(MatchSubgraph((1, 2), frozenset({(2, 2)})))
+        with pytest.raises(KeyError):
+            motif_of(MatchSubgraph((1, 2), frozenset({(2, 3)})))
+
+    def test_an_edge_given_in_both_directions_is_one_edge(self):
+        """A hand-built match may hold (u, v) and (v, u): both paths agree."""
+        path = canonical_form(3, [(0, 1), (1, 2)])
+        assert canonical_form(3, [(0, 1), (1, 0), (1, 2), (1, 2)]) is path
+        doubled = MatchSubgraph(
+            (10, 20, 30),
+            frozenset({(10, 20), (20, 10), (20, 30)}),
+            ("a", "b", "a"),
+        )
+        assert motif_of(doubled) == path
+        assert motif_of(doubled, with_labels=True) == canonical_form(
+            3, [(0, 1), (1, 2)], "aba"
+        )
+
+    def test_table_stays_within_its_bound(self):
+        assert _shape_form.cache_info().maxsize == SHAPE_TABLE_SIZE
+        rng = random.Random(9)
+        n = 9  # 2**36 shapes, nearly all asymmetric: one permutation each
+        possible = list(itertools.combinations(range(n), 2))
+        shapes = set()
+        while len(shapes) < SHAPE_TABLE_SIZE + 200:
+            shapes.add(frozenset(e for e in possible if rng.random() < 0.5))
+        for edges in shapes:
+            motif_of(MatchSubgraph(tuple(range(n)), edges))
+        info = _shape_form.cache_info()
+        assert info.currsize == SHAPE_TABLE_SIZE
+        # an evicted shape is recomputed, not lost
+        triangle = MatchSubgraph((1, 2, 3), frozenset({(1, 2), (2, 3), (1, 3)}))
+        assert motif_of(triangle) == canonical_form(3, [(0, 1), (1, 2), (0, 2)])

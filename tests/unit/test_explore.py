@@ -1,5 +1,6 @@
 """Unit tests for the EXPLORE algorithm and change detection."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
-from repro.types import EdgeUpdate, MatchStatus, Update
+from repro.types import EdgeUpdate, MatchStatus, MatchSubgraph, Update, edge_key
 
 
 def explore(store, ts, update, algorithm):
@@ -250,10 +251,12 @@ class ViewChecker(MiningAlgorithm):
 
     max_size = 4
 
-    def __init__(self, alive, label, induced=VertexInduced):
+    def __init__(self, alive, label, induced=VertexInduced, edge_label=None):
         self.induced = induced
         self._alive = alive  # (u, v, version) -> bool
         self._label = label  # (v, version) -> label
+        self._edge_label = edge_label  # (u, v, version) -> label; None: not loaded
+        self.uses_edge_labels = edge_label is not None
         self.versions = ()  # the versions the current update may be read at
         self.nodes = 0
         self.differing = 0
@@ -270,6 +273,31 @@ class ViewChecker(MiningAlgorithm):
             list(verts),
             BitMatrix.from_edges(n, iter(pairs)),
             [self._label(v, version) for v in verts],
+        )
+
+    def frozen(self, verts, version, chosen=None):
+        """What ``freeze()`` must hand out, built from the graph without it.
+
+        ``chosen`` narrows an edge-induced match to the edges it picked.
+        """
+        edges = {
+            edge_key(u, v)
+            for u, v in itertools.combinations(verts, 2)
+            if self._alive(u, v, version)
+        }
+        if chosen is not None:
+            assert chosen <= edges
+            edges = chosen
+        edge_labels = ()
+        if self._edge_label is not None:
+            edge_labels = tuple(
+                sorted((e, self._edge_label(*e, version)) for e in edges)
+            )
+        return MatchSubgraph(
+            tuple(verts),
+            frozenset(edges),
+            tuple(self._label(v, version) for v in verts),
+            edge_labels,
         )
 
     def check(self, s):
@@ -302,11 +330,17 @@ class ViewChecker(MiningAlgorithm):
         return True
 
 
-def relabelling_stream(seed=3, n=12, m=22, num_updates=40):
+def relabelling_stream(seed=3, n=12, m=22, num_updates=40, edge_labels=False):
     rng = random.Random(seed)
+    # edge labels come from their own generator: the stream's shape is the
+    # same with and without them
+    edge_rng = random.Random(seed + 1)
     graph = erdos_renyi(n, m, seed=seed)
     for v in sorted(graph.vertices()):
         graph.set_vertex_label(v, rng.choice("abc"))
+    if edge_labels:
+        for u, v in graph.sorted_edges():
+            graph.set_edge_label(u, v, edge_rng.choice("xyz"))
     updates = []
     for _ in range(num_updates):
         roll = rng.random()
@@ -316,47 +350,60 @@ def relabelling_stream(seed=3, n=12, m=22, num_updates=40):
         elif roll < 0.5:
             updates.append(Update.delete_edge(u, v))
         else:
-            updates.append(Update.add_edge(u, v))
+            label = edge_rng.choice("xyz") if edge_labels else None
+            updates.append(Update.add_edge(u, v, label))
     return graph, updates
 
 
 class TestOneViewPerUpdate:
+    @pytest.mark.parametrize("edge_labels", [False, True])
     @pytest.mark.parametrize("induced", [VertexInduced, EdgeInduced])
-    def test_every_node_reads_its_own_subgraph(self, induced):
-        graph, updates = relabelling_stream()
+    def test_every_node_reads_its_own_subgraph(self, induced, edge_labels):
+        graph, updates = relabelling_stream(edge_labels=edge_labels)
         store = MultiVersionStore.from_adjacency(graph, ts=1)
         queue = WorkQueue()
         ingress = IngressNode(store, queue, window_size=5)
         ingress.submit_many(updates)
         ingress.flush()
-        checker = ViewChecker(store.edge_alive_at, store.vertex_label_at, induced)
+        checker = ViewChecker(
+            store.edge_alive_at,
+            store.vertex_label_at,
+            induced,
+            store.edge_label_at if edge_labels else None,
+        )
         explorer = Explorer(checker)
         emitted = 0
+        relabelled = set()
         for item in queue.drain():
             ts = item.timestamp
             checker.versions = (ts - 1, ts)
             for d in explorer.explore_update(ExplorationView(store, ts), item.update):
-                want = checker.fresh(
-                    d.subgraph.vertices, ts if d.is_new() else ts - 1
-                ).freeze()
-                assert d.subgraph.vertex_labels == want.vertex_labels
-                if induced is VertexInduced:
-                    assert d.subgraph == want
-                else:
-                    assert d.subgraph.edges <= want.edges
+                chosen = None if induced is VertexInduced else d.subgraph.edges
+                assert d.subgraph == checker.frozen(
+                    d.subgraph.vertices, ts if d.is_new() else ts - 1, chosen
+                )
+                relabelled.update(
+                    e
+                    for e, label in d.subgraph.edge_labels
+                    if label != graph.edge_label(*e)
+                )
                 emitted += 1
         assert checker.nodes > emitted > 0
+        # a re-added edge was emitted with the label of its own version
+        assert bool(relabelled) == edge_labels
         # deletions and relabels did make the two versions differ
         assert checker.differing > 50
         assert explorer.metrics.expansions > explorer.metrics.explore_calls > 0
 
     def test_stesseract_reads_its_own_subgraph_at_every_node(self):
-        graph, _ = relabelling_stream()
+        graph, _ = relabelling_stream(edge_labels=True)
         checker = ViewChecker(
-            lambda u, v, _: graph.has_edge(u, v), lambda v, _: graph.vertex_label(v)
+            lambda u, v, _: graph.has_edge(u, v),
+            lambda v, _: graph.vertex_label(v),
+            edge_label=lambda u, v, _: graph.edge_label(u, v),
         )
         checker.versions = (None,)
         deltas = STesseractEngine(checker).run(graph)
         assert deltas and checker.nodes > len(deltas)
         for d in deltas:
-            assert d.subgraph == checker.fresh(d.subgraph.vertices, None).freeze()
+            assert d.subgraph == checker.frozen(d.subgraph.vertices, None)

@@ -11,6 +11,7 @@ from repro.types import (
     MatchSubgraph,
     Update,
     UpdateKind,
+    WindowStats,
     edge_key,
 )
 
@@ -79,6 +80,13 @@ class TestMatchDelta:
         m = MatchSubgraph((1, 2), frozenset({(1, 2)}))
         d = MatchDelta(1, MatchStatus.NEW, m)
         assert d.is_new() and not d.is_rem()
+
+    def test_window_stats_count_new_and_rem_from_one_list(self):
+        m = MatchSubgraph((1, 2), frozenset({(1, 2)}))
+        statuses = [MatchStatus.NEW, MatchStatus.REM, MatchStatus.NEW, MatchStatus.NEW]
+        deltas = [MatchDelta(7, status, m) for status in statuses]
+        assert WindowStats.from_deltas(7, 5, deltas, 0.25) == WindowStats(7, 5, 3, 1, 0.25)
+        assert WindowStats.from_deltas(8, 2, [], 0.0) == WindowStats(8, 2)
 
 
 class TestMetrics:
