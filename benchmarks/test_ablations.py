@@ -156,7 +156,7 @@ def test_ablation_cost_model_agreement(benchmark):
     within a small factor on speedup magnitude."""
     from _harness import additions, run_updates
     from repro.graph.generators import erdos_renyi, shuffled_edges
-    from repro.runtime.distributed import SimulatedDeployment, queue_tasks
+    from repro.runtime.backend import SimulatedBackend
     from repro.store.mvstore import MultiVersionStore
     from repro.streaming.ingress import IngressNode
     from repro.streaming.queue import WorkQueue
@@ -173,7 +173,7 @@ def test_ablation_cost_model_agreement(benchmark):
             Update.add_edge(u, v) for u, v in shuffled_edges(graph, seed=2)
         )
         ingress.flush()
-        tasks = queue_tasks(queue)
+        tasks = [(item.timestamp, item.update) for item in queue.drain()]
         # model A: trace replay
         store2 = MultiVersionStore()
         _, _, _, engine = run_updates(
@@ -190,10 +190,9 @@ def test_ablation_cost_model_agreement(benchmark):
         executed = {}
         for m in (1, 8):
             spec = ClusterSpec(num_machines=m, workers_per_machine=16)
-            deployment = SimulatedDeployment(
-                store, lambda: CliqueMining(4, min_size=3), spec
-            )
-            executed[m] = deployment.run(tasks).makespan_seconds
+            backend = SimulatedBackend(store, CliqueMining(4, min_size=3), spec)
+            backend.run_tasks(tasks)
+            executed[m] = backend.last_result.makespan_seconds
         return replay, executed
 
     replay, executed = benchmark.pedantic(run, rounds=1, iterations=1)

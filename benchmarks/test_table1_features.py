@@ -7,27 +7,43 @@ probing their actual capabilities (not hard-coded flags) and asserts that
 Tesseract is the only one with all three.
 """
 
+import itertools
+
 from _harness import print_table, record
 
 from repro.apps import CliqueMining
 from repro.baselines import ArabesqueModel, DeltaBigJoin, FractalModel, Peregrine
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.pattern import Pattern
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 
 def probe_tesseract():
-    """Tesseract: evolving (processes deletions), distributed (N workers),
-    general (arbitrary filter/match code)."""
-    g = AdjacencyGraph.from_edges([(1, 2), (2, 3), (1, 3)])
-    system = TesseractSystem(
-        CliqueMining(3, min_size=3), window_size=1, num_workers=4, initial_graph=g
-    )
-    system.submit(Update.delete_edge(1, 2))
-    system.flush()
-    evolving = any(d.is_rem() for d in system.deltas())
-    distributed = sum(s.tasks_processed for s in system.pool.stats) > 0
+    """Tesseract: evolving (processes deletions), distributed (forked worker
+    processes mine part of the window and the retractions come out the
+    same), general (arbitrary filter/match code)."""
+    k5 = AdjacencyGraph.from_edges(list(itertools.combinations(range(5), 2)))
+    # one window of four deletions: enough tasks for the process backend
+    # to fork a slice worker rather than run the window inline
+    window = [Update.delete_edge(0, v) for v in (1, 2, 3, 4)]
+
+    def retractions(backend):
+        session = StreamingSession(
+            CliqueMining(3, min_size=3),
+            backend,
+            window_size=len(window),
+            num_workers=2,
+            initial_graph=k5,
+        )
+        try:
+            return [d for d in session.process(window) if d.is_rem()]
+        finally:
+            session.close()
+
+    serial = retractions("serial")
+    evolving = len(serial) == 6  # every triangle through vertex 0
+    distributed = retractions("process") == serial
     general = True  # filter/match are arbitrary code by construction
     return evolving, distributed, general
 

@@ -1,58 +1,67 @@
 #!/usr/bin/env python3
-"""Operate Tesseract as a long-running service: driver, churn, checkpoints.
+"""Operate Tesseract as a long-running service: churn, stats, checkpoints.
 
-An ops-flavored scenario: a deployment continuously consumes a churning
-edge stream (adds and deletes), reports per-micro-batch statistics, takes
+An ops-flavored scenario: a session continuously consumes a churning
+edge stream (adds and deletes), reports per-window statistics, takes
 a checkpoint mid-run, "crashes", recovers from the checkpoint, and proves
 the recovered deployment picks up exactly where it left off.
 
 Run:  python examples/continuous_monitoring.py
 """
 
+import os
+import tempfile
+
 from repro.apps import CliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.generators import barabasi_albert, churn_stream
-from repro.runtime.coordinator import TesseractSystem
-from repro.runtime.driver import StreamDriver
-from repro.store.checkpoint import checkpoint_store
-import tempfile
+from repro.runtime.session import StreamingSession
+from repro.store.checkpoint import checkpoint_store, restore_store
 
 ALGORITHM = lambda: CliqueMining(k=3, min_size=3)
+BATCH = 50
 
 graph = barabasi_albert(120, 3, seed=11)
 updates = list(churn_stream(graph, 400, churn=0.25, seed=12))
 first_half, second_half = updates[:200], updates[200:]
 
+
+def serve(session, stream):
+    """The service loop: one micro-batch in, its windows mined, repeat."""
+    for start in range(0, len(stream), BATCH):
+        session.process(stream[start : start + BATCH])
+
+
 # ---- phase 1: run the service over the first half of the stream --------
-system = TesseractSystem(ALGORITHM(), window_size=10, num_workers=2)
-live = system.output_stream().count()
-driver = StreamDriver(system, batch_size=50)
-report = driver.run([first_half])
+session = StreamingSession(ALGORITHM(), "thread", window_size=10, num_workers=2)
+live = session.output_stream().count()
+serve(session, first_half)
+executed = sum(w.num_updates for w in session.window_stats)
+seconds = session.latency_summary().total_seconds
 print("phase 1:")
-print(f"  {report.total_updates} updates in {len(report.batches)} micro-batches, "
-      f"{report.throughput:,.0f} updates/s, {live.value()} live triangles")
-print(system.stats().report())
+print(f"  {executed} updates in {len(session.window_stats)} windows, "
+      f"{executed / seconds:,.0f} updates/s, {live.value()} live triangles")
+print(session.stats().report())
 
 # ---- checkpoint, then 'crash' ------------------------------------------
 ckpt = tempfile.NamedTemporaryFile(suffix=".json", delete=False)
-checkpoint_store(system.store, ckpt.name)
+checkpoint_store(session.store, ckpt.name)
 print(f"\ncheckpoint written to {ckpt.name}")
-deltas_so_far = list(system.deltas())
-del system  # the process dies here
+deltas_so_far = session.deltas()
+del session  # the process dies here
 
 # ---- phase 2: recover and continue -------------------------------------
-recovered = TesseractSystem.from_checkpoint(
-    ckpt.name, ALGORITHM(), window_size=10, num_workers=2
+recovered = StreamingSession(
+    ALGORITHM(), "thread", window_size=10, num_workers=2,
+    store=restore_store(ckpt.name),
 )
-live2 = recovered.output_stream().count()
-report2 = StreamDriver(recovered, batch_size=50).run([second_half])
+os.unlink(ckpt.name)
+serve(recovered, second_half)
 print("\nphase 2 (after recovery):")
-print(f"  {report2.total_updates} updates, mean batch latency "
-      f"{report2.mean_batch_latency() * 1000:.1f}ms")
+print(f"  window latencies: {recovered.latency_summary().report()}")
 
 # ---- verify: combined delta stream == recompute from final graph --------
-all_deltas = deltas_so_far + list(recovered.deltas())
-final_live = collect_matches(all_deltas)
+final_live = collect_matches(deltas_so_far + recovered.deltas())
 expected = collect_matches(
     TesseractEngine.run_static(recovered.snapshot(), ALGORITHM())
 )

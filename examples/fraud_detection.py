@@ -23,7 +23,7 @@ import random
 
 from repro.core.api import MiningAlgorithm
 from repro.graph.subgraph import SubgraphView
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 ROLES = ("card", "merchant", "mule")
@@ -51,18 +51,18 @@ class FraudRing(MiningAlgorithm):
 
 def main():
     rng = random.Random(42)
-    system = TesseractSystem(FraudRing(), window_size=5, num_workers=2)
+    session = StreamingSession(FraudRing(), window_size=5)
 
     # Accounts: 30 of each role.
     accounts = []
     for i in range(90):
         role = ROLES[i % 3]
-        system.submit(Update.add_vertex(i, label=role))
+        session.submit(Update.add_vertex(i, label=role))
         accounts.append((i, role))
 
     # Live post-processing: alerts per merchant account.
     alerts_by_merchant = (
-        system.output_stream()
+        session.output_stream()
         .flat_map(
             lambda sub: [
                 v for v in sub.vertices if sub.label_of(v) == "merchant"
@@ -71,18 +71,18 @@ def main():
         .group_by(lambda merchant: merchant)
         .count()
     )
-    total_alerts = system.output_stream().count()
+    total_alerts = session.output_stream().count()
 
     # Background traffic: random transactions.
     for _ in range(300):
         u, v = rng.sample(range(90), 2)
-        system.submit(Update.add_edge(u, v))
+        session.submit(Update.add_edge(u, v))
 
     # A planted ring: card 0, merchant 1, mule 2, second card 3.
     ring = [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)]
     for u, v in ring:
-        system.submit(Update.add_edge(u, v))
-    system.flush()
+        session.submit(Update.add_edge(u, v))
+    session.flush()
 
     print(f"alerts after transaction stream: {total_alerts.value()}")
     worst = sorted(
@@ -95,14 +95,14 @@ def main():
 
     # A chargeback removes the card-merchant edge: rings dissolve live.
     before = total_alerts.value()
-    system.submit(Update.delete_edge(0, 1))
-    system.flush()
+    session.submit(Update.delete_edge(0, 1))
+    session.flush()
     print(f"after chargeback on (card 0, merchant 1): {total_alerts.value()} alerts")
     assert total_alerts.value() <= before
 
     # The delta stream doubles as an audit log.
-    rem = [d for d in system.deltas() if d.is_rem()]
-    print(f"audit log: {len(system.deltas())} events, {len(rem)} retractions")
+    rem = [d for d in session.deltas() if d.is_rem()]
+    print(f"audit log: {len(session.deltas())} events, {len(rem)} retractions")
 
 
 if __name__ == "__main__":

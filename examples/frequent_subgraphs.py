@@ -16,21 +16,21 @@ Run:  python examples/frequent_subgraphs.py
 import random
 
 from repro.apps import FrequentSubgraphMining, FSMPipeline
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 THRESHOLD = 4
 rng = random.Random(7)
 
-system = TesseractSystem(FrequentSubgraphMining(k=3), window_size=6)
+session = StreamingSession(FrequentSubgraphMining(k=3), window_size=6)
 fsm = FSMPipeline(
     threshold=THRESHOLD,
-    snapshot_provider=lambda ts: system.store.as_adjacency(ts),
+    snapshot_provider=lambda ts: session.store.as_adjacency(ts),
 )
 
 # 24 "residues" of three types.
 for v in range(24):
-    system.submit(Update.add_vertex(v, label=rng.choice("HEC")))
+    session.submit(Update.add_vertex(v, label=rng.choice("HEC")))
 
 # Interaction edges stream in.
 edges = set()
@@ -41,9 +41,8 @@ edge_list = sorted(edges)
 rng.shuffle(edge_list)
 
 for u, v in edge_list:
-    system.submit(Update.add_edge(u, v))
-system.flush()
-fsm.consume(system.deltas())
+    session.submit(Update.add_edge(u, v))
+fsm.consume(session.flush())
 
 print(f"threshold: MNI support >= {THRESHOLD}")
 print(f"frequent patterns after {len(edge_list)} interactions:")
@@ -57,11 +56,9 @@ for event in fsm.events:
     print(f"  ts={event.timestamp:>3} {event.kind:<16} support={event.support}  {event.pattern}")
 
 # Remove a batch of edges and watch support drain away.
-consumed = len(system.deltas())
 for u, v in edge_list[::2]:
-    system.submit(Update.delete_edge(u, v))
-system.flush()
-fsm.consume(system.deltas()[consumed:])
+    session.submit(Update.delete_edge(u, v))
+fsm.consume(session.flush())
 
 lost = [e for e in fsm.events if e.kind == "lost_support"]
 print(f"\nafter deleting half the interactions: {len(fsm.frequent_patterns())} "

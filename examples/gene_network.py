@@ -14,7 +14,7 @@ Run:  python examples/gene_network.py
 import random
 
 from repro.apps.directed import CyclicTriads, FeedForwardLoops
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 rng = random.Random(21)
@@ -34,10 +34,10 @@ for _ in range(120):
 arcs = sorted(arcs)
 rng.shuffle(arcs)
 
-ffl_system = TesseractSystem(FeedForwardLoops(), window_size=20)
-ffl_count = ffl_system.output_stream().count()
-cycle_system = TesseractSystem(CyclicTriads(), window_size=20)
-cycle_count = cycle_system.output_stream().count()
+ffl_session = StreamingSession(FeedForwardLoops(), window_size=20)
+ffl_count = ffl_session.output_stream().count()
+cycle_session = StreamingSession(CyclicTriads(), window_size=20)
+cycle_count = cycle_session.output_stream().count()
 
 
 def arc_update(a, b):
@@ -51,10 +51,10 @@ for a, b in arcs:
     if key in seen:
         continue  # one orientation per gene pair in this toy network
     seen.add(key)
-    ffl_system.submit(arc_update(a, b))
-    cycle_system.submit(arc_update(a, b))
-ffl_system.flush()
-cycle_system.flush()
+    ffl_session.submit(arc_update(a, b))
+    cycle_session.submit(arc_update(a, b))
+ffl_session.flush()
+cycle_session.flush()
 
 print(f"network: {len(seen)} regulatory arcs over {NUM_GENES} genes")
 print(f"feed-forward loops: {ffl_count.value()}")
@@ -67,10 +67,10 @@ knocked = [
 ]
 before = ffl_count.value()
 for u, v in knocked:
-    ffl_system.submit(Update.delete_edge(u, v))
-ffl_system.flush()
+    ffl_session.submit(Update.delete_edge(u, v))
+ffl_session.flush()
 print(f"\nknockout of gene 0 removed {before - ffl_count.value()} "
       f"feed-forward loops ({ffl_count.value()} remain)")
-rems = [d for d in ffl_system.deltas() if d.is_rem()]
+rems = [d for d in ffl_session.deltas() if d.is_rem()]
 assert all(0 in d.subgraph.vertices for d in rems)
 print("every retracted loop involved the knocked-out gene — exact lineage.")

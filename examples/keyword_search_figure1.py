@@ -11,7 +11,7 @@ Run:  python examples/keyword_search_figure1.py
 from repro.apps import GraphKeywordSearch
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.datasets import figure1_graph, figure1_updates
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 
 LABELS = ("orange", "green", "blue")
 
@@ -37,22 +37,22 @@ algorithm = GraphKeywordSearch(LABELS, k=5)
 before = collect_matches(TesseractEngine.run_static(graph, algorithm))
 show("\nmatches BEFORE", {tuple(sorted(vs)) for vs, _ in before})
 
-# Apply the three updates of Figure 1 through the full system.
-system = TesseractSystem(algorithm, window_size=3, initial_graph=graph)
-system.submit_many(figure1_updates())
-system.flush()
+# Apply the three updates of Figure 1 through the full pipeline.
+session = StreamingSession(algorithm, window_size=3, initial_graph=graph)
+session.submit_many(figure1_updates())
+session.flush()
 
 print("\nchanges in the match set:")
-for delta in system.deltas():
+for delta in session.deltas():
     vertices = tuple(sorted(delta.subgraph.vertices))
     print(f"  {delta.status.value:>3} {vertices}")
 
-after = collect_matches(TesseractEngine.run_static(system.snapshot(), algorithm))
+after = collect_matches(TesseractEngine.run_static(session.snapshot(), algorithm))
 show("\nmatches AFTER", {tuple(sorted(vs)) for vs, _ in after})
 
 expected_rem = {(1, 2, 3, 4), (2, 6, 7, 8)}
 expected_new = {(1, 2, 3), (1, 2, 5, 7), (2, 5, 6, 7, 8)}
-rems = {tuple(sorted(d.subgraph.vertices)) for d in system.deltas() if d.is_rem()}
-news = {tuple(sorted(d.subgraph.vertices)) for d in system.deltas() if d.is_new()}
+rems = {tuple(sorted(d.subgraph.vertices)) for d in session.deltas() if d.is_rem()}
+news = {tuple(sorted(d.subgraph.vertices)) for d in session.deltas() if d.is_new()}
 assert rems == expected_rem and news == expected_new
 print("\nFigure 1 reproduced exactly.")

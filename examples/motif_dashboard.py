@@ -16,7 +16,7 @@ Run:  python examples/motif_dashboard.py
 from repro.apps import MotifCounting
 from repro.dataflow import MOTIF
 from repro.graph.generators import barabasi_albert, shuffled_edges
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 K = 3
@@ -25,14 +25,14 @@ NAMES = {2: "wedge  (2 edges)", 3: "triangle (3 edges)"}
 graph = barabasi_albert(150, 3, seed=1)
 edges = shuffled_edges(graph, seed=2)
 
-system = TesseractSystem(MotifCounting(K, min_size=3), window_size=20)
-census = system.output_stream().group_by(MOTIF).count()
+session = StreamingSession(MotifCounting(K, min_size=3), window_size=20)
+census = session.output_stream().group_by(MOTIF).count()
 
 batch_size = len(edges) // 4
 for batch_no in range(4):
     batch = edges[batch_no * batch_size : (batch_no + 1) * batch_size]
-    system.submit_many(Update.add_edge(u, v) for u, v in batch)
-    system.flush()
+    session.submit_many(Update.add_edge(u, v) for u, v in batch)
+    session.flush()
     counts = {
         NAMES.get(motif.num_edges(), str(motif)): n
         for motif, n in census.state().items()
@@ -49,7 +49,7 @@ for batch_no in range(4):
 from repro.apps import count_motifs
 from repro.core.engine import TesseractEngine
 
-final_graph = system.snapshot()
+final_graph = session.snapshot()
 static = count_motifs(TesseractEngine.run_static(final_graph, MotifCounting(K, min_size=3)))
 assert static == census.state()
 print("incremental census matches full recomputation.")

@@ -4,8 +4,8 @@ evolving graphs (Bindschaedler et al., EuroSys 2021).
 Public API quick reference::
 
     from repro import (
-        AdjacencyGraph, MultiVersionStore, IngressNode, WorkQueue,
-        TesseractEngine, MiningAlgorithm, Update,
+        AdjacencyGraph, MiningAlgorithm, StreamingSession, TesseractEngine,
+        Update,
     )
     from repro.apps import CliqueMining, GraphKeywordSearch
 
@@ -16,13 +16,12 @@ from repro.core.api import EdgeInduced, MiningAlgorithm, VertexInduced
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.dataflow import MOTIF
 from repro.dataflow.stream import Stream
-from repro.runtime.coordinator import TesseractSystem
-from repro.runtime.driver import StreamDriver
 from repro.core.metrics import Metrics
 from repro.core.stesseract import STesseractEngine
 from repro.errors import TesseractError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.pattern import Pattern
+from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode, Window
 from repro.streaming.pubsub import PubSub, Topic
@@ -54,9 +53,8 @@ __all__ = [
     "MOTIF",
     "STesseractEngine",
     "Stream",
-    "StreamDriver",
+    "StreamingSession",
     "TesseractEngine",
-    "TesseractSystem",
     "TesseractError",
     "Topic",
     "Update",

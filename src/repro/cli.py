@@ -258,25 +258,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     from repro.core.engine import TesseractEngine, collect_matches
     from repro.graph.adjacency import AdjacencyGraph
-    from repro.runtime.coordinator import TesseractSystem
+    from repro.runtime.session import StreamingSession
 
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
         n = rng.randint(5, 9)
         possible = list(itertools.combinations(range(n), 2))
-        system = TesseractSystem(CliqueMining(4, min_size=3), window_size=rng.choice([1, 3, 5]))
+        session = StreamingSession(
+            CliqueMining(4, min_size=3), window_size=rng.choice([1, 3, 5])
+        )
         present = set()
         for _ in range(30):
             e = rng.choice(possible)
             if e in present and rng.random() < 0.4:
                 present.discard(e)
-                system.submit(Update.delete_edge(*e))
+                session.submit(Update.delete_edge(*e))
             elif e not in present:
                 present.add(e)
-                system.submit(Update.add_edge(*e))
-        system.flush()
-        live = collect_matches(system.deltas())
+                session.submit(Update.add_edge(*e))
+        live = collect_matches(session.flush())
         final = AdjacencyGraph.from_edges(sorted(present))
         for v in range(n):
             final.add_vertex(v)

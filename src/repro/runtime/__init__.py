@@ -1,7 +1,8 @@
-"""Distributed execution runtime: backends, sessions, workers, simulation."""
+"""Distributed execution runtime: the streaming session, its backends, simulation."""
 
 from repro.runtime.backend import (
     BACKEND_NAMES,
+    DeploymentResult,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -10,12 +11,8 @@ from repro.runtime.backend import (
     make_backend,
 )
 from repro.runtime.cluster import ClusterSpec, SimResult
-from repro.runtime.coordinator import TesseractSystem
 from repro.runtime.costmodel import ClusterSimulator
-from repro.runtime.distributed import DeploymentResult, SimulatedDeployment
-from repro.runtime.driver import StreamDriver
 from repro.runtime.fault import CrashPlan, FaultInjector
-from repro.runtime.parallel import MultiprocessRunner
 from repro.runtime.scheduler import DynamicScheduler, StaticPartitionScheduler
 from repro.runtime.session import StreamingSession
 from repro.runtime.stats import (
@@ -24,13 +21,11 @@ from repro.runtime.stats import (
     summarize_latencies,
     summarize_window_stats,
 )
-from repro.runtime.worker import WorkerPool
 
 __all__ = [
     "BACKEND_NAMES",
     "ClusterSpec",
     "SimResult",
-    "TesseractSystem",
     "ClusterSimulator",
     "DeploymentResult",
     "ExecutionBackend",
@@ -39,17 +34,13 @@ __all__ = [
     "ProcessBackend",
     "SimulatedBackend",
     "make_backend",
-    "SimulatedDeployment",
     "StreamingSession",
-    "StreamDriver",
     "CrashPlan",
     "FaultInjector",
     "LatencySummary",
-    "MultiprocessRunner",
     "DynamicScheduler",
     "StaticPartitionScheduler",
     "SystemStats",
     "summarize_latencies",
     "summarize_window_stats",
-    "WorkerPool",
 ]

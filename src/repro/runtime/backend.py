@@ -1,13 +1,9 @@
 """Pluggable execution backends: one task-running contract, four executors.
 
-Historically the repo had four disjoint ways to execute exploration tasks —
-the serial :class:`~repro.core.engine.TesseractEngine`, the threaded
-:class:`~repro.runtime.worker.WorkerPool`, the process-based
-``MultiprocessRunner``, and the :class:`~repro.runtime.distributed.\
-SimulatedDeployment` — each re-implementing queue draining, window handling,
-and metrics accumulation.  This module collapses the executor side of that
-into one interface mirroring the paper's own layering: a single mining
-engine over interchangeable deployments (EuroSys 2021 §4–5).
+One mining engine over interchangeable deployments, the paper's own
+layering (EuroSys 2021 sections 4-5): the executor side of the pipeline is
+one interface, and what differs between a debug run, a multi-process run
+and a simulated cluster is only which adapter sits behind it.
 
 An :class:`ExecutionBackend` runs a batch of independent exploration tasks
 (each is one ``(timestamp, EdgeUpdate)`` pair — tasks are independent by
@@ -38,22 +34,33 @@ Backends:
     Executes every task once on one host while routing store reads through
     per-machine :class:`~repro.store.remote.RemoteStoreClient` caches and
     advancing per-worker simulated clocks — real deltas, estimated
-    multi-machine makespan.
+    multi-machine makespan.  Because tasks are independent, executing them
+    in worker-clock order on one host is behaviourally identical to a real
+    cluster run, and the makespan is grounded in per-task *measured* work
+    rather than modeled work units; its agreement with the trace-replay
+    simulator (:mod:`repro.runtime.costmodel`, no shared code path) is a
+    consistency check the benchmarks assert.
 """
 
 from __future__ import annotations
 
 import abc
+import heapq
 import multiprocessing as mp
 import os
 import threading
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.api import MiningAlgorithm
 from repro.core.engine import TesseractEngine
+from repro.core.explore import Explorer
 from repro.core.metrics import Metrics
 from repro.errors import WorkerCrashed
+from repro.runtime.cluster import ClusterSpec
 from repro.store.api import GraphStore
+from repro.store.remote import FetchCosts, RemoteStoreClient
+from repro.store.snapshot import ExplorationView
 from repro.telemetry import (
     NULL_PROFILE,
     NULL_TELEMETRY,
@@ -459,74 +466,161 @@ class ProcessBackend(ExecutionBackend):
         return [self._profile] if self._profile.enabled else []
 
 
-class SimulatedBackend(ExecutionBackend):
-    """Simulated multi-machine deployment behind the backend contract.
+@dataclass
+class DeploymentResult:
+    """Outcome of one window on the simulated cluster."""
 
-    Wraps :class:`~repro.runtime.distributed.SimulatedDeployment`: every
-    task executes exactly once (deltas are exact), while store reads are
-    charged per-machine fetch latency and per-worker clocks estimate the
-    cluster makespan.  Worker caches are dropped between batches — cached
-    vertex records are soft state (paper §5.5) and may be stale once the
-    store has evolved.
+    deltas: List[MatchDelta]
+    makespan_seconds: float
+    total_busy_seconds: float
+    tasks: int
+    per_machine_fetches: Dict[int, int]
+    per_worker_busy: List[float] = field(default_factory=list)
+
+    @property
+    def utilization(self) -> float:
+        """Mean fraction of the makespan the workers spent busy."""
+        if not self.per_worker_busy or self.makespan_seconds == 0:
+            return 0.0
+        return self.total_busy_seconds / (
+            len(self.per_worker_busy) * self.makespan_seconds
+        )
+
+    def speedup_over(self, other: "DeploymentResult") -> float:
+        return other.makespan_seconds / self.makespan_seconds
+
+
+class SimulatedBackend(ExecutionBackend):
+    """A simulated multi-machine cluster: real execution, simulated clocks.
+
+    Every task executes exactly once (deltas are exact) on the explorer of
+    whichever simulated worker is idle earliest; its store reads go through
+    that worker's machine's :class:`~repro.store.remote.RemoteStoreClient`
+    and are charged fetch latency, and the worker's clock advances by the
+    measured work.  :attr:`last_result` holds the latest window's
+    :class:`DeploymentResult` (makespan, utilization, fetches).  Machine
+    caches are dropped between windows — cached vertex records are soft
+    state (paper §5.5) and may be stale once the store has evolved.
     """
 
     name = "simulated"
+
+    #: simulated seconds per engine work unit, per queue pull, per delta emitted
+    seconds_per_work_unit = 2e-6
+    dequeue_seconds = 1e-6
+    emit_seconds = 0.5e-6
 
     def __init__(
         self,
         store: GraphStore,
         algorithm: MiningAlgorithm,
-        spec=None,
-        algorithm_factory: Optional[Callable[[], MiningAlgorithm]] = None,
-        fetch_costs=None,
+        spec: Optional[ClusterSpec] = None,
+        fetch_costs: Optional[FetchCosts] = None,
         telemetry=None,
         profile: bool = False,
     ) -> None:
-        from repro.runtime.cluster import ClusterSpec
-        from repro.runtime.distributed import SimulatedDeployment
-        from repro.store.remote import FetchCosts
-
         if spec is None:
             spec = ClusterSpec(num_machines=2, workers_per_machine=2)
         self.spec = spec
-        self.deployment = SimulatedDeployment(
-            store,
-            algorithm_factory if algorithm_factory is not None else (lambda: algorithm),
-            spec,
-            fetch_costs=fetch_costs if fetch_costs is not None else FetchCosts(),
-            telemetry=telemetry,
-            profile=profile,
+        self.telemetry = ensure(telemetry)
+        costs = fetch_costs if fetch_costs is not None else FetchCosts()
+        # One store client per machine (its workers share the cache).
+        self.clients = [
+            RemoteStoreClient(
+                store, costs=costs, cache_capacity=spec.cache_capacity_per_machine
+            )
+            for _ in range(spec.num_machines)
+        ]
+        # One explorer, metrics, registry and profile per worker: no shared
+        # soft state; all merge order-independently at snapshot time.
+        workers = range(spec.total_workers)
+        self._worker_tels = [self._worker_telemetry(telemetry) for _ in workers]
+        self._worker_profs = [self._worker_profile(profile) for _ in workers]
+        self._explorers = [
+            Explorer(
+                algorithm,
+                metrics=Metrics(),
+                telemetry=self._worker_tels[w],
+                profile=self._worker_profs[w],
+            )
+            for w in workers
+        ]
+        self.last_result: Optional[DeploymentResult] = None
+
+    def _run_task(self, explorer, client, ts, update) -> Tuple[List[MatchDelta], float]:
+        """Explore one update; returns its deltas and simulated seconds."""
+        work_before = explorer.metrics.work_units()
+        fetch_before = client.log.simulated_seconds
+        out = explorer.explore_update(ExplorationView(client, ts), update)
+        return out, (
+            self.dequeue_seconds
+            + (explorer.metrics.work_units() - work_before) * self.seconds_per_work_unit
+            + (client.log.simulated_seconds - fetch_before)
+            + len(out) * self.emit_seconds
         )
-        #: per-batch deployment results (makespan, utilization, fetches)
-        self.results = []
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[MatchDelta]:
+        """Run the window; the earliest-idle simulated worker pulls next."""
         if not tasks:
             return []
-        for client in self.deployment.clients:
+        for client in self.clients:
             client.drop_cache()
-        result = self.deployment.run(tasks)
-        self.results.append(result)
-        return result.deltas
+        spec = self.spec
+        # (clock, worker_id) min-heap; all start idle at 0, already a heap.
+        idle: List[Tuple[float, int]] = [(0.0, w) for w in range(spec.total_workers)]
+        busy = [0.0] * spec.total_workers
+        queue_free_at = 0.0
+        deltas: List[MatchDelta] = []
+        tracer = self.telemetry.tracer
+        for ts, update in tasks:
+            clock, worker = heapq.heappop(idle)
+            machine = worker // spec.workers_per_machine
+            explorer, client = self._explorers[worker], self.clients[machine]
+            start = max(clock, queue_free_at)
+            queue_free_at = start + self.dequeue_seconds
+            if self.telemetry.enabled:
+                with tracer.span(
+                    "task",
+                    ts=ts,
+                    u=update.u,
+                    v=update.v,
+                    added=update.added,
+                    worker=worker,
+                    machine=machine,
+                ) as span:
+                    out, duration = self._run_task(explorer, client, ts, update)
+                    span.set(deltas=len(out), simulated_seconds=duration)
+            else:
+                out, duration = self._run_task(explorer, client, ts, update)
+            deltas.extend(out)
+            busy[worker] += duration
+            heapq.heappush(idle, (start + duration, worker))
+        self.last_result = DeploymentResult(
+            deltas=deltas,
+            makespan_seconds=max(clock for clock, _ in idle),
+            total_busy_seconds=sum(busy),
+            tasks=len(tasks),
+            per_machine_fetches={
+                m: client.log.fetches for m, client in enumerate(self.clients)
+            },
+            per_worker_busy=busy,
+        )
+        return deltas
 
     def metrics(self) -> Metrics:
         merged = Metrics()
-        for _, worker_metrics in self.deployment._explorers:
-            merged.merge(worker_metrics)
+        for explorer in self._explorers:
+            merged.merge(explorer.metrics)
         return merged
 
     def record_window(self, wall_seconds: float) -> None:
-        self.deployment._explorers[0][1].record_window(wall_seconds)
+        self._explorers[0].metrics.record_window(wall_seconds)
 
     def worker_registries(self) -> List[MetricsRegistry]:
-        return list(self.deployment.worker_registries)
+        return [tel.registry for tel in self._worker_tels if tel.enabled]
 
     def worker_profiles(self) -> List[ExplorationProfile]:
-        return list(self.deployment.worker_profiles)
-
-    @property
-    def last_result(self):
-        return self.results[-1] if self.results else None
+        return [p for p in self._worker_profs if p.enabled]
 
 
 def make_backend(

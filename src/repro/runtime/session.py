@@ -1,17 +1,18 @@
 """The unified evolving-graph pipeline: one loop, pluggable executors.
 
-:class:`StreamingSession` owns the full loop of the paper's Figure 2 for
-any execution backend: updates enter through the **ingress node**, which
-sanitizes them, carves snapshot windows, applies each window atomically to
-the **multiversioned store**, and appends its edge updates to the **work
-queue**; the session then drains the queue window by window, fans each
-window's tasks to the configured :class:`~repro.runtime.backend.\
-ExecutionBackend`, merges per-worker :class:`~repro.core.metrics.Metrics`
-deterministically, feeds the resulting deltas into attached **dataflow**
-sinks, and records a :class:`~repro.types.WindowStats` per window.
+:class:`StreamingSession` is the paper's Figure 2 deployment, and the only
+way this repo runs a pipeline: updates enter through the **ingress node**,
+which sanitizes them, carves snapshot windows, applies each window
+atomically to the **multiversioned store**, and appends its edge updates to
+the **work queue**; the session then takes the queue one window at a time,
+runs the window's tasks on the configured :class:`~repro.runtime.backend.\
+ExecutionBackend`, records a :class:`~repro.types.WindowStats`, publishes
+the window's deltas (the delta log and every attached **dataflow** sink),
+and only then acknowledges the window's queue items — section 5.5's rule
+that a worker publishes before it acks, at window granularity.
 
-Because the loop is wired once here, switching from a serial debug run to
-a multi-process run (or a simulated cluster) is a one-argument change::
+Switching from a serial debug run to a multi-process run (or a simulated
+cluster) is a one-argument change::
 
     session = StreamingSession(CliqueMining(4, min_size=3),
                                backend="process", window_size=100)
@@ -20,27 +21,27 @@ a multi-process run (or a simulated cluster) is a one-argument change::
     session.flush()
     counts.value(), session.latency_summary().report()
 
-Before this layer existed the process runner could only mine pre-applied
-static batches; the session gives every backend — including processes —
-a true streaming, window-by-window execution path.
+Crash recovery falls out of the loop's order.  If the backend raises while
+a window runs (a slice worker died, an algorithm threw), that window's
+items are redelivered and the exception propagates: every earlier window is
+already published and acked, nothing is in flight, the queue's low
+watermark sits below the failed window, and nothing of it was published —
+so calling :meth:`StreamingSession.run_pending` again resumes to exactly
+the crash-free stream, with no dedup table to consult.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional
 
 from repro.core.api import MiningAlgorithm
 from repro.core.metrics import Metrics
 from repro.errors import WorkerCrashed
 from repro.dataflow.stream import Stream
 from repro.graph.adjacency import AdjacencyGraph
-from repro.runtime.backend import (
-    ExecutionBackend,
-    Task,
-    make_backend,
-)
-from repro.runtime.stats import LatencySummary, summarize_latencies
+from repro.runtime.backend import ExecutionBackend, make_backend
+from repro.runtime.stats import LatencySummary, SystemStats, summarize_latencies
 from repro.store.api import GraphStore, make_store
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
@@ -159,32 +160,14 @@ class StreamingSession:
 
     # -- the streaming loop ----------------------------------------------
 
-    def _pending_windows(self) -> Iterator[Tuple[Timestamp, List[Task]]]:
-        """Group the queue's ready items into per-timestamp task batches.
-
-        The queue is FIFO in timestamp order, so consecutive items with one
-        timestamp are exactly one ingress window.
-        """
-        window_ts: Optional[Timestamp] = None
-        tasks: List[Task] = []
-        on_poll = self._on_poll if self.fault_injector is not None else None
-        for item in self.queue.drain(on_poll=on_poll):
-            if window_ts is not None and item.timestamp != window_ts:
-                yield window_ts, tasks
-                tasks = []
-            window_ts = item.timestamp
-            tasks.append((item.timestamp, item.update))
-        if tasks:
-            assert window_ts is not None
-            yield window_ts, tasks
-
     def _on_poll(self, item) -> None:
-        """Per-item fault-injection hook run inside the queue's drain loop.
+        """Per-item fault-injection hook run as the queue hands out a window.
 
-        A fired crash point raises :class:`WorkerCrashed`; the counter and
-        ``worker.restart`` trace marker record the recovery, then the
-        exception propagates so :meth:`WorkQueue.drain` redelivers the item
-        to the (logically restarted) worker.
+        The session injects as worker 0.  A fired crash point raises
+        :class:`WorkerCrashed`; the counter and ``worker.restart`` trace
+        marker record the recovery, then the exception propagates so
+        :meth:`WorkQueue.drain_windows` redelivers the item to the
+        (logically restarted) worker.
         """
         try:
             self.fault_injector.on_task_start(0, item.offset)
@@ -197,7 +180,13 @@ class StreamingSession:
             raise
 
     def run_pending(self) -> List[MatchDelta]:
-        """Drain queued windows through the backend; dispatch to sinks.
+        """Run every queued window: backend, then publish, then ack.
+
+        A window's deltas reach the delta log and the attached streams only
+        after the backend finished the whole window, and its queue items
+        are acked only after that.  If the backend raises, the window's
+        items are redelivered and the exception propagates; calling
+        :meth:`run_pending` again resumes with that window.
 
         With telemetry enabled each window runs inside an *anchored*
         ``window`` span, so task spans opened on worker threads (whose span
@@ -205,26 +194,31 @@ class StreamingSession:
         """
         new_deltas: List[MatchDelta] = []
         tracer = self.telemetry.tracer
-        for ts, tasks in self._pending_windows():
-            with tracer.span(
-                "window", anchored=True, ts=ts, updates=len(tasks)
-            ) as span:
-                start = time.perf_counter()
-                deltas = self.backend.run_tasks(tasks)
-                elapsed = time.perf_counter() - start
-                span.set(deltas=len(deltas), seconds=elapsed)
+        on_poll = self._on_poll if self.fault_injector is not None else None
+        for ts, items in self.queue.drain_windows(on_poll):
+            tasks = [(ts, item.update) for item in items]
+            try:
+                with tracer.span(
+                    "window", anchored=True, ts=ts, updates=len(tasks)
+                ) as span:
+                    start = time.perf_counter()
+                    deltas = self.backend.run_tasks(tasks)
+                    elapsed = time.perf_counter() - start
+                    span.set(deltas=len(deltas), seconds=elapsed)
+            except BaseException:
+                self.queue.redeliver_all([item.offset for item in items])
+                raise
             self.backend.record_window(elapsed)
             self.window_stats.append(
                 WindowStats.from_deltas(ts, len(tasks), deltas, elapsed)
             )
-            new_deltas.extend(deltas)
             # No later task reads snapshots below this window; let the
             # store retire read-cache entries for them.
             self.store.window_completed(ts)
-        if new_deltas or self._streams:
+            self._deltas.extend(deltas)
             for stream in self._streams:
-                stream.push_deltas(new_deltas)
-        self._deltas.extend(new_deltas)
+                stream.push_deltas(deltas)
+            new_deltas.extend(deltas)
         return new_deltas
 
     # -- output side -----------------------------------------------------
@@ -262,6 +256,10 @@ class StreamingSession:
         the merged view carries cumulative seconds and the latency multiset.
         """
         return self.backend.metrics()
+
+    def stats(self) -> SystemStats:
+        """Component counters in one snapshot (the text dashboard)."""
+        return SystemStats.collect(self)
 
     def latency_summary(self) -> LatencySummary:
         """p50/p95/p99/max over this session's per-window wall seconds."""
@@ -376,12 +374,13 @@ class StreamingSession:
             window_size=max(1, graph.num_edges()),
             **kwargs,
         )
-        for v in sorted(graph.vertices()):
-            session.submit(Update.add_vertex(v, graph.vertex_label(v)))
-        session.submit_many(
-            Update.add_edge(u, v, graph.edge_label(u, v))
-            for u, v in graph.sorted_edges()
-        )
-        deltas = session.flush()
-        session.close()
-        return deltas
+        try:
+            for v in sorted(graph.vertices()):
+                session.submit(Update.add_vertex(v, graph.vertex_label(v)))
+            session.submit_many(
+                Update.add_edge(u, v, graph.edge_label(u, v))
+                for u, v in graph.sorted_edges()
+            )
+            return session.flush()
+        finally:
+            session.close()

@@ -1,14 +1,14 @@
 """Aggregate system statistics — a text dashboard for a deployment.
 
 Collects the counters every component already maintains (ingress, store,
-queue, topic, workers) into one report, for operational visibility and for
+queue, delta log, engine) into one report, for operational visibility and for
 the examples' output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -110,7 +110,7 @@ def window_stats_to_registry(registry, window_stats) -> None:
 
 @dataclass
 class SystemStats:
-    """A point-in-time snapshot of a :class:`TesseractSystem`."""
+    """A point-in-time snapshot of a :class:`StreamingSession`."""
 
     windows_applied: int
     updates_accepted: int
@@ -122,35 +122,29 @@ class SystemStats:
     queue_acked: int
     low_watermark: int
     deltas_published: int
-    duplicates_dropped: int
-    worker_tasks: Dict[int, int]
     worker_crashes: int
     filter_calls: int
     match_calls: int
     emits: int
 
     @classmethod
-    def collect(cls, system) -> "SystemStats":
-        """Snapshot every component counter of a running TesseractSystem."""
-        metrics = system.metrics()
-        ts = system.store.latest_timestamp
+    def collect(cls, session) -> "SystemStats":
+        """Snapshot every component counter of a running session."""
+        metrics = session.metrics()
+        ts = session.store.latest_timestamp
+        injector = session.fault_injector
         return cls(
-            windows_applied=system.ingress.windows_applied,
-            updates_accepted=system.ingress.updates_accepted,
-            updates_dropped=system.ingress.updates_dropped,
-            store_vertices=system.store.num_vertices(),
-            store_edges=system.store.num_edges_at(ts),
-            store_tombstones=system.store.tombstone_count(),
-            queue_appended=system.queue.total_appended(),
-            queue_acked=system.queue.acked_count(),
-            low_watermark=system.queue.low_watermark(),
-            deltas_published=len(system.topic.visible_records())
-            + system.topic.held_count(),
-            duplicates_dropped=system.topic.duplicates_dropped,
-            worker_tasks={
-                s.worker_id: s.tasks_processed for s in system.pool.stats
-            },
-            worker_crashes=sum(s.crashes for s in system.pool.stats),
+            windows_applied=session.ingress.windows_applied,
+            updates_accepted=session.ingress.updates_accepted,
+            updates_dropped=session.ingress.updates_dropped,
+            store_vertices=session.store.num_vertices(),
+            store_edges=session.store.num_edges_at(ts),
+            store_tombstones=session.store.tombstone_count(),
+            queue_appended=session.queue.total_appended(),
+            queue_acked=session.queue.acked_count(),
+            low_watermark=session.queue.low_watermark(),
+            deltas_published=sum(w.num_deltas for w in session.window_stats),
+            worker_crashes=injector.crash_count if injector is not None else 0,
             filter_calls=metrics.filter_calls,
             match_calls=metrics.match_calls,
             emits=metrics.emits,
@@ -165,11 +159,8 @@ class SystemStats:
             f"  store      {self.store_vertices} vertices, "
             f"{self.store_edges} live edges, {self.store_tombstones} tombstones",
             f"  queue      {self.queue_acked}/{self.queue_appended} acked, "
-            f"watermark ts={self.low_watermark}",
-            f"  output     {self.deltas_published} deltas "
-            f"({self.duplicates_dropped} duplicates dropped)",
-            f"  workers    {sum(self.worker_tasks.values())} tasks over "
-            f"{len(self.worker_tasks)} workers, {self.worker_crashes} crashes",
+            f"watermark ts={self.low_watermark}, {self.worker_crashes} crashes",
+            f"  output     {self.deltas_published} deltas",
             f"  engine     {self.filter_calls} filter / {self.match_calls} match "
             f"calls, {self.emits} emits",
         ]

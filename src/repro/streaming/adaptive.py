@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 
 @dataclass
@@ -70,12 +70,11 @@ class AdaptiveWindowController:
 
     def drive(
         self,
-        system,
+        session,
         updates,
-        flush_every: Optional[int] = None,
         clock: Callable[[], float] = time.perf_counter,
     ):
-        """Feed ``updates`` through a TesseractSystem, adapting as it goes.
+        """Feed ``updates`` through a StreamingSession, adapting as it goes.
 
         Submits updates in controller-sized windows (closing each window
         explicitly), processes them, observes the measured latency, and
@@ -84,20 +83,19 @@ class AdaptiveWindowController:
         with synthetic latencies; measured seconds feed only the resizing
         decision and the history, never the result stream.
         """
+        def run_window(size: int) -> None:
+            start = clock()
+            session.ingress.close_window()
+            session.run_pending()
+            self.observe(size, clock() - start)
+
         buffered = 0
         for update in updates:
-            system.submit(update)
+            session.submit(update)
             buffered += 1
             if buffered >= self._current:
-                size = buffered
-                start = clock()
-                system.ingress.close_window()
-                system.run_workers()
-                self.observe(size, clock() - start)
+                run_window(buffered)
                 buffered = 0
         if buffered:
-            start = clock()
-            system.ingress.close_window()
-            system.run_workers()
-            self.observe(buffered, clock() - start)
+            run_window(buffered)
         return list(self.history)

@@ -9,9 +9,11 @@ timestamp ordering.  This in-process reproduction keeps the same contract:
   acknowledged — any pull receives a timestamp lower or equal to all other
   queued items;
 * a polled item stays *in flight* until ``ack``; if its worker crashes,
-  ``redeliver`` returns it to the queue, so processing is at-least-once and
-  the output side deduplicates by offset to get exactly-once semantics
-  (see :mod:`repro.runtime.fault`).
+  ``redeliver`` returns it to the queue, so delivery is at-least-once.
+  Output is exactly-once because the consumer publishes a window's deltas
+  only after the whole window ran and acks only after it published
+  (:meth:`WorkQueue.drain_windows`, paper section 5.5): a window that did
+  not finish has published nothing, so its re-run cannot duplicate.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import OffsetError, QueueClosedError, WorkerCrashed
 from repro.telemetry import ensure
@@ -105,15 +107,17 @@ class WorkQueue:
     def poll(self) -> Optional[WorkItem]:
         """Take the lowest-offset ready item, marking it in flight."""
         with self._lock:
-            if not self._ready:
-                return None
-            offset = heapq.heappop(self._ready)
-            item = self._items[offset]
-            self._in_flight[offset] = item
-            if self._telemetry_on:
-                self._poll_times[offset] = time.perf_counter()
-                self._g_depth.set(len(self._ready))
-            return item
+            return self._take() if self._ready else None
+
+    def _take(self) -> WorkItem:
+        """Move the head of the ready heap into flight (lock held)."""
+        offset = heapq.heappop(self._ready)
+        item = self._items[offset]
+        self._in_flight[offset] = item
+        if self._telemetry_on:
+            self._poll_times[offset] = time.perf_counter()
+            self._g_depth.set(len(self._ready))
+        return item
 
     def ack(self, offset: int) -> None:
         """Mark an in-flight item fully processed."""
@@ -132,14 +136,18 @@ class WorkQueue:
     def redeliver(self, offset: int) -> None:
         """Return a crashed worker's in-flight item to the queue."""
         with self._lock:
-            if offset not in self._in_flight:
-                raise OffsetError(f"offset {offset} is not in flight")
-            del self._in_flight[offset]
-            heapq.heappush(self._ready, offset)
-            self._c_redelivered.inc()
-            if self._telemetry_on:
-                self._poll_times.pop(offset, None)
-                self._g_depth.set(len(self._ready))
+            self._give_back(offset)
+
+    def _give_back(self, offset: int) -> None:
+        """Move an in-flight offset back to the ready heap (lock held)."""
+        if offset not in self._in_flight:
+            raise OffsetError(f"offset {offset} is not in flight")
+        del self._in_flight[offset]
+        heapq.heappush(self._ready, offset)
+        self._c_redelivered.inc()
+        if self._telemetry_on:
+            self._poll_times.pop(offset, None)
+            self._g_depth.set(len(self._ready))
 
     def redeliver_all(self, offsets: List[int]) -> None:
         for offset in offsets:
@@ -160,10 +168,9 @@ class WorkQueue:
         redelivered (never yielded) and draining continues — the worker is
         considered restarted with fresh soft state, and the redelivered
         item is re-polled in offset order, so a crashy drain consumes
-        items in exactly the crash-free order.  This is how the streaming
-        session injects :class:`~repro.runtime.fault.FaultInjector` crash
-        points into the one shared drain/ack loop every execution path
-        uses (serial engine, process runner, simulated deployment).
+        items in exactly the crash-free order.  The per-item contract is
+        what :meth:`TesseractEngine.drain_queue` consumes; the streaming
+        session consumes :meth:`drain_windows`.
         """
         while True:
             item = self.poll()
@@ -177,6 +184,43 @@ class WorkQueue:
                     continue
             yield item
             self.ack(item.offset)
+
+    def drain_windows(
+        self, on_poll: Optional[Callable[[WorkItem], None]] = None
+    ) -> Iterator[Tuple[Timestamp, List[WorkItem]]]:
+        """Yield ``(timestamp, items)`` per window, acking on completion.
+
+        Under the lock, every ready item sharing the head's timestamp —
+        one ingress window, since the queue is FIFO in timestamp order —
+        goes into flight together; ``on_poll`` runs per item with
+        :meth:`drain`'s redeliver-and-continue on an injected
+        :class:`~repro.errors.WorkerCrashed`.  The window's items are acked
+        only when the consumer asks for the next window, i.e. after its
+        loop body ran (and published) without raising: paper section 5.5,
+        publish before ack.  A consumer that fails mid-window redelivers
+        the items it was handed (:meth:`redeliver_all`), so nothing is
+        left in flight and :meth:`low_watermark` stays below the window.
+        """
+        while True:
+            items: List[WorkItem] = []
+            with self._lock:
+                while self._ready and (
+                    not items
+                    or self._items[self._ready[0]].timestamp == items[0].timestamp
+                ):
+                    item = self._take()
+                    if on_poll is not None:
+                        try:
+                            on_poll(item)
+                        except WorkerCrashed:
+                            self._give_back(item.offset)
+                            continue
+                    items.append(item)
+            if not items:
+                return
+            yield items[0].timestamp, items
+            for item in items:
+                self.ack(item.offset)
 
     # -- introspection -------------------------------------------------------
 

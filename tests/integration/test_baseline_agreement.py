@@ -53,16 +53,16 @@ class TestEvolvingAgreement:
         edges = shuffled_edges(g, seed=10)
         stream = [(e, True) for e in edges] + [(e, False) for e in edges[:15]]
 
-        from repro.runtime.coordinator import TesseractSystem
+        from repro.runtime.session import StreamingSession
         from repro.types import Update
 
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=1)
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=1)
         for e, added in stream:
-            system.submit(
+            session.submit(
                 Update.add_edge(*e) if added else Update.delete_edge(*e)
             )
-        system.flush()
-        tess_live = collect_matches(system.deltas())
+        session.flush()
+        tess_live = collect_matches(session.deltas())
 
         dbj = DeltaBigJoin(Pattern.clique(3))
         bigjoin_live = collect_matches(dbj.process_stream(stream))

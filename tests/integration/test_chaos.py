@@ -14,8 +14,8 @@ import pytest
 
 from repro.apps import CliqueMining, GraphKeywordSearch
 from repro.core.engine import TesseractEngine, collect_matches
-from repro.runtime.coordinator import TesseractSystem
 from repro.runtime.fault import CrashPlan, FaultInjector
+from repro.runtime.session import StreamingSession
 from repro.store.checkpoint import restore_store, store_to_dict, store_from_dict
 from repro.store.gc import collect_garbage
 from repro.types import Update
@@ -54,70 +54,65 @@ def random_schedule(rng, n_vertices, steps):
 def test_chaos_cliques(seed):
     rng = random.Random(seed)
     alg = lambda: CliqueMining(3, min_size=3)
-    crash_points = tuple(
-        (rng.randrange(2), rng.randrange(10)) for _ in range(rng.randint(0, 3))
-    )
-    system = TesseractSystem(
+    # the session injects as worker 0; a set, as a point fires once
+    crash_points = tuple({(0, rng.randrange(10)) for _ in range(rng.randint(0, 3))})
+    fault = FaultInjector(CrashPlan(crash_points))
+    session = StreamingSession(
         alg(),
         window_size=rng.choice([1, 3, 5]),
-        num_workers=2,
-        fault_injector=FaultInjector(CrashPlan(crash_points)),
+        fault_injector=fault,
         gc_enabled=rng.choice([True, False]),
     )
     ops = random_schedule(rng, n_vertices=9, steps=60)
     all_deltas = []
     chunk = rng.choice([7, 13, 60])
     for i in range(0, len(ops), chunk):
-        system.submit_many(ops[i : i + chunk])
-        system.flush()
+        session.submit_many(ops[i : i + chunk])
+        session.flush()
         if rng.random() < 0.5:
-            collect_garbage(system.store, system.queue.low_watermark())
+            collect_garbage(session.store, session.queue.low_watermark())
         if rng.random() < 0.3:
             # checkpoint/restore round-trip mid-run; continue on the copy
-            data = store_to_dict(system.store)
+            data = store_to_dict(session.store)
             restored = store_from_dict(data)
-            all_deltas.extend(system.deltas())
-            old_queue_log = system.queue
-            system = TesseractSystem(
+            all_deltas.extend(session.deltas())
+            session = StreamingSession(
                 alg(),
-                window_size=system.ingress.window_size,
-                num_workers=2,
+                window_size=session.ingress.window_size,
                 store=restored,
+                fault_injector=fault,
             )
-    all_deltas.extend(system.deltas())
+    all_deltas.extend(session.deltas())
     live = collect_matches(all_deltas)
-    final = system.snapshot()
+    final = session.snapshot()
     assert live == brute_force_vertex_induced(final, alg())
+    assert fault.crash_count == len(crash_points)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_chaos_keyword_search(seed):
     rng = random.Random(100 + seed)
     alg = lambda: GraphKeywordSearch(["red", "green"], k=4)
-    system = TesseractSystem(alg(), window_size=rng.choice([2, 4]), num_workers=3)
+    session = StreamingSession(alg(), window_size=rng.choice([2, 4]))
     ops = random_schedule(rng, n_vertices=8, steps=50)
-    system.submit_many(ops)
-    system.flush()
-    live = collect_matches(system.deltas())
-    assert live == brute_force_vertex_induced(system.snapshot(), alg())
+    session.submit_many(ops)
+    session.flush()
+    live = collect_matches(session.deltas())
+    assert live == brute_force_vertex_induced(session.snapshot(), alg())
 
 
 def test_chaos_threaded_with_crashes():
     rng = random.Random(7)
     alg = lambda: CliqueMining(3, min_size=3)
-    fault = FaultInjector(CrashPlan(((0, 2), (2, 4), (1, 1))))
-    system = TesseractSystem(
-        alg(), window_size=3, num_workers=4, threaded=True, fault_injector=fault
+    fault = FaultInjector(CrashPlan(((0, 2), (0, 4), (0, 1))))
+    session = StreamingSession(
+        alg(), "thread", window_size=3, num_workers=4, fault_injector=fault
     )
     ops = random_schedule(rng, n_vertices=10, steps=80)
-    system.submit_many(ops)
-    system.flush()
-    # Threaded workers publish to the unordered topic as they finish, so
-    # deltas from different windows interleave; replay in timestamp order
-    # (within one window NEW/REM of the same identity cannot both occur).
-    deltas = sorted(system.deltas(), key=lambda d: d.timestamp)
-    live = collect_matches(deltas)
-    assert live == brute_force_vertex_induced(system.snapshot(), alg())
-    # which crash points fire depends on thread scheduling; at least the
-    # first worker-0 point is always reachable
-    assert 1 <= fault.crash_count <= 3
+    session.submit_many(ops)
+    session.flush()
+    # the thread backend reassembles each window in task order, so the
+    # stream replays as it stands
+    live = collect_matches(session.deltas())
+    assert live == brute_force_vertex_induced(session.snapshot(), alg())
+    assert fault.crash_count == 3

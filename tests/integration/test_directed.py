@@ -9,7 +9,7 @@ from repro.apps.directed import CyclicTriads, FeedForwardLoops
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.stesseract import STesseractEngine
 from repro.graph.adjacency import AdjacencyGraph
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 
@@ -142,30 +142,30 @@ class TestDirectedEvolving:
         g = AdjacencyGraph()
         g.add_edge(1, 2, direction="fwd")
         g.add_edge(2, 3, direction="fwd")
-        system = TesseractSystem(FeedForwardLoops(), window_size=5, initial_graph=g)
-        count = system.output_stream().count()
-        system.submit(Update.add_edge(1, 3, direction="fwd"))
-        system.flush()
+        session = StreamingSession(FeedForwardLoops(), window_size=5, initial_graph=g)
+        count = session.output_stream().count()
+        session.submit(Update.add_edge(1, 3, direction="fwd"))
+        session.flush()
         assert count.value() == 1
 
     def test_wrong_direction_creates_cycle_not_ffl(self):
         g = AdjacencyGraph()
         g.add_edge(1, 2, direction="fwd")
         g.add_edge(2, 3, direction="fwd")
-        system = TesseractSystem(FeedForwardLoops(), window_size=5, initial_graph=g)
-        system.submit(Update.add_edge(1, 3, direction="rev"))  # 3 -> 1
-        system.flush()
-        assert system.deltas() == []
+        session = StreamingSession(FeedForwardLoops(), window_size=5, initial_graph=g)
+        session.submit(Update.add_edge(1, 3, direction="rev"))  # 3 -> 1
+        session.flush()
+        assert session.deltas() == []
 
     def test_direction_roundtrip_through_full_system(self):
-        system = TesseractSystem(CyclicTriads(), window_size=5)
-        count = system.output_stream().count()
-        system.submit(Update.add_edge(1, 2, direction="fwd"))
-        system.submit(Update.add_edge(2, 3, direction="fwd"))
-        system.submit(Update.add_edge(1, 3, direction="rev"))
-        system.flush()
+        session = StreamingSession(CyclicTriads(), window_size=5)
+        count = session.output_stream().count()
+        session.submit(Update.add_edge(1, 2, direction="fwd"))
+        session.submit(Update.add_edge(2, 3, direction="fwd"))
+        session.submit(Update.add_edge(1, 3, direction="rev"))
+        session.flush()
         assert count.value() == 1
         # removing one arc retracts the cycle
-        system.submit(Update.delete_edge(2, 3))
-        system.flush()
+        session.submit(Update.delete_edge(2, 3))
+        session.flush()
         assert count.value() == 0

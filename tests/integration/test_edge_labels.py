@@ -7,7 +7,7 @@ from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.stesseract import STesseractEngine
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.subgraph import SubgraphView
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 
@@ -60,33 +60,33 @@ class TestStaticEdgeLabels:
 class TestEvolvingEdgeLabels:
     def test_edge_relabel_creates_match(self):
         g = labeled_triangle({(1, 2), (2, 3)})  # (1,3) is weak
-        system = TesseractSystem(StrongTriangles(), window_size=10, initial_graph=g)
-        system.submit(Update.set_edge_label(1, 3, "strong"))
-        system.flush()
-        news = [d for d in system.deltas() if d.is_new()]
+        session = StreamingSession(StrongTriangles(), window_size=10, initial_graph=g)
+        session.submit(Update.set_edge_label(1, 3, "strong"))
+        session.flush()
+        news = [d for d in session.deltas() if d.is_new()]
         assert len(news) == 1
         assert news[0].subgraph.edge_label_of(1, 3) == "strong"
 
     def test_edge_relabel_destroys_match(self):
         g = labeled_triangle({(1, 2), (2, 3), (1, 3)})
-        system = TesseractSystem(StrongTriangles(), window_size=10, initial_graph=g)
-        system.submit(Update.set_edge_label(2, 3, "weak"))
-        system.flush()
-        rems = [d for d in system.deltas() if d.is_rem()]
+        session = StreamingSession(StrongTriangles(), window_size=10, initial_graph=g)
+        session.submit(Update.set_edge_label(2, 3, "weak"))
+        session.flush()
+        rems = [d for d in session.deltas() if d.is_rem()]
         assert len(rems) == 1
         # the REM carries the OLD edge label
         assert rems[0].subgraph.edge_label_of(2, 3) == "strong"
-        news = [d for d in system.deltas() if d.is_new()]
+        news = [d for d in session.deltas() if d.is_new()]
         assert news == []
 
     def test_added_labeled_edge(self):
         g = AdjacencyGraph()
         g.add_edge(1, 2, label="strong")
         g.add_edge(2, 3, label="strong")
-        system = TesseractSystem(StrongTriangles(), window_size=10, initial_graph=g)
-        system.submit(Update.add_edge(1, 3, label="strong"))
-        system.flush()
-        assert sum(d.sign() for d in system.deltas()) == 1
+        session = StreamingSession(StrongTriangles(), window_size=10, initial_graph=g)
+        session.submit(Update.add_edge(1, 3, label="strong"))
+        session.flush()
+        assert sum(d.sign() for d in session.deltas()) == 1
 
 
 class TestViewErrors:

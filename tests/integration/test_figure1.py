@@ -4,7 +4,7 @@ from repro import IngressNode, MultiVersionStore, TesseractEngine, WorkQueue
 from repro.apps import GraphKeywordSearch
 from repro.core.engine import collect_matches
 from repro.graph.datasets import figure1_graph, figure1_updates
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 
 
 ALG = lambda: GraphKeywordSearch(["orange", "green", "blue"], k=5)
@@ -38,12 +38,12 @@ class TestFigure1:
         assert news == CREATED
 
     def test_after_state_matches(self):
-        system = TesseractSystem(ALG(), window_size=3, initial_graph=figure1_graph())
+        session = StreamingSession(ALG(), window_size=3, initial_graph=figure1_graph())
         # prime the initial match set by re-running statically instead:
-        system.submit_many(figure1_updates())
-        system.flush()
+        session.submit_many(figure1_updates())
+        session.flush()
         final = collect_matches(
-            TesseractEngine.run_static(system.snapshot(), ALG())
+            TesseractEngine.run_static(session.snapshot(), ALG())
         )
         assert vsets(final) == AFTER
 

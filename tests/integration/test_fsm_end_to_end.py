@@ -5,7 +5,7 @@ import random
 from repro.apps import FrequentSubgraphMining, FSMPipeline
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.canonical import canonical_form
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 
@@ -23,26 +23,26 @@ def build_labeled_graph(seed=0):
     return g
 
 
-def run_system(graph, threshold, window_size=4):
-    system = TesseractSystem(FrequentSubgraphMining(3), window_size=window_size)
+def run_session(graph, threshold, window_size=4):
+    session = StreamingSession(FrequentSubgraphMining(3), window_size=window_size)
     fsm = FSMPipeline(
         threshold=threshold,
-        snapshot_provider=lambda ts: system.store.as_adjacency(ts),
+        snapshot_provider=lambda ts: session.store.as_adjacency(ts),
     )
     for v in sorted(graph.vertices()):
-        system.submit(Update.add_vertex(v, graph.vertex_label(v)))
+        session.submit(Update.add_vertex(v, graph.vertex_label(v)))
     for u, v in sorted(graph.edges()):
-        system.submit(Update.add_edge(u, v))
-    system.flush()
-    fsm.consume(system.deltas())
-    return system, fsm
+        session.submit(Update.add_edge(u, v))
+    session.flush()
+    fsm.consume(session.deltas())
+    return session, fsm
 
 
 class TestFSMEndToEnd:
     def test_supports_match_recomputation(self):
         """Incremental MNI supports equal recomputing from the final graph."""
         g = build_labeled_graph(seed=1)
-        system, fsm = run_system(g, threshold=3)
+        session, fsm = run_session(g, threshold=3)
         # recompute supports from scratch: run FSM statically
         from repro.core.engine import TesseractEngine
 
@@ -53,30 +53,30 @@ class TestFSMEndToEnd:
 
     def test_threshold_events_fire_in_order(self):
         g = build_labeled_graph(seed=2)
-        system, fsm = run_system(g, threshold=4)
+        session, fsm = run_session(g, threshold=4)
         timestamps = [e.timestamp for e in fsm.events]
         assert timestamps == sorted(timestamps)
 
     def test_deletions_reduce_support(self):
         g = build_labeled_graph(seed=3)
-        system = TesseractSystem(FrequentSubgraphMining(2), window_size=4)
+        session = StreamingSession(FrequentSubgraphMining(2), window_size=4)
         fsm = FSMPipeline(threshold=1000)  # never frequent: pure support test
         for v in sorted(g.vertices()):
-            system.submit(Update.add_vertex(v, g.vertex_label(v)))
+            session.submit(Update.add_vertex(v, g.vertex_label(v)))
         edges = sorted(g.edges())
         for u, v in edges:
-            system.submit(Update.add_edge(u, v))
-        system.flush()
-        fsm.consume(system.deltas())
+            session.submit(Update.add_edge(u, v))
+        session.flush()
+        fsm.consume(session.deltas())
         full_supports = fsm.all_supports()
         # delete a third of the edges
         for u, v in edges[::3]:
-            system.submit(Update.delete_edge(u, v))
-        system.flush()
-        fsm.consume(system.deltas()[len([d for d in system.deltas()]):])
+            session.submit(Update.delete_edge(u, v))
+        session.flush()
+        fsm.consume(session.deltas()[len([d for d in session.deltas()]):])
         # simpler: rebuild from the full stream
         fsm2 = FSMPipeline(threshold=1000)
-        fsm2.consume(system.deltas())
+        fsm2.consume(session.deltas())
         remaining = fsm2.all_supports()
         edge_forms = [f for f in remaining if f.num_vertices == 2]
         assert edge_forms
@@ -90,17 +90,17 @@ class TestFSMEndToEnd:
         for i in range(3):
             g.add_vertex(2 * i, label="a")
             g.add_vertex(2 * i + 1, label="b")
-        system = TesseractSystem(FrequentSubgraphMining(2), window_size=1)
+        session = StreamingSession(FrequentSubgraphMining(2), window_size=1)
         fsm = FSMPipeline(
             threshold=2,
-            snapshot_provider=lambda ts: system.store.as_adjacency(ts),
+            snapshot_provider=lambda ts: session.store.as_adjacency(ts),
         )
         for v in sorted(g.vertices()):
-            system.submit(Update.add_vertex(v, g.vertex_label(v)))
+            session.submit(Update.add_vertex(v, g.vertex_label(v)))
         for i in range(3):
-            system.submit(Update.add_edge(2 * i, 2 * i + 1))
-        system.flush()
-        fsm.consume(system.deltas())
+            session.submit(Update.add_edge(2 * i, 2 * i + 1))
+        session.flush()
+        fsm.consume(session.deltas())
         ab = canonical_form(2, [(0, 1)], labels=["a", "b"])
         emitted_ab = [
             d

@@ -1,4 +1,4 @@
-"""Integration: garbage collection under load, ordered output, watermarks."""
+"""Integration: garbage collection under load, timestamp-ordered output, watermarks."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.apps import CliqueMining
 from repro.apps.fsm import FrequentSubgraphMining
 from repro.core.engine import collect_matches
 from repro.graph.generators import erdos_renyi, shuffled_edges
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.store.gc import collect_garbage
 from repro.types import Update
 
@@ -15,93 +15,87 @@ class TestGCUnderLoad:
     def test_gc_after_processing_does_not_change_results(self):
         g = erdos_renyi(15, 40, seed=30)
         edges = shuffled_edges(g, seed=1)
-        system = TesseractSystem(
+        session = StreamingSession(
             CliqueMining(3, min_size=3), window_size=3, gc_enabled=True
         )
         # interleave adds and deletes to generate tombstones
         for i, (u, v) in enumerate(edges):
-            system.submit(Update.add_edge(u, v))
+            session.submit(Update.add_edge(u, v))
             if i % 4 == 3:
                 du, dv = edges[i - 2]
-                system.submit(Update.delete_edge(du, dv))
-                system.flush()  # process so the watermark advances
-        system.flush()
-        live = collect_matches(system.deltas())
+                session.submit(Update.delete_edge(du, dv))
+                session.flush()  # process so the watermark advances
+        session.flush()
+        live = collect_matches(session.deltas())
         # recompute from the final snapshot
-        final = system.snapshot()
+        final = session.snapshot()
         from repro.core.engine import TesseractEngine
 
         expected = collect_matches(
             TesseractEngine.run_static(final, CliqueMining(3, min_size=3))
         )
         assert live == expected
-        assert system.ingress.gc_reclaimed >= 0
+        assert session.ingress.gc_reclaimed >= 0
 
     def test_explicit_gc_reduces_memory(self):
-        system = TesseractSystem(CliqueMining(3), window_size=1)
+        session = StreamingSession(CliqueMining(3), window_size=1)
         for i in range(20):
-            system.submit(Update.add_edge(1, 2 + i))
-        system.flush()
+            session.submit(Update.add_edge(1, 2 + i))
+        session.flush()
         for i in range(20):
-            system.submit(Update.delete_edge(1, 2 + i))
-        system.flush()
-        before = system.store.memory_items()
-        reclaimed = collect_garbage(system.store, system.queue.low_watermark())
+            session.submit(Update.delete_edge(1, 2 + i))
+        session.flush()
+        before = session.store.memory_items()
+        reclaimed = collect_garbage(session.store, session.queue.low_watermark())
         assert reclaimed == 20
-        assert system.store.memory_items() < before
+        assert session.store.memory_items() < before
 
 
 class TestOrderedOutputIntegration:
     def test_fsm_sees_timestamps_in_order_despite_windowing(self):
         g = erdos_renyi(12, 26, seed=31)
-        system = TesseractSystem(FrequentSubgraphMining(2), window_size=4)
-        system.submit_many(
+        session = StreamingSession(FrequentSubgraphMining(2), window_size=4)
+        session.submit_many(
             Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=2)
         )
-        system.flush()
-        timestamps = [d.timestamp for d in system.deltas()]
+        session.flush()
+        timestamps = [d.timestamp for d in session.deltas()]
         assert timestamps == sorted(timestamps)
-        assert system.topic.held_count() == 0  # everything released
-
-    def test_unordered_topic_for_unordered_algorithms(self):
-        system = TesseractSystem(CliqueMining(3), window_size=4)
-        assert not system.topic.ordered
 
     def test_watermark_matches_queue_state(self):
-        system = TesseractSystem(CliqueMining(3), window_size=2)
-        system.submit(Update.add_edge(1, 2))
-        system.submit(Update.add_edge(2, 3))
-        system.flush()
-        assert system.topic.watermark == system.queue.low_watermark()
-        assert system.queue.low_watermark() == 1
+        session = StreamingSession(CliqueMining(3), window_size=2)
+        session.submit(Update.add_edge(1, 2))
+        session.submit(Update.add_edge(2, 3))
+        session.flush()
+        assert session.queue.low_watermark() == session.store.latest_timestamp == 1
 
 
 class TestMultipleStreams:
     def test_two_output_streams_both_fed(self):
         g = erdos_renyi(12, 30, seed=32)
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=5)
-        count_a = system.output_stream().count()
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=5)
+        count_a = session.output_stream().count()
         count_b = (
-            system.output_stream()
+            session.output_stream()
             .filter(lambda sub: 0 in sub.vertices)
             .count()
         )
-        system.submit_many(
+        session.submit_many(
             Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=3)
         )
-        system.flush()
+        session.flush()
         assert count_a.value() >= count_b.value()
-        assert count_a.value() == len(collect_matches(system.deltas()))
+        assert count_a.value() == len(collect_matches(session.deltas()))
 
     def test_stream_attached_after_data_gets_only_new_batches(self):
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=1)
-        early = system.output_stream().count()
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=1)
+        early = session.output_stream().count()
         for u, v in [(1, 2), (2, 3), (1, 3)]:
-            system.submit(Update.add_edge(u, v))
-        system.flush()
-        late = system.output_stream().count()
-        system.submit(Update.add_edge(3, 4))
-        system.submit(Update.add_edge(2, 4))
-        system.flush()
+            session.submit(Update.add_edge(u, v))
+        session.flush()
+        late = session.output_stream().count()
+        session.submit(Update.add_edge(3, 4))
+        session.submit(Update.add_edge(2, 4))
+        session.flush()
         assert early.value() == 2  # both triangles
         assert late.value() == 1  # only the second one

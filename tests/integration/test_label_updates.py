@@ -8,7 +8,7 @@ verify that the resulting match-set transitions are correct end to end.
 from repro.apps import GraphKeywordSearch, LabeledCliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 
@@ -28,26 +28,26 @@ class TestVertexRelabel:
         g.set_vertex_label(1, "x")
         g.set_vertex_label(2, "x")
         alg = GraphKeywordSearch(["x", "y"], k=3)
-        system = TesseractSystem(alg, window_size=10, initial_graph=g)
-        system.submit(Update.set_vertex_label(2, "y"))
-        system.flush()
+        session = StreamingSession(alg, window_size=10, initial_graph=g)
+        session.submit(Update.set_vertex_label(2, "y"))
+        session.flush()
         final_static = collect_matches(
-            TesseractEngine.run_static(system.snapshot(), alg)
+            TesseractEngine.run_static(session.snapshot(), alg)
         )
         assert {tuple(sorted(vs)) for vs, _ in final_static} == {(1, 2)}
-        # the system's delta stream must net to that same match
-        assert live_by_net(system.deltas()) == final_static
+        # the session's delta stream must net to that same match
+        assert live_by_net(session.deltas()) == final_static
 
     def test_relabel_destroys_match(self):
         g = AdjacencyGraph.from_edges([(1, 2)])
         g.set_vertex_label(1, "x")
         g.set_vertex_label(2, "y")
         alg = GraphKeywordSearch(["x", "y"], k=3)
-        system = TesseractSystem(alg, window_size=10, initial_graph=g)
+        session = StreamingSession(alg, window_size=10, initial_graph=g)
         # matches exist initially; we only track deltas from here
-        system.submit(Update.set_vertex_label(2, "x"))
-        system.flush()
-        deltas = system.deltas()
+        session.submit(Update.set_vertex_label(2, "x"))
+        session.flush()
+        deltas = session.deltas()
         rems = [d for d in deltas if d.is_rem()]
         assert len(rems) == 1
         assert set(rems[0].subgraph.vertices) == {1, 2}
@@ -59,14 +59,14 @@ class TestVertexRelabel:
         for v, lab in [(1, "a"), (2, "b"), (3, "c"), (4, "a")]:
             g.set_vertex_label(v, lab)
         alg = LabeledCliqueMining(3, min_size=3)
-        system = TesseractSystem(alg, window_size=10, initial_graph=g)
-        system.submit(Update.set_vertex_label(2, "a"))  # kills the abc clique
-        system.flush()
+        session = StreamingSession(alg, window_size=10, initial_graph=g)
+        session.submit(Update.set_vertex_label(2, "a"))  # kills the abc clique
+        session.flush()
         final_static = collect_matches(
-            TesseractEngine.run_static(system.snapshot(), alg)
+            TesseractEngine.run_static(session.snapshot(), alg)
         )
         assert final_static == set()
-        deltas = system.deltas()
+        deltas = session.deltas()
         assert sum(d.sign() for d in deltas) == -1  # net one removed match
 
 
@@ -76,16 +76,16 @@ class TestEdgeRelabel:
         alg = LabeledCliqueMining(3, min_size=3)
         for v, lab in [(1, "a"), (2, "b"), (3, "c")]:
             g.set_vertex_label(v, lab)
-        system = TesseractSystem(alg, window_size=10, initial_graph=g)
-        system.submit(Update.set_edge_label(1, 2, "strong"))
-        system.flush()
+        session = StreamingSession(alg, window_size=10, initial_graph=g)
+        session.submit(Update.set_edge_label(1, 2, "strong"))
+        session.flush()
         # the clique is REMed (edge deleted) and re-NEWed (edge re-added)
-        deltas = system.deltas()
+        deltas = session.deltas()
         assert sum(d.sign() for d in deltas) == 0
         assert any(d.is_rem() for d in deltas)
         assert any(d.is_new() for d in deltas)
-        ts = system.store.latest_timestamp
-        assert system.store.edge_label_at(1, 2, ts) == "strong"
+        ts = session.store.latest_timestamp
+        assert session.store.edge_label_at(1, 2, ts) == "strong"
 
 
 class TestVertexDelete:
@@ -95,12 +95,12 @@ class TestVertexDelete:
 
         alg = CliqueMining(3, min_size=3)
         before = collect_matches(TesseractEngine.run_static(g, alg))
-        system = TesseractSystem(alg, window_size=10, initial_graph=g)
-        system.submit(Update.delete_vertex(2))
-        system.flush()
+        session = StreamingSession(alg, window_size=10, initial_graph=g)
+        session.submit(Update.delete_vertex(2))
+        session.flush()
         final_static = collect_matches(
-            TesseractEngine.run_static(system.snapshot(), alg)
+            TesseractEngine.run_static(session.snapshot(), alg)
         )
-        rems = {d.subgraph.identity for d in system.deltas() if d.is_rem()}
+        rems = {d.subgraph.identity for d in session.deltas() if d.is_rem()}
         assert rems == before - final_static
         assert all(2 in vs for vs, _ in rems)

@@ -133,8 +133,7 @@ class TestBackendEquivalence:
 
         ``min_parallel=1`` puts slice workers under *every* window, so each
         window forks against the store as it stood after that window's
-        ingress application — the streaming capability the old
-        ``MultiprocessRunner`` (pre-applied batches only) lacked.  With 2,
+        ingress application, not a pre-applied batch.  With 2,
         3 and 5 processes over windows of 1, 2, 3 and 6 updates, windows
         smaller than, equal to and not a multiple of the process count all
         occur; whichever process mined a task, the stream, the counters,

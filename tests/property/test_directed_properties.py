@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps.directed import CyclicTriads, FeedForwardLoops
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update, normalize_direction
 
 SETTINGS = settings(
@@ -70,17 +70,17 @@ class TestDirectedSemantics:
     @SETTINGS
     @given(directed_graphs())
     def test_incremental_ffl_matches_static(self, g):
-        """Streaming the directed graph through the system equals a static
+        """Streaming the directed graph through the session equals a static
         run on the final graph, for a direction-sensitive algorithm."""
         static = collect_matches(
             TesseractEngine.run_static(g, FeedForwardLoops())
         )
-        system = TesseractSystem(FeedForwardLoops(), window_size=3)
+        session = StreamingSession(FeedForwardLoops(), window_size=3)
         for u, v in sorted(g.edges()):
             direction = g.edge_direction(u, v)
-            system.submit(Update.add_edge(u, v, direction=direction))
-        system.flush()
-        assert collect_matches(system.deltas()) == static
+            session.submit(Update.add_edge(u, v, direction=direction))
+        session.flush()
+        assert collect_matches(session.deltas()) == static
 
     @SETTINGS
     @given(directed_graphs(max_vertices=6, max_edges=9))

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps import GraphKeywordSearch, LabeledCliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 from oracles import brute_force_vertex_induced
@@ -60,22 +60,22 @@ class TestRelabelEquivalence:
         """After arbitrary vertex relabels, the accumulated delta stream
         nets to the static match set of the final labeled graph."""
         alg = GraphKeywordSearch(["red", "green"], k=3)
-        system = TesseractSystem(alg, window_size=2, initial_graph=g)
+        session = StreamingSession(alg, window_size=2, initial_graph=g)
         vertices = sorted(g.vertices())
         num_relabels = data.draw(st.integers(min_value=1, max_value=4))
         for _ in range(num_relabels):
             v = data.draw(st.sampled_from(vertices))
             label = data.draw(st.sampled_from(["red", "green", "blue"]))
-            system.submit(Update.set_vertex_label(v, label))
-        system.flush()
-        final = system.snapshot()
+            session.submit(Update.set_vertex_label(v, label))
+        session.flush()
+        final = session.snapshot()
         expected = brute_force_vertex_induced(final, alg)
-        # initial matches existed before the system started; add them in
+        # initial matches existed before the session started; add them in
         initial = collect_matches(TesseractEngine.run_static(g, alg))
         net = {}
         for key in initial:
             net[key] = 1
-        for d in system.deltas():
+        for d in session.deltas():
             key = d.subgraph.identity
             net[key] = net.get(key, 0) + d.sign()
         live = {k for k, n in net.items() if n > 0}

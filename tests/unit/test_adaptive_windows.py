@@ -61,23 +61,25 @@ class TestControl:
 
 
 class TestDrive:
-    def test_drives_a_system_end_to_end(self):
+    def test_drives_a_session_end_to_end(self):
         from repro.apps import CliqueMining
         from repro.core.engine import TesseractEngine, collect_matches
         from repro.graph.generators import erdos_renyi, shuffled_edges
-        from repro.runtime.coordinator import TesseractSystem
+        from repro.runtime.session import StreamingSession
         from repro.types import Update
 
         g = erdos_renyi(16, 40, seed=85)
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=10**6)
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=10**6)
         controller = AdaptiveWindowController(
             target_latency=0.001, initial_size=8, min_size=2, max_size=64
         )
         history = controller.drive(
-            system, (Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=1))
+            session, (Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=1))
         )
         assert sum(size for size, _ in history) == g.num_edges()
-        live = collect_matches(system.deltas())
+        # one window per controller decision, sized as the controller said
+        assert [w.num_updates for w in session.window_stats] == [s for s, _ in history]
+        live = collect_matches(session.deltas())
         expected = collect_matches(
             TesseractEngine.run_static(g, CliqueMining(3, min_size=3))
         )

@@ -10,6 +10,7 @@ from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.metrics import Metrics
 from repro.errors import WorkerCrashed
 from repro.graph.generators import erdos_renyi, shuffled_edges
+from repro.net.errors import TransportError
 from repro.runtime.backend import (
     BACKEND_NAMES,
     ProcessBackend,
@@ -17,7 +18,6 @@ from repro.runtime.backend import (
     ThreadBackend,
     make_backend,
 )
-from repro.runtime.parallel import MultiprocessRunner
 from repro.runtime.session import StreamingSession
 from repro.runtime.stats import (
     LatencySummary,
@@ -65,7 +65,7 @@ class TestWorkQueueDrain:
         assert queue.in_flight_offsets() == [item.offset]
 
 
-class TestMultiprocessRunnerMetrics:
+class TestProcessBackendMetrics:
     def test_small_batch_fallback_keeps_caller_metrics(self):
         """Regression: <4-task batches used to mine on a throwaway engine,
         silently reporting zero counters to the caller."""
@@ -74,10 +74,10 @@ class TestMultiprocessRunnerMetrics:
         store.add_edge(2, 3, ts=1)
         store.add_edge(1, 3, ts=1)
         metrics = Metrics()
-        runner = MultiprocessRunner(
+        backend = ProcessBackend(
             store, CliqueMining(3, min_size=3), num_processes=4, metrics=metrics
         )
-        deltas = runner.run(
+        deltas = backend.run_tasks(
             [(1, EdgeUpdate(1, 2, added=True)), (1, EdgeUpdate(2, 3, added=True)),
              (1, EdgeUpdate(1, 3, added=True))]
         )
@@ -90,10 +90,10 @@ class TestMultiprocessRunnerMetrics:
         store = MultiVersionStore.from_adjacency(g, ts=1)
         tasks = [(1, EdgeUpdate(u, v, added=True)) for u, v in g.sorted_edges()]
         metrics = Metrics()
-        runner = MultiprocessRunner(
+        backend = ProcessBackend(
             store, CliqueMining(3, min_size=3), num_processes=2, metrics=metrics
         )
-        deltas = runner.run(tasks)
+        deltas = backend.run_tasks(tasks)
         assert metrics.emits == sum(1 for d in deltas if d.is_new())
         assert metrics.explore_calls > 0
 
@@ -183,6 +183,23 @@ class TestStreamingSession:
             )
             assert deltas == engine_deltas, name
 
+    def test_run_static_closes_its_session_when_the_algorithm_raises(self, monkeypatch):
+        closed = []
+        close = StreamingSession.close
+
+        def recording_close(session):
+            closed.append(session)
+            close(session)
+
+        monkeypatch.setattr(StreamingSession, "close", recording_close)
+        g = erdos_renyi(8, 12, seed=3)
+        with pytest.raises(LookupError, match="poisoned vertex"):
+            StreamingSession.run_static(g, PoisonedVertex(0), store="net")
+        (session,) = closed
+        # the embedded loopback server went down with its client
+        with pytest.raises(TransportError):
+            session.store.num_vertices()
+
     def test_backend_instance_must_be_usable(self):
         store = MultiVersionStore()
         backend = SerialBackend(store, CliqueMining(3, min_size=3))
@@ -203,6 +220,11 @@ class TestStreamingSession:
         backend = ThreadBackend(store, CliqueMining(3, min_size=3), num_workers=4)
         serial = make_backend("serial", store, CliqueMining(3, min_size=3))
         assert backend.run_tasks(tasks) == serial.run_tasks(tasks)
+
+
+    def test_thread_backend_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="num_workers"):
+            ThreadBackend(MultiVersionStore(), CliqueMining(3), num_workers=0)
 
 
 class PoisonedVertex(CliqueMining):

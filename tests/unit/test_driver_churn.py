@@ -1,13 +1,12 @@
-"""Unit tests for the micro-batch driver and the churn stream generator."""
+"""Unit tests for the churn stream generator and the micro-batch loop over a session."""
 
 import pytest
 
 from repro.apps import CliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.generators import churn_stream, erdos_renyi
-from repro.runtime.coordinator import TesseractSystem
-from repro.runtime.driver import StreamDriver
-from repro.types import Update, UpdateKind
+from repro.runtime.session import StreamingSession
+from repro.types import UpdateKind
 
 
 class TestChurnStream:
@@ -44,57 +43,41 @@ class TestChurnStream:
             list(churn_stream(g, 10, churn=1.0))
 
 
-class TestStreamDriver:
-    def test_drains_sources_and_counts(self):
+def chunks(updates, size):
+    updates = list(updates)
+    return [updates[i : i + size] for i in range(0, len(updates), size)]
+
+
+class TestMicroBatchLoop:
+    """A long-running service is a loop over ``session.process(chunk)``."""
+
+    def test_drains_source_and_counts(self):
         g = erdos_renyi(14, 35, seed=75)
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=5)
-        driver = StreamDriver(system, batch_size=10)
-        report = driver.run([churn_stream(g, 80, churn=0.25, seed=5)])
-        assert report.total_updates == 80
-        assert len(report.batches) == 8
-        assert report.total_seconds > 0
-        assert report.throughput > 0
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=5)
+        produced = [
+            len(session.process(batch))
+            for batch in chunks(churn_stream(g, 80, churn=0.25, seed=5), 10)
+        ]
+        assert len(produced) == 8
+        assert sum(produced) == len(session.deltas())
+        # every micro-batch closed at least one window; a window of vertex
+        # updates only applies without queueing work
+        assert 8 <= len(session.window_stats) <= session.ingress.windows_applied
+        executed = sum(w.num_updates for w in session.window_stats)
+        assert executed == session.queue.acked_count() == session.queue.total_appended()
+        assert session.latency_summary().total_seconds > 0
+        assert session.queue.low_watermark() == session.store.latest_timestamp
         # the delta stream stays consistent through churn
-        collect_matches(system.deltas())
+        collect_matches(session.deltas())
 
     def test_incremental_state_matches_recompute(self):
         g = erdos_renyi(14, 35, seed=76)
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=7)
-        StreamDriver(system, batch_size=16).run(
-            [churn_stream(g, 120, churn=0.3, seed=6)]
-        )
-        live = collect_matches(system.deltas())
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=7)
+        for batch in chunks(churn_stream(g, 120, churn=0.3, seed=6), 16):
+            session.process(batch)
         expected = collect_matches(
             TesseractEngine.run_static(
-                system.snapshot(), CliqueMining(3, min_size=3)
+                session.snapshot(), CliqueMining(3, min_size=3)
             )
         )
-        assert live == expected
-
-    def test_multiple_sources_round_robin(self):
-        system = TesseractSystem(CliqueMining(3), window_size=3)
-        source_a = [Update.add_edge(1, 2), Update.add_edge(2, 3)]
-        source_b = [Update.add_edge(1, 3)]
-        report = StreamDriver(system, batch_size=2).run([source_a, source_b])
-        assert report.total_updates == 3
-        assert system.snapshot().num_edges() == 3
-
-    def test_max_batches_bounds_run(self):
-        g = erdos_renyi(10, 20, seed=77)
-        system = TesseractSystem(CliqueMining(3), window_size=5)
-        report = StreamDriver(system, batch_size=5).run(
-            [churn_stream(g, 1000, seed=7)], max_batches=3
-        )
-        assert len(report.batches) == 3
-        assert report.total_updates == 15
-
-    def test_empty_sources(self):
-        system = TesseractSystem(CliqueMining(3), window_size=5)
-        report = StreamDriver(system, batch_size=5).run([[]])
-        assert report.batches == []
-        assert report.mean_batch_latency() == 0.0
-
-    def test_batch_size_validation(self):
-        system = TesseractSystem(CliqueMining(3))
-        with pytest.raises(ValueError):
-            StreamDriver(system, batch_size=0)
+        assert session.live_matches() == expected

@@ -137,35 +137,35 @@ class TestSubgraphViewEdgeCases:
         assert "1" in repr(view)
 
 
-class TestCoordinatorEdgeCases:
+class TestSessionEdgeCases:
     def test_store_and_initial_graph_conflict(self):
         from repro.apps import CliqueMining
         from repro.graph.adjacency import AdjacencyGraph
-        from repro.runtime.coordinator import TesseractSystem
+        from repro.runtime.session import StreamingSession
         from repro.store.mvstore import MultiVersionStore
 
         with pytest.raises(ValueError):
-            TesseractSystem(
+            StreamingSession(
                 CliqueMining(3),
                 initial_graph=AdjacencyGraph(),
                 store=MultiVersionStore(),
             )
 
-    def test_from_checkpoint_roundtrip(self, tmp_path):
+    def test_checkpoint_restore_roundtrip(self, tmp_path):
         from repro.apps import CliqueMining
         from repro.core.engine import collect_matches
-        from repro.runtime.coordinator import TesseractSystem
-        from repro.store.checkpoint import checkpoint_store
+        from repro.runtime.session import StreamingSession
+        from repro.store.checkpoint import checkpoint_store, restore_store
         from repro.types import Update
 
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=2)
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=2)
         for u, v in [(1, 2), (2, 3)]:
-            system.submit(Update.add_edge(u, v))
-        system.flush()
+            session.submit(Update.add_edge(u, v))
+        session.flush()
         path = tmp_path / "c.json"
-        checkpoint_store(system.store, path)
-        recovered = TesseractSystem.from_checkpoint(
-            path, CliqueMining(3, min_size=3), window_size=2
+        checkpoint_store(session.store, path)
+        recovered = StreamingSession(
+            CliqueMining(3, min_size=3), window_size=2, store=restore_store(path)
         )
         recovered.submit(Update.add_edge(1, 3))
         recovered.flush()
@@ -174,8 +174,8 @@ class TestCoordinatorEdgeCases:
 
     def test_flush_without_updates(self):
         from repro.apps import CliqueMining
-        from repro.runtime.coordinator import TesseractSystem
+        from repro.runtime.session import StreamingSession
 
-        system = TesseractSystem(CliqueMining(3))
-        system.flush()  # no-op, no crash
-        assert system.deltas() == []
+        session = StreamingSession(CliqueMining(3))
+        session.flush()  # no-op, no crash
+        assert session.deltas() == []

@@ -1,13 +1,13 @@
-"""Unit tests for the multiprocess runner, system stats, and nx interop."""
+"""Unit tests for the process backend, session stats, and nx interop."""
 
 import pytest
 
 from repro.apps import CliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.generators import erdos_renyi, shuffled_edges
-from repro.runtime.coordinator import TesseractSystem
-from repro.runtime.parallel import MultiprocessRunner
+from repro.graph.generators import erdos_renyi
+from repro.runtime.backend import ProcessBackend
+from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.types import EdgeUpdate, Update
 
@@ -20,12 +20,12 @@ def build_static_tasks(graph):
     return store, tasks
 
 
-class TestMultiprocessRunner:
+class TestProcessBackend:
     def test_matches_serial_output_exactly(self):
         g = erdos_renyi(20, 55, seed=60)
         store, tasks = build_static_tasks(g)
-        runner = MultiprocessRunner(store, CliqueMining(3, min_size=3), num_processes=2)
-        parallel = runner.run(tasks)
+        backend = ProcessBackend(store, CliqueMining(3, min_size=3), num_processes=2)
+        parallel = backend.run_tasks(tasks)
         serial = TesseractEngine.run_static(g, CliqueMining(3, min_size=3))
         key = lambda d: (d.timestamp, d.status.value, d.subgraph.vertices)
         assert [key(d) for d in parallel] == [key(d) for d in serial]
@@ -33,8 +33,8 @@ class TestMultiprocessRunner:
     def test_single_process_fallback(self):
         g = erdos_renyi(10, 20, seed=61)
         store, tasks = build_static_tasks(g)
-        runner = MultiprocessRunner(store, CliqueMining(3, min_size=3), num_processes=1)
-        live = collect_matches(runner.run(tasks))
+        backend = ProcessBackend(store, CliqueMining(3, min_size=3), num_processes=1)
+        live = collect_matches(backend.run_tasks(tasks))
         expected = collect_matches(
             TesseractEngine.run_static(g, CliqueMining(3, min_size=3))
         )
@@ -43,53 +43,35 @@ class TestMultiprocessRunner:
     def test_small_batches_run_inline(self):
         store = MultiVersionStore()
         store.add_edge(1, 2, ts=1)
-        runner = MultiprocessRunner(store, CliqueMining(3), num_processes=4)
-        assert runner.run([(1, EdgeUpdate(1, 2, added=True))]) == []
+        backend = ProcessBackend(store, CliqueMining(3), num_processes=4)
+        assert backend.run_tasks([(1, EdgeUpdate(1, 2, added=True))]) == []
 
     def test_empty(self):
-        runner = MultiprocessRunner(MultiVersionStore(), CliqueMining(3))
-        assert runner.run([]) == []
-
-    def test_run_queue_snapshot(self):
-        from repro.streaming.ingress import IngressNode
-        from repro.streaming.queue import WorkQueue
-
-        g = erdos_renyi(14, 35, seed=62)
-        store = MultiVersionStore()
-        queue = WorkQueue()
-        ingress = IngressNode(store, queue, window_size=5)
-        ingress.submit_many(Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=1))
-        ingress.flush()
-        runner = MultiprocessRunner(store, CliqueMining(3, min_size=3), num_processes=2)
-        deltas = runner.run_queue_snapshot(queue)
-        assert queue.is_drained()
-        final = collect_matches(deltas)
-        expected = collect_matches(
-            TesseractEngine.run_static(g, CliqueMining(3, min_size=3))
-        )
-        assert final == expected
+        backend = ProcessBackend(MultiVersionStore(), CliqueMining(3))
+        assert backend.run_tasks([]) == []
 
 
 class TestSystemStats:
     def test_collect_and_report(self):
         g = erdos_renyi(12, 28, seed=63)
-        system = TesseractSystem(CliqueMining(3, min_size=3), window_size=4, num_workers=2)
-        system.submit_many(Update.add_edge(u, v) for u, v in g.sorted_edges())
-        system.flush()
-        stats = system.stats()
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=4)
+        session.submit_many(Update.add_edge(u, v) for u, v in g.sorted_edges())
+        session.flush()
+        stats = session.stats()
         assert stats.store_edges == g.num_edges()
         assert stats.queue_acked == stats.queue_appended == g.num_edges()
-        assert stats.low_watermark == system.store.latest_timestamp
-        assert sum(stats.worker_tasks.values()) == g.num_edges()
+        assert stats.low_watermark == session.store.latest_timestamp
+        assert stats.deltas_published == len(session.deltas()) == stats.emits
+        assert stats.worker_crashes == 0
         report = stats.report()
         assert "windows" in report and "tombstones" in report
 
     def test_dropped_updates_counted(self):
-        system = TesseractSystem(CliqueMining(3), window_size=2)
-        system.submit(Update.add_edge(1, 2))
-        system.submit(Update.add_edge(1, 2))  # duplicate
-        system.flush()
-        assert system.stats().updates_dropped == 1
+        session = StreamingSession(CliqueMining(3), window_size=2)
+        session.submit(Update.add_edge(1, 2))
+        session.submit(Update.add_edge(1, 2))  # duplicate
+        session.flush()
+        assert session.stats().updates_dropped == 1
 
 
 class TestNetworkxInterop:

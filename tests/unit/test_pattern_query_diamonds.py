@@ -11,7 +11,7 @@ from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.generators import erdos_renyi, shuffled_edges
 from repro.graph.pattern import Pattern
-from repro.runtime.coordinator import TesseractSystem
+from repro.runtime.session import StreamingSession
 from repro.types import Update
 
 from oracles import brute_force_vertex_induced
@@ -53,18 +53,18 @@ class TestPatternQuery:
     def test_incremental_query_on_evolving_graph(self):
         g = erdos_renyi(15, 35, seed=41)
         query = PatternQuery(Pattern.cycle(4))
-        system = TesseractSystem(query, window_size=3)
-        count = system.output_stream().count()
+        session = StreamingSession(query, window_size=3)
+        count = session.output_stream().count()
         edges = shuffled_edges(g, seed=1)
-        system.submit_many(Update.add_edge(u, v) for u, v in edges)
-        system.flush()
+        session.submit_many(Update.add_edge(u, v) for u, v in edges)
+        session.flush()
         expected = PatternMatcher(Pattern.cycle(4), induced=True).count(g)
         assert count.value() == expected
         # deletions retract query matches too
-        system.submit_many(Update.delete_edge(u, v) for u, v in edges[:10])
-        system.flush()
+        session.submit_many(Update.delete_edge(u, v) for u, v in edges[:10])
+        session.flush()
         final = PatternMatcher(Pattern.cycle(4), induced=True).count(
-            system.snapshot()
+            session.snapshot()
         )
         assert count.value() == final
 
