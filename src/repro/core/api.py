@@ -6,7 +6,9 @@ Applications implement two functions over candidate subgraphs:
   be **anti-monotone** (once false, false for every extension).  The
   paper's second requirement, **boundedness**, is enforced by the engine:
   a subgraph of :attr:`MiningAlgorithm.max_size` vertices is evaluated but
-  never expanded.
+  never expanded.  The bound is on expansion, not on the root: every update
+  starts at the two-vertex subgraph of its edge, and ``filter`` is asked
+  about that root (once per graph version) whatever ``max_size`` says.
 * ``match(s)`` — whether ``s`` is a match.  Only called on subgraphs that
   pass ``filter`` and are connected; the connectivity check is performed by
   the system, as in Algorithm 2.
@@ -51,8 +53,9 @@ class MiningAlgorithm(abc.ABC):
     by e.g. frequent subgraph mining).
     """
 
-    #: Maximum number of vertices in any explored subgraph (boundedness);
-    #: ``filter`` is never handed more.
+    #: Maximum number of vertices in any explored subgraph (boundedness).
+    #: ``filter`` is never handed more — except the two-vertex root of an
+    #: update, which is always evaluated, also when ``max_size < 2``.
     max_size: int = 4
 
     #: Subgraph semantics; vertex-induced unless overridden.
@@ -95,7 +98,9 @@ class EmptyAlgorithm(MiningAlgorithm):
 
     This is the "empty algorithm that does not do any processing or matching
     of updates" from the paper's ingress-scalability experiment (section
-    6.5.5).
+    6.5.5).  Its ``max_size`` of 0 stops every expansion but not the root:
+    ``filter`` is still called twice per update (pre and post version),
+    which is the per-task cost every other algorithm pays too.
     """
 
     max_size = 0

@@ -106,20 +106,23 @@ class TesseractEngine:
     def _process_update(
         self, ts: Timestamp, update: EdgeUpdate
     ) -> List[MatchDelta]:
-        recorder = set() if self.trace_tasks else None
+        if not self.trace_tasks:
+            return self.explorer.explore_update(
+                ExplorationView(self.store, ts), update
+            )
+        recorder: set = set()
         view = ExplorationView(self.store, ts, recorder=recorder)
         before = self.metrics.work_units()
         deltas = self.explorer.explore_update(view, update)
-        if self.trace_tasks:
-            self.traces.append(
-                TaskTrace(
-                    timestamp=ts,
-                    update=update,
-                    work=self.metrics.work_units() - before,
-                    touched_vertices=frozenset(recorder or ()),
-                    num_deltas=len(deltas),
-                )
+        self.traces.append(
+            TaskTrace(
+                timestamp=ts,
+                update=update,
+                work=self.metrics.work_units() - before,
+                touched_vertices=frozenset(recorder),
+                num_deltas=len(deltas),
             )
+        )
         return deltas
 
     # -- window / stream processing -----------------------------------------

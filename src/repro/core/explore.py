@@ -14,9 +14,10 @@ snapshots, so deletions' neighborhoods remain reachable).
 
 Most nodes are built, rejected by ``filter`` and torn down again, so a node
 is kept cheap: the two :class:`~repro.graph.subgraph.SubgraphView` objects
-are built once per update over the live vertex list and matrices and re-used
-by every node, expanding and backtracking are O(1) row operations, and
-attempts and expansions are accounted once per EXPLORE call.
+are built once per engine over the live vertex list and matrices, re-rooted
+by every update and re-used by every node, expanding and backtracking are
+O(1) row operations, and attempts and expansions are accounted once per
+EXPLORE call.
 """
 
 from __future__ import annotations
@@ -76,70 +77,98 @@ class Explorer:
             "repro_engine_can_expand_call_seconds",
             "duration of individual CAN_EXPAND calls (timing mode only)",
         ).labels()
+        # One vertex list, two matrices and two views for the engine's whole
+        # life: every update re-roots them, every node of every search tree
+        # is handed the same two views.  An edge-induced subgraph is its
+        # chosen edges in either version, so there both views share ``_pre``.
+        self._vertex_induced = algorithm.induced is InducedMode.VERTEX
+        self._verts: List[VertexId] = []
+        self._pre = BitMatrix()
+        self._post = BitMatrix() if self._vertex_induced else self._pre
+        # Resolvers read ``self._view``: nothing is read from the store
+        # until filter/match (or freeze) asks for it.
+        edge_labels = algorithm.uses_edge_labels
+        directions = algorithm.uses_directions
+        self._s_pre = SubgraphView(
+            self._verts,
+            self._pre,
+            edge_label_fn=self._edge_label_pre if edge_labels else None,
+            direction_fn=self._direction_pre if directions else None,
+            label_fn=self._label_pre,
+        )
+        self._s_post = SubgraphView(
+            self._verts,
+            self._post,
+            edge_label_fn=self._edge_label_post if edge_labels else None,
+            direction_fn=self._direction_post if directions else None,
+            label_fn=self._label_post,
+        )
         # Per-exploration state (reset by explore_update).
         self._view: ExplorationView = None  # type: ignore[assignment]
-        self._verts: List[VertexId] = []
         self._out: List[MatchDelta] = []
-        # The pre- and post-window views, built once per update over the
-        # live ``_verts`` and matrices and handed to every node's filter.
-        self._s_pre: SubgraphView = None  # type: ignore[assignment]
-        self._s_post: SubgraphView = None  # type: ignore[assignment]
+
+    # -- store resolvers of the two views ----------------------------------
+
+    def _label_pre(self, v: VertexId):
+        return self._view.vertex_label(v, True)
+
+    def _label_post(self, v: VertexId):
+        return self._view.vertex_label(v)
+
+    def _edge_label_pre(self, a: VertexId, b: VertexId):
+        view = self._view
+        return view.store.edge_label_at(a, b, view.ts - 1)
+
+    def _edge_label_post(self, a: VertexId, b: VertexId):
+        view = self._view
+        return view.store.edge_label_at(a, b, view.ts)
+
+    def _direction_pre(self, a: VertexId, b: VertexId):
+        view = self._view
+        return view.store.edge_direction_at(a, b, view.ts - 1)
+
+    def _direction_post(self, a: VertexId, b: VertexId):
+        view = self._view
+        return view.store.edge_direction_at(a, b, view.ts)
 
     # -- entry point -----------------------------------------------------
 
     def explore_update(
         self, view: ExplorationView, update: EdgeUpdate
     ) -> List[MatchDelta]:
-        """Compute all match-set changes rooted at one edge update."""
+        """Compute all match-set changes rooted at one edge update.
+
+        Re-rooting comes first, so whatever a task that raised mid-tree
+        left in the vertex list and the matrices is gone before this one
+        reads them.
+        """
         self._view = view
         self._out = []
         if self._profiling:
             self.profile.begin_update(view.ts, update)
-        # Resolvers handed to the two views: nothing is read from the store
-        # until filter/match (or freeze) asks for it.
-        store, ts = view.store, view.ts
-        edge_label_pre = edge_label_post = direction_pre = direction_post = None
-        if self.algorithm.uses_edge_labels:
-            edge_label_pre = lambda a, b: store.edge_label_at(a, b, ts - 1)
-            edge_label_post = lambda a, b: store.edge_label_at(a, b, ts)
-        if self.algorithm.uses_directions:
-            direction_pre = lambda a, b: store.edge_direction_at(a, b, ts - 1)
-            direction_post = lambda a, b: store.edge_direction_at(a, b, ts)
-        self._verts = verts = [update.u, update.v]
-        alive_pre, alive_post = view.update_edge_state(update.u, update.v)
-        vertex_induced = self.algorithm.induced is InducedMode.VERTEX
+        u, v = update.u, update.v
+        self._verts[:] = (u, v)
+        alive_pre, alive_post = view.update_edge_state(u, v)
+        vertex_induced = self._vertex_induced
         if vertex_induced:
-            pre = BitMatrix([0, 1 if alive_pre else 0])
-            post = BitMatrix([0, 1 if alive_post else 0])
+            self._s_pre.reroot(alive_pre)
+            self._s_post.reroot(alive_post)
         else:
             # the update edge is always part of an edge-induced subgraph
-            pre = post = BitMatrix([0, 1])
-        self._s_pre = SubgraphView(
-            verts,
-            pre,
-            edge_label_fn=edge_label_pre,
-            direction_fn=direction_pre,
-            label_fn=lambda v: view.vertex_label(v, True),
-        )
-        self._s_post = SubgraphView(
-            verts,
-            post,
-            edge_label_fn=edge_label_post,
-            direction_fn=direction_post,
-            label_fn=view.vertex_label,
-        )
+            self._s_pre.reroot(True)
+            self._s_post.reroot(True)
         if self._profiling:
             self.profile.node(2)
         if vertex_induced:
             c_pre, c_post = self._detect_changes(True, True)
             if (c_pre or c_post) and 2 < self.algorithm.max_size:
-                self._explore_v(pre, post, update.key, c_pre, c_post)
+                self._explore_v(self._pre, self._post, update.key, c_pre, c_post)
         else:
             # a version in which the update edge is missing does not exist
             c_pre, c_post = self._detect_changes(alive_pre, alive_post)
             if (c_pre or c_post) and 2 < self.algorithm.max_size:
                 self._explore_e(
-                    pre,
+                    self._pre,
                     update.key,
                     int(not alive_pre),
                     int(not alive_post),

@@ -56,6 +56,17 @@ class BitMatrix:
 
     # -- expansion / backtracking ------------------------------------------
 
+    def reset_root(self, edge: bool) -> None:
+        """Become the two-slot root: slots 0 and 1, adjacent iff ``edge``.
+
+        Whatever rows the matrix held are dropped, so an engine that keeps
+        one matrix for its whole life starts every update from here — also
+        after an exception left rows of an abandoned search tree behind.
+        """
+        bit = 1 if edge else 0
+        self._rows = [0, bit]
+        self._num_edges = bit
+
     def append_row(self, neighbor_bits: int) -> None:
         """Add a new slot adjacent to the slots set in ``neighbor_bits``.
 

@@ -8,13 +8,14 @@ list — one with the pre-update edges and one with the post-update edges
 (paper section 4.3).
 
 Inside the engine a view is a window onto the explorer's live DFS state:
-one view per graph version is built per update over the vertex list and bit
-matrix the explorer mutates, and every node of that update's search tree is
-handed the same object (:meth:`SubgraphView.rebind` drops what the previous
-node derived).  Its vertex labels are resolved from the store only when
-first asked for: an algorithm that never looks at a label never costs a
-label read.  Call :meth:`SubgraphView.freeze` to keep a subgraph beyond the
-call it was handed to.
+one view per graph version is built per engine, for its whole life, over the
+vertex list and bit matrix the explorer mutates.  Every update re-roots it
+(:meth:`SubgraphView.reroot`) and every node of every search tree is handed
+the same object (:meth:`SubgraphView.rebind` drops what the previous node
+derived).  Its vertex labels are resolved from the store only when first
+asked for: an algorithm that never looks at a label never costs a label
+read.  Call :meth:`SubgraphView.freeze` to keep a subgraph beyond the call
+it was handed to.
 """
 
 from __future__ import annotations
@@ -68,6 +69,17 @@ class SubgraphView:
         self._edge_label_fn = edge_label_fn
         #: optional resolver ``(u, v) -> normalized direction``
         self._direction_fn = direction_fn
+
+    def reroot(self, edge: bool) -> None:
+        """Start over at a two-vertex root, adjacent iff ``edge``.
+
+        The engine calls this once per update and graph version, having put
+        the update's endpoints in the shared vertex list: the view's own
+        matrix goes back to the root (:meth:`BitMatrix.reset_root`) and
+        everything derived for the previous update is dropped.
+        """
+        self._matrix.reset_root(edge)
+        self.rebind()
 
     def rebind(self) -> None:
         """Forget what was derived from the vertex list, which has changed.

@@ -212,6 +212,8 @@ class ThreadBackend(ExecutionBackend):
     Each worker owns an engine (no shared soft state); a shared cursor
     hands out task indices, and results land in an index-addressed slot
     table, so the emitted delta stream is independent of thread timing.
+    An exception from the algorithm stops the hand-out and is re-raised
+    in the caller once every worker has returned.
     """
 
     name = "thread"
@@ -259,16 +261,21 @@ class ThreadBackend(ExecutionBackend):
         slots: List[Optional[List[MatchDelta]]] = [None] * len(tasks)
         cursor = iter(range(len(tasks)))
         cursor_lock = threading.Lock()
+        errors: List[Exception] = []
 
         def loop(worker_id: int) -> None:
             engine = self.engines[worker_id]
-            while True:
+            while not errors:
                 with cursor_lock:
                     index = next(cursor, None)
                 if index is None:
                     return
                 ts, update = tasks[index]
-                slots[index] = engine.process_update(ts, update)
+                try:
+                    slots[index] = engine.process_update(ts, update)
+                except Exception as exc:
+                    # a thread's exception dies with it: hand it to the caller
+                    errors.append(exc)
 
         threads = [
             threading.Thread(target=loop, args=(w,), name=f"backend-worker-{w}")
@@ -278,6 +285,8 @@ class ThreadBackend(ExecutionBackend):
             t.start()
         for t in threads:
             t.join()
+        if errors:
+            raise errors[0]
         out: List[MatchDelta] = []
         for slot in slots:
             out.extend(slot or [])

@@ -102,6 +102,10 @@ class NeighborCache:
 
     def invalidate_vertex(self, v: VertexId, ts: Timestamp) -> int:
         """Drop ``v``'s entries at snapshots >= ``ts`` (a write at ``ts``)."""
+        if v not in self._stamps:
+            # Nothing cached for ``v``, the common case for a write: one
+            # dict probe (atomic under the GIL) instead of the lock.
+            return 0
         with self._lock:
             stamps = self._stamps.get(v)
             if not stamps:

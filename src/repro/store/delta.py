@@ -34,6 +34,12 @@ class DeltaIndex:
         """Record that ``key`` was added (or deleted) exactly at ``ts``."""
         self._by_ts.setdefault(ts, {})[key] = added
 
+    def window(self, ts: Timestamp) -> Dict[EdgeKey, bool]:
+        """The live ``key -> added`` dict of window ``ts``, for a writer
+        that notes a whole window: ``window(ts)[key] = added`` is
+        :meth:`note` without the per-fact lookup of ``ts``."""
+        return self._by_ts.setdefault(ts, {})
+
     def updated_at(self, key: EdgeKey, ts: Timestamp) -> bool:
         """O(1) membership probe: was ``key`` touched by window ``ts``?"""
         window = self._by_ts.get(ts)

@@ -226,9 +226,60 @@ class BaseRecordStore(GraphStore):
         Raises :class:`InvalidUpdateError` if the edge is already alive at
         ``ts`` (the ingress sanitizer filters such updates out).
         """
+        self._check_ts(ts)
+        self._write_add(u, v, ts, label, direction)
+        if self._delta_enabled:
+            self._delta.note(ts, edge_key(u, v), True)
+        self._latest_ts = ts
+
+    def delete_edge(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
+        """Mark edge {u, v} deleted at ``ts`` (tombstone; record is kept)."""
+        self._check_ts(ts)
+        self._write_delete(u, v, ts)
+        if self._delta_enabled:
+            self._delta.note(ts, edge_key(u, v), False)
+        self._latest_ts = ts
+
+    def apply_edge_updates(self, ts: Timestamp, updates) -> None:
+        """Apply one window's edge updates at the shared timestamp ``ts``.
+
+        What is the same for every update of a window — the timestamp
+        check, the delta index's dict for ``ts``, the write clock — is done
+        once; each update is validated and written by the code
+        :meth:`add_edge` / :meth:`delete_edge` run, in list order.  An
+        empty window checks and writes nothing, like zero calls of those.
+        """
+        if not updates:
+            return
+        self._check_ts(ts)
+        noted = self._delta.window(ts) if self._delta_enabled else None
+        wrote = False
+        try:
+            for upd in updates:
+                u, v = upd.u, upd.v
+                if upd.added:
+                    self._write_add(u, v, ts, upd.label, upd.direction)
+                else:
+                    self._write_delete(u, v, ts)
+                wrote = True
+                if noted is not None:
+                    noted[(u, v)] = upd.added  # an EdgeUpdate has u < v
+        finally:
+            # also when an update was rejected: the clock never trails a write
+            if wrote:
+                self._latest_ts = ts
+
+    def _write_add(
+        self,
+        u: VertexId,
+        v: VertexId,
+        ts: Timestamp,
+        label: Label,
+        direction: Optional[str],
+    ) -> None:
+        """Validate and write one edge addition (``ts`` already checked)."""
         if u == v:
             raise InvalidUpdateError("self-loop edges are not supported")
-        self._check_ts(ts)
         current = self._current_interval(u, v)
         if current is not None and current.alive_at(ts):
             raise InvalidUpdateError(f"edge ({u}, {v}) already exists at ts {ts}")
@@ -243,12 +294,10 @@ class BaseRecordStore(GraphStore):
         )
         self._ensure_record(u).edges.setdefault(v, []).append(interval)
         self._ensure_record(v).edges.setdefault(u, []).append(interval)
-        self._after_edge_write(u, v, ts, added=True)
-        self._latest_ts = max(self._latest_ts, ts)
+        self._invalidate_cached(u, v, ts)
 
-    def delete_edge(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
-        """Mark edge {u, v} deleted at ``ts`` (tombstone; record is kept)."""
-        self._check_ts(ts)
+    def _write_delete(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
+        """Validate and write one edge deletion (``ts`` already checked)."""
         current = self._current_interval(u, v)
         if current is None or not current.alive_at(ts - 1) or current.added_ts == ts:
             raise InvalidUpdateError(f"edge ({u}, {v}) does not exist before ts {ts}")
@@ -259,8 +308,7 @@ class BaseRecordStore(GraphStore):
         mirror = self._current_interval(v, u)
         if mirror is not None:
             mirror.deleted_ts = ts
-        self._after_edge_write(u, v, ts, added=False)
-        self._latest_ts = max(self._latest_ts, ts)
+        self._invalidate_cached(u, v, ts)
 
     def set_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
         """Append a label change effective from snapshot ``ts`` onward."""
@@ -270,23 +318,22 @@ class BaseRecordStore(GraphStore):
             history[-1] = (ts, label)
         else:
             history.append((ts, label))
-        self._latest_ts = max(self._latest_ts, ts)
+        self._latest_ts = ts
 
     def ensure_vertex(self, v: VertexId) -> None:
         self._ensure_record(v)
 
-    def _after_edge_write(
-        self, u: VertexId, v: VertexId, ts: Timestamp, added: bool
-    ) -> None:
-        """Maintain the delta index and cache coherence for one edge write."""
-        if self._delta_enabled:
-            self._delta.note(ts, edge_key(u, v), added)
-        if self._cache.enabled:
-            # A write at ts rewrites what snapshots >= ts read for both
-            # endpoints (only reachable for entries cached at the current
-            # timestamp, e.g. during bulk loads sharing one ts).
-            self._cache.invalidate_vertex(u, ts)
-            self._cache.invalidate_vertex(v, ts)
+    def _invalidate_cached(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
+        """Cache coherence for one edge write.
+
+        A write at ts rewrites what snapshots >= ts read for both endpoints
+        (only reachable for entries cached at the current timestamp, e.g.
+        during bulk loads sharing one ts).
+        """
+        cache = self._cache
+        if cache.enabled:
+            cache.invalidate_vertex(u, ts)
+            cache.invalidate_vertex(v, ts)
 
     def _check_ts(self, ts: Timestamp) -> None:
         if ts < self._latest_ts:
@@ -385,7 +432,16 @@ class BaseRecordStore(GraphStore):
         rec = self._get_rec(u)
         if rec is None:
             return False
-        return any(iv.alive_at(ts) for iv in rec.edges.get(v, ()))
+        versions = rec.edges.get(v)
+        if not versions:
+            return False
+        latest = versions[-1]
+        if latest.added_ts <= ts:
+            # Versions are disjoint and ordered: when the newest began by
+            # ``ts``, every older one had ended by then.
+            deleted = latest.deleted_ts
+            return deleted is None or ts < deleted
+        return any(iv.alive_at(ts) for iv in versions)
 
     def edge_updated_at(self, u: VertexId, v: VertexId, ts: Timestamp) -> bool:
         """Whether {u, v} was added or deleted exactly at ``ts``.

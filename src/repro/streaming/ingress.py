@@ -100,8 +100,9 @@ class IngressNode:
         self.gc_enabled = gc_enabled
         self._next_ts: Timestamp = store.latest_timestamp + 1
         self._pending: Dict[EdgeKey, _PendingOp] = {}
-        #: raw updates deferred to the next window (label re-adds, conflicts)
-        self._deferred: List[Update] = []
+        #: edge re-adds deferred to the next window (label re-adds,
+        #: delete+add conflicts), by edge key in the order they were deferred
+        self._deferred: Dict[EdgeKey, Update] = {}
         self._vertex_labels: List[Tuple[int, Label]] = []
         self.windows_applied = 0
         self.updates_dropped = 0
@@ -184,24 +185,10 @@ class IngressNode:
         else:  # pragma: no cover - enum is closed
             raise InvalidUpdateError(f"unknown update kind {kind!r}")
 
-    def _deferred_index(self, key: EdgeKey) -> int:
-        """Index of a deferred re-add for ``key``, or -1.
-
-        Only edge additions are ever deferred, so a hit means the edge will
-        be re-created in the next window unless a later delete cancels it.
-        """
-        for i, update in enumerate(self._deferred):
-            if (
-                update.kind is UpdateKind.ADD_EDGE
-                and edge_key(update.src, update.dst) == key
-            ):
-                return i
-        return -1
-
     def _pend_add(
         self, key: EdgeKey, label: Label, direction: Optional[str] = None
     ) -> None:
-        if self._deferred_index(key) >= 0:
+        if key in self._deferred:
             self.updates_dropped += 1  # already being re-added next window
             return
         pending = self._pending.get(key)
@@ -219,15 +206,14 @@ class IngressNode:
             # delete followed by add within one window: the delete stays in
             # this window, the add is deferred to the next so each window
             # remains a consistent snapshot.
-            self._deferred.append(Update.add_edge(key[0], key[1], label))
+            self._deferred[key] = Update.add_edge(key[0], key[1], label)
             self.updates_accepted += 1
 
     def _pend_delete(self, key: EdgeKey) -> None:
-        deferred_i = self._deferred_index(key)
-        if deferred_i >= 0:
+        if key in self._deferred:
             # The edge is scheduled for re-addition next window; cancelling
             # that re-add makes this delete a net no-op.
-            del self._deferred[deferred_i]
+            del self._deferred[key]
             self.updates_dropped += 2
             self.updates_accepted -= 1
             return
@@ -272,22 +258,22 @@ class IngressNode:
             key = edge_key(v, nbr)
             old_label = self.store.edge_label_at(key[0], key[1], self._next_ts - 1)
             self._pend_delete(key)
-            self._deferred.append(Update.add_edge(key[0], key[1], old_label))
+            self._deferred[key] = Update.add_edge(key[0], key[1], old_label)
         self._close_window(limit=False)  # label + all deletes, atomically
         if self._pending or self._deferred:
             self._close_window(limit=False)  # the re-adds
 
     def _pend_edge_relabel(self, key: EdgeKey, label: Label) -> None:
-        deferred_i = self._deferred_index(key)
-        if deferred_i >= 0:
-            # The edge is being re-added next window; relabel that re-add.
-            self._deferred[deferred_i] = Update.add_edge(key[0], key[1], label)
+        if key in self._deferred:
+            # The edge is being re-added next window; relabel that re-add
+            # (assigning to a held key keeps its place in the order).
+            self._deferred[key] = Update.add_edge(key[0], key[1], label)
             return
         if not self._edge_exists_now(key) and key not in self._pending:
             self.updates_dropped += 1
             return
         self._pend_delete(key)
-        self._deferred.append(Update.add_edge(key[0], key[1], label))
+        self._deferred[key] = Update.add_edge(key[0], key[1], label)
 
     # -- window application ----------------------------------------------
 
@@ -331,15 +317,14 @@ class IngressNode:
         self.store.apply_edge_updates(ts, window.updates)
         self._pending = dict(overflow)
         if self.queue is not None:
-            for upd in window.updates:
-                self.queue.append(ts, upd)
+            self.queue.append_window(ts, window.updates)
         self._next_ts += 1
         self.windows_applied += 1
         # Deferred updates (label re-adds, delete+add conflicts) seed the
         # next window.
         self._window_opened_at = self._clock()
-        deferred, self._deferred = self._deferred, []
-        for update in deferred:
+        deferred, self._deferred = self._deferred, {}
+        for update in deferred.values():
             self._apply_to_pending(update)
         if self.gc_enabled and self.queue is not None:
             stats = self.store.reclaim(self.queue.low_watermark())

@@ -22,7 +22,7 @@ import heapq
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import OffsetError, QueueClosedError, WorkerCrashed
 from repro.telemetry import ensure
@@ -79,7 +79,22 @@ class WorkQueue:
 
     def append(self, timestamp: Timestamp, update: EdgeUpdate) -> int:
         """Durably append an item; returns its offset."""
+        return self.append_window(timestamp, (update,))[0]
+
+    def append_window(
+        self, timestamp: Timestamp, updates: Sequence[EdgeUpdate]
+    ) -> range:
+        """Durably append one window's updates; returns their offsets.
+
+        Everything :meth:`append` does per item — lock, counter, depth
+        gauge — happens once for the window.  A closed queue or a
+        regressing timestamp raises before anything is appended; an empty
+        window appends nothing and checks nothing, like zero appends.
+        """
         with self._lock:
+            first = self._appended
+            if not updates:
+                return range(first, first)
             if self._closed:
                 raise QueueClosedError("cannot append to a closed queue")
             if timestamp < self._last_ts:
@@ -88,14 +103,19 @@ class WorkQueue:
                     f"after {self._last_ts})"
                 )
             self._last_ts = timestamp
-            offset = self._appended
-            self._appended += 1
-            item = WorkItem(offset=offset, timestamp=timestamp, update=update)
-            self._items[offset] = item
-            heapq.heappush(self._ready, offset)
-            self._c_appended.inc()
+            items = self._items
+            offset = first
+            for update in updates:
+                items[offset] = WorkItem(offset, timestamp, update)
+                offset += 1
+            self._appended = offset
+            offsets = range(first, offset)
+            # A new offset exceeds every offset in the heap (redelivered
+            # ones are older), so appending it is what heappush would do.
+            self._ready.extend(offsets)
+            self._c_appended.inc(offset - first)
             self._g_depth.set(len(self._ready))
-            return offset
+            return offsets
 
     def close(self) -> None:
         """Stop accepting new items; consumers drain what remains."""
@@ -121,17 +141,34 @@ class WorkQueue:
 
     def ack(self, offset: int) -> None:
         """Mark an in-flight item fully processed."""
+        self.ack_window((offset,))
+
+    def ack_window(self, offsets: Sequence[int]) -> None:
+        """Mark a window's in-flight items fully processed, in order.
+
+        One lock and one counter bump for the window.  An offset that is
+        not in flight raises :class:`~repro.errors.OffsetError` once the
+        offsets before it are acked, as acking them one by one would.
+        """
         with self._lock:
-            if offset not in self._in_flight:
-                raise OffsetError(f"offset {offset} is not in flight")
-            del self._in_flight[offset]
-            del self._items[offset]
-            self._acked += 1
-            self._c_acked.inc()
-            if self._telemetry_on:
-                polled_at = self._poll_times.pop(offset, None)
-                if polled_at is not None:
-                    self._h_ack_latency.observe(time.perf_counter() - polled_at)
+            in_flight, items = self._in_flight, self._items
+            now = time.perf_counter() if self._telemetry_on else 0.0
+            acked = 0
+            for offset in offsets:
+                if offset not in in_flight:
+                    break
+                del in_flight[offset]
+                del items[offset]
+                acked += 1
+                if self._telemetry_on:
+                    polled_at = self._poll_times.pop(offset, None)
+                    if polled_at is not None:
+                        self._h_ack_latency.observe(now - polled_at)
+            if acked:
+                self._acked += acked
+                self._c_acked.inc(acked)
+            if acked < len(offsets):
+                raise OffsetError(f"offset {offsets[acked]} is not in flight")
 
     def redeliver(self, offset: int) -> None:
         """Return a crashed worker's in-flight item to the queue."""
@@ -219,8 +256,7 @@ class WorkQueue:
             if not items:
                 return
             yield items[0].timestamp, items
-            for item in items:
-                self.ack(item.offset)
+            self.ack_window([item.offset for item in items])
 
     # -- introspection -------------------------------------------------------
 

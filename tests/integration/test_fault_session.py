@@ -10,8 +10,9 @@ kinds of crash are driven here, on every backend:
   telemetry artifacts such a recovery leaves behind (restart counter,
   ``worker.restart`` trace markers);
 * the backend itself failing in the middle of a multi-window flush — a
-  ``run_tasks`` that raises, and a real slice-worker death under
-  ``ProcessBackend``.  The session publishes a window only after it ran
+  ``run_tasks`` that raises, a real slice-worker death under
+  ``ProcessBackend``, and an algorithm whose ``filter`` throws three
+  vertices deep (the engines that threw mine the rerun).  The session publishes a window only after it ran
   and acks only after it published, so the exception leaves finished
   windows published, nothing in flight, the watermark below the failed
   window, and a second ``run_pending()`` resumes to the crash-free stream.
@@ -184,7 +185,9 @@ def crash_before_reply(run_tasks, tasks):
     raise WorkerCrashed(1, 0)
 
 
-def assert_fails_then_resumes(session, count, collected, clean, failed_window):
+def assert_fails_then_resumes(
+    session, count, collected, clean, failed_window, error=WorkerCrashed
+):
     """The crash property: drive ``session`` through one failing flush."""
     finished = [w.timestamp for w in clean.window_stats[: failed_window - 1]]
     failed_ts = clean.window_stats[failed_window - 1].timestamp
@@ -192,7 +195,7 @@ def assert_fails_then_resumes(session, count, collected, clean, failed_window):
     assert published and len(published) < len(clean.deltas())
 
     session.submit_many(k7_stream())
-    with pytest.raises(WorkerCrashed):
+    with pytest.raises(error):
         session.flush()
     # finished windows are published and acked, the failed one is neither
     assert session.deltas() == published
@@ -236,3 +239,42 @@ def test_slice_worker_death_mid_flush_resumes_to_the_clean_stream():
 
     on_nth_call(session.backend, 3, armed)
     assert_fails_then_resumes(session, count, collected, clean, failed_window=3)
+
+
+class ThrowsMidTree(CliqueMining):
+    """Triangles, except that while armed ``filter`` raises three vertices deep."""
+
+    def __init__(self):
+        super().__init__(3, min_size=3)
+        self.armed = False
+
+    def filter(self, s):
+        if self.armed and len(s) >= 3:
+            raise LookupError("filter threw mid-tree")
+        return super().filter(s)
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+def test_algorithm_throw_mid_tree_leaves_the_engine_fit_for_the_rerun(backend):
+    """An engine lives as long as its backend and re-roots itself per update.
+
+    The throw abandons a search tree with vertices and matrix rows pushed;
+    the redelivered window is then mined by those very engines (the serial
+    one, the thread workers', the process backend's inline one) and must
+    come out as if nothing had happened.
+    """
+    _, clean = run_session(backend=backend)
+    algorithm = ThrowsMidTree()
+    session, count, collected = open_session(backend, algorithm=algorithm)
+
+    def armed(run_tasks, tasks):
+        algorithm.armed = True
+        try:
+            return run_tasks(tasks)
+        finally:
+            algorithm.armed = False
+
+    on_nth_call(session.backend, 3, armed)
+    assert_fails_then_resumes(
+        session, count, collected, clean, failed_window=3, error=LookupError
+    )

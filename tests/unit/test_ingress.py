@@ -113,6 +113,71 @@ class TestSanitization:
         assert store.tombstone_count() == 1
 
 
+class TestDeferredOrder:
+    """``_deferred`` is keyed by edge but ordered like the list it replaced."""
+
+    def test_hub_relabel_readds_every_edge_once_in_key_order(self):
+        """Relabelling a degree-d vertex defers d re-adds, probing before each."""
+        degree = 2000
+        store, queue, ing = make_ingress(window_size=100)
+        # spokes on both sides of the hub id, each with its own edge label
+        spokes = [v for v in range(degree + 1) if v != 1000]
+        for v in spokes:
+            ing.submit(Update.add_edge(1000, v, label=f"l{v}"))
+        ing.flush()
+        loaded, accepted = ing.windows_applied, ing.updates_accepted
+
+        ing.submit(Update.set_vertex_label(1000, "hub"))
+
+        # two windows regardless of the size limit: deletes + label, re-adds
+        assert ing.windows_applied == loaded + 2
+        items = [item for item in iter(queue.poll, None) if item.timestamp > loaded]
+        deletes, readds = items[:degree], items[degree:]
+        keys = sorted((min(1000, v), max(1000, v)) for v in spokes)
+        assert [(i.timestamp, i.update.key, i.update.added) for i in deletes] == [
+            (loaded + 1, key, False) for key in keys
+        ]
+        assert [
+            (i.timestamp, i.update.key, i.update.added, i.update.label) for i in readds
+        ] == [
+            (loaded + 2, key, True, f"l{key[0] if key[1] == 1000 else key[1]}")
+            for key in keys
+        ]
+        assert ing.updates_accepted == accepted + 2 * degree
+        assert ing.updates_dropped == 0
+        assert store.vertex_label_at(1000, loaded + 1) == "hub"
+
+    def test_relabel_in_place_keeps_position_and_cancel_removes(self):
+        """What a list gave: replace at the found index, ``del`` at it, else append."""
+        store, queue, ing = make_ingress(window_size=100)
+        edges = [(1, 2), (3, 4), (5, 6), (7, 8)]
+        for u, v in edges:
+            ing.submit(Update.add_edge(u, v, label="old"))
+        ing.flush()
+
+        def deferred():
+            return [(u.src, u.dst, u.label) for u in ing._deferred.values()]
+
+        for u, v in edges[:3]:
+            ing.submit(Update.set_edge_label(u, v, "new"))
+        assert deferred() == [(1, 2, "new"), (3, 4, "new"), (5, 6, "new")]
+        ing.submit(Update.set_edge_label(1, 2, "newer"))  # in place, not re-queued
+        assert deferred() == [(1, 2, "newer"), (3, 4, "new"), (5, 6, "new")]
+        ing.submit(Update.delete_edge(3, 4))  # cancels that re-add
+        assert deferred() == [(1, 2, "newer"), (5, 6, "new")]
+        ing.submit(Update.add_edge(5, 6, label="dup"))  # already being re-added
+        ing.submit(Update.set_edge_label(7, 8, "new"))  # appended last
+        assert deferred() == [(1, 2, "newer"), (5, 6, "new"), (7, 8, "new")]
+        dropped = ing.updates_dropped
+        ing.flush()
+        assert ing.updates_dropped == dropped
+        ts = store.latest_timestamp
+        assert [store.edge_label_at(u, v, ts) for u, v in edges] == [
+            "newer", None, "new", "new",
+        ]  # fmt: skip
+        assert not store.edge_alive_at(3, 4, ts)
+
+
 class TestVertexUpdates:
     def test_add_vertex_with_label(self):
         store, queue, ing = make_ingress(window_size=1)

@@ -5,7 +5,14 @@ import pytest
 from repro.errors import InvalidUpdateError, UnknownVertexError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.store.gc import collect_garbage
-from repro.store.mvstore import EdgeInterval, MultiVersionStore, apply_edge_write
+from repro.store.api import make_store
+from repro.store.mvstore import (
+    EdgeInterval,
+    MultiVersionStore,
+    VertexRecord,
+    apply_edge_write,
+)
+from repro.types import EdgeUpdate
 from repro.store.snapshot import ExplorationView, SnapshotView
 
 
@@ -127,6 +134,67 @@ class TestWrites:
             MultiVersionStore().add_edge(1, 1, ts=1)
 
 
+class TestWindowWrites:
+    """``apply_edge_updates`` is the window form of ``add_edge`` / ``delete_edge``."""
+
+    WINDOWS = {
+        1: [EdgeUpdate(1, 2, True, label="x"), EdgeUpdate(2, 3, True, direction="rev")],
+        2: [EdgeUpdate(1, 2, False), EdgeUpdate(3, 4, True)],
+        4: [EdgeUpdate(1, 2, True, label="y"), EdgeUpdate(2, 3, False)],
+    }
+
+    @staticmethod
+    def one_by_one(store, ts, updates):
+        for upd in updates:
+            if upd.added:
+                store.add_edge(upd.u, upd.v, ts, label=upd.label, direction=upd.direction)
+            else:
+                store.delete_edge(upd.u, upd.v, ts)
+
+    @staticmethod
+    def state(store):
+        return (
+            sorted(store.iter_records()),
+            {ts: store.updated_keys_in(ts) for ts in range(0, 6)},
+            store.latest_timestamp,
+            store.store_stats()["delta_entries"],
+        )
+
+    @pytest.mark.parametrize("kind", ["mv", "sharded"])
+    def test_equals_the_per_update_calls(self, kind):
+        windowed, looped = make_store(kind), make_store(kind)
+        for ts, updates in self.WINDOWS.items():
+            windowed.apply_edge_updates(ts, updates)
+            self.one_by_one(looped, ts, updates)
+            assert self.state(windowed) == self.state(looped)
+
+    @pytest.mark.parametrize("kind", ["mv", "sharded"])
+    def test_a_rejected_update_leaves_what_the_loop_would(self, kind):
+        bad = [EdgeUpdate(5, 6, True), EdgeUpdate(1, 2, True), EdgeUpdate(6, 7, True)]
+        windowed, looped = make_store(kind), make_store(kind)
+        for store, apply in (
+            (windowed, windowed.apply_edge_updates),
+            (looped, lambda ts, updates: self.one_by_one(looped, ts, updates)),
+        ):
+            apply(1, self.WINDOWS[1])
+            with pytest.raises(InvalidUpdateError, match=r"edge \(1, 2\) already exists"):
+                apply(3, bad)
+            # the update before the bad one landed and moved the clock
+            assert store.edge_alive_at(5, 6, 3) and not store.has_vertex(7)
+            assert store.latest_timestamp == 3
+            with pytest.raises(InvalidUpdateError, match="timestamp order"):
+                apply(2, [EdgeUpdate(8, 9, True)])
+            assert not store.has_vertex(8)
+        assert self.state(windowed) == self.state(looped)
+
+    def test_an_empty_window_is_zero_writes(self):
+        s = MultiVersionStore()
+        s.apply_edge_updates(1, self.WINDOWS[1])
+        s.apply_edge_updates(7, [])
+        assert s.latest_timestamp == 1
+        assert s.store_stats()["delta_entries"] == 2
+
+
 class TestLabels:
     def test_label_history(self):
         s = MultiVersionStore()
@@ -187,6 +255,50 @@ class TestReads:
         assert s.edge_updated_at(1, 2, 1)
         assert s.edge_updated_at(1, 2, 4)
         assert not s.edge_updated_at(1, 2, 2)
+
+    @pytest.mark.parametrize("kind", ["mv", "sharded"])
+    def test_edge_alive_at_agrees_with_the_interval_scan(self, kind):
+        """The newest-version shortcut answers what scanning every version does."""
+        s = make_store(kind)
+        writes = {
+            1: [(1, 2, True), (4, 5, True), (4, 6, True)],
+            2: [(1, 3, True), (4, 5, False), (4, 6, False)],
+            3: [(1, 2, False)],
+            4: [(1, 3, False)],  # (1, 3): one tombstoned version
+            5: [(1, 2, True)],
+            6: [(4, 5, True)],
+            7: [(1, 2, False)],
+            8: [(4, 5, False)],
+            9: [(1, 2, True)],  # (1, 2): re-added twice, alive now
+        }
+        for ts, updates in writes.items():
+            s.apply_edge_updates(ts, [EdgeUpdate(u, v, added) for u, v, added in updates])
+        # version lists emptied by put_record
+        s.put_record(7, VertexRecord(edges={8: []}))
+        s.put_record(8, VertexRecord(edges={7: []}))
+
+        def scan(u, v, ts):
+            rec = s.get_record(u)
+            return rec is not None and any(
+                iv.alive_at(ts) for iv in rec.edges.get(v, ())
+            )
+
+        pairs = [(1, 2), (1, 3), (4, 5), (4, 6), (7, 8), (1, 4), (99, 1)]
+        pairs += [(v, u) for u, v in pairs]
+
+        def check():
+            for u, v in pairs:
+                for ts in range(0, 12):
+                    assert s.edge_alive_at(u, v, ts) == scan(u, v, ts), (u, v, ts)
+
+        check()
+        assert [s.edge_alive_at(1, 2, ts) for ts in range(1, 11)] == [
+            True, True, False, False, True, True, False, False, True, True,
+        ]  # fmt: skip
+        # reclaimed: (4, 6) loses its only version, (1, 2) and (4, 5) their oldest
+        assert s.reclaim(3).reclaimed == 3
+        assert 6 not in s.get_record(4).edges
+        check()
 
     def test_fetch_record_accounting(self):
         s = MultiVersionStore(num_shards=4)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import OffsetError, QueueClosedError
 from repro.streaming.queue import WorkQueue
+from repro.telemetry import Telemetry
 from repro.types import EdgeUpdate
 
 
@@ -160,3 +161,112 @@ class TestBoundedState:
         assert sizes[-1] == sizes[0] == 0
         assert q.acked_count() == q.total_appended() == 1000
         assert q.is_drained() and q.low_watermark() == 40
+
+
+class TestWindowForms:
+    """``append_window`` / ``ack_window`` are N x ``append`` / ``ack`` under one lock."""
+
+    # windows of 3, 1 and 4 updates, with a redelivery in the middle of the run
+    WINDOWS = [(1, 3), (2, 1), (4, 4)]
+
+    @staticmethod
+    def observable(q, telemetry):
+        totals = telemetry.registry.counter_totals()
+        latency = telemetry.registry.histogram("repro_queue_ack_latency_seconds", "")
+        return {
+            "appended": q.total_appended(),
+            "acked": q.acked_count(),
+            "ready": len(q),
+            "in_flight": q.in_flight_offsets(),
+            "watermark": q.low_watermark(),
+            "drained": q.is_drained(),
+            "c_appended": totals.get("repro_queue_appended_total"),
+            "c_acked": totals.get("repro_queue_acked_total"),
+            "c_redelivered": totals.get("repro_queue_redelivered_total"),
+            "ack_latency_samples": latency.labels().count,
+        }
+
+    def drive(self, windowed):
+        """The same schedule through either form; returns what it observed."""
+        telemetry = Telemetry()
+        q = WorkQueue(telemetry=telemetry)
+        seen = []
+        for ts, n in self.WINDOWS:
+            updates = [upd(10 * ts + i, 10 * ts + i + 1) for i in range(n)]
+            if windowed:
+                offsets = list(q.append_window(ts, updates))
+            else:
+                offsets = [q.append(ts, update) for update in updates]
+            seen.append(("offsets", offsets))
+            seen.append(("after append", self.observable(q, telemetry)))
+        items = [q.poll() for _ in range(4)]  # window 1 and window 2
+        seen.append(("polled", [(i.offset, i.timestamp, i.update) for i in items]))
+        q.redeliver(items[1].offset)
+        first = [items[0].offset, items[2].offset]
+        if windowed:
+            q.ack_window(first)
+        else:
+            for offset in first:
+                q.ack(offset)
+        seen.append(("after first ack", self.observable(q, telemetry)))
+        rest = [item.offset for item in iter(q.poll, None)]
+        seen.append(("rest", rest))
+        rest.append(items[3].offset)
+        if windowed:
+            q.ack_window(rest)
+        else:
+            for offset in rest:
+                q.ack(offset)
+        seen.append(("after last ack", self.observable(q, telemetry)))
+        return seen
+
+    def test_window_forms_equal_the_one_item_forms(self):
+        windowed, one_by_one = self.drive(True), self.drive(False)
+        assert windowed == one_by_one
+        final = windowed[-1][1]
+        assert final["drained"] and final["watermark"] == 4
+        assert final["c_appended"] == final["c_acked"] == final["acked"] == 8
+        assert final["c_redelivered"] == 1 and final["ack_latency_samples"] == 8
+
+    def test_closed_queue_appends_nothing(self):
+        q = WorkQueue()
+        q.append_window(1, [upd(1, 2)])
+        q.close()
+        with pytest.raises(QueueClosedError):
+            q.append_window(2, [upd(2, 3), upd(3, 4)])
+        assert q.total_appended() == 1 and len(q) == 1
+
+    def test_regressing_timestamp_appends_nothing(self):
+        q = WorkQueue()
+        q.append_window(5, [upd(1, 2)])
+        with pytest.raises(OffsetError):
+            q.append_window(4, [upd(2, 3), upd(3, 4)])
+        assert q.total_appended() == 1 and len(q) == 1
+        assert list(q.append_window(5, [upd(2, 3)])) == [1]  # the clock did not move
+
+    def test_empty_window_is_zero_appends(self):
+        q = WorkQueue()
+        q.append_window(3, [upd(1, 2)])
+        q.close()
+        assert list(q.append_window(1, [])) == []  # nothing to refuse
+        q.ack(q.poll().offset)
+        assert q.total_appended() == 1 and q.low_watermark() == 3
+
+    def test_ack_window_stops_at_the_first_offset_not_in_flight(self):
+        q = WorkQueue()
+        q.append_window(1, [upd(1, 2), upd(2, 3), upd(3, 4)])
+        a, b, c = q.poll(), q.poll(), q.poll()
+        q.redeliver(b.offset)
+        with pytest.raises(OffsetError, match=f"offset {b.offset} is not in flight"):
+            q.ack_window([a.offset, b.offset, c.offset])
+        # as three acks would: the first landed, the third was never tried
+        assert q.acked_count() == 1 and q.in_flight_offsets() == [c.offset]
+
+    def test_window_append_keeps_redelivered_items_first(self):
+        q = WorkQueue()
+        q.append_window(1, [upd(1, 2), upd(2, 3)])
+        first = q.poll()
+        q.poll()
+        q.redeliver(first.offset)
+        q.append_window(2, [upd(3, 4), upd(4, 5)])
+        assert [item.offset for item in iter(q.poll, None)] == [0, 2, 3]
