@@ -167,6 +167,7 @@ def run_updates(
     start = time.perf_counter()
     deltas = session.run_pending()
     seconds = time.perf_counter() - start
+    session.close()  # the caller reads counters, which outlive it
     return deltas, seconds, metrics, engine
 
 

@@ -15,6 +15,10 @@ the baseline itself is skipped: CI containers vary in speed run to run by
 far more than any real code regression, but overhead relative to the raw
 body measured in the same process is machine-independent.
 
+A few such ratios also have an absolute bar (:data:`CEILINGS`), checked
+on the newest file alone: a first measurement has no predecessor to
+regress from.
+
 Stdlib-only, so it runs in CI without the package installed:
 
     python benchmarks/check_trajectory.py [--threshold 0.15] [--warn-only]
@@ -37,6 +41,11 @@ BENCH_PATTERN = re.compile(r"^BENCH_PR(\d+)\.json$")
 
 #: numeric leaves with these key suffixes are wall-time measurements
 TIME_SUFFIXES = ("_s", "_seconds")
+
+#: leaf -> the most the newest bench file may read.  ``sec656_gc``:
+#: tombstone reclamation (``gc_enabled=True``) keeps at least 0.9 of the
+#: deletion stream's throughput (``raw_s`` is the run with it off).
+CEILINGS = {"sec656_gc.on_s/raw": 1 / 0.9}
 
 
 def discover(root: Path) -> List[Tuple[int, Path]]:
@@ -101,6 +110,15 @@ def compare(
     return regressions
 
 
+def over_ceiling(leaves: Dict[str, float]) -> List[Tuple[str, float, float]]:
+    """Leaves above their :data:`CEILINGS` bar; (key, value, ceiling)."""
+    return [
+        (key, leaves[key], ceiling)
+        for key, ceiling in sorted(CEILINGS.items())
+        if leaves.get(key, 0.0) > ceiling
+    ]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -123,12 +141,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trajectory = discover(args.root)
+    failed = False
+    if trajectory:
+        newest_pr, newest_path = trajectory[-1]
+        for key, value, ceiling in over_ceiling(load_leaves(newest_path)):
+            failed = True
+            print(
+                f"  OVER ITS BAR PR{newest_pr} {key}: {value:.4f} > {ceiling:.4f}",
+                file=sys.stderr,
+            )
     if len(trajectory) < 2:
         names = ", ".join(path.name for _, path in trajectory) or "none"
-        print(f"trajectory: fewer than two bench files ({names}); nothing to gate")
-        return 0
-
-    failed = False
+        print(f"trajectory: fewer than two bench files ({names}); nothing to compare")
     for (old_pr, old_path), (new_pr, new_path) in zip(trajectory, trajectory[1:]):
         older, newer = load_leaves(old_path), load_leaves(new_path)
         shared = sorted(set(older) & set(newer))

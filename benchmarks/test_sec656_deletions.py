@@ -8,13 +8,21 @@ deletions create and delete additional intermediate matches.
 Scaled reproduction on the labeled GKS graph, measured wall-clock:
 additions vs reverse-order deletions vs random-order deletions, asserting
 the same ordering and that the match set returns to empty both ways.
+
+The random-order deletion stream is also the one place outside
+``benchmarks/e2e`` where tombstone reclamation (section 5.1,
+``gc_enabled=True``) has a number: the stream runs with it on and off in
+alternating rounds and the two must cost the same.
 """
 
 import random
+import statistics
+import time
 
 import pytest
 
 from _harness import (
+    WINDOW,
     fmt_seconds,
     gks_bench,
     print_table,
@@ -26,7 +34,9 @@ from repro.apps import GraphKeywordSearch
 from repro.core.engine import collect_matches
 from repro.graph.datasets import GKS_LABELS
 from repro.graph.generators import shuffled_edges
+from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
+from repro.types import Update
 
 
 def build_store(graph):
@@ -91,3 +101,84 @@ def test_sec656_deletions(benchmark):
     # reproduction average neighborhood size during deletion dominates and
     # random order can come out somewhat cheaper — see EXPERIMENTS.md.
     assert 0.5 < ratio < 2.0
+
+
+#: alternating on/off rounds of the reclamation pair
+GC_ROUNDS = 5
+
+
+def test_sec656_gc_on_off(benchmark):
+    """Random-order deletion of every edge, reclaiming tombstones or not.
+
+    Windows are flushed one at a time, as a live deployment's are, so the
+    queue's low watermark follows the stream and each closing window
+    reclaims the one before it.  Timed end to end (ingress, reclaim and
+    mining): reclamation runs in the ingress node, outside ``run_pending``.
+    """
+    graph = gks_bench()
+    deletions = shuffled_edges(graph, seed=5)
+    random.Random(9).shuffle(deletions)
+    windows = [deletions[i : i + WINDOW] for i in range(0, len(deletions), WINDOW)]
+
+    def one_run(gc_enabled):
+        session = StreamingSession(
+            GraphKeywordSearch(GKS_LABELS, k=4),
+            window_size=WINDOW,
+            initial_graph=graph,
+            gc_enabled=gc_enabled,
+        )
+        start = time.perf_counter()
+        for window in windows:
+            session.submit_many(Update.delete_edge(u, v) for u, v in window)
+            session.flush()
+        seconds = time.perf_counter() - start
+        outcome = (session.deltas(), session.store.tombstone_count())
+        session.close()
+        return seconds, outcome
+
+    def run():
+        seconds = {False: [], True: []}
+        outcomes = {}
+        for round_ in range(GC_ROUNDS):
+            for gc_enabled in (False, True) if round_ % 2 == 0 else (True, False):
+                took, outcomes[gc_enabled] = one_run(gc_enabled)
+                seconds[gc_enabled].append(took)
+        return seconds, outcomes
+
+    seconds, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
+    (deltas_off, tombstones_off), (deltas_on, tombstones_on) = (
+        outcomes[False],
+        outcomes[True],
+    )
+    off_s, on_s = statistics.median(seconds[False]), statistics.median(seconds[True])
+    on_over_off = off_s / on_s  # as throughput: 1.0 = reclamation is free
+    print_table(
+        f"Section 6.5.6 stream, gc_enabled off vs on ({GC_ROUNDS} alternating rounds)",
+        ["gc_enabled", "median", "min", "max", "tombstones left"],
+        [
+            ("off", fmt_seconds(off_s), fmt_seconds(min(seconds[False])),
+             fmt_seconds(max(seconds[False])), tombstones_off),
+            ("on", fmt_seconds(on_s), fmt_seconds(min(seconds[True])),
+             fmt_seconds(max(seconds[True])), tombstones_on),
+            ("on/off throughput", f"{on_over_off:.2f}", "", "", ""),
+        ],
+    )  # fmt: skip
+    # ``raw_s`` makes the trajectory gate read ``on_s`` as a ratio to it
+    record(
+        "sec656_gc",
+        {
+            "raw_s": off_s,
+            "on_s": on_s,
+            # [min, max]; lists are not timing leaves of the trajectory gate
+            "off_range": [min(seconds[False]), max(seconds[False])],
+            "on_range": [min(seconds[True]), max(seconds[True])],
+            "on_over_off": on_over_off,
+            "rounds": GC_ROUNDS,
+            "tombstones_off": tombstones_off,
+            "tombstones_on": tombstones_on,
+        },
+    )
+    assert deltas_on == deltas_off
+    assert tombstones_off == len(deletions)
+    assert tombstones_on <= WINDOW  # only the last window's are left
+    assert on_over_off >= 0.9

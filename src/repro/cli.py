@@ -278,6 +278,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 present.add(e)
                 session.submit(Update.add_edge(*e))
         live = collect_matches(session.flush())
+        session.close()
         final = AdjacencyGraph.from_edges(sorted(present))
         for v in range(n):
             final.add_vertex(v)

@@ -106,6 +106,9 @@ class Explorer:
         # Per-exploration state (reset by explore_update).
         self._view: ExplorationView = None  # type: ignore[assignment]
         self._out: List[MatchDelta] = []
+        # filter / match verdicts of the current update, profiled runs only:
+        # [filter passed, filter rejected, matched, match rejected]
+        self._verdicts = [0, 0, 0, 0]
 
     # -- store resolvers of the two views ----------------------------------
 
@@ -140,11 +143,12 @@ class Explorer:
 
         Re-rooting comes first, so whatever a task that raised mid-tree
         left in the vertex list and the matrices is gone before this one
-        reads them.
+        reads them; the verdicts it had counted go to its own record.
         """
         self._view = view
         self._out = []
         if self._profiling:
+            self._flush_verdicts()
             self.profile.begin_update(view.ts, update)
         u, v = update.u, update.v
         self._verts[:] = (u, v)
@@ -175,7 +179,20 @@ class Explorer:
                     c_pre,
                     c_post,
                 )
+        if self._profiling:
+            self._flush_verdicts()
         return self._out
+
+    def _flush_verdicts(self) -> None:
+        """Hand the profile the verdict counts of the update it attributes to."""
+        verdicts = self._verdicts
+        if any(verdicts):
+            kept, rejected, matched, unmatched = verdicts
+            self.profile.filter_call(True, kept)
+            self.profile.filter_call(False, rejected)
+            self.profile.match_call(True, matched)
+            self.profile.match_call(False, unmatched)
+            verdicts[:] = (0, 0, 0, 0)
 
     # -- vertex-induced mode ---------------------------------------------
 
@@ -316,7 +333,7 @@ class Explorer:
         else:
             keep = algorithm.filter(s)
         if self._profiling:
-            self.profile.filter_call(keep)
+            self._verdicts[0 if keep else 1] += 1
         if not keep:
             return _REJECTED
         if not s.is_connected():
@@ -328,7 +345,7 @@ class Explorer:
         else:
             matched = algorithm.match(s)
         if self._profiling:
-            self.profile.match_call(matched)
+            self._verdicts[2 if matched else 3] += 1
         return _MATCHED if matched else _KEPT
 
     def _emit(self, status: MatchStatus, s: SubgraphView) -> None:

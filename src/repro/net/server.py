@@ -27,6 +27,7 @@ which the client surfaces as a transport fault and retries elsewhere.
 
 from __future__ import annotations
 
+import gc
 import socket
 import threading
 import time
@@ -125,6 +126,9 @@ class StoreServer:
         self._sock.bind((host, port))
         self._sock.listen(32)
         self._ops = self._build_ops()
+        # the store this process serves leaves Python's collector until
+        # close(), as a session's does (runtime/session.py)
+        gc.freeze()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -176,6 +180,7 @@ class StoreServer:
             except OSError:
                 pass
             conn.close()
+        gc.unfreeze()
 
     # -- per-connection loop -----------------------------------------------
 

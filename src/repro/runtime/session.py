@@ -32,6 +32,7 @@ the crash-free stream, with no dedup table to consult.
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Iterable, List, Optional
 
@@ -135,6 +136,10 @@ class StreamingSession:
             "repro_session_worker_restarts_total",
             "worker crashes recovered by queue redelivery",
         )
+        # Set-up is over: what exists now (the preloaded store above all)
+        # lives as long as the session, so Python's collector need not
+        # walk it on every full collection.  Process-wide; close() undoes it.
+        gc.freeze()
 
     # -- input side ------------------------------------------------------
 
@@ -350,6 +355,7 @@ class StreamingSession:
         self.backend.close()
         if self._owns_store:
             self.store.close()
+        gc.unfreeze()
 
     # -- static execution ------------------------------------------------
 

@@ -30,6 +30,7 @@ sharded map lives in :mod:`repro.store.sharded`.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -49,7 +50,7 @@ from repro.types import (
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class EdgeInterval:
     """One version of an edge: alive during ``[added_ts, deleted_ts)``.
 
@@ -70,7 +71,7 @@ class EdgeInterval:
         return self.added_ts == ts or self.deleted_ts == ts
 
 
-@dataclass
+@dataclass(slots=True)
 class VertexRecord:
     """Adjacency-list record for one vertex, as in the paper's store."""
 
@@ -182,6 +183,11 @@ class BaseRecordStore(GraphStore):
         self._delta = DeltaIndex()
         self._delta_enabled = delta_index
         self._cache = NeighborCache(capacity=cache_size)
+        #: the deletion log: ``(deleted_ts, u, v)``, ``u < v``, in time order,
+        #: with an entry for every tombstone held (a ``put_record`` of both
+        #: endpoints enters an edge twice; ``reclaim`` reads the version
+        #: lists, so a repeated or stale entry costs one lookup)
+        self._deleted: List[Tuple[Timestamp, VertexId, VertexId]] = []
 
     # -- record-map primitives (subclass responsibility) -------------------
 
@@ -308,6 +314,7 @@ class BaseRecordStore(GraphStore):
         mirror = self._current_interval(v, u)
         if mirror is not None:
             mirror.deleted_ts = ts
+        self._log_deletion((ts, *edge_key(u, v)))
         self._invalidate_cached(u, v, ts)
 
     def set_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
@@ -322,6 +329,14 @@ class BaseRecordStore(GraphStore):
 
     def ensure_vertex(self, v: VertexId) -> None:
         self._ensure_record(v)
+
+    def _log_deletion(self, entry: Tuple[Timestamp, VertexId, VertexId]) -> None:
+        """Writes arrive in time order and append; ``put_record`` may not."""
+        log = self._deleted
+        if log and entry[0] < log[-1][0]:
+            insort(log, entry)
+        else:
+            log.append(entry)
 
     def _invalidate_cached(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
         """Cache coherence for one edge write.
@@ -408,17 +423,20 @@ class BaseRecordStore(GraphStore):
 
         Delta-index facts are derived from the lower endpoint's record
         only, so putting both endpoints of a shared edge notes each fact
-        exactly once.
+        exactly once.  Tombstones enter the deletion log from either
+        endpoint: a record may be installed without its mirror.
         """
         self._put_rec(v, record)
-        if self._delta_enabled:
-            for dst, versions in record.edges.items():
-                if v < dst:
-                    key = (v, dst)
-                    for iv in versions:
-                        self._delta.note(iv.added_ts, key, True)
-                        if iv.deleted_ts is not None:
-                            self._delta.note(iv.deleted_ts, key, False)
+        note = self._delta.note if self._delta_enabled else None
+        for dst, versions in record.edges.items():
+            key = edge_key(v, dst)
+            for iv in versions:
+                if iv.deleted_ts is not None:
+                    self._log_deletion((iv.deleted_ts, *key))
+                if note is not None and v < dst:
+                    note(iv.added_ts, key, True)
+                    if iv.deleted_ts is not None:
+                        note(iv.deleted_ts, key, False)
         if self._cache.enabled:
             self._cache.invalidate_vertex(v, 0)
 
@@ -526,18 +544,30 @@ class BaseRecordStore(GraphStore):
         cache drops entries at or below the horizon (their pre-snapshot
         data may reference reclaimed versions).  Label history is left
         untouched (it is tiny by comparison).
+
+        Costs the versions it drops, not the store: the deletion log
+        yields the edges tombstoned at or before ``horizon`` and only
+        their version lists are read.
         """
         stats = ReclaimStats(horizon=horizon)
-        for u, record in self._iter_items():
-            empty_neighbors = []
-            for v, versions in record.edges.items():
+        log = self._deleted
+        due = bisect_left(log, (horizon + 1,))  # a 1-tuple sorts before its ts
+        keys = {entry[1:] for entry in log[:due]}
+        del log[:due]
+        for key in keys:
+            # lower endpoint first: where both records hold one list (a
+            # restored checkpoint), its pass finds the versions and counts
+            for u, v in (key, key[::-1]):
+                record = self._get_rec(u)
+                versions = record.edges.get(v) if record is not None else None
+                if versions is None:
+                    continue
                 dead = [
                     iv
                     for iv in versions
                     if iv.deleted_ts is not None and iv.deleted_ts <= horizon
                 ]
                 if dead:
-                    key = (u, v) if u < v else (v, u)
                     if self._delta_enabled:
                         # Idempotent: shared intervals reach here from both
                         # endpoints; the second discard is a no-op.
@@ -560,9 +590,7 @@ class BaseRecordStore(GraphStore):
                         if iv.deleted_ts is None or iv.deleted_ts > horizon
                     ]
                 if not versions:
-                    empty_neighbors.append(v)
-            for v in empty_neighbors:
-                del record.edges[v]
+                    del record.edges[v]
         if self._cache.enabled:
             stats.cache_invalidated = self._cache.invalidate_through(horizon)
         return stats

@@ -155,7 +155,8 @@ class ExplorationProfile:
     merges worker profiles at collection time.  The hot-path recording
     methods mutate the record selected by :meth:`begin_update`; the
     explorer batches attempts, expansions and nodes into one call each per
-    EXPLORE call (all children of one call share a depth).
+    EXPLORE call (all children of one call share a depth), and ``filter`` /
+    ``match`` verdicts into one call per verdict per update.
     """
 
     enabled = True
@@ -203,17 +204,19 @@ class ExplorationProfile:
         """Expansion(s) actually performed (child states created)."""
         self._current.expansions += n
 
-    def filter_call(self, passed: bool) -> None:
+    def filter_call(self, passed: bool, n: int = 1) -> None:
+        """``n`` ``filter`` calls that all returned ``passed``."""
         record = self._current
-        record.filter_calls += 1
+        record.filter_calls += n
         if not passed:
-            record.filter_rejected += 1
+            record.filter_rejected += n
 
-    def match_call(self, matched: bool) -> None:
+    def match_call(self, matched: bool, n: int = 1) -> None:
+        """``n`` ``match`` calls that all returned ``matched``."""
         record = self._current
-        record.match_calls += 1
+        record.match_calls += n
         if not matched:
-            record.match_rejected += 1
+            record.match_rejected += n
 
     def emit(self, is_new: bool) -> None:
         record = self._current
@@ -345,10 +348,10 @@ class NullProfile:
     def expansion(self, n: int = 1) -> None:
         return None
 
-    def filter_call(self, passed: bool) -> None:
+    def filter_call(self, passed: bool, n: int = 1) -> None:
         return None
 
-    def match_call(self, matched: bool) -> None:
+    def match_call(self, matched: bool, n: int = 1) -> None:
         return None
 
     def emit(self, is_new: bool) -> None:

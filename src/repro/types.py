@@ -150,7 +150,7 @@ class MatchStatus(enum.Enum):
     REM = "REM"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchSubgraph:
     """An immutable subgraph emitted as part of a match delta.
 
@@ -202,7 +202,7 @@ class MatchSubgraph:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchDelta:
     """The 3-tuple streamed out by Tesseract: (timestamp, status, subgraph)."""
 

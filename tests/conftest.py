@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
 import sys
 from pathlib import Path
 
@@ -13,6 +15,29 @@ sys.path.insert(0, str(Path(__file__).parent))
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.datasets import figure1_graph, figure1_updates
 from repro.graph.generators import erdos_renyi
+
+
+_tests_run = itertools.count(1)
+
+
+@pytest.fixture(autouse=True)
+def unfrozen_after_each_test():
+    """An open session (or store server) freezes the process's objects out
+    of Python's collector until it is closed, and some tests never close
+    theirs: without this, every object alive at such a test's last
+    ``gc.freeze()`` would stay uncollectable for the rest of the run.
+
+    What ``gc.unfreeze()`` releases lands in the oldest generation without
+    counting towards Python's next full collection, and every freeze takes
+    the young generations with it before they are counted either, so a
+    process that opens a thousand sessions sees few full collections and
+    carries their garbage (+30 MB at this suite's peak).  A full collection
+    every hundred tests, a dozen in all, keeps the peak where it was.
+    """
+    yield
+    gc.unfreeze()
+    if next(_tests_run) % 100 == 0:
+        gc.collect()
 
 
 @pytest.fixture

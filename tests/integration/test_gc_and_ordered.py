@@ -51,6 +51,51 @@ class TestGCUnderLoad:
         assert session.store.memory_items() < before
 
 
+    def test_tombstones_and_deletion_log_stay_flat_over_500_windows(self):
+        """With reclamation on, what a long stream retains is one window's
+        deletions: neither the store nor its deletion log grows."""
+        import random
+
+        rng = random.Random(4)
+        window, n = 4, 14
+        absent = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        rng.shuffle(absent)
+        present = []
+        updates = []
+        for _ in range(500 * window):
+            if present and (not absent or rng.random() < 0.5):
+                edge = present.pop(rng.randrange(len(present)))
+                absent.insert(rng.randrange(len(absent) + 1), edge)
+                updates.append(Update.delete_edge(*edge))
+            else:
+                edge = absent.pop()
+                present.append(edge)
+                updates.append(Update.add_edge(*edge))
+
+        def run(gc_enabled):
+            session = StreamingSession(
+                CliqueMining(3, min_size=3), window_size=window, gc_enabled=gc_enabled
+            )
+            retained = []
+            for i in range(0, len(updates), window):
+                session.process(updates[i : i + window])
+                store = session.store
+                retained.append((store.tombstone_count(), len(store._deleted)))
+            session.close()
+            return session, retained
+
+        on, retained = run(True)
+        off, unreclaimed = run(False)
+        assert on.ingress.windows_applied >= 500  # a delete-then-add is split
+        # a closing window reclaims up to the one before it
+        assert max(tombstones for tombstones, _ in retained) <= 2 * window
+        assert max(logged for _, logged in retained) <= 2 * window
+        tombstones, logged = unreclaimed[-1]
+        assert tombstones == logged > 500
+        assert on.ingress.gc_reclaimed >= tombstones - 2 * window
+        assert on.deltas() == off.deltas()
+
+
 class TestOrderedOutputIntegration:
     def test_fsm_sees_timestamps_in_order_despite_windowing(self):
         g = erdos_renyi(12, 26, seed=31)

@@ -129,3 +129,51 @@ def naive_mni_support(
     if not images:
         return 0
     return min(len(s) for s in images.values())
+
+
+def reference_reclaim(store, horizon):
+    """The whole-store ``reclaim`` scan :class:`~repro.store.mvstore.\
+    BaseRecordStore` ran before it kept a deletion log, as the oracle.
+
+    ``store`` is an in-process record store (for the ``remote`` and
+    ``net`` kinds, the store behind the client).  Every record and every
+    neighbour is read.  One change from the code that was deleted:
+    records are visited in vertex order, so an edge's lower endpoint comes
+    first; the scan counted a version at its lower endpoint only, and
+    where both endpoints hold one version list (a restored checkpoint)
+    visiting the higher one first emptied the list and the version went
+    uncounted.
+    """
+    from repro.store.api import ReclaimStats
+
+    stats = ReclaimStats(horizon=horizon)
+    for u, record in sorted(store.iter_records()):
+        empty_neighbors = []
+        for v, versions in record.edges.items():
+            dead = [
+                iv
+                for iv in versions
+                if iv.deleted_ts is not None and iv.deleted_ts <= horizon
+            ]
+            if dead:
+                key = (u, v) if u < v else (v, u)
+                if store._delta_enabled:
+                    for iv in dead:
+                        stats.index_pruned += store._delta.discard(iv.added_ts, key)
+                        stats.index_pruned += store._delta.discard(iv.deleted_ts, key)
+                if u < v:
+                    stats.reclaimed += len(dead)
+                    shard = store.shards.shard_of(u)
+                    stats.per_shard[shard] = stats.per_shard.get(shard, 0) + len(dead)
+                versions[:] = [
+                    iv
+                    for iv in versions
+                    if iv.deleted_ts is None or iv.deleted_ts > horizon
+                ]
+            if not versions:
+                empty_neighbors.append(v)
+        for v in empty_neighbors:
+            del record.edges[v]
+    if store._cache.enabled:
+        stats.cache_invalidated = store._cache.invalidate_through(horizon)
+    return stats

@@ -55,3 +55,25 @@ class TestNetPipelineCoverage:
         leaves = dict(check_trajectory.time_leaves(doc))
         assert "net_pipeline.blocking_fetch_total_s" in leaves
         assert "net_pipeline.pipelined_fetch_total_s" in leaves
+
+
+class TestReclamationBar:
+    """``sec656_gc`` has an absolute bar: its first measurement has no
+    predecessor for the pairwise comparison to hold it to."""
+
+    LEAF = "sec656_gc.on_s/raw"
+
+    def test_the_pair_is_read_as_a_ratio_to_the_run_with_gc_off(self):
+        doc = {"sec656_gc": {"raw_s": 2.0, "on_s": 2.1, "on_range": [2.0, 2.3]}}
+        assert dict(check_trajectory.time_leaves(doc)) == {self.LEAF: 1.05}
+
+    def test_slower_than_nine_tenths_of_the_throughput_is_over_the_bar(self):
+        assert check_trajectory.over_ceiling({self.LEAF: 1.05}) == []
+        assert check_trajectory.over_ceiling({}) == []
+        ((key, value, ceiling),) = check_trajectory.over_ceiling({self.LEAF: 1.2})
+        assert (key, value) == (self.LEAF, 1.2) and 1.11 < ceiling < 1.12
+
+    def test_current_bench_file_is_under_the_bar(self):
+        leaves = check_trajectory.load_leaves(REPO / "BENCH_PR10.json")
+        assert self.LEAF in leaves
+        assert check_trajectory.over_ceiling(leaves) == []

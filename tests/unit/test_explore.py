@@ -190,6 +190,88 @@ class TestMetricsInstrumentation:
         assert metrics.work_units() > 0
 
 
+class TallyingCliques(CliqueMining):
+    """Counts its own verdicts per call, and can die on the n-th ``filter``."""
+
+    def __init__(self, k, die_at=None):
+        super().__init__(k, min_size=3)
+        self.die_at = die_at
+        self.tally = [0, 0, 0, 0]  # filter calls / rejected, match calls / rejected
+
+    def filter(self, s):
+        if self.tally[0] + 1 == self.die_at:
+            raise RuntimeError("filter died")
+        keep = super().filter(s)
+        self.tally[0] += 1
+        self.tally[1] += not keep
+        return keep
+
+    def match(self, s):
+        matched = super().match(s)
+        self.tally[2] += 1
+        self.tally[3] += not matched
+        return matched
+
+
+class TestVerdictsReachTheProfile:
+    """Verdicts are counted in the explorer and handed over per update."""
+
+    @staticmethod
+    def store_and_updates():
+        g = erdos_renyi(12, 40, seed=5)
+        edges = sorted(g.edges())
+        store = MultiVersionStore()
+        for u, v in edges[:-2]:
+            store.add_edge(u, v, ts=1)
+        for u, v in edges[-2:]:
+            store.add_edge(u, v, ts=2)
+        return store, [EdgeUpdate(u, v, added=True) for u, v in edges[-2:]]
+
+    @staticmethod
+    def verdicts(record):
+        return [
+            record.filter_calls,
+            record.filter_rejected,
+            record.match_calls,
+            record.match_rejected,
+        ]
+
+    def test_each_record_holds_its_own_update_s_verdicts(self):
+        from repro.telemetry import ExplorationProfile
+
+        store, updates = self.store_and_updates()
+        profile = ExplorationProfile()
+        algorithm = TallyingCliques(4)
+        explorer = Explorer(algorithm, profile=profile)
+        view = ExplorationView(store, 2)
+        for update in updates:
+            before = list(algorithm.tally)
+            explorer.explore_update(view, update)
+            record = profile.update_records()[(2, update.u, update.v, True)]
+            want = [now - was for now, was in zip(algorithm.tally, before)]
+            assert self.verdicts(record) == want
+            assert want[0] > 2 and want[2] > 0
+
+    def test_a_task_that_raised_mid_tree_keeps_what_it_counted(self):
+        from repro.telemetry import ExplorationProfile
+
+        store, (first, second) = self.store_and_updates()
+        profile = ExplorationProfile()
+        algorithm = TallyingCliques(4, die_at=5)
+        explorer = Explorer(algorithm, profile=profile)
+        view = ExplorationView(store, 2)
+        with pytest.raises(RuntimeError):
+            explorer.explore_update(view, first)
+        died_with = list(algorithm.tally)
+        assert died_with[0] == 4
+        algorithm.die_at = None
+        explorer.explore_update(view, second)
+        records = profile.update_records()
+        assert self.verdicts(records[(2, first.u, first.v, True)]) == died_with
+        want = [now - was for now, was in zip(algorithm.tally, died_with)]
+        assert self.verdicts(records[(2, second.u, second.v, True)]) == want
+
+
 class TestEdgeInducedMode:
     class AllSubgraphs(MiningAlgorithm):
         induced = EdgeInduced

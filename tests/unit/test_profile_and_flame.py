@@ -60,13 +60,22 @@ class TestExplorationProfile:
         for _ in range(3):
             single.expansion()
             single.node(3)
+        for verdict in (True, False, False):
+            single.filter_call(verdict)
+            single.match_call(not verdict)
         batched.attempt(5)
         batched.expansion(3)
         batched.node(3, 3)
+        batched.filter_call(True, 1)
+        batched.filter_call(False, 2)
+        batched.match_call(True, 2)
+        batched.match_call(False, 1)
         assert batched.to_dict() == single.to_dict()
         NULL_PROFILE.attempt(5)
         NULL_PROFILE.expansion(3)
         NULL_PROFILE.node(3, 3)
+        NULL_PROFILE.filter_call(False, 2)
+        NULL_PROFILE.match_call(True, 2)
 
     def test_begin_update_reuses_record_for_same_key(self):
         p = ExplorationProfile()
