@@ -1,20 +1,22 @@
 """``NetStoreClient``: the full ``GraphStore`` protocol over real sockets.
 
-This is :class:`~repro.store.remote.RemoteStoreClient` with the simulation
-removed: the fetch boundary is identical — whole vertex records cross it,
-every read is computed worker-side from the fetched copy, edge writes
-are written through to the held copies — but the fetch is an actual RPC to
-a :class:`~repro.net.server.StoreServer` instead of an in-process method
-call.  Because engines, GC, and checkpointing only ever see the
+The held copies, the read path, the write-through rule and the
+:class:`~repro.store.remote.FetchLog` charging are
+:class:`~repro.store.remote.CachedRecordClient`'s, shared with the
+in-process :class:`~repro.store.remote.RemoteStoreClient`; this class is
+the RPC transport under them.  A fetch is a ``get_record`` RPC to a
+:class:`~repro.net.server.StoreServer`, a write an exactly-once RPC
+(session, seq), and a window's edge writes ship as ``put_edges`` batches
+followed by one fetch-ahead ``multi_get`` of the endpoints not yet held.
+Because engines, GC, and checkpointing only ever see the
 :class:`~repro.store.api.GraphStore` protocol, mining output over this
-client is byte-identical to the in-process stores (the acceptance
-invariant of the networking PR).
+client is byte-identical to the in-process stores.
 
 Accounting runs double-entry:
 
-* :attr:`log` is the same :class:`~repro.store.remote.FetchLog`, charged
-  by the same rules as the simulated client (one fetch per first record
-  touch, ``max(entries, 1)`` bytes-proxy, modeled latency) so cost
+* :attr:`log` is the base class's :class:`~repro.store.remote.FetchLog`
+  (one fetch per first record touch, ``max(entries, 1)`` bytes-proxy,
+  modeled latency; a ``multi_get`` chunk shares one round trip), so cost
   analyses and ``repro_store_*`` gauges stay comparable across clients;
 * :attr:`net_log` is the wire truth (RPC count, retries, deadline hits,
   real bytes on the socket) from the underlying RPC client, surfaced as
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from functools import partial
 from itertools import islice
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -53,24 +56,12 @@ from repro.net.wire import (
     encode_record,
     split_address,
 )
-from repro.store.api import GraphStore, ReclaimStats
-from repro.store.mvstore import (
-    MultiVersionStore,
-    VertexRecord,
-    apply_edge_write,
-    neighbor_states,
-)
-from repro.store.remote import FetchCosts, FetchLog
+from repro.store.api import ReclaimStats
+from repro.store.mvstore import MultiVersionStore, VertexRecord
+from repro.store.remote import CachedRecordClient, FetchCosts
 from repro.store.shard import AccessStats, ShardMap
 from repro.telemetry import Telemetry, ensure
-from repro.types import (
-    EdgeKey,
-    EdgeUpdate,
-    Label,
-    Timestamp,
-    VertexId,
-    normalize_direction,
-)
+from repro.types import EdgeKey, EdgeUpdate, Label, Timestamp, VertexId
 
 #: default records per multi_get RPC when scanning (iter_records, prefetch);
 #: override per client with ``NetStoreClient(batch_size=...)`` or end to end
@@ -83,18 +74,12 @@ FETCH_AHEAD = 4
 Address = Union[str, Tuple[str, int]]
 
 
-class NetStoreClient(GraphStore):
+class NetStoreClient(CachedRecordClient):
     """Worker-side store client speaking framed RPC over TCP.
 
-    The cache is soft state exactly as in the simulated client: it can be
-    dropped at any time (worker restart, reclaim) without correctness
-    impact, because every entry is a private deep copy of a server record.
-
-    Coherence is **write-through, single writer**: an acknowledged edge
-    write is applied to the held copies of its endpoints, and a window's
-    endpoints not yet held arrive in one batched ``multi_get``; a failed
-    write or a patch that does not fit drops the copy instead.  A copy is
-    never refreshed for another client's write — one writer per server.
+    Every record it holds was decoded from a server reply, so each is a
+    private copy; a window's endpoints not yet held arrive in one batched
+    ``multi_get`` right after its writes.
     """
 
     kind = "net"
@@ -116,13 +101,10 @@ class NetStoreClient(GraphStore):
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        self.costs = costs
-        self.cache_capacity = cache_capacity
+        super().__init__(costs, cache_capacity)
         self.batch_size = batch_size
-        self.log = FetchLog()
         self.telemetry = ensure(telemetry)
         self._lock = threading.Lock()
-        self._cache: Dict[VertexId, VertexRecord] = {}
         self._updated_memo: Optional[Tuple[Timestamp, Dict[EdgeKey, bool]]] = None
         self._server: Optional[StoreServer] = None
         load_graph = None
@@ -195,51 +177,11 @@ class NetStoreClient(GraphStore):
     def address(self) -> Tuple[str, int]:
         return (self._rpc.host, self._rpc.port)
 
-    # -- the fetch boundary ------------------------------------------------
+    # -- reads over the wire -----------------------------------------------
 
-    def _fetch(self, v: VertexId) -> VertexRecord:
-        """First touch fetches the whole record over the wire and caches it.
-
-        Charging mirrors :meth:`RemoteStoreClient._fetch` field for field,
-        which is what keeps the two clients' ``FetchLog`` reconcilable.
-        """
-        cached = self._cache.get(v)
-        if cached is not None:
-            self.log.hits += 1
-            return cached
-        self.log.misses += 1
+    def get_record(self, v: VertexId) -> Optional[VertexRecord]:
         reply = self._rpc.call("get_record", {"v": v}, binary=self._binary)
-        # a missing vertex reads as empty
-        record = self._record_from(v, reply) or VertexRecord()
-        entries = self._hold(v, record)
-        self.log.simulated_seconds += (
-            self.costs.round_trip + entries * self.costs.per_edge
-        )
-        return record
-
-    def _hold(self, v: VertexId, record: VertexRecord) -> int:
-        """Charge one shipped record and cache it, FIFO-evicting at capacity.
-
-        Returns its entry count: the caller charges the latency, one round
-        trip per single fetch or per ``multi_get`` chunk.
-        """
-        entries = sum(map(len, record.edges.values()))
-        self.log.fetches += 1
-        self.log.records_bytes_proxy += max(entries, 1)
-        shard = self.shards.shard_of(v)
-        self.log.per_shard[shard] = self.log.per_shard.get(shard, 0) + 1
-        if (
-            self.cache_capacity is not None
-            and len(self._cache) >= self.cache_capacity
-        ):
-            self._cache.pop(next(iter(self._cache)))  # FIFO eviction
-        self._cache[v] = record
-        return entries
-
-    @staticmethod
-    def _record_from(v: VertexId, reply: Any) -> Optional[VertexRecord]:
-        """A single-record reply in either wire form (binary map or JSON)."""
-        if isinstance(reply, RecordsPayload):
+        if isinstance(reply, RecordsPayload):  # binary: a one-record map
             return reply.records.get(v)
         return decode_record(reply)
 
@@ -317,38 +259,6 @@ class NetStoreClient(GraphStore):
             )
         return len(missing)
 
-    def drop_cache(self) -> None:
-        """Simulate a worker restart: soft state vanishes."""
-        self._cache.clear()
-
-    def _invalidate(self, *vertices: VertexId) -> None:
-        for v in vertices:
-            self._cache.pop(v, None)
-
-    def _edge_write(self, op: str, args: dict, edges, encoder=None) -> None:
-        """An edge write RPC, written through to the held endpoint copies.
-
-        ``edges`` lists ``(u, v, added[, label, direction])`` per update
-        carried.  Acknowledged, each is patched into the copies held of
-        ``u`` and ``v``; a copy the patch does not fit is dropped.  If the
-        RPC raises (retries exhausted, a chunk rejected part way) what the
-        server applied is unknown and every endpoint's copy is dropped:
-        the fallback is a refetch on next touch, never a guess.
-        """
-        try:
-            self._write(op, args, encoder=encoder)
-        except BaseException:
-            self._invalidate(*(x for edge in edges for x in edge[:2]))
-            raise
-        ts = args["ts"]
-        for u, v, *patch in edges:
-            for a, b in ((u, v), (v, u)):
-                held = self._cache.get(a)
-                if held is not None and not apply_edge_write(
-                    held.edges, b, ts, *patch
-                ):
-                    del self._cache[a]
-
     # -- write path (RPCs tagged for exactly-once retries) -----------------
 
     def _write(self, op: str, args: dict, encoder=None) -> None:
@@ -375,87 +285,65 @@ class NetStoreClient(GraphStore):
             args["updates"] = [encode_edge_update(upd) for upd in args["updates"]]
             return encode_payload({**message, "args": args}), 0
 
-    def apply_edge_updates(
-        self, ts: Timestamp, updates: Iterable[EdgeUpdate]
-    ) -> None:
-        """Coalesce one window's updates into ``put_edges`` round trips.
-
-        Instead of one exactly-once RPC per edge update (the inherited
-        loop, still used against servers without the feature), the window
-        ships as :meth:`_chunks`-bounded ``put_edges`` batches — each with
-        its own ``seq``, so a retried batch replays from the dedup window
-        rather than re-applying — applied by the server in list order at
-        the shared ``ts``, exactly as the per-op loop would have.  EXPLORE
-        reads every endpoint next: those not held yet are then filled by
-        one pipelined ``multi_get`` instead of a blocking fetch each.
-        """
-        updates = list(updates)
-        if not updates:
-            return
-        if not self._binary:
-            # pre-put_edges server: fall back to the per-update protocol
-            super().apply_edge_updates(ts, updates)
-            return
-        for chunk in self._chunks(updates):
-            self._edge_write(
-                "put_edges",
-                {"ts": ts, "updates": chunk},
-                [(e.u, e.v, e.added, e.label, e.direction) for e in chunk],
-                encoder=self._edges_encoder,
-            )
-        self.prefetch([v for upd in updates for v in (upd.u, upd.v)])
-
-    def add_edge(
+    def _send_edge(
         self,
         u: VertexId,
         v: VertexId,
         ts: Timestamp,
+        added: bool,
         label: Label = None,
         direction: Optional[str] = None,
     ) -> None:
-        args = {"u": u, "v": v, "ts": ts, "label": label, "direction": direction}
-        patch = (u, v, True, label, normalize_direction(u, v, direction))
-        self._edge_write("add_edge", args, [patch])
+        if added:
+            args = {"u": u, "v": v, "ts": ts, "label": label, "direction": direction}
+            self._write("add_edge", args)
+        else:
+            self._write("delete_edge", {"u": u, "v": v, "ts": ts})
 
-    def delete_edge(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
-        self._edge_write("delete_edge", {"u": u, "v": v, "ts": ts}, [(u, v, False)])
+    def _send_edge_updates(self, ts: Timestamp, updates: List[EdgeUpdate]) -> None:
+        """Coalesce one window's updates into ``put_edges`` round trips.
 
-    def set_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
+        Instead of one exactly-once RPC per edge update (still used against
+        servers without the feature), the window ships as
+        :meth:`_chunks`-bounded ``put_edges`` batches — each with its own
+        ``seq``, so a retried batch replays from the dedup window rather
+        than re-applying — applied by the server in list order at the
+        shared ``ts``, exactly as the per-op loop would have.
+        """
+        if not self._binary:
+            for upd in updates:
+                self._send_edge(upd.u, upd.v, ts, upd.added, upd.label, upd.direction)
+            return
+        for chunk in self._chunks(updates):
+            self._write(
+                "put_edges", {"ts": ts, "updates": chunk}, encoder=self._edges_encoder
+            )
+
+    def apply_edge_updates(
+        self, ts: Timestamp, updates: Iterable[EdgeUpdate]
+    ) -> None:
+        """Write the window through, then fill its endpoints: EXPLORE reads
+        every one next, and those not held yet arrive by one pipelined
+        ``multi_get`` instead of a blocking fetch each."""
+        updates = list(updates)
+        super().apply_edge_updates(ts, updates)
+        self.prefetch([v for upd in updates for v in (upd.u, upd.v)])
+
+    def _send_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
         self._write("set_vertex_label", {"v": v, "ts": ts, "label": label})
-        self._invalidate(v)
+
+    def _send_record(self, v: VertexId, record: VertexRecord) -> None:
+        self._write("put_record", {"v": v, "record": encode_record(record)})
 
     def ensure_vertex(self, v: VertexId) -> None:
         self._write("ensure_vertex", {"v": v})
 
-    # -- read path (computed from fetched records) -------------------------
+    def set_latest_timestamp(self, ts: Timestamp) -> None:
+        self._write("set_latest_ts", {"ts": ts})
+        with self._lock:
+            self._latest = ts
 
-    def neighbor_states_at(
-        self, v: VertexId, ts: Timestamp
-    ) -> Dict[VertexId, Tuple[bool, bool]]:
-        return neighbor_states(self._fetch(v).edges, ts)
-
-    def edge_alive_at(self, u: VertexId, v: VertexId, ts: Timestamp) -> bool:
-        return any(iv.alive_at(ts) for iv in self._fetch(u).edges.get(v, ()))
-
-    def edge_updated_at(self, u: VertexId, v: VertexId, ts: Timestamp) -> bool:
-        return any(iv.updated_at(ts) for iv in self._fetch(u).edges.get(v, ()))
-
-    def edge_label_at(self, u: VertexId, v: VertexId, ts: Timestamp) -> Label:
-        for iv in self._fetch(u).edges.get(v, ()):
-            if iv.alive_at(ts):
-                return iv.label
-        return None
-
-    def edge_direction_at(
-        self, u: VertexId, v: VertexId, ts: Timestamp
-    ) -> Optional[str]:
-        for iv in self._fetch(u).edges.get(v, ()):
-            if iv.alive_at(ts):
-                return iv.direction
-        return None
-
-    def vertex_label_at(self, v: VertexId, ts: Timestamp) -> Label:
-        return self._fetch(v).label_at(ts)
+    # -- the rest of the protocol, one RPC each ----------------------------
 
     def has_vertex(self, v: VertexId) -> bool:
         return bool(self._rpc.call("has_vertex", {"v": v}))
@@ -481,11 +369,6 @@ class NetStoreClient(GraphStore):
             self._updated_memo = (ts, keys)
         return keys
 
-    # -- record transfer ---------------------------------------------------
-
-    def get_record(self, v: VertexId):
-        return decode_record(self._rpc.call("get_record", {"v": v}))
-
     def iter_records(self) -> Iterator[Tuple[VertexId, VertexRecord]]:
         vs = self._rpc.call("list_vertices", {})
         for chunk, reply in self._multi_get_stream(vs):
@@ -493,23 +376,8 @@ class NetStoreClient(GraphStore):
                 if record is not None:
                     yield v, record
 
-    def put_record(self, v: VertexId, record) -> None:
-        self._write("put_record", {"v": v, "record": encode_record(record)})
-        self._invalidate(v)
-
-    def set_latest_timestamp(self, ts: Timestamp) -> None:
-        self._write("set_latest_ts", {"ts": ts})
-        with self._lock:
-            self._latest = ts
-
-    # -- maintenance -------------------------------------------------------
-
-    def reclaim(self, horizon: Timestamp) -> ReclaimStats:
-        """GC the server store; cached copies may hold reclaimed versions,
-        so the client cache is dropped wholesale (as in the simulated
-        client)."""
+    def _send_reclaim(self, horizon: Timestamp) -> ReclaimStats:
         stats = decode_reclaim_stats(self._rpc.call("reclaim", {"horizon": horizon}))
-        self.drop_cache()
         with self._lock:
             self._updated_memo = None
         return stats
@@ -519,10 +387,9 @@ class NetStoreClient(GraphStore):
         with self._lock:
             self._latest = max(self._latest, decode_timestamp(result["latest_ts"]))
 
-    def store_stats(self) -> Dict[str, object]:
+    def _backing_stats(self) -> Dict[str, object]:
+        """The server's ``store_stats`` and this client's wire truth."""
         stats: Dict[str, object] = dict(self._rpc.call("store_stats", {}))
-        stats["kind"] = self.kind
-        stats.update(self.log.stats(len(self._cache)))
         net = self.net_log
         stats["net_rpcs"] = net.rpcs
         stats["net_retries"] = net.retries
@@ -542,35 +409,13 @@ class NetStoreClient(GraphStore):
     def __reduce__(self):
         # workers get a fresh client to the same server: sockets and the
         # embedded server (if any) stay with the parent process
-        return (
-            _reconnect,
-            (
-                self.address,
-                self.costs,
-                self.cache_capacity,
-                self._rpc.deadline,
-                self._rpc.retry,
-                self._rpc.pool_size,
-                self.batch_size,
-            ),
+        reconnect = partial(
+            NetStoreClient,
+            costs=self.costs,
+            cache_capacity=self.cache_capacity,
+            deadline=self._rpc.deadline,
+            retry=self._rpc.retry,
+            pool_size=self._rpc.pool_size,
+            batch_size=self.batch_size,
         )
-
-
-def _reconnect(
-    address: Tuple[str, int],
-    costs: FetchCosts,
-    cache_capacity: Optional[int],
-    deadline: float,
-    retry: RetryPolicy,
-    pool_size: int,
-    batch_size: int = BATCH_SIZE,
-) -> NetStoreClient:
-    return NetStoreClient(
-        address,
-        costs=costs,
-        cache_capacity=cache_capacity,
-        deadline=deadline,
-        retry=retry,
-        pool_size=pool_size,
-        batch_size=batch_size,
-    )
+        return reconnect, (self.address,)

@@ -633,22 +633,19 @@ class StoreServer:
         Updates arrive either as binary-decoded
         :class:`~repro.types.EdgeUpdate` objects or as the JSON quint
         lists of :func:`~repro.net.wire.encode_edge_update`; they apply
-        in payload order, exactly as the per-op loop would have.
+        in payload order through the store's ``apply_edge_updates``, as an
+        in-process client's window does.
         """
         updates = args["updates"]
         if len(updates) > self.max_batch:
             raise ValueError(
                 f"put_edges batch of {len(updates)} exceeds limit {self.max_batch}"
             )
-        ts = args["ts"]
-        for item in updates:
-            upd = item if isinstance(item, EdgeUpdate) else decode_edge_update(item)
-            if upd.added:
-                self.store.add_edge(
-                    upd.u, upd.v, ts, label=upd.label, direction=upd.direction
-                )
-            else:
-                self.store.delete_edge(upd.u, upd.v, ts)
+        decoded = [
+            item if isinstance(item, EdgeUpdate) else decode_edge_update(item)
+            for item in updates
+        ]
+        self.store.apply_edge_updates(args["ts"], decoded)
 
     def _op_window_completed(self, args: dict) -> dict:
         self.store.window_completed(args["ts"])

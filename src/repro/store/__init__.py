@@ -2,7 +2,7 @@
 
 Every store kind implements the :class:`~repro.store.api.GraphStore`
 protocol; construct one by name with :func:`~repro.store.api.make_store`
-(``"mv"``, ``"sharded"``, or ``"remote"``).
+(``"mv"``, ``"sharded"``, ``"remote"`` or ``"net"``).
 """
 
 from repro.store.api import GraphStore, ReclaimStats, STORE_NAMES, make_store

@@ -315,8 +315,10 @@ def make_store(
 ) -> GraphStore:
     """Construct a store by registry name (see :data:`STORE_NAMES`).
 
-    ``graph`` bulk-loads an initial snapshot at timestamp ``ts``.  The
-    ``remote`` kind wraps a flat in-process store behind a
+    ``graph`` bulk-loads an initial snapshot at timestamp ``ts``.
+    ``cache_size`` is the neighbor-cache capacity of ``mv``/``sharded``
+    and the held-copy capacity of the two clients.  The ``remote`` kind
+    wraps a flat in-process store behind a
     :class:`~repro.store.remote.RemoteStoreClient` fetch boundary, with
     ``fetch_costs`` as its simulated latency model.  The ``net`` kind
     reads and writes over real TCP: with ``addr`` (``"host:port"``) it
@@ -336,20 +338,22 @@ def make_store(
         raise ValueError(
             f"batch_size= only applies to the 'net' store, not {kind!r}"
         )
-    kwargs = {"num_shards": num_shards}
-    if cache_size is not None:
-        kwargs["cache_size"] = cache_size
-    if kind == "mv":
-        cls = MultiVersionStore
-    elif kind == "sharded":
-        cls = ShardedStore
-    elif kind == "net":
+    if kind in ("remote", "net"):
+        from repro.store.remote import FetchCosts, RemoteStoreClient
+
+        costs = fetch_costs if fetch_costs is not None else FetchCosts()
+        if kind == "remote":
+            inner = (
+                MultiVersionStore.from_adjacency(graph, ts=ts, num_shards=num_shards)
+                if graph is not None
+                else MultiVersionStore(num_shards=num_shards)
+            )
+            return RemoteStoreClient(inner, costs=costs, cache_capacity=cache_size)
         from repro.net.client import BATCH_SIZE, NetStoreClient
-        from repro.store.remote import FetchCosts
 
         return NetStoreClient(
             addr,
-            costs=fetch_costs if fetch_costs is not None else FetchCosts(),
+            costs=costs,
             cache_capacity=cache_size,
             batch_size=batch_size if batch_size is not None else BATCH_SIZE,
             num_shards=num_shards,
@@ -357,17 +361,13 @@ def make_store(
             ts=ts,
             telemetry=telemetry,
         )
-    elif kind == "remote":
-        from repro.store.remote import FetchCosts, RemoteStoreClient
-
-        inner = (
-            MultiVersionStore.from_adjacency(graph, ts=ts, **kwargs)
-            if graph is not None
-            else MultiVersionStore(**kwargs)
-        )
-        return RemoteStoreClient(
-            inner, costs=fetch_costs if fetch_costs is not None else FetchCosts()
-        )
+    kwargs = {"num_shards": num_shards}
+    if cache_size is not None:
+        kwargs["cache_size"] = cache_size
+    if kind == "mv":
+        cls = MultiVersionStore
+    elif kind == "sharded":
+        cls = ShardedStore
     else:
         raise ValueError(
             f"unknown store {kind!r}; expected one of {', '.join(STORE_NAMES)}"

@@ -158,6 +158,23 @@ def apply_edge_write(
     return True
 
 
+def copy_record(record: Optional[VertexRecord]) -> Optional[VertexRecord]:
+    """A copy of ``record`` sharing no list or interval with it, for a
+    client to hold and patch with :func:`apply_edge_write`."""
+    if record is None:
+        return None
+    return VertexRecord(
+        list(record.label_history),
+        {
+            nbr: [
+                EdgeInterval(iv.added_ts, iv.deleted_ts, iv.label, iv.direction)
+                for iv in versions
+            ]
+            for nbr, versions in record.edges.items()
+        },
+    )
+
+
 class BaseRecordStore(GraphStore):
     """Protocol implementation over an abstract vertex-record map.
 

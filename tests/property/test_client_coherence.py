@@ -22,11 +22,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.apps import CliqueMining
+from repro.errors import InvalidUpdateError
 from repro.net import NetStoreClient
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore, VertexRecord
 from repro.store.remote import RemoteStoreClient
-from repro.types import Update
+from repro.types import EdgeUpdate, Update
 
 SETTINGS = settings(
     max_examples=15,
@@ -68,7 +69,7 @@ def make_client(kind: str, cache_capacity):
 def held_copies(client):
     """``(vertex, adjacency)`` of every record copy the client holds."""
     for v, held in client._cache.items():
-        yield v, (held.edges if isinstance(held, VertexRecord) else held)
+        yield v, held.edges
 
 
 def assert_coherent(client):
@@ -161,3 +162,45 @@ class TestHeldCopiesEqualRefetch:
         assert mined == run_stream("mv", batches, 4, False)
         assert min(checked) >= 3  # 0, 1, 2 were held throughout, never dropped
         assert len(versions) == 3 and all(iv.deleted_ts for iv in versions)
+
+    def test_rejected_write_leaves_held_copies_coherent(self, kind):
+        """A write the store rejects drops its endpoints' copies: what the
+        store applied is not the client's to guess.  In the window form
+        the updates before the rejected one did apply."""
+        client = make_client(kind, None)
+        try:
+            for u, v in [(0, 1), (1, 2), (3, 4)]:
+                client.add_edge(u, v, 1)
+            for v in range(5):
+                client.neighbor_states_at(v, 1)
+            with pytest.raises(InvalidUpdateError):
+                client.add_edge(1, 0, 2)  # already alive
+            assert assert_coherent(client) == 3  # 0 and 1 dropped
+            for v in range(5):
+                client.neighbor_states_at(v, 2)
+            window = [EdgeUpdate(0, 2, added=True), EdgeUpdate(3, 4, added=True)]
+            with pytest.raises(InvalidUpdateError):
+                client.apply_edge_updates(3, window)
+            assert assert_coherent(client) == 1  # every endpoint dropped
+            assert client.edge_alive_at(2, 0, 3)  # the first update applied
+        finally:
+            client.close()
+
+
+def test_remote_held_copy_shares_no_version_list():
+    """A held copy is the client's own: patching it never reaches the
+    backing store's record, and the store's writes never reach it."""
+    inner = MultiVersionStore()
+    client = RemoteStoreClient(inner)
+    client.add_edge(0, 1, 1, label="a")
+    for v in (0, 1):
+        client.neighbor_states_at(v, 1)
+    client.add_edge(0, 2, 2)  # written through to 0's copy
+    client.delete_edge(0, 1, 3)  # tombstoned in both copies
+    for v in (0, 1):
+        held, stored = client._cache[v], inner.get_record(v)
+        assert held == stored
+        assert held.label_history is not stored.label_history
+        for u, versions in stored.edges.items():
+            assert held.edges[u] is not versions
+            assert not any(a is b for a, b in zip(held.edges[u], versions))

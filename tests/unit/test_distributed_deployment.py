@@ -7,6 +7,7 @@ from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.generators import erdos_renyi, shuffled_edges
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
@@ -118,3 +119,58 @@ class TestAgreementWithTraceReplay:
             for m in (1, 4)
         }
         assert (replay[4] < replay[1]) == (executed[4] < executed[1])
+
+
+#: every window's (makespan, per-worker busy seconds, per-machine fetches,
+#: per-machine simulated fetch seconds) on ``golden_stream()``: a change to
+#: how a client fetches, holds or charges a record moves them
+GOLDEN_WINDOWS = [
+    (0.0006624000000000002, (0.00046560000000000015, 0.0006614000000000001, 0.0005664, 0.0005808), ((0, 10), (1, 10)), (0.0010030000000000002, 0.0010031999999999999)),
+    (0.0007109999999999998, (0.0006663000000000001, 0.0006397000000000001, 0.0007089999999999998, 0.0006911000000000004), ((0, 20), (1, 20)), (0.0020090000000000004, 0.0020098)),
+    (0.0008633999999999998, (0.0007972999999999998, 0.0008623999999999999, 0.0008012000000000001, 0.0007981999999999997), ((0, 32), (1, 31)), (0.0032182, 0.0031182)),
+    (0.0010591000000000008, (0.0009466000000000009, 0.0007679000000000002, 0.0008787, 0.0010561000000000008), ((0, 41), (1, 43)), (0.004127200000000001, 0.0043300000000000005)),
+    (0.0017768000000000007, (0.0013225000000000008, 0.0010923000000000003, 0.0017748000000000006, 0.0011736000000000003), ((0, 55), (1, 60)), (0.005542000000000002, 0.006049400000000002)),
+    (0.0022704000000000014, (0.0022704000000000014, 0.0017530000000000002, 0.0019437000000000007, 0.0019444000000000002), ((0, 74), (1, 79)), (0.0074684000000000035, 0.007978000000000002)),
+    (0.0021002999999999977, (0.0018115999999999996, 0.001501100000000002, 0.0015799999999999998, 0.0020972999999999977), ((0, 91), (1, 100)), (0.009193600000000005, 0.0101058)),
+    (0.0015432999999999983, (0.0014638000000000016, 0.0008946000000000004, 0.0012064000000000016, 0.0015402999999999984), ((0, 104), (1, 116)), (0.010513000000000007, 0.011729)),
+]
+
+
+def golden_stream():
+    g = erdos_renyi(24, 70, seed=11)
+    edges = list(shuffled_edges(g, seed=3))
+    out = [Update.add_edge(u, v) for u, v in edges]
+    out += [Update.delete_edge(u, v) for u, v in edges[::4]]
+    out += [Update.add_edge(u, v) for u, v in edges[:20:4]]
+    return out
+
+
+@pytest.mark.parametrize("store", ["mv", "remote"])
+def test_cost_model_pinned_window_by_window(store):
+    """The simulated cluster reads only through its per-machine
+    ``RemoteStoreClient``s, so their fetch charging is what ``figure6`` /
+    ``table6`` measure: it must not move, to the last bit, whichever store
+    the session runs on."""
+    spec = ClusterSpec(
+        num_machines=2, workers_per_machine=2, cache_capacity_per_machine=6
+    )
+    session = StreamingSession(
+        CliqueMining(4, min_size=3), "simulated", window_size=12, spec=spec, store=store
+    )
+    seen = []
+    try:
+        updates = golden_stream()
+        for i in range(0, len(updates), 12):
+            session.process(updates[i : i + 12])
+            result = session.backend.last_result
+            seen.append(
+                (
+                    result.makespan_seconds,
+                    tuple(result.per_worker_busy),
+                    tuple(sorted(result.per_machine_fetches.items())),
+                    tuple(c.log.simulated_seconds for c in session.backend.clients),
+                )
+            )
+    finally:
+        session.close()
+    assert seen == GOLDEN_WINDOWS

@@ -294,19 +294,39 @@ class TestBatchSizePlumbing:
         assert [v for v, _ in client.iter_records()] == list(range(6))
         assert client.net_log.per_op["multi_get"] == 3
 
-    def test_prefetch_honours_cache_capacity(self):
-        client = make_store("net", cache_size=2)
+    @pytest.mark.parametrize("kind", ["remote", "net"])
+    def test_prefetch_honours_cache_capacity(self, kind):
+        """``cache_size`` caps the held copies of both client kinds (not a
+        backing-store cache the client never reads), FIFO, for single
+        fetches and ``net``'s batched ones alike."""
+        client = make_store(kind, cache_size=2)
         try:
             for v in range(6):
                 client.ensure_vertex(v)
             for v in range(6):
                 client.neighbor_states_at(v, 1)
-            assert len(client._cache) == 2
+            assert list(client._cache) == [4, 5]  # FIFO
             client.drop_cache()
-            assert client.prefetch(list(range(6))) == 6
-            assert list(client._cache) == [4, 5]  # FIFO, as for single fetches
+            if kind == "net":
+                assert client.prefetch(list(range(6))) == 6
+            else:
+                for v in range(6):
+                    client.neighbor_states_at(v, 1)
+            assert list(client._cache) == [4, 5]
             assert client.log.fetches == 12
             assert sum(client.log.per_shard.values()) == 12
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("kind", ["remote", "net"])
+    def test_cache_size_zero_holds_nothing(self, kind):
+        client = make_store(kind, cache_size=0)
+        try:
+            client.add_edge(1, 2, 1)
+            assert client.neighbors_at(1, 1) == [2]
+            client.add_edge(1, 3, 2)
+            assert client.neighbors_at(1, 2) == [2, 3]
+            assert client._cache == {} and client.log.fetches == 2
         finally:
             client.close()
 
