@@ -17,11 +17,15 @@ is kept cheap: the two :class:`~repro.graph.subgraph.SubgraphView` objects
 are built once per engine over the live vertex list and matrices, re-rooted
 by every update and re-used by every node, expanding and backtracking are
 O(1) row operations, and attempts and expansions are accounted once per
-EXPLORE call.
+EXPLORE call.  What the views resolve from the store follows the store's
+capability facts, read once per update: on a store where no vertex ever had
+a label, an emitted match reads no label.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import List, Optional
 
 from repro.core.api import InducedMode, MiningAlgorithm
@@ -34,11 +38,29 @@ from repro.core.canonicality import (
 from repro.core.metrics import Metrics, Stopwatch
 from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
+from repro.store.api import CAPABILITY_FACTS
 from repro.store.snapshot import ExplorationView
 from repro.types import EdgeUpdate, MatchDelta, MatchStatus, VertexId
 
 #: outcomes of evaluating one subgraph version
 _REJECTED, _KEPT, _MATCHED = range(3)
+
+#: what a store that declares no capability facts answers: every fact True
+_ALL_FACTS = SimpleNamespace(**dict.fromkeys(CAPABILITY_FACTS, True))
+
+
+def _nothing(a: VertexId, b: VertexId) -> None:
+    """The edge-label / direction resolver of a store that holds none."""
+    return None
+
+
+def _resolver(fact: Optional[bool], store_read):
+    """An edge resolver: ``store_read`` while the store may hold a value,
+    :func:`_nothing` once its fact says it holds none, and no resolver at
+    all (``fact`` None) for what the algorithm does not read."""
+    if fact is None:
+        return None
+    return store_read if fact else _nothing
 
 
 class Explorer:
@@ -85,24 +107,23 @@ class Explorer:
         self._verts: List[VertexId] = []
         self._pre = BitMatrix()
         self._post = BitMatrix() if self._vertex_induced else self._pre
-        # Resolvers read ``self._view``: nothing is read from the store
-        # until filter/match (or freeze) asks for it.
-        edge_labels = algorithm.uses_edge_labels
-        directions = algorithm.uses_directions
-        self._s_pre = SubgraphView(
-            self._verts,
-            self._pre,
-            edge_label_fn=self._edge_label_pre if edge_labels else None,
-            direction_fn=self._direction_pre if directions else None,
-            label_fn=self._label_pre,
-        )
-        self._s_post = SubgraphView(
-            self._verts,
-            self._post,
-            edge_label_fn=self._edge_label_post if edge_labels else None,
-            direction_fn=self._direction_post if directions else None,
-            label_fn=self._label_post,
-        )
+        self._s_pre = SubgraphView(self._verts, self._pre)
+        self._s_post = SubgraphView(self._verts, self._post)
+        # The store's capability facts the views depend on: vertex labels
+        # always (``freeze``), edge labels and directions if the algorithm
+        # reads them.  ``explore_update`` reads them once per task and
+        # re-points the resolvers only when they differ from the last task's;
+        # until then every resolver reads the store.
+        facts = ["has_vertex_labels"]
+        if algorithm.uses_edge_labels:
+            facts.append("has_edge_labels")
+        if algorithm.uses_directions:
+            facts.append("has_directions")
+        self._fact_names = tuple(facts)
+        self._read_facts = attrgetter(*facts)
+        self._undeclared = self._read_facts(_ALL_FACTS)
+        self._facts = None
+        self._adopt_facts(self._undeclared)
         # Per-exploration state (reset by explore_update).
         self._view: ExplorationView = None  # type: ignore[assignment]
         self._out: List[MatchDelta] = []
@@ -111,6 +132,30 @@ class Explorer:
         self._verdicts = [0, 0, 0, 0]
 
     # -- store resolvers of the two views ----------------------------------
+
+    def _adopt_facts(self, facts) -> None:
+        """Point each view resolver at the store, or — where the fact says
+        the store holds no such value — at a constant ``None``.
+
+        Resolvers read ``self._view``: nothing is read from the store until
+        filter/match (or freeze) asks for it.
+        """
+        self._facts = facts
+        if len(self._fact_names) == 1:  # attrgetter of one name: a bare value
+            facts = (facts,)
+        has = dict(zip(self._fact_names, facts))
+        for s, (label_fn, edge_label_fn, direction_fn) in (
+            (self._s_pre, (self._label_pre, self._edge_label_pre, self._direction_pre)),
+            (
+                self._s_post,
+                (self._label_post, self._edge_label_post, self._direction_post),
+            ),
+        ):
+            s.resolve_with(
+                label_fn if has["has_vertex_labels"] else None,
+                _resolver(has.get("has_edge_labels"), edge_label_fn),
+                _resolver(has.get("has_directions"), direction_fn),
+            )
 
     def _label_pre(self, v: VertexId):
         return self._view.vertex_label(v, True)
@@ -147,6 +192,12 @@ class Explorer:
         """
         self._view = view
         self._out = []
+        try:
+            facts = self._read_facts(view.store)
+        except AttributeError:  # a store that declares no facts
+            facts = self._undeclared
+        if facts != self._facts:
+            self._adopt_facts(facts)
         if self._profiling:
             self._flush_verdicts()
             self.profile.begin_update(view.ts, update)

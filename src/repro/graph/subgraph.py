@@ -14,8 +14,10 @@ vertex list and bit matrix the explorer mutates.  Every update re-roots it
 the same object (:meth:`SubgraphView.rebind` drops what the previous node
 derived).  Its vertex labels are resolved from the store only when first
 asked for: an algorithm that never looks at a label never costs a label
-read.  Call :meth:`SubgraphView.freeze` to keep a subgraph beyond the call
-it was handed to.
+read, and on a store where no vertex ever had a label the engine gives the
+view no resolver at all, so every label reads ``None`` for free.  Call
+:meth:`SubgraphView.freeze` to keep a subgraph beyond the call it was
+handed to.
 """
 
 from __future__ import annotations
@@ -91,6 +93,19 @@ class SubgraphView:
         if self._label_fn is not None:
             self._labels = None
 
+    def resolve_with(self, label_fn, edge_label_fn, direction_fn) -> None:
+        """Replace the three resolvers, as the constructor takes them.
+
+        The engine calls this when the store's capability facts change:
+        a label-free store gets ``label_fn=None`` (every vertex reads
+        ``None``, at no store cost) in place of the store read.  Labels
+        resolved or given before are dropped.
+        """
+        self._label_fn = label_fn
+        self._edge_label_fn = edge_label_fn
+        self._direction_fn = direction_fn
+        self._labels = None
+
     # -- size / structure --------------------------------------------------
 
     def __len__(self) -> int:
@@ -132,30 +147,28 @@ class SubgraphView:
 
     # -- labels --------------------------------------------------------------
 
-    def _resolved_labels(self) -> Optional[List[Label]]:
+    def _resolved_labels(self) -> List[Label]:
+        """One label per vertex, whatever the source: the list given to the
+        constructor, the resolver (asked once per node), or — with neither —
+        ``None`` for every vertex."""
         labels = self._labels
-        if labels is None and self._label_fn is not None:
+        if labels is None:
+            if self._label_fn is None:
+                return [None] * len(self._vertices)
             labels = self._labels = [self._label_fn(v) for v in self._vertices]
         return labels
 
     def label_of(self, v: VertexId) -> Label:
-        labels = self._resolved_labels()
-        if labels is None:
-            return None
-        return labels[self._slot(v)]
+        return self._resolved_labels()[self._slot(v)]
 
     def labels(self) -> Tuple[Label, ...]:
-        labels = self._resolved_labels()
-        if labels is None:
-            return tuple(None for _ in self._vertices)
-        return tuple(labels)
+        if self._labels is None and self._label_fn is None:
+            return (None,) * len(self._vertices)
+        return tuple(self._resolved_labels())
 
     def count_label(self, label: Label) -> int:
         """Number of vertices carrying ``label`` (Algorithm 1's num_<color>)."""
-        labels = self._resolved_labels()
-        if labels is None:
-            return 0
-        return labels.count(label)
+        return self._resolved_labels().count(label)
 
     # -- edge labels -------------------------------------------------------
 

@@ -30,7 +30,8 @@ while still pushing every record over a real TCP socket.
 
 The client survives pickling (the process backend ships the store to
 workers): sockets and the embedded server stay behind, and the unpickled
-copy redials the same address with a fresh session.
+copy redials the same address with a fresh session — whose ``hello``
+reply also carries the served store's capability facts.
 """
 
 from __future__ import annotations
@@ -139,6 +140,12 @@ class NetStoreClient(CachedRecordClient):
         self._binary = "bin" in self.server_features
         self._pipeline = "pipe" in self.server_features
         self._server_max_batch = int(hello.get("max_batch") or MAX_BATCH)
+        # the served store's capability facts; a server that sends none
+        # (older than the field) may hold anything: all three True
+        facts = hello.get("facts") or {}
+        self._has_vertex_labels = bool(facts.get("has_vertex_labels", True))
+        self._has_edge_labels = bool(facts.get("has_edge_labels", True))
+        self._has_directions = bool(facts.get("has_directions", True))
         self._seq = 0
         self._latest: Timestamp = decode_timestamp(hello["latest_ts"])
         self.shards = ShardMap(hello["num_shards"])

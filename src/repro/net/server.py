@@ -56,7 +56,7 @@ from repro.net.wire import (
     encode_reclaim_stats,
     encode_updated_keys,
 )
-from repro.store.api import GraphStore
+from repro.store.api import GraphStore, capability_facts
 from repro.telemetry import MetricsRegistry, Telemetry, ensure
 from repro.telemetry.bridge import NET_LATENCY_BUCKETS, store_to_registry
 from repro.types import EdgeUpdate
@@ -617,6 +617,7 @@ class StoreServer:
             "latest_ts": self.store.latest_timestamp,
             "max_batch": self.max_batch,
             "features": list(SERVER_FEATURES),
+            "facts": capability_facts(self.store),
         }
 
     def _op_multi_get(self, args: dict) -> RecordsPayload:

@@ -2,10 +2,18 @@
 
 Every store kind implements the :class:`~repro.store.api.GraphStore`
 protocol; construct one by name with :func:`~repro.store.api.make_store`
-(``"mv"``, ``"sharded"``, ``"remote"`` or ``"net"``).
+(``"mv"``, ``"sharded"``, ``"remote"`` or ``"net"``).  Every kind
+also declares the read-only :data:`~repro.store.api.CAPABILITY_FACTS`.
 """
 
-from repro.store.api import GraphStore, ReclaimStats, STORE_NAMES, make_store
+from repro.store.api import (
+    CAPABILITY_FACTS,
+    GraphStore,
+    ReclaimStats,
+    STORE_NAMES,
+    capability_facts,
+    make_store,
+)
 from repro.store.cache import DEFAULT_CACHE_CAPACITY, NeighborCache
 from repro.store.checkpoint import checkpoint_store, restore_store
 from repro.store.delta import DeltaIndex
@@ -21,6 +29,8 @@ __all__ = [
     "ReclaimStats",
     "STORE_NAMES",
     "make_store",
+    "CAPABILITY_FACTS",
+    "capability_facts",
     "EdgeInterval",
     "MultiVersionStore",
     "ShardedStore",

@@ -32,12 +32,17 @@ The contract has four parts:
 Derived reads (``neighbors_at``, ``edges_at``, ``as_adjacency``, counts)
 are implemented here once, on top of the primitives, so a new store kind
 only implements the genuinely storage-specific surface.
+
+Beside the contract, a store may declare :data:`CAPABILITY_FACTS` — "no
+vertex label, edge label or direction was ever stored" — which the engine
+reads once per task to skip reads whose answer is known to be None.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import UnknownVertexError
@@ -47,6 +52,60 @@ from repro.types import EdgeKey, Label, Timestamp, VertexId
 
 #: Names accepted by :func:`make_store` and the CLI ``mine --store`` flag.
 STORE_NAMES = ("mv", "sharded", "remote", "net")
+
+#: The capability facts a store may declare.  Each is monotone — False
+#: until the first write that stores a non-None vertex label, edge label or
+#: direction, True from then on — and while one is False every
+#: ``vertex_label_at`` / ``edge_label_at`` / ``edge_direction_at`` answer
+#: it covers is None, so a reader may skip the read.  They are not members
+#: of :class:`GraphStore`: a store that declares none (a proxy, a test
+#: double) reads as having all three, the answer that is always correct.
+CAPABILITY_FACTS = ("has_vertex_labels", "has_edge_labels", "has_directions")
+
+
+def capability_facts(store) -> Dict[str, bool]:
+    """``store``'s capability facts; one it does not declare reads True."""
+    return {name: bool(getattr(store, name, True)) for name in CAPABILITY_FACTS}
+
+
+class CapabilityFacts:
+    """Read-only :data:`CAPABILITY_FACTS` over private flags.
+
+    Mixed into the stores that keep the facts (``BaseRecordStore``,
+    ``CachedRecordClient``); each write site that can store a label or a
+    direction sets the matching flag, and nothing ever clears one.
+    """
+
+    _has_vertex_labels = False
+    _has_edge_labels = False
+    _has_directions = False
+
+    # read once per task by the engine: a C getter costs no Python frame
+    has_vertex_labels = property(
+        attrgetter("_has_vertex_labels"), doc="A vertex label was ever stored."
+    )
+    has_edge_labels = property(
+        attrgetter("_has_edge_labels"), doc="An edge label was ever stored."
+    )
+    has_directions = property(
+        attrgetter("_has_directions"), doc="An edge direction was ever stored."
+    )
+
+    def _note_edge(self, label, direction) -> None:
+        """Flip what an added edge carries."""
+        if label is not None:
+            self._has_edge_labels = True
+        if direction is not None:
+            self._has_directions = True
+
+    def _note_record(self, record) -> None:
+        """Flip what an installed :class:`~repro.store.mvstore.VertexRecord`
+        carries."""
+        if any(label is not None for _, label in record.label_history):
+            self._has_vertex_labels = True
+        for versions in record.edges.values():
+            for iv in versions:
+                self._note_edge(iv.label, iv.direction)
 
 
 @dataclass

@@ -36,7 +36,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import InvalidUpdateError
 from repro.graph.adjacency import AdjacencyGraph
-from repro.store.api import GraphStore, ReclaimStats
+from repro.store.api import CapabilityFacts, GraphStore, ReclaimStats
 from repro.store.cache import DEFAULT_CACHE_CAPACITY, NeighborCache
 from repro.store.delta import DeltaIndex
 from repro.store.shard import AccessStats, ShardMap
@@ -175,13 +175,16 @@ def copy_record(record: Optional[VertexRecord]) -> Optional[VertexRecord]:
     )
 
 
-class BaseRecordStore(GraphStore):
+class BaseRecordStore(CapabilityFacts, GraphStore):
     """Protocol implementation over an abstract vertex-record map.
 
     Subclasses supply only the record-map primitives (``_get_rec`` /
     ``_ensure_record`` / ``_put_rec`` / ``_iter_items`` / ``_keys``); the
     write validation, interval bookkeeping, delta index, neighbor cache,
-    and reclamation logic are shared here.
+    reclamation logic and capability facts are shared here.  A fact flips
+    in ``set_vertex_label``, in an edge addition (``add_edge``,
+    ``apply_edge_updates``) and in ``put_record``, on the first value that
+    is not None.
 
     ``cache_size=0`` disables the neighbor cache and ``delta_index=False``
     falls back to interval scans for updated-at probes — both exist so the
@@ -315,6 +318,10 @@ class BaseRecordStore(GraphStore):
             label=label,
             direction=normalize_direction(u, v, direction),
         )
+        if label is not None:  # ``_note_edge``, inlined: once per update
+            self._has_edge_labels = True
+        if direction is not None:
+            self._has_directions = True
         self._ensure_record(u).edges.setdefault(v, []).append(interval)
         self._ensure_record(v).edges.setdefault(u, []).append(interval)
         self._invalidate_cached(u, v, ts)
@@ -342,6 +349,8 @@ class BaseRecordStore(GraphStore):
             history[-1] = (ts, label)
         else:
             history.append((ts, label))
+        if label is not None:
+            self._has_vertex_labels = True
         self._latest_ts = ts
 
     def ensure_vertex(self, v: VertexId) -> None:
@@ -441,9 +450,11 @@ class BaseRecordStore(GraphStore):
         Delta-index facts are derived from the lower endpoint's record
         only, so putting both endpoints of a shared edge notes each fact
         exactly once.  Tombstones enter the deletion log from either
-        endpoint: a record may be installed without its mirror.
+        endpoint: a record may be installed without its mirror.  A label or
+        direction the record carries flips the matching capability fact.
         """
         self._put_rec(v, record)
+        self._note_record(record)
         note = self._delta.note if self._delta_enabled else None
         for dst, versions in record.edges.items():
             key = edge_key(v, dst)

@@ -27,7 +27,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.store.api import GraphStore, ReclaimStats
+from repro.store.api import CapabilityFacts, GraphStore, ReclaimStats
 from repro.store.mvstore import (
     VertexRecord,
     apply_edge_write,
@@ -81,13 +81,20 @@ class FetchLog:
         }
 
 
-class CachedRecordClient(GraphStore):
+class CachedRecordClient(CapabilityFacts, GraphStore):
     """Worker-side client holding private copies of the records it read.
 
     One client per worker; the held copies are the worker's soft state and
     can be dropped at any time without correctness impact (paper §5.5:
     "The graphs cached at workers can be lost without affecting
     correctness").  ``cache_capacity`` bounds them, evicting FIFO.
+
+    The capability facts are the backing store's.  A transport either
+    forwards them or learns them once (``net``: from ``hello``) and keeps
+    them current by this client's own writes flipping them — which is all
+    there is to learn while it is the store's one writer.  A write flips
+    them before it is sent: a fact set for a write the store then rejected
+    costs reads, never answers.
     """
 
     def __init__(self, costs: FetchCosts, cache_capacity: Optional[int]) -> None:
@@ -212,6 +219,7 @@ class CachedRecordClient(GraphStore):
         label: Label = None,
         direction: Optional[str] = None,
     ) -> None:
+        self._note_edge(label, direction)
         patch = (u, v, True, label, normalize_direction(u, v, direction))
         self._edge_write(ts, [patch], self._send_edge, u, v, ts, True, label, direction)
 
@@ -221,6 +229,8 @@ class CachedRecordClient(GraphStore):
     def apply_edge_updates(self, ts: Timestamp, updates) -> None:
         updates = list(updates)
         edges = [(e.u, e.v, e.added, e.label, e.direction) for e in updates]
+        for _, _, _, label, direction in edges:
+            self._note_edge(label, direction)
         self._edge_write(ts, edges, self._send_edge_updates, ts, updates)
 
     # a record-replacing write drops the copy first: sent or failed, it is
@@ -228,10 +238,13 @@ class CachedRecordClient(GraphStore):
 
     def set_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
         self._invalidate(v)
+        if label is not None:
+            self._has_vertex_labels = True
         self._send_vertex_label(v, ts, label)
 
     def put_record(self, v: VertexId, record) -> None:
         self._invalidate(v)
+        self._note_record(record)
         self._send_record(v, record)
 
     # -- read path (computed from held copies) -----------------------------
@@ -300,7 +313,10 @@ class RemoteStoreClient(CachedRecordClient):
         super().__init__(costs, cache_capacity)
         self.store = store
 
-    # shard placement and access accounting belong to the backing store
+    # shard placement, access accounting and the capability facts belong to
+    # the backing store; forwarding the facts also sees writes that did not
+    # come through this client (the simulated backend's per-machine clients
+    # read a store the session writes)
 
     @property
     def shards(self):
@@ -309,6 +325,18 @@ class RemoteStoreClient(CachedRecordClient):
     @property
     def access_stats(self):
         return self.store.access_stats
+
+    @property
+    def has_vertex_labels(self) -> bool:
+        return getattr(self.store, "has_vertex_labels", True)
+
+    @property
+    def has_edge_labels(self) -> bool:
+        return getattr(self.store, "has_edge_labels", True)
+
+    @property
+    def has_directions(self) -> bool:
+        return getattr(self.store, "has_directions", True)
 
     # -- transport ---------------------------------------------------------
 

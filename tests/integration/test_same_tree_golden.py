@@ -356,11 +356,13 @@ class CountingStore(MultiVersionStore):
         return super().vertex_label_at(v, ts)
 
 
-def test_unlabelled_app_reads_labels_only_for_emitted_matches():
-    """4-C never looks at a label: the only ``vertex_label_at`` reads are
-    the ones ``freeze()`` makes for the vertices of emitted matches."""
+def mine_4c_window(one_label):
+    """12 edge additions mined by 4-C on a ``CountingStore``; with
+    ``one_label`` a vertex no exploration meets carries a label."""
     graph = erdos_renyi(40, 220, seed=5)
     store = CountingStore.from_adjacency(graph, ts=1)
+    if one_label:
+        store.set_vertex_label(1000, 1, "x")
     absent = [
         (u, v)
         for u in range(40)
@@ -374,12 +376,30 @@ def test_unlabelled_app_reads_labels_only_for_emitted_matches():
         Window(timestamp=2, updates=[EdgeUpdate(u, v, added=True) for u, v in absent])
     )
     assert deltas and engine.metrics.expansions > len(deltas)
+    assert all(set(d.subgraph.vertex_labels) == {None} for d in deltas)
+    return store, deltas
+
+
+def test_unlabelled_app_reads_labels_only_for_emitted_matches():
+    """4-C never looks at a label, and on a store where no vertex ever had
+    one an emitted match carries ``None`` labels at no store cost: no
+    ``vertex_label_at`` read at all."""
+    store, _ = mine_4c_window(one_label=False)
+    assert store.label_reads == 0
+
+
+def test_unlabelled_app_on_a_labelled_store_reads_emitted_labels_only():
+    """With one label anywhere in the store, the only ``vertex_label_at``
+    reads are the ones ``freeze()`` makes for the vertices of emitted
+    matches."""
+    store, deltas = mine_4c_window(one_label=True)
     # each exploration view dedups its reads per vertex, so the reads are
     # bounded by the emitted matches' vertices and nothing else
     assert 0 < store.label_reads <= sum(len(d.subgraph.vertices) for d in deltas)
 
     # an update that emits nothing reads no label at all
     lonely = CountingStore()
+    lonely.set_vertex_label(1000, 1, "x")
     lonely.add_edge(1, 2, 1)
     lonely.add_edge(2, 3, 1)
     lonely.add_edge(3, 4, 2)

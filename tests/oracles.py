@@ -42,7 +42,11 @@ def _view(graph: AdjacencyGraph, combo, edges) -> SubgraphView:
         len(combo), ((index[u], index[v]) for u, v in edges)
     )
     return SubgraphView(
-        list(combo), matrix, [graph.vertex_label(v) for v in combo]
+        list(combo),
+        matrix,
+        [graph.vertex_label(v) for v in combo],
+        edge_label_fn=graph.edge_label,
+        direction_fn=graph.edge_direction,
     )
 
 

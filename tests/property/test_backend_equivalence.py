@@ -8,35 +8,9 @@ deletion-heavy streams, and any window size.
 """
 
 import itertools
-import pickle
 from collections import Counter
 
 from hypothesis import HealthCheck, given, settings, strategies as st
-
-
-def stream_bytes(deltas):
-    """Canonical byte encoding of a delta stream, one record per delta.
-
-    Pickling the whole list at once would entangle the encoding with
-    object-identity memoization (serial runs share subgraph objects across
-    deltas; process runs return fresh copies), so each delta is encoded
-    independently.  Its edge set is encoded sorted: iteration order is not
-    part of a frozenset's value, and a set rebuilt on the far side of a
-    pipe can iterate differently from an equal one built in place.
-    """
-    return b"\x00".join(
-        pickle.dumps(
-            (
-                d.timestamp,
-                d.status,
-                d.subgraph.vertices,
-                sorted(d.subgraph.edges),
-                d.subgraph.vertex_labels,
-                d.subgraph.edge_labels,
-            )
-        )
-        for d in deltas
-    )
 
 from repro.apps import CliqueMining, MotifCounting
 from repro.core.engine import collect_matches
@@ -45,6 +19,7 @@ from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.telemetry import Telemetry
 from repro.types import Update
+from scenarios import stream_bytes
 
 SETTINGS = settings(
     max_examples=12,

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.apps import CliqueMining, LabeledCliqueMining
 from repro.apps.directed import FeedForwardLoops
 from repro.apps.fsm import FrequentSubgraphMining
-from repro.core.api import EdgeInduced, MiningAlgorithm, VertexInduced
+from repro.core.api import EdgeInduced, VertexInduced
 from repro.core.explore import Explorer
 from repro.core.metrics import Metrics
 from repro.store.mvstore import MultiVersionStore
@@ -25,6 +25,7 @@ from repro.store.snapshot import ExplorationView
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
 from repro.types import Update
+from scenarios import ReadsEverything
 
 SETTINGS = settings(
     max_examples=40,
@@ -40,29 +41,6 @@ COUNTERS = (
     "emits",
     "explore_calls",
 )
-
-
-class ReadsEverything(MiningAlgorithm):
-    """Matches on what the view says about labels, edge labels and arcs.
-
-    Every accessor a view caches behind (vertex labels, the slot map) or
-    resolves through the engine (edge labels, directions) decides ``match``,
-    so a value left over from an earlier task changes the delta stream.
-    """
-
-    max_size = 3
-    uses_edge_labels = True
-    uses_directions = True
-
-    def __init__(self, induced):
-        self.induced = induced
-
-    def filter(self, s):
-        return len(s) <= self.max_size
-
-    def match(self, s):
-        arcs = sum(s.out_degree(v) for v in s)
-        return (arcs + s.count_label("a") + s.count_edge_label("x")) % 2 == 0
 
 
 ALGORITHMS = [

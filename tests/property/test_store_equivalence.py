@@ -12,7 +12,6 @@ run with a fault-injection proxy (drops + duplicates) on the wire.
 """
 
 import itertools
-import pickle
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -24,17 +23,13 @@ from repro.store.api import STORE_NAMES, make_store
 from repro.store.mvstore import VertexRecord, neighbor_states
 from repro.store.snapshot import ExplorationView, SnapshotView
 from repro.types import Update
+from scenarios import stream_bytes
 
 SETTINGS = settings(
     max_examples=12,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def stream_bytes(deltas):
-    """Canonical per-delta byte encoding (see test_backend_equivalence)."""
-    return b"\x00".join(pickle.dumps(d) for d in deltas)
 
 
 @st.composite

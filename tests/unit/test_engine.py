@@ -61,8 +61,8 @@ class TestWindowProcessing:
         engine.drain_queue(queue)
         assert queue.is_drained()
 
-    def test_trace_tasks(self):
-        store = MultiVersionStore()
+    @staticmethod
+    def _traced_triangle(store):
         store.add_edge(1, 2, ts=1)
         store.add_edge(2, 3, ts=1)
         store.add_edge(1, 3, ts=2)
@@ -71,8 +71,21 @@ class TestWindowProcessing:
         assert len(engine.traces) == 1
         trace = engine.traces[0]
         assert trace.work > 0
-        assert {1, 2, 3} <= set(trace.touched_vertices)
         assert trace.num_deltas == 1
+        return set(trace.touched_vertices)
+
+    def test_trace_tasks(self):
+        """``touched_vertices`` is the records the task read.  Vertex 2 is
+        in the triangle but is a leaf, never expanded: only its label would
+        be read, and on a store where no vertex has a label that read does
+        not happen."""
+        assert self._traced_triangle(MultiVersionStore()) == {1, 3}
+
+    def test_trace_tasks_on_a_labelled_store(self):
+        """One label anywhere in the store and the leaf's label is read."""
+        store = MultiVersionStore()
+        store.set_vertex_label(9, 1, "x")
+        assert self._traced_triangle(store) == {1, 2, 3}
 
 
 class TestCollectMatches:

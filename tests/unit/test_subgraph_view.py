@@ -82,6 +82,34 @@ class TestLabels:
         assert s.labels() == (None, None)
         assert s.count_label("a") == 0
 
+    @pytest.mark.parametrize("source", ["none", "list", "resolver"])
+    def test_every_label_source_answers_from_one_vector(self, source):
+        """No labels, a list of ``None`` and a resolver answering ``None``
+        are the same view: the engine swaps the resolver for no resolver on
+        a label-free store, and nothing an algorithm reads may change."""
+        m = BitMatrix.from_edges(3, iter([(0, 1), (1, 2)]))
+        kwargs = {
+            "none": {},
+            "list": {"labels": [None, None, None]},
+            "resolver": {"label_fn": lambda v: None},
+        }[source]
+        s = SubgraphView([4, 5, 6], m, **kwargs)
+        assert s.labels() == (None, None, None)
+        assert all(s.label_of(v) is None for v in (4, 5, 6))
+        assert s.count_label(None) == 3 and s.count_label("a") == 0
+        assert s.freeze().vertex_labels == (None, None, None)
+        with pytest.raises(KeyError):
+            s.label_of(7)  # not a vertex of the subgraph, whatever the source
+
+    def test_resolve_with_swaps_the_label_source(self):
+        verts = [1, 2]
+        s = SubgraphView(verts, BitMatrix([0, 1]), label_fn={1: "a", 2: "b"}.get)
+        assert s.labels() == ("a", "b")
+        s.resolve_with(None, None, None)
+        assert s.labels() == (None, None) and s.count_label(None) == 2
+        s.resolve_with({1: "c", 2: "d"}.get, None, None)
+        assert s.labels() == ("c", "d")
+
 
 class TestConnectivity:
     def test_connected(self):
