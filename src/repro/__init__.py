@@ -24,7 +24,6 @@ from repro.graph.pattern import Pattern
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode, Window
-from repro.streaming.pubsub import PubSub, Topic
 from repro.streaming.queue import WorkItem, WorkQueue
 from repro.types import (
     EdgeUpdate,
@@ -49,14 +48,12 @@ __all__ = [
     "MiningAlgorithm",
     "MultiVersionStore",
     "Pattern",
-    "PubSub",
     "MOTIF",
     "STesseractEngine",
     "Stream",
     "StreamingSession",
     "TesseractEngine",
     "TesseractError",
-    "Topic",
     "Update",
     "UpdateKind",
     "VertexInduced",

@@ -48,7 +48,6 @@ class FrequentSubgraphMining(MiningAlgorithm):
     """
 
     induced = EdgeInduced
-    ordered_output = True
 
     def __init__(
         self, k: int = 3, min_edges: int = 1, edge_labeled: bool = False

@@ -61,8 +61,11 @@ class MiningAlgorithm(abc.ABC):
     #: Subgraph semantics; vertex-induced unless overridden.
     induced: InducedMode = InducedMode.VERTEX
 
-    #: Whether match deltas must be delivered in timestamp order
-    #: (section 3.1's ordered output mode; FSM requires it).
+    #: Inert: nothing reads this flag.  Session output is always in
+    #: timestamp order (windows run, publish and ack one at a time), so
+    #: section 3.1's ordered mode needs no switch.  Kept only until the
+    #: benchmark's ``TimedAlgorithm`` proxy forwards attributes instead of
+    #: copying this one.
     ordered_output: bool = False
 
     #: Whether candidate subgraphs should expose edge labels

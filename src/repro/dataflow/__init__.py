@@ -11,10 +11,8 @@ from repro.dataflow.aggregation import (
     CountAggregator,
     MeanAggregator,
     SumAggregator,
-    TopKAggregator,
 )
 from repro.dataflow.stream import Record, Stream
-from repro.dataflow.watermark import WatermarkTracker
 from repro.graph.canonical import motif_of as MOTIF
 
 __all__ = [
@@ -22,9 +20,7 @@ __all__ = [
     "CountAggregator",
     "MeanAggregator",
     "SumAggregator",
-    "TopKAggregator",
     "Record",
     "Stream",
-    "WatermarkTracker",
     "MOTIF",
 ]

@@ -93,48 +93,3 @@ class MeanAggregator(Aggregator[Any, tuple]):
     def value(state: tuple) -> float:
         count, total = state
         return total / count if count else 0.0
-
-
-class TopKAggregator(Aggregator[Any, tuple]):
-    """Differential top-K: tracks value multiplicities, reports the K largest.
-
-    State is a tuple-ized multiset ``((value, count), ...)``; retractions
-    decrement counts and drop zeroed values, so the reported top-K is
-    always exact (unlike sketch-based approaches, retractable because the
-    full multiset is kept — fine at aggregation-key granularity).
-    """
-
-    def __init__(self, k: int, key=None) -> None:
-        if k < 1:
-            raise ValueError("k must be positive")
-        self.k = k
-        self.key = key if key is not None else (lambda value: value)
-
-    def zero(self) -> tuple:
-        return ()
-
-    def _to_dict(self, state: tuple) -> dict:
-        return {value: count for value, count in state}
-
-    def add(self, state: tuple, value: Any) -> tuple:
-        bag = self._to_dict(state)
-        v = self.key(value)
-        bag[v] = bag.get(v, 0) + 1
-        return tuple(sorted(bag.items()))
-
-    def remove(self, state: tuple, value: Any) -> tuple:
-        bag = self._to_dict(state)
-        v = self.key(value)
-        if bag.get(v, 0) <= 0:
-            raise AggregationError(f"top-k retraction of absent value {v!r}")
-        bag[v] -= 1
-        if bag[v] == 0:
-            del bag[v]
-        return tuple(sorted(bag.items()))
-
-    def top(self, state: tuple):
-        """The K largest values currently in the multiset."""
-        expanded = []
-        for value, count in state:
-            expanded.extend([value] * count)
-        return sorted(expanded, reverse=True)[: self.k]

@@ -17,7 +17,6 @@ from repro.store.api import (
 from repro.store.cache import DEFAULT_CACHE_CAPACITY, NeighborCache
 from repro.store.checkpoint import checkpoint_store, restore_store
 from repro.store.delta import DeltaIndex
-from repro.store.gc import collect_garbage, collect_garbage_stats
 from repro.store.mvstore import EdgeInterval, MultiVersionStore, VertexRecord
 from repro.store.remote import FetchCosts, RemoteStoreClient
 from repro.store.shard import AccessStats, ShardMap
@@ -42,8 +41,6 @@ __all__ = [
     "DeltaIndex",
     "SnapshotView",
     "ExplorationView",
-    "collect_garbage",
-    "collect_garbage_stats",
     "checkpoint_store",
     "restore_store",
     "FetchCosts",

@@ -113,8 +113,7 @@ class ReclaimStats:
     """What one :meth:`GraphStore.reclaim` pass dropped.
 
     ``reclaimed`` counts undirected edge versions (each version is shared
-    by both endpoint records but counted once), matching the return value
-    the original ``collect_garbage`` reported.
+    by both endpoint records but counted once).
     """
 
     horizon: Timestamp = 0

@@ -565,10 +565,9 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
         """Drop edge versions deleted at or before ``horizon`` (GC).
 
         Returns per-store :class:`~repro.store.api.ReclaimStats`;
-        ``reclaimed`` counts undirected edge versions, exactly as the
-        original ``collect_garbage`` did.  The delta index discards the
-        facts of every dropped interval (so updated-at probes keep
-        agreeing with interval scans at any timestamp), and the neighbor
+        ``reclaimed`` counts undirected edge versions.  The delta index
+        discards the facts of every dropped interval (so updated-at probes
+        keep agreeing with interval scans at any timestamp), and the neighbor
         cache drops entries at or below the horizon (their pre-snapshot
         data may reference reclaimed versions).  Label history is left
         untouched (it is tiny by comparison).

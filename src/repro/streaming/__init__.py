@@ -1,15 +1,11 @@
-"""Streaming substrate: ingress node, durable work queue, pub/sub output."""
+"""Streaming substrate: ingress node and durable work queue."""
 
 from repro.streaming.ingress import IngressNode, Window
-from repro.streaming.pubsub import PubSub, Subscription, Topic
 from repro.streaming.queue import WorkItem, WorkQueue
 
 __all__ = [
     "IngressNode",
     "Window",
-    "PubSub",
-    "Subscription",
-    "Topic",
     "WorkItem",
     "WorkQueue",
 ]

@@ -17,7 +17,6 @@ from repro.core.engine import TesseractEngine, collect_matches
 from repro.runtime.fault import CrashPlan, FaultInjector
 from repro.runtime.session import StreamingSession
 from repro.store.checkpoint import restore_store, store_to_dict, store_from_dict
-from repro.store.gc import collect_garbage
 from repro.types import Update
 
 from oracles import brute_force_vertex_induced
@@ -70,7 +69,7 @@ def test_chaos_cliques(seed):
         session.submit_many(ops[i : i + chunk])
         session.flush()
         if rng.random() < 0.5:
-            collect_garbage(session.store, session.queue.low_watermark())
+            session.store.reclaim(session.queue.low_watermark())
         if rng.random() < 0.3:
             # checkpoint/restore round-trip mid-run; continue on the copy
             data = store_to_dict(session.store)

@@ -7,7 +7,6 @@ from repro.apps.fsm import FrequentSubgraphMining
 from repro.core.engine import collect_matches
 from repro.graph.generators import erdos_renyi, shuffled_edges
 from repro.runtime.session import StreamingSession
-from repro.store.gc import collect_garbage
 from repro.types import Update
 
 
@@ -46,7 +45,7 @@ class TestGCUnderLoad:
             session.submit(Update.delete_edge(1, 2 + i))
         session.flush()
         before = session.store.memory_items()
-        reclaimed = collect_garbage(session.store, session.queue.low_watermark())
+        reclaimed = session.store.reclaim(session.queue.low_watermark()).reclaimed
         assert reclaimed == 20
         assert session.store.memory_items() < before
 

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dataflow.stream import Record, Stream
 from repro.graph.adjacency import AdjacencyGraph
-from repro.store.gc import collect_garbage
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
@@ -80,7 +79,7 @@ class TestIngressProperties:
         ingress.flush()
         ts = store.latest_timestamp
         before = set(store.edges_at(ts))
-        collect_garbage(store, horizon=ts)
+        store.reclaim(ts)
         assert set(store.edges_at(ts)) == before
 
 

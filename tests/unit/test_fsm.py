@@ -148,7 +148,6 @@ class TestPatternOf:
 
     def test_algorithm_properties(self):
         alg = FrequentSubgraphMining(3)
-        assert alg.ordered_output
         assert alg.name == "3-FSM"
         assert alg.induced.value == "edge"
 

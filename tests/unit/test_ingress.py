@@ -254,3 +254,57 @@ class TestGC:
         # Next window triggers GC with watermark at the delete's ts.
         ing.submit(Update.add_edge(3, 4))
         assert ing.gc_reclaimed >= 1
+
+
+class TestTimeWindows:
+    def test_window_closes_on_time(self):
+        clock = {"now": 0.0}
+        store = MultiVersionStore()
+        ingress = IngressNode(
+            store,
+            window_size=1000,
+            window_seconds=5.0,
+            clock=lambda: clock["now"],
+        )
+        ingress.submit(Update.add_edge(1, 2))
+        assert ingress.windows_applied == 0
+        clock["now"] = 6.0
+        ingress.submit(Update.add_edge(2, 3))
+        assert ingress.windows_applied == 1  # time limit hit
+        assert store.edge_alive_at(1, 2, 1)
+
+    def test_size_limit_still_applies(self):
+        clock = {"now": 0.0}
+        store = MultiVersionStore()
+        ingress = IngressNode(
+            store, window_size=2, window_seconds=100.0, clock=lambda: clock["now"]
+        )
+        ingress.submit(Update.add_edge(1, 2))
+        ingress.submit(Update.add_edge(2, 3))
+        assert ingress.windows_applied == 1
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            IngressNode(MultiVersionStore(), window_seconds=0)
+
+    def test_explicit_close_window(self):
+        store = MultiVersionStore()
+        ingress = IngressNode(store, window_size=1000)
+        assert not ingress.close_window()  # nothing buffered
+        ingress.submit(Update.add_edge(1, 2))
+        assert ingress.close_window()
+        assert store.edge_alive_at(1, 2, 1)
+        assert not ingress.close_window()
+
+    def test_timer_resets_per_window(self):
+        clock = {"now": 0.0}
+        store = MultiVersionStore()
+        ingress = IngressNode(
+            store, window_size=1000, window_seconds=5.0, clock=lambda: clock["now"]
+        )
+        ingress.submit(Update.add_edge(1, 2))
+        clock["now"] = 6.0
+        ingress.submit(Update.add_edge(2, 3))  # closes window 1
+        clock["now"] = 8.0
+        ingress.submit(Update.add_edge(3, 4))  # only 2s into window 2
+        assert ingress.windows_applied == 1

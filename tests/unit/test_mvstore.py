@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import InvalidUpdateError, UnknownVertexError
 from repro.graph.adjacency import AdjacencyGraph
-from repro.store.gc import collect_garbage
 from repro.store.api import make_store
 from repro.store.mvstore import (
     EdgeInterval,
@@ -339,7 +338,7 @@ class TestMaintenance:
         s.delete_edge(1, 2, ts=2)
         s.add_edge(3, 4, ts=3)
         s.delete_edge(3, 4, ts=4)
-        reclaimed = collect_garbage(s, horizon=2)
+        reclaimed = s.reclaim(2).reclaimed
         assert reclaimed == 1
         assert not s.edge_alive_at(1, 2, 1)  # history gone
         assert s.edge_alive_at(3, 4, 3)  # deleted after horizon: kept
@@ -347,7 +346,7 @@ class TestMaintenance:
     def test_gc_keeps_alive_edges(self):
         s = MultiVersionStore()
         s.add_edge(1, 2, ts=1)
-        assert collect_garbage(s, horizon=10) == 0
+        assert s.reclaim(10).reclaimed == 0
         assert s.edge_alive_at(1, 2, 10)
 
     def test_memory_items(self):
