@@ -106,6 +106,44 @@ class TestOrderedOutputIntegration:
         timestamps = [d.timestamp for d in session.deltas()]
         assert timestamps == sorted(timestamps)
 
+    @pytest.mark.parametrize("backend", ["serial", "thread", "simulated"])
+    def test_deltas_arrive_in_timestamp_order_on_every_backend(self, backend):
+        g = erdos_renyi(12, 30, seed=33)
+        edges = shuffled_edges(g, seed=4)
+        updates = [Update.add_edge(u, v) for u, v in edges]
+        updates += [Update.delete_edge(u, v) for u, v in edges[::3]]
+        session = StreamingSession(
+            CliqueMining(3, min_size=3), backend, window_size=3, num_workers=2
+        )
+        session.process(updates)
+        timestamps = [d.timestamp for d in session.deltas()]
+        assert timestamps == sorted(timestamps)
+        assert any(d.is_rem() for d in session.deltas())
+        session.close()
+
+    def test_output_stream_sees_the_delta_log_in_order(self):
+        g = erdos_renyi(12, 30, seed=34)
+        session = StreamingSession(CliqueMining(3, min_size=3), window_size=4)
+        seen = []
+        session.output_stream().for_each(
+            lambda r: seen.append((r.timestamp, r.sign, r.value))
+        )
+        for u, v in shuffled_edges(g, seed=5):
+            session.submit(Update.add_edge(u, v))
+            session.run_pending()  # publish each closed window as it lands
+        session.flush()
+        assert seen == [(d.timestamp, d.sign(), d.subgraph) for d in session.deltas()]
+
+    def test_watermark_covers_every_flushed_window(self):
+        session = StreamingSession(CliqueMining(3), window_size=2)
+        marks = []
+        for u, v in [(1, 2), (2, 3), (1, 3), (3, 4), (2, 4)]:
+            session.process([Update.add_edge(u, v)])
+            marks.append(session.queue.low_watermark())
+        assert marks == sorted(marks)
+        assert marks[-1] == session.store.latest_timestamp
+        assert session.queue.is_drained()
+
     def test_watermark_matches_queue_state(self):
         session = StreamingSession(CliqueMining(3), window_size=2)
         session.submit(Update.add_edge(1, 2))

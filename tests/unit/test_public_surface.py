@@ -38,8 +38,8 @@ PATH_RE = re.compile(
 DOTTED_RE = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+(?![\w/])")
 
 
-def cited_paths():
-    for doc in PROSE:
+def cited_paths(docs=PROSE):
+    for doc in docs:
         for match in PATH_RE.finditer(doc.read_text(encoding="utf-8")):
             yield doc.name, match.group(1) or match.group(2)
 
@@ -78,8 +78,9 @@ def test_the_docs_cite_paths_at_all():
     assert "repro.store.api.GraphStore" in dotted_names()
 
 
-def test_every_cited_source_path_exists():
-    missing = sorted({(doc, rel) for doc, rel in cited_paths() if not (SRC / rel).exists()})
+@pytest.mark.parametrize("doc", PROSE, ids=lambda doc: doc.name)
+def test_every_cited_source_path_exists(doc):
+    missing = sorted({rel for _, rel in cited_paths([doc]) if not (SRC / rel).exists()})
     assert missing == []
 
 

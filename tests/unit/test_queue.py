@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import OffsetError, QueueClosedError
+from repro.errors import OffsetError, QueueClosedError, WorkerCrashed
 from repro.streaming.queue import WorkQueue
 from repro.telemetry import Telemetry
 from repro.types import EdgeUpdate
@@ -138,6 +138,90 @@ class TestWatermark:
         assert q.low_watermark() == 0  # ts=1 still in flight
         q.ack(a.offset)
         assert q.low_watermark() == 2
+
+
+class TestWindowWatermark:
+    """The low watermark as the windowed consumer moves it: a window is
+    covered only once it is acked, in timestamp order, and a failed window
+    holds it back (paper sections 5.4 and 5.5)."""
+
+    @staticmethod
+    def three_windows():
+        q = WorkQueue()
+        for ts in (1, 2, 3):
+            for i in range(ts):
+                q.append(ts, upd(10 * ts + i, 10 * ts + i + 1))
+        return q
+
+    def test_drain_windows_groups_items_by_timestamp(self):
+        q = self.three_windows()
+        windows = [(ts, [i.timestamp for i in items]) for ts, items in q.drain_windows()]
+        assert windows == [(1, [1]), (2, [2, 2]), (3, [3, 3, 3])]
+        assert q.is_drained()
+
+    def test_watermark_reaches_a_window_only_once_it_is_acked(self):
+        q = self.three_windows()
+        seen = []
+        for ts, _ in q.drain_windows():
+            seen.append((ts, q.low_watermark()))
+        assert seen == [(1, 0), (2, 1), (3, 2)]
+        assert q.low_watermark() == 3
+
+    def test_failed_window_keeps_the_watermark_below_it(self):
+        q = self.three_windows()
+        windows = q.drain_windows()
+        next(windows)
+        ts, items = next(windows)  # window 1 acked, window 2 in flight
+        q.redeliver_all([item.offset for item in items])
+        windows.close()
+        assert ts == 2 and q.low_watermark() == 1
+        assert q.in_flight_offsets() == []
+        # the next consumer resumes with the failed window, whole
+        resumed = [(ts, len(items)) for ts, items in q.drain_windows()]
+        assert resumed == [(2, 2), (3, 3)]
+        assert q.low_watermark() == 3
+
+    def test_injected_crash_redelivers_within_the_window(self):
+        q = self.three_windows()
+        crashed = set()
+
+        def on_poll(item):
+            if item.offset not in crashed:
+                crashed.add(item.offset)
+                raise WorkerCrashed(0, item.offset)
+
+        got = [[i.offset for i in items] for _, items in q.drain_windows(on_poll)]
+        assert got == [[0], [1, 2], [3, 4, 5]]
+        assert crashed == set(range(6))
+        assert q.acked_count() == 6 and q.low_watermark() == 3
+
+    def test_watermark_never_regresses(self):
+        import random
+
+        rng = random.Random(11)
+        q = WorkQueue()
+        ts, last = 0, 0
+        for _ in range(400):
+            op = rng.random()
+            if op < 0.35:
+                ts += 1
+                for i in range(rng.randint(1, 3)):
+                    q.append(ts, upd(i, i + 1))
+            elif op < 0.6:
+                q.poll()
+            elif op < 0.85 and q.in_flight_offsets():
+                q.ack(rng.choice(q.in_flight_offsets()))
+            elif q.in_flight_offsets():
+                q.redeliver(rng.choice(q.in_flight_offsets()))
+            mark = q.low_watermark()
+            assert last <= mark <= ts
+            last = mark
+
+    def test_is_drained_only_after_the_last_window_acks(self):
+        q = self.three_windows()
+        states = [q.is_drained() for _ in q.drain_windows()]
+        assert states == [False, False, False]
+        assert q.is_drained() and q.acked_count() == q.total_appended() == 6
 
 
 class TestBoundedState:

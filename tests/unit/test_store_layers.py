@@ -218,6 +218,38 @@ class TestReclaimStats:
         assert store.tombstone_count() == 0
         assert store.store_stats()["delta_entries"] == 0
 
+    @staticmethod
+    def churned(kind):
+        """Diamond at ts 1; (1, 2) deleted at 2, (2, 3) at 3, (1, 2)
+        re-added at 4 and (3, 4) deleted at 5."""
+        store = make_store(kind, graph=diamond_graph())
+        store.delete_edge(1, 2, 2)
+        store.delete_edge(2, 3, 3)
+        store.add_edge(1, 2, 4)
+        store.delete_edge(3, 4, 5)
+        return store
+
+    @pytest.mark.parametrize("kind", STORE_NAMES)
+    def test_reclaim_counts_each_dead_version_once(self, kind):
+        store = self.churned(kind)
+        live = {ts: sorted(store.edges_at(ts)) for ts in (3, 4, 5)}
+        stats = store.reclaim(3)
+        assert stats.horizon == 3 and stats.reclaimed == 2
+        assert {ts: sorted(store.edges_at(ts)) for ts in (3, 4, 5)} == live
+        assert store.reclaim(3).reclaimed == 0
+        store.close()
+
+    @pytest.mark.parametrize("kind", STORE_NAMES)
+    def test_reclaim_spares_versions_deleted_after_the_horizon(self, kind):
+        store = self.churned(kind)
+        assert store.reclaim(4).reclaimed == 2
+        assert store.edge_alive_at(3, 4, 4) and not store.edge_alive_at(3, 4, 5)
+        assert store.edge_alive_at(1, 2, 4)
+        assert store.reclaim(5).reclaimed == 1
+        assert not store.edge_alive_at(3, 4, 5)
+        assert sorted(store.edges_at(5)) == [(1, 2), (1, 3), (1, 4)]
+        store.close()
+
     def test_remote_reclaim_drops_client_cache(self):
         client = make_store("remote", graph=diamond_graph())
         client.neighbors_at(1, 1)
