@@ -1,8 +1,8 @@
 """Real network transport for the disaggregated store (paper §4.1, §7).
 
 Layered bottom-up: :mod:`repro.net.frames` (length-prefixed framing),
-:mod:`repro.net.wire` (canonical-JSON payloads and record codecs),
-:mod:`repro.net.rpc` (deadlines, retries, pooling),
+:mod:`repro.net.wire` (the payload codec: canonical JSON plus binary blobs),
+:mod:`repro.net.rpc` (deadlines, retries, pooling, fetch-ahead),
 :mod:`repro.net.server` / :mod:`repro.net.client` (a
 :class:`~repro.store.api.GraphStore` served over TCP and consumed through
 the same protocol).  This package is the only place in the tree allowed
@@ -18,20 +18,17 @@ from repro.net.errors import (
 )
 from repro.net.frames import (
     FLAG_BINARY,
-    FLAG_PIPELINE,
     MAX_PAYLOAD,
     PROTOCOL_VERSION,
     MessageType,
 )
-from repro.net.rpc import DEFAULT_WINDOW, NetLog, RetryPolicy, RpcClient, RpcFuture
+from repro.net.rpc import NetLog, RetryPolicy, RpcClient
 from repro.net.server import StoreServer
 from repro.net.wire import RecordsPayload, split_address
 
 __all__ = [
     "ApplicationError",
-    "DEFAULT_WINDOW",
     "FLAG_BINARY",
-    "FLAG_PIPELINE",
     "MAX_PAYLOAD",
     "MessageType",
     "NetError",
@@ -42,7 +39,6 @@ __all__ = [
     "RecordsPayload",
     "RetryPolicy",
     "RpcClient",
-    "RpcFuture",
     "StoreServer",
     "TransportError",
     "split_address",

@@ -9,16 +9,10 @@ Everything the client and server exchange is a **frame**::
     4       4     payload length, unsigned big-endian
     8       n     payload bytes
 
-The type byte carries two **flag bits** in its high half:
-:data:`FLAG_BINARY` (the payload uses the binary record codec of
-:mod:`repro.net.wire` instead of canonical JSON) and
-:data:`FLAG_PIPELINE` (the sender interleaves requests on this
-connection and accepts out-of-order responses).  Both are negotiated
-via the hello ``features`` list before ever appearing on the wire, so
-the flag bits ride inside protocol version 1 without breaking old
-peers: a peer that never advertised the feature never receives the
-flag.  Unknown flag bits make the type byte decode to an unknown
-message type, which is rejected the same way an unknown type is.
+The type byte's high bit is :data:`FLAG_BINARY`: the payload carries a
+binary blob (see :mod:`repro.net.wire`, which alone decides when).
+Unknown flag bits make the type byte decode to an unknown message type,
+which is rejected the same way an unknown type is.
 
 The header is fixed-size and self-describing, so a reader can always
 decide — before touching the payload — whether it speaks this frame:
@@ -50,7 +44,7 @@ from repro.net.errors import (
 MAGIC = b"TS"
 
 #: bump on any incompatible change to framing or payload encoding
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: hard ceiling on a single frame's payload (bytes)
 MAX_PAYLOAD = 8 * 1024 * 1024
@@ -69,15 +63,10 @@ class MessageType(enum.IntEnum):
 
 _KNOWN_TYPES = {int(t) for t in MessageType}
 
-#: the frame payload is binary-codec encoded (see repro.net.wire);
-#: negotiated via the hello ``features`` entry ``"bin"``
+#: the frame payload carries a binary blob (see repro.net.wire)
 FLAG_BINARY = 0x80
 
-#: the sender pipelines requests on this connection and accepts
-#: out-of-order responses; negotiated via the ``features`` entry ``"pipe"``
-FLAG_PIPELINE = 0x40
-
-FLAG_MASK = FLAG_BINARY | FLAG_PIPELINE
+FLAG_MASK = FLAG_BINARY
 
 
 def encode_frame(

@@ -245,7 +245,6 @@ def render_top(stats: Dict[str, Any], limit: int = 10) -> str:
     total = sum(requests.values())
     lines = [
         f"inflight={stats.get('inflight', 0)} sessions={stats.get('sessions', 0)} "
-        f"pipelined={stats.get('pipelined_conns', 0)} "
         f"dedup_replays={stats.get('dedup_replays', 0)} requests={total}",
         f"{'op':<18}{'reqs':>8}{'errs':>7}{'share':>8}"
         f"{'p50 ms':>9}{'p95 ms':>9}{'max ms':>9}",

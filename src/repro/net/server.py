@@ -31,28 +31,17 @@ import gc
 import socket
 import threading
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TesseractError
 from repro.net.errors import NetError, ProtocolError, TruncatedFrameError
-from repro.net.frames import (
-    FLAG_BINARY,
-    FLAG_PIPELINE,
-    MAX_PAYLOAD,
-    MessageType,
-    encode_frame,
-    read_frame,
-)
+from repro.net.frames import MAX_PAYLOAD, MessageType, encode_frame, read_frame
 from repro.net.rpc import LATENCY_SAMPLE_CAP
 from repro.net.wire import (
     RecordsPayload,
-    decode_binary_payload,
-    decode_edge_update,
-    decode_payload,
+    decode_message,
     decode_trace_context,
-    encode_binary_payload,
-    encode_payload,
+    encode_message,
     encode_reclaim_stats,
     encode_updated_keys,
 )
@@ -66,19 +55,6 @@ DEDUP_WINDOW = 64
 
 #: most records one multi_get (or updates one put_edges) may carry
 MAX_BATCH = 1024
-
-#: wire capabilities this server advertises in the ``hello`` response:
-#: "trace" (trace-context propagation), "bin" (binary record codec),
-#: "pipe" (pipelined connections with read-ahead dispatch)
-SERVER_FEATURES = ("trace", "bin", "pipe")
-
-#: decoded requests buffered ahead of dispatch per pipelined connection
-READAHEAD = 64
-
-#: dispatch workers per pipelined connection — two is enough for a cheap
-#: op to overtake an expensive one while the store lock still serializes
-#: actual store access
-PIPELINE_WORKERS = 2
 
 
 class StoreServer:
@@ -118,7 +94,6 @@ class StoreServer:
         self._op_errors: Dict[str, int] = {}
         self._op_latencies: Dict[str, List[float]] = {}
         self._dedup_replays = 0
-        self._pipelined_conns = 0
         self._inflight = 0
         self._closed = False
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -185,21 +160,22 @@ class StoreServer:
     # -- per-connection loop -----------------------------------------------
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        """Answer one connection's requests in order, one at a time."""
         try:
             while True:
                 try:
-                    request, flags = self._read_request(conn)
+                    msg_type, flags, payload = read_frame(
+                        conn.recv, max_payload=self.max_payload
+                    )
+                    if msg_type is not MessageType.REQUEST:
+                        raise ProtocolError(f"client sent a {msg_type.name} frame")
+                    request = decode_message(payload, flags)
                 except TruncatedFrameError:
                     return  # peer went away (cleanly or not); nothing to answer
                 except ProtocolError as exc:
-                    self._send_error(conn, None, exc)
+                    self._send_error(conn, exc)
                     return  # framing is unrecoverable mid-stream
-                if flags & FLAG_PIPELINE:
-                    # the client interleaves requests on this connection:
-                    # switch to read-ahead dispatch for its remainder
-                    self._serve_pipelined(conn, request)
-                    return
-                self._send_reply(conn, request, self._dispatch(request))
+                conn.sendall(self._encode_reply(*self._dispatch(request)))
         except OSError:
             pass  # connection reset while replying; client will retry
         finally:
@@ -207,86 +183,6 @@ class StoreServer:
             with self._lock:
                 if conn in self._conns:
                     self._conns.remove(conn)
-
-    def _read_request(self, conn: socket.socket) -> Tuple[Dict[str, Any], int]:
-        """One decoded request off the socket, plus its frame flags."""
-        msg_type, flags, payload = read_frame(
-            conn.recv, max_payload=self.max_payload
-        )
-        if msg_type is not MessageType.REQUEST:
-            raise ProtocolError(f"client sent a {msg_type.name} frame")
-        request = (
-            decode_binary_payload(payload)
-            if flags & FLAG_BINARY
-            else decode_payload(payload)
-        )
-        return request, flags
-
-    def _serve_pipelined(self, conn: socket.socket, request: Dict[str, Any]) -> None:
-        """Read-ahead dispatch: decode eagerly, reply as ops complete.
-
-        The connection's reader (this thread) keeps pulling frames into a
-        bounded queue while :data:`PIPELINE_WORKERS` workers dispatch
-        them, so the next request is already decoded when the store frees
-        up and a cheap op may overtake an expensive one — responses go
-        out in **completion order**, serialized only by a per-connection
-        send lock, and the client matches them by message id.  The store
-        itself stays serialized under the server lock, so write-path
-        invariants (non-decreasing timestamps, dedup atomicity) are
-        untouched by the concurrency here.
-        """
-        with self._lock:
-            self._pipelined_conns += 1
-        queue: Deque[Dict[str, Any]] = deque([request])
-        cond = threading.Condition()
-        send_lock = threading.Lock()
-        open_state = {"open": True}
-
-        def worker() -> None:
-            while True:
-                with cond:
-                    while not queue and open_state["open"]:
-                        cond.wait()
-                    if not queue:
-                        return
-                    req = queue.popleft()
-                    cond.notify_all()  # reader may be blocked on the cap
-                try:
-                    self._send_reply(conn, req, self._dispatch(req), send_lock)
-                except OSError:
-                    break  # connection gone; stop draining
-            with cond:
-                open_state["open"] = False  # unwedge a reader at the cap
-                cond.notify_all()
-
-        workers = [
-            threading.Thread(
-                target=worker, name="repro-store-pipeline", daemon=True
-            )
-            for _ in range(PIPELINE_WORKERS)
-        ]
-        for thread in workers:
-            thread.start()
-        try:
-            while True:
-                try:
-                    req, _flags = self._read_request(conn)
-                except TruncatedFrameError:
-                    return
-                except ProtocolError as exc:
-                    self._send_error(conn, None, exc, send_lock)
-                    return
-                with cond:
-                    while len(queue) >= READAHEAD and open_state["open"]:
-                        cond.wait()
-                    queue.append(req)
-                    cond.notify_all()
-        finally:
-            with cond:
-                open_state["open"] = False
-                cond.notify_all()
-            for thread in workers:
-                thread.join()
 
     def _dispatch(self, request: Dict[str, Any]) -> Tuple[MessageType, dict]:
         req_id = request.get("id")
@@ -306,8 +202,8 @@ class StoreServer:
         # acquisitions per RPC instead of two Span context managers.
         tracer = self.telemetry.tracer
         traced = tracer.enabled
-        # absent-field compatibility: pre-tracing clients send no "trace"
-        # key, and a malformed one decodes to None — either way the RPC
+        # an untraced client sends no "trace" key, and a malformed one
+        # decodes to None — either way the RPC
         # proceeds, its server span simply unparented.
         rctx = decode_trace_context(request.get("trace")) if traced else None
         start = self._clock()
@@ -427,57 +323,20 @@ class StoreServer:
             "error": {"type": remote_type, "message": message},
         }
 
-    def _encode_reply(
-        self, msg_type: MessageType, body: dict, request: Dict[str, Any]
-    ) -> bytes:
-        """Frame one reply, binary when the request opted in (``accept``).
-
-        Record-map results (:class:`~repro.net.wire.RecordsPayload`) take
-        the binary fast path only for requests that declared ``"accept":
-        "b"`` — which clients only do after the hello negotiation — and
-        fall back to canonical JSON both for everyone else and for the
-        rare record the codec cannot represent, so the same request never
-        hard-fails on encoding.
-        """
-        result = body.get("result")
-        if isinstance(result, RecordsPayload):
-            if request.get("accept") == "b":
-                try:
-                    return encode_frame(
-                        msg_type,
-                        encode_binary_payload(body, kind="recs", path=("result",)),
-                        flags=FLAG_BINARY,
-                    )
-                except ValueError:
-                    pass  # unrepresentable record: fall back to JSON
-            body = dict(body)
-            body["result"] = result.to_json()
-        return encode_frame(msg_type, encode_payload(body))
-
-    def _send_reply(
-        self,
-        conn: socket.socket,
-        request: Dict[str, Any],
-        outcome: Tuple[MessageType, dict],
-        send_lock: Optional[threading.Lock] = None,
-    ) -> None:
-        frame = self._encode_reply(outcome[0], outcome[1], request)
-        if send_lock is None:
-            conn.sendall(frame)
-        else:
-            with send_lock:
-                conn.sendall(frame)
-
-    def _send_error(
-        self,
-        conn: socket.socket,
-        req_id: Any,
-        exc: NetError,
-        send_lock: Optional[threading.Lock] = None,
-    ) -> None:
+    def _encode_reply(self, msg_type: MessageType, body: dict) -> bytes:
+        """Frame one reply; a record the codec cannot carry (put into the
+        served store in-process, never over the wire) answers an error."""
         try:
-            self._send_reply(
-                conn, {}, self._error(req_id, type(exc).__name__, str(exc)), send_lock
+            payload, flags = encode_message(body)
+        except ValueError as exc:
+            msg_type, body = self._error(body.get("id"), "ValueError", str(exc))
+            payload, flags = encode_message(body)
+        return encode_frame(msg_type, payload, flags=flags)
+
+    def _send_error(self, conn: socket.socket, exc: NetError) -> None:
+        try:
+            conn.sendall(
+                self._encode_reply(*self._error(None, type(exc).__name__, str(exc)))
             )
         except OSError:
             pass
@@ -495,7 +354,6 @@ class StoreServer:
                 "requests": dict(self._op_requests),
                 "errors": dict(self._op_errors),
                 "dedup_replays": self._dedup_replays,
-                "pipelined_conns": self._pipelined_conns,
                 "inflight": self._inflight,
                 "sessions": len(self._applied),
                 "latencies_s": {
@@ -528,10 +386,6 @@ class StoreServer:
             "repro_server_dedup_replays_total",
             "retried writes answered from the dedup window (not re-executed)",
         ).set_total(snap["dedup_replays"])
-        registry.counter(
-            "repro_server_pipelined_connections_total",
-            "connections upgraded to read-ahead pipelined dispatch",
-        ).set_total(snap["pipelined_conns"])
         registry.gauge(
             "repro_server_inflight_requests", "requests currently being served"
         ).set(snap["inflight"])
@@ -559,15 +413,9 @@ class StoreServer:
             "ping": lambda a: {},
             "hello": self._op_hello,
             # record transfer (the fetch boundary)
-            "get_record": lambda a: RecordsPayload(
-                {a["v"]: store.get_record(a["v"])}, single=True
-            ),
+            "get_record": lambda a: RecordsPayload({a["v"]: store.get_record(a["v"])}),
             "multi_get": self._op_multi_get,
-            "put_record": self._write(
-                lambda a: store.put_record(
-                    a["v"], _require_record(a["record"])
-                )
-            ),
+            "put_record": self._write(self._op_put_record),
             "list_vertices": lambda a: sorted(store.vertices()),
             "has_vertex": lambda a: store.has_vertex(a["v"]),
             "num_vertices": lambda a: store.num_vertices(),
@@ -616,7 +464,6 @@ class StoreServer:
             "num_shards": self.store.shards.num_shards,
             "latest_ts": self.store.latest_timestamp,
             "max_batch": self.max_batch,
-            "features": list(SERVER_FEATURES),
             "facts": capability_facts(self.store),
         }
 
@@ -628,13 +475,20 @@ class StoreServer:
             )
         return RecordsPayload({v: self.store.get_record(v) for v in vs})
 
+    def _op_put_record(self, args: dict) -> None:
+        blob = args["record"]
+        record = None
+        if isinstance(blob, RecordsPayload):
+            record = blob.records.get(args["v"])
+        if record is None:
+            raise ValueError("put_record requires the vertex's record blob")
+        self.store.put_record(args["v"], record)
+
     def _op_put_edges(self, args: dict) -> None:
         """Apply one coalesced window of edge updates at a shared ``ts``.
 
-        Updates arrive either as binary-decoded
-        :class:`~repro.types.EdgeUpdate` objects or as the JSON quint
-        lists of :func:`~repro.net.wire.encode_edge_update`; they apply
-        in payload order through the store's ``apply_edge_updates``, as an
+        The updates arrive as the decoded ``upds`` blob and apply in
+        payload order through the store's ``apply_edge_updates``, as an
         in-process client's window does.
         """
         updates = args["updates"]
@@ -642,11 +496,9 @@ class StoreServer:
             raise ValueError(
                 f"put_edges batch of {len(updates)} exceeds limit {self.max_batch}"
             )
-        decoded = [
-            item if isinstance(item, EdgeUpdate) else decode_edge_update(item)
-            for item in updates
-        ]
-        self.store.apply_edge_updates(args["ts"], decoded)
+        if not all(isinstance(upd, EdgeUpdate) for upd in updates):
+            raise ValueError("put_edges requires an updates blob")
+        self.store.apply_edge_updates(args["ts"], updates)
 
     def _op_window_completed(self, args: dict) -> dict:
         self.store.window_completed(args["ts"])
@@ -665,11 +517,3 @@ class StoreServer:
 
         return handler
 
-
-def _require_record(data: Optional[dict]):
-    from repro.net.wire import decode_record
-
-    record = decode_record(data)
-    if record is None:
-        raise ValueError("put_record requires a record body")
-    return record

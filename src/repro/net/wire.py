@@ -17,30 +17,31 @@ Three message shapes travel in frames:
 * ``RESPONSE`` — ``{"id": n, "result": ...}``;
 * ``ERROR``    — ``{"id": n, "error": {"type": str, "message": str}}``.
 
-The ``"trace"`` key rides the *graceful absent-field* compatibility
-path rather than a version bump: servers read request fields with
-``.get`` and ignore unknown keys, so a tracing client interoperates
-with a pre-tracing server (the context is simply dropped) and vice
-versa.  Servers that understand it advertise ``"features": ["trace"]``
-in the hello response.
+The ``"trace"`` key is optional: servers read request fields with
+``.get``, and a missing or malformed context leaves the RPC untraced
+(see :func:`decode_trace_context`).
 
-The codecs below translate the store's value types to and from JSON-safe
-structures.  The edge-version list format is deliberately the same
-``[added_ts, deleted_ts, label, direction]`` quad the checkpoint file
-format uses (:mod:`repro.store.checkpoint`), so a record reads the same
-on disk and on the wire.
+The codecs below translate the store's small value types to and from
+JSON-safe structures.
 
-Binary fast path
-    Frames flagged :data:`~repro.net.frames.FLAG_BINARY` carry a hybrid
-    payload instead of pure JSON: a ``u32`` length-prefixed canonical-JSON
-    **envelope** (the message minus its record-heavy field, plus a ``_b``
-    marker naming the blob kind and where the decoded value belongs)
-    followed by a struct-packed **blob** of edge-version quads with a
-    shared label string table.  See :func:`encode_binary_payload` /
-    :func:`decode_binary_payload`.  The codec is strict: values it cannot
-    represent (non-int timestamps, > 65534 distinct labels, out-of-range
-    ids) raise ``ValueError`` at encode time so callers fall back to
-    JSON, and any truncated or oversized blob raises
+Payload codec
+    Records and edge updates never travel as JSON.  A message that
+    carries them — a ``multi_get``/``get_record`` reply (a
+    :class:`RecordsPayload`), a ``put_edges`` request (``updates``) or a
+    ``put_record`` request (``record``, a one-record
+    :class:`RecordsPayload`) — is framed with
+    :data:`~repro.net.frames.FLAG_BINARY` and its payload is a ``u32``
+    length-prefixed canonical-JSON **envelope** (the message minus that
+    field, plus a ``_b`` marker naming the blob kind and where the decoded
+    value belongs) followed by a struct-packed **blob** of edge-version
+    quads with a shared label string table.  Every other message is plain
+    canonical JSON.  :func:`encode_message` / :func:`decode_message` pick
+    the form; there is no fallback.  The blob covers the whole
+    :class:`~repro.store.api.GraphStore` contract (``int`` ids and
+    timestamps, ``str``-or-``None`` labels, the four directions): a value
+    outside it (a non-``str`` label, an id outside int64, > 65534 distinct
+    labels) raises ``ValueError`` at encode time, before any frame is
+    sent, and any truncated or oversized blob raises
     :class:`~repro.net.errors.ProtocolError` at decode time.
 """
 
@@ -51,6 +52,7 @@ import struct
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.net.errors import ProtocolError
+from repro.net.frames import FLAG_BINARY
 from repro.store.api import ReclaimStats
 from repro.store.mvstore import EdgeInterval, VertexRecord
 from repro.types import EdgeKey, EdgeUpdate, Timestamp
@@ -121,59 +123,7 @@ def decode_trace_context(value: Any) -> Optional[Tuple[str, int, str, int, int]]
     return trace_id, span_id, node, flags, attempt
 
 
-# -- record-map types --------------------------------------------------------
-
-
-def encode_record(record: Optional[VertexRecord]) -> Optional[dict]:
-    """JSON-safe form of a vertex record (None stays None)."""
-    if record is None:
-        return None
-    return {
-        "labels": [[ts, label] for ts, label in record.label_history],
-        "edges": {
-            str(dst): [
-                [iv.added_ts, iv.deleted_ts, iv.label, iv.direction]
-                for iv in versions
-            ]
-            for dst, versions in record.edges.items()
-        },
-    }
-
-
-def decode_record(data: Optional[dict]) -> Optional[VertexRecord]:
-    """Rebuild a vertex record from :func:`encode_record` output.
-
-    The decoded record is a deep private copy: every interval list is
-    freshly built, so callers may cache it without aliasing the server's
-    state.
-    """
-    if data is None:
-        return None
-    return VertexRecord(
-        label_history=[(ts, label) for ts, label in data["labels"]],
-        edges={
-            int(dst): [
-                EdgeInterval(
-                    added_ts=entry[0],
-                    deleted_ts=entry[1],
-                    label=entry[2],
-                    direction=entry[3],
-                )
-                for entry in versions
-            ]
-            for dst, versions in data["edges"].items()
-        },
-    )
-
-
-def encode_edge_update(update: EdgeUpdate) -> list:
-    """JSON-safe form of an :class:`~repro.types.EdgeUpdate`."""
-    return [update.u, update.v, update.added, update.label, update.direction]
-
-
-def decode_edge_update(data: list) -> EdgeUpdate:
-    u, v, added, label, direction = data
-    return EdgeUpdate(u, v, added=added, label=label, direction=direction)
+# -- small value types -------------------------------------------------------
 
 
 def encode_updated_keys(keys: Dict[EdgeKey, bool]) -> List[list]:
@@ -211,7 +161,7 @@ def decode_timestamp(value: Any) -> Timestamp:
     return value
 
 
-# -- binary record codec (the FLAG_BINARY fast path) -------------------------
+# -- the binary blob codec --------------------------------------------------
 
 _U32 = struct.Struct(">I")
 _U16 = struct.Struct(">H")
@@ -232,43 +182,19 @@ _NO_LABEL = 0xFFFF
 _DIRECTIONS: Tuple[Optional[str], ...] = (None, "fwd", "rev", "both")
 _DIR_CODE = {d: i for i, d in enumerate(_DIRECTIONS)}
 
-#: blob kinds the binary payload may carry
-BINARY_KINDS = ("recs", "upds")
-
-
 class RecordsPayload:
-    """A record-map result staged for either payload encoding.
+    """A vertex-id -> record map, the value a ``recs`` blob carries.
 
-    Handlers that serve whole records (``multi_get``, ``get_record``)
-    return one of these instead of committing to a wire form; the frame
-    writer then packs :attr:`records` with the binary codec when the
-    request opted in (and the values are representable) or falls back to
-    :meth:`to_json`.  The client-side binary decoder hands the same type
-    back, so ``isinstance(reply, RecordsPayload)`` distinguishes the two
-    reply forms without sniffing dict shapes.
-
-    ``single=True`` marks a one-record map whose **JSON** form is the
-    bare record (the historical ``get_record`` reply shape) rather than
-    a map — that keeps the JSON wire format byte-identical for old
-    clients while the binary form is uniformly a map.
+    ``multi_get`` and ``get_record`` return one (``get_record``'s holds
+    one record); a ``put_record`` request carries one under ``record``.
+    The type marks the field for :func:`encode_message` and is what
+    :func:`decode_message` hands back.
     """
 
-    __slots__ = ("records", "single")
+    __slots__ = ("records",)
 
-    def __init__(
-        self,
-        records: Dict[int, Optional[VertexRecord]],
-        *,
-        single: bool = False,
-    ) -> None:
+    def __init__(self, records: Dict[int, Optional[VertexRecord]]) -> None:
         self.records = records
-        self.single = single
-
-    def to_json(self) -> Any:
-        if self.single:
-            record = next(iter(self.records.values()), None)
-            return encode_record(record)
-        return {str(v): encode_record(rec) for v, rec in self.records.items()}
 
 
 class _StringTable:
@@ -367,13 +293,12 @@ def _dir_code(direction: Optional[str]) -> int:
     return code
 
 
-def _encode_records_blob(records: Dict[int, Optional[VertexRecord]]) -> bytes:
+def _pack_records(records: Dict[int, Optional[VertexRecord]]) -> bytes:
     # Hot loop: the server packs thousands of edge versions per multi_get
     # reply, so struct ``pack`` methods are bound into locals and the
     # int guards are inline ``type(x) is int`` checks (exact type: bool
-    # must still be rejected, its JSON form differs) with the slow
-    # ``_require_wire_int`` raising the descriptive ValueError only on
-    # the fallback path.
+    # is rejected too) with the slow ``_require_wire_int`` raising the
+    # descriptive ValueError only for a value outside the contract.
     labels = _StringTable()
     label_index = labels.index_of
     pack_vertex = _VERTEX_HEAD.pack
@@ -455,12 +380,12 @@ def _encode_records_blob(records: Dict[int, Optional[VertexRecord]]) -> bytes:
                         no_label if label is None else label_index(label),
                         code,
                     )
-    except struct.error as exc:  # out-of-range id/ts: fall back to JSON
+    except struct.error as exc:  # an id or ts outside int64
         raise ValueError(f"value out of range for binary codec: {exc}") from None
     return labels.encode() + bytes(body)
 
 
-def _decode_records_blob(reader: _BlobReader) -> Dict[int, Optional[VertexRecord]]:
+def _unpack_records(reader: _BlobReader) -> Dict[int, Optional[VertexRecord]]:
     table = reader.read_string_table()
     # Hot loop: a prefetch decodes thousands of these structs per reply,
     # so the cursor is inlined into locals and bounds checking is left to
@@ -574,7 +499,7 @@ def _decode_records_blob(reader: _BlobReader) -> Dict[int, Optional[VertexRecord
     return records
 
 
-def _encode_updates_blob(updates: Iterable[EdgeUpdate]) -> bytes:
+def _pack_updates(updates: Iterable[EdgeUpdate]) -> bytes:
     labels = _StringTable()
     body = bytearray()
     count = 0
@@ -593,7 +518,7 @@ def _encode_updates_blob(updates: Iterable[EdgeUpdate]) -> bytes:
     return labels.encode() + _U32.pack(count) + bytes(body)
 
 
-def _decode_updates_blob(reader: _BlobReader) -> List[EdgeUpdate]:
+def _unpack_updates(reader: _BlobReader) -> List[EdgeUpdate]:
     table = reader.read_string_table()
     (count,) = reader.unpack(_U32)
     updates = []
@@ -616,8 +541,8 @@ def _decode_updates_blob(reader: _BlobReader) -> List[EdgeUpdate]:
 
 
 _BLOB_CODECS = {
-    "recs": (_encode_records_blob, _decode_records_blob),
-    "upds": (_encode_updates_blob, _decode_updates_blob),
+    "recs": (_pack_records, _unpack_records),
+    "upds": (_pack_updates, _unpack_updates),
 }
 
 
@@ -630,8 +555,8 @@ def encode_binary_payload(
     "updates")``) is lifted out of the message into the blob; the
     envelope keeps everything else plus a ``_b`` marker ``[kind, *path]``
     telling the decoder where the value belongs.  Raises ``ValueError``
-    when the value is not representable (callers fall back to JSON) and
-    ``KeyError`` when ``path`` is absent from the message.
+    when the value is outside the codec's contract and ``KeyError`` when
+    ``path`` is absent from the message.
     """
     encode_blob = _BLOB_CODECS[kind][0]
     if len(path) == 1:
@@ -693,6 +618,35 @@ def decode_binary_payload(payload: bytes) -> Dict[str, Any]:
             raise ProtocolError(f"binary marker path {path!r} missing from envelope")
         inner[path[1]] = value
     return envelope
+
+
+#: the request field each op ships as a blob: op -> (blob kind, arg name)
+_REQUEST_BLOBS = {"put_edges": ("upds", "updates"), "put_record": ("recs", "record")}
+
+
+def encode_message(message: Dict[str, Any]) -> Tuple[bytes, int]:
+    """``(payload, frame flags)`` of one message, in its only wire form.
+
+    A :class:`RecordsPayload` result and the blob field of a
+    ``put_edges`` / ``put_record`` request travel as a binary blob
+    (:data:`~repro.net.frames.FLAG_BINARY`); everything else is canonical
+    JSON.  Raises ``ValueError`` for a value outside the blob's contract.
+    """
+    if isinstance(message.get("result"), RecordsPayload):
+        kind, path = "recs", ("result",)
+    elif message.get("op") in _REQUEST_BLOBS:
+        kind, arg = _REQUEST_BLOBS[message["op"]]
+        path = ("args", arg)
+    else:
+        return encode_payload(message), 0
+    return encode_binary_payload(message, kind=kind, path=path), FLAG_BINARY
+
+
+def decode_message(payload: bytes, flags: int) -> Dict[str, Any]:
+    """The message :func:`encode_message` made ``(payload, flags)`` from."""
+    if flags & FLAG_BINARY:
+        return decode_binary_payload(payload)
+    return decode_payload(payload)
 
 
 def split_address(text: str) -> Tuple[str, int]:

@@ -5,9 +5,11 @@ between the :class:`NetStoreClient` and the :class:`StoreServer`, dropping,
 duplicating, and reordering frames.  Drops force the client through its
 deadline + retry machinery; duplicated requests force the server's
 exactly-once write dedup; duplicated responses force the client's
-request-id discard loop; reordered responses force the pipelined
-channel's id-keyed out-of-order completion.  None of it may change a
-single output byte.
+request-id discard loop.  Reordered frames exercise the fetch-ahead
+window's id matching, where several ``multi_get`` replies share one
+connection; on a connection carrying one request, a held reply has no
+successor to swap with, so it is a deadline and a retry.  None of it
+may change a single output byte.
 """
 
 import pytest
@@ -93,9 +95,9 @@ class TestChaosMining:
         ids=["reorders", "reorders+drops+dups"],
     )
     def test_output_identical_under_reordering(self, proxied):
-        """Pipelined responses arriving out of order (with drops and dups
-        layered on top) never change a mined byte — the channel matches
-        by id, not arrival order."""
+        """Fetch-ahead replies arriving out of order (with drops and dups
+        layered on top) never change a mined byte — the window matches
+        by id, not arrival order, and a held lone reply is retried."""
         client, proxy = proxied
         assert mine_through(client) == mine_through("mv")
         assert proxy.reorder_count() > 0

@@ -55,12 +55,13 @@ class TestWireTracing:
         server_tel = Telemetry(node="server")
         client_tel = Telemetry(node="client")
         server = StoreServer(MultiVersionStore(), telemetry=server_tel).start()
-        client = NetStoreClient(server.address, telemetry=client_tel)
+        client = NetStoreClient(server.address, batch_size=2, telemetry=client_tel)
         try:
-            assert "trace" in client.server_features
             for i in range(5):
                 client.add_edge(i, i + 1, i + 1)
             client.neighbors_at(2, 5)
+            client.drop_cache()
+            client.prefetch(list(range(6)))  # three multi_get in one window
             client.window_completed(5)
         finally:
             client.close()

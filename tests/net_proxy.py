@@ -8,8 +8,10 @@ it, duplicates it, or reorders it.  Frame-boundary faults are the
 interesting ones: a dropped frame exercises the client's deadline + retry
 machinery, a duplicated request exercises the server's exactly-once write
 dedup, a duplicated response exercises the client's request-id discard
-loop, and a reordered response exercises the pipelined client's
-id-keyed out-of-order completion.
+loop, and a reordered frame exercises the fetch-ahead window's id
+matching (several ``multi_get`` requests in flight on one connection).
+On a connection carrying a single request, a held frame waits for a
+successor that never comes: to the client it is a deadline and a retry.
 
 Frames in both directions share one counter, so a rule like
 ``drop_every=7`` kills every 7th frame regardless of direction — requests
@@ -137,8 +139,8 @@ class FaultProxy:
                     msg_type, flags, payload = read_frame(src.recv)
                 except (TruncatedFrameError, OSError):
                     return
-                # re-encode with the original flag bits so binary /
-                # pipelined frames survive the relay byte-identically
+                # re-encode with the original flag bits so binary
+                # frames survive the relay byte-identically
                 raw = encode_frame(msg_type, payload, flags=flags)
                 with self._lock:
                     self.frames += 1

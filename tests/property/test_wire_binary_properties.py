@@ -1,27 +1,26 @@
-"""Property tests for the binary payload fast path (FLAG_BINARY).
+"""Property tests for the payload codec's binary blobs (FLAG_BINARY).
 
-The binary record codec must be a *lossless alternate encoding*: any
-record map or update list the JSON codec can carry decodes back
-bit-identically from the binary form, corrupt payloads (truncated,
-padded, mangled markers) raise :class:`ProtocolError` rather than
-returning wrong data, and unrepresentable values raise ``ValueError`` on
-encode so callers fall back to JSON instead of hard-failing.  A small
-negotiation matrix pins the compatibility story: a binary-capable client
-against a JSON-only server (and the reverse) must interoperate with no
-protocol break.
+Records and edge updates only ever travel as blobs, so the blob codec
+must be lossless over the whole ``GraphStore`` contract: any record map
+or update list decodes back bit-identically, corrupt payloads
+(truncated, padded, mangled markers) raise :class:`ProtocolError` rather
+than returning wrong data, and a value outside the contract raises
+``ValueError`` in the writer — through ``--store net`` before any frame
+is sent, leaving the served store untouched.
 """
+
+import copy
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.net.errors import ProtocolError
+from repro.net.errors import ApplicationError, ProtocolError
 from repro.net.wire import (
     RecordsPayload,
     decode_binary_payload,
-    decode_record,
     encode_binary_payload,
-    encode_edge_update,
 )
+from repro.store.api import make_store
 from repro.store.mvstore import EdgeInterval, VertexRecord
 from repro.types import EdgeUpdate
 
@@ -110,22 +109,6 @@ class TestRoundTrip:
             assert records_equal(reply.records[v], rec)
 
     @SETTINGS
-    @given(record_maps)
-    def test_binary_equals_json_form(self, recs):
-        """Both wire forms of the same reply decode to the same records."""
-        staged = RecordsPayload(recs)
-        payload = encode_binary_payload(
-            {"id": 1, "result": staged}, kind="recs", path=("result",)
-        )
-        via_binary = decode_binary_payload(payload)["result"].records
-        via_json = {
-            int(v): decode_record(data) for v, data in staged.to_json().items()
-        }
-        assert set(via_binary) == set(via_json)
-        for v in via_json:
-            assert records_equal(via_binary[v], via_json[v])
-
-    @SETTINGS
     @given(updates)
     def test_update_list_round_trips(self, upds):
         message = {"id": 3, "op": "put_edges", "args": {"ts": 4, "updates": upds}}
@@ -136,19 +119,6 @@ class TestRoundTrip:
         assert decoded["op"] == "put_edges"
         assert decoded["args"]["ts"] == 4
         assert decoded["args"]["updates"] == upds
-
-    @SETTINGS
-    @given(updates)
-    def test_binary_updates_equal_json_updates(self, upds):
-        payload = encode_binary_payload(
-            {"id": 1, "args": {"updates": upds}}, kind="upds", path=("args", "updates")
-        )
-        via_binary = decode_binary_payload(payload)["args"]["updates"]
-        via_json = [
-            EdgeUpdate(u, v, added=added, label=label, direction=direction)
-            for u, v, added, label, direction in map(encode_edge_update, upds)
-        ]
-        assert via_binary == via_json
 
 
 class TestCorruptPayloads:
@@ -194,7 +164,7 @@ class TestCorruptPayloads:
                 decode_binary_payload(_U32.pack(len(env)) + env)
 
 
-class TestUnrepresentableFallsBack:
+class TestOutOfContractRaises:
     def test_out_of_range_vertex_id_raises_value_error(self):
         recs = {2**70: None}
         with pytest.raises(ValueError):
@@ -213,83 +183,63 @@ class TestUnrepresentableFallsBack:
                 path=("args", "updates"),
             )
 
-    def test_client_encoder_falls_back_to_json(self):
-        from repro.net.client import NetStoreClient
-
-        message = {
-            "id": 1,
-            "op": "put_edges",
-            "args": {"ts": 1, "updates": [EdgeUpdate(1, 2, added=True, label=7)]},
-        }
-        payload, flags = NetStoreClient._edges_encoder(message)
-        assert flags == 0  # JSON fallback, no binary flag
-        from repro.net.wire import decode_payload
-
-        decoded = decode_payload(payload)
-        assert decoded["args"]["updates"] == [[1, 2, True, 7, None]]
-
-
-class TestNegotiationMatrix:
-    """Feature negotiation: no hard protocol break in either direction."""
-
-    def _serve(self, monkeypatch=None, features=None):
-        from repro.net import server as server_mod
-        from repro.store.mvstore import MultiVersionStore
-
-        if features is not None:
-            monkeypatch.setattr(server_mod, "SERVER_FEATURES", features)
-        store = MultiVersionStore()
-        return store, server_mod.StoreServer(store).start()
-
-    def test_binary_client_against_json_only_server(self, monkeypatch):
-        """A server that never advertised "bin"/"pipe" sees only plain
-        JSON frames from a fully binary-capable client."""
-        from repro.net.client import NetStoreClient
-
-        _, server = self._serve(monkeypatch, features=("trace",))
-        client = NetStoreClient(server.address)
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda net: net.apply_edge_updates(
+                2, [EdgeUpdate(5, 6, added=True), EdgeUpdate(6, 7, added=True, label=7)]
+            ),
+            lambda net: net.apply_edge_updates(2, [EdgeUpdate(5, 2**70, added=True)]),
+            lambda net: net.put_record(
+                5, VertexRecord(label_history=[(2, 7)], edges={})
+            ),
+            lambda net: net.put_record(
+                5, VertexRecord(edges={2**63: [EdgeInterval(2, None)]})
+            ),
+        ],
+        ids=["put_edges-label", "put_edges-id", "put_record-label", "put_record-id"],
+    )
+    def test_net_writer_raises_before_sending(self, write):
+        net = make_store("net")
         try:
-            assert client._binary is False and client._pipeline is False
-            client.apply_edge_updates(1, [EdgeUpdate(1, 2, added=True)])
-            client.prefetch([1, 2])
-            assert client.neighbors_at(1, 1) == [2]
-            # the coalesced op was never attempted against the old server
-            assert "put_edges" not in client.net_log.per_op
-            assert client.net_log.per_op["add_edge"] == 1
+            net.add_edge(1, 2, 1, label="a")
+            served = net._server.store
+            before = {v: copy.deepcopy(served.get_record(v)) for v in served.vertices()}
+            rpcs = net.net_log.rpcs
+            with pytest.raises(ValueError):
+                write(net)
+            assert net.net_log.rpcs == rpcs  # no frame left the client
+            assert {v: served.get_record(v) for v in served.vertices()} == before
+            assert net.neighbors_at(1, 1) == [2]
         finally:
-            client.close()
-            server.close()
+            net.close()
 
-    def test_json_client_against_binary_server(self):
-        """A client that never sends "accept" gets plain JSON replies from
-        a binary-capable server (reply form is per-request, not global)."""
-        from repro.net.rpc import RpcClient
-
-        store, server = self._serve()
-        store.add_edge(1, 2, 1, label="x")
-        client = RpcClient(*server.address)
+    def test_an_unencodable_served_record_answers_an_error(self):
+        """A record put into the served store in-process, with a label the
+        blob cannot carry: the read fails with an error reply, and the
+        connection keeps serving."""
+        net = make_store("net")
         try:
-            reply = client.call("multi_get", {"vs": [1]})
-            assert isinstance(reply, dict) and "1" in reply  # JSON map form
-            record = decode_record(reply["1"])
-            assert 2 in record.edges
-            bare = client.call("get_record", {"v": 1})
-            assert records_equal(decode_record(bare), record)
+            net._server.store.add_edge(1, 2, 1, label=7)
+            with pytest.raises(ApplicationError, match="ValueError"):
+                net.get_record(1)
+            assert net.get_record(3) is None
+            assert net.net_log.retries == 0
         finally:
-            client.close()
-            server.close()
+            net.close()
 
-    def test_binary_client_against_binary_server(self):
-        from repro.net.client import NetStoreClient
 
-        store, server = self._serve()
-        store.add_edge(1, 2, 1, label="x")
-        client = NetStoreClient(server.address)
-        try:
-            assert client._binary is True and client._pipeline is True
-            client.prefetch([1, 2, 3])
-            assert client.neighbors_at(1, 1) == [2]
-            assert client.edge_label_at(1, 2, 1) == "x"
-        finally:
-            client.close()
-            server.close()
+@pytest.fixture(scope="module")
+def net_store():
+    net = make_store("net")
+    yield net
+    net.close()
+
+
+class TestPutRecordRoundTrip:
+    @SETTINGS
+    @given(vertex_ids, records)
+    def test_put_record_round_trips_through_the_blob(self, net_store, v, record):
+        net_store.put_record(v, record)
+        assert records_equal(net_store._server.store.get_record(v), record)
+        assert records_equal(net_store.get_record(v), record)

@@ -2,8 +2,8 @@
 
 Covers the satellite checklist explicitly: zero-length payloads, max-size
 frames, truncated reads mid-header and mid-payload, unknown message
-types, and protocol-version mismatches — plus the canonical-JSON payload
-codecs the frames carry.
+types, and protocol-version mismatches — plus the payload codec the
+frames carry.
 """
 
 import struct
@@ -20,7 +20,6 @@ from repro.net.errors import (
 )
 from repro.net.frames import (
     FLAG_BINARY,
-    FLAG_PIPELINE,
     HEADER_SIZE,
     MAGIC,
     PROTOCOL_VERSION,
@@ -30,15 +29,17 @@ from repro.net.frames import (
     read_frame,
 )
 from repro.net.wire import (
+    RecordsPayload,
+    decode_message,
     decode_payload,
-    decode_record,
     decode_updated_keys,
+    encode_message,
     encode_payload,
-    encode_record,
     encode_updated_keys,
     split_address,
 )
 from repro.store.mvstore import MultiVersionStore
+from repro.types import EdgeUpdate
 
 
 def reader(data, chunk=None):
@@ -66,7 +67,7 @@ class TestFrameRoundTrip:
         assert payload == b'{"id":1}'
 
     def test_flag_bits_round_trip(self):
-        for bits in (FLAG_BINARY, FLAG_PIPELINE, FLAG_BINARY | FLAG_PIPELINE):
+        for bits in (0, FLAG_BINARY):
             frame = encode_frame(MessageType.RESPONSE, b"x", flags=bits)
             msg_type, flags, payload = read_frame(reader(frame))
             assert msg_type is MessageType.RESPONSE
@@ -74,13 +75,15 @@ class TestFrameRoundTrip:
             assert payload == b"x"
 
     def test_unknown_flag_bits_rejected(self):
-        # 0x20 is not an assigned flag: the type byte decodes to an
-        # unknown message type, not a silently-ignored extension
-        header = struct.pack(
-            ">2sBBI", MAGIC, PROTOCOL_VERSION, int(MessageType.REQUEST) | 0x20, 0
-        )
-        with pytest.raises(UnknownMessageTypeError):
-            decode_header(header)
+        # only FLAG_BINARY is assigned (0x40 was v1's pipeline bit): the
+        # type byte decodes to an unknown message type, not a
+        # silently-ignored extension
+        for bit in (0x20, 0x40):
+            header = struct.pack(
+                ">2sBBI", MAGIC, PROTOCOL_VERSION, int(MessageType.REQUEST) | bit, 0
+            )
+            with pytest.raises(UnknownMessageTypeError):
+                decode_header(header)
 
     def test_zero_length_payload(self):
         frame = encode_frame(MessageType.RESPONSE, b"")
@@ -157,7 +160,12 @@ class TestFrameFaults:
         # the wire format is versioned: changing the header layout must
         # bump PROTOCOL_VERSION, and this pin makes that loud
         assert HEADER_SIZE == 8
-        assert PROTOCOL_VERSION == 1
+        assert PROTOCOL_VERSION == 2
+
+    def test_a_v1_peer_fails_loudly(self):
+        frame = encode_frame(MessageType.REQUEST, b"{}", version=1)
+        with pytest.raises(VersionMismatchError):
+            read_frame(reader(frame))
 
 
 class TestPayloadCodec:
@@ -172,36 +180,31 @@ class TestPayloadCodec:
         with pytest.raises(ProtocolError):
             decode_payload(b"[1, 2, 3]")  # not an object
 
-    def test_record_round_trip(self):
+    def test_records_and_updates_always_travel_as_blobs(self):
         store = MultiVersionStore()
-        store.set_vertex_label(1, 1, "person")
         store.add_edge(1, 2, 1, label="knows", direction="fwd")
-        store.add_edge(1, 3, 2)
-        store.delete_edge(1, 2, 3)
-        record = store.get_record(1)
-        clone = decode_record(decode_payload(encode_payload(encode_record(record))))
-        assert clone.label_history == record.label_history
-        assert set(clone.edges) == set(record.edges)
-        for dst, versions in record.edges.items():
-            assert [
-                (iv.added_ts, iv.deleted_ts, iv.label, iv.direction)
-                for iv in clone.edges[dst]
-            ] == [
-                (iv.added_ts, iv.deleted_ts, iv.label, iv.direction)
-                for iv in versions
-            ]
+        reply = {"id": 1, "result": RecordsPayload({1: store.get_record(1)})}
+        put_edges = {
+            "id": 2,
+            "op": "put_edges",
+            "args": {"ts": 1, "updates": [EdgeUpdate(1, 2, added=True)]},
+        }
+        put_record = {
+            "id": 3,
+            "op": "put_record",
+            "args": {"v": 1, "record": RecordsPayload({1: store.get_record(1)})},
+        }
+        for message in (reply, put_edges, put_record):
+            payload, flags = encode_message(message)
+            assert flags == FLAG_BINARY
+            assert decode_message(payload, flags).keys() == message.keys()
+        assert decode_message(*encode_message(put_edges))["args"] == put_edges["args"]
 
-    def test_record_decode_is_a_deep_copy(self):
-        store = MultiVersionStore()
-        store.add_edge(1, 2, 1)
-        record = store.get_record(1)
-        clone = decode_record(encode_record(record))
-        clone.edges[2][0].deleted_ts = 99
-        assert record.edges[2][0].deleted_ts is None
-
-    def test_none_record_passes_through(self):
-        assert encode_record(None) is None
-        assert decode_record(None) is None
+    def test_other_messages_are_canonical_json(self):
+        message = {"id": 4, "op": "get_record", "args": {"v": 1}}
+        payload, flags = encode_message(message)
+        assert flags == 0 and payload == encode_payload(message)
+        assert decode_message(payload, flags) == message
 
     def test_updated_keys_round_trip(self):
         keys = {(3, 7): True, (1, 2): False}
