@@ -3,9 +3,9 @@
 PR 9 put trace-context propagation on every RPC (``rpc.call`` spans on
 the client, a context quintuple on the wire, ``rpc.server``/``store.*``
 spans on the server).  This benchmark prices that machinery in the three
-regimes that matter, against a **raw** reference client whose ``call``
-loop is the pre-tracing body (retry discipline only, zero tracer code) —
-the same raw-vs-disabled-vs-enabled framing as
+regimes that matter, against a **raw** reference client whose retry
+loop and fetch-ahead window are the pre-tracing bodies (zero tracer
+code) — the same raw-vs-disabled-vs-enabled framing as
 ``test_telemetry_overhead.py``:
 
 * ``disabled_*_overhead`` — the shipped call path with the null tracer
@@ -31,6 +31,7 @@ PR's repo-root bench file (see ``_harness.BENCH_PATH``).
 """
 
 import time
+from collections import deque
 
 from _harness import lj_bench, print_table, record_bench
 
@@ -40,7 +41,7 @@ from repro.net.errors import (
     RetriesExhausted,
     TransportError,
 )
-from repro.net.rpc import RpcClient
+from repro.net.rpc import FETCH_AHEAD, RpcClient
 from repro.telemetry import Telemetry
 
 ROUNDS = 11
@@ -53,19 +54,20 @@ FRONTIER = 250
 
 
 class RawRpcClient(RpcClient):
-    """The pre-tracing ``call`` body: retry discipline, zero tracer code.
+    """The pre-tracing call and window bodies: retry discipline and
+    fetch-ahead, zero tracer code.
 
     This is the untouched reference the disabled-path guard compares
     against (the ``_process_update`` analogue of the RPC layer): if the
-    shipped ``call`` with a null tracer measures above this by more than
-    noise, the tracing branches regressed the disabled path.
+    shipped ``call`` or ``call_window`` with a null tracer measures above
+    this by more than noise, the tracing branches regressed the disabled
+    path.
     """
 
-    def call(self, op, args=None, *, deadline=None, session=None, seq=None):
-        budget = self.deadline if deadline is None else deadline
+    def _call(self, op, args, budget, session, seq, fault=None):
         attempts = max(1, self.retry.max_attempts)
-        last = None
-        for attempt in range(attempts):
+        last = fault
+        for attempt in range(0 if fault is None else 1, attempts):
             if attempt:
                 with self._lock:
                     self.log.retries += 1
@@ -80,6 +82,41 @@ class RawRpcClient(RpcClient):
                 last = exc
         assert last is not None
         raise RetriesExhausted(attempts, last)
+
+    def _window(self, op, pending):
+        if not pending:
+            return
+        conn = self._checkout(self.deadline)
+        sent = deque()  # (id, start)
+        landed = {}
+        healthy = False
+        try:
+            while pending:
+                while len(sent) < min(FETCH_AHEAD, len(pending)):
+                    req_id, frame = self._request(
+                        op, pending[len(sent)], None, None, None
+                    )
+                    sent.append((req_id, self._clock()))
+                    self._send(conn, op, frame)
+                req_id, start = sent[0]
+                while req_id not in landed:
+                    msg_type, reply = self._receive(
+                        conn, start + self.deadline, op, self.deadline
+                    )
+                    if any(reply.get("id") == other for other, _ in sent):
+                        landed[reply["id"]] = (msg_type, reply)
+                sent.popleft()
+                pending.popleft()
+                result = self._result(*landed.pop(req_id))
+                with self._lock:
+                    self.log.observe_latency(self._clock() - start)
+                yield result
+            healthy = True
+        finally:
+            if healthy:
+                self._checkin(conn)
+            else:
+                conn.close()
 
 
 def _variant(telemetry=None, raw=False):
@@ -216,7 +253,7 @@ def test_net_trace_overhead(benchmark):
     assert disabled_fetch < 0.10, disabled_fetch
     # The PR guard: tracing both ends of the mining read path (batched
     # fetch-ahead) costs ≤5%.  True cost is microseconds per RPC; the
-    # pipelined binary fetch brought the workload to ~4ms, so the 5%
+    # windowed binary fetch brought the workload to ~4ms, so the 5%
     # bound is a ~200µs noise allowance — comfortable under best-of-N
     # on an idle machine, though a fully loaded box can exceed it.
     assert enabled_fetch < 0.05, enabled_fetch
