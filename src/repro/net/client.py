@@ -6,8 +6,13 @@ The held copies, the read path, the write-through rule and the
 in-process :class:`~repro.store.remote.RemoteStoreClient`; this class is
 the RPC transport under them.  A fetch is a ``get_record`` RPC to a
 :class:`~repro.net.server.StoreServer`, a write an exactly-once RPC
-(session, seq), and a window's edge writes ship as ``put_edges`` batches
-followed by one fetch-ahead ``multi_get`` of the endpoints not yet held.
+(session, seq), and a window's edge writes ship as ``put_edges`` batches.
+:meth:`NetStoreClient.prefetch` ships the records not yet held as
+fetch-ahead ``multi_get`` chunks: the ingress calls it on a window's
+endpoints before it sanitises the window
+(:meth:`~repro.streaming.ingress.IngressNode.submit_many`), and
+``apply_edge_updates`` again after the write, for any still missing.  It
+is a capability the ingress looks up by name, not a ``GraphStore`` method.
 Because engines, GC, and checkpointing only ever see the
 :class:`~repro.store.api.GraphStore` protocol, mining output over this
 client is byte-identical to the in-process stores.
@@ -68,8 +73,9 @@ class NetStoreClient(CachedRecordClient):
     """Worker-side store client speaking framed RPC over TCP.
 
     Every record it holds was decoded from a server reply, so each is a
-    private copy; a window's endpoints not yet held arrive in one batched
-    ``multi_get`` right after its writes.
+    private copy.  A window's endpoints not yet held arrive in batched
+    ``multi_get`` chunks (:meth:`prefetch`) before the ingress sanitises
+    the window, so sanitisation and EXPLORE read held copies.
     """
 
     kind = "net"
@@ -250,8 +256,10 @@ class NetStoreClient(CachedRecordClient):
         self, ts: Timestamp, updates: Iterable[EdgeUpdate]
     ) -> None:
         """Write the window through, then fill its endpoints: EXPLORE reads
-        every one next, and those not held yet arrive by fetch-ahead
-        ``multi_get`` instead of a blocking fetch each."""
+        every one next.  Under ``IngressNode.submit_many`` the read-ahead
+        already holds them and this sends nothing; it fills for callers of
+        per-update ``submit`` and for copies a patch could not fit, by
+        fetch-ahead ``multi_get`` instead of a blocking fetch each."""
         updates = list(updates)
         super().apply_edge_updates(ts, updates)
         self.prefetch([v for upd in updates for v in (upd.u, upd.v)])

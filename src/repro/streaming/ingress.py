@@ -18,6 +18,7 @@ that does not) and collapses add+delete of the same edge within one window.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -145,8 +146,30 @@ class IngressNode:
         return True
 
     def submit_many(self, updates: Iterable[Update]) -> None:
-        for update in updates:
-            self.submit(update)
+        """Submit ``updates`` in order, reading each chunk's records first.
+
+        The input is taken ``window_size`` updates at a time, so a
+        generator is never materialised whole.  Before a chunk is
+        sanitised, a store that can batch its reads (one with a
+        ``prefetch`` method: :class:`~repro.net.client.NetStoreClient`)
+        fetches the records of every endpoint in the chunk at once; the
+        sanitisation probes and the apply-time fill then find them held
+        instead of paying one blocking fetch each.  Each update then goes
+        through :meth:`submit`, so windows, timestamps and verdicts are
+        those of per-update submission.  :meth:`submit` alone reads
+        nothing ahead, and neither does a store whose copy cache is
+        bounded (``cache_capacity``): its FIFO may evict what was read
+        ahead before sanitisation reads it, a round trip spent for nothing.
+        """
+        prefetch = getattr(self.store, "prefetch", None)
+        if getattr(self.store, "cache_capacity", None) is not None:
+            prefetch = None
+        updates = iter(updates)
+        while chunk := list(itertools.islice(updates, self.window_size)):
+            if prefetch is not None:
+                prefetch([v for u in chunk for v in (u.src, u.dst) if v is not None])
+            for update in chunk:
+                self.submit(update)
 
     def flush(self) -> None:
         """Close any open window and drain deferred updates."""

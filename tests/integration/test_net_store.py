@@ -25,6 +25,7 @@ from repro.runtime.session import StreamingSession
 from repro.store.api import make_store
 from repro.store.mvstore import MultiVersionStore
 from repro.store.remote import RemoteStoreClient
+from repro.streaming.ingress import IngressNode
 from repro.types import Update
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -264,6 +265,98 @@ class TestBulkLoadOverTheWire:
         assert outputs[0] == outputs[1]
         assert any(d.is_rem() for d in outputs[0])
         assert any(d.is_new() for d in outputs[0])
+
+
+class WindowLog:
+    """A queue that records each applied window and how much of the input
+    had been consumed when it closed."""
+
+    def __init__(self, consumed):
+        self.consumed = consumed
+        self.windows = []
+
+    def append_window(self, ts, updates):
+        self.windows.append((ts, list(updates), len(self.consumed)))
+
+
+class TestIngressReadAhead:
+    """The ingress reads a chunk's endpoint records in one batch before it
+    sanitises the chunk, instead of one blocking ``get_record`` per cold
+    endpoint."""
+
+    PRELOAD = erdos_renyi(40, 90, seed=3)
+
+    @staticmethod
+    def cold_adds(n, seed=5):
+        """``n`` edge additions among vertices the preload never touched."""
+        return [
+            Update.add_edge(100 + u, 100 + v)
+            for u, v in erdos_renyi(30, n, seed=seed).sorted_edges()
+        ]
+
+    def mine_one_window(self, kind):
+        store = make_store(kind, graph=self.PRELOAD)
+        session = StreamingSession(
+            CliqueMining(3, min_size=3), window_size=50, store=store
+        )
+        try:
+            wire = store.take_net_delta() if kind == "net" else None
+            session.submit_many(self.cold_adds(50))
+            session.flush()
+            if kind == "net":
+                wire = store.take_net_delta()
+            return session.deltas(), wire
+        finally:
+            session.close()
+            store.close()
+
+    def test_a_cold_window_costs_no_blocking_fetch(self):
+        deltas, wire = self.mine_one_window("net")
+        assert wire.per_op.get("get_record", 0) == 0
+        assert wire.rpcs <= 3, wire.per_op  # multi_get, put_edges, window_completed
+        assert deltas == self.mine_one_window("mv")[0]
+        assert deltas
+
+    def test_a_generator_is_read_ahead_chunk_by_chunk_into_the_same_windows(self):
+        """Windows close mid-chunk (dropped updates take no slot), and the
+        windows, timestamps and verdicts equal per-update ``submit``."""
+        preloaded = self.PRELOAD.sorted_edges()
+        stream = self.cold_adds(60)
+        stream += [Update.delete_edge(u, v) for u, v in preloaded[:30:3]]
+        stream += self.cold_adds(60)[:20:2]  # duplicate adds: dropped
+        stream += [Update.delete_edge(200, 201), Update.add_edge(*preloaded[1])]
+
+        def ingest(feed):
+            store = make_store("net", graph=self.PRELOAD)
+            consumed = []
+            log = WindowLog(consumed)
+            ingress = IngressNode(store, log, window_size=25)
+
+            def updates():
+                for update in stream:
+                    consumed.append(update)
+                    yield update
+
+            try:
+                feed(ingress, updates())
+                ingress.flush()
+                verdicts = (ingress.updates_accepted, ingress.updates_dropped)
+                return log.windows, verdicts, dict(store.net_log.per_op)
+            finally:
+                store.close()
+
+        def one_by_one(ingress, updates):
+            for update in updates:
+                ingress.submit(update)
+
+        windows, verdicts, ops = ingest(IngressNode.submit_many)
+        windows_1, verdicts_1, ops_1 = ingest(one_by_one)
+        assert [w[:2] for w in windows] == [w[:2] for w in windows_1]
+        assert verdicts == verdicts_1 and verdicts[1] > 0
+        assert len(windows) > 2
+        # the generator is taken a chunk at a time, never whole
+        assert windows[0][2] < len(stream)
+        assert ops.get("get_record", 0) == 0 < ops_1["get_record"]
 
 
 class TestServeStoreCli:

@@ -2,8 +2,10 @@
 
 ``NetStoreClient`` and ``RemoteStoreClient`` patch the record copies they
 hold when an edge write is acknowledged instead of dropping them.  The
-oracle for that policy is the store itself: after every ``flush()`` each
-held copy must equal a fresh ``get_record`` of the same vertex (dataclass
+oracle for that policy is the store itself: before and after every
+``flush()`` (before it, ``net`` also holds the copies the ingress read
+ahead but has not written yet) each held copy must equal a fresh
+``get_record`` of the same vertex (dataclass
 equality, so every interval's ``added_ts``/``deleted_ts``/label/direction
 counts), and the mined delta stream must equal ``mv``'s byte for byte.
 
@@ -81,7 +83,10 @@ def assert_coherent(client):
     return checked
 
 
-def run_stream(store, batches, window_size, gc_enabled, check=None):
+def run_stream(store, batches, window_size, gc_enabled, check=None, read_ahead=True):
+    """Mine ``batches``, one ``flush`` each.  ``check`` runs on the store
+    before each flush (copies read ahead, not yet written) and after it.
+    Without ``read_ahead`` each update goes through ``submit`` alone."""
     session = StreamingSession(
         CliqueMining(3, min_size=3),
         "serial",
@@ -91,7 +96,13 @@ def run_stream(store, batches, window_size, gc_enabled, check=None):
     )
     try:
         for batch in batches:
-            session.submit_many(batch)
+            if read_ahead:
+                session.submit_many(batch)
+            else:
+                for update in batch:
+                    session.submit(update)
+            if check is not None:
+                check(session.store)
             session.flush()
             if check is not None:
                 check(session.store)
@@ -160,7 +171,8 @@ class TestHeldCopiesEqualRefetch:
         finally:
             client.close()
         assert mined == run_stream("mv", batches, 4, False)
-        assert min(checked) >= 3  # 0, 1, 2 were held throughout, never dropped
+        # after each flush 0, 1, 2 were held throughout, never dropped
+        assert min(checked[1::2]) >= 3
         assert len(versions) == 3 and all(iv.deleted_ts for iv in versions)
 
     def test_rejected_write_leaves_held_copies_coherent(self, kind):
@@ -185,6 +197,29 @@ class TestHeldCopiesEqualRefetch:
             assert client.edge_alive_at(2, 0, 3)  # the first update applied
         finally:
             client.close()
+
+
+@pytest.mark.parametrize("window_size", [3, 8])
+@pytest.mark.parametrize("cache_capacity", [0, 2])
+def test_read_ahead_into_a_bounded_cache_costs_no_extra_round_trips(
+    cache_capacity, window_size
+):
+    """A bounded copy cache may evict what the ingress read ahead before
+    sanitisation reads it, so it is not read ahead: no more RPCs than
+    per-update ``submit``, and the output of ``mv``."""
+    rng = random.Random(cache_capacity * 10 + window_size)
+    batches = [[draw_update(rng) for _ in range(12)] for _ in range(6)]
+    expected = run_stream("mv", batches, window_size, False)
+    rpcs = {}
+    for read_ahead in (True, False):
+        client = make_client("net", cache_capacity)
+        try:
+            mined = run_stream(client, batches, window_size, False, read_ahead=read_ahead)
+            rpcs[read_ahead] = client.net_log.rpcs
+        finally:
+            client.close()
+        assert mined == expected
+    assert rpcs[True] <= rpcs[False]
 
 
 def test_remote_held_copy_shares_no_version_list():

@@ -1,6 +1,7 @@
 """Unit tests for the storage-layer additions: protocol registry, delta
 index, neighbor cache, sharded store, and reclaim stats."""
 
+import abc
 import pickle
 
 import pytest
@@ -20,6 +21,8 @@ from repro.store import (
     restore_store,
 )
 from repro.store.mvstore import EdgeInterval, VertexRecord
+from repro.streaming.ingress import IngressNode
+from repro.types import Update
 
 
 def diamond_graph():
@@ -48,6 +51,67 @@ class TestMakeStore:
             store = make_store(kind, graph=diamond_graph(), num_shards=4)
             assert store.num_edges_at(1) == 5
             assert store.shards.num_shards == 4
+
+
+class Delegating(GraphStore):
+    """A ``GraphStore`` proxy that forwards the protocol and, through
+    ``__getattr__``, every public name outside it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def latest_timestamp(self):
+        return self._inner.latest_timestamp
+
+    def __getattr__(self, name):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+def _forward(name):
+    return lambda self, *args, **kw: getattr(self._inner, name)(*args, **kw)
+
+
+for _name in sorted(GraphStore.__abstractmethods__ - {"latest_timestamp"}):
+    setattr(Delegating, _name, _forward(_name))
+Delegating.apply_edge_updates = _forward("apply_edge_updates")
+abc.update_abstractmethods(Delegating)
+
+
+class TestReadAheadIsACapability:
+    """``prefetch`` is looked up by name on the one store with reads to
+    batch (``net``) and is deliberately not a ``GraphStore`` method.  A
+    default on the ABC would be inherited by every proxy that subclasses
+    it, such as the end-to-end benchmark's ``TimedStore``, and would shadow
+    the ``__getattr__`` that forwards ``prefetch`` to a ``NetStoreClient``:
+    traced benchmark runs would then silently measure the unbatched path.
+    """
+
+    def test_only_the_net_client_has_prefetch(self):
+        assert not hasattr(GraphStore, "prefetch")
+        for kind in ("mv", "sharded", "remote"):
+            assert not hasattr(make_store(kind), "prefetch")
+        client = make_store("net")
+        try:
+            assert callable(client.prefetch)
+        finally:
+            client.close()
+
+    def test_a_delegating_proxy_reaches_the_net_clients_prefetch(self):
+        client = make_store("net")
+        try:
+            proxy = Delegating(client)
+            assert proxy.prefetch == client.prefetch
+            ingress = IngressNode(proxy, window_size=4)
+            ingress.submit_many(Update.add_edge(u, u + 1) for u in range(0, 8, 2))
+            ingress.flush()
+            assert client.net_log.per_op.get("get_record", 0) == 0
+            assert client.net_log.per_op["multi_get"] == 1
+            assert client.edge_alive_at(6, 7, ingress.next_timestamp - 1)
+        finally:
+            client.close()
 
 
 class TestDeltaIndex:
