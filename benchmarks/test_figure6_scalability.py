@@ -69,7 +69,7 @@ def test_figure6_scalability(benchmark, name, graph_fn, alg_fn):
     )
     units_per_second = metrics.work_units() / seconds
     base = curve[1].makespan_units
-    breakdown = metrics.breakdown()
+    breakdown = metrics.breakdown(seconds)
     total_time = sum(breakdown.values()) or 1.0
     fractions = {k: v / total_time for k, v in breakdown.items()}
 

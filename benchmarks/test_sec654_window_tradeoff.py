@@ -68,15 +68,14 @@ def test_sec654_latency_throughput(benchmark):
                     item.update
                 )
             engine = TesseractEngine(store, CliqueMining(4, min_size=3))
-            start = time.perf_counter()
             deltas = []
+            latencies = []
             for ts in sorted(windows):
+                start = time.perf_counter()
                 deltas.extend(engine.process_window(windows[ts]))
-            seconds = time.perf_counter() - start
+                latencies.append(time.perf_counter() - start)
+            seconds = sum(latencies)
             metrics = engine.metrics
-            latencies = [
-                w.wall_seconds for w in engine.window_stats if w.num_updates
-            ]
             results[window] = {
                 "throughput": len(deltas) / seconds if seconds else 0.0,
                 "mean_latency": sum(latencies) / len(latencies),

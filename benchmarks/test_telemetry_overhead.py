@@ -11,12 +11,13 @@ window:
 * ``enabled_overhead`` — full tracing + metrics vs the raw body, the
   price of actually recording spans and histograms.
 
-The exploration profiler makes the same promise for its own guard sites
-(a cached ``self._profiling`` flag per event); ``profiler_overhead``
-quantifies the disabled path against the same baseline and prices the
-enabled accumulator.  Exploration does not mutate the store, so the same
-window is re-run for every sample; best-of-N minimizes scheduler noise.
-Results land in the current PR's repo-root bench file (see
+The exploration profiler makes the same promise: disabled profiling is one
+flag read per task, and an enabled one adds two ``Metrics.counts()``
+snapshots and one ``ExplorationProfile.record`` per task, nothing per
+event.  ``profiler_overhead`` prices both against the raw exploration
+body of an unprofiled engine.  Exploration does not mutate the store, so
+the same window is re-run for every sample; best-of-N minimizes scheduler
+noise.  Results land in the current PR's repo-root bench file (see
 ``_harness.BENCH_PATH``).
 """
 
@@ -113,7 +114,7 @@ def test_profiler_overhead_clique(benchmark):
     algorithm = CliqueMining(4, min_size=3)
 
     raw_engine = TesseractEngine(store, algorithm)
-    null_engine = TesseractEngine(store, algorithm)  # profile=None → null path
+    null_engine = TesseractEngine(store, algorithm)  # no profile: one flag read
     profiled_engine = TesseractEngine(
         store, algorithm, profile=ExplorationProfile()
     )
@@ -162,8 +163,8 @@ def test_profiler_overhead_clique(benchmark):
         },
     )
 
-    # Disabled profiling is the same single-flag guard pattern: 2% design
-    # target, 10% hard cap absorbing machine noise.
+    # Disabled profiling is one flag read per task: 2% design target, 10%
+    # hard cap absorbing machine noise.
     assert disabled_overhead < 0.10, disabled_overhead
-    # The enabled accumulator does one attribute store per event.
+    # The enabled profile takes one counter difference per task.
     assert enabled_overhead < 1.0, enabled_overhead

@@ -174,8 +174,8 @@ class DeterminismRule(Rule):
                 node,
                 self.rule_id,
                 f"non-monotonic wall clock {name}() is banned: time only via "
-                "time.perf_counter/time.monotonic into Stopwatch, gauges, or "
-                "histograms",
+                "time.perf_counter/time.monotonic into Metrics *_seconds, "
+                "gauges, or histograms",
             )
         elif (
             name is not None

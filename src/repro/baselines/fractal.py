@@ -90,7 +90,6 @@ class FractalModel:
                 graph, self.algorithm, metrics=metrics
             )
         wall = time.perf_counter() - start
-        metrics.total_seconds += wall
         return FractalRun(
             matches=matches,
             wall_seconds=wall,

@@ -15,7 +15,7 @@ cluster simulator replays to compute multi-machine schedules.
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.api import MiningAlgorithm
 from repro.core.explore import Explorer
@@ -26,13 +26,7 @@ from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
 from repro.streaming.ingress import Window
 from repro.streaming.queue import WorkQueue
-from repro.types import (
-    EdgeUpdate,
-    MatchDelta,
-    TaskTrace,
-    Timestamp,
-    WindowStats,
-)
+from repro.types import EdgeUpdate, MatchDelta, TaskTrace, Timestamp
 
 
 class TesseractEngine:
@@ -48,23 +42,16 @@ class TesseractEngine:
         worker_label: int = 0,
         profile=None,
     ) -> None:
-        from repro.telemetry import ensure, ensure_profile
+        from repro.telemetry import ensure
 
         self.store = store
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else Metrics()
         self.telemetry = ensure(telemetry)
         self.worker_label = worker_label
-        self.profile = ensure_profile(profile)
-        self.explorer = Explorer(
-            algorithm,
-            metrics=self.metrics,
-            telemetry=self.telemetry,
-            profile=self.profile,
-        )
+        self.explorer = Explorer(algorithm, metrics=self.metrics, profile=profile)
         self.trace_tasks = trace_tasks
         self.traces: List[TaskTrace] = []
-        self.window_stats: List[WindowStats] = []
         if self.telemetry.enabled:
             self._hist_task_seconds = self.telemetry.registry.histogram(
                 "repro_engine_task_seconds",
@@ -129,32 +116,16 @@ class TesseractEngine:
 
     def process_window(self, window: Window) -> List[MatchDelta]:
         """Process every update of one atomically applied window."""
-        start = time.perf_counter()
         deltas: List[MatchDelta] = []
         for update in window.updates:
             deltas.extend(self.process_update(window.timestamp, update))
-        elapsed = time.perf_counter() - start
-        self.metrics.record_window(elapsed)
-        self.window_stats.append(
-            WindowStats.from_deltas(
-                window.timestamp, len(window.updates), deltas, elapsed
-            )
-        )
-        return deltas
-
-    def process_windows(self, windows: Iterable[Window]) -> List[MatchDelta]:
-        deltas: List[MatchDelta] = []
-        for window in windows:
-            deltas.extend(self.process_window(window))
         return deltas
 
     def drain_queue(self, queue: WorkQueue) -> List[MatchDelta]:
         """Pull, process, and ack every item currently in the work queue."""
-        start = time.perf_counter()
         deltas: List[MatchDelta] = []
         for item in queue.drain():
             deltas.extend(self.process_update(item.timestamp, item.update))
-        self.metrics.total_seconds += time.perf_counter() - start
         return deltas
 
     # -- static execution ------------------------------------------------

@@ -17,13 +17,16 @@ is kept cheap: the two :class:`~repro.graph.subgraph.SubgraphView` objects
 are built once per engine over the live vertex list and matrices, re-rooted
 by every update and re-used by every node, expanding and backtracking are
 O(1) row operations, and attempts and expansions are accounted once per
-EXPLORE call.  What the views resolve from the store follows the store's
+EXPLORE call.  :class:`~repro.core.metrics.Metrics` is the one record the
+search writes; a profiled task is the difference of its counters across
+the task.  What the views resolve from the store follows the store's
 capability facts, read once per update: on a store where no vertex ever had
 a label, an emitted match reads no label.
 """
 
 from __future__ import annotations
 
+import time
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import List, Optional
@@ -35,7 +38,7 @@ from repro.core.canonicality import (
     edge_expansion_pool_ex,
     vertex_expansion_reason,
 )
-from repro.core.metrics import Metrics, Stopwatch
+from repro.core.metrics import Metrics
 from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
 from repro.store.api import CAPABILITY_FACTS
@@ -70,35 +73,16 @@ class Explorer:
         self,
         algorithm: MiningAlgorithm,
         metrics: Optional[Metrics] = None,
-        telemetry=None,
         profile=None,
     ) -> None:
-        from repro.telemetry import ensure, ensure_profile
+        from repro.telemetry import ExplorationProfile
 
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else Metrics()
-        # Exploration attribution: one cached flag guards every recording
-        # site, so the disabled path costs a branch per event (RL004 allows
-        # branching on ``.enabled``, never on ``profile is None``).
-        self.profile = ensure_profile(profile)
-        self._profiling = self.profile.enabled
-        # Figure 6 categories as per-call duration histograms.  Observations
-        # happen inside the already timing-gated Stopwatch blocks, so the
-        # untimed hot path never touches the registry; with no telemetry the
-        # null registry hands back the shared no-op instrument (RL004).
-        registry = ensure(telemetry).registry
-        self._hist_filter = registry.histogram(
-            "repro_engine_filter_call_seconds",
-            "duration of individual filter calls (timing mode only)",
-        ).labels()
-        self._hist_match = registry.histogram(
-            "repro_engine_match_call_seconds",
-            "duration of individual match calls (timing mode only)",
-        ).labels()
-        self._hist_can_expand = registry.histogram(
-            "repro_engine_can_expand_call_seconds",
-            "duration of individual CAN_EXPAND calls (timing mode only)",
-        ).labels()
+        # Decided once: a task is profiled iff this explorer was handed a
+        # profile, and then costs two counter snapshots and one record.
+        self.profile = profile
+        self._profiling = isinstance(profile, ExplorationProfile)
         # One vertex list, two matrices and two views for the engine's whole
         # life: every update re-roots them, every node of every search tree
         # is handed the same two views.  An edge-induced subgraph is its
@@ -127,9 +111,6 @@ class Explorer:
         # Per-exploration state (reset by explore_update).
         self._view: ExplorationView = None  # type: ignore[assignment]
         self._out: List[MatchDelta] = []
-        # filter / match verdicts of the current update, profiled runs only:
-        # [filter passed, filter rejected, matched, match rejected]
-        self._verdicts = [0, 0, 0, 0]
 
     # -- store resolvers of the two views ----------------------------------
 
@@ -186,10 +167,32 @@ class Explorer:
     ) -> List[MatchDelta]:
         """Compute all match-set changes rooted at one edge update.
 
-        Re-rooting comes first, so whatever a task that raised mid-tree
-        left in the vertex list and the matrices is gone before this one
-        reads them; the verdicts it had counted go to its own record.
+        A profiled task hands the profile the :meth:`Metrics.counts` it
+        moved, in ``finally``: a task that raised mid-tree keeps what it
+        counted up to the raise.
         """
+        if not self._profiling:
+            return self._explore_update(view, update)
+        metrics = self.metrics
+        before = metrics.counts()
+        try:
+            return self._explore_update(view, update)
+        finally:
+            self.profile.record(
+                view.ts,
+                update,
+                before,
+                metrics.counts(),
+                self._out,
+                self._vertex_induced,
+            )
+
+    def _explore_update(
+        self, view: ExplorationView, update: EdgeUpdate
+    ) -> List[MatchDelta]:
+        """One task, unprofiled.  Re-rooting comes first, so whatever a task
+        that raised mid-tree left in the vertex list and the matrices is
+        gone before this one reads them."""
         self._view = view
         self._out = []
         try:
@@ -198,9 +201,6 @@ class Explorer:
             facts = self._undeclared
         if facts != self._facts:
             self._adopt_facts(facts)
-        if self._profiling:
-            self._flush_verdicts()
-            self.profile.begin_update(view.ts, update)
         u, v = update.u, update.v
         self._verts[:] = (u, v)
         alive_pre, alive_post = view.update_edge_state(u, v)
@@ -212,8 +212,6 @@ class Explorer:
             # the update edge is always part of an edge-induced subgraph
             self._s_pre.reroot(True)
             self._s_post.reroot(True)
-        if self._profiling:
-            self.profile.node(2)
         if vertex_induced:
             c_pre, c_post = self._detect_changes(True, True)
             if (c_pre or c_post) and 2 < self.algorithm.max_size:
@@ -230,20 +228,7 @@ class Explorer:
                     c_pre,
                     c_post,
                 )
-        if self._profiling:
-            self._flush_verdicts()
         return self._out
-
-    def _flush_verdicts(self) -> None:
-        """Hand the profile the verdict counts of the update it attributes to."""
-        verdicts = self._verdicts
-        if any(verdicts):
-            kept, rejected, matched, unmatched = verdicts
-            self.profile.filter_call(True, kept)
-            self.profile.filter_call(False, rejected)
-            self.profile.match_call(True, matched)
-            self.profile.match_call(False, unmatched)
-            verdicts[:] = (0, 0, 0, 0)
 
     # -- vertex-induced mode ---------------------------------------------
 
@@ -267,14 +252,15 @@ class Explorer:
         # and with equal masks no edge to the candidate was updated in this
         # window, so there is no same-window edge to reject either.
         at_root = depth == 3
-        expansions = 0
+        expansions = rule2 = 0
         for v in sorted(candidates):
             pre_bits, post_bits = candidates[v]
             if timing:
-                with Stopwatch(metrics, "can_expand_seconds", self._hist_can_expand):
-                    reason = vertex_expansion_reason(
-                        verts, start_key, v, pre_bits, post_bits
-                    )
+                start = time.perf_counter()
+                reason = vertex_expansion_reason(
+                    verts, start_key, v, pre_bits, post_bits
+                )
+                metrics.can_expand_seconds += time.perf_counter() - start
             elif at_root and pre_bits == post_bits:
                 reason = ALLOWED
             else:
@@ -282,11 +268,8 @@ class Explorer:
                     verts, start_key, v, pre_bits, post_bits
                 )
             if reason != ALLOWED:
-                if self._profiling:
-                    if reason == PRUNED_RULE2:
-                        self.profile.pruned_rule2()
-                    else:
-                        self.profile.pruned_same_window()
+                if reason == PRUNED_RULE2:
+                    rule2 += 1
                 continue
             expansions += 1
             verts.append(v)
@@ -304,19 +287,22 @@ class Explorer:
             if c_post:
                 post.pop_row()
             verts.pop()
-        self._account(len(candidates), expansions, depth)
+        self._account(len(candidates), expansions, rule2, depth)
 
-    def _account(self, attempts: int, expansions: int, depth: int) -> None:
+    def _account(
+        self, attempts: int, expansions: int, rule2: int, depth: int
+    ) -> None:
         """One EXPLORE call's counts: all its children share ``depth``."""
         metrics = self.metrics
         metrics.explore_calls += 1
         metrics.can_expand_calls += attempts
         metrics.expansions += expansions
-        if self._profiling:
-            self.profile.attempt(attempts)
-            if expansions:
-                self.profile.expansion(expansions)
-                self.profile.node(depth, expansions)
+        metrics.pruned_rule2 += rule2
+        if expansions:
+            by_depth = metrics.depth_expansions
+            if len(by_depth) <= depth:
+                by_depth.extend([0] * (depth + 1 - len(by_depth)))
+            by_depth[depth] += expansions
 
     def _candidate_bits(self):
         """Expansion candidates with their subgraph adjacency bitmasks.
@@ -373,36 +359,34 @@ class Explorer:
         """filter -> connectivity -> match, as a tri-state.
 
         A failed filter (stop exploring this version) is distinct from a
-        subgraph that is kept but is not a match.
+        subgraph that is kept but is not a match.  A call is counted once
+        it returned, so a task that raised counts only what it finished.
         """
         algorithm = self.algorithm
         metrics = self.metrics
-        metrics.filter_calls += 1
         if metrics.timing_enabled:
-            with Stopwatch(metrics, "filter_seconds", self._hist_filter):
-                keep = algorithm.filter(s)
+            start = time.perf_counter()
+            keep = algorithm.filter(s)
+            metrics.filter_seconds += time.perf_counter() - start
         else:
             keep = algorithm.filter(s)
-        if self._profiling:
-            self._verdicts[0 if keep else 1] += 1
+        metrics.filter_calls += 1
         if not keep:
             return _REJECTED
+        metrics.filter_passes += 1
         if not s.is_connected():
             return _KEPT
-        metrics.match_calls += 1
         if metrics.timing_enabled:
-            with Stopwatch(metrics, "match_seconds", self._hist_match):
-                matched = algorithm.match(s)
+            start = time.perf_counter()
+            matched = algorithm.match(s)
+            metrics.match_seconds += time.perf_counter() - start
         else:
             matched = algorithm.match(s)
-        if self._profiling:
-            self._verdicts[2 if matched else 3] += 1
+        metrics.match_calls += 1
         return _MATCHED if matched else _KEPT
 
     def _emit(self, status: MatchStatus, s: SubgraphView) -> None:
         self.metrics.emits += 1
-        if self._profiling:
-            self.profile.emit(status is MatchStatus.NEW)
         self._out.append(MatchDelta(self._view.ts, status, s.freeze()))
 
     # -- edge-induced mode -----------------------------------------------
@@ -422,24 +406,23 @@ class Explorer:
         descend = depth < self.algorithm.max_size
         candidates = self._candidate_bits()
         timing = metrics.timing_enabled
-        expansions = 0
+        expansions = rule2 = excluded_edges = 0
         for v in sorted(candidates):
             pre_bits, post_bits = candidates[v]
             if timing:
-                with Stopwatch(metrics, "can_expand_seconds", self._hist_can_expand):
-                    pool, excluded = edge_expansion_pool_ex(
-                        verts, start_key, v, pre_bits, post_bits
-                    )
+                start = time.perf_counter()
+                pool, excluded = edge_expansion_pool_ex(
+                    verts, start_key, v, pre_bits, post_bits
+                )
+                metrics.can_expand_seconds += time.perf_counter() - start
             else:
                 pool, excluded = edge_expansion_pool_ex(
                     verts, start_key, v, pre_bits, post_bits
                 )
             if pool is None:
-                if self._profiling:
-                    self.profile.pruned_rule2()
+                rule2 += 1
                 continue
-            if excluded and self._profiling:
-                self.profile.pruned_same_window(excluded)
+            excluded_edges += excluded
             # One expansion per subset of the connecting edges, including the
             # empty subset: a vertex may join now and become connected by a
             # later vertex's edges (connectivity is checked at match time).
@@ -474,7 +457,8 @@ class Explorer:
                     )
                 chosen.pop_row()
                 verts.pop()
-        self._account(len(candidates), expansions, depth)
+        metrics.edges_excluded += excluded_edges
+        self._account(len(candidates), expansions, rule2, depth)
 
 
 def _subsets(pool):

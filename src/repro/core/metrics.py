@@ -2,16 +2,16 @@
 
 The paper's Figure 6 breaks runtime down into ``match``, ``filter``,
 ``CAN_EXPAND``, and ``other``; this module records exactly those categories,
-plus the raw counters the cluster simulator uses as task work units.
+plus the raw counters the cluster simulator uses as task work units.  It is
+the one record EXPLORE writes: what one task did is :meth:`Metrics.counts`
+after the task minus the same snapshot before it (see
+:meth:`~repro.telemetry.profile.ExplorationProfile.record`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
-
-from repro.telemetry.registry import NULL_INSTRUMENT
+from typing import Dict, List, Tuple
 
 
 @dataclass
@@ -25,16 +25,20 @@ class Metrics:
     emits: int = 0
     explore_calls: int = 0
 
+    #: ``filter`` calls that kept their subgraph
+    filter_passes: int = 0
+    #: candidates CAN_EXPAND rejected by update canonicality rule 2 (§4.4.1)
+    pruned_rule2: int = 0
+    #: connecting edges an edge-induced CAN_EXPAND excluded by same-window
+    #: ordering (§4.4.3); a vertex-induced one prunes
+    #: ``can_expand_calls - expansions - pruned_rule2`` candidates that way
+    edges_excluded: int = 0
+    #: ``depth_expansions[k]``: expansions that built a ``k``-vertex subgraph
+    depth_expansions: List[int] = field(default_factory=list)
+
     filter_seconds: float = 0.0
     match_seconds: float = 0.0
     can_expand_seconds: float = 0.0
-    total_seconds: float = 0.0
-
-    #: wall seconds of every processed window, in processing order; merging
-    #: concatenates the samples, and summaries (p50/p95/max — see
-    #: :func:`repro.runtime.stats.summarize_latencies`) treat them as an
-    #: unordered multiset, so the result is independent of merge order.
-    window_latencies: List[float] = field(default_factory=list)
 
     timing_enabled: bool = False
 
@@ -66,75 +70,41 @@ class Metrics:
         self.expansions += other.expansions
         self.emits += other.emits
         self.explore_calls += other.explore_calls
+        self.filter_passes += other.filter_passes
+        self.pruned_rule2 += other.pruned_rule2
+        self.edges_excluded += other.edges_excluded
+        mine = self.depth_expansions
+        mine.extend([0] * (len(other.depth_expansions) - len(mine)))
+        for depth, n in enumerate(other.depth_expansions):
+            mine[depth] += n
         self.filter_seconds += other.filter_seconds
         self.match_seconds += other.match_seconds
         self.can_expand_seconds += other.can_expand_seconds
-        self.total_seconds += other.total_seconds
-        self.window_latencies.extend(other.window_latencies)
 
-    def record_window(self, wall_seconds: float) -> None:
-        """Record the wall time of one processed window."""
-        self.total_seconds += wall_seconds
-        self.window_latencies.append(wall_seconds)
-
-    def breakdown(self) -> Dict[str, float]:
-        """The Figure 6 decomposition: match / filter / CAN_EXPAND / other."""
+    def breakdown(self, wall_seconds: float) -> Dict[str, float]:
+        """The Figure 6 decomposition of ``wall_seconds``: match / filter /
+        CAN_EXPAND / other."""
         accounted = self.filter_seconds + self.match_seconds + self.can_expand_seconds
         return {
             "match": self.match_seconds,
             "filter": self.filter_seconds,
             "can_expand": self.can_expand_seconds,
-            "other": max(self.total_seconds - accounted, 0.0),
+            "other": max(wall_seconds - accounted, 0.0),
         }
 
-    def snapshot(self) -> Tuple[int, int, int, int, int]:
-        """The five core counters as a tuple (cheap progress probe)."""
+    def counts(self) -> Tuple[int, ...]:
+        """Every counter one task moves, flat: ``filter_calls``,
+        ``filter_passes``, ``match_calls``, ``can_expand_calls``,
+        ``expansions``, ``emits``, ``pruned_rule2``, ``edges_excluded``,
+        then ``depth_expansions``."""
         return (
             self.filter_calls,
+            self.filter_passes,
             self.match_calls,
             self.can_expand_calls,
             self.expansions,
             self.emits,
+            self.pruned_rule2,
+            self.edges_excluded,
+            *self.depth_expansions,
         )
-
-
-class Stopwatch:
-    """Context helper adding elapsed time to a metrics field.
-
-    A no-op when ``metrics.timing_enabled`` is off: neither ``__enter__``
-    nor ``__exit__`` reads the clock, so algorithms may wrap their
-    filter/match/CAN_EXPAND work unconditionally without paying two
-    ``perf_counter`` calls per operation in untimed runs.
-
-    When timing runs, the elapsed seconds are also observed into
-    ``histogram`` (a telemetry histogram instrument) if one is given, so
-    the Figure 6 categories can be recorded as per-call distributions, not
-    just cumulative totals.  A missing histogram coalesces onto the shared
-    no-op instrument, so the exit path never branches on it (RL004).
-    """
-
-    __slots__ = ("metrics", "field_name", "histogram", "_start")
-
-    def __init__(self, metrics: Metrics, field_name: str, histogram=None) -> None:
-        self.metrics = metrics
-        self.field_name = field_name
-        self.histogram = histogram if histogram is not None else NULL_INSTRUMENT
-        self._start: float = -1.0
-
-    def __enter__(self) -> "Stopwatch":
-        if self.metrics.timing_enabled:
-            self._start = time.perf_counter()
-        else:
-            self._start = -1.0
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        if self._start < 0:
-            return
-        elapsed = time.perf_counter() - self._start
-        setattr(
-            self.metrics,
-            self.field_name,
-            getattr(self.metrics, self.field_name) + elapsed,
-        )
-        self.histogram.observe(elapsed)

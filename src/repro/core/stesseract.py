@@ -20,7 +20,7 @@ import time
 from typing import List, Optional
 
 from repro.core.api import InducedMode, MiningAlgorithm
-from repro.core.metrics import Metrics, Stopwatch
+from repro.core.metrics import Metrics
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.bitset import BitMatrix
 from repro.graph.subgraph import SubgraphView
@@ -55,18 +55,11 @@ class STesseractEngine:
         self._s: SubgraphView = None  # type: ignore[assignment]
 
     def run(self, graph: AdjacencyGraph) -> List[MatchDelta]:
-        """Enumerate all matches of the static graph, once each.
-
-        The whole static run is accounted as one window in the metrics, so
-        STesseract latencies summarize the same way as the streaming
-        engines' (:func:`repro.runtime.stats.summarize_latencies`).
-        """
-        start = time.perf_counter()
+        """Enumerate all matches of the static graph, once each."""
         self._graph = graph
         self._out = []
         for u, v in graph.sorted_edges():
             self._explore_root(u, v)
-        self.metrics.record_window(time.perf_counter() - start)
         return self._out
 
     # -- internals -------------------------------------------------------
@@ -100,8 +93,9 @@ class STesseractEngine:
         expansions = 0
         for v in candidates:
             if timing:
-                with Stopwatch(metrics, "can_expand_seconds"):
-                    bits = self._can_expand(v)
+                start = time.perf_counter()
+                bits = self._can_expand(v)
+                metrics.can_expand_seconds += time.perf_counter() - start
             else:
                 bits = self._can_expand(v)
             if bits is None:
@@ -152,8 +146,9 @@ class STesseractEngine:
         s.rebind()
         metrics.filter_calls += 1
         if timing:
-            with Stopwatch(metrics, "filter_seconds"):
-                keep = algorithm.filter(s)
+            start = time.perf_counter()
+            keep = algorithm.filter(s)
+            metrics.filter_seconds += time.perf_counter() - start
         else:
             keep = algorithm.filter(s)
         if not keep:
@@ -161,8 +156,9 @@ class STesseractEngine:
         if s.is_connected():
             metrics.match_calls += 1
             if timing:
-                with Stopwatch(metrics, "match_seconds"):
-                    matched = algorithm.match(s)
+                start = time.perf_counter()
+                matched = algorithm.match(s)
+                metrics.match_seconds += time.perf_counter() - start
             else:
                 matched = algorithm.match(s)
             if matched:

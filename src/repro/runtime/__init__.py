@@ -19,7 +19,6 @@ from repro.runtime.stats import (
     LatencySummary,
     SystemStats,
     summarize_latencies,
-    summarize_window_stats,
 )
 
 __all__ = [
@@ -42,5 +41,4 @@ __all__ = [
     "StaticPartitionScheduler",
     "SystemStats",
     "summarize_latencies",
-    "summarize_window_stats",
 ]

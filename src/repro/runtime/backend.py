@@ -62,7 +62,6 @@ from repro.store.api import GraphStore
 from repro.store.remote import FetchCosts, RemoteStoreClient
 from repro.store.snapshot import ExplorationView
 from repro.telemetry import (
-    NULL_PROFILE,
     NULL_TELEMETRY,
     ExplorationProfile,
     MetricsRegistry,
@@ -125,13 +124,10 @@ class ExecutionBackend(abc.ABC):
         Profiles merge key-wise (per attributed update), so the merged
         result is identical regardless of which worker ran which task —
         the same order-independence contract as :meth:`worker_registries`.
+        Whether a worker profiles is decided once, from the ``profile``
+        flag every backend takes: its engine is handed a profile or none.
         """
         return []
-
-    @staticmethod
-    def _worker_profile(profile_on: bool) -> ExplorationProfile:
-        """A per-worker accumulator, or the shared null object when off."""
-        return ExplorationProfile() if profile_on else NULL_PROFILE
 
     @staticmethod
     def _worker_telemetry(telemetry) -> "Telemetry":
@@ -144,14 +140,6 @@ class ExecutionBackend(abc.ABC):
         if not telemetry.enabled:
             return telemetry
         return Telemetry(tracer=telemetry.tracer, registry=MetricsRegistry())
-
-    def record_window(self, wall_seconds: float) -> None:
-        """Charge one processed window's wall time to the metrics sink.
-
-        Called by the streaming loop after each window so ``metrics()``
-        carries cumulative wall time and per-window latency samples, the
-        way the serial engine's own window loop always accounted them.
-        """
 
     def close(self) -> None:
         """Release worker resources; the backend may not be reused after."""
@@ -172,21 +160,21 @@ class SerialBackend(ExecutionBackend):
         profile: bool = False,
     ) -> None:
         self._worker_tel = self._worker_telemetry(telemetry)
-        self._profile = self._worker_profile(profile)
+        self._profiling = profile
         self.engine = TesseractEngine(
             store,
             algorithm,
             metrics=metrics,
             trace_tasks=trace_tasks,
             telemetry=self._worker_tel,
-            profile=self._profile,
+            profile=ExplorationProfile() if profile else None,
         )
 
     def worker_registries(self) -> List[MetricsRegistry]:
         return [self._worker_tel.registry] if self._worker_tel.enabled else []
 
     def worker_profiles(self) -> List[ExplorationProfile]:
-        return [self._profile] if self._profile.enabled else []
+        return [self.engine.explorer.profile] if self._profiling else []
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[MatchDelta]:
         deltas: List[MatchDelta] = []
@@ -198,9 +186,6 @@ class SerialBackend(ExecutionBackend):
         merged = Metrics()
         merged.merge(self.engine.metrics)
         return merged
-
-    def record_window(self, wall_seconds: float) -> None:
-        self.engine.metrics.record_window(wall_seconds)
 
     def traces(self) -> List[TaskTrace]:
         return list(self.engine.traces)
@@ -233,9 +218,7 @@ class ThreadBackend(ExecutionBackend):
         self._worker_tels = [
             self._worker_telemetry(telemetry) for _ in range(num_workers)
         ]
-        self._worker_profs = [
-            self._worker_profile(profile) for _ in range(num_workers)
-        ]
+        self._profiling = profile
         self.engines = [
             TesseractEngine(
                 store,
@@ -244,7 +227,7 @@ class ThreadBackend(ExecutionBackend):
                 trace_tasks=trace_tasks,
                 telemetry=self._worker_tels[w],
                 worker_label=w,
-                profile=self._worker_profs[w],
+                profile=ExplorationProfile() if profile else None,
             )
             for w in range(num_workers)
         ]
@@ -253,7 +236,9 @@ class ThreadBackend(ExecutionBackend):
         return [tel.registry for tel in self._worker_tels if tel.enabled]
 
     def worker_profiles(self) -> List[ExplorationProfile]:
-        return [p for p in self._worker_profs if p.enabled]
+        if not self._profiling:
+            return []
+        return [engine.explorer.profile for engine in self.engines]
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[MatchDelta]:
         if not tasks:
@@ -298,11 +283,6 @@ class ThreadBackend(ExecutionBackend):
             merged.merge(engine.metrics)
         return merged
 
-    def record_window(self, wall_seconds: float) -> None:
-        # Wall time is a whole-pool quantity; charge it to worker 0 so the
-        # merged view accumulates it exactly once.
-        self.engines[0].metrics.record_window(wall_seconds)
-
     def traces(self) -> List[TaskTrace]:
         out: List[TaskTrace] = []
         for engine in self.engines:
@@ -324,15 +304,16 @@ def _mine_slice(
 
     The reply is the single message a slice worker sends per window:
     ``(per-task delta lists in slice order, Metrics, spans, registry,
-    profile)``.  With telemetry or profiling off the slot ships the inert
-    null object (an empty span list for the tracer) — one shape either way.
+    profile)``.  With telemetry off the slots ship the inert null registry
+    and an empty span list, with profiling off ``None`` — one shape either
+    way.
     """
     # One engine where there used to be one (with a 256-span ring) per
     # task: sized so that no span kept then is dropped now.
     telemetry = (
         Telemetry(trace_capacity=256 * len(tasks)) if telemetry_on else NULL_TELEMETRY
     )
-    profile = ExplorationProfile() if profile_on else NULL_PROFILE
+    profile = ExplorationProfile() if profile_on else None
     engine = TesseractEngine(
         store,
         algorithm,
@@ -377,7 +358,8 @@ class ProcessBackend(ExecutionBackend):
     message, reassembles the deltas by task index and joins every child:
     workers are reaped every window.  Smaller windows run wholly on the
     inline engine, which shares this backend's metrics, registry and
-    profile — counters never silently vanish.
+    profile — counters never silently vanish.  Slice workers record no
+    task traces, so this backend takes no ``trace_tasks``.
     """
 
     name = "process"
@@ -400,15 +382,15 @@ class ProcessBackend(ExecutionBackend):
         self.telemetry = ensure(telemetry)
         # The inline engine records into these directly and each worker's
         # message merges into them — one merged view either way (the null
-        # objects swallow merges when telemetry or profiling is off).
+        # registry swallows merges when telemetry is off).
         self._worker_tel = self._worker_telemetry(telemetry)
-        self._profile = self._worker_profile(profile)
+        self._profiling = profile
         self._inline = TesseractEngine(
             store,
             algorithm,
             metrics=self._metrics,
             telemetry=self._worker_tel,
-            profile=self._profile,
+            profile=ExplorationProfile() if profile else None,
         )
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[MatchDelta]:
@@ -418,7 +400,7 @@ class ProcessBackend(ExecutionBackend):
         if len(tasks) < self.min_parallel:
             n = 1
         ctx = mp.get_context("fork" if hasattr(os, "fork") else "spawn")
-        switches = (self.telemetry.enabled, self._profile.enabled)
+        switches = (self.telemetry.enabled, self._profiling)
         slots: List[List[MatchDelta]] = [[]] * len(tasks)
         workers = []
         try:
@@ -449,7 +431,8 @@ class ProcessBackend(ExecutionBackend):
                 # span (the session's open window span).
                 self.telemetry.tracer.absorb(spans)
                 self._worker_tel.registry.merge(registry)
-                self._profile.merge(profile)
+                if self._profiling:
+                    self._inline.explorer.profile.merge(profile)
         except BaseException:
             for worker, _ in workers:
                 worker.terminate()  # its reply is moot: do not wait for it
@@ -465,14 +448,11 @@ class ProcessBackend(ExecutionBackend):
         merged.merge(self._metrics)
         return merged
 
-    def record_window(self, wall_seconds: float) -> None:
-        self._metrics.record_window(wall_seconds)
-
     def worker_registries(self) -> List[MetricsRegistry]:
         return [self._worker_tel.registry] if self._worker_tel.enabled else []
 
     def worker_profiles(self) -> List[ExplorationProfile]:
-        return [self._profile] if self._profile.enabled else []
+        return [self._inline.explorer.profile] if self._profiling else []
 
 
 @dataclass
@@ -509,7 +489,8 @@ class SimulatedBackend(ExecutionBackend):
     measured work.  :attr:`last_result` holds the latest window's
     :class:`DeploymentResult` (makespan, utilization, fetches).  Machine
     caches are dropped between windows — cached vertex records are soft
-    state (paper §5.5) and may be stale once the store has evolved.
+    state (paper §5.5) and may be stale once the store has evolved.  Its
+    cost model prices tasks itself, so it takes no ``trace_tasks``.
     """
 
     name = "simulated"
@@ -540,19 +521,16 @@ class SimulatedBackend(ExecutionBackend):
             )
             for _ in range(spec.num_machines)
         ]
-        # One explorer, metrics, registry and profile per worker: no shared
-        # soft state; all merge order-independently at snapshot time.
-        workers = range(spec.total_workers)
-        self._worker_tels = [self._worker_telemetry(telemetry) for _ in workers]
-        self._worker_profs = [self._worker_profile(profile) for _ in workers]
+        # One explorer, metrics and profile per worker: no shared soft
+        # state; all merge order-independently at snapshot time.
+        self._profiling = profile
         self._explorers = [
             Explorer(
                 algorithm,
                 metrics=Metrics(),
-                telemetry=self._worker_tels[w],
-                profile=self._worker_profs[w],
+                profile=ExplorationProfile() if profile else None,
             )
-            for w in workers
+            for _ in range(spec.total_workers)
         ]
         self.last_result: Optional[DeploymentResult] = None
 
@@ -622,14 +600,10 @@ class SimulatedBackend(ExecutionBackend):
             merged.merge(explorer.metrics)
         return merged
 
-    def record_window(self, wall_seconds: float) -> None:
-        self._explorers[0].metrics.record_window(wall_seconds)
-
-    def worker_registries(self) -> List[MetricsRegistry]:
-        return [tel.registry for tel in self._worker_tels if tel.enabled]
-
     def worker_profiles(self) -> List[ExplorationProfile]:
-        return [p for p in self._worker_profs if p.enabled]
+        if not self._profiling:
+            return []
+        return [explorer.profile for explorer in self._explorers]
 
 
 def make_backend(
@@ -645,7 +619,13 @@ def make_backend(
     telemetry=None,
     profile: bool = False,
 ) -> ExecutionBackend:
-    """Construct a backend by registry name (see :data:`BACKEND_NAMES`)."""
+    """Construct a backend by registry name (see :data:`BACKEND_NAMES`).
+
+    Only ``serial`` and ``thread`` record task traces; ``trace_tasks`` on
+    another backend is a ``ValueError`` rather than an empty trace list.
+    """
+    if trace_tasks and kind in ("process", "simulated"):
+        raise ValueError(f"the {kind} backend records no task traces")
     if kind == "serial":
         return SerialBackend(
             store,

@@ -213,7 +213,6 @@ class StreamingSession:
             except BaseException:
                 self.queue.redeliver_all([item.offset for item in items])
                 raise
-            self.backend.record_window(elapsed)
             self.window_stats.append(
                 WindowStats.from_deltas(ts, len(tasks), deltas, elapsed)
             )
@@ -254,12 +253,9 @@ class StreamingSession:
     # -- introspection ---------------------------------------------------
 
     def metrics(self) -> Metrics:
-        """Merged worker metrics, including per-window wall-time samples.
-
-        Backends run *tasks*; the session measures each window's wall time
-        and charges it back via :meth:`ExecutionBackend.record_window`, so
-        the merged view carries cumulative seconds and the latency multiset.
-        """
+        """Merged worker metrics: operation counts and, in timing mode,
+        per-category seconds.  Per-window wall time is in
+        :attr:`window_stats`."""
         return self.backend.metrics()
 
     def stats(self) -> SystemStats:

@@ -21,10 +21,10 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 class LatencySummary:
     """Per-window wall-time distribution (p50/p95/p99/max), merge-order safe.
 
-    Computed from the multiset of window latencies a :class:`Metrics`
-    accumulated (:attr:`~repro.core.metrics.Metrics.window_latencies`) or
-    from a list of :class:`~repro.types.WindowStats`, so summaries of runs
-    on different execution backends are directly comparable.  The p99
+    Computed from the ``wall_seconds`` of a session's
+    :class:`~repro.types.WindowStats` (the one per-window record), so
+    summaries of runs on different execution backends are directly
+    comparable.  The p99
     column mirrors the paper's Figure 6, which reports 99th-percentile
     per-update latency tails.
     """
@@ -66,11 +66,6 @@ def summarize_latencies(wall_seconds: Sequence[float]) -> LatencySummary:
         max_seconds=samples[-1],
         total_seconds=sum(samples),
     )
-
-
-def summarize_window_stats(window_stats) -> LatencySummary:
-    """Summary over ``WindowStats.wall_seconds`` records."""
-    return summarize_latencies([w.wall_seconds for w in window_stats])
 
 
 def window_stats_to_registry(registry, window_stats) -> None:

@@ -38,13 +38,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.telemetry.bridge import ingress_to_registry, metrics_to_registry
-from repro.telemetry.profile import (
-    ExplorationProfile,
-    NullProfile,
-    NULL_PROFILE,
-    UpdateProfile,
-    ensure_profile,
-)
+from repro.telemetry.profile import ExplorationProfile, UpdateProfile
 from repro.telemetry.registry import (
     DEFAULT_BUCKETS,
     SIZE_BUCKETS,
@@ -94,9 +88,6 @@ __all__ = [
     "ingress_to_registry",
     "ExplorationProfile",
     "UpdateProfile",
-    "NullProfile",
-    "NULL_PROFILE",
-    "ensure_profile",
 ]
 
 

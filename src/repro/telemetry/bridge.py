@@ -34,7 +34,6 @@ ENGINE_SECONDS = (
     ("filter_seconds", "repro_engine_filter_seconds"),
     ("match_seconds", "repro_engine_match_seconds"),
     ("can_expand_seconds", "repro_engine_can_expand_seconds"),
-    ("total_seconds", "repro_engine_total_seconds"),
 )
 
 
@@ -44,7 +43,8 @@ def metrics_to_registry(registry: "MetricsRegistry", metrics: "Metrics") -> None
     The call counters are the paper's Figure 6 categories (match / filter /
     CAN_EXPAND) plus the expansion/emit/explore counts the cluster
     simulator uses as work units; the ``*_seconds`` gauges carry the
-    cumulative per-category time when ``timing_enabled`` was on.
+    cumulative per-category time when ``timing_enabled`` was on (wall
+    time per window is ``repro_session_window_seconds``).
     """
     for attr, name in ENGINE_COUNTERS:
         registry.counter(name, f"cumulative engine {attr}").set_total(

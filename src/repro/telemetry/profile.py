@@ -11,12 +11,13 @@ per-level shape of the search tree.
 
 Design constraints, mirroring the telemetry subsystem:
 
-* **Null path.**  :data:`NULL_PROFILE` is a shared no-op accumulator.  The
-  explorer coalesces its optional profile onto it via
-  :func:`ensure_profile` and guards every recording site with one cached
-  ``enabled`` flag, so disabled profiling costs a branch per event and
-  allocates nothing (benchmarked in
-  ``benchmarks/test_telemetry_overhead.py``).
+* **One record.**  EXPLORE writes only the engine's
+  :class:`~repro.core.metrics.Metrics`.  A profiled task is one
+  :meth:`ExplorationProfile.record` call with the
+  :meth:`~repro.core.metrics.Metrics.counts` snapshots taken before and
+  after it; every field of its :class:`UpdateProfile` is derived from that
+  difference and the task's deltas.  An unprofiled task takes no snapshot
+  (benchmarked in ``benchmarks/test_telemetry_overhead.py``).
 * **Order-independent merge.**  Per-worker profiles are keyed by the
   update they attribute to; :meth:`ExplorationProfile.merge` sums records
   key-wise (addition commutes, ``max_depth`` takes the max), so merging
@@ -27,15 +28,16 @@ Design constraints, mirroring the telemetry subsystem:
   stream (the cross-backend determinism contract).
 * **Shipping.**  Profiles travel over the existing process-backend result
   channel (alongside metrics, spans, and the worker registry), so
-  :class:`ExplorationProfile` and :class:`NullProfile` must pickle.
+  :class:`ExplorationProfile` must pickle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.types import EdgeUpdate, Timestamp
+from repro.core.metrics import Metrics
+from repro.types import EdgeUpdate, MatchDelta, MatchStatus, Timestamp
 
 #: key attributing one exploration task: (timestamp, u, v, added)
 UpdateKey = Tuple[Timestamp, int, int, bool]
@@ -53,17 +55,6 @@ _SUM_FIELDS = (
     "match_rejected",
     "new",
     "rem",
-)
-
-#: work-unit weights (kept aligned with ``Metrics.work_units``) used to
-#: price one update's exploration task deterministically
-_COST_WEIGHTS = (
-    ("attempts", 1.0),
-    ("filter_calls", 2.0),
-    ("match_calls", 2.0),
-    ("expansions", 3.0),
-    ("new", 1.0),
-    ("rem", 1.0),
 )
 
 
@@ -105,11 +96,14 @@ class UpdateProfile:
 
     @property
     def cost(self) -> float:
-        """Deterministic work-unit price of this task (no clock reads)."""
-        total = 0.0
-        for attr, weight in _COST_WEIGHTS:
-            total += weight * getattr(self, attr)
-        return total
+        """Deterministic price of this task: :meth:`Metrics.work_units`."""
+        return Metrics(
+            filter_calls=self.filter_calls,
+            match_calls=self.match_calls,
+            can_expand_calls=self.attempts,
+            expansions=self.expansions,
+            emits=self.new + self.rem,
+        ).work_units()
 
     def absorb(self, other: "UpdateProfile") -> None:
         """Accumulate another record for the same update (merge helper)."""
@@ -152,78 +146,68 @@ class ExplorationProfile:
     """Accumulates per-update search-tree statistics; merges key-wise.
 
     One instance is held per worker (no shared soft state); the session
-    merges worker profiles at collection time.  The hot-path recording
-    methods mutate the record selected by :meth:`begin_update`; the
-    explorer batches attempts, expansions and nodes into one call each per
-    EXPLORE call (all children of one call share a depth), and ``filter`` /
-    ``match`` verdicts into one call per verdict per update.
+    merges worker profiles at collection time.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._updates: Dict[UpdateKey, UpdateProfile] = {}
-        self._current: Optional[UpdateProfile] = None
 
-    # -- hot-path recording (called by the explorer) ----------------------
-
-    def begin_update(self, ts: Timestamp, update: EdgeUpdate) -> None:
-        """Select (creating if new) the record all events attribute to."""
+    def record(
+        self,
+        ts: Timestamp,
+        update: EdgeUpdate,
+        before: Tuple[int, ...],
+        after: Tuple[int, ...],
+        deltas: Sequence[MatchDelta],
+        vertex_induced: bool,
+    ) -> None:
+        """Attribute one task to its update: ``after - before`` of
+        :meth:`Metrics.counts`, and the deltas it emitted."""
+        if len(before) < len(after):  # the task reached a new depth
+            before += (0,) * (len(after) - len(before))
+        (
+            filter_calls,
+            filter_passes,
+            match_calls,
+            attempts,
+            expansions,
+            emits,
+            rule2,
+            edges_excluded,
+            *depths,
+        ) = [a - b for a, b in zip(after, before)]
         key = (ts, update.u, update.v, update.added)
         record = self._updates.get(key)
         if record is None:
             record = self._updates[key] = UpdateProfile(
                 ts=ts, u=update.u, v=update.v, added=update.added
             )
-        self._current = record
-
-    def node(self, depth: int, n: int = 1) -> None:
-        """``n`` subgraph states of ``depth`` vertices examined."""
-        record = self._current
-        record.nodes += n
-        if depth > record.max_depth:
-            record.max_depth = depth
+        rem = 0
+        for delta in deltas:
+            if delta.status is MatchStatus.REM:
+                rem += 1
+        record.nodes += 1 + expansions
+        record.attempts += attempts
+        record.pruned_rule2 += rule2
+        record.pruned_same_window += (
+            attempts - expansions - rule2 if vertex_induced else edges_excluded
+        )
+        record.expansions += expansions
+        record.filter_calls += filter_calls
+        record.filter_rejected += filter_calls - filter_passes
+        record.match_calls += match_calls
+        record.match_rejected += match_calls - emits
+        record.new += len(deltas) - rem
+        record.rem += rem
+        # the root is one 2-vertex node; expansions build the deeper ones
+        shape = [0, 0, 1] + depths[3:]
+        while len(shape) > 3 and not shape[-1]:
+            shape.pop()
+        record.max_depth = max(record.max_depth, len(shape) - 1)
         depth_nodes = record.depth_nodes
-        while len(depth_nodes) <= depth:
-            depth_nodes.append(0)
-        depth_nodes[depth] += n
-
-    def attempt(self, n: int = 1) -> None:
-        """Candidate expansion(s) considered by CAN_EXPAND."""
-        self._current.attempts += n
-
-    def pruned_same_window(self, n: int = 1) -> None:
-        """Expansion(s) rejected by same-snapshot edge ordering (§4.4.3)."""
-        self._current.pruned_same_window += n
-
-    def pruned_rule2(self) -> None:
-        """Expansion rejected by update canonicality rule 2 (§4.4.1)."""
-        self._current.pruned_rule2 += 1
-
-    def expansion(self, n: int = 1) -> None:
-        """Expansion(s) actually performed (child states created)."""
-        self._current.expansions += n
-
-    def filter_call(self, passed: bool, n: int = 1) -> None:
-        """``n`` ``filter`` calls that all returned ``passed``."""
-        record = self._current
-        record.filter_calls += n
-        if not passed:
-            record.filter_rejected += n
-
-    def match_call(self, matched: bool, n: int = 1) -> None:
-        """``n`` ``match`` calls that all returned ``matched``."""
-        record = self._current
-        record.match_calls += n
-        if not matched:
-            record.match_rejected += n
-
-    def emit(self, is_new: bool) -> None:
-        record = self._current
-        if is_new:
-            record.new += 1
-        else:
-            record.rem += 1
+        depth_nodes.extend([0] * (len(shape) - len(depth_nodes)))
+        for depth, n in enumerate(shape):
+            depth_nodes[depth] += n
 
     # -- merge / introspection --------------------------------------------
 
@@ -319,72 +303,3 @@ class ExplorationProfile:
             record = UpdateProfile.from_dict(entry)
             profile._updates[record.key] = record
         return profile
-
-
-class NullProfile:
-    """The disabled accumulator: every recording call is a no-op.
-
-    Stateless, so a pickle round trip (the process-backend result channel)
-    just produces another inert instance.
-    """
-
-    enabled = False
-
-    def begin_update(self, ts: Timestamp, update: EdgeUpdate) -> None:
-        return None
-
-    def node(self, depth: int, n: int = 1) -> None:
-        return None
-
-    def attempt(self, n: int = 1) -> None:
-        return None
-
-    def pruned_same_window(self, n: int = 1) -> None:
-        return None
-
-    def pruned_rule2(self) -> None:
-        return None
-
-    def expansion(self, n: int = 1) -> None:
-        return None
-
-    def filter_call(self, passed: bool, n: int = 1) -> None:
-        return None
-
-    def match_call(self, matched: bool, n: int = 1) -> None:
-        return None
-
-    def emit(self, is_new: bool) -> None:
-        return None
-
-    def merge(self, other: Any) -> None:
-        return None
-
-    def update_records(self) -> Dict[UpdateKey, UpdateProfile]:
-        return {}
-
-    def updates(self) -> List[UpdateProfile]:
-        return []
-
-    def num_updates(self) -> int:
-        return 0
-
-    def totals(self) -> Dict[str, Any]:
-        return {}
-
-    def window_rows(self) -> List[Dict[str, Any]]:
-        return []
-
-    def top_updates(self, k: int = 5) -> List[UpdateProfile]:
-        return []
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"updates": [], "windows": [], "totals": {}}
-
-
-NULL_PROFILE = NullProfile()
-
-
-def ensure_profile(profile: "Optional[ExplorationProfile]") -> "ExplorationProfile":
-    """Coalesce an optional profile argument onto the null object."""
-    return profile if profile is not None else NULL_PROFILE  # type: ignore[return-value]

@@ -16,7 +16,7 @@ into this one.  Every merge operation is commutative and associative
 (counters and gauges add, histograms add bucket-wise), so merging worker
 registries **in any order yields identical exposition output**; the
 property test ``tests/property/test_telemetry_properties.py`` enforces
-this alongside the ``window_latencies`` merge-safety contract.
+this.
 
 Exposition: :meth:`to_prom` renders Prometheus text format,
 :meth:`to_json` a stable JSON document; both sort families and label sets

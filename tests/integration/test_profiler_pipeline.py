@@ -57,11 +57,36 @@ def run_profiled(backend, updates=None, window_size=27):
 
 
 class TestCrossBackendDeterminism:
-    @pytest.mark.parametrize("backend", ["thread", "process", "simulated"])
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "simulated"])
     def test_profile_totals_identical_across_backends(self, backend):
-        _, serial_profile, _ = run_profiled("serial")
-        _, other_profile, _ = run_profiled(backend)
-        assert other_profile.totals() == serial_profile.totals()
+        """The profile is a view of ``Metrics`` on every backend.  A third
+        window of three tasks stays below the process backend's
+        ``min_parallel``, so it runs on the inline engine alone."""
+        updates = seeded_updates() + [
+            Update.add_edge(u, v) for u, v in [(20, 21), (21, 22), (20, 22)]
+        ]
+        _, serial_profile, _ = run_profiled("serial", updates)
+        session, other_profile, _ = run_profiled(backend, updates)
+        assert [w.num_updates for w in session.window_stats] == [27, 27, 3]
+        totals = other_profile.totals()
+        assert totals == serial_profile.totals()
+        m = session.metrics()
+        assert (
+            totals["filter_calls"],
+            totals["filter_rejected"],
+            totals["match_calls"],
+            totals["attempts"],
+            totals["expansions"],
+            totals["new"] + totals["rem"],
+        ) == (
+            m.filter_calls,
+            m.filter_calls - m.filter_passes,
+            m.match_calls,
+            m.can_expand_calls,
+            m.expansions,
+            m.emits,
+        )
+        assert totals["nodes"] == totals["expansions"] + totals["updates"]
 
     @pytest.mark.parametrize("backend", ["thread", "process", "simulated"])
     def test_per_update_records_identical_across_backends(self, backend):

@@ -17,11 +17,9 @@ from repro.apps import CliqueMining, DiamondMining, MotifCounting, PathMining
 from repro.runtime.backend import _mine_slice, _slice_worker
 from repro.store.mvstore import MultiVersionStore
 from repro.telemetry import (
-    NULL_PROFILE,
     NULL_REGISTRY,
     ExplorationProfile,
     MetricsRegistry,
-    NullProfile,
     NullRegistry,
 )
 from repro.types import EdgeUpdate
@@ -113,10 +111,8 @@ class TestShippedResultsPickle:
         # must stay a no-op after the round trip.
         assert isinstance(registry, NullRegistry)
         assert registry.counter_totals() == {}
-        # Likewise the null profile: stateless, so it ships as an inert
-        # instance and merging it is a no-op.
-        assert isinstance(profile, NullProfile)
-        assert profile.num_updates() == 0
+        # An unprofiled worker ships no profile.
+        assert profile is None
 
     def test_message_pickles_with_telemetry_on(self):
         deltas, metrics, spans, registry, profile = self._run(telemetry_on=True)
@@ -125,7 +121,7 @@ class TestShippedResultsPickle:
         assert [span.name for span in spans] == ["task", "task"]
         assert isinstance(registry, MetricsRegistry)
         assert metrics.emits >= 1
-        assert isinstance(profile, NullProfile)
+        assert profile is None
 
     def test_message_pickles_with_profile_on(self):
         deltas, _, spans, _, profile = self._run(telemetry_on=False, profile_on=True)
@@ -149,6 +145,3 @@ class TestShippedResultsPickle:
 
     def test_null_registry_pickles(self):
         assert isinstance(_roundtrip(NULL_REGISTRY), NullRegistry)
-
-    def test_null_profile_pickles(self):
-        assert isinstance(_roundtrip(NULL_PROFILE), NullProfile)

@@ -19,11 +19,7 @@ from repro.runtime.backend import (
     make_backend,
 )
 from repro.runtime.session import StreamingSession
-from repro.runtime.stats import (
-    LatencySummary,
-    summarize_latencies,
-    summarize_window_stats,
-)
+from repro.runtime.stats import LatencySummary, summarize_latencies
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
@@ -117,16 +113,8 @@ class TestLatencySummary:
         assert summary.report() == "no windows processed"
 
     def test_merge_order_independent(self):
-        a, b = Metrics(), Metrics()
-        a.record_window(0.5)
-        a.record_window(0.1)
-        b.record_window(0.3)
-        ab, ba = Metrics(), Metrics()
-        ab.merge(a), ab.merge(b)
-        ba.merge(b), ba.merge(a)
-        assert (
-            summarize_latencies(ab.window_latencies)
-            == summarize_latencies(ba.window_latencies)
+        assert summarize_latencies([0.5, 0.1, 0.3]) == summarize_latencies(
+            [0.3, 0.5, 0.1]
         )
 
     def test_from_window_stats(self):
@@ -134,13 +122,30 @@ class TestLatencySummary:
         session.process(
             Update.add_edge(u, v) for u, v in [(1, 2), (2, 3), (1, 3), (3, 4)]
         )
-        summary = summarize_window_stats(session.window_stats)
+        summary = session.latency_summary()
         assert summary.windows == len(session.window_stats) == 2
         assert summary.max_seconds >= summary.p50_seconds > 0
-        assert session.latency_summary() == summary
-        assert session.metrics().window_latencies == [
-            w.wall_seconds for w in session.window_stats
-        ]
+        assert summary == summarize_latencies(
+            [w.wall_seconds for w in session.window_stats]
+        )
+        session.close()
+
+
+class TestTraceTasks:
+    """``trace_tasks`` records one trace per task, or is refused outright."""
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_traced_or_refused_on_every_backend(self, backend):
+        edges = shuffled_edges(erdos_renyi(14, 30, seed=3), seed=1)
+        kwargs = dict(window_size=8, num_workers=2, trace_tasks=True)
+        if backend in ("process", "simulated"):
+            with pytest.raises(ValueError, match="no task traces"):
+                StreamingSession(CliqueMining(3, min_size=3), backend, **kwargs)
+            return
+        session = StreamingSession(CliqueMining(3, min_size=3), backend, **kwargs)
+        session.process(Update.add_edge(u, v) for u, v in edges)
+        assert len(session.backend.traces()) == len(edges)
+        session.close()
 
 
 class TestStreamingSession:

@@ -35,7 +35,7 @@ class TestStaticRun:
 
 
 class TestWindowProcessing:
-    def test_window_stats_recorded(self):
+    def test_process_window_returns_its_deltas(self):
         store = MultiVersionStore()
         store.add_edge(1, 2, ts=1)
         store.add_edge(2, 3, ts=1)
@@ -44,13 +44,8 @@ class TestWindowProcessing:
         deltas = engine.process_window(
             Window(timestamp=2, updates=[EdgeUpdate(1, 3, added=True)])
         )
-        assert len(deltas) == 1
-        assert len(engine.window_stats) == 1
-        stats = engine.window_stats[0]
-        assert stats.num_updates == 1
-        assert stats.num_new == 1
-        assert stats.num_rem == 0
-        assert stats.num_deltas == 1
+        assert [(d.timestamp, d.status) for d in deltas] == [(2, MatchStatus.NEW)]
+        assert engine.metrics.emits == 1
 
     def test_drain_queue_acks_everything(self):
         store = MultiVersionStore()

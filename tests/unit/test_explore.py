@@ -272,6 +272,47 @@ class TestVerdictsReachTheProfile:
         assert self.verdicts(records[(2, second.u, second.v, True)]) == want
 
 
+class TestTimingMode:
+    """Timing mode adds ``perf_counter`` differences to the three
+    ``*_seconds`` fields; with it off the explorer never reads the clock."""
+
+    ALGORITHMS = {
+        "vertex-induced": lambda: CliqueMining(4, min_size=3),
+        "edge-induced": lambda: TestEdgeInducedMode.AllSubgraphs(),
+    }
+
+    @staticmethod
+    def explore_all(metrics, algorithm):
+        store, updates = TestVerdictsReachTheProfile.store_and_updates()
+        explorer = Explorer(algorithm, metrics=metrics)
+        for update in updates:
+            explorer.explore_update(ExplorationView(store, 2), update)
+
+    @pytest.mark.parametrize("mode", sorted(ALGORITHMS))
+    def test_timing_off_never_reads_the_clock(self, mode, monkeypatch):
+        import time
+
+        def no_clock():  # pragma: no cover - must never run
+            raise AssertionError("clock read with timing off")
+
+        metrics = Metrics()
+        monkeypatch.setattr(time, "perf_counter", no_clock)
+        self.explore_all(metrics, self.ALGORITHMS[mode]())
+        monkeypatch.undo()
+        assert metrics.filter_calls and metrics.can_expand_calls
+        assert metrics.filter_seconds == metrics.match_seconds == 0.0
+        assert metrics.can_expand_seconds == 0.0
+
+    @pytest.mark.parametrize("mode", sorted(ALGORITHMS))
+    def test_timing_on_grows_the_three_seconds_fields(self, mode):
+        metrics = Metrics(timing_enabled=True)
+        self.explore_all(metrics, self.ALGORITHMS[mode]())
+        assert metrics.match_calls
+        assert metrics.filter_seconds > 0.0
+        assert metrics.match_seconds > 0.0
+        assert metrics.can_expand_seconds > 0.0
+
+
 class TestEdgeInducedMode:
     class AllSubgraphs(MiningAlgorithm):
         induced = EdgeInduced

@@ -2,111 +2,130 @@
 
 Integration coverage (cross-backend totals, CLI surface) lives in
 ``tests/integration/test_profiler_pipeline.py``; these tests pin the
-record-level semantics — what each recording call does to the current
-update's record, how folded stacks derive self time, and how the tracer
-accounts ring-buffer evictions.
+record-level semantics — how one task's ``Metrics.counts()`` difference
+becomes its update's record, how folded stacks derive self time, and how
+the tracer accounts ring-buffer evictions.
 """
 
 import io
 import json
 
-from repro.telemetry import ExplorationProfile, NULL_PROFILE, Tracer, ensure_profile
+from repro.core.metrics import Metrics
+from repro.telemetry import ExplorationProfile, Tracer
 from repro.telemetry.flame import collapse_spans, to_folded
 from repro.telemetry.trace import SpanRecord
-from repro.types import EdgeUpdate
+from repro.types import EdgeUpdate, MatchDelta, MatchStatus, MatchSubgraph
 
 
-def record_one_update(profile, ts=1, u=1, v=2, added=True):
-    profile.begin_update(ts, EdgeUpdate(u, v, added=added))
+def record_task(
+    profile, ts=1, u=1, v=2, added=True, new=0, rem=0, vertex_induced=True, **moved
+):
+    """One task that moved the :class:`Metrics` counters in ``moved`` and
+    emitted ``new`` NEW and ``rem`` REM deltas."""
+    match = MatchSubgraph((u, v), frozenset({(u, v)}))
+    deltas = [MatchDelta(ts, MatchStatus.NEW, match)] * new
+    deltas += [MatchDelta(ts, MatchStatus.REM, match)] * rem
+    profile.record(
+        ts,
+        EdgeUpdate(u, v, added=added),
+        Metrics().counts(),
+        Metrics(emits=new + rem, **moved).counts(),
+        deltas,
+        vertex_induced,
+    )
 
 
 class TestExplorationProfile:
-    def test_recording_attributes_to_current_update(self):
+    def test_record_derives_every_field_from_the_difference(self):
         p = ExplorationProfile()
-        record_one_update(p)
-        p.node(2)
-        p.node(3)
-        p.attempt()
-        p.attempt()
-        p.pruned_same_window()
-        p.pruned_rule2()
-        p.expansion()
-        p.filter_call(passed=True)
-        p.filter_call(passed=False)
-        p.match_call(matched=True)
-        p.emit(is_new=True)
-        p.emit(is_new=False)
+        record_task(
+            p,
+            can_expand_calls=6,
+            expansions=3,
+            pruned_rule2=1,
+            filter_calls=5,
+            filter_passes=3,
+            match_calls=2,
+            new=1,
+            rem=1,
+            depth_expansions=[0, 0, 0, 2, 1],
+        )
         (record,) = p.updates()
-        assert record.nodes == 2
-        assert record.max_depth == 3
-        assert record.depth_nodes == [0, 0, 1, 1]
-        assert record.attempts == 2
-        assert record.pruned == 2
-        assert record.pruned_same_window == 1
+        assert record.nodes == 4
+        assert record.max_depth == 4
+        assert record.depth_nodes == [0, 0, 1, 2, 1]
+        assert record.attempts == 6
         assert record.pruned_rule2 == 1
-        assert record.expansions == 1
-        assert record.filter_calls == 2 and record.filter_rejected == 1
-        assert record.match_calls == 1 and record.match_rejected == 0
+        assert record.pruned_same_window == 6 - 3 - 1
+        assert record.pruned == 3
+        assert record.expansions == 3
+        assert record.filter_calls == 5 and record.filter_rejected == 2
+        assert record.match_calls == 2 and record.match_rejected == 0
         assert record.new == 1 and record.rem == 1
 
-    def test_one_counted_call_equals_that_many_single_calls(self):
-        """The explorer records one EXPLORE call's children in one call."""
-        single, batched = ExplorationProfile(), ExplorationProfile()
-        for p in (single, batched):
-            record_one_update(p)
-            p.node(2)
-        for _ in range(5):
-            single.attempt()
-        for _ in range(3):
-            single.expansion()
-            single.node(3)
-        for verdict in (True, False, False):
-            single.filter_call(verdict)
-            single.match_call(not verdict)
-        batched.attempt(5)
-        batched.expansion(3)
-        batched.node(3, 3)
-        batched.filter_call(True, 1)
-        batched.filter_call(False, 2)
-        batched.match_call(True, 2)
-        batched.match_call(False, 1)
-        assert batched.to_dict() == single.to_dict()
-        NULL_PROFILE.attempt(5)
-        NULL_PROFILE.expansion(3)
-        NULL_PROFILE.node(3, 3)
-        NULL_PROFILE.filter_call(False, 2)
-        NULL_PROFILE.match_call(True, 2)
-
-    def test_begin_update_reuses_record_for_same_key(self):
+    def test_edge_induced_same_window_prunes_are_excluded_edges(self):
         p = ExplorationProfile()
-        record_one_update(p)
-        p.attempt()
-        record_one_update(p, ts=1, u=1, v=2)  # same key: accumulate
-        p.attempt()
-        record_one_update(p, ts=2, u=1, v=2)  # new window: new record
-        p.attempt()
+        record_task(
+            p,
+            vertex_induced=False,
+            can_expand_calls=3,
+            expansions=8,
+            pruned_rule2=1,
+            edges_excluded=2,
+            depth_expansions=[0, 0, 0, 8],
+        )
+        (record,) = p.updates()
+        assert record.pruned_same_window == 2
+        assert record.pruned_rule2 == 1
+
+    def test_record_is_the_difference_of_two_snapshots(self):
+        """Counters of earlier tasks, and depths they reached, are not this
+        task's."""
+        p = ExplorationProfile()
+        before = Metrics(filter_calls=7, expansions=4, depth_expansions=[0, 0, 0, 3, 1])
+        after = Metrics(
+            filter_calls=9,
+            filter_passes=1,
+            expansions=5,
+            can_expand_calls=1,
+            depth_expansions=[0, 0, 0, 4, 1, 0],
+        )
+        update = EdgeUpdate(1, 2, added=True)
+        p.record(1, update, before.counts(), after.counts(), [], True)
+        (record,) = p.updates()
+        assert (record.filter_calls, record.filter_rejected) == (2, 1)
+        assert record.depth_nodes == [0, 0, 1, 1]
+        assert record.max_depth == 3
+        assert record.nodes == 2
+
+    def test_record_reuses_record_for_same_key(self):
+        p = ExplorationProfile()
+        record_task(p, can_expand_calls=1)
+        record_task(p, ts=1, u=1, v=2, can_expand_calls=1)  # same key: accumulate
+        record_task(p, ts=2, u=1, v=2, can_expand_calls=1)  # new window: new record
         assert p.num_updates() == 2
         by_ts = {r.ts: r.attempts for r in p.updates()}
         assert by_ts == {1: 2, 2: 1}
 
     def test_cost_uses_work_unit_weights(self):
         p = ExplorationProfile()
-        record_one_update(p)
-        p.attempt()  # weight 1
-        p.expansion()  # weight 3
-        p.filter_call(True)  # weight 2
-        p.match_call(True)  # weight 2
-        p.emit(True)  # weight 1
+        record_task(
+            p,
+            can_expand_calls=1,  # weight 1
+            expansions=1,  # weight 3
+            filter_calls=1,  # weight 2
+            filter_passes=1,
+            match_calls=1,  # weight 2
+            new=1,  # weight 1
+            depth_expansions=[0, 0, 0, 1],
+        )
         (record,) = p.updates()
         assert record.cost == 1 + 3 + 2 + 2 + 1
 
     def test_window_rows_imbalance(self):
         p = ExplorationProfile()
-        record_one_update(p, u=1, v=2)
-        for _ in range(9):
-            p.attempt()
-        record_one_update(p, u=3, v=4)
-        p.attempt()
+        record_task(p, u=1, v=2, can_expand_calls=9)
+        record_task(p, u=3, v=4, can_expand_calls=1)
         (row,) = p.window_rows()
         assert row["tasks"] == 2
         assert row["cost"] == 10.0
@@ -115,27 +134,12 @@ class TestExplorationProfile:
 
     def test_totals_sum_depth_histograms(self):
         p = ExplorationProfile()
-        record_one_update(p, u=1, v=2)
-        p.node(2)
-        record_one_update(p, u=3, v=4)
-        p.node(2)
-        p.node(4)
+        record_task(p, u=1, v=2)
+        record_task(p, u=3, v=4, expansions=1, depth_expansions=[0, 0, 0, 0, 1])
         totals = p.totals()
         assert totals["nodes"] == 3
         assert totals["max_depth"] == 4
         assert totals["depth_nodes"] == [0, 0, 2, 0, 1]
-
-    def test_null_profile_is_inert_and_shared(self):
-        assert ensure_profile(None) is NULL_PROFILE
-        enabled = ExplorationProfile()
-        assert ensure_profile(enabled) is enabled
-        assert not NULL_PROFILE.enabled
-        record_one_update(NULL_PROFILE)
-        NULL_PROFILE.attempt()
-        NULL_PROFILE.emit(True)
-        assert NULL_PROFILE.num_updates() == 0
-        assert NULL_PROFILE.totals() == {}
-        assert NULL_PROFILE.updates() == []
 
 
 class TestFoldedStacks:

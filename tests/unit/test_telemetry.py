@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro.core.metrics import Metrics, Stopwatch
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     NULL_REGISTRY,
@@ -218,35 +217,3 @@ def test_ensure_coalesces_none_to_null():
     assert tel.enabled
     assert isinstance(tel.registry, MetricsRegistry)
     assert isinstance(tel.tracer, Tracer)
-
-
-# -- Stopwatch satellite ---------------------------------------------------
-
-
-def test_stopwatch_noop_when_timing_disabled():
-    metrics = Metrics(timing_enabled=False)
-
-    class BadClock:
-        def __call__(self):  # pragma: no cover - must never run
-            raise AssertionError("clock read on disabled stopwatch")
-
-    import repro.core.metrics as m
-
-    original = m.time.perf_counter
-    m.time.perf_counter = BadClock()
-    try:
-        with Stopwatch(metrics, "filter_seconds"):
-            pass
-    finally:
-        m.time.perf_counter = original
-    assert metrics.filter_seconds == 0.0
-
-
-def test_stopwatch_observes_histogram_when_enabled():
-    metrics = Metrics(timing_enabled=True)
-    reg = MetricsRegistry()
-    hist = reg.histogram("h").labels()
-    with Stopwatch(metrics, "filter_seconds", histogram=hist):
-        pass
-    assert metrics.filter_seconds > 0.0
-    assert hist.count == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import Metrics, Stopwatch
+from repro.core.metrics import Metrics
 from repro.store.shard import AccessStats, ShardMap
 from repro.types import (
     EdgeUpdate,
@@ -95,41 +95,42 @@ class TestMetrics:
         assert m.work_units() == 2 * 2.0 + 3.0
 
     def test_merge(self):
-        a = Metrics(filter_calls=1, emits=2, total_seconds=1.0)
-        b = Metrics(filter_calls=3, emits=1, total_seconds=0.5)
+        a = Metrics(filter_calls=1, emits=2, filter_seconds=1.0)
+        b = Metrics(filter_calls=3, emits=1, filter_seconds=0.5)
         a.merge(b)
         assert a.filter_calls == 4 and a.emits == 3
-        assert a.total_seconds == pytest.approx(1.5)
+        assert a.filter_seconds == pytest.approx(1.5)
+
+    def test_merge_sums_expansions_per_depth(self):
+        a = Metrics(depth_expansions=[0, 0, 0, 2])
+        b = Metrics(depth_expansions=[0, 0, 0, 1, 4])
+        a.merge(b)
+        assert a.depth_expansions == [0, 0, 0, 3, 4]
+        assert b.depth_expansions == [0, 0, 0, 1, 4]
+
+    def test_counts_is_one_flat_tuple_of_ints(self):
+        m = Metrics(filter_calls=3, filter_passes=1, depth_expansions=[0, 0, 0, 5])
+        assert m.counts() == (3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5)
 
     def test_breakdown_sums_to_total(self):
         m = Metrics(
             filter_seconds=1.0,
             match_seconds=0.5,
             can_expand_seconds=0.25,
-            total_seconds=3.0,
         )
-        b = m.breakdown()
+        b = m.breakdown(3.0)
         assert b["other"] == pytest.approx(1.25)
         assert sum(b.values()) == pytest.approx(3.0)
 
     def test_breakdown_never_negative(self):
-        m = Metrics(filter_seconds=5.0, total_seconds=1.0)
-        assert m.breakdown()["other"] == 0.0
+        m = Metrics(filter_seconds=5.0)
+        assert m.breakdown(1.0)["other"] == 0.0
 
     def test_reset(self):
         m = Metrics(filter_calls=5, timing_enabled=True)
         m.reset()
         assert m.filter_calls == 0
         assert m.timing_enabled
-
-    def test_stopwatch_accumulates(self):
-        m = Metrics()
-        with Stopwatch(m, "filter_seconds"):
-            pass
-        with Stopwatch(m, "filter_seconds"):
-            pass
-        assert m.filter_seconds >= 0.0
-        assert m.snapshot() == (0, 0, 0, 0, 0)
 
 
 class TestShardMap:
