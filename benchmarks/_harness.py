@@ -34,7 +34,7 @@ from repro.graph.generators import (
     erdos_renyi,
     shuffled_edges,
 )
-from repro.runtime.backend import SerialBackend, make_backend
+from repro.runtime.backend import SerialBackend
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
@@ -129,38 +129,17 @@ def run_updates(
     window: int = WINDOW,
     trace_tasks: bool = False,
     timing: bool = False,
-    backend: str = "serial",
-    num_workers: Optional[int] = None,
-    telemetry=None,
 ):
     """Feed (edge, added) updates through the streaming session; time mining only.
 
     Returns (deltas, mining_seconds, metrics, engine) — ``engine`` is the
-    serial backend's :class:`TesseractEngine` (for ``.traces``) or, for
-    other backends, the backend itself.
+    serial backend's :class:`TesseractEngine` (for ``.traces``).
     """
     metrics = Metrics(timing_enabled=timing)
-    if backend == "serial":
-        exec_backend = SerialBackend(
-            store, algorithm, metrics=metrics, trace_tasks=trace_tasks,
-            telemetry=telemetry,
-        )
-        engine = exec_backend.engine
-    else:
-        exec_backend = make_backend(
-            backend,
-            store,
-            algorithm,
-            num_workers=num_workers,
-            metrics=metrics,
-            trace_tasks=trace_tasks,
-            telemetry=telemetry,
-        )
-        engine = exec_backend
-    session = StreamingSession(
-        algorithm, exec_backend, window_size=window, store=store,
-        telemetry=telemetry,
+    exec_backend = SerialBackend(
+        store, algorithm, metrics=metrics, trace_tasks=trace_tasks
     )
+    session = StreamingSession(algorithm, exec_backend, window_size=window, store=store)
     for (u, v), added in edge_stream:
         session.submit(Update.add_edge(u, v) if added else Update.delete_edge(u, v))
     session.ingress.flush()
@@ -168,7 +147,7 @@ def run_updates(
     deltas = session.run_pending()
     seconds = time.perf_counter() - start
     session.close()  # the caller reads counters, which outlive it
-    return deltas, seconds, metrics, engine
+    return deltas, seconds, metrics, exec_backend.engine
 
 
 def additions(edges: Iterable[Tuple[int, int]]):

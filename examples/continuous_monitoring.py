@@ -33,7 +33,7 @@ def serve(session, stream):
 
 
 # ---- phase 1: run the service over the first half of the stream --------
-session = StreamingSession(ALGORITHM(), "thread", window_size=10, num_workers=2)
+session = StreamingSession(ALGORITHM(), "process", window_size=10, num_workers=2)
 live = session.output_stream().count()
 serve(session, first_half)
 executed = sum(w.num_updates for w in session.window_stats)
@@ -52,7 +52,7 @@ del session  # the process dies here
 
 # ---- phase 2: recover and continue -------------------------------------
 recovered = StreamingSession(
-    ALGORITHM(), "thread", window_size=10, num_workers=2,
+    ALGORITHM(), "process", window_size=10, num_workers=2,
     store=restore_store(ckpt.name),
 )
 os.unlink(ckpt.name)

@@ -189,7 +189,7 @@ def project_rule(cls: Type[ProjectRule]) -> Type[ProjectRule]:
 
 
 def module_name_of(path: str) -> str:
-    """Best-effort dotted module name, anchored at the ``repro`` package."""
+    """Best-effort dotted module name, rooted at the ``repro`` package."""
     parts = list(Path(path).with_suffix("").parts)
     if "repro" in parts:
         parts = parts[parts.index("repro"):]

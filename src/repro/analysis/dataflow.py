@@ -16,8 +16,9 @@ iteration (:func:`fixpoint`) over set-valued facts:
   closes that set over callees ("calling f() may acquire everything f
   acquires"), and every call made *while holding* lock A to code that
   may acquire lock B becomes an edge A → B.  A cycle in that graph is a
-  potential deadlock between the thread backend, the work queue, and
-  the RPC pool — found statically, before any interleaving runs.
+  potential deadlock between the store server's connection threads,
+  the tracer, and the RPC pool — found statically, before any
+  interleaving runs.
 
 Both analyses are conservative consumers of the call graph: unresolved
 calls contribute nothing, so the worst failure mode is a missed fact,
@@ -239,7 +240,7 @@ class LockAnalysis:
     """The acquired-while-held graph over every project lock.
 
     Lock identity is the *owning definition*: ``self._lock`` created in
-    ``WorkQueue.__init__`` is ``repro.streaming.queue.WorkQueue._lock``
+    ``Tracer.__init__`` is ``repro.telemetry.trace.Tracer._lock``
     regardless of which method touches it; a function-local lock is
     ``module.func.name``.  Reentrant locks (``RLock``) may self-nest, so
     A → A edges on them are dropped; everything else — including a
@@ -409,7 +410,7 @@ class LockAnalysis:
 
         Strongly connected components of the edge graph; each SCC with a
         cycle is reported once, as the concrete lock path found by a DFS
-        from its smallest lock, anchored at the first edge along it.
+        from its smallest lock, starting at the first edge along it.
         """
         adjacency: Dict[str, List[str]] = {}
         by_pair: Dict[Tuple[str, str], LockEdge] = {}

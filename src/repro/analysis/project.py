@@ -52,7 +52,7 @@ DEFAULT_CACHE_DIR = ".repro-lint-cache"
 
 
 def module_name_for(path: Path, root: Path) -> str:
-    """Dotted module name of ``path``, anchored at ``root``'s parent.
+    """Dotted module name of ``path``, rooted at ``root``'s parent.
 
     ``src/repro/store/api.py`` under root ``src/repro`` becomes
     ``repro.store.api``; paths outside the root fall back to the

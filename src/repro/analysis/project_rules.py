@@ -12,9 +12,9 @@ RL008       Interprocedural determinism taint: a wall-clock/RNG value
             streams (``emit``/``publish``), or wire payloads — closes
             the laundering hole in RL001 (paper §4.5).
 RL009       Lock-order cycles: the acquired-while-held graph across
-            WorkQueue/Tracer/ConnectionPool et al. must be acyclic —
-            static deadlock detection for the thread backend and the
-            RPC pool (paper §5.3).
+            Tracer/ConnectionPool/StoreServer et al. must be acyclic —
+            static deadlock detection for the store server's
+            connection threads and the RPC pool (paper §5.3).
 RL010       Exception-taxonomy discipline: handlers in ``repro.net``
             must re-raise through the NetError taxonomy; nothing may
             swallow ``ApplicationError``; bare ``except:`` is banned
@@ -175,7 +175,7 @@ class LockOrderRule(ProjectRule):
     rule_id = "RL009"
     summary = (
         "lock-order cycle in the acquired-while-held graph (static "
-        "deadlock detection across WorkQueue/Tracer/ConnectionPool)"
+        "deadlock detection across Tracer/ConnectionPool/StoreServer)"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Violation]:

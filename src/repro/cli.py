@@ -139,6 +139,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
     profiling = bool(args.profile_out or args.report)
     if not args.updates and initial is None:
         raise SystemExit("provide --updates, --graph, or both")
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be at least 1, got {args.workers}")
     session_kwargs = dict(
         window_size=args.window,
         num_workers=args.workers,

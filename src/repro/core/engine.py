@@ -136,7 +136,6 @@ class TesseractEngine:
         graph: AdjacencyGraph,
         algorithm: MiningAlgorithm,
         metrics: Optional[Metrics] = None,
-        trace_tasks: bool = False,
     ) -> List[MatchDelta]:
         """Mine a static graph by loading all edges as one addition window.
 
@@ -145,7 +144,7 @@ class TesseractEngine:
         snapshot, and the emitted NEW deltas are exactly the match set.
         """
         store = MultiVersionStore.from_adjacency(graph, ts=1)
-        engine = cls(store, algorithm, metrics=metrics, trace_tasks=trace_tasks)
+        engine = cls(store, algorithm, metrics=metrics)
         window = Window(
             timestamp=1,
             updates=[

@@ -7,7 +7,6 @@ from repro.runtime.backend import (
     ProcessBackend,
     SerialBackend,
     SimulatedBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.runtime.cluster import ClusterSpec, SimResult
@@ -29,7 +28,6 @@ __all__ = [
     "DeploymentResult",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "SimulatedBackend",
     "make_backend",

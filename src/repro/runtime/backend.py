@@ -1,4 +1,4 @@
-"""Pluggable execution backends: one task-running contract, four executors.
+"""Pluggable execution backends: one task-running contract, three executors.
 
 One mining engine over interchangeable deployments, the paper's own
 layering (EuroSys 2021 sections 4-5): the executor side of the pipeline is
@@ -17,11 +17,6 @@ Backends:
 ``serial``
     One engine, one thread.  The reference executor; lowest overhead for
     small windows and the baseline all others must match exactly.
-
-``thread``
-    N worker engines on real threads.  Architecturally faithful to the
-    paper's worker loop but GIL-bound: use it to exercise concurrency
-    (locking, nondeterministic interleaving) rather than for speedup.
 
 ``process``
     N processes per window, the caller being one of them: each mines a
@@ -48,7 +43,6 @@ import abc
 import heapq
 import multiprocessing as mp
 import os
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -61,21 +55,15 @@ from repro.runtime.cluster import ClusterSpec
 from repro.store.api import GraphStore
 from repro.store.remote import FetchCosts, RemoteStoreClient
 from repro.store.snapshot import ExplorationView
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    ExplorationProfile,
-    MetricsRegistry,
-    Telemetry,
-    ensure,
-)
+from repro.telemetry import NULL_TELEMETRY, ExplorationProfile, Telemetry, ensure
 from repro.telemetry.bridge import net_delta_to_registry
-from repro.types import EdgeUpdate, MatchDelta, TaskTrace, Timestamp
+from repro.types import EdgeUpdate, MatchDelta, Timestamp
 
 #: One unit of backend work: explore a single edge update at a timestamp.
 Task = Tuple[Timestamp, EdgeUpdate]
 
 #: Names accepted by :func:`make_backend` and the CLI ``--backend`` flag.
-BACKEND_NAMES = ("serial", "thread", "process", "simulated")
+BACKEND_NAMES = ("serial", "process", "simulated")
 
 
 class ExecutionBackend(abc.ABC):
@@ -90,16 +78,14 @@ class ExecutionBackend(abc.ABC):
     * workers share no soft state; the backend may be invoked repeatedly
       as the underlying store evolves between calls.
 
-    Telemetry: each worker engine records into its **own**
-    :class:`~repro.telemetry.MetricsRegistry` (so concurrent workers never
-    contend on shared instruments); :meth:`worker_registries` exposes them
-    for order-independent merging at snapshot time.  Spans from every
-    worker land on the session's shared (thread-safe) tracer; the process
-    backend ships its spans back over the same channel as its merged
-    metrics.
+    Telemetry: engines run on the session's thread and record into the
+    session's own :class:`~repro.telemetry.Telemetry` — one registry, and
+    spans inside the session's open ``window`` span.  The process backend
+    ships each slice worker's registry and spans back over the same
+    channel as its metrics and merges them straight into it.
     """
 
-    #: the registry name of this backend ("serial", "thread", ...)
+    #: the registry name of this backend ("serial", "process", ...)
     name: str = "?"
 
     @abc.abstractmethod
@@ -110,43 +96,26 @@ class ExecutionBackend(abc.ABC):
     def metrics(self) -> Metrics:
         """Merged cumulative metrics of all workers (a fresh snapshot)."""
 
-    def traces(self) -> List[TaskTrace]:
-        """Per-task traces, if tracing was enabled (default: none)."""
-        return []
-
-    def worker_registries(self) -> List[MetricsRegistry]:
-        """Per-worker metric registries to merge at snapshot time."""
-        return []
-
     def worker_profiles(self) -> List[ExplorationProfile]:
         """Per-worker exploration profiles to merge at collection time.
 
         Profiles merge key-wise (per attributed update), so the merged
-        result is identical regardless of which worker ran which task —
-        the same order-independence contract as :meth:`worker_registries`.
+        result is identical regardless of which worker ran which task.
         Whether a worker profiles is decided once, from the ``profile``
         flag every backend takes: its engine is handed a profile or none.
         """
         return []
-
-    @staticmethod
-    def _worker_telemetry(telemetry) -> "Telemetry":
-        """A per-worker telemetry view: shared tracer, private registry.
-
-        Disabled telemetry coalesces onto :data:`NULL_TELEMETRY`, so
-        callers branch on ``.enabled`` rather than ``is None`` (RL004).
-        """
-        telemetry = ensure(telemetry)
-        if not telemetry.enabled:
-            return telemetry
-        return Telemetry(tracer=telemetry.tracer, registry=MetricsRegistry())
 
     def close(self) -> None:
         """Release worker resources; the backend may not be reused after."""
 
 
 class SerialBackend(ExecutionBackend):
-    """The reference executor: one :class:`TesseractEngine`, in order."""
+    """The reference executor: one :class:`TesseractEngine`, in order.
+
+    ``trace_tasks`` records one :class:`~repro.types.TaskTrace` per task
+    on :attr:`engine`'s ``traces`` (the cluster simulator's input).
+    """
 
     name = "serial"
 
@@ -159,19 +128,15 @@ class SerialBackend(ExecutionBackend):
         telemetry=None,
         profile: bool = False,
     ) -> None:
-        self._worker_tel = self._worker_telemetry(telemetry)
         self._profiling = profile
         self.engine = TesseractEngine(
             store,
             algorithm,
             metrics=metrics,
             trace_tasks=trace_tasks,
-            telemetry=self._worker_tel,
+            telemetry=telemetry,
             profile=ExplorationProfile() if profile else None,
         )
-
-    def worker_registries(self) -> List[MetricsRegistry]:
-        return [self._worker_tel.registry] if self._worker_tel.enabled else []
 
     def worker_profiles(self) -> List[ExplorationProfile]:
         return [self.engine.explorer.profile] if self._profiling else []
@@ -186,108 +151,6 @@ class SerialBackend(ExecutionBackend):
         merged = Metrics()
         merged.merge(self.engine.metrics)
         return merged
-
-    def traces(self) -> List[TaskTrace]:
-        return list(self.engine.traces)
-
-
-class ThreadBackend(ExecutionBackend):
-    """N engines on real threads; output re-assembled in task order.
-
-    Each worker owns an engine (no shared soft state); a shared cursor
-    hands out task indices, and results land in an index-addressed slot
-    table, so the emitted delta stream is independent of thread timing.
-    An exception from the algorithm stops the hand-out and is re-raised
-    in the caller once every worker has returned.
-    """
-
-    name = "thread"
-
-    def __init__(
-        self,
-        store: GraphStore,
-        algorithm: MiningAlgorithm,
-        num_workers: int = 2,
-        trace_tasks: bool = False,
-        telemetry=None,
-        profile: bool = False,
-    ) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be positive")
-        self.num_workers = num_workers
-        self._worker_tels = [
-            self._worker_telemetry(telemetry) for _ in range(num_workers)
-        ]
-        self._profiling = profile
-        self.engines = [
-            TesseractEngine(
-                store,
-                algorithm,
-                metrics=Metrics(),
-                trace_tasks=trace_tasks,
-                telemetry=self._worker_tels[w],
-                worker_label=w,
-                profile=ExplorationProfile() if profile else None,
-            )
-            for w in range(num_workers)
-        ]
-
-    def worker_registries(self) -> List[MetricsRegistry]:
-        return [tel.registry for tel in self._worker_tels if tel.enabled]
-
-    def worker_profiles(self) -> List[ExplorationProfile]:
-        if not self._profiling:
-            return []
-        return [engine.explorer.profile for engine in self.engines]
-
-    def run_tasks(self, tasks: Sequence[Task]) -> List[MatchDelta]:
-        if not tasks:
-            return []
-        slots: List[Optional[List[MatchDelta]]] = [None] * len(tasks)
-        cursor = iter(range(len(tasks)))
-        cursor_lock = threading.Lock()
-        errors: List[Exception] = []
-
-        def loop(worker_id: int) -> None:
-            engine = self.engines[worker_id]
-            while not errors:
-                with cursor_lock:
-                    index = next(cursor, None)
-                if index is None:
-                    return
-                ts, update = tasks[index]
-                try:
-                    slots[index] = engine.process_update(ts, update)
-                except Exception as exc:
-                    # a thread's exception dies with it: hand it to the caller
-                    errors.append(exc)
-
-        threads = [
-            threading.Thread(target=loop, args=(w,), name=f"backend-worker-{w}")
-            for w in range(min(self.num_workers, len(tasks)))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
-        out: List[MatchDelta] = []
-        for slot in slots:
-            out.extend(slot or [])
-        return out
-
-    def metrics(self) -> Metrics:
-        merged = Metrics()
-        for engine in self.engines:
-            merged.merge(engine.metrics)
-        return merged
-
-    def traces(self) -> List[TaskTrace]:
-        out: List[TaskTrace] = []
-        for engine in self.engines:
-            out.extend(engine.traces)
-        return out
 
 
 # -- process backend ---------------------------------------------------------
@@ -357,9 +220,10 @@ class ProcessBackend(ExecutionBackend):
     caller meanwhile mines slice 0 on its inline engine, then reads each
     message, reassembles the deltas by task index and joins every child:
     workers are reaped every window.  Smaller windows run wholly on the
-    inline engine, which shares this backend's metrics, registry and
-    profile — counters never silently vanish.  Slice workers record no
-    task traces, so this backend takes no ``trace_tasks``.
+    inline engine, which shares this backend's metrics and profile and the
+    session's registry — counters never silently vanish.  ``None`` for
+    ``num_processes`` means one fewer than the CPU count; below 1 is a
+    ``ValueError``.
     """
 
     name = "process"
@@ -376,20 +240,23 @@ class ProcessBackend(ExecutionBackend):
     ) -> None:
         self.store = store
         self.algorithm = algorithm
-        self.num_processes = num_processes or max(1, (os.cpu_count() or 2) - 1)
+        if num_processes is None:
+            num_processes = max(1, (os.cpu_count() or 2) - 1)
+        elif num_processes < 1:
+            raise ValueError(f"num_processes must be at least 1, got {num_processes}")
+        self.num_processes = num_processes
         self.min_parallel = min_parallel
         self._metrics = metrics if metrics is not None else Metrics()
-        self.telemetry = ensure(telemetry)
         # The inline engine records into these directly and each worker's
         # message merges into them — one merged view either way (the null
         # registry swallows merges when telemetry is off).
-        self._worker_tel = self._worker_telemetry(telemetry)
+        self.telemetry = ensure(telemetry)
         self._profiling = profile
         self._inline = TesseractEngine(
             store,
             algorithm,
             metrics=self._metrics,
-            telemetry=self._worker_tel,
+            telemetry=self.telemetry,
             profile=ExplorationProfile() if profile else None,
         )
 
@@ -430,7 +297,7 @@ class ProcessBackend(ExecutionBackend):
                 # Re-parent the worker's spans under the caller's current
                 # span (the session's open window span).
                 self.telemetry.tracer.absorb(spans)
-                self._worker_tel.registry.merge(registry)
+                self.telemetry.registry.merge(registry)
                 if self._profiling:
                     self._inline.explorer.profile.merge(profile)
         except BaseException:
@@ -447,9 +314,6 @@ class ProcessBackend(ExecutionBackend):
         merged = Metrics()
         merged.merge(self._metrics)
         return merged
-
-    def worker_registries(self) -> List[MetricsRegistry]:
-        return [self._worker_tel.registry] if self._worker_tel.enabled else []
 
     def worker_profiles(self) -> List[ExplorationProfile]:
         return [self._inline.explorer.profile] if self._profiling else []
@@ -489,8 +353,7 @@ class SimulatedBackend(ExecutionBackend):
     measured work.  :attr:`last_result` holds the latest window's
     :class:`DeploymentResult` (makespan, utilization, fetches).  Machine
     caches are dropped between windows — cached vertex records are soft
-    state (paper §5.5) and may be stale once the store has evolved.  Its
-    cost model prices tasks itself, so it takes no ``trace_tasks``.
+    state (paper §5.5) and may be stale once the store has evolved.
     """
 
     name = "simulated"
@@ -613,36 +476,15 @@ def make_backend(
     *,
     num_workers: Optional[int] = None,
     metrics: Optional[Metrics] = None,
-    trace_tasks: bool = False,
     spec=None,
     fetch_costs=None,
     telemetry=None,
     profile: bool = False,
 ) -> ExecutionBackend:
-    """Construct a backend by registry name (see :data:`BACKEND_NAMES`).
-
-    Only ``serial`` and ``thread`` record task traces; ``trace_tasks`` on
-    another backend is a ``ValueError`` rather than an empty trace list.
-    """
-    if trace_tasks and kind in ("process", "simulated"):
-        raise ValueError(f"the {kind} backend records no task traces")
+    """Construct a backend by registry name (see :data:`BACKEND_NAMES`)."""
     if kind == "serial":
         return SerialBackend(
-            store,
-            algorithm,
-            metrics=metrics,
-            trace_tasks=trace_tasks,
-            telemetry=telemetry,
-            profile=profile,
-        )
-    if kind == "thread":
-        return ThreadBackend(
-            store,
-            algorithm,
-            num_workers=num_workers or 2,
-            trace_tasks=trace_tasks,
-            telemetry=telemetry,
-            profile=profile,
+            store, algorithm, metrics=metrics, telemetry=telemetry, profile=profile
         )
     if kind == "process":
         return ProcessBackend(

@@ -52,9 +52,9 @@ from repro.types import MatchDelta, Timestamp, Update, WindowStats
 class StreamingSession:
     """Ingress → store → queue → backend → dataflow, wired once.
 
-    ``backend`` is either a registry name (``"serial"``, ``"thread"``,
-    ``"process"``, ``"simulated"``) or a ready :class:`ExecutionBackend`
-    instance (which must share this session's store).  ``store`` is
+    ``backend`` is either a registry name (``"serial"``, ``"process"``,
+    ``"simulated"``) or a ready :class:`ExecutionBackend` instance (which
+    must share this session's store and telemetry).  ``store`` is
     likewise either a registry name (``"mv"``, ``"sharded"``,
     ``"remote"``, ``"net"``) or a ready :class:`~repro.store.api.\
     GraphStore`; a named store composes with ``initial_graph``, a store
@@ -78,7 +78,6 @@ class StreamingSession:
         store_addr: Optional[str] = None,
         store_batch: Optional[int] = None,
         gc_enabled: bool = False,
-        trace_tasks: bool = False,
         spec=None,
         fetch_costs=None,
         telemetry=None,
@@ -123,7 +122,6 @@ class StreamingSession:
                 self.store,
                 algorithm,
                 num_workers=num_workers,
-                trace_tasks=trace_tasks,
                 spec=spec,
                 fetch_costs=fetch_costs,
                 telemetry=self.telemetry,
@@ -193,9 +191,9 @@ class StreamingSession:
         items are redelivered and the exception propagates; calling
         :meth:`run_pending` again resumes with that window.
 
-        With telemetry enabled each window runs inside an *anchored*
-        ``window`` span, so task spans opened on worker threads (whose span
-        stacks are empty) still parent under it.
+        With telemetry enabled each window runs inside a ``window`` span
+        opened on this thread, the one that runs the tasks, so task spans
+        (and the process workers' absorbed spans) parent under it.
         """
         new_deltas: List[MatchDelta] = []
         tracer = self.telemetry.tracer
@@ -203,9 +201,7 @@ class StreamingSession:
         for ts, items in self.queue.drain_windows(on_poll):
             tasks = [(ts, item.update) for item in items]
             try:
-                with tracer.span(
-                    "window", anchored=True, ts=ts, updates=len(tasks)
-                ) as span:
+                with tracer.span("window", ts=ts, updates=len(tasks)) as span:
                     start = time.perf_counter()
                     deltas = self.backend.run_tasks(tasks)
                     elapsed = time.perf_counter() - start
@@ -270,12 +266,11 @@ class StreamingSession:
         """A fresh :class:`~repro.telemetry.MetricsRegistry` snapshot.
 
         Builds a new registry on every call (so it is idempotent): the
-        session's live registry and every backend worker registry are
-        merged in (order-independent), then the engine's merged
-        :class:`Metrics`, the ingress node's net counters, and the
-        per-window stats are bridged on top.  Works even with telemetry
-        disabled — the bridged portions come from state the pipeline
-        always maintains.
+        session's live registry, which its backend's engines record into,
+        is merged in once, then the engine's merged :class:`Metrics`, the
+        ingress node's net counters, and the per-window stats are bridged
+        on top.  Works even with telemetry disabled — the bridged portions
+        come from state the pipeline always maintains.
         """
         from repro.runtime.stats import window_stats_to_registry
         from repro.telemetry import MetricsRegistry
@@ -288,8 +283,6 @@ class StreamingSession:
         out = MetricsRegistry()
         if self.telemetry.enabled:
             out.merge(self.telemetry.registry)
-            for registry in self.backend.worker_registries():
-                out.merge(registry)
         metrics_to_registry(out, self.metrics())
         ingress_to_registry(out, self.ingress)
         store_to_registry(out, self.store)

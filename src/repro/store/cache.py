@@ -29,9 +29,8 @@ Hit/miss/eviction counters are plain integers read at snapshot time (they
 bridge into the telemetry registry as gauges — counts depend on worker
 scheduling and store copies, so they stay out of the deterministic
 cross-backend ``counter_totals`` contract).  All mutation happens under
-the cache's lock (thread backend engines share one store); pickling for
-the process backend's store shipment drops the lock and starts the worker
-copy cold.
+the cache's lock; pickling for the process backend's store shipment drops
+the lock and starts the worker copy cold.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ timestamp ordering.  This in-process reproduction keeps the same contract:
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -39,7 +38,10 @@ class WorkItem:
 
 
 class WorkQueue:
-    """Single-partition durable queue: append, poll, ack, redeliver."""
+    """Single-partition durable queue: append, poll, ack, redeliver.
+
+    Not thread-safe: a session makes every call on its own thread.
+    """
 
     def __init__(self, telemetry=None) -> None:
         # Only unacked items are retained, so queue state is bounded by the
@@ -51,7 +53,6 @@ class WorkQueue:
         self._acked = 0
         self._closed = False
         self._last_ts: Timestamp = 0
-        self._lock = threading.Lock()  # consumers may run on threads
         telemetry = ensure(telemetry)
         self._telemetry_on = telemetry.enabled
         registry = telemetry.registry
@@ -86,51 +87,48 @@ class WorkQueue:
     ) -> range:
         """Durably append one window's updates; returns their offsets.
 
-        Everything :meth:`append` does per item — lock, counter, depth
-        gauge — happens once for the window.  A closed queue or a
-        regressing timestamp raises before anything is appended; an empty
-        window appends nothing and checks nothing, like zero appends.
+        Everything :meth:`append` does per item — counter, depth gauge —
+        happens once for the window.  A closed queue or a regressing
+        timestamp raises before anything is appended; an empty window
+        appends nothing and checks nothing, like zero appends.
         """
-        with self._lock:
-            first = self._appended
-            if not updates:
-                return range(first, first)
-            if self._closed:
-                raise QueueClosedError("cannot append to a closed queue")
-            if timestamp < self._last_ts:
-                raise OffsetError(
-                    f"timestamps must be non-decreasing (got {timestamp} "
-                    f"after {self._last_ts})"
-                )
-            self._last_ts = timestamp
-            items = self._items
-            offset = first
-            for update in updates:
-                items[offset] = WorkItem(offset, timestamp, update)
-                offset += 1
-            self._appended = offset
-            offsets = range(first, offset)
-            # A new offset exceeds every offset in the heap (redelivered
-            # ones are older), so appending it is what heappush would do.
-            self._ready.extend(offsets)
-            self._c_appended.inc(offset - first)
-            self._g_depth.set(len(self._ready))
-            return offsets
+        first = self._appended
+        if not updates:
+            return range(first, first)
+        if self._closed:
+            raise QueueClosedError("cannot append to a closed queue")
+        if timestamp < self._last_ts:
+            raise OffsetError(
+                f"timestamps must be non-decreasing (got {timestamp} "
+                f"after {self._last_ts})"
+            )
+        self._last_ts = timestamp
+        items = self._items
+        offset = first
+        for update in updates:
+            items[offset] = WorkItem(offset, timestamp, update)
+            offset += 1
+        self._appended = offset
+        offsets = range(first, offset)
+        # A new offset exceeds every offset in the heap (redelivered
+        # ones are older), so appending it is what heappush would do.
+        self._ready.extend(offsets)
+        self._c_appended.inc(offset - first)
+        self._g_depth.set(len(self._ready))
+        return offsets
 
     def close(self) -> None:
         """Stop accepting new items; consumers drain what remains."""
-        with self._lock:
-            self._closed = True
+        self._closed = True
 
     # -- consumer --------------------------------------------------------
 
     def poll(self) -> Optional[WorkItem]:
         """Take the lowest-offset ready item, marking it in flight."""
-        with self._lock:
-            return self._take() if self._ready else None
+        return self._take() if self._ready else None
 
     def _take(self) -> WorkItem:
-        """Move the head of the ready heap into flight (lock held)."""
+        """Move the head of the ready heap into flight."""
         offset = heapq.heappop(self._ready)
         item = self._items[offset]
         self._in_flight[offset] = item
@@ -146,37 +144,31 @@ class WorkQueue:
     def ack_window(self, offsets: Sequence[int]) -> None:
         """Mark a window's in-flight items fully processed, in order.
 
-        One lock and one counter bump for the window.  An offset that is
-        not in flight raises :class:`~repro.errors.OffsetError` once the
-        offsets before it are acked, as acking them one by one would.
+        One counter bump for the window.  An offset that is not in flight
+        raises :class:`~repro.errors.OffsetError` once the offsets before
+        it are acked, as acking them one by one would.
         """
-        with self._lock:
-            in_flight, items = self._in_flight, self._items
-            now = time.perf_counter() if self._telemetry_on else 0.0
-            acked = 0
-            for offset in offsets:
-                if offset not in in_flight:
-                    break
-                del in_flight[offset]
-                del items[offset]
-                acked += 1
-                if self._telemetry_on:
-                    polled_at = self._poll_times.pop(offset, None)
-                    if polled_at is not None:
-                        self._h_ack_latency.observe(now - polled_at)
-            if acked:
-                self._acked += acked
-                self._c_acked.inc(acked)
-            if acked < len(offsets):
-                raise OffsetError(f"offset {offsets[acked]} is not in flight")
+        in_flight, items = self._in_flight, self._items
+        now = time.perf_counter() if self._telemetry_on else 0.0
+        acked = 0
+        for offset in offsets:
+            if offset not in in_flight:
+                break
+            del in_flight[offset]
+            del items[offset]
+            acked += 1
+            if self._telemetry_on:
+                polled_at = self._poll_times.pop(offset, None)
+                if polled_at is not None:
+                    self._h_ack_latency.observe(now - polled_at)
+        if acked:
+            self._acked += acked
+            self._c_acked.inc(acked)
+        if acked < len(offsets):
+            raise OffsetError(f"offset {offsets[acked]} is not in flight")
 
     def redeliver(self, offset: int) -> None:
         """Return a crashed worker's in-flight item to the queue."""
-        with self._lock:
-            self._give_back(offset)
-
-    def _give_back(self, offset: int) -> None:
-        """Move an in-flight offset back to the ready heap (lock held)."""
         if offset not in self._in_flight:
             raise OffsetError(f"offset {offset} is not in flight")
         del self._in_flight[offset]
@@ -227,9 +219,9 @@ class WorkQueue:
     ) -> Iterator[Tuple[Timestamp, List[WorkItem]]]:
         """Yield ``(timestamp, items)`` per window, acking on completion.
 
-        Under the lock, every ready item sharing the head's timestamp —
-        one ingress window, since the queue is FIFO in timestamp order —
-        goes into flight together; ``on_poll`` runs per item with
+        Every ready item sharing the head's timestamp — one ingress
+        window, since the queue is FIFO in timestamp order — goes into
+        flight together; ``on_poll`` runs per item with
         :meth:`drain`'s redeliver-and-continue on an injected
         :class:`~repro.errors.WorkerCrashed`.  The window's items are acked
         only when the consumer asks for the next window, i.e. after its
@@ -240,19 +232,18 @@ class WorkQueue:
         """
         while True:
             items: List[WorkItem] = []
-            with self._lock:
-                while self._ready and (
-                    not items
-                    or self._items[self._ready[0]].timestamp == items[0].timestamp
-                ):
-                    item = self._take()
-                    if on_poll is not None:
-                        try:
-                            on_poll(item)
-                        except WorkerCrashed:
-                            self._give_back(item.offset)
-                            continue
-                    items.append(item)
+            while self._ready and (
+                not items
+                or self._items[self._ready[0]].timestamp == items[0].timestamp
+            ):
+                item = self._take()
+                if on_poll is not None:
+                    try:
+                        on_poll(item)
+                    except WorkerCrashed:
+                        self.redeliver(item.offset)
+                        continue
+                items.append(item)
             if not items:
                 return
             yield items[0].timestamp, items

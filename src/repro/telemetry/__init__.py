@@ -58,7 +58,6 @@ from repro.telemetry.trace import (
     NULL_TRACER,
     Span,
     SpanRecord,
-    TraceContext,
     Tracer,
 )
 
@@ -71,7 +70,6 @@ __all__ = [
     "Span",
     "NullSpan",
     "SpanRecord",
-    "TraceContext",
     "NULL_TRACER",
     "NULL_SPAN",
     "MetricsRegistry",

@@ -21,15 +21,14 @@ Two properties make the tracer safe to wire through hot paths:
 
 For *cross-process* traces the tracer additionally carries an identity:
 a ``trace_id`` naming the whole run and an optional ``node`` naming this
-process ("client", "server", ...).  :meth:`Span.context` captures a live
-span as a :class:`TraceContext` that can travel on the wire
-(:mod:`repro.net.wire`), and ``Tracer.span(..., remote=ctx)`` opens a
-span whose *logical* parent lives in another process — the remote parent
-is recorded in the span's attributes, and ``repro trace-merge``
-(:mod:`repro.telemetry.merge`) stitches the per-node JSONL files back
-into one tree.  Exports from a tracer with a ``node`` identity start
-with a ``trace.meta`` line carrying that identity; tracers without one
-export byte-identically to earlier releases.
+process ("client", "server", ...).  The RPC client sends both with the
+id of its open ``rpc.call`` span (:mod:`repro.net.wire`); the server
+records its span as a local root carrying that remote parent in its
+attributes, and ``repro trace-merge`` (:mod:`repro.telemetry.merge`)
+stitches the per-node JSONL files back into one tree.  Exports from a
+tracer with a ``node`` identity start with a ``trace.meta`` line carrying
+that identity; tracers without one export byte-identically to earlier
+releases.
 """
 
 from __future__ import annotations
@@ -41,26 +40,6 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, TextIO
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The portable identity of a live span: what crosses the wire.
-
-    ``span_id`` is only unique *within* ``node``, so the pair
-    ``(node, span_id)`` is the globally unique parent reference the merge
-    tool resolves.  ``flags`` is a small bitfield reserved for sampling
-    decisions (0 = default, bit 0 = sampled); it is propagated verbatim.
-    """
-
-    trace_id: str
-    span_id: int
-    node: str
-    flags: int = 1
-
-    def parent_ref(self) -> Dict[str, Any]:
-        """The JSON-safe remote-parent reference recorded on child spans."""
-        return {"node": self.node, "span_id": self.span_id}
 
 
 def _new_trace_id() -> str:
@@ -98,52 +77,20 @@ class SpanRecord:
 class Span:
     """A live span; use as a context manager around the traced work."""
 
-    __slots__ = (
-        "tracer",
-        "name",
-        "attrs",
-        "anchored",
-        "remote",
-        "span_id",
-        "parent_id",
-        "start",
-        "_prev_anchor",
-    )
+    __slots__ = ("tracer", "name", "attrs", "span_id", "parent_id", "start")
 
-    def __init__(
-        self,
-        tracer: "Tracer",
-        name: str,
-        attrs: Dict[str, Any],
-        anchored: bool,
-        remote: Optional[TraceContext] = None,
-    ) -> None:
+    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
         self.tracer = tracer
         self.name = name
         self.attrs = attrs
-        self.anchored = anchored
-        self.remote = remote
         self.span_id = 0
         self.parent_id: Optional[int] = None
         self.start = 0.0
-        self._prev_anchor: Optional[int] = None
 
     def set(self, **attrs: Any) -> "Span":
         """Attach attributes to the span while it is open."""
         self.attrs.update(attrs)
         return self
-
-    def context(self) -> TraceContext:
-        """This live span's portable :class:`TraceContext`.
-
-        Only meaningful between ``__enter__`` and ``__exit__`` (the span id
-        is assigned on entry).
-        """
-        return TraceContext(
-            trace_id=self.tracer.trace_id,
-            span_id=self.span_id,
-            node=self.tracer.node or "",
-        )
 
     def __enter__(self) -> "Span":
         self.tracer._enter(self)
@@ -156,10 +103,10 @@ class Span:
 class Tracer:
     """Records hierarchical spans into a bounded ring buffer.
 
-    Span nesting is tracked per thread; spans opened on a thread with an
-    empty stack attach to the tracer's *anchor* span (if one is set via an
-    ``anchored=True`` span), which is how worker-thread task spans parent
-    under the main thread's window span.
+    Span nesting is tracked per thread; a span opened on a thread with an
+    empty stack is a root.  Mining runs on the thread that opens the
+    session's window span, so task spans nest under it; the store
+    server's connection threads record their spans as explicit roots.
     """
 
     enabled = True
@@ -185,7 +132,6 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._next_id = 0
-        self._anchor: Optional[int] = None
         #: total spans ever recorded (the ring may have evicted older ones)
         self.spans_recorded = 0
         #: spans evicted from the ring to make room for newer ones; nonzero
@@ -194,24 +140,9 @@ class Tracer:
 
     # -- span lifecycle ----------------------------------------------------
 
-    def span(
-        self,
-        name: str,
-        *,
-        anchored: bool = False,
-        remote: Optional[TraceContext] = None,
-        **attrs: Any,
-    ) -> Span:
-        """Open a new span; enter the returned object as a context manager.
-
-        ``anchored=True`` makes this span the parent of any span opened on
-        a thread with an empty stack while it is active.  ``remote`` makes
-        the span a *remote-parented* root: its logical parent is a span in
-        another process, recorded as ``trace_id``/``remote_parent``
-        attributes for the merge tool; locally it parents nowhere (so a
-        server's RPC spans never dangle from an unrelated local anchor).
-        """
-        return Span(self, name, attrs, anchored, remote)
+    def span(self, name: str, **attrs: Any) -> Span:
+        """Open a new span; enter the returned object as a context manager."""
+        return Span(self, name, attrs)
 
     def _stack(self) -> List[Span]:
         stack = getattr(self._local, "stack", None)
@@ -226,24 +157,8 @@ class Tracer:
 
     def _enter(self, span: Span) -> None:
         stack = self._stack()
-        # One critical section covers id allocation, parent resolution, and
-        # the anchor hand-off (the lock is not reentrant, so the id bump is
-        # inlined here rather than calling _new_id).
-        with self._lock:
-            self._next_id += 1
-            span.span_id = self._next_id
-            if span.remote is not None:
-                # Remote-parented root: the logical parent lives in another
-                # process, so the span must not attach to any local span.
-                span.parent_id = None
-            else:
-                span.parent_id = stack[-1].span_id if stack else self._anchor
-            if span.anchored:
-                span._prev_anchor = self._anchor
-                self._anchor = span.span_id
-        if span.remote is not None:
-            span.attrs.setdefault("trace_id", span.remote.trace_id)
-            span.attrs.setdefault("remote_parent", span.remote.parent_ref())
+        span.span_id = self._new_id()
+        span.parent_id = stack[-1].span_id if stack else None
         stack.append(span)
         span.start = self._clock()
 
@@ -261,8 +176,6 @@ class Tracer:
             attrs=span.attrs,
         )
         with self._lock:
-            if span.anchored:
-                self._anchor = span._prev_anchor
             if len(self._ring) == self.capacity:
                 self.dropped_spans += 1
             self._ring.append(record)
@@ -296,16 +209,11 @@ class Tracer:
 
         The id is allocated now because it must cross the wire before the
         span completes; the parent is whatever a ``span()`` opened on this
-        thread would get (stack top, else the anchor).  The stack is this
-        thread's own and read lock-free; the id bump and anchor read share
-        one lock acquisition.
+        thread would get (stack top, else none).  The stack is this
+        thread's own and read lock-free.
         """
         stack = getattr(self._local, "stack", None)
-        with self._lock:
-            self._next_id += 1
-            if stack:
-                return self._next_id, stack[-1].span_id
-            return self._next_id, self._anchor
+        return self._new_id(), stack[-1].span_id if stack else None
 
     def reserve_ids(self, n: int) -> int:
         """Allocate ``n`` consecutive span ids; returns the first."""
@@ -347,7 +255,7 @@ class Tracer:
         """Append a pre-timed span record directly (no stack interaction)."""
         record = SpanRecord(
             span_id=self._new_id(),
-            parent_id=parent_id if parent_id is not None else self._anchor,
+            parent_id=parent_id,
             name=name,
             start=start,
             end=end,
@@ -369,14 +277,14 @@ class Tracer:
 
         Ids are re-assigned from this tracer's sequence (preserving the
         internal parent structure of the absorbed batch); root spans of the
-        batch attach to ``parent_id``, the current open span, or the anchor.
+        batch attach to ``parent_id``, else the current open span.
         """
         records = list(records)
         if not records:
             return
         if parent_id is None:
             stack = self._stack()
-            parent_id = stack[-1].span_id if stack else self._anchor
+            parent_id = stack[-1].span_id if stack else None
         id_map: Dict[int, int] = {}
         for record in records:
             id_map[record.span_id] = self._new_id()
@@ -498,10 +406,6 @@ class NullSpan:
     def set(self, **attrs: Any) -> "NullSpan":
         return self
 
-    def context(self) -> None:
-        """Disabled spans have no portable context (nothing to propagate)."""
-        return None
-
     def __enter__(self) -> "NullSpan":
         return self
 
@@ -522,14 +426,7 @@ class NullTracer:
     node = None
     trace_id = ""
 
-    def span(
-        self,
-        name: str,
-        *,
-        anchored: bool = False,
-        remote: Optional[TraceContext] = None,
-        **attrs: Any,
-    ) -> NullSpan:
+    def span(self, name: str, **attrs: Any) -> NullSpan:
         return NULL_SPAN
 
     def record(self, name, start, end, parent_id=None, **attrs):

@@ -100,18 +100,19 @@ def test_chaos_keyword_search(seed):
     assert live == brute_force_vertex_induced(session.snapshot(), alg())
 
 
-def test_chaos_threaded_with_crashes():
+def test_chaos_process_with_crashes():
     rng = random.Random(7)
     alg = lambda: CliqueMining(3, min_size=3)
     fault = FaultInjector(CrashPlan(((0, 2), (0, 4), (0, 1))))
     session = StreamingSession(
-        alg(), "thread", window_size=3, num_workers=4, fault_injector=fault
+        alg(), "process", window_size=4, num_workers=2, fault_injector=fault
     )
     ops = random_schedule(rng, n_vertices=10, steps=80)
     session.submit_many(ops)
     session.flush()
-    # the thread backend reassembles each window in task order, so the
+    # the process backend reassembles each window in task order, so the
     # stream replays as it stands
     live = collect_matches(session.deltas())
     assert live == brute_force_vertex_induced(session.snapshot(), alg())
     assert fault.crash_count == 3
+    session.close()

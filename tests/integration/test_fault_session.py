@@ -254,14 +254,14 @@ class ThrowsMidTree(CliqueMining):
         return super().filter(s)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_algorithm_throw_mid_tree_leaves_the_engine_fit_for_the_rerun(backend):
     """An engine lives as long as its backend and re-roots itself per update.
 
     The throw abandons a search tree with vertices and matrix rows pushed;
     the redelivered window is then mined by those very engines (the serial
-    one, the thread workers', the process backend's inline one) and must
-    come out as if nothing had happened.
+    one, the process backend's inline one, the simulated workers'
+    explorers) and must come out as if nothing had happened.
     """
     _, clean = run_session(backend=backend)
     algorithm = ThrowsMidTree()

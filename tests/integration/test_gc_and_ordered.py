@@ -106,7 +106,7 @@ class TestOrderedOutputIntegration:
         timestamps = [d.timestamp for d in session.deltas()]
         assert timestamps == sorted(timestamps)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "simulated"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "simulated"])
     def test_deltas_arrive_in_timestamp_order_on_every_backend(self, backend):
         g = erdos_renyi(12, 30, seed=33)
         edges = shuffled_edges(g, seed=4)

@@ -3,7 +3,7 @@
 The acceptance contract (mirroring ``test_telemetry_pipeline.py``): the
 same input stream yields **identical merged profile totals** on every
 execution backend — every recorded quantity is an operation count, never a
-clock read, so serial/thread/process/simulated must agree exactly.  Also
+clock read, so serial/process/simulated must agree exactly.  Also
 covers the run report (nonzero pruning, filter rejections, p99, imbalance
 on a seeded multi-window run), folded-stack export, and the ``mine
 --profile-out/--report/--flame-out`` plus ``repro report`` CLI surface.
@@ -57,7 +57,7 @@ def run_profiled(backend, updates=None, window_size=27):
 
 
 class TestCrossBackendDeterminism:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process", "simulated"])
+    @pytest.mark.parametrize("backend", ["serial", "process", "simulated"])
     def test_profile_totals_identical_across_backends(self, backend):
         """The profile is a view of ``Metrics`` on every backend.  A third
         window of three tasks stays below the process backend's
@@ -88,7 +88,7 @@ class TestCrossBackendDeterminism:
         )
         assert totals["nodes"] == totals["expansions"] + totals["updates"]
 
-    @pytest.mark.parametrize("backend", ["thread", "process", "simulated"])
+    @pytest.mark.parametrize("backend", ["process", "simulated"])
     def test_per_update_records_identical_across_backends(self, backend):
         _, serial_profile, _ = run_profiled("serial")
         _, other_profile, _ = run_profiled(backend)

@@ -75,19 +75,21 @@ class TestEndToEnd:
         session.flush()
         assert session.metrics().filter_calls > 0
 
-    def test_threaded_mode(self):
+    def test_process_mode(self):
         g = erdos_renyi(18, 45, seed=19)
         serial = StreamingSession(CliqueMining(3, min_size=3), window_size=5)
         sc = serial.output_stream().count()
         serial.submit_many(Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=2))
         serial.flush()
-        threaded = StreamingSession(
-            CliqueMining(3, min_size=3), "thread", window_size=5, num_workers=4
+        serial.close()
+        forked = StreamingSession(
+            CliqueMining(3, min_size=3), "process", window_size=5, num_workers=4
         )
-        tc = threaded.output_stream().count()
-        threaded.submit_many(Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=2))
-        threaded.flush()
-        assert tc.value() == sc.value()
+        fc = forked.output_stream().count()
+        forked.submit_many(Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=2))
+        forked.flush()
+        forked.close()
+        assert fc.value() == sc.value()
 
 
 class TestOrderedOutput:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.apps import CliqueMining
 from repro.cli import main
+from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.session import StreamingSession
 from repro.telemetry import Telemetry
 from repro.types import Update
@@ -38,11 +39,21 @@ def run_backend(backend, with_stream=False):
     return session, telemetry, registry, counted
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "simulated"])
+@pytest.mark.parametrize("backend", ["process", "simulated"])
 def test_counter_totals_identical_across_backends(backend):
     _, _, serial_reg, _ = run_backend("serial")
     _, _, other_reg, _ = run_backend(backend)
     assert other_reg.counter_totals() == serial_reg.counter_totals()
+
+
+@pytest.mark.parametrize("backend", ["serial", "process"])
+def test_one_registry_counts_each_task_once(backend):
+    """Engines record into the session's own registry — the process backend
+    merges each worker's straight into it — and a snapshot reads it once."""
+    session, _, registry, _ = run_backend(backend)
+    hist = registry.histogram("repro_engine_task_seconds").labels()
+    assert hist.count == len(EDGES) == session.metrics().explore_calls
+    assert session.collect_registry().dump("prom") == registry.dump("prom")
 
 
 def test_span_hierarchy_window_then_tasks():
@@ -55,6 +66,18 @@ def test_span_hierarchy_window_then_tasks():
     assert sum(w.attrs["updates"] for w in windows.values()) == len(tasks)
     # ingress windows are recorded as siblings (they close before execution)
     assert any(r.name == "ingress.window" for r in records)
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_every_task_span_nests_under_its_window(backend):
+    """Tasks run (or are absorbed) on the thread holding the window span,
+    so each task span's parent is that window."""
+    _, telemetry, _, _ = run_backend(backend)
+    records = telemetry.tracer.records()
+    windows = {r.span_id: r for r in records if r.name == "window"}
+    tasks = [r for r in records if r.name == "task"]
+    assert len(tasks) == len(EDGES)
+    assert all(t.parent_id in windows for t in tasks)
 
 
 def test_process_backend_ships_spans_from_workers():

@@ -2,7 +2,7 @@
 
 The :class:`~repro.runtime.backend.ExecutionBackend` contract requires
 deltas in task order, so for any evolving-graph workload the serial,
-thread, process, and simulated backends must produce *byte-identical*
+process, and simulated backends must produce *byte-identical*
 delta streams (and therefore identical live match sets) — over additions,
 deletion-heavy streams, and any window size.
 """

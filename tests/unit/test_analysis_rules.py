@@ -334,10 +334,10 @@ class TestTelemetryNullObjectRL004:
         # attribute load), never on identity-vs-None
         src = """
             def dispatch(self, request, tracer):
-                remote = None
+                trace = None
                 if tracer.enabled:
-                    remote = decode(request.get("trace"))
-                with tracer.span("rpc.server", remote=remote):
+                    trace = decode(request.get("trace"))
+                with tracer.span("rpc.server", trace=trace):
                     return self.handle(request)
         """
         assert rules_hit(src, path="src/repro/net/server.py") == []

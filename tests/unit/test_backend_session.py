@@ -15,7 +15,6 @@ from repro.runtime.backend import (
     BACKEND_NAMES,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
 )
 from repro.runtime.session import StreamingSession
@@ -94,6 +93,20 @@ class TestProcessBackendMetrics:
         assert metrics.explore_calls > 0
 
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_worker_count_below_one_is_refused(self, count):
+        """-1 used to mine ``tasks[0::-1]`` — the first task of each window
+        alone — and 0 silently meant one fewer than the CPU count."""
+        with pytest.raises(ValueError, match="num_processes must be at least 1"):
+            ProcessBackend(MultiVersionStore(), CliqueMining(3), num_processes=count)
+        with pytest.raises(ValueError, match="num_processes must be at least 1"):
+            StreamingSession(CliqueMining(3), "process", num_workers=count)
+
+    def test_no_worker_count_means_the_cpu_default(self):
+        backend = ProcessBackend(MultiVersionStore(), CliqueMining(3))
+        assert backend.num_processes == max(1, (os.cpu_count() or 2) - 1)
+
+
 class TestLatencySummary:
     def test_percentiles(self):
         summary = summarize_latencies([0.1 * i for i in range(1, 101)])
@@ -132,20 +145,27 @@ class TestLatencySummary:
 
 
 class TestTraceTasks:
-    """``trace_tasks`` records one trace per task, or is refused outright."""
+    """Task traces come from the engine; only ``SerialBackend`` asks for them."""
+
+    def test_serial_backend_traces_every_task(self):
+        edges = shuffled_edges(erdos_renyi(14, 30, seed=3), seed=1)
+        store = MultiVersionStore()
+        backend = SerialBackend(store, CliqueMining(3, min_size=3), trace_tasks=True)
+        session = StreamingSession(
+            CliqueMining(3, min_size=3), backend, store=store, window_size=8
+        )
+        session.process(Update.add_edge(u, v) for u, v in edges)
+        assert len(backend.engine.traces) == len(edges)
+        session.close()
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_traced_or_refused_on_every_backend(self, backend):
-        edges = shuffled_edges(erdos_renyi(14, 30, seed=3), seed=1)
-        kwargs = dict(window_size=8, num_workers=2, trace_tasks=True)
-        if backend in ("process", "simulated"):
-            with pytest.raises(ValueError, match="no task traces"):
-                StreamingSession(CliqueMining(3, min_size=3), backend, **kwargs)
-            return
-        session = StreamingSession(CliqueMining(3, min_size=3), backend, **kwargs)
-        session.process(Update.add_edge(u, v) for u, v in edges)
-        assert len(session.backend.traces()) == len(edges)
-        session.close()
+    def test_session_and_make_backend_take_no_trace_tasks(self, backend):
+        with pytest.raises(TypeError, match="trace_tasks"):
+            StreamingSession(CliqueMining(3), backend, trace_tasks=True)
+        with pytest.raises(TypeError, match="trace_tasks"):
+            make_backend(
+                backend, MultiVersionStore(), CliqueMining(3), trace_tasks=True
+            )
 
 
 class TestStreamingSession:
@@ -218,18 +238,25 @@ class TestStreamingSession:
         with pytest.raises(ValueError, match="unknown backend"):
             StreamingSession(CliqueMining(3), "gpu")
 
-    def test_thread_backend_deterministic_order(self):
+    @pytest.mark.parametrize("backend", ["process", "simulated"])
+    def test_parallel_backend_deterministic_order(self, backend):
+        """A window comes back in task order whichever worker mined a task."""
         g = erdos_renyi(15, 40, seed=17)
         store = MultiVersionStore.from_adjacency(g, ts=1)
         tasks = [(1, EdgeUpdate(u, v, added=True)) for u, v in g.sorted_edges()]
-        backend = ThreadBackend(store, CliqueMining(3, min_size=3), num_workers=4)
+        parallel = make_backend(
+            backend, store, CliqueMining(3, min_size=3), num_workers=4
+        )
         serial = make_backend("serial", store, CliqueMining(3, min_size=3))
-        assert backend.run_tasks(tasks) == serial.run_tasks(tasks)
+        deltas = parallel.run_tasks(tasks)
+        parallel.close()
+        assert deltas
+        assert deltas == serial.run_tasks(tasks)
 
-
-    def test_thread_backend_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="num_workers"):
-            ThreadBackend(MultiVersionStore(), CliqueMining(3), num_workers=0)
+    def test_thread_backend_is_not_a_backend(self):
+        assert "thread" not in BACKEND_NAMES
+        with pytest.raises(ValueError, match="unknown backend 'thread'"):
+            make_backend("thread", MultiVersionStore(), CliqueMining(3))
 
 
 class PoisonedVertex(CliqueMining):

@@ -237,6 +237,24 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["mine", "3-C"])
 
+    def test_thread_is_not_a_backend_choice(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["mine", "3-C", "--graph", "nope", "--backend", "thread"])
+        assert info.value.code == 2  # argparse: invalid choice
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_worker_count_below_one_is_refused(self, tmp_path, workers):
+        from repro.cli import main
+
+        graph = tmp_path / "g.edges"
+        write_edge_list(AdjacencyGraph.from_edges([(1, 2), (2, 3), (1, 3)]), graph)
+        argv = ["mine", "3-C", "--graph", str(graph), "--backend", "process"]
+        with pytest.raises(SystemExit, match="--workers must be at least 1"):
+            main(argv + ["--workers", workers])
+
     def test_unknown_algorithm(self):
         from repro.cli import main
 

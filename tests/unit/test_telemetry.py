@@ -36,20 +36,27 @@ def test_span_nesting_and_attrs():
     assert window.start <= task.start and task.end <= window.end
 
 
-def test_anchored_span_parents_other_threads():
+def test_span_on_another_threads_empty_stack_is_a_root():
+    """Nesting is per thread: a span opened where no span is open parents
+    nowhere, even while another thread holds one; its children nest."""
     import threading
 
     tracer = Tracer()
-    with tracer.span("window", anchored=True) as window:
-        def worker():
-            with tracer.span("task"):
+
+    def worker():
+        with tracer.span("task"):
+            with tracer.span("explore"):
                 pass
 
+    with tracer.span("window"):
         t = threading.Thread(target=worker)
         t.start()
-        t.join()
-    task = [r for r in tracer.records() if r.name == "task"][0]
-    assert task.parent_id == window.span_id
+        t.join(timeout=10)
+    assert not t.is_alive()
+    by_name = {r.name: r for r in tracer.records()}
+    assert by_name["task"].parent_id is None
+    assert by_name["explore"].parent_id == by_name["task"].span_id
+    assert by_name["window"].parent_id is None
 
 
 def test_ring_buffer_eviction_and_total():

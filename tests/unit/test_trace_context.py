@@ -1,8 +1,8 @@
 """Trace-context propagation units: identity, wire codec, export safety.
 
-Covers the pieces that make cross-process tracing work — the
-:class:`TraceContext` carried on every RPC, remote-parented server spans,
-the tolerant wire codec, the lock-scoped export snapshot (an export racing
+Covers the pieces that make cross-process tracing work — the tracer's
+run-wide identity, the tolerant wire codec of the trace context carried
+on every RPC, the lock-scoped export snapshot (an export racing
 concurrent span recording must never tear a JSONL line), and the
 :class:`NetLog` delta accounting process workers ship back per task.
 """
@@ -13,15 +13,13 @@ import threading
 import pytest
 
 from repro.net.rpc import LATENCY_SAMPLE_CAP, NetLog, RpcClient
+from repro.net.server import StoreServer
 from repro.net.wire import decode_trace_context, encode_trace_context
-from repro.telemetry import NULL_TRACER, TraceContext, Tracer
+from repro.store.mvstore import MultiVersionStore
+from repro.telemetry import NULL_TRACER, Tracer
 
 
 class TestTraceContext:
-    def test_parent_ref_is_the_global_span_key(self):
-        ctx = TraceContext(trace_id="abc", span_id=7, node="client")
-        assert ctx.parent_ref() == {"node": "client", "span_id": 7}
-
     def test_tracer_mints_a_trace_id(self):
         tracer = Tracer(node="client")
         assert len(tracer.trace_id) == 16
@@ -30,6 +28,10 @@ class TestTraceContext:
 
     def test_explicit_trace_id_is_kept(self):
         assert Tracer(trace_id="feedface00000001").trace_id == "feedface00000001"
+
+    def test_null_tracer_has_no_identity(self):
+        assert NULL_TRACER.node is None
+        assert NULL_TRACER.trace_id == ""
 
 
 class TestWireCodec:
@@ -87,50 +89,65 @@ class TestWireCodec:
         assert decoded[4] == 0  # attempt
 
 
-class TestSpanContext:
-    def test_live_span_context_names_the_span(self):
+class TestWireSpans:
+    """A span that crosses the wire: the client takes its id before the
+    span completes, and the server records its ``rpc.server`` span as a
+    local root whose parent lives in another process."""
+
+    @pytest.fixture
+    def server(self):
+        server = StoreServer(MultiVersionStore())
+        yield server
+        server.close()
+
+    @staticmethod
+    def record_server_spans(server, tracer, rctx):
+        server._record_rpc_spans(
+            tracer, "add_edge", rctx, 0.0, 0.1, 0.2, "store.add_edge", None, None
+        )
+        return {r.name: r for r in tracer.records()}
+
+    def test_wire_span_parents_under_the_open_span(self):
         tracer = Tracer(node="client")
-        with tracer.span("rpc.call", op="ping") as span:
-            ctx = span.context()
-        assert ctx.trace_id == tracer.trace_id
-        assert ctx.node == "client"
-        assert ctx.span_id == span.span_id
+        with tracer.span("rpc.batch") as outer:
+            span_id, parent_id = tracer.open_wire_span()
+        assert parent_id == outer.span_id
+        assert span_id > outer.span_id
 
-    def test_identityless_tracer_context_has_empty_node(self):
-        tracer = Tracer()
-        with tracer.span("work") as span:
-            assert span.context().node == ""
+    def test_wire_span_on_an_empty_stack_is_a_root(self):
+        tracer = Tracer(node="client")
+        span_id, parent_id = tracer.open_wire_span()
+        assert parent_id is None
+        with tracer.span("next") as later:
+            pass
+        assert later.span_id > span_id  # the wire id is never issued twice
 
-    def test_remote_parented_span_is_a_local_root(self):
-        """A server span's logical parent lives in another process: locally
-        it parents nowhere, and the remote reference lands in its attrs."""
-        remote = TraceContext(trace_id="abc123", span_id=41, node="client")
+    def test_remote_parented_server_span_is_a_local_root(self, server):
         tracer = Tracer(node="server")
+        rctx = decode_trace_context(
+            encode_trace_context("abc123", 41, "client", attempt=2)
+        )
         with tracer.span("outer"):
-            with tracer.span("rpc.server", remote=remote, op="add_edge"):
-                pass
-        record = next(r for r in tracer.records() if r.name == "rpc.server")
+            spans = self.record_server_spans(server, tracer, rctx)
+        record = spans["rpc.server"]
         assert record.parent_id is None
-        assert record.attrs["trace_id"] == "abc123"
-        assert record.attrs["remote_parent"] == {"node": "client", "span_id": 41}
-        assert record.attrs["op"] == "add_edge"
+        assert record.attrs == {
+            "op": "add_edge",
+            "attempt": 2,
+            "trace_id": "abc123",
+            "remote_parent": {"node": "client", "span_id": 41},
+        }
 
-    def test_children_of_a_remote_span_nest_locally(self):
-        remote = TraceContext(trace_id="abc123", span_id=41, node="client")
+    def test_children_of_a_remote_server_span_nest_locally(self, server):
         tracer = Tracer(node="server")
-        with tracer.span("rpc.server", remote=remote) as server_span:
-            with tracer.span("store.add_edge"):
-                pass
-        child = next(r for r in tracer.records() if r.name == "store.add_edge")
-        assert child.parent_id == server_span.span_id
+        rctx = decode_trace_context(encode_trace_context("abc123", 41, "client"))
+        spans = self.record_server_spans(server, tracer, rctx)
+        assert spans["store.add_edge"].parent_id == spans["rpc.server"].span_id
 
-    def test_null_tracer_has_no_identity_and_no_context(self):
-        assert NULL_TRACER.node is None
-        assert NULL_TRACER.trace_id == ""
-        remote = TraceContext(trace_id="abc", span_id=1, node="c")
-        span = NULL_TRACER.span("rpc.server", remote=remote, op="ping")
-        with span:
-            assert span.context() is None
+    def test_null_tracer_opens_and_records_nothing(self):
+        assert NULL_TRACER.open_wire_span() == (0, None)
+        NULL_TRACER.record_completed([(1, None, "rpc.server", 0.0, 1.0, {})])
+        assert NULL_TRACER.records() == []
 
 
 class TestExportFormat:
