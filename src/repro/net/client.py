@@ -316,11 +316,6 @@ class NetStoreClient(CachedRecordClient):
             self._updated_memo = None
         return stats
 
-    def window_completed(self, ts: Timestamp) -> None:
-        result = self._rpc.call("window_completed", {"ts": ts})
-        with self._lock:
-            self._latest = max(self._latest, decode_timestamp(result["latest_ts"]))
-
     def _backing_stats(self) -> Dict[str, object]:
         """The server's ``store_stats`` and this client's wire truth."""
         stats: Dict[str, object] = dict(self._rpc.call("store_stats", {}))

@@ -44,7 +44,7 @@ from repro.net.errors import (
 MAGIC = b"TS"
 
 #: bump on any incompatible change to framing or payload encoding
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: hard ceiling on a single frame's payload (bytes)
 MAX_PAYLOAD = 8 * 1024 * 1024

@@ -447,7 +447,6 @@ class StoreServer:
             ),
             # maintenance
             "reclaim": lambda a: encode_reclaim_stats(store.reclaim(a["horizon"])),
-            "window_completed": self._op_window_completed,
             "store_stats": lambda a: store.store_stats(),
         }
         return ops
@@ -499,10 +498,6 @@ class StoreServer:
         if not all(isinstance(upd, EdgeUpdate) for upd in updates):
             raise ValueError("put_edges requires an updates blob")
         self.store.apply_edge_updates(args["ts"], updates)
-
-    def _op_window_completed(self, args: dict) -> dict:
-        self.store.window_completed(args["ts"])
-        return {"latest_ts": self.store.latest_timestamp}
 
     def _write(self, apply: Callable[[dict], None]) -> Callable[[dict], dict]:
         """Wrap a mutation: apply, then return the server's write clock.

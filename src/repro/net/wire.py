@@ -141,7 +141,6 @@ def encode_reclaim_stats(stats: ReclaimStats) -> dict:
         "reclaimed": stats.reclaimed,
         "per_shard": {str(s): n for s, n in sorted(stats.per_shard.items())},
         "index_pruned": stats.index_pruned,
-        "cache_invalidated": stats.cache_invalidated,
     }
 
 
@@ -151,7 +150,6 @@ def decode_reclaim_stats(data: dict) -> ReclaimStats:
         reclaimed=data["reclaimed"],
         per_shard={int(s): n for s, n in data["per_shard"].items()},
         index_pruned=data["index_pruned"],
-        cache_invalidated=data["cache_invalidated"],
     )
 
 

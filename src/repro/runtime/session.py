@@ -212,9 +212,6 @@ class StreamingSession:
             self.window_stats.append(
                 WindowStats.from_deltas(ts, len(tasks), deltas, elapsed)
             )
-            # No later task reads snapshots below this window; let the
-            # store retire read-cache entries for them.
-            self.store.window_completed(ts)
             self._deltas.extend(deltas)
             for stream in self._streams:
                 stream.push_deltas(deltas)

@@ -14,7 +14,6 @@ from repro.store.api import (
     capability_facts,
     make_store,
 )
-from repro.store.cache import DEFAULT_CACHE_CAPACITY, NeighborCache
 from repro.store.checkpoint import checkpoint_store, restore_store
 from repro.store.delta import DeltaIndex
 from repro.store.mvstore import EdgeInterval, MultiVersionStore, VertexRecord
@@ -36,8 +35,6 @@ __all__ = [
     "VertexRecord",
     "ShardMap",
     "AccessStats",
-    "NeighborCache",
-    "DEFAULT_CACHE_CAPACITY",
     "DeltaIndex",
     "SnapshotView",
     "ExplorationView",

@@ -24,9 +24,7 @@ The contract has four parts:
   the fetch boundary and checkpointing, so neither needs the store's
   internals;
 * a **maintenance path**: :meth:`GraphStore.reclaim` (garbage collection
-  behind the protocol, returning per-store stats),
-  :meth:`GraphStore.window_completed` (the cache invalidation hook the
-  streaming loop fires as windows retire), and :meth:`GraphStore.\
+  behind the protocol, returning per-store stats) and :meth:`GraphStore.\
   store_stats` (the run-report surface).
 
 Derived reads (``neighbors_at``, ``edges_at``, ``as_adjacency``, counts)
@@ -123,8 +121,6 @@ class ReclaimStats:
     per_shard: Dict[int, int] = field(default_factory=dict)
     #: delta-index edge facts pruned alongside the dropped versions
     index_pruned: int = 0
-    #: neighbor-cache entries invalidated at or below the horizon
-    cache_invalidated: int = 0
 
 
 class GraphStore(abc.ABC):
@@ -324,10 +320,10 @@ class GraphStore(abc.ABC):
         """
 
     def window_completed(self, ts: Timestamp) -> None:
-        """Hook fired by the streaming loop once window ``ts`` is done.
+        """No-op; nothing in the pipeline calls it.
 
-        Later windows only read snapshots at or above ``ts``, so stores
-        may retire read-cache entries for older snapshots.  Default: no-op.
+        Kept only because ``benchmarks/e2e/probe.py`` binds it by name on
+        its timing proxy; it goes once that binding does.
         """
 
     def close(self) -> None:
@@ -356,7 +352,8 @@ class GraphStore(abc.ABC):
 
     @abc.abstractmethod
     def store_stats(self) -> Dict[str, object]:
-        """Flat stats dict for run reports: cache counters, access skew."""
+        """Flat stats dict for run reports: delta-index size, access skew
+        and, on the clients, held-copy counters."""
 
 
 def make_store(
@@ -374,8 +371,8 @@ def make_store(
     """Construct a store by registry name (see :data:`STORE_NAMES`).
 
     ``graph`` bulk-loads an initial snapshot at timestamp ``ts``.
-    ``cache_size`` is the neighbor-cache capacity of ``mv``/``sharded``
-    and the held-copy capacity of the two clients.  The ``remote`` kind
+    ``cache_size`` (``remote`` and ``net`` only) caps the client's held
+    record copies.  The ``remote`` kind
     wraps a flat in-process store behind a
     :class:`~repro.store.remote.RemoteStoreClient` fetch boundary, with
     ``fetch_costs`` as its simulated latency model.  The ``net`` kind
@@ -395,6 +392,11 @@ def make_store(
     if batch_size is not None and kind != "net":
         raise ValueError(
             f"batch_size= only applies to the 'net' store, not {kind!r}"
+        )
+    if cache_size is not None and kind not in ("remote", "net"):
+        raise ValueError(
+            f"cache_size= only applies to the 'remote' and 'net' stores, "
+            f"not {kind!r}"
         )
     if kind in ("remote", "net"):
         from repro.store.remote import FetchCosts, RemoteStoreClient
@@ -419,9 +421,6 @@ def make_store(
             ts=ts,
             telemetry=telemetry,
         )
-    kwargs = {"num_shards": num_shards}
-    if cache_size is not None:
-        kwargs["cache_size"] = cache_size
     if kind == "mv":
         cls = MultiVersionStore
     elif kind == "sharded":
@@ -431,5 +430,5 @@ def make_store(
             f"unknown store {kind!r}; expected one of {', '.join(STORE_NAMES)}"
         )
     if graph is not None:
-        return cls.from_adjacency(graph, ts=ts, **kwargs)
-    return cls(**kwargs)
+        return cls.from_adjacency(graph, ts=ts, num_shards=num_shards)
+    return cls(num_shards=num_shards)

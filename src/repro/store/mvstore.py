@@ -21,8 +21,7 @@ independently (section 4.5).
 
 :class:`BaseRecordStore` implements the full :class:`~repro.store.api.\
 GraphStore` protocol over five record-map primitives, layering in the
-per-window :class:`~repro.store.delta.DeltaIndex` (O(1) updated-at probes)
-and the snapshot-keyed :class:`~repro.store.cache.NeighborCache`.
+per-window :class:`~repro.store.delta.DeltaIndex` (O(1) updated-at probes).
 :class:`MultiVersionStore` is the flat-dict record map; the physically
 sharded map lives in :mod:`repro.store.sharded`.
 """
@@ -37,7 +36,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import InvalidUpdateError
 from repro.graph.adjacency import AdjacencyGraph
 from repro.store.api import CapabilityFacts, GraphStore, ReclaimStats
-from repro.store.cache import DEFAULT_CACHE_CAPACITY, NeighborCache
 from repro.store.delta import DeltaIndex
 from repro.store.shard import AccessStats, ShardMap
 from repro.types import (
@@ -180,29 +178,23 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
 
     Subclasses supply only the record-map primitives (``_get_rec`` /
     ``_ensure_record`` / ``_put_rec`` / ``_iter_items`` / ``_keys``); the
-    write validation, interval bookkeeping, delta index, neighbor cache,
-    reclamation logic and capability facts are shared here.  A fact flips
+    write validation, interval bookkeeping, delta index, reclamation
+    logic and capability facts are shared here.  A fact flips
     in ``set_vertex_label``, in an edge addition (``add_edge``,
     ``apply_edge_updates``) and in ``put_record``, on the first value that
     is not None.
 
-    ``cache_size=0`` disables the neighbor cache and ``delta_index=False``
-    falls back to interval scans for updated-at probes — both exist so the
-    benchmark suite can price the seed read path against the indexed one.
+    ``delta_index=False`` falls back to interval scans for updated-at
+    probes — the reference the benchmark suite prices the indexed read
+    path against.
     """
 
-    def __init__(
-        self,
-        num_shards: int = 8,
-        cache_size: int = DEFAULT_CACHE_CAPACITY,
-        delta_index: bool = True,
-    ) -> None:
+    def __init__(self, num_shards: int = 8, delta_index: bool = True) -> None:
         self._latest_ts: Timestamp = 0
         self.shards = ShardMap(num_shards)
         self.access_stats = AccessStats(num_shards=num_shards)
         self._delta = DeltaIndex()
         self._delta_enabled = delta_index
-        self._cache = NeighborCache(capacity=cache_size)
         #: the deletion log: ``(deleted_ts, u, v)``, ``u < v``, in time order,
         #: with an entry for every tombstone held (a ``put_record`` of both
         #: endpoints enters an edge twice; ``reclaim`` reads the version
@@ -324,7 +316,6 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
             self._has_directions = True
         self._ensure_record(u).edges.setdefault(v, []).append(interval)
         self._ensure_record(v).edges.setdefault(u, []).append(interval)
-        self._invalidate_cached(u, v, ts)
 
     def _write_delete(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
         """Validate and write one edge deletion (``ts`` already checked)."""
@@ -339,7 +330,6 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
         if mirror is not None:
             mirror.deleted_ts = ts
         self._log_deletion((ts, *edge_key(u, v)))
-        self._invalidate_cached(u, v, ts)
 
     def set_vertex_label(self, v: VertexId, ts: Timestamp, label: Label) -> None:
         """Append a label change effective from snapshot ``ts`` onward."""
@@ -363,18 +353,6 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
             insort(log, entry)
         else:
             log.append(entry)
-
-    def _invalidate_cached(self, u: VertexId, v: VertexId, ts: Timestamp) -> None:
-        """Cache coherence for one edge write.
-
-        A write at ts rewrites what snapshots >= ts read for both endpoints
-        (only reachable for entries cached at the current timestamp, e.g.
-        during bulk loads sharing one ts).
-        """
-        cache = self._cache
-        if cache.enabled:
-            cache.invalidate_vertex(u, ts)
-            cache.invalidate_vertex(v, ts)
 
     def _check_ts(self, ts: Timestamp) -> None:
         if ts < self._latest_ts:
@@ -400,10 +378,9 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
         graph: AdjacencyGraph,
         ts: Timestamp = 1,
         num_shards: int = 8,
-        cache_size: int = DEFAULT_CACHE_CAPACITY,
     ):
         """Load a whole static graph as one snapshot at timestamp ``ts``."""
-        store = cls(num_shards=num_shards, cache_size=cache_size)
+        store = cls(num_shards=num_shards)
         for v in graph.vertices():
             store.ensure_vertex(v)
             label = graph.vertex_label(v)
@@ -465,8 +442,6 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
                     note(iv.added_ts, key, True)
                     if iv.deleted_ts is not None:
                         note(iv.deleted_ts, key, False)
-        if self._cache.enabled:
-            self._cache.invalidate_vertex(v, 0)
 
     def vertex_label_at(self, v: VertexId, ts: Timestamp) -> Label:
         rec = self._get_rec(v)
@@ -543,21 +518,11 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
     def neighbor_states_at(
         self, v: VertexId, ts: Timestamp
     ) -> Dict[VertexId, Tuple[bool, bool]]:
-        """:func:`neighbor_states` of ``v``'s record, cached per ``(v, ts)``
-        snapshot key; the returned mapping may be shared between callers
-        and must not be mutated."""
-        cache = self._cache
-        if cache.enabled:
-            cached = cache.get(v, ts)
-            if cached is not None:
-                return cached
+        """:func:`neighbor_states` of ``v``'s record."""
         rec = self._get_rec(v)
         if rec is None:
             return {}
-        out = neighbor_states(rec.edges, ts)
-        if cache.enabled:
-            cache.put(v, ts, out)
-        return out
+        return neighbor_states(rec.edges, ts)
 
     # -- maintenance -------------------------------------------------------
 
@@ -567,10 +532,8 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
         Returns per-store :class:`~repro.store.api.ReclaimStats`;
         ``reclaimed`` counts undirected edge versions.  The delta index
         discards the facts of every dropped interval (so updated-at probes
-        keep agreeing with interval scans at any timestamp), and the neighbor
-        cache drops entries at or below the horizon (their pre-snapshot
-        data may reference reclaimed versions).  Label history is left
-        untouched (it is tiny by comparison).
+        keep agreeing with interval scans at any timestamp).  Label history
+        is left untouched (it is tiny by comparison).
 
         Costs the versions it drops, not the store: the deletion log
         yields the edges tombstoned at or before ``horizon`` and only
@@ -618,26 +581,17 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
                     ]
                 if not versions:
                     del record.edges[v]
-        if self._cache.enabled:
-            stats.cache_invalidated = self._cache.invalidate_through(horizon)
         return stats
-
-    def window_completed(self, ts: Timestamp) -> None:
-        """Streaming-loop hook: window ``ts`` is done; retire older entries."""
-        if self._cache.enabled:
-            self._cache.invalidate_below(ts)
 
     def store_stats(self) -> Dict[str, object]:
         """Flat stats dict for run reports and the telemetry bridge."""
-        stats: Dict[str, object] = {
+        return {
             "kind": self.kind,
             "num_shards": self.shards.num_shards,
             "delta_entries": self._delta.size() if self._delta_enabled else 0,
             "access_total": self.access_stats.total,
             "access_imbalance": self.access_stats.imbalance(),
         }
-        stats.update(self._cache.stats())
-        return stats
 
 
 class MultiVersionStore(BaseRecordStore):
@@ -645,15 +599,8 @@ class MultiVersionStore(BaseRecordStore):
 
     kind = "mv"
 
-    def __init__(
-        self,
-        num_shards: int = 8,
-        cache_size: int = DEFAULT_CACHE_CAPACITY,
-        delta_index: bool = True,
-    ) -> None:
-        super().__init__(
-            num_shards=num_shards, cache_size=cache_size, delta_index=delta_index
-        )
+    def __init__(self, num_shards: int = 8, delta_index: bool = True) -> None:
+        super().__init__(num_shards=num_shards, delta_index=delta_index)
         self._records: Dict[VertexId, VertexRecord] = {}
 
     def _get_rec(self, v: VertexId) -> Optional[VertexRecord]:

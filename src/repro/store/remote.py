@@ -65,9 +65,9 @@ class FetchLog:
     misses: int = 0
 
     def stats(self, entries: int) -> Dict[str, object]:
-        """The client half of ``store_stats``.  The held-copy cache takes
-        the ``cache_*`` keys from the backing store's ``NeighborCache``,
-        which a client reading whole records never uses."""
+        """The client half of ``store_stats``: fetch accounting, and the
+        held copies as the ``cache_*`` keys (``client_cache_entries`` is
+        the one no backing store reports)."""
         total = self.hits + self.misses
         return {
             "fetches": self.fetches,
@@ -398,6 +398,3 @@ class RemoteStoreClient(CachedRecordClient):
 
     def iter_records(self):
         return self.store.iter_records()
-
-    def window_completed(self, ts: Timestamp) -> None:
-        self.store.window_completed(ts)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.store.cache import DEFAULT_CACHE_CAPACITY
 from repro.store.mvstore import BaseRecordStore, VertexRecord
 from repro.types import VertexId
 
@@ -29,15 +28,8 @@ class ShardedStore(BaseRecordStore):
 
     kind = "sharded"
 
-    def __init__(
-        self,
-        num_shards: int = 8,
-        cache_size: int = DEFAULT_CACHE_CAPACITY,
-        delta_index: bool = True,
-    ) -> None:
-        super().__init__(
-            num_shards=num_shards, cache_size=cache_size, delta_index=delta_index
-        )
+    def __init__(self, num_shards: int = 8, delta_index: bool = True) -> None:
+        super().__init__(num_shards=num_shards, delta_index=delta_index)
         self._shard_records: List[Dict[VertexId, VertexRecord]] = [
             {} for _ in range(num_shards)
         ]

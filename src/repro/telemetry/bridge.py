@@ -84,17 +84,16 @@ def ingress_to_registry(registry: "MetricsRegistry", ingress: "IngressNode") -> 
     ).set_total(ingress.gc_reclaimed)
 
 
-#: numeric store_stats keys bridged as gauges, with help text.  Cache
-#: hit/miss counts depend on worker scheduling and on how many store
-#: copies a backend materializes (process workers fork cold caches), so
+#: numeric store_stats keys bridged as gauges, with help text; the
+#: ``cache_*`` keys are the held record copies of a ``remote``/``net``
+#: client.  Hit/miss counts depend on worker scheduling and on how many
+#: clients a backend materializes (process workers fork their copies), so
 #: none of these belong in the deterministic ``counter_totals`` contract.
 STORE_GAUGES = (
-    ("cache_hits", "neighbor-cache hits"),
-    ("cache_misses", "neighbor-cache misses"),
-    ("cache_evictions", "neighbor-cache capacity evictions"),
-    ("cache_invalidations", "neighbor-cache entries invalidated"),
-    ("cache_entries", "neighbor-cache resident entries"),
-    ("cache_hit_ratio", "neighbor-cache hit ratio"),
+    ("cache_hits", "store-client record reads served by a held copy"),
+    ("cache_misses", "store-client record reads that fetched first"),
+    ("cache_entries", "store-client held record copies"),
+    ("cache_hit_ratio", "store-client held-copy hit ratio"),
     ("delta_entries", "delta-index edge facts held"),
     ("access_total", "vertex-record fetches charged to shards"),
     ("access_imbalance", "max/mean shard fetch-load ratio over all shards"),

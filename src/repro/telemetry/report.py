@@ -68,7 +68,7 @@ class RunReport:
     totals: Dict[str, Any] = field(default_factory=dict)
     windows: List[Dict[str, Any]] = field(default_factory=list)
     top_updates: List[Dict[str, Any]] = field(default_factory=list)
-    #: store_stats snapshot (cache counters, delta-index size, access skew)
+    #: store_stats snapshot (delta-index size, access skew, held copies)
     store: Dict[str, Any] = field(default_factory=dict)
 
     # -- derived indices ---------------------------------------------------
@@ -167,13 +167,16 @@ class RunReport:
                 f"fetch imbalance over {self.store.get('num_shards', '?')} "
                 f"shards ({self.store.get('access_total', 0)} fetches)"
             )
+            held = ""
+            if "client_cache_entries" in self.store:
+                held = (
+                    f"held copies {self.store['cache_hits']} hits / "
+                    f"{self.store['cache_misses']} misses "
+                    f"({self.store['cache_hit_ratio']:.1%}), "
+                )
             lines.append(
                 f"  store      {self.store.get('kind', '?')}: "
-                f"cache {self.store.get('cache_hits', 0)} hits / "
-                f"{self.store.get('cache_misses', 0)} misses "
-                f"({self.store.get('cache_hit_ratio', 0.0):.1%}), "
-                f"{self.store.get('cache_evictions', 0)} evictions, "
-                f"{self.store.get('delta_entries', 0)} delta facts"
+                f"{held}{self.store.get('delta_entries', 0)} delta facts"
             )
         if self.windows:
             lines.append("  windows    ts    tasks  cost      max-task  imbalance")

@@ -162,7 +162,6 @@ class TestChaosWrites:
         client.add_edge(1, 2, 1)
         client.add_edge(2, 3, 2)
         client.delete_edge(1, 2, 3)
-        client.window_completed(3)
         stats = client.reclaim(3)
         assert stats.horizon == 3
         assert stats.reclaimed == 1  # the (1,2) version died before the horizon

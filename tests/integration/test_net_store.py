@@ -143,9 +143,8 @@ class TestTelemetryBridge:
     @pytest.mark.parametrize("kind", ["net", "remote"])
     def test_cache_keys_describe_the_fetched_copy_cache(self, kind):
         """``cache_*`` in ``store_stats`` count the client's held records,
-        not the server's (inner store's) neighbour cache, which a client
-        that reads whole records never touches — and they reach the
-        registry through the unchanged ``repro_store_cache_*`` gauges."""
+        and they reach the registry through the ``repro_store_cache_*``
+        gauges."""
         session = StreamingSession(
             CliqueMining(3, min_size=3), "serial", window_size=4, store=kind
         )
@@ -235,6 +234,31 @@ class TestLifecycleAndForking:
         assert outputs[0] == outputs[1]
 
 
+class TestWriteClock:
+    def test_the_client_clock_follows_the_servers_window_by_window(self):
+        """Write replies are the client's only clock refresh: no RPC per
+        window, yet after every window ``latest_timestamp`` is the
+        server store's."""
+        backing = MultiVersionStore()
+        server = StoreServer(backing).start()
+        store = NetStoreClient(server.address)
+        session = StreamingSession(
+            CliqueMining(3, min_size=3), window_size=8, store=store
+        )
+        edges = erdos_renyi(12, 24, seed=5).sorted_edges()
+        try:
+            for start in range(0, 24, 8):
+                session.process(
+                    Update.add_edge(u, v) for u, v in edges[start : start + 8]
+                )
+                assert backing.latest_timestamp == start // 8 + 1
+                assert store.latest_timestamp == backing.latest_timestamp
+        finally:
+            session.close()
+            store.close()
+            server.close()
+
+
 class TestBulkLoadOverTheWire:
     def test_deletions_after_wire_bulk_load_mine_identically_to_mv(self):
         """``NetStoreClient(address, graph=...)`` pushes the snapshot with
@@ -313,7 +337,7 @@ class TestIngressReadAhead:
     def test_a_cold_window_costs_no_blocking_fetch(self):
         deltas, wire = self.mine_one_window("net")
         assert wire.per_op.get("get_record", 0) == 0
-        assert wire.rpcs <= 3, wire.per_op  # multi_get, put_edges, window_completed
+        assert wire.rpcs <= 2, wire.per_op  # multi_get, put_edges
         assert deltas == self.mine_one_window("mv")[0]
         assert deltas
 

@@ -62,7 +62,7 @@ class TestWireTracing:
             client.neighbors_at(2, 5)
             client.drop_cache()
             client.prefetch(list(range(6)))  # three multi_get in one window
-            client.window_completed(5)
+            client.updated_keys_in(5)  # one plain call after the window
         finally:
             client.close()
             server.close()

@@ -124,6 +124,28 @@ class TestRunReport:
         ):
             assert needle in text
 
+    @pytest.mark.parametrize(
+        "store, held", [("mv", False), ("remote", True)]
+    )
+    def test_store_line_shows_held_copies_only_on_a_client(self, store, held):
+        session = StreamingSession(
+            CliqueMining(3, min_size=3),
+            "serial",
+            window_size=5,
+            store=store,
+            profile=True,
+        )
+        session.process(Update.add_edge(u, v) for u, v in EDGES)
+        line = next(
+            line
+            for line in session.run_report().render().splitlines()
+            if line.lstrip().startswith(f"store      {store}:")
+        )
+        session.close()
+        assert line.endswith("delta facts")
+        assert ("held copies" in line) == held
+        assert "evictions" not in line
+
     def test_disabled_profiling_yields_empty_profile(self):
         session = StreamingSession(
             CliqueMining(3, min_size=3), "serial", window_size=5

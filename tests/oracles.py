@@ -178,6 +178,4 @@ def reference_reclaim(store, horizon):
                 empty_neighbors.append(v)
         for v in empty_neighbors:
             del record.edges[v]
-    if store._cache.enabled:
-        stats.cache_invalidated = store._cache.invalidate_through(horizon)
     return stats

@@ -59,12 +59,7 @@ def opened(kind, delta_index=True):
 
 
 def zero(stats: ReclaimStats) -> bool:
-    return not (
-        stats.reclaimed
-        or stats.per_shard
-        or stats.index_pruned
-        or stats.cache_invalidated
-    )
+    return not (stats.reclaimed or stats.per_shard or stats.index_pruned)
 
 
 def assert_same_reclaim(kind, build, horizons, delta_index=True):

@@ -160,7 +160,7 @@ class TestFrameFaults:
         # the wire format is versioned: changing the header layout must
         # bump PROTOCOL_VERSION, and this pin makes that loud
         assert HEADER_SIZE == 8
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
 
     def test_a_v1_peer_fails_loudly(self):
         frame = encode_frame(MessageType.REQUEST, b"{}", version=1)

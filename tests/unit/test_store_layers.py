@@ -1,8 +1,7 @@
 """Unit tests for the storage-layer additions: protocol registry, delta
-index, neighbor cache, sharded store, and reclaim stats."""
+index, sharded store, and reclaim stats."""
 
 import abc
-import pickle
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.store import (
     DeltaIndex,
     GraphStore,
     MultiVersionStore,
-    NeighborCache,
     RemoteStoreClient,
     ShardedStore,
     STORE_NAMES,
@@ -45,6 +43,11 @@ class TestMakeStore:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown store"):
             make_store("mongodb")
+
+    @pytest.mark.parametrize("kind", ["mv", "sharded"])
+    def test_cache_size_refused_on_an_in_process_store(self, kind):
+        with pytest.raises(ValueError, match="cache_size= only applies"):
+            make_store(kind, cache_size=8)
 
     def test_graph_preload(self):
         for kind in STORE_NAMES:
@@ -148,67 +151,6 @@ class TestDeltaIndex:
         ]
 
 
-class TestNeighborCache:
-    def test_hit_miss_counting(self):
-        cache = NeighborCache(capacity=4)
-        assert cache.get(1, 1) is None
-        cache.put(1, 1, {2: (False, True)})
-        assert cache.get(1, 1) == {2: (False, True)}
-        stats = cache.stats()
-        assert stats["cache_hits"] == 1
-        assert stats["cache_misses"] == 1
-        assert stats["cache_hit_ratio"] == 0.5
-
-    def test_fifo_eviction(self):
-        cache = NeighborCache(capacity=2)
-        cache.put(1, 1, {})
-        cache.put(2, 1, {})
-        cache.put(3, 1, {})
-        assert cache.get(1, 1) is None  # oldest evicted
-        assert cache.get(3, 1) == {}
-        assert cache.stats()["cache_evictions"] == 1
-
-    def test_zero_capacity_disables(self):
-        cache = NeighborCache(capacity=0)
-        assert not cache.enabled
-        cache.put(1, 1, {})
-        assert len(cache) == 0
-
-    def test_invalidate_vertex_drops_at_and_after_ts(self):
-        cache = NeighborCache()
-        cache.put(5, 1, {"a": 1})
-        cache.put(5, 2, {"b": 2})
-        cache.put(6, 2, {"c": 3})
-        assert cache.invalidate_vertex(5, 2) == 1
-        assert cache.get(5, 1) == {"a": 1}
-        assert cache.get(5, 2) is None
-        assert cache.get(6, 2) == {"c": 3}
-
-    def test_invalidate_through_includes_horizon(self):
-        cache = NeighborCache()
-        cache.put(1, 1, {})
-        cache.put(1, 2, {})
-        cache.put(1, 3, {})
-        assert cache.invalidate_through(2) == 2
-        assert cache.get(1, 3) == {}
-
-    def test_invalidate_below_keeps_current_window(self):
-        cache = NeighborCache()
-        cache.put(1, 1, {})
-        cache.put(1, 2, {})
-        assert cache.invalidate_below(2) == 1
-        assert cache.get(1, 2) == {}
-
-    def test_pickle_ships_cold(self):
-        cache = NeighborCache(capacity=7)
-        cache.put(1, 1, {})
-        cache.get(1, 1)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.capacity == 7
-        assert len(clone) == 0
-        assert clone.stats()["cache_hits"] == 0
-
-
 class TestShardedStore:
     def test_records_land_on_their_shard(self):
         store = ShardedStore(num_shards=4)
@@ -227,19 +169,22 @@ class TestShardedStore:
         assert stats["shard_max_records"] + stats["shard_min_records"] == 4
 
 
-class TestCachedReadPath:
-    def test_neighbor_states_cached_and_invalidated_by_write(self):
-        store = MultiVersionStore()
-        store.add_edge(1, 2, 1)
-        first = store.neighbor_states_at(1, 1)
-        assert store.neighbor_states_at(1, 1) is first  # cached mapping
-        assert store.store_stats()["cache_hits"] == 1
-        # a write at the current ts rewrites what snapshot 1 reads
-        store.add_edge(1, 3, 1)
-        assert store.neighbor_states_at(1, 1) == {
-            2: (False, True),
-            3: (False, True),
-        }
+class TestReadPath:
+    @pytest.mark.parametrize("kind", STORE_NAMES)
+    def test_a_write_at_the_current_ts_is_read_back(self, kind):
+        store = make_store(kind)
+        try:
+            store.add_edge(1, 2, 1)
+            assert store.neighbor_states_at(1, 1) == {2: (False, True)}
+            # bulk loads write many updates at one ts: a read between
+            # them must not hide the later ones
+            store.add_edge(1, 3, 1)
+            assert store.neighbor_states_at(1, 1) == {
+                2: (False, True),
+                3: (False, True),
+            }
+        finally:
+            store.close()
 
     def test_delta_index_matches_interval_scan(self):
         indexed = MultiVersionStore()
@@ -255,23 +200,12 @@ class TestCachedReadPath:
                 )
             assert indexed.updated_keys_in(ts) == scanning.updated_keys_in(ts)
 
-    def test_window_completed_retires_old_entries(self):
-        store = MultiVersionStore()
-        store.add_edge(1, 2, 1)
-        store.add_edge(2, 3, 2)
-        store.neighbor_states_at(1, 1)
-        store.neighbor_states_at(2, 2)
-        store.window_completed(2)
-        stats = store.store_stats()
-        assert stats["cache_entries"] == 1  # (1, ts=1) retired, (2, ts=2) kept
-
 
 class TestReclaimStats:
-    def test_reclaim_reports_per_shard_and_cache(self):
+    def test_reclaim_reports_per_shard_and_index(self):
         store = MultiVersionStore(num_shards=2)
         store.add_edge(1, 2, 1)
         store.add_edge(3, 4, 1)
-        store.neighbor_states_at(1, 1)
         store.delete_edge(1, 2, 2)
         store.delete_edge(3, 4, 2)
         stats = store.reclaim(2)
