@@ -15,6 +15,9 @@ Scale notes
   prohibitively slow in pure Python.  All systems run the same graph, so
   ratios remain meaningful.
 * The paper's window of 100K updates scales to 100 updates.
+* Multi-machine numbers come from :func:`simulate_cluster`: every task of a
+  run, executed again on a :class:`~repro.runtime.backend.SimulatedBackend`
+  and converted to seconds with the single-threaded run's own speed.
 """
 
 from __future__ import annotations
@@ -34,12 +37,14 @@ from repro.graph.generators import (
     erdos_renyi,
     shuffled_edges,
 )
-from repro.runtime.backend import SerialBackend
+from repro.runtime.backend import DeploymentResult, SerialBackend, SimulatedBackend
+from repro.runtime.cluster import ClusterSpec
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
+from repro.store.remote import FetchCosts
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
-from repro.types import MatchDelta, TaskTrace, Update
+from repro.types import EdgeUpdate, MatchDelta, Update
 
 RESULTS_PATH = Path(__file__).parent / "results.json"
 
@@ -81,22 +86,21 @@ def labeled(graph: AdjacencyGraph, num_labels: int = 3, seed: int = 13) -> Adjac
 # -- engine drivers -----------------------------------------------------------
 
 
-def timed_static_run(graph, algorithm, trace_tasks=False, timing=False):
-    """Run Tesseract statically; returns (deltas, seconds, metrics, traces)."""
+def timed_static_run(graph, algorithm, timing=False):
+    """Run Tesseract statically; returns (deltas, seconds, metrics, tasks).
+
+    ``tasks`` are the ``(timestamp, EdgeUpdate)`` pairs it mined, every edge
+    of ``graph`` at timestamp 1 of ``MultiVersionStore.from_adjacency(graph,
+    ts=1)``.
+    """
     metrics = Metrics(timing_enabled=timing)
     store = MultiVersionStore.from_adjacency(graph, ts=1)
-    engine = TesseractEngine(store, algorithm, metrics=metrics, trace_tasks=trace_tasks)
-    from repro.streaming.ingress import Window
-    from repro.types import EdgeUpdate
-
-    window = Window(
-        timestamp=1,
-        updates=[EdgeUpdate(u, v, added=True) for u, v in graph.sorted_edges()],
-    )
+    engine = TesseractEngine(store, algorithm, metrics=metrics)
+    tasks = [(1, EdgeUpdate(u, v, added=True)) for u, v in graph.sorted_edges()]
     start = time.perf_counter()
-    deltas = engine.process_window(window)
+    deltas = [d for ts, update in tasks for d in engine.process_update(ts, update)]
     seconds = time.perf_counter() - start
-    return deltas, seconds, metrics, engine.traces
+    return deltas, seconds, metrics, tasks
 
 
 def incremental_setup(
@@ -127,18 +131,15 @@ def run_updates(
     algorithm,
     edge_stream: Sequence[Tuple[Tuple[int, int], bool]],
     window: int = WINDOW,
-    trace_tasks: bool = False,
     timing: bool = False,
 ):
     """Feed (edge, added) updates through the streaming session; time mining only.
 
-    Returns (deltas, mining_seconds, metrics, engine) — ``engine`` is the
-    serial backend's :class:`TesseractEngine` (for ``.traces``).
+    Returns (deltas, mining_seconds, metrics, tasks) — ``tasks`` are the
+    ``(timestamp, EdgeUpdate)`` pairs the session mined, in order.
     """
     metrics = Metrics(timing_enabled=timing)
-    exec_backend = SerialBackend(
-        store, algorithm, metrics=metrics, trace_tasks=trace_tasks
-    )
+    exec_backend = _TaskLog(store, algorithm, metrics=metrics)
     session = StreamingSession(algorithm, exec_backend, window_size=window, store=store)
     for (u, v), added in edge_stream:
         session.submit(Update.add_edge(u, v) if added else Update.delete_edge(u, v))
@@ -147,7 +148,48 @@ def run_updates(
     deltas = session.run_pending()
     seconds = time.perf_counter() - start
     session.close()  # the caller reads counters, which outlive it
-    return deltas, seconds, metrics, exec_backend.engine
+    return deltas, seconds, metrics, exec_backend.tasks
+
+
+class _TaskLog(SerialBackend):
+    """The serial backend, keeping every task it ran for :func:`simulate_cluster`."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.tasks: List[Tuple[int, EdgeUpdate]] = []
+
+    def run_tasks(self, tasks):
+        self.tasks.extend(tasks)
+        return super().run_tasks(tasks)
+
+
+def simulate_cluster(
+    store, algorithm, tasks, spec: ClusterSpec, fetch_units: float, scheduler=None
+) -> DeploymentResult:
+    """Run ``tasks`` on a simulated cluster in one ``run_tasks`` call.
+
+    One call for the whole stream: no barrier between windows, and each
+    machine's cache lives for the run.  A record fetch costs ``fetch_units``
+    work units, whatever its size.  ``store`` must still hold every version
+    the tasks read (the run's own store, with nothing reclaimed): each task
+    reads it at its own timestamp.  Convert the makespan with
+    :func:`cluster_seconds`.
+    """
+    round_trip = fetch_units * SimulatedBackend.seconds_per_work_unit
+    backend = SimulatedBackend(
+        store,
+        algorithm,
+        spec,
+        fetch_costs=FetchCosts(round_trip=round_trip, per_edge=0.0),
+        scheduler=scheduler,
+    )
+    backend.run_tasks(tasks)
+    return backend.last_result
+
+
+def cluster_seconds(result: DeploymentResult, units_per_second: float) -> float:
+    """The makespan in seconds, at a single-threaded run's work units per second."""
+    return result.makespan_seconds / SimulatedBackend.seconds_per_work_unit / units_per_second
 
 
 def additions(edges: Iterable[Tuple[int, int]]):

@@ -7,44 +7,52 @@ core operations scale slightly better than "other" (neighbor-set
 construction, emission, dequeueing).
 
 Scaled reproduction: the full edge stream of a uniform-degree graph is
-processed with task tracing (uniform degrees keep single tasks small
+processed once on one engine (uniform degrees keep single tasks small
 relative to the total, which is what makes 1M-update windows scale in the
-paper), then replayed at each cluster size.  The breakdown comes from a
-timing-enabled run.
+paper), then its tasks run again on a simulated cluster of each size.  The
+breakdown comes from the timing-enabled single-engine run.
 """
 
 import pytest
 
 from _harness import (
     additions,
+    cluster_seconds,
     fmt_seconds,
     gks_bench,
     print_table,
     record,
     run_updates,
+    simulate_cluster,
 )
 
 from repro.apps import CliqueMining, GraphKeywordSearch
 from repro.graph.datasets import GKS_LABELS
 from repro.graph.generators import erdos_renyi, shuffled_edges
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.costmodel import ClusterSimulator
 from repro.store.mvstore import MultiVersionStore
 
 MACHINE_COUNTS = [1, 2, 4, 8]
 
 
-def traced_stream_run(graph, algorithm):
+def scaling_run(graph, algorithm):
+    """Mine the stream on one engine, then on 1/2/4/8 simulated machines."""
     store = MultiVersionStore()
     for v in graph.vertices():
         store.ensure_vertex(v)
         if graph.vertex_label(v) is not None:
             store.set_vertex_label(v, 1, graph.vertex_label(v))
     stream = additions(shuffled_edges(graph, seed=4))
-    deltas, seconds, metrics, engine = run_updates(
-        store, algorithm, stream, window=100, trace_tasks=True, timing=True
+    deltas, seconds, metrics, tasks = run_updates(
+        store, algorithm, stream, window=100, timing=True
     )
-    return deltas, seconds, metrics, engine.traces
+    curve = {
+        m: simulate_cluster(
+            store, algorithm, tasks, ClusterSpec(num_machines=m, workers_per_machine=16), 4
+        )
+        for m in MACHINE_COUNTS
+    }
+    return deltas, seconds, metrics, curve
 
 
 @pytest.mark.parametrize(
@@ -58,17 +66,11 @@ def traced_stream_run(graph, algorithm):
 def test_figure6_scalability(benchmark, name, graph_fn, alg_fn):
     graph = graph_fn()
 
-    def run():
-        deltas, seconds, metrics, traces = traced_stream_run(graph, alg_fn())
-        sim = ClusterSimulator(ClusterSpec(num_machines=1, workers_per_machine=16))
-        curve = sim.scaling_curve(traces, MACHINE_COUNTS)
-        return deltas, seconds, metrics, curve
-
     deltas, seconds, metrics, curve = benchmark.pedantic(
-        run, rounds=1, iterations=1
+        scaling_run, args=(graph, alg_fn()), rounds=1, iterations=1
     )
     units_per_second = metrics.work_units() / seconds
-    base = curve[1].makespan_units
+    base = curve[1].makespan_seconds
     breakdown = metrics.breakdown(seconds)
     total_time = sum(breakdown.values()) or 1.0
     fractions = {k: v / total_time for k, v in breakdown.items()}
@@ -76,13 +78,11 @@ def test_figure6_scalability(benchmark, name, graph_fn, alg_fn):
     rows = []
     speedups = {}
     for m in MACHINE_COUNTS:
-        makespan = curve[m].makespan_units
-        speedups[m] = base / makespan
-        secs = makespan / units_per_second
+        speedups[m] = base / curve[m].makespan_seconds
         rows.append(
             (
                 m,
-                fmt_seconds(secs),
+                fmt_seconds(cluster_seconds(curve[m], units_per_second)),
                 f"{speedups[m]:.1f}x",
                 f"{curve[m].utilization:.0%}",
             )
@@ -106,6 +106,8 @@ def test_figure6_scalability(benchmark, name, graph_fn, alg_fn):
         },
     )
 
+    # every cluster size emits the single engine's deltas, in task order
+    assert all(curve[m].deltas == deltas for m in MACHINE_COUNTS)
     # near-linear scaling, monotone in machine count (paper: 7.3x / 7.6x)
     assert speedups[2] > 1.5
     assert speedups[4] > speedups[2]

@@ -22,14 +22,22 @@ motif counting and cannot run FSM.
 
 import pytest
 
-from _harness import fmt_seconds, lj_bench, print_table, record, timed_static_run
+from _harness import (
+    cluster_seconds,
+    fmt_seconds,
+    lj_bench,
+    print_table,
+    record,
+    simulate_cluster,
+    timed_static_run,
+)
 
 from repro.apps import CliqueMining, MotifCounting
 from repro.apps.fsm import FrequentSubgraphMining
 from repro.baselines.arabesque import ArabesqueModel, ArabesqueOOM
 from repro.baselines.fractal import FractalModel
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.costmodel import ClusterSimulator
+from repro.store.mvstore import MultiVersionStore
 
 MACHINES = 8
 #: modeled per-phase frontier capacity: holds clique frontiers, not the
@@ -38,13 +46,16 @@ ARABESQUE_CAPACITY = 15_000
 
 
 def tesseract_cell(graph, algorithm):
-    deltas, seconds, metrics, traces = timed_static_run(
-        graph, algorithm, trace_tasks=True
-    )
+    deltas, seconds, metrics, tasks = timed_static_run(graph, algorithm)
     units_per_second = metrics.work_units() / seconds
-    spec = ClusterSpec(num_machines=MACHINES, workers_per_machine=16)
-    sim = ClusterSimulator(spec).simulate(traces)
-    return sim.makespan_units / units_per_second, len(deltas)
+    result = simulate_cluster(
+        MultiVersionStore.from_adjacency(graph, ts=1),
+        algorithm,
+        tasks,
+        ClusterSpec(num_machines=MACHINES, workers_per_machine=16),
+        4,
+    )
+    return cluster_seconds(result, units_per_second), len(deltas)
 
 
 def fractal_cell(graph, algorithm):

@@ -20,14 +20,26 @@ general engine) lands between Peregrine and a bounded multiple of
 PeregrineMat.
 """
 
+import gc
+import statistics
 import time
 
 import pytest
 
-from _harness import fmt_seconds, lj_bench, print_table, record, timed_static_run
+from _harness import (
+    cluster_seconds,
+    fmt_seconds,
+    lj_bench,
+    print_table,
+    record,
+    simulate_cluster,
+    timed_static_run,
+)
 
 from repro.apps import CliqueMining, MotifCounting
 from repro.baselines.peregrine import Peregrine
+from repro.runtime.cluster import ClusterSpec
+from repro.store.mvstore import MultiVersionStore
 
 
 @pytest.fixture(scope="module")
@@ -95,42 +107,85 @@ def test_table5_single_node(benchmark, graph):
         assert r["tesseract"] / r["peregrine"] < 60.0
 
 
+#: alternating PeregrineMat / Tesseract rounds behind each table5_cost figure
+COST_ROUNDS = 9
+
+
+def _collected(measure):
+    """Run ``measure()`` with the collector emptied and its heap frozen, so
+    neither side pays for collecting garbage the other left behind."""
+    gc.collect()
+    gc.freeze()
+    try:
+        return measure()
+    finally:
+        gc.unfreeze()
+
+
 def test_table5_cost_metric(benchmark, graph):
     """The COST metric of section 6.4: the number of workers at which
     Tesseract outperforms the efficient single-threaded implementation
-    (PeregrineMat).  Paper: COST of 3 for 4-C and 5 for 4-MC."""
-    from repro.runtime.cluster import ClusterSpec
-    from repro.runtime.costmodel import ClusterSimulator
+    (PeregrineMat).  Paper: COST of 3 for 4-C and 5 for 4-MC.
+
+    Both sides are timed in :data:`COST_ROUNDS` alternating rounds (the
+    first side swaps each round) and the COST search uses the medians.
+    PeregrineMat's median is recorded as ``raw_s``, so the trajectory gate
+    compares Tesseract's time as a ratio to it rather than either
+    machine-dependent wall time."""
+    alg = CliqueMining(4, min_size=4)
+
+    def mat():
+        return Peregrine.for_cliques(4).materialize(graph).wall_seconds
+
+    def tess():
+        return timed_static_run(graph, alg)
 
     def run():
-        alg = CliqueMining(4, min_size=4)
-        mat_seconds = Peregrine.for_cliques(4).materialize(graph).wall_seconds
-        deltas, tess_seconds, metrics, traces = timed_static_run(
-            graph, alg, trace_tasks=True
-        )
+        mat_samples, tess_samples = [], []
+        for round_ in range(COST_ROUNDS):
+            for side in (mat, tess) if round_ % 2 == 0 else (tess, mat):
+                if side is mat:
+                    mat_samples.append(_collected(mat))
+                else:
+                    deltas, seconds, metrics, tasks = _collected(tess)
+                    tess_samples.append(seconds)
+        mat_seconds = statistics.median(mat_samples)
+        tess_seconds = statistics.median(tess_samples)
+        ratios = sorted(t / m for t, m in zip(tess_samples, mat_samples))
         units_per_second = metrics.work_units() / tess_seconds
+        store = MultiVersionStore.from_adjacency(graph, ts=1)
         cost = None
         for workers in range(1, 257):
             spec = ClusterSpec(num_machines=1, workers_per_machine=workers)
-            sim = ClusterSimulator(spec).simulate(traces)
-            if sim.seconds(units_per_second) < mat_seconds:
+            result = simulate_cluster(store, alg, tasks, spec, 4)
+            if cluster_seconds(result, units_per_second) < mat_seconds:
                 cost = workers
                 break
-        return cost, mat_seconds, tess_seconds
+        return cost, mat_seconds, tess_seconds, ratios
 
-    cost, mat_seconds, tess_seconds = benchmark.pedantic(
+    cost, mat_seconds, tess_seconds, ratios = benchmark.pedantic(
         run, rounds=1, iterations=1
     )
     print_table(
         "Table 5 follow-up: COST vs PeregrineMat (4-C; paper: COST = 3)",
         ["Metric", "Value"],
         [
-            ("PeregrineMat single-thread", fmt_seconds(mat_seconds)),
-            ("Tesseract single-thread", fmt_seconds(tess_seconds)),
+            (f"PeregrineMat single-thread, median of {COST_ROUNDS}", fmt_seconds(mat_seconds)),
+            (f"Tesseract single-thread, median of {COST_ROUNDS}", fmt_seconds(tess_seconds)),
+            ("Tesseract / PeregrineMat per round", f"{ratios[0]:.2f} .. {ratios[-1]:.2f}"),
             ("COST (workers to beat it)", cost if cost else "> 256"),
         ],
     )
-    record("table5_cost", {"cost": cost, "mat_s": mat_seconds, "tess_s": tess_seconds})
+    record(
+        "table5_cost",
+        {
+            "cost": cost,
+            "raw_s": mat_seconds,
+            "tess_s": tess_seconds,
+            "rounds": COST_ROUNDS,
+            "ratio_range": [ratios[0], ratios[-1]],
+        },
+    )
     # the system does overtake the single-threaded implementation at some
     # finite scale (the paper's COST is 3; ours is larger, see EXPERIMENTS.md)
     assert cost is not None

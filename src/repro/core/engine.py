@@ -6,10 +6,6 @@ builds the window's exploration view, runs EXPLORE for every update, and
 returns the resulting match deltas.  Because change detection and duplicate
 elimination make every update's task independent (section 4.5), the same
 engine code is what each distributed worker runs.
-
-The engine optionally records a :class:`~repro.types.TaskTrace` per update —
-the task's abstract work and the vertex records it fetched — which the
-cluster simulator replays to compute multi-machine schedules.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
 from repro.streaming.ingress import Window
 from repro.streaming.queue import WorkQueue
-from repro.types import EdgeUpdate, MatchDelta, TaskTrace, Timestamp
+from repro.types import EdgeUpdate, MatchDelta, Timestamp
 
 
 class TesseractEngine:
@@ -37,7 +33,6 @@ class TesseractEngine:
         store: GraphStore,
         algorithm: MiningAlgorithm,
         metrics: Optional[Metrics] = None,
-        trace_tasks: bool = False,
         telemetry=None,
         worker_label: int = 0,
         profile=None,
@@ -50,8 +45,6 @@ class TesseractEngine:
         self.telemetry = ensure(telemetry)
         self.worker_label = worker_label
         self.explorer = Explorer(algorithm, metrics=self.metrics, profile=profile)
-        self.trace_tasks = trace_tasks
-        self.traces: List[TaskTrace] = []
         if self.telemetry.enabled:
             self._hist_task_seconds = self.telemetry.registry.histogram(
                 "repro_engine_task_seconds",
@@ -73,7 +66,7 @@ class TesseractEngine:
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
-            return self._process_update(ts, update)
+            return self.explorer.explore_update(ExplorationView(self.store, ts), update)
         with telemetry.tracer.span(
             "task",
             ts=ts,
@@ -84,32 +77,10 @@ class TesseractEngine:
         ) as span:
             start = time.perf_counter()
             emits_before = self.metrics.emits
-            deltas = self._process_update(ts, update)
+            deltas = self.explorer.explore_update(ExplorationView(self.store, ts), update)
             elapsed = time.perf_counter() - start
             self._hist_task_seconds.observe(elapsed)
             span.set(deltas=len(deltas), emits=self.metrics.emits - emits_before)
-        return deltas
-
-    def _process_update(
-        self, ts: Timestamp, update: EdgeUpdate
-    ) -> List[MatchDelta]:
-        if not self.trace_tasks:
-            return self.explorer.explore_update(
-                ExplorationView(self.store, ts), update
-            )
-        recorder: set = set()
-        view = ExplorationView(self.store, ts, recorder=recorder)
-        before = self.metrics.work_units()
-        deltas = self.explorer.explore_update(view, update)
-        self.traces.append(
-            TaskTrace(
-                timestamp=ts,
-                update=update,
-                work=self.metrics.work_units() - before,
-                touched_vertices=frozenset(recorder),
-                num_deltas=len(deltas),
-            )
-        )
         return deltas
 
     # -- window / stream processing -----------------------------------------

@@ -2,7 +2,7 @@
 
 The paper's Figure 6 breaks runtime down into ``match``, ``filter``,
 ``CAN_EXPAND``, and ``other``; this module records exactly those categories,
-plus the raw counters the cluster simulator uses as task work units.  It is
+plus the raw counters the simulated cluster uses as task work units.  It is
 the one record EXPLORE writes: what one task did is :meth:`Metrics.counts`
 after the task minus the same snapshot before it (see
 :meth:`~repro.telemetry.profile.ExplorationProfile.record`).
@@ -51,7 +51,7 @@ class Metrics:
     def work_units(self) -> float:
         """Abstract CPU cost of the recorded operations.
 
-        Used as the task cost by the cluster simulator; weights roughly
+        Used as the task cost by the simulated cluster; weights roughly
         reflect the relative expense of each operation in the engine.
         """
         return (

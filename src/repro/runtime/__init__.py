@@ -1,4 +1,4 @@
-"""Distributed execution runtime: the streaming session, its backends, simulation."""
+"""Distributed execution runtime: the streaming session and its backends."""
 
 from repro.runtime.backend import (
     BACKEND_NAMES,
@@ -9,8 +9,7 @@ from repro.runtime.backend import (
     SimulatedBackend,
     make_backend,
 )
-from repro.runtime.cluster import ClusterSpec, SimResult
-from repro.runtime.costmodel import ClusterSimulator
+from repro.runtime.cluster import ClusterSpec
 from repro.runtime.fault import CrashPlan, FaultInjector
 from repro.runtime.scheduler import DynamicScheduler, StaticPartitionScheduler
 from repro.runtime.session import StreamingSession
@@ -23,8 +22,6 @@ from repro.runtime.stats import (
 __all__ = [
     "BACKEND_NAMES",
     "ClusterSpec",
-    "SimResult",
-    "ClusterSimulator",
     "DeploymentResult",
     "ExecutionBackend",
     "SerialBackend",

@@ -31,16 +31,14 @@ Backends:
     advancing per-worker simulated clocks — real deltas, estimated
     multi-machine makespan.  Because tasks are independent, executing them
     in worker-clock order on one host is behaviourally identical to a real
-    cluster run, and the makespan is grounded in per-task *measured* work
-    rather than modeled work units; its agreement with the trace-replay
-    simulator (:mod:`repro.runtime.costmodel`, no shared code path) is a
-    consistency check the benchmarks assert.
+    cluster run, and the makespan is grounded in each task's measured work.
+    It is the repository's one cluster model: the paper-table benchmarks
+    run their whole stream through it.
 """
 
 from __future__ import annotations
 
 import abc
-import heapq
 import multiprocessing as mp
 import os
 from dataclasses import dataclass, field
@@ -52,6 +50,7 @@ from repro.core.explore import Explorer
 from repro.core.metrics import Metrics
 from repro.errors import WorkerCrashed
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.scheduler import DynamicScheduler
 from repro.store.api import GraphStore
 from repro.store.remote import FetchCosts, RemoteStoreClient
 from repro.store.snapshot import ExplorationView
@@ -111,11 +110,7 @@ class ExecutionBackend(abc.ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """The reference executor: one :class:`TesseractEngine`, in order.
-
-    ``trace_tasks`` records one :class:`~repro.types.TaskTrace` per task
-    on :attr:`engine`'s ``traces`` (the cluster simulator's input).
-    """
+    """The reference executor: one :class:`TesseractEngine`, in order."""
 
     name = "serial"
 
@@ -124,7 +119,6 @@ class SerialBackend(ExecutionBackend):
         store: GraphStore,
         algorithm: MiningAlgorithm,
         metrics: Optional[Metrics] = None,
-        trace_tasks: bool = False,
         telemetry=None,
         profile: bool = False,
     ) -> None:
@@ -133,7 +127,6 @@ class SerialBackend(ExecutionBackend):
             store,
             algorithm,
             metrics=metrics,
-            trace_tasks=trace_tasks,
             telemetry=telemetry,
             profile=ExplorationProfile() if profile else None,
         )
@@ -321,7 +314,7 @@ class ProcessBackend(ExecutionBackend):
 
 @dataclass
 class DeploymentResult:
-    """Outcome of one window on the simulated cluster."""
+    """Outcome of one :meth:`SimulatedBackend.run_tasks` call (a window)."""
 
     deltas: List[MatchDelta]
     makespan_seconds: float
@@ -347,13 +340,15 @@ class SimulatedBackend(ExecutionBackend):
     """A simulated multi-machine cluster: real execution, simulated clocks.
 
     Every task executes exactly once (deltas are exact) on the explorer of
-    whichever simulated worker is idle earliest; its store reads go through
-    that worker's machine's :class:`~repro.store.remote.RemoteStoreClient`
-    and are charged fetch latency, and the worker's clock advances by the
-    measured work.  :attr:`last_result` holds the latest window's
-    :class:`DeploymentResult` (makespan, utilization, fetches).  Machine
-    caches are dropped between windows — cached vertex records are soft
-    state (paper §5.5) and may be stale once the store has evolved.
+    the simulated worker ``scheduler`` picks — by default
+    :class:`~repro.runtime.scheduler.DynamicScheduler`, whichever worker is
+    idle earliest; its store reads go through that worker's machine's
+    :class:`~repro.store.remote.RemoteStoreClient` and are charged fetch
+    latency, and the worker's clock advances by the measured work.
+    :attr:`last_result` holds the latest window's :class:`DeploymentResult`
+    (makespan, utilization, fetches).  Machine caches are dropped between
+    windows — cached vertex records are soft state (paper §5.5) and may be
+    stale once the store has evolved.
     """
 
     name = "simulated"
@@ -371,10 +366,12 @@ class SimulatedBackend(ExecutionBackend):
         fetch_costs: Optional[FetchCosts] = None,
         telemetry=None,
         profile: bool = False,
+        scheduler=None,
     ) -> None:
         if spec is None:
             spec = ClusterSpec(num_machines=2, workers_per_machine=2)
         self.spec = spec
+        self.scheduler = scheduler if scheduler is not None else DynamicScheduler()
         self.telemetry = ensure(telemetry)
         costs = fetch_costs if fetch_costs is not None else FetchCosts()
         # One store client per machine (its workers share the cache).
@@ -410,23 +407,23 @@ class SimulatedBackend(ExecutionBackend):
         )
 
     def run_tasks(self, tasks: Sequence[Task]) -> List[MatchDelta]:
-        """Run the window; the earliest-idle simulated worker pulls next."""
+        """Run the window; the scheduler picks the worker for each task."""
         if not tasks:
             return []
         for client in self.clients:
             client.drop_cache()
         spec = self.spec
-        # (clock, worker_id) min-heap; all start idle at 0, already a heap.
-        idle: List[Tuple[float, int]] = [(0.0, w) for w in range(spec.total_workers)]
+        select = self.scheduler.select
+        available = [0.0] * spec.total_workers
         busy = [0.0] * spec.total_workers
         queue_free_at = 0.0
         deltas: List[MatchDelta] = []
         tracer = self.telemetry.tracer
-        for ts, update in tasks:
-            clock, worker = heapq.heappop(idle)
+        for index, (ts, update) in enumerate(tasks):
+            worker = select(update, index, available)
             machine = worker // spec.workers_per_machine
             explorer, client = self._explorers[worker], self.clients[machine]
-            start = max(clock, queue_free_at)
+            start = max(available[worker], queue_free_at)
             queue_free_at = start + self.dequeue_seconds
             if self.telemetry.enabled:
                 with tracer.span(
@@ -444,10 +441,10 @@ class SimulatedBackend(ExecutionBackend):
                 out, duration = self._run_task(explorer, client, ts, update)
             deltas.extend(out)
             busy[worker] += duration
-            heapq.heappush(idle, (start + duration, worker))
+            available[worker] = start + duration
         self.last_result = DeploymentResult(
             deltas=deltas,
-            makespan_seconds=max(clock for clock, _ in idle),
+            makespan_seconds=max(available),
             total_busy_seconds=sum(busy),
             tasks=len(tasks),
             per_machine_fetches={

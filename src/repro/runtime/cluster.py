@@ -1,19 +1,17 @@
-"""Cluster description and simulation results.
+"""The shape of a simulated deployment.
 
 The paper's testbed is 8 machines with 16 cores and 128 GB each (section
 6.1).  We cannot observe real multi-node scaling from pure Python (see
-DESIGN.md "Substitutions"), so benchmarks execute exploration tasks once,
-record per-task traces, and replay them against a :class:`ClusterSpec`
-using :class:`~repro.runtime.costmodel.ClusterSimulator`.  All costs are in
-abstract *work units* — the same units as
-:meth:`repro.core.metrics.Metrics.work_units` — and benchmarks calibrate
-units/second from the measured single-threaded run.
+DESIGN.md "Substitutions"), so
+:class:`~repro.runtime.backend.SimulatedBackend` executes every task once
+on one host and charges it to a simulated worker of a :class:`ClusterSpec`:
+its measured work, its record fetches through its machine's cache, and its
+turn at the single work queue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -22,58 +20,18 @@ class ClusterSpec:
 
     num_machines: int = 8
     workers_per_machine: int = 16
-    #: work units to pull one update from the (single, serialized) work queue
-    dequeue_cost: float = 0.5
-    #: work units per emitted match delta
-    emit_cost: float = 0.2
-    #: work units per vertex record fetched from a remote store shard
-    store_fetch_cost: float = 4.0
     #: vertex records each machine's in-memory graph cache can hold
     cache_capacity_per_machine: int = 1_000_000
 
     def __post_init__(self) -> None:
         if self.num_machines < 1 or self.workers_per_machine < 1:
             raise ValueError("cluster must have at least one worker")
+        if self.cache_capacity_per_machine < 0:
+            raise ValueError(
+                "cache_capacity_per_machine must be at least 0, "
+                f"got {self.cache_capacity_per_machine}"
+            )
 
     @property
     def total_workers(self) -> int:
         return self.num_machines * self.workers_per_machine
-
-
-@dataclass
-class SimResult:
-    """Outcome of replaying a task trace on a simulated cluster."""
-
-    spec: ClusterSpec
-    makespan_units: float = 0.0
-    total_work_units: float = 0.0
-    total_tasks: int = 0
-    total_deltas: int = 0
-    cache_misses: int = 0
-    cache_hits: int = 0
-    per_worker_busy: List[float] = field(default_factory=list)
-
-    @property
-    def utilization(self) -> float:
-        """Mean fraction of the makespan each worker spent busy."""
-        if not self.per_worker_busy or self.makespan_units == 0:
-            return 0.0
-        return sum(self.per_worker_busy) / (
-            len(self.per_worker_busy) * self.makespan_units
-        )
-
-    def speedup_over(self, baseline: "SimResult") -> float:
-        if self.makespan_units == 0:
-            return float("inf")
-        return baseline.makespan_units / self.makespan_units
-
-    def seconds(self, units_per_second: float) -> float:
-        """Convert the makespan to seconds given a calibration factor."""
-        if units_per_second <= 0:
-            raise ValueError("units_per_second must be positive")
-        return self.makespan_units / units_per_second
-
-    def output_rate(self, units_per_second: float) -> float:
-        """Match deltas emitted per second at the calibrated speed."""
-        secs = self.seconds(units_per_second)
-        return self.total_deltas / secs if secs else float("inf")

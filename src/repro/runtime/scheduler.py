@@ -1,4 +1,4 @@
-"""Work assignment policies for the cluster simulator.
+"""Work assignment policies for the simulated cluster.
 
 Tesseract uses *dynamic work assignment*: any worker can process any update
 because the sharded store is fully accessible, so an idle worker simply
@@ -7,16 +7,17 @@ against — partitioning updates across workers up front — is provided as
 :class:`StaticPartitionScheduler` so the ablation benchmark can quantify the
 load-balance win.
 
-A scheduler picks the worker for the next task given each worker's
-next-available time; the simulator then charges the full task duration
-(dequeue + fetches + work + emits) to that worker.
+A scheduler picks the worker for the next update given each worker's
+next-available time; :class:`~repro.runtime.backend.SimulatedBackend` then
+charges the task's whole duration (dequeue + fetches + work + emits) to
+that worker.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.types import TaskTrace
+from repro.types import EdgeUpdate
 
 
 class DynamicScheduler:
@@ -25,16 +26,10 @@ class DynamicScheduler:
     name = "dynamic"
 
     def select(
-        self, task: TaskTrace, task_index: int, worker_available: Sequence[float]
+        self, update: EdgeUpdate, index: int, available: Sequence[float]
     ) -> int:
         """Pick the earliest-available worker (ties to the lowest id)."""
-        best = 0
-        best_time = worker_available[0]
-        for w in range(1, len(worker_available)):
-            if worker_available[w] < best_time:
-                best_time = worker_available[w]
-                best = w
-        return best
+        return min(range(len(available)), key=available.__getitem__)
 
 
 class StaticPartitionScheduler:
@@ -47,8 +42,8 @@ class StaticPartitionScheduler:
     name = "static-partition"
 
     def select(
-        self, task: TaskTrace, task_index: int, worker_available: Sequence[float]
+        self, update: EdgeUpdate, index: int, available: Sequence[float]
     ) -> int:
         # Partition by update edge (the natural key), not arrival index.
-        key = (task.update.u * 1000003 + task.update.v) & 0x7FFFFFFF
-        return key % len(worker_available)
+        key = (update.u * 1000003 + update.v) & 0x7FFFFFFF
+        return key % len(available)

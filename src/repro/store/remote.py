@@ -98,6 +98,8 @@ class CachedRecordClient(CapabilityFacts, GraphStore):
     """
 
     def __init__(self, costs: FetchCosts, cache_capacity: Optional[int]) -> None:
+        if cache_capacity is not None and cache_capacity < 0:
+            raise ValueError(f"cache_capacity must be at least 0, got {cache_capacity}")
         self.costs = costs
         self.cache_capacity = cache_capacity
         self.log = FetchLog()

@@ -3,7 +3,7 @@
 The paper's store is "sharded across all cluster nodes where workers are
 executing. Each worker has read-only access to any part of the graph"
 (section 4.1).  We reproduce the placement function and the accounting the
-cluster simulator uses to charge remote-fetch costs; the data itself lives
+simulated cluster uses to charge remote-fetch costs; the data itself lives
 in one process.
 """
 

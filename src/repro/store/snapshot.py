@@ -5,14 +5,11 @@ An :class:`ExplorationView` is the graph the EXPLORE algorithm walks: the
 union of the pre-window and post-window snapshots, with helpers to evaluate
 edges in either version (paper section 4.3) and to test whether an edge was
 updated in the current window (Algorithm 3 line 2).
-
-Both views optionally record the set of vertex records they fetch, which the
-cluster simulator's cache model consumes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List
 
 from repro.store.api import GraphStore
 from repro.types import Label, Timestamp, VertexId
@@ -21,40 +18,25 @@ from repro.types import Label, Timestamp, VertexId
 class SnapshotView:
     """Read-only view of the graph as of one snapshot timestamp."""
 
-    __slots__ = ("store", "ts", "recorder")
+    __slots__ = ("store", "ts")
 
-    def __init__(
-        self,
-        store: GraphStore,
-        ts: Timestamp,
-        recorder: Optional[Set[VertexId]] = None,
-    ) -> None:
+    def __init__(self, store: GraphStore, ts: Timestamp) -> None:
         self.store = store
         self.ts = ts
-        self.recorder = recorder
-
-    def _touch(self, v: VertexId) -> None:
-        if self.recorder is not None:
-            self.recorder.add(v)
 
     def neighbors(self, v: VertexId) -> List[VertexId]:
-        self._touch(v)
         return self.store.neighbors_at(v, self.ts)
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        self._touch(u)
         return self.store.edge_alive_at(u, v, self.ts)
 
     def degree(self, v: VertexId) -> int:
-        self._touch(v)
         return self.store.degree_at(v, self.ts)
 
     def vertex_label(self, v: VertexId) -> Label:
-        self._touch(v)
         return self.store.vertex_label_at(v, self.ts)
 
     def edge_label(self, u: VertexId, v: VertexId) -> Label:
-        self._touch(u)
         return self.store.edge_label_at(u, v, self.ts)
 
     def has_vertex(self, v: VertexId) -> bool:
@@ -73,39 +55,26 @@ class ExplorationView:
     The view memoizes neighbor lists, edge states, and labels: it models
     the worker's in-memory copy of the graph records fetched for one task
     (the paper's workers "operate on an in-memory graph representation",
-    section 5.2).  The first access to a vertex is recorded as a store
-    fetch; subsequent accesses hit the worker-local copy.
+    section 5.2).
     """
 
-    __slots__ = ("store", "ts", "recorder", "_nbr_cache", "_label_cache")
+    __slots__ = ("store", "ts", "_nbr_cache", "_label_cache")
 
-    def __init__(
-        self,
-        store: GraphStore,
-        ts: Timestamp,
-        recorder: Optional[Set[VertexId]] = None,
-    ) -> None:
+    def __init__(self, store: GraphStore, ts: Timestamp) -> None:
         if ts < 1:
             raise ValueError("window timestamps start at 1")
         self.store = store
         self.ts = ts
-        self.recorder = recorder
         self._nbr_cache: dict = {}
         self._label_cache: dict = {}
-
-    def _touch(self, v: VertexId) -> None:
-        if self.recorder is not None:
-            self.recorder.add(v)
 
     def adjacency(self, v: VertexId) -> dict:
         """Union-view adjacency map of ``v``: nbr -> (alive_pre, alive_post).
 
-        The map is the worker-local copy of the fetched vertex record;
-        the first access counts as a store fetch.
+        The map is the worker-local copy of the fetched vertex record.
         """
         cached = self._nbr_cache.get(v)
         if cached is None:
-            self._touch(v)
             cached = self.store.neighbor_states_at(v, self.ts)
             self._nbr_cache[v] = cached
         return cached
@@ -123,10 +92,8 @@ class ExplorationView:
 
         Two point probes instead of :meth:`adjacency`: a root that fails
         ``filter`` never walks ``u``'s neighbors, so deriving the whole
-        adjacency map for this one edge would be wasted.  The probes read
-        ``u``'s record, which counts as a fetch like any other first touch.
+        adjacency map for this one edge would be wasted.
         """
-        self._touch(u)
         store, ts = self.store, self.ts
         return store.edge_alive_at(u, v, ts - 1), store.edge_alive_at(u, v, ts)
 
@@ -143,7 +110,6 @@ class ExplorationView:
 
         This is the ``TIMESTAMP(v, u) == ts`` test of Algorithm 3 line 2.
         """
-        self._touch(u)
         return self.store.edge_updated_at(u, v, self.ts)
 
     def vertex_label(self, v: VertexId, pre: bool = False) -> Label:
@@ -151,13 +117,12 @@ class ExplorationView:
         key = (v, pre)
         if key in self._label_cache:
             return self._label_cache[key]
-        self._touch(v)
         label = self.store.vertex_label_at(v, self.ts - 1 if pre else self.ts)
         self._label_cache[key] = label
         return label
 
     def pre_snapshot(self) -> SnapshotView:
-        return SnapshotView(self.store, self.ts - 1, self.recorder)
+        return SnapshotView(self.store, self.ts - 1)
 
     def post_snapshot(self) -> SnapshotView:
-        return SnapshotView(self.store, self.ts, self.recorder)
+        return SnapshotView(self.store, self.ts)

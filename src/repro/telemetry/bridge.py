@@ -41,8 +41,8 @@ def metrics_to_registry(registry: "MetricsRegistry", metrics: "Metrics") -> None
     """Project a merged :class:`Metrics` snapshot into engine counters.
 
     The call counters are the paper's Figure 6 categories (match / filter /
-    CAN_EXPAND) plus the expansion/emit/explore counts the cluster
-    simulator uses as work units; the ``*_seconds`` gauges carry the
+    CAN_EXPAND) plus the expansion/emit/explore counts the simulated cluster
+    (SimulatedBackend) uses as work units; the ``*_seconds`` gauges carry the
     cumulative per-category time when ``timing_enabled`` was on (wall
     time per window is ``repro_session_window_seconds``).
     """

@@ -17,7 +17,7 @@ ingress node; all updates in a window share one timestamp (section 4.4.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 VertexId = int
@@ -247,19 +247,3 @@ class WindowStats:
     @property
     def num_deltas(self) -> int:
         return self.num_new + self.num_rem
-
-
-@dataclass
-class TaskTrace:
-    """Record of a single exploration task, used by the cluster simulator.
-
-    ``work`` is the abstract CPU cost of the task (operation count), and
-    ``touched_vertices`` the distinct vertex records fetched from the graph
-    store during exploration (used by the cache model).
-    """
-
-    timestamp: Timestamp
-    update: EdgeUpdate
-    work: float
-    touched_vertices: FrozenSet[VertexId] = field(default_factory=frozenset)
-    num_deltas: int = 0

@@ -145,18 +145,13 @@ class TestLatencySummary:
 
 
 class TestTraceTasks:
-    """Task traces come from the engine; only ``SerialBackend`` asks for them."""
+    """No layer takes ``trace_tasks``: passing it is a ``TypeError``."""
 
-    def test_serial_backend_traces_every_task(self):
-        edges = shuffled_edges(erdos_renyi(14, 30, seed=3), seed=1)
-        store = MultiVersionStore()
-        backend = SerialBackend(store, CliqueMining(3, min_size=3), trace_tasks=True)
-        session = StreamingSession(
-            CliqueMining(3, min_size=3), backend, store=store, window_size=8
-        )
-        session.process(Update.add_edge(u, v) for u, v in edges)
-        assert len(backend.engine.traces) == len(edges)
-        session.close()
+    def test_engine_and_serial_backend_take_no_trace_tasks(self):
+        with pytest.raises(TypeError, match="trace_tasks"):
+            TesseractEngine(MultiVersionStore(), CliqueMining(3), trace_tasks=True)
+        with pytest.raises(TypeError, match="trace_tasks"):
+            SerialBackend(MultiVersionStore(), CliqueMining(3), trace_tasks=True)
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_session_and_make_backend_take_no_trace_tasks(self, backend):

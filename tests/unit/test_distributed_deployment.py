@@ -7,11 +7,13 @@ from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.generators import erdos_renyi, shuffled_edges
 from repro.runtime.backend import SimulatedBackend
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.scheduler import DynamicScheduler, StaticPartitionScheduler
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore, VertexRecord
+from repro.store.remote import FetchCosts
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
-from repro.types import Update
+from repro.types import EdgeUpdate, Update
 
 
 def build_tasks(seed=0, n=16, m=40, window=4):
@@ -24,14 +26,21 @@ def build_tasks(seed=0, n=16, m=40, window=4):
     return g, store, [(item.timestamp, item.update) for item in queue.drain()]
 
 
-def run(store, tasks, machines, workers=4, cache=10_000):
-    """One window on a simulated cluster; returns its DeploymentResult."""
+def simulated(store, machines, workers=4, cache=10_000, algorithm=None, **options):
+    """A ``machines`` x ``workers`` simulated cluster over ``store``."""
     spec = ClusterSpec(
         num_machines=machines,
         workers_per_machine=workers,
         cache_capacity_per_machine=cache,
     )
-    backend = SimulatedBackend(store, CliqueMining(3, min_size=3), spec)
+    return SimulatedBackend(
+        store, algorithm or CliqueMining(3, min_size=3), spec, **options
+    )
+
+
+def run(store, tasks, machines, workers=4, cache=10_000, **options):
+    """One window on a simulated cluster; returns its DeploymentResult."""
+    backend = simulated(store, machines, workers, cache, **options)
     assert backend.run_tasks(tasks) == backend.last_result.deltas
     return backend.last_result
 
@@ -91,34 +100,94 @@ class TestSimulatedTime:
         assert result.makespan_seconds <= result.total_busy_seconds + 1e-9
 
 
-class TestAgreementWithTraceReplay:
-    def test_scaling_direction_agrees(self):
-        """Two independently-built cost models must agree on the ordering
-        of makespans across cluster sizes."""
-        from repro.core.metrics import Metrics
-        from repro.core.engine import TesseractEngine
-        from repro.runtime.costmodel import ClusterSimulator
+def heavy_and_light_tasks(lights=6):
+    """One update closing many 4-cliques, then ``lights`` isolated edges.
 
-        g, store, tasks = build_tasks(seed=8, n=30, m=90, window=3)
-        # trace-replay side
-        metrics = Metrics()
-        engine = TesseractEngine(
-            store, CliqueMining(3, min_size=3), metrics=metrics, trace_tasks=True
+    Every task sits at timestamp 2.  ``StaticPartitionScheduler`` homes
+    ``(0, 1)`` and every ``(u, u + 1)`` with even ``u`` on the same one of
+    two workers (their keys are all odd).
+    """
+    store = MultiVersionStore()
+    for u in range(7):
+        for v in range(u + 1, 7):
+            if (u, v) != (0, 1):
+                store.add_edge(u, v, ts=1)
+    updates = [EdgeUpdate(0, 1, added=True)]
+    updates += [EdgeUpdate(u, u + 1, added=True) for u in range(100, 100 + 2 * lights, 2)]
+    for update in updates:
+        store.add_edge(update.u, update.v, ts=2)
+    return store, [(2, update) for update in updates]
+
+
+SCHEDULERS = [DynamicScheduler, StaticPartitionScheduler]
+
+
+class TestClusterModel:
+    """How the simulated cluster turns measured tasks into a makespan."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_one_worker_makespan_is_its_busy_time(self, scheduler):
+        g, store, tasks = build_tasks(seed=9)
+        result = run(store, tasks, 1, workers=1, scheduler=scheduler())
+        assert result.makespan_seconds == result.total_busy_seconds > 0
+
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_the_queue_serialises_dequeues(self, scheduler):
+        """One pull at a time: with a pull costing far more than any task's
+        work, more workers than tasks still cannot beat the queue."""
+        g, store, tasks = build_tasks(seed=10)
+        backend = simulated(store, 4, workers=len(tasks), scheduler=scheduler())
+        backend.dequeue_seconds = 1.0
+        backend.run_tasks(tasks)
+        assert backend.last_result.makespan_seconds >= len(tasks) * 1.0
+
+    def test_static_partition_straggles_on_a_heavy_update(self):
+        store, tasks = heavy_and_light_tasks()
+        dynamic, static = (
+            run(
+                store,
+                tasks,
+                1,
+                workers=2,
+                algorithm=CliqueMining(4, min_size=3),
+                scheduler=scheduler(),
+            )
+            for scheduler in SCHEDULERS
         )
-        for ts, update in tasks:
-            engine.process_update(ts, update)
-        replay = {
-            m: ClusterSimulator(
-                ClusterSpec(num_machines=m, workers_per_machine=2)
-            ).simulate(engine.traces).makespan_units
-            for m in (1, 4)
-        }
-        # execute-while-simulating side
-        executed = {
-            m: run(store, tasks, m, workers=2).makespan_seconds
-            for m in (1, 4)
-        }
-        assert (replay[4] < replay[1]) == (executed[4] < executed[1])
+        # the same tasks on the same machine cache: only placement differs
+        assert static.total_busy_seconds == pytest.approx(dynamic.total_busy_seconds)
+        assert 0.0 in static.per_worker_busy  # everything landed on one worker
+        assert dynamic.makespan_seconds < static.makespan_seconds
+        for result in (dynamic, static):
+            assert 0.0 < result.utilization <= 1.0
+        assert dynamic.utilization > static.utilization
+
+    @pytest.mark.parametrize("machines", [1, 2])
+    def test_fetch_seconds_are_round_trips_without_a_per_edge_cost(self, machines):
+        g, store, tasks = build_tasks(seed=11)
+        costs = FetchCosts(round_trip=0.25, per_edge=0.0)
+        backend = simulated(store, machines, workers=2, fetch_costs=costs)
+        backend.run_tasks(tasks)
+        fetches = backend.last_result.per_machine_fetches
+        assert sum(fetches.values()) > 0
+        for machine, client in enumerate(backend.clients):
+            assert client.log.simulated_seconds == pytest.approx(fetches[machine] * 0.25)
+
+    def test_a_machine_without_cache_fetches_on_every_read(self):
+        g, store, tasks = build_tasks(seed=12)
+        held = run(store, tasks, 1, cache=10_000)
+        unheld = run(store, tasks, 1, cache=0)
+        assert unheld.deltas == held.deltas
+        assert unheld.per_machine_fetches[0] > held.per_machine_fetches[0]
+        assert unheld.makespan_seconds > held.makespan_seconds
+
+    def test_output_independent_of_scheduler(self):
+        g, store, tasks = build_tasks(seed=13)
+        dynamic, static = (
+            run(store, tasks, 2, workers=3, scheduler=scheduler())
+            for scheduler in SCHEDULERS
+        )
+        assert static.deltas == dynamic.deltas  # task order, whoever ran them
 
 
 #: every window's (makespan, per-worker busy seconds, per-machine fetches,

@@ -6,6 +6,7 @@ from repro.apps import CliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
 from repro.store.mvstore import MultiVersionStore
+from repro.store.remote import RemoteStoreClient
 from repro.streaming.ingress import Window
 from repro.streaming.queue import WorkQueue
 from repro.types import EdgeUpdate, MatchDelta, MatchStatus, MatchSubgraph
@@ -57,30 +58,28 @@ class TestWindowProcessing:
         assert queue.is_drained()
 
     @staticmethod
-    def _traced_triangle(store):
+    def _fetched_by_triangle_task(store):
+        """The records one task fetches through a store client."""
         store.add_edge(1, 2, ts=1)
         store.add_edge(2, 3, ts=1)
         store.add_edge(1, 3, ts=2)
-        engine = TesseractEngine(store, CliqueMining(3), trace_tasks=True)
-        engine.process_update(2, EdgeUpdate(1, 3, added=True))
-        assert len(engine.traces) == 1
-        trace = engine.traces[0]
-        assert trace.work > 0
-        assert trace.num_deltas == 1
-        return set(trace.touched_vertices)
+        client = RemoteStoreClient(store)
+        engine = TesseractEngine(client, CliqueMining(3))
+        assert len(engine.process_update(2, EdgeUpdate(1, 3, added=True))) == 1
+        assert client.log.fetches == len(client._cache)
+        return set(client._cache)
 
-    def test_trace_tasks(self):
-        """``touched_vertices`` is the records the task read.  Vertex 2 is
-        in the triangle but is a leaf, never expanded: only its label would
-        be read, and on a store where no vertex has a label that read does
-        not happen."""
-        assert self._traced_triangle(MultiVersionStore()) == {1, 3}
+    def test_task_fetches_only_the_records_it_reads(self):
+        """Vertex 2 is in the triangle but is a leaf, never expanded: only
+        its label would be read, and on a store where no vertex has a label
+        that read does not happen."""
+        assert self._fetched_by_triangle_task(MultiVersionStore()) == {1, 3}
 
-    def test_trace_tasks_on_a_labelled_store(self):
+    def test_task_fetches_the_leaf_on_a_labelled_store(self):
         """One label anywhere in the store and the leaf's label is read."""
         store = MultiVersionStore()
         store.set_vertex_label(9, 1, "x")
-        assert self._traced_triangle(store) == {1, 2, 3}
+        assert self._fetched_by_triangle_task(store) == {1, 2, 3}
 
 
 class TestCollectMatches:

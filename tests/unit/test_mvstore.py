@@ -383,26 +383,15 @@ class TestViews:
         with pytest.raises(ValueError):
             ExplorationView(MultiVersionStore(), 0)
 
-    def test_view_recorder(self):
-        s = MultiVersionStore()
-        s.add_edge(1, 2, ts=1)
-        touched = set()
-        view = ExplorationView(s, 1, recorder=touched)
-        view.neighbors(1)
-        view.alive_post(2, 1)
-        assert touched == {1, 2}
-
-    def test_update_edge_state_probes_and_records_the_touch(self):
+    def test_update_edge_state_probes_both_snapshots(self):
         s = MultiVersionStore()
         s.add_edge(1, 2, ts=1)
         s.delete_edge(1, 2, ts=2)
         s.add_edge(1, 3, ts=2)
-        touched = set()
-        view = ExplorationView(s, 2, recorder=touched)
+        view = ExplorationView(s, 2)
         assert view.update_edge_state(1, 2) == view.edge_state(1, 2) == (True, False)
         assert view.update_edge_state(3, 1) == (False, True)
         assert view.update_edge_state(2, 3) == (False, False)
-        assert touched == {1, 2, 3}
 
     def test_view_labels_pre_post(self):
         s = MultiVersionStore()

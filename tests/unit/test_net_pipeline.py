@@ -19,6 +19,7 @@ from repro.net.frames import MessageType, encode_frame, read_frame
 from repro.net.rpc import FETCH_AHEAD, RetryPolicy, RpcClient
 from repro.net.server import StoreServer
 from repro.net.wire import decode_payload, encode_payload
+from repro.runtime.cluster import ClusterSpec
 from repro.store.api import make_store
 from repro.store.mvstore import MultiVersionStore, VertexRecord
 from repro.types import EdgeUpdate
@@ -357,6 +358,21 @@ class TestBatchSizePlumbing:
             assert client._cache == {} and client.log.fetches == 2
         finally:
             client.close()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_store("remote", cache_size=-1),
+            lambda: make_store("net", cache_size=-1),
+            lambda: ClusterSpec(cache_capacity_per_machine=-3),
+        ],
+        ids=["remote", "net", "ClusterSpec"],
+    )
+    def test_a_negative_cache_capacity_is_refused(self, build):
+        """Refused when built, not on the first read: a client holding
+        ``len(cache) >= -1`` copies would evict from an empty cache."""
+        with pytest.raises(ValueError, match="must be at least 0"):
+            build()
 
     def test_prefetch_ships_a_repeated_vertex_once(self):
         client = make_store("net")

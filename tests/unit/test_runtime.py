@@ -1,23 +1,12 @@
-"""Unit tests for schedulers, the cluster simulator, and fault injection."""
+"""Unit tests for the cluster spec, the schedulers, and fault injection."""
 
 import pytest
 
 from repro.errors import WorkerCrashed
-from repro.runtime.cluster import ClusterSpec, SimResult
-from repro.runtime.costmodel import ClusterSimulator, _MachineCache
+from repro.runtime.cluster import ClusterSpec
 from repro.runtime.fault import CrashPlan, FaultInjector
 from repro.runtime.scheduler import DynamicScheduler, StaticPartitionScheduler
-from repro.types import EdgeUpdate, TaskTrace
-
-
-def task(u, v, work, touched=(), deltas=0, ts=1):
-    return TaskTrace(
-        timestamp=ts,
-        update=EdgeUpdate(u, v, added=True),
-        work=work,
-        touched_vertices=frozenset(touched),
-        num_deltas=deltas,
-    )
+from repro.types import EdgeUpdate
 
 
 class TestClusterSpec:
@@ -29,131 +18,31 @@ class TestClusterSpec:
             ClusterSpec(num_machines=0)
 
 
-class TestMachineCache:
-    def test_lru_eviction(self):
-        c = _MachineCache(capacity=2)
-        assert not c.access(1)
-        assert not c.access(2)
-        assert c.access(1)  # hit; 1 now most recent
-        assert not c.access(3)  # evicts 2
-        assert not c.access(2)
-        assert c.access(3)
-
-
-class TestSimulator:
-    def test_single_worker_sums_durations(self):
-        spec = ClusterSpec(
-            num_machines=1,
-            workers_per_machine=1,
-            dequeue_cost=1.0,
-            emit_cost=0.0,
-            store_fetch_cost=0.0,
-        )
-        tasks = [task(1, 2, 10.0), task(3, 4, 20.0)]
-        result = ClusterSimulator(spec).simulate(tasks)
-        assert result.makespan_units == pytest.approx(32.0)  # 2 dequeues + work
-        assert result.total_tasks == 2
-
-    def test_parallel_speedup(self):
-        spec1 = ClusterSpec(num_machines=1, workers_per_machine=1, dequeue_cost=0.01)
-        spec8 = ClusterSpec(num_machines=8, workers_per_machine=1, dequeue_cost=0.01)
-        tasks = [task(i, i + 1, 10.0) for i in range(0, 160, 2)]
-        r1 = ClusterSimulator(spec1).simulate(tasks)
-        r8 = ClusterSimulator(spec8).simulate(tasks)
-        speedup = r8.speedup_over(r1)
-        assert 6.0 < speedup <= 8.01
-
-    def test_queue_serialization_limits_scaling(self):
-        """With dequeue cost dominating, adding workers cannot help."""
-        spec = ClusterSpec(num_machines=16, workers_per_machine=1, dequeue_cost=10.0)
-        tasks = [task(i, i + 1, 0.1) for i in range(0, 100, 2)]
-        result = ClusterSimulator(spec).simulate(tasks)
-        assert result.makespan_units >= 50 * 10.0
-
-    def test_cache_model_charges_misses(self):
-        spec = ClusterSpec(
-            num_machines=1,
-            workers_per_machine=1,
-            store_fetch_cost=5.0,
-            cache_capacity_per_machine=10,
-            dequeue_cost=0.0,
-        )
-        tasks = [task(1, 2, 1.0, touched=(1, 2, 3))] * 2
-        result = ClusterSimulator(spec).simulate(tasks)
-        assert result.cache_misses == 3
-        assert result.cache_hits == 3
-
-    def test_more_machines_more_aggregate_cache(self):
-        """Tasks touching a working set larger than one machine's cache see
-        fewer misses on more machines — the superlinear effect."""
-        tasks = []
-        for _rep in range(6):
-            for block in range(8):
-                touched = tuple(range(block * 50, block * 50 + 50))
-                tasks.append(task(block * 50, block * 50 + 1, 1.0, touched=touched))
-        small = ClusterSpec(
-            num_machines=1,
-            workers_per_machine=8,
-            cache_capacity_per_machine=100,
-            store_fetch_cost=2.0,
-        )
-        big = ClusterSpec(
-            num_machines=8,
-            workers_per_machine=1,
-            cache_capacity_per_machine=100,
-            store_fetch_cost=2.0,
-        )
-        r_small = ClusterSimulator(small).simulate(tasks)
-        r_big = ClusterSimulator(big).simulate(tasks)
-        assert r_big.cache_misses < r_small.cache_misses
-
-    def test_emit_cost_charged(self):
-        spec = ClusterSpec(
-            num_machines=1, workers_per_machine=1, dequeue_cost=0.0, emit_cost=2.0
-        )
-        result = ClusterSimulator(spec).simulate([task(1, 2, 0.0, deltas=5)])
-        assert result.makespan_units == pytest.approx(10.0)
-
-    def test_empty_trace(self):
-        result = ClusterSimulator(ClusterSpec()).simulate([])
-        assert result.makespan_units == 0.0
-
-    def test_scaling_curve_keys(self):
-        sim = ClusterSimulator(ClusterSpec(num_machines=1))
-        curve = sim.scaling_curve([task(1, 2, 5.0)], [1, 2, 4])
-        assert sorted(curve) == [1, 2, 4]
-
-    def test_seconds_calibration(self):
-        r = SimResult(spec=ClusterSpec(), makespan_units=100.0, total_deltas=50)
-        assert r.seconds(units_per_second=10.0) == 10.0
-        assert r.output_rate(units_per_second=10.0) == 5.0
-        with pytest.raises(ValueError):
-            r.seconds(0)
-
-
 class TestSchedulers:
-    def test_dynamic_balances_uneven_work(self):
-        tasks = [task(i, i + 1, w) for i, w in zip(range(0, 20, 2), [100, 1, 1, 1, 1, 1, 1, 1, 1, 1])]
-        spec = ClusterSpec(num_machines=2, workers_per_machine=1, dequeue_cost=0.0)
-        dyn = ClusterSimulator(spec, DynamicScheduler()).simulate(tasks)
-        # one worker takes the 100, the other the nine 1s
-        assert dyn.makespan_units == pytest.approx(100.0)
+    """``select(update, index, available)`` over workers' next-free clocks."""
 
-    def test_static_partition_can_straggle(self):
-        heavy = [task(2, 4, 50.0) for _ in range(4)]  # same edge -> same worker
-        light = [task(1, 3, 1.0) for _ in range(4)]
-        tasks = heavy + light
-        spec = ClusterSpec(num_machines=2, workers_per_machine=1, dequeue_cost=0.0)
-        static = ClusterSimulator(spec, StaticPartitionScheduler()).simulate(tasks)
-        dyn = ClusterSimulator(spec, DynamicScheduler()).simulate(tasks)
-        assert dyn.makespan_units <= static.makespan_units
+    def test_dynamic_picks_the_earliest_available_worker(self):
+        update = EdgeUpdate(1, 2, added=True)
+        assert DynamicScheduler().select(update, 0, [5.0, 2.0, 3.0]) == 1
+        assert DynamicScheduler().select(update, 7, [5.0, 2.0, 0.5]) == 2
 
-    def test_utilization_bounds(self):
-        spec = ClusterSpec(num_machines=2, workers_per_machine=1, dequeue_cost=0.0)
-        result = ClusterSimulator(spec).simulate(
-            [task(i, i + 1, 10.0) for i in range(0, 8, 2)]
-        )
-        assert 0.0 < result.utilization <= 1.0
+    def test_dynamic_breaks_ties_to_the_lowest_worker_id(self):
+        update = EdgeUpdate(1, 2, added=True)
+        assert DynamicScheduler().select(update, 0, [0.0] * 4) == 0
+        assert DynamicScheduler().select(update, 3, [4.0, 1.0, 1.0, 1.0]) == 1
+
+    def test_static_partition_homes_each_edge_regardless_of_load(self):
+        scheduler = StaticPartitionScheduler()
+        update = EdgeUpdate(2, 4, added=True)
+        home = scheduler.select(update, 0, [0.0] * 8)
+        busy = [0.0] * 8
+        busy[home] = 1e9
+        assert scheduler.select(update, 99, busy) == home
+        homes = {
+            scheduler.select(EdgeUpdate(u, u + 1, added=True), 0, [0.0] * 8)
+            for u in range(64)
+        }
+        assert len(homes) > 1  # edges spread over the workers
 
 
 class TestFaultInjection:
