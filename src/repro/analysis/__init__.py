@@ -1,26 +1,24 @@
 """repro-lint: project-specific static analysis for the Tesseract repro.
 
-Run it as ``python -m repro.analysis src/repro`` (or ``repro lint``).  The
-framework lives in :mod:`repro.analysis.core` (driver, registry,
-suppressions), the per-module invariants in :mod:`repro.analysis.rules`
-(RL001–RL007), the whole-program engine in :mod:`repro.analysis.project`
-/ :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.dataflow` with
+Run it as ``python -m repro.analysis src/repro`` (or ``repro lint``): one
+run parses the whole tree once and applies every rule.  The framework
+lives in :mod:`repro.analysis.core` (driver, registry, suppressions), the
+per-module invariants in :mod:`repro.analysis.rules` (RL001–RL007), the
+whole-program engine in :mod:`repro.analysis.project` /
+:mod:`repro.analysis.callgraph` / :mod:`repro.analysis.dataflow` with
 its cross-module rules in :mod:`repro.analysis.project_rules`
-(RL008–RL011), configuration in :mod:`repro.analysis.config`
-(``[tool.repro-lint]`` in ``pyproject.toml``), and output formats in
-:mod:`repro.analysis.reporters`.  See ``docs/internals.md`` ("Static
-analysis") for what each rule protects and the suppression syntax.
+(RL008–RL011), and output formats in :mod:`repro.analysis.reporters`.
+See ``docs/internals.md`` ("Static analysis") for what each rule
+protects and the suppression syntax.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.config import LintConfig, load_config
 from repro.analysis.core import (
     PROJECT_RULES,
     RULES,
@@ -28,17 +26,14 @@ from repro.analysis.core import (
     ProjectRule,
     Rule,
     Violation,
-    lint_paths,
     lint_project,
     lint_source,
     project_rule,
     rule,
 )
-from repro.analysis.project import DEFAULT_CACHE_DIR
-from repro.analysis.reporters import render, to_json, to_text
+from repro.analysis.reporters import list_rules, to_json, to_text
 
 __all__ = [
-    "LintConfig",
     "ModuleContext",
     "ProjectRule",
     "PROJECT_RULES",
@@ -46,11 +41,8 @@ __all__ = [
     "RULES",
     "Violation",
     "build_parser",
-    "changed_files",
-    "lint_paths",
     "lint_project",
     "lint_source",
-    "load_config",
     "main",
     "project_rule",
     "rule",
@@ -73,58 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src/repro)",
     )
     parser.add_argument(
-        "--project",
-        action="store_true",
-        help=(
-            "whole-program mode: load every module under the first path, "
-            "run the project-scope rules (RL008-RL011) alongside the "
-            "per-module ones, and use the parsed-AST cache"
-        ),
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help=(
-            "lint only files changed per git (implies --project: project-"
-            "scope rules still analyze the full tree, module-rule findings "
-            "are limited to the changed files); falls back to a full run "
-            "when git is unavailable"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=(
-            "parsed-AST cache directory for --project runs "
-            f"(default: {DEFAULT_CACHE_DIR})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the parsed-AST cache (parse everything fresh)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="report format printed to stdout (default: text)",
-    )
-    parser.add_argument(
         "--json-output",
         metavar="FILE",
         help="additionally write the JSON report to FILE (CI artifact)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="RULES",
-        help="comma-separated rule ids to run (overrides pyproject)",
-    )
-    parser.add_argument(
-        "--config",
-        metavar="PYPROJECT",
-        help="explicit pyproject.toml to read [tool.repro-lint] from",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print registered rules and exit"
@@ -132,82 +75,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def changed_files(root: Path) -> Optional[List[str]]:
-    """Python files changed per git (worktree vs HEAD, plus untracked).
-
-    Returns ``None`` when git is unavailable or errors — callers fall
-    back to a full run rather than guessing at a diff.
-    """
-    commands = [
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ]
-    out: List[str] = []
-    for command in commands:
-        try:
-            result = subprocess.run(
-                command,
-                cwd=root,
-                capture_output=True,
-                text=True,
-                check=True,
-                timeout=30,
-            )
-        except (OSError, subprocess.SubprocessError):
-            return None
-        out.extend(
-            line.strip()
-            for line in result.stdout.splitlines()
-            if line.strip().endswith(".py")
-        )
-    return sorted(set(out))
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point shared by ``python -m repro.analysis`` and ``repro lint``."""
     args = build_parser().parse_args(argv)
     if args.list_rules:
-        from repro.analysis.reporters import list_rules
-
         sys.stdout.write(list_rules())
         return 0
     try:
-        config = load_config(
-            pyproject=Path(args.config) if args.config else None,
-            start=Path(args.paths[0]).resolve() if args.paths else Path.cwd(),
-        )
-        if args.select:
-            config = LintConfig(
-                select=tuple(
-                    part.strip() for part in args.select.split(",") if part.strip()
-                ),
-                ignore=(),
-                exclude=config.exclude,
-                hot_path_modules=config.hot_path_modules,
-                thread_safe_classes=config.thread_safe_classes,
-            )
-        if args.project or args.changed:
-            root = args.paths[0]
-            cache_dir = None if args.no_cache else Path(args.cache_dir)
-            only_paths: Optional[List[str]] = None
-            if args.changed:
-                changed = changed_files(Path.cwd())
-                if changed is not None:
-                    root_posix = Path(root).as_posix()
-                    only_paths = [
-                        p
-                        for p in changed
-                        if Path(p).as_posix().startswith(root_posix)
-                    ]
-            violations, files_checked = lint_project(
-                root, config, cache_dir=cache_dir, only_paths=only_paths
-            )
-        else:
-            violations, files_checked = lint_paths(args.paths, config)
+        violations, files_checked = lint_project(*args.paths)
     except (ValueError, OSError) as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(render(args.format, violations, files_checked))
+    sys.stdout.write(to_text(violations, files_checked))
     if args.json_output:
         Path(args.json_output).write_text(to_json(violations, files_checked))
     return 1 if violations else 0

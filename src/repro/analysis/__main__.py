@@ -1,6 +1,7 @@
 """``python -m repro.analysis`` — run repro-lint from the command line.
 
-Exit codes: 0 clean, 1 violations found, 2 usage/configuration error.
+Exit codes: 0 clean, 1 violations found, 2 usage error (including a
+path that holds no Python file).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ linters are built, scaled down:
   :meth:`Rule.check_module`;
 * violations are suppressed by trailing ``# repro: ignore[RL001]``
   comments (same line) or file-wide ``# repro: ignore-file[RL001]``
-  comments, and filtered by the rule selection in :class:`LintConfig`;
+  comments; every registered rule always runs;
 * reporters (:mod:`repro.analysis.reporters`) render the final, sorted
   violation list as human text or stable JSON for CI artifacts.
 
@@ -28,9 +28,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
-
-from repro.analysis.config import LintConfig
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type
 
 #: rule id reported for files that fail to parse at all
 SYNTAX_RULE_ID = "RL000"
@@ -70,13 +68,11 @@ class ModuleContext:
         path: str,
         source: str,
         tree: ast.Module,
-        config: LintConfig,
         module: Optional[str] = None,
     ) -> None:
         self.path = path
         self.source = source
         self.tree = tree
-        self.config = config
         self.module = module if module is not None else module_name_of(path)
         #: every node of the tree, in document order (the shared walk)
         self.nodes: List[ast.AST] = list(ast.walk(tree))
@@ -229,147 +225,73 @@ def _load_rule_modules() -> None:
     import repro.analysis.rules  # noqa: F401  (registration side effect)
 
 
-def active_rules(config: LintConfig) -> List[Rule]:
-    """Instantiate the selected per-module rules, failing on unknown ids.
-
-    Project-scope ids (RL008+) in the selection are legitimate — they are
-    simply not *module* rules, so they are skipped here and picked up by
-    :func:`active_project_rules`; only ids unknown to both registries are
-    an error.
-    """
+def active_rules() -> List[Rule]:
+    """One instance of every registered per-module rule."""
     _load_rule_modules()
-    selected = config.enabled_rules()
-    unknown = [
-        rule_id
-        for rule_id in selected
-        if rule_id not in RULES and rule_id not in PROJECT_RULES
-    ]
-    if unknown:
-        known = ", ".join(sorted({**RULES, **PROJECT_RULES}))
-        raise ValueError(f"unknown rule ids {unknown}; known rules: {known}")
-    return [RULES[rule_id]() for rule_id in selected if rule_id in RULES]
+    return [cls() for cls in RULES.values()]
 
 
-def active_project_rules(config: LintConfig) -> List[ProjectRule]:
-    """Instantiate the selected project-scope rules (unknown ids error)."""
+def active_project_rules() -> List[ProjectRule]:
+    """One instance of every registered project-scope rule."""
     _load_rule_modules()
-    selected = config.enabled_rules()
-    unknown = [
-        rule_id
-        for rule_id in selected
-        if rule_id not in RULES and rule_id not in PROJECT_RULES
-    ]
-    if unknown:
-        known = ", ".join(sorted({**RULES, **PROJECT_RULES}))
-        raise ValueError(f"unknown rule ids {unknown}; known rules: {known}")
-    return [
-        PROJECT_RULES[rule_id]()
-        for rule_id in selected
-        if rule_id in PROJECT_RULES
-    ]
+    return [cls() for cls in PROJECT_RULES.values()]
+
+
+def syntax_violation(path: str, exc: SyntaxError) -> Violation:
+    """The RL000 finding for a file that does not parse."""
+    return Violation(
+        path=path,
+        line=exc.lineno or 0,
+        col=(exc.offset or 1) - 1,
+        rule_id=SYNTAX_RULE_ID,
+        message=f"file does not parse: {exc.msg}",
+    )
 
 
 def lint_source(
-    source: str,
-    path: str,
-    config: Optional[LintConfig] = None,
-    module: Optional[str] = None,
+    source: str, path: str, module: Optional[str] = None
 ) -> List[Violation]:
-    """Lint one source string; returns the sorted, unsuppressed violations."""
-    config = config if config is not None else LintConfig()
+    """Run the module rules over one source string (the rule-fixture entry).
+
+    Returns the sorted, unsuppressed violations; the project rules need
+    a whole tree and only run under :func:`lint_project`.
+    """
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        return [
-            Violation(
-                path=path,
-                line=exc.lineno or 0,
-                col=(exc.offset or 1) - 1,
-                rule_id=SYNTAX_RULE_ID,
-                message=f"file does not parse: {exc.msg}",
-            )
-        ]
-    ctx = ModuleContext(path, source, tree, config, module=module)
+        return [syntax_violation(path, exc)]
+    ctx = ModuleContext(path, source, tree, module=module)
     out: Set[Violation] = set()  # set: nested defs may be walked twice
-    for checker in active_rules(config):
+    for checker in active_rules():
         for violation in checker.check_module(ctx):
             if not ctx.suppressed(violation):
                 out.add(violation)
     return sorted(out)
 
 
-def iter_python_files(paths: Sequence[str], config: LintConfig) -> List[Path]:
-    """Expand files/directories into a sorted, de-duplicated file list."""
-    files: Set[Path] = set()
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.update(p for p in path.rglob("*.py"))
-        elif path.suffix == ".py":
-            files.add(path)
-    kept = [
-        p for p in files if not any(p.match(pattern) for pattern in config.exclude)
-    ]
-    return sorted(kept)
+def lint_project(*paths: str) -> Tuple[List[Violation], int]:
+    """Lint every Python file under ``paths``: module and project rules.
 
-
-def lint_paths(
-    paths: Sequence[str], config: Optional[LintConfig] = None
-) -> Tuple[List[Violation], int]:
-    """Lint files and directories; returns (violations, files checked)."""
-    config = config if config is not None else LintConfig()
-    violations: List[Violation] = []
-    files = iter_python_files(paths, config)
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        violations.extend(lint_source(source, path.as_posix(), config))
-    return sorted(violations), len(files)
-
-
-def lint_project(
-    root: str,
-    config: Optional[LintConfig] = None,
-    cache_dir: Optional[Path] = None,
-    only_paths: Optional[Sequence[str]] = None,
-) -> Tuple[List[Violation], int]:
-    """Whole-program lint: module rules plus the project-scope rules.
-
-    ``only_paths`` (the ``--changed`` mode) limits *module-rule* findings
-    and the files-checked count to those paths; project rules always
-    analyze — and report on — the full tree, because a call-graph edge or
-    lock cycle cannot be judged from a diff: an edit to one file can
-    create a violation whose best anchor line lives in another.
+    Returns (violations, files checked).  A path that holds no Python
+    file raises ``ValueError``, so a mistyped path cannot pass as a
+    clean run.
     """
     # local import: project.py imports this module at load time
     from repro.analysis.project import load_project
 
-    config = config if config is not None else LintConfig()
-    project = load_project(Path(root), config, cache_dir)
-    allowed: Optional[Set[str]] = None
-    if only_paths is not None:
-        allowed = {Path(p).as_posix() for p in only_paths}
-    out: Set[Violation] = set()
-    for violation in project.syntax_errors:
-        if allowed is None or violation.path in allowed:
-            out.add(violation)
-    module_checkers = active_rules(config)
+    project = load_project(*paths)
+    out: Set[Violation] = set(project.syntax_errors)
+    module_checkers = active_rules()
     for ctx in project:
-        if allowed is not None and ctx.path not in allowed:
-            continue
         for checker in module_checkers:
             for violation in checker.check_module(ctx):
                 if not ctx.suppressed(violation):
                     out.add(violation)
-    for project_checker in active_project_rules(config):
+    for project_checker in active_project_rules():
         for violation in project_checker.check_project(project):
             if not project.suppressed(violation):
                 out.add(violation)
-    checked = (
-        len(allowed)
-        if allowed is not None
-        else len(project) + len(project.syntax_errors)
-    )
-    return sorted(out), checked
+    return sorted(out), len(project) + len(project.syntax_errors)
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:

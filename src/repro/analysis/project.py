@@ -1,21 +1,15 @@
-"""Whole-program loading: every module parsed once, cached by file hash.
+"""Whole-program loading: every module of the linted tree, parsed once.
 
 Per-module rules (RL001–RL007) see one file at a time; the cross-module
 rules (RL008–RL011) need *all* of them — a call graph cannot resolve an
-edge into a module it never parsed.  :func:`load_project` walks a root
-directory (normally ``src/repro``), parses every ``.py`` file into the
+edge into a module it never parsed.  :func:`load_project` walks the
+given paths (normally ``src/repro``), parses every ``.py`` file into the
 same :class:`~repro.analysis.core.ModuleContext` the per-module rules
 use, and wraps them in a :class:`ProjectContext`:
 
 * **Deterministic iteration.**  Modules are keyed by dotted name and
   stored sorted, so every project-scope analysis visits them in the same
   order on every run — a precondition for byte-identical JSON reports.
-* **File-hash-keyed AST cache.**  Parsing is the dominant cost of a
-  whole-tree run, and most files do not change between runs.  The cache
-  maps ``sha256(source)`` to the pickled ``ast.Module``; hits skip
-  :func:`ast.parse` entirely.  The cache file is per-Python-version (AST
-  node shapes differ across versions) and every failure mode — missing
-  file, truncated pickle, version skew — silently degrades to a parse.
 * **Shared analyses.**  Expensive project-scope structures (the call
   graph, the taint fixpoint) are built once per run and memoized on the
   context via :meth:`ProjectContext.shared`, so RL008 and RL009 do not
@@ -27,37 +21,27 @@ analysis — the project is a set of syntax trees, never a set of modules.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
-import sys
+import ast
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
-from repro.analysis.config import LintConfig
 from repro.analysis.core import (
-    SYNTAX_RULE_ID,
     ModuleContext,
     Violation,
-    iter_python_files,
     module_name_of,
+    syntax_violation,
 )
-
-#: bumped whenever ModuleContext/AST expectations change incompatibly
-CACHE_VERSION = 1
-
-#: default location of the parsed-AST cache (relative to the CWD; CI
-#: restores it across runs keyed on the source hashes)
-DEFAULT_CACHE_DIR = ".repro-lint-cache"
 
 
 def module_name_for(path: Path, root: Path) -> str:
     """Dotted module name of ``path``, rooted at ``root``'s parent.
 
     ``src/repro/store/api.py`` under root ``src/repro`` becomes
-    ``repro.store.api``; paths outside the root fall back to the
-    per-module heuristic (:func:`~repro.analysis.core.module_name_of`).
+    ``repro.store.api``; a file root, or a path outside the root, falls
+    back to the name heuristic (:func:`~repro.analysis.core.module_name_of`).
     """
+    if root.is_file():
+        return module_name_of(path.as_posix())
     try:
         rel = path.resolve().relative_to(root.resolve().parent)
     except ValueError:
@@ -73,15 +57,9 @@ class ProjectContext:
 
     def __init__(
         self,
-        root: Path,
-        config: LintConfig,
         modules: Dict[str, ModuleContext],
         syntax_errors: List[Violation],
-        cache_hits: int = 0,
-        cache_misses: int = 0,
     ) -> None:
-        self.root = root
-        self.config = config
         #: dotted module name -> context, sorted by name (stable walks)
         self.modules: Dict[str, ModuleContext] = dict(
             sorted(modules.items(), key=lambda kv: kv[0])
@@ -89,8 +67,6 @@ class ProjectContext:
         #: RL000 findings for files that did not parse (their modules are
         #: absent from :attr:`modules`; project rules never see them)
         self.syntax_errors = list(syntax_errors)
-        self.cache_hits = cache_hits
-        self.cache_misses = cache_misses
         self._by_path: Dict[str, ModuleContext] = {
             ctx.path: ctx for ctx in self.modules.values()
         }
@@ -120,103 +96,37 @@ class ProjectContext:
         return ctx is not None and ctx.suppressed(violation)
 
 
-# -- the parsed-AST cache ----------------------------------------------------
+def python_files(root: Path) -> List[Path]:
+    """The ``.py`` files under a directory, or the file itself, sorted."""
+    if root.is_dir():
+        return sorted(root.rglob("*.py"))
+    return [root] if root.suffix == ".py" and root.is_file() else []
 
 
-def _cache_path(cache_dir: Path) -> Path:
-    tag = f"{sys.version_info[0]}.{sys.version_info[1]}"
-    return cache_dir / f"ast-py{tag}-v{CACHE_VERSION}.pkl"
+def load_project(*paths) -> ProjectContext:
+    """Parse every Python file under ``paths`` into a :class:`ProjectContext`.
 
-
-def _load_cache(cache_dir: Optional[Path]) -> Dict[str, object]:
-    if cache_dir is None:
-        return {}
-    try:
-        with open(_cache_path(cache_dir), "rb") as fh:
-            payload = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError, ValueError):
-        return {}
-    if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
-        return {}
-    trees = payload.get("trees")
-    return trees if isinstance(trees, dict) else {}
-
-
-def _store_cache(cache_dir: Optional[Path], trees: Dict[str, object]) -> None:
-    if cache_dir is None:
-        return
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        target = _cache_path(cache_dir)
-        tmp = target.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump({"version": CACHE_VERSION, "trees": trees}, fh)
-        os.replace(tmp, target)
-    except (OSError, pickle.PicklingError):
-        pass  # the cache is an accelerator, never a correctness dependency
-
-
-def source_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-
-def load_project(
-    root: Path,
-    config: Optional[LintConfig] = None,
-    cache_dir: Optional[Path] = None,
-) -> ProjectContext:
-    """Parse every Python file under ``root`` into a :class:`ProjectContext`.
-
-    ``cache_dir`` enables the file-hash-keyed AST cache; ``None`` parses
-    everything fresh.  Files matching the config's ``exclude`` patterns
-    are skipped, unparsable files become RL000 syntax-error violations.
+    Each path is a directory or a ``.py`` file; one that holds no Python
+    file raises ``ValueError``.  Unparsable files become RL000
+    syntax-error violations.
     """
-    config = config if config is not None else LintConfig()
-    root = Path(root)
-    files = iter_python_files([root.as_posix()], config)
-    cached = _load_cache(cache_dir)
-    kept: Dict[str, object] = {}
     modules: Dict[str, ModuleContext] = {}
     errors: List[Violation] = []
-    hits = misses = 0
-    import ast
-
-    for path in files:
-        source = path.read_text(encoding="utf-8")
-        digest = source_hash(source)
-        # Identical files (empty __init__.py's) share a digest; every
-        # module still needs its own tree, or node-keyed analyses would
-        # see one module's AST nodes inside another.
-        tree = cached.get(digest) if digest not in kept else None
-        if tree is None:
+    seen: Set[Path] = set()
+    for root in map(Path, paths):
+        files = python_files(root)
+        if not files:
+            raise ValueError(f"no Python files under {root}")
+        for path in files:
+            if path in seen:
+                continue
+            seen.add(path)
+            source = path.read_text(encoding="utf-8")
             try:
                 tree = ast.parse(source, filename=path.as_posix())
             except SyntaxError as exc:
-                errors.append(
-                    Violation(
-                        path=path.as_posix(),
-                        line=exc.lineno or 0,
-                        col=(exc.offset or 1) - 1,
-                        rule_id=SYNTAX_RULE_ID,
-                        message=f"file does not parse: {exc.msg}",
-                    )
-                )
+                errors.append(syntax_violation(path.as_posix(), exc))
                 continue
-            misses += 1
-        else:
-            hits += 1
-        kept[digest] = tree
-        name = module_name_for(path, root)
-        modules[name] = ModuleContext(
-            path.as_posix(), source, tree, config, module=name
-        )
-    if cache_dir is not None and kept != cached:
-        _store_cache(cache_dir, kept)
-    return ProjectContext(
-        root, config, modules, errors, cache_hits=hits, cache_misses=misses
-    )
-
-
-def project_files(project: ProjectContext) -> List[Tuple[str, str]]:
-    """``(module, path)`` pairs in deterministic module order."""
-    return [(name, ctx.path) for name, ctx in project.modules.items()]
+            name = module_name_for(path, root)
+            modules[name] = ModuleContext(path.as_posix(), source, tree, module=name)
+    return ProjectContext(modules, errors)

@@ -68,16 +68,6 @@ def to_json(violations: Sequence[Violation], files_checked: int) -> str:
     )
 
 
-def render(
-    fmt: str, violations: Sequence[Violation], files_checked: int
-) -> str:
-    if fmt == "text":
-        return to_text(violations, files_checked)
-    if fmt == "json":
-        return to_json(violations, files_checked)
-    raise ValueError(f"unknown report format {fmt!r}; expected text or json")
-
-
 def list_rules() -> str:
     """Registered rules as ``RLxxx: summary`` lines (for ``--list-rules``)."""
     out: List[str] = [

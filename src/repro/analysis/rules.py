@@ -9,13 +9,13 @@ correctness argument the invariant carries — see ``docs/internals.md``,
 RL001       Determinism: no wall-clock or process-global RNG feeding
             counters or result streams (paper §4.5; PR 2's cross-backend
             identical-counter-totals contract).
-RL002       Process-backend purity: pool task callables must be module-level
-            and must not mutate module globals (paper §5 worker model).
+RL002       Process-backend purity: a ``Process(target=...)`` target must be
+            a module-level function that does not mutate module globals
+            (paper §5 worker model).
 RL003       Thread-safety: classes that own a lock must hold it for every
             post-``__init__`` attribute write (paper §5.3 queue contract).
-RL004       Telemetry null-object discipline: hot-path modules branch on
-            ``.enabled`` or call through NULL objects, never on
-            ``x is None``; spans are only built by ``Tracer`` (PR 2).
+RL004       Span discipline: ``Span``/``NullSpan``/``SpanRecord`` are only
+            constructed in ``repro.telemetry.trace``, by ``Tracer``.
 RL005       Algorithm purity: ``filter``/``match``/``process`` of a
             :class:`MiningAlgorithm` must not do I/O or mutate their
             arguments or ``self`` (paper §4.3 DETECT_CHANGES evaluates
@@ -278,42 +278,15 @@ class DeterminismRule(Rule):
 
 # -- RL002: process-backend purity -------------------------------------------
 
-POOL_METHODS = {
-    "map",
-    "map_async",
-    "imap",
-    "imap_unordered",
-    "starmap",
-    "starmap_async",
-    "apply",
-    "apply_async",
-    "submit",
-}
-
-POOL_RECEIVER_HINTS = ("pool", "executor")
-
-
-def _is_pool_receiver(func: ast.AST) -> bool:
-    if not isinstance(func, ast.Attribute):
-        return False
-    receiver = base_name(func.value)
-    if receiver is None:
-        return False
-    receiver = receiver.lower().lstrip("_")
-    return any(
-        receiver == hint or receiver.endswith("_" + hint) or hint in receiver
-        for hint in POOL_RECEIVER_HINTS
-    )
-
 
 @rule
 class ProcessPurityRule(Rule):
-    """RL002: pool task callables are module-level and globals-clean."""
+    """RL002: ``Process(target=...)`` names a globals-clean module-level function."""
 
     rule_id = "RL002"
     summary = (
-        "process-pool callables must be picklable module-level functions "
-        "that do not mutate module globals"
+        "Process(target=...) must name a picklable module-level function "
+        "that does not mutate module globals"
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Violation]:
@@ -326,71 +299,49 @@ class ProcessPurityRule(Rule):
                 else:
                     nested_functions.add(node.name)
         for node in ctx.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            task_args: List[ast.AST] = []
-            init_args: List[ast.AST] = []
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in POOL_METHODS
-                and _is_pool_receiver(node.func)
-            ):
-                if node.args:
-                    task_args.append(node.args[0])
-                task_args.extend(
-                    kw.value for kw in node.keywords if kw.arg == "func"
-                )
-            init_args.extend(
-                kw.value for kw in node.keywords if kw.arg == "initializer"
-            )
-            for arg in task_args:
-                yield from self._check_callable(
-                    ctx, arg, module_functions, nested_functions, task=True
-                )
-            for arg in init_args:
-                # The initializer is the sanctioned place to seed per-process
-                # globals, so it skips the globals-mutation check.
-                yield from self._check_callable(
-                    ctx, arg, module_functions, nested_functions, task=False
-                )
+            if isinstance(node, ast.Call) and base_name(node.func) == "Process":
+                for keyword in node.keywords:
+                    if keyword.arg == "target":
+                        yield from self._check_target(
+                            ctx, keyword.value, module_functions, nested_functions
+                        )
 
-    def _check_callable(
+    def _check_target(
         self,
         ctx: ModuleContext,
-        arg: ast.AST,
+        target: ast.AST,
         module_functions: Dict[str, ast.AST],
         nested_functions: Set[str],
-        task: bool,
     ) -> Iterator[Violation]:
-        if isinstance(arg, ast.Lambda):
+        if isinstance(target, ast.Lambda):
             yield ctx.violation(
-                arg,
+                target,
                 self.rule_id,
-                "lambda submitted to a process pool cannot be pickled; use a "
-                "module-level function",
+                "lambda as a process target cannot be pickled under the "
+                "spawn start method; use a module-level function",
             )
             return
-        if not isinstance(arg, ast.Name):
+        if not isinstance(target, ast.Name):
             return  # attribute references resolve across modules; out of scope
-        if arg.id in nested_functions and arg.id not in module_functions:
+        if target.id in nested_functions and target.id not in module_functions:
             yield ctx.violation(
-                arg,
+                target,
                 self.rule_id,
-                f"'{arg.id}' is a nested function/closure; process-pool "
-                "callables must be module-level to pickle",
+                f"'{target.id}' is a nested function/closure; process "
+                "targets must be module-level to pickle",
             )
             return
-        definition = module_functions.get(arg.id)
-        if definition is None or not task:
+        definition = module_functions.get(target.id)
+        if definition is None:
             return
         for inner in ast.walk(definition):
             if isinstance(inner, ast.Global):
                 yield ctx.violation(
                     inner,
                     self.rule_id,
-                    f"task callable '{arg.id}' mutates module globals "
-                    f"({', '.join(inner.names)}); ship state via the pool "
-                    "initializer or task arguments and return values",
+                    f"process target '{target.id}' mutates module globals "
+                    f"({', '.join(inner.names)}); a worker's globals die "
+                    "with it — ship state in its arguments and its reply",
                 )
 
 
@@ -437,8 +388,6 @@ class LockDisciplineRule(Rule):
     def _check_class(
         self, ctx: ModuleContext, cls: ast.ClassDef
     ) -> Iterator[Violation]:
-        if cls.name in ctx.config.thread_safe_classes:
-            return
         owns_lock = any(
             isinstance(node, ast.Assign)
             and _is_lock_factory(node.value)
@@ -476,8 +425,8 @@ class LockDisciplineRule(Rule):
                 node,
                 self.rule_id,
                 f"write to {attrs} in lock-owning class {cls.name} is not "
-                "under a held lock; guard it with 'with <lock>:' or allowlist "
-                "the class via [tool.repro-lint] thread-safe-classes",
+                "under a held lock; guard it with 'with <lock>:' or justify "
+                "it with '# repro: ignore[RL003]'",
             )
 
     @staticmethod
@@ -492,83 +441,28 @@ class LockDisciplineRule(Rule):
         return False
 
 
-# -- RL004: telemetry null-object discipline ---------------------------------
-
-TELEMETRY_NAME_TOKENS = {
-    "tracer",
-    "telemetry",
-    "registry",
-    "span",
-    "histogram",
-    "gauge",
-    "counter",
-    "profile",
-}
+# -- RL004: span discipline -------------------------------------------------
 
 SPAN_CONSTRUCTORS = {"Span", "NullSpan", "SpanRecord"}
 
-#: telemetry modules RL004 skips: these *define* the null objects and the
-#: coalescing helpers, so "is None" checks there are the implementation of
-#: the contract rather than violations of it.  Accumulator-style telemetry
-#: modules (profile, flame, report) are deliberately NOT listed — they are
-#: consumers of the contract and get dogfood-linted like the rest of the
-#: tree.
-RL004_EXEMPT_MODULES = (
-    "repro.telemetry",  # the façade package (__init__): defines ensure()
-    "repro.telemetry.trace",
-    "repro.telemetry.registry",
-    "repro.telemetry.bridge",
-)
-
-
-def _telemetry_subject(node: ast.AST) -> Optional[str]:
-    """The compared expression's basename, if it names a telemetry object."""
-    name = base_name(node)
-    if name is None:
-        return None
-    tokens = set(name.lower().lstrip("_").split("_"))
-    if tokens & TELEMETRY_NAME_TOKENS:
-        return name
-    return None
-
-
-def _is_coalescing_ifexp(ctx: ModuleContext, compare: ast.Compare) -> bool:
-    """True for ``x if x is not None else NULL_X / ensure(x) / Ctor()``."""
-    parent = ctx.parent(compare)
-    if not isinstance(parent, ast.IfExp) or parent.test is not compare:
-        return False
-    for alternative in (parent.body, parent.orelse):
-        for child in ast.walk(alternative):
-            if isinstance(child, ast.Name) and (
-                child.id.startswith("NULL_") or child.id == "ensure"
-            ):
-                return True
-            if isinstance(child, ast.Call):
-                name = base_name(child.func)
-                if name is not None and (name == "ensure" or name[:1].isupper()):
-                    return True
-    return False
+#: the one module that builds spans (``Tracer.span()``/``Tracer.record()``)
+SPAN_MODULE = "repro.telemetry.trace"
 
 
 @rule
-class TelemetryNullObjectRule(Rule):
-    """RL004: hot paths use NULL_TRACER/NULL_REGISTRY, never None branches."""
+class SpanConstructionRule(Rule):
+    """RL004: spans are only built by the tracer."""
 
     rule_id = "RL004"
     summary = (
-        "hot-path modules must not branch on '<telemetry> is None' or "
-        "construct spans outside Tracer"
+        "Span/NullSpan/SpanRecord are only constructed in "
+        "repro.telemetry.trace (by Tracer)"
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Violation]:
-        if ctx.module in RL004_EXEMPT_MODULES or ctx.module.startswith(
-            "repro.analysis"
-        ):
+        if ctx.module == SPAN_MODULE:
             return
-        hot = ctx.config.is_hot_path(ctx.module)
         for node in ctx.nodes:
-            if hot and isinstance(node, ast.Compare):
-                yield from self._check_compare(ctx, node)
             if isinstance(node, ast.Call):
                 name = base_name(node.func)
                 if name in SPAN_CONSTRUCTORS:
@@ -579,33 +473,6 @@ class TelemetryNullObjectRule(Rule):
                         "created by Tracer.span()/Tracer.record() so the "
                         "ring buffer and id sequence stay consistent",
                     )
-
-    def _check_compare(
-        self, ctx: ModuleContext, node: ast.Compare
-    ) -> Iterator[Violation]:
-        if len(node.ops) != 1 or not isinstance(node.ops[0], (ast.Is, ast.IsNot)):
-            return
-        left, right = node.left, node.comparators[0]
-        operands = [(left, right), (right, left)]
-        for subject, other in operands:
-            if not (isinstance(other, ast.Constant) and other.value is None):
-                continue
-            name = _telemetry_subject(subject)
-            if name is None:
-                continue
-            function = ctx.enclosing_function(node)
-            if function is not None and function.name == "ensure":  # type: ignore[union-attr]
-                continue
-            if _is_coalescing_ifexp(ctx, node):
-                continue
-            yield ctx.violation(
-                node,
-                self.rule_id,
-                f"hot path branches on '{name} is None'; coalesce with "
-                "repro.telemetry.ensure() and rely on the NULL_TRACER/"
-                "NULL_REGISTRY no-op objects instead",
-            )
-            return
 
 
 # -- RL005: algorithm purity -------------------------------------------------

@@ -412,21 +412,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     argv: List[str] = list(args.paths)
     if args.list_rules:
         argv.append("--list-rules")
-    if args.project:
-        argv.append("--project")
-    if args.changed:
-        argv.append("--changed")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    argv += ["--format", args.format]
     if args.json_output:
         argv += ["--json-output", args.json_output]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.config:
-        argv += ["--config", args.config]
     return lint_main(argv)
 
 
@@ -648,24 +635,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint", help="run the repro-lint invariant checker (rules RL001-RL011)"
     )
-    p.add_argument("paths", nargs="*", default=["src/repro"])
     p.add_argument(
-        "--project",
-        action="store_true",
-        help="whole-program mode: also run project-scope rules RL008-RL011",
+        "paths",
+        nargs="*",
+        default=["src/repro"],
+        help="files or directories to lint, every rule in one run "
+        "(default: src/repro)",
     )
     p.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only git-changed files (project rules still see the tree)",
+        "--json-output", metavar="FILE", help="also write the JSON report to FILE"
     )
-    p.add_argument("--cache-dir", metavar="DIR", default=None)
-    p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--json-output", metavar="FILE")
-    p.add_argument("--select", metavar="RULES")
-    p.add_argument("--config", metavar="PYPROJECT")
-    p.add_argument("--list-rules", action="store_true")
+    p.add_argument(
+        "--list-rules", action="store_true", help="print the rules and exit"
+    )
     p.set_defaults(func=cmd_lint)
 
     return parser

@@ -1,21 +1,22 @@
-"""Framework-level tests for repro-lint: suppressions, config, CLI, dogfood."""
+"""Framework-level tests for repro-lint: suppressions, registry, CLI, dogfood."""
 
 import json
+import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, lint_paths, lint_project, lint_source, main
-from repro.analysis.config import config_from_table, load_config
+from repro.analysis import lint_project, lint_source, main
 from repro.analysis.core import (
     PROJECT_RULES,
     RULES,
     active_project_rules,
     active_rules,
 )
-from repro.analysis.reporters import render, to_text
+from repro.analysis.reporters import to_text
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src" / "repro"
@@ -55,9 +56,9 @@ class TestSuppressions:
         assert lint_source(src, "src/repro/runtime/_f.py") == []
 
 
-class TestConfig:
+class TestRegistry:
     def test_registry_has_exactly_the_shipped_rules(self):
-        active_rules(LintConfig())  # force registration of both registries
+        active_rules()  # force registration of both registries
         assert sorted(RULES) == [
             "RL001",
             "RL002",
@@ -69,67 +70,22 @@ class TestConfig:
         ]
         assert sorted(PROJECT_RULES) == ["RL008", "RL009", "RL010", "RL011"]
 
-    def test_project_ids_are_skipped_by_module_driver(self):
-        config = LintConfig(select=("RL001", "RL009"))
-        assert [r.rule_id for r in active_rules(config)] == ["RL001"]
-        assert [r.rule_id for r in active_project_rules(config)] == ["RL009"]
-
-    def test_unknown_rule_id_is_an_error(self):
-        with pytest.raises(ValueError, match="RL999"):
-            active_rules(LintConfig(select=("RL999",)))
-
-    def test_select_and_ignore(self):
-        config = LintConfig(select=("RL001", "RL003"), ignore=("RL003",))
-        assert [r.rule_id for r in active_rules(config)] == ["RL001"]
-
-    def test_config_from_table(self):
-        config = config_from_table(
-            {
-                "select": ["RL001"],
-                "hot-path-modules": ["repro.core"],
-                "thread-safe-classes": ["Box"],
-            }
+    def test_every_registered_rule_runs(self):
+        # no selection: the driver instantiates each registered rule once
+        assert sorted(r.rule_id for r in active_rules()) == sorted(RULES)
+        assert sorted(r.rule_id for r in active_project_rules()) == sorted(
+            PROJECT_RULES
         )
-        assert config.select == ("RL001",)
-        assert config.is_hot_path("repro.core.engine")
-        assert not config.is_hot_path("repro.runtime.backend")
-        assert config.thread_safe_classes == ("Box",)
-
-    def test_config_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="no-such-key"):
-            config_from_table({"no-such-key": []})
-
-    def test_load_config_reads_repo_pyproject(self):
-        config = load_config(pyproject=REPO / "pyproject.toml")
-        assert config.enabled_rules() == (
-            "RL001",
-            "RL002",
-            "RL003",
-            "RL004",
-            "RL005",
-            "RL006",
-            "RL007",
-            "RL008",
-            "RL009",
-            "RL010",
-            "RL011",
-        )
-
-    def test_pyproject_mirrors_default_select(self):
-        """3.10 has no tomllib and falls back to defaults — keep them equal."""
-        from repro.analysis.config import DEFAULT_SELECT
-
-        config = load_config(pyproject=REPO / "pyproject.toml")
-        assert config.select == DEFAULT_SELECT
 
 
 class TestReporters:
     def test_text_clean_summary(self):
         assert to_text([], 3) == "repro-lint: clean (3 files)\n"
 
-    def test_render_rejects_unknown_format(self):
-        with pytest.raises(ValueError):
-            render("xml", [], 0)
+    def test_text_violation_summary(self):
+        violations = lint_source(FLAGGED, "src/repro/runtime/_f.py")
+        text = to_text(violations, 1)
+        assert text.splitlines()[-1] == "repro-lint: 1 violation in 1 file"
 
 
 class TestCli:
@@ -150,22 +106,46 @@ class TestCli:
         doc = json.loads(artifact.read_text())
         assert doc["counts"] == {"RL001": 1}
 
-    def test_select_flag(self, tmp_path):
-        target = tmp_path / "repro" / "runtime"
-        target.mkdir(parents=True)
-        (target / "bad.py").write_text(FLAGGED)
-        assert main([str(target / "bad.py"), "--select", "RL002"]) == 0
+    def test_unparsable_file_is_reported_and_counted(self, tmp_path, capsys):
+        (tmp_path / "ok.py").write_text("x = 1\n")
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        assert main([str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "broken.py:1:" in out and "RL000" in out
+        assert out.splitlines()[-1] == "repro-lint: 1 violation in 2 files"
 
-    def test_unknown_select_exits_two(self, tmp_path, capsys):
-        target = tmp_path / "f.py"
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        # a mistyped path must not read as a clean run
+        missing = tmp_path / "src" / "repo"
+        assert main([str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"repro-lint: error: no Python files under {missing}\n"
+        assert "clean" not in captured.out
+
+    def test_directory_without_python_files_exits_two(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("x = 1\n")
+        assert main([str(tmp_path / "notes.txt")]) == 2
+        assert main([str(tmp_path)]) == 2
+        assert "no Python files under" in capsys.readouterr().err
+
+    def test_one_empty_path_fails_the_run(self, tmp_path, capsys):
+        target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
-        assert main([str(target), "--select", "RL999"]) == 2
-        assert "RL999" in capsys.readouterr().err
+        assert main([str(target), str(tmp_path / "gone")]) == 2
+        capsys.readouterr()
+
+    def test_lint_run_writes_no_file(self, tmp_path, capsys):
+        # no cache, no state: the tree is exactly as it was
+        (tmp_path / "clean.py").write_text("x = 1\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main([str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in RULES:
+        for rule_id in [*RULES, *PROJECT_RULES]:
             assert rule_id in out
 
     def test_repro_lint_subcommand(self, tmp_path):
@@ -174,6 +154,20 @@ class TestCli:
         target = tmp_path / "clean.py"
         target.write_text("x = 1\n")
         assert repro_main(["lint", str(target)]) == 0
+
+    def test_repro_lint_is_the_same_run(self, tmp_path, capsys):
+        from repro.cli import main as repro_main
+
+        target = tmp_path / "repro" / "runtime"
+        target.mkdir(parents=True)
+        (target / "bad.py").write_text(FLAGGED)
+        runs = []
+        for entry, argv in [(main, []), (repro_main, ["lint"])]:
+            report = tmp_path / f"report-{len(runs)}.json"
+            code = entry([*argv, str(tmp_path / "repro"), "--json-output", str(report)])
+            runs.append((code, capsys.readouterr().out, report.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1
 
     def test_module_entry_point(self, tmp_path):
         target = tmp_path / "clean.py"
@@ -189,15 +183,168 @@ class TestCli:
 
 class TestDogfood:
     def test_src_repro_is_clean(self):
-        """The shipped tree must satisfy its own invariants (acceptance)."""
-        config = load_config(pyproject=REPO / "pyproject.toml")
-        violations, files_checked = lint_paths([str(SRC)], config)
+        """The shipped tree satisfies RL001-RL011 in the one lint run."""
+        violations, files_checked = lint_project(str(SRC))
         assert violations == [], to_text(violations, files_checked)
         assert files_checked > 70
 
-    def test_src_repro_is_clean_in_project_mode(self):
-        """Whole-program mode (RL008-RL011 included) is clean too."""
-        config = load_config(pyproject=REPO / "pyproject.toml")
-        violations, files_checked = lint_project(str(SRC), config)
-        assert violations == [], to_text(violations, files_checked)
-        assert files_checked > 70
+
+def _replace(old, new):
+    def edit(source):
+        assert source.count(old) == 1, f"mutation anchor moved: {old!r}"
+        return source.replace(old, new)
+
+    return edit
+
+
+def _append(text):
+    return lambda source: source + "\n" + textwrap.dedent(text)
+
+
+def _nest_slice_worker(source):
+    """Move ``_slice_worker`` into ``ProcessBackend.run_tasks``."""
+    start = source.index("def _slice_worker(")
+    end = source.index("class ProcessBackend(")
+    worker = textwrap.indent(source[start:end].rstrip("\n"), " " * 8)
+    source = source[:start] + source[end:]
+    return _replace(
+        "        ctx = mp.get_context(", worker + "\n\n        ctx = mp.get_context("
+    )(source)
+
+
+#: one injected violation per rule, at a site the rule inspects in the
+#: shipped tree: rule -> (file the finding lands in, [(file, edit)])
+INJECTED = {
+    "RL001": (
+        "runtime/session.py",
+        [("runtime/session.py", _replace("now = time.perf_counter()", "now = time.time()"))],
+    ),
+    "RL002": ("runtime/backend.py", [("runtime/backend.py", _nest_slice_worker)]),
+    "RL003": (
+        "net/client.py",
+        [
+            (
+                "net/client.py",
+                _replace(
+                    "        with self._lock:\n            self._seq += 1\n",
+                    "        self._seq += 1\n        with self._lock:\n",
+                ),
+            )
+        ],
+    ),
+    "RL004": ("telemetry/bridge.py", [("telemetry/bridge.py", _append("_SPAN = NullSpan()\n"))]),
+    "RL005": (
+        "apps/cliques.py",
+        [("apps/cliques.py", _replace("        n = len(s)\n", "        self.last = n = len(s)\n"))],
+    ),
+    "RL006": (
+        "dataflow/stream.py",
+        [
+            (
+                "dataflow/stream.py",
+                _append(
+                    """\
+                    def _peek(store):
+                        return store._records
+                    """
+                ),
+            )
+        ],
+    ),
+    "RL007": ("store/remote.py", [("store/remote.py", _append("import socket\n"))]),
+    "RL008": (
+        "streaming/ingress.py",
+        [
+            (
+                "cli.py",
+                _append(
+                    """\
+                    def _wall_stamp():
+                        return time.time()
+                    """
+                ),
+            ),
+            (
+                "streaming/ingress.py",
+                _replace("self._c_windows.inc()", "self._c_windows.inc(_wall_stamp())"),
+            ),
+            ("streaming/ingress.py", _append("from repro.cli import _wall_stamp\n")),
+        ],
+    ),
+    "RL009": (
+        "net/ops.py",
+        [
+            (
+                "net/ops.py",
+                _replace(
+                    "                    conn.close()\n                    return\n",
+                    "                    self.close()\n                    return\n",
+                ),
+            )
+        ],
+    ),
+    "RL010": (
+        "net/server.py",
+        [
+            (
+                "net/server.py",
+                _append(
+                    """\
+                    def _swallow(fn):
+                        try:
+                            return fn()
+                        except Exception:
+                            return None
+                    """
+                ),
+            )
+        ],
+    ),
+    "RL011": (
+        "store/mvstore.py",
+        [
+            (
+                "store/mvstore.py",
+                _replace(
+                    "def vertex_label_at(self, v: VertexId, ts: Timestamp)",
+                    "def vertex_label_at(self, vertex: VertexId, ts: Timestamp)",
+                ),
+            )
+        ],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def injected_findings(tmp_path_factory):
+    """Lint a copy of ``src/repro`` carrying every injected violation, once."""
+    root = tmp_path_factory.mktemp("injected") / "repro"
+    shutil.copytree(SRC, root, ignore=shutil.ignore_patterns("__pycache__"))
+    for _, edits in INJECTED.values():
+        for rel, edit in edits:
+            target = root / rel
+            target.write_text(edit(target.read_text()))
+    violations, _ = lint_project(str(root))
+    return {(v.rule_id, Path(v.path).relative_to(root).as_posix()) for v in violations}
+
+
+class TestInjectedViolations:
+    """Every rule fires on the shipped tree once its real site is broken."""
+
+    @pytest.mark.parametrize("rule_id", sorted(INJECTED))
+    def test_one_lint_run_reports_the_injected_violation(
+        self, rule_id, injected_findings
+    ):
+        landed_in, _ = INJECTED[rule_id]
+        assert (rule_id, landed_in) in injected_findings
+
+    def test_rl002_flags_a_global_in_the_real_slice_worker(self):
+        path = (SRC / "runtime" / "backend.py").as_posix()
+        source = (SRC / "runtime" / "backend.py").read_text()
+        mutated = _replace(
+            "    try:\n        reply = _mine_slice(*slice_args)",
+            "    global _LAST\n    _LAST = slice_args\n"
+            "    try:\n        reply = _mine_slice(*slice_args)",
+        )(source)
+        assert lint_source(source, path) == []
+        assert [v.rule_id for v in lint_source(mutated, path)] == ["RL002"]

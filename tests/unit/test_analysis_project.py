@@ -1,16 +1,13 @@
-"""Tests for the whole-program engine: loader, cache, call graph, fixpoint."""
+"""Tests for the whole-program engine: loader, call graph, fixpoint, CLI."""
 
-import pickle
 import textwrap
 
 import pytest
 
 from repro.analysis import main
 from repro.analysis.callgraph import build_callgraph
-from repro.analysis.config import LintConfig
-from repro.analysis.core import lint_project
 from repro.analysis.dataflow import MONO, WALL, build_return_taint, fixpoint
-from repro.analysis.project import CACHE_VERSION, load_project, module_name_for
+from repro.analysis.project import load_project, module_name_for
 
 
 def make_project(tmp_path, files):
@@ -36,6 +33,31 @@ class TestLoader:
         assert module_name_for(root / "store" / "api.py", root) == "repro.store.api"
         assert module_name_for(root / "store" / "__init__.py", root) == "repro.store"
 
+    def test_file_root_names_module_from_the_repro_anchor(self, tmp_path):
+        root = make_project(tmp_path, {"net/wire.py": "x = 1\n"})
+        target = root / "net" / "wire.py"
+        assert module_name_for(target, target) == "repro.net.wire"
+
+    def test_several_paths_load_as_one_project(self, tmp_path):
+        root = make_project(tmp_path, {"a.py": "x = 1\n", "b/c.py": "y = 2\n"})
+        tools = tmp_path / "tools"
+        tools.mkdir()
+        (tools / "d.py").write_text("z = 3\n")
+        # a file inside an already-given directory is loaded once, under
+        # the directory's name for it (alone it would be plain "d")
+        project = load_project(root, tools, tools / "d.py")
+        assert [ctx.module for ctx in project] == [
+            "repro",
+            "repro.a",
+            "repro.b",
+            "repro.b.c",
+            "tools.d",
+        ]
+
+    def test_path_without_python_files_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError, match="no Python files under"):
+            load_project(tmp_path / "missing")
+
     def test_iteration_is_sorted_by_module_name(self, tmp_path):
         root = make_project(
             tmp_path, {"zeta.py": "a = 1\n", "alpha.py": "b = 2\n", "mid.py": "c = 3\n"}
@@ -58,42 +80,6 @@ class TestLoader:
         )
         project = load_project(root)
         assert project.module("repro.a").tree is not project.module("repro.b").tree
-
-
-class TestCache:
-    def test_second_load_hits_for_every_file(self, tmp_path):
-        root = make_project(tmp_path, {"a.py": "x = 1\n", "b.py": "y = 2\n"})
-        cache = tmp_path / "cache"
-        first = load_project(root, cache_dir=cache)
-        assert first.cache_hits == 0 and first.cache_misses == len(first)
-        second = load_project(root, cache_dir=cache)
-        assert second.cache_misses == 0 and second.cache_hits == len(second)
-
-    def test_edited_file_misses_and_reparses(self, tmp_path):
-        root = make_project(tmp_path, {"a.py": "x = 1\n", "b.py": "y = 2\n"})
-        cache = tmp_path / "cache"
-        load_project(root, cache_dir=cache)
-        (root / "a.py").write_text("x = 99\n")
-        again = load_project(root, cache_dir=cache)
-        assert again.cache_misses == 1
-        node = again.module("repro.a").tree.body[0]
-        assert node.value.value == 99
-
-    def test_corrupt_cache_degrades_to_parse(self, tmp_path):
-        root = make_project(tmp_path, {"a.py": "x = 1\n"})
-        cache = tmp_path / "cache"
-        load_project(root, cache_dir=cache)
-        for payload in [b"garbage", pickle.dumps({"version": CACHE_VERSION - 1})]:
-            for cached_file in cache.iterdir():
-                cached_file.write_bytes(payload)
-            project = load_project(root, cache_dir=cache)
-            assert project.module("repro.a") is not None
-            assert project.cache_hits == 0
-
-    def test_no_cache_dir_never_writes(self, tmp_path):
-        root = make_project(tmp_path, {"a.py": "x = 1\n"})
-        load_project(root, cache_dir=None)
-        assert sorted(tmp_path.iterdir()) == [root]
 
 
 CALLGRAPH_FILES = {
@@ -246,50 +232,6 @@ class TestFixpoint:
         assert taint.returns["repro.clocks.mono"] == frozenset({MONO})
 
 
-class TestChangedMode:
-    def test_only_paths_limits_module_findings(self, tmp_path):
-        root = make_project(
-            tmp_path,
-            {
-                "one.py": "import time\n\ndef a():\n    return time.time()\n",
-                "two.py": "import time\n\ndef b():\n    return time.time()\n",
-            },
-        )
-        config = LintConfig(select=("RL001",))
-        everything, _ = lint_project(root.as_posix(), config)
-        assert {v.path for v in everything} == {
-            (root / "one.py").as_posix(),
-            (root / "two.py").as_posix(),
-        }
-        limited, checked = lint_project(
-            root.as_posix(), config, only_paths=[(root / "one.py").as_posix()]
-        )
-        assert {v.path for v in limited} == {(root / "one.py").as_posix()}
-        assert checked == 1
-
-    def test_project_rules_ignore_the_path_filter(self, tmp_path):
-        root = make_project(
-            tmp_path,
-            {
-                "helper.py": "import time\n\ndef stamp():\n    return time.time()\n",
-                "sink.py": (
-                    "from repro.helper import stamp\n\n"
-                    "def bump(counter):\n"
-                    "    value = stamp()\n"
-                    "    counter.inc(value)\n"
-                ),
-            },
-        )
-        config = LintConfig(select=("RL008",))
-        limited, _ = lint_project(
-            root.as_posix(), config, only_paths=[(root / "helper.py").as_posix()]
-        )
-        # the finding lives in sink.py, which is not in only_paths — the
-        # project rule reports it anyway (a diff cannot scope a call graph)
-        assert [v.rule_id for v in limited] == ["RL008"]
-        assert limited[0].path == (root / "sink.py").as_posix()
-
-
 class TestDeterminism:
     def test_two_runs_produce_byte_identical_json(self, tmp_path, capsys):
         root = make_project(
@@ -307,7 +249,7 @@ class TestDeterminism:
         for run in range(2):
             out = tmp_path / f"report-{run}.json"
             code = main(
-                [root.as_posix(), "--project", "--no-cache", "--json-output", str(out)]
+[root.as_posix(), "--json-output", str(out)]
             )
             assert code == 1
             reports.append(out.read_bytes())
@@ -319,7 +261,7 @@ class TestDeterminism:
 
         root = make_project(tmp_path, {"ok.py": "x = 1\n"})
         out = tmp_path / "report.json"
-        assert main([root.as_posix(), "--project", "--no-cache", "--json-output", str(out)]) == 0
+        assert main([root.as_posix(), "--json-output", str(out)]) == 0
         capsys.readouterr()
         doc = json.loads(out.read_text())
         for rule_id in ["RL001", "RL007", "RL008", "RL009", "RL010", "RL011"]:
@@ -327,7 +269,7 @@ class TestDeterminism:
 
 
 class TestProjectCli:
-    def test_project_flag_runs_project_rules(self, tmp_path, capsys):
+    def test_default_mode_runs_project_rules(self, tmp_path, capsys):
         root = make_project(
             tmp_path,
             {
@@ -340,30 +282,22 @@ class TestProjectCli:
                 ),
             },
         )
-        assert main([root.as_posix(), "--project", "--no-cache"]) == 1
+        assert main([root.as_posix()]) == 1
         assert "RL010" in capsys.readouterr().out
 
-    def test_without_project_flag_module_rules_only(self, tmp_path, capsys):
+    def test_default_mode_runs_module_rules_with_tree_module_names(
+        self, tmp_path, capsys
+    ):
+        # a directory root names its modules from the root's parent, so
+        # module-scoped rules judge net/ as repro.net, not by guesswork
         root = make_project(
             tmp_path,
             {
-                "net/handler.py": (
-                    "def eat(fn):\n"
-                    "    try:\n"
-                    "        return fn()\n"
-                    "    except Exception:\n"
-                    "        return None\n"
-                ),
+                "net/transport.py": "import socket\n",
+                "store/leak.py": "import socket\n",
             },
         )
-        assert main([root.as_posix()]) == 0
-        capsys.readouterr()
-
-    def test_cache_dir_flag_populates_cache(self, tmp_path, capsys):
-        root = make_project(tmp_path, {"ok.py": "x = 1\n"})
-        cache = tmp_path / "lint-cache"
-        assert (
-            main([root.as_posix(), "--project", "--cache-dir", str(cache)]) == 0
-        )
-        capsys.readouterr()
-        assert any(cache.iterdir())
+        assert main([root.as_posix()]) == 1
+        out = capsys.readouterr().out
+        assert "leak.py" in out and "RL007" in out
+        assert "transport.py" not in out

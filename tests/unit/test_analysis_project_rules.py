@@ -8,7 +8,6 @@ case (``# repro: ignore[RLxxx]`` on the reported line).
 import textwrap
 from pathlib import Path
 
-from repro.analysis.config import LintConfig
 from repro.analysis.core import lint_project
 
 
@@ -31,8 +30,8 @@ def make_project(tmp_path, files):
 
 def run(tmp_path, files, select):
     root = make_project(tmp_path, files)
-    violations, _ = lint_project(root.as_posix(), LintConfig(select=select))
-    return violations
+    violations, _ = lint_project(root.as_posix())
+    return [v for v in violations if v.rule_id in select]
 
 
 # -- RL008 -------------------------------------------------------------------

@@ -4,8 +4,8 @@ The process backend hands each slice worker its entry point and arguments
 (pickled under the spawn start method) and reads back one result message
 per worker per window over a pipe.  A lambda, nested function, or
 unpicklable payload anywhere on that path only fails at runtime — these
-tests make the contract explicit (RL002 of repro-lint guards the pool
-flavour of it statically).
+tests make the contract explicit (RL002 of repro-lint checks the entry
+point, ``Process(target=...)``, statically).
 """
 
 import multiprocessing
