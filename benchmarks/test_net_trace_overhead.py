@@ -4,8 +4,8 @@ PR 9 put trace-context propagation on every RPC (``rpc.call`` spans on
 the client, a context quintuple on the wire, ``rpc.server``/``store.*``
 spans on the server).  This benchmark prices that machinery in the three
 regimes that matter, against a **raw** reference client whose retry
-loop and fetch-ahead window are the pre-tracing bodies (zero tracer
-code) — the same raw-vs-disabled-vs-enabled framing as
+loop and request loop are the shipped bodies with the tracer code taken
+out — the same raw-vs-disabled-vs-enabled framing as
 ``test_telemetry_overhead.py``:
 
 * ``disabled_*_overhead`` — the shipped call path with the null tracer
@@ -41,7 +41,9 @@ from repro.net.errors import (
     RetriesExhausted,
     TransportError,
 )
+from repro.net.frames import MessageType, encode_frame
 from repro.net.rpc import FETCH_AHEAD, RpcClient
+from repro.net.wire import decode_message, encode_message
 from repro.telemetry import Telemetry
 
 ROUNDS = 11
@@ -54,7 +56,7 @@ FRONTIER = 250
 
 
 class RawRpcClient(RpcClient):
-    """The pre-tracing call and window bodies: retry discipline and
+    """The pre-tracing retry loop and request loop: retry discipline and
     fetch-ahead, zero tracer code.
 
     This is the untouched reference the disabled-path guard compares
@@ -64,57 +66,69 @@ class RawRpcClient(RpcClient):
     path.
     """
 
-    def _call(self, op, args, budget, session, seq, fault=None):
+    def _call(self, op, args, session, seq, fault=None):
         attempts = max(1, self.retry.max_attempts)
         last = fault
         for attempt in range(0 if fault is None else 1, attempts):
             if attempt:
-                with self._lock:
-                    self.log.retries += 1
+                self.log.retries += 1
                 self._sleep(self.retry.backoff(attempt - 1, self._rng))
             try:
-                return self._attempt(op, args, budget, session, seq)
+                (result,) = self._exchange(op, deque([args]), session, seq)
+                return result
             except DeadlineExceeded as exc:
-                with self._lock:
-                    self.log.deadline_hits += 1
+                self.log.deadline_hits += 1
                 last = exc
             except TransportError as exc:
                 last = exc
         assert last is not None
         raise RetriesExhausted(attempts, last)
 
-    def _window(self, op, pending):
+    def _exchange(self, op, pending, session=None, seq=None, trace=None):
         if not pending:
             return
-        conn = self._checkout(self.deadline)
+        log = self.log
+        conn = self._checkout()
         sent = deque()  # (id, start)
         landed = {}
-        healthy = False
+        keep = True
         try:
             while pending:
                 while len(sent) < min(FETCH_AHEAD, len(pending)):
-                    req_id, frame = self._request(
-                        op, pending[len(sent)], None, None, None
-                    )
+                    self._next_id += 1
+                    req_id = self._next_id
+                    message = {"id": req_id, "op": op, "args": pending[len(sent)] or {}}
+                    if seq is not None:
+                        message["session"] = session
+                        message["seq"] = seq
+                    payload, flags = encode_message(message)
+                    frame = encode_frame(MessageType.REQUEST, payload, flags=flags)
                     sent.append((req_id, self._clock()))
-                    self._send(conn, op, frame)
+                    keep = False
+                    log.rpcs += 1
+                    log.per_op[op] = log.per_op.get(op, 0) + 1
+                    conn.send(frame)
+                    log.bytes_sent += len(frame)
                 req_id, start = sent[0]
                 while req_id not in landed:
-                    msg_type, reply = self._receive(
-                        conn, start + self.deadline, op, self.deadline
-                    )
+                    remaining = start + self.deadline - self._clock()
+                    if remaining <= 0:
+                        raise DeadlineExceeded(f"{op}: deadline expired")
+                    msg_type, flags, payload = conn.recv_frame(remaining)
+                    log.bytes_received += len(payload)
+                    reply = decode_message(payload, flags)
                     if any(reply.get("id") == other for other, _ in sent):
                         landed[reply["id"]] = (msg_type, reply)
                 sent.popleft()
                 pending.popleft()
-                result = self._result(*landed.pop(req_id))
-                with self._lock:
-                    self.log.observe_latency(self._clock() - start)
+                msg_type, reply = landed.pop(req_id)
+                keep = not sent and msg_type is not MessageType.REQUEST
+                result = self._result(msg_type, reply)
+                log.observe_latency(self._clock() - start)
                 yield result
-            healthy = True
         finally:
-            if healthy:
-                self._checkin(conn)
+            if keep and self._idle is None and not self._closed:
+                self._idle = conn
             else:
                 conn.close()
 
@@ -130,7 +144,6 @@ def _variant(telemetry=None, raw=False):
             shipped.port,
             deadline=shipped.deadline,
             retry=shipped.retry,
-            pool_size=shipped.pool_size,
         )
     vertices = sorted(graph.vertices())[:FRONTIER]
     return client, vertices

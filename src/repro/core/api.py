@@ -91,10 +91,6 @@ class MiningAlgorithm(abc.ABC):
     def name(self) -> str:
         return type(self).__name__
 
-    def size_ok(self, s: SubgraphView) -> bool:
-        """Helper implementing the standard ``len(s) <= MAX`` bound."""
-        return len(s) <= self.max_size
-
 
 class EmptyAlgorithm(MiningAlgorithm):
     """An algorithm that explores nothing — used to measure ingress rates.

@@ -2,7 +2,7 @@
 
 Layered bottom-up: :mod:`repro.net.frames` (length-prefixed framing),
 :mod:`repro.net.wire` (the payload codec: canonical JSON plus binary blobs),
-:mod:`repro.net.rpc` (deadlines, retries, pooling, fetch-ahead),
+:mod:`repro.net.rpc` (deadlines, retries, fetch-ahead, one connection),
 :mod:`repro.net.server` / :mod:`repro.net.client` (a
 :class:`~repro.store.api.GraphStore` served over TCP and consumed through
 the same protocol).  This package is the only place in the tree allowed

@@ -41,7 +41,6 @@ reply also carries the served store's capability facts.
 
 from __future__ import annotations
 
-import threading
 from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -75,7 +74,9 @@ class NetStoreClient(CachedRecordClient):
     Every record it holds was decoded from a server reply, so each is a
     private copy.  A window's endpoints not yet held arrive in batched
     ``multi_get`` chunks (:meth:`prefetch`) before the ingress sanitises
-    the window, so sanitisation and EXPLORE read held copies.
+    the window, so sanitisation and EXPLORE read held copies.  Like its
+    :class:`~repro.net.rpc.RpcClient`, it is used from one thread per
+    client and takes no locks.
     """
 
     kind = "net"
@@ -88,7 +89,6 @@ class NetStoreClient(CachedRecordClient):
         cache_capacity: Optional[int] = None,
         deadline: float = DEFAULT_DEADLINE,
         retry: Optional[RetryPolicy] = None,
-        pool_size: int = 2,
         batch_size: int = BATCH_SIZE,
         num_shards: int = 8,
         graph=None,
@@ -100,7 +100,6 @@ class NetStoreClient(CachedRecordClient):
         super().__init__(costs, cache_capacity)
         self.batch_size = batch_size
         self.telemetry = ensure(telemetry)
-        self._lock = threading.Lock()
         self._updated_memo: Optional[Tuple[Timestamp, Dict[EdgeKey, bool]]] = None
         self._server: Optional[StoreServer] = None
         load_graph = None
@@ -124,7 +123,6 @@ class NetStoreClient(CachedRecordClient):
             port,
             deadline=deadline,
             retry=retry,
-            pool_size=pool_size,
             telemetry=telemetry,
         )
         hello = self._rpc.call("hello", {})
@@ -194,8 +192,8 @@ class NetStoreClient(CachedRecordClient):
         :meth:`~repro.net.rpc.RpcClient.call_window`)."""
         chunks = self._chunks(vertices)
         replies = self._rpc.call_window("multi_get", [{"vs": chunk} for chunk in chunks])
-        # replies first: zip then runs the window to its end, which checks
-        # its connection back in
+        # replies first: zip then runs the window to its end, which hands
+        # its connection back
         for reply, chunk in zip(replies, chunks):
             yield [(v, reply.records.get(v)) for v in chunk]
 
@@ -221,13 +219,10 @@ class NetStoreClient(CachedRecordClient):
     # -- write path (RPCs tagged for exactly-once retries) -----------------
 
     def _write(self, op: str, args: dict) -> None:
-        with self._lock:
-            self._seq += 1
-            seq = self._seq
-        result = self._rpc.call(op, args, session=self._session, seq=seq)
-        with self._lock:
-            self._latest = max(self._latest, decode_timestamp(result["latest_ts"]))
-            self._updated_memo = None
+        self._seq += 1
+        result = self._rpc.call(op, args, session=self._session, seq=self._seq)
+        self._latest = max(self._latest, decode_timestamp(result["latest_ts"]))
+        self._updated_memo = None
 
     def _send_edge(
         self,
@@ -275,8 +270,7 @@ class NetStoreClient(CachedRecordClient):
 
     def set_latest_timestamp(self, ts: Timestamp) -> None:
         self._write("set_latest_ts", {"ts": ts})
-        with self._lock:
-            self._latest = ts
+        self._latest = ts
 
     # -- the rest of the protocol, one RPC each ----------------------------
 
@@ -295,13 +289,11 @@ class NetStoreClient(CachedRecordClient):
         return self._latest
 
     def updated_keys_in(self, ts: Timestamp) -> Dict[EdgeKey, bool]:
-        with self._lock:
-            memo = self._updated_memo
+        memo = self._updated_memo
         if memo is not None and memo[0] == ts:
             return memo[1]
         keys = decode_updated_keys(self._rpc.call("updated_keys_in", {"ts": ts}))
-        with self._lock:
-            self._updated_memo = (ts, keys)
+        self._updated_memo = (ts, keys)
         return keys
 
     def iter_records(self) -> Iterator[Tuple[VertexId, VertexRecord]]:
@@ -312,8 +304,7 @@ class NetStoreClient(CachedRecordClient):
 
     def _send_reclaim(self, horizon: Timestamp) -> ReclaimStats:
         stats = decode_reclaim_stats(self._rpc.call("reclaim", {"horizon": horizon}))
-        with self._lock:
-            self._updated_memo = None
+        self._updated_memo = None
         return stats
 
     def _backing_stats(self) -> Dict[str, object]:
@@ -330,7 +321,7 @@ class NetStoreClient(CachedRecordClient):
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Drop connections; shut the embedded server down if we own one."""
+        """Drop the connection; shut the embedded server down if we own one."""
         self._rpc.close()
         if self._server is not None:
             self._server.close()
@@ -344,7 +335,6 @@ class NetStoreClient(CachedRecordClient):
             cache_capacity=self.cache_capacity,
             deadline=self._rpc.deadline,
             retry=self._rpc.retry,
-            pool_size=self._rpc.pool_size,
             batch_size=self.batch_size,
         )
         return reconnect, (self.address,)

@@ -1,11 +1,11 @@
-"""The request/response RPC core: deadlines, retries, pooling, fetch-ahead.
+"""The request/response RPC core: deadlines, retries, fetch-ahead.
 
-One :class:`RpcClient` owns a small pool of TCP connections to one server.
-:meth:`RpcClient.call` sends one request on a checked-out connection and
-reads its reply; :meth:`RpcClient.call_window` keeps a bounded window of
-read requests in flight on one, which the server answers in order.  The
-discipline — what distributed engines get right long before they get
-fast — is the same on both:
+One :class:`RpcClient` talks to one server over one TCP connection (a
+second only while a window holds the first), from one thread.  :meth:`RpcClient.call` is a window of one request;
+:meth:`RpcClient.call_window` keeps a bounded window of read requests in
+flight, which the server answers in order.  Both run the same request
+loop, so the discipline — what distributed engines get right long before
+they get fast — is the same on both:
 
 * **Per-call deadlines.**  Every attempt gets a wall budget; socket
   timeouts are derived from the remaining budget, and an expired budget
@@ -25,9 +25,10 @@ fast — is the same on both:
   :class:`~repro.net.server.StoreServer`), making a retried write safe
   even when the first attempt *did* apply and only its response was lost.
 
-The pool is fork-aware: a connection checked out after the process id
-changed is discarded and redialed, so a forked worker never shares a
-socket with its parent.
+A client has no locks: like the engine it serves (one thread per engine,
+one writer per store), it is used from one thread.  It is fork-aware: a
+connection taken after the process id changed is dropped and redialed,
+so a forked worker never shares a socket with its parent.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from __future__ import annotations
 import os
 import random
 import socket
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -50,7 +50,7 @@ from repro.net.errors import (
     TransportError,
     raise_application_error,
 )
-from repro.net.frames import MAX_PAYLOAD, MessageType, encode_frame, read_frame
+from repro.net.frames import MessageType, encode_frame, read_frame
 from repro.net.wire import decode_message, encode_message, encode_trace_context
 from repro.telemetry import Telemetry, ensure
 
@@ -104,30 +104,12 @@ class NetLog:
         if len(self.latencies_s) < LATENCY_SAMPLE_CAP:
             self.latencies_s.append(seconds)
 
-    def merge(self, other: "NetLog") -> None:
-        """Fold another log's counts into this one (commutative on counts).
-
-        Latency samples are appended up to the shared reservoir cap, so a
-        merged log obeys the same bound as a live one.
-        """
-        self.rpcs += other.rpcs
-        self.retries += other.retries
-        self.deadline_hits += other.deadline_hits
-        self.bytes_sent += other.bytes_sent
-        self.bytes_received += other.bytes_received
-        for op, count in other.per_op.items():
-            self.per_op[op] = self.per_op.get(op, 0) + count
-        room = LATENCY_SAMPLE_CAP - len(self.latencies_s)
-        if room > 0:
-            self.latencies_s.extend(other.latencies_s[:room])
-
 
 class _Connection:
     """One framed TCP connection (send/receive whole frames)."""
 
-    def __init__(self, sock: socket.socket, max_payload: int) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self.max_payload = max_payload
 
     def send(self, frame: bytes) -> None:
         try:
@@ -140,7 +122,7 @@ class _Connection:
     def recv_frame(self, timeout: Optional[float]) -> Tuple[MessageType, int, bytes]:
         try:
             self.sock.settimeout(timeout)
-            return read_frame(self.sock.recv, max_payload=self.max_payload)
+            return read_frame(self.sock.recv)
         except (TimeoutError, socket.timeout):
             raise DeadlineExceeded("no response before the deadline") from None
         except TransportError:
@@ -156,7 +138,12 @@ class _Connection:
 
 
 class RpcClient:
-    """Pooled, deadline- and retry-disciplined RPC caller.
+    """Deadline- and retry-disciplined RPC caller; one thread per client.
+
+    Nothing is locked: a client belongs to the thread that made it (a
+    forked worker redials instead of sharing the parent's socket).  One
+    idle connection is kept between calls; a call made while a
+    :meth:`call_window` holds it dials its own, closed again on return.
 
     ``clock``/``sleep``/``rng`` are injectable for deterministic tests;
     production uses the monotonic clock, real sleep, and a seeded
@@ -170,21 +157,15 @@ class RpcClient:
         *,
         deadline: float = DEFAULT_DEADLINE,
         retry: Optional[RetryPolicy] = None,
-        pool_size: int = 2,
-        max_payload: int = MAX_PAYLOAD,
         clock=time.monotonic,
         sleep=time.sleep,
         rng: Optional[random.Random] = None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
-        if pool_size < 1:
-            raise ValueError("pool_size must be positive")
         self.host = host
         self.port = port
         self.deadline = deadline
         self.retry = retry if retry is not None else RetryPolicy()
-        self.pool_size = pool_size
-        self.max_payload = max_payload
         self.log = NetLog()
         self.telemetry = ensure(telemetry)
         self._log_base = NetLog()
@@ -192,57 +173,48 @@ class RpcClient:
         self._clock = clock
         self._sleep = sleep
         self._rng = rng if rng is not None else random.Random(0x7E55E7AC)
-        self._lock = threading.Lock()
-        self._idle: List[_Connection] = []
+        self._idle: Optional[_Connection] = None
         self._next_id = 0
         self._pid = os.getpid()
         self._closed = False
 
-    # -- pool --------------------------------------------------------------
+    # -- the connection ----------------------------------------------------
 
     def _leave_parent(self) -> None:
         """In a forked child, let go of what belongs to the parent process.
 
-        Its sockets must not be shared, and its wire history is the
+        Its socket must not be shared, and its wire history is the
         parent's to report: without advancing the baseline, the child's
         first :meth:`take_log_delta` would re-ship every RPC the parent
         made before the fork.
         """
-        if os.getpid() == self._pid:  # unlocked read: only a fork changes it
+        if os.getpid() == self._pid:
             return
-        with self._lock:
-            self._idle.clear()
-            self._pid = os.getpid()
+        self._idle = None
+        self._pid = os.getpid()
         self.take_log_delta()  # discarded: it is the inherited history
 
-    def _checkout(self, timeout: float) -> _Connection:
+    def _checkout(self) -> _Connection:
+        """The idle connection, or a fresh dial when there is none."""
         self._leave_parent()
-        with self._lock:
-            if self._idle:
-                return self._idle.pop()
+        conn, self._idle = self._idle, None
+        if conn is not None:
+            return conn
         try:
             sock = socket.create_connection(
-                (self.host, self.port), timeout=max(timeout, 1e-3)
+                (self.host, self.port), timeout=max(self.deadline, 1e-3)
             )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             raise ConnectError(
                 f"cannot connect to {self.host}:{self.port}: {exc}"
             ) from None
-        return _Connection(sock, self.max_payload)
-
-    def _checkin(self, conn: _Connection) -> None:
-        with self._lock:
-            if not self._closed and len(self._idle) < self.pool_size:
-                self._idle.append(conn)
-                return
-        conn.close()
+        return _Connection(sock)
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            idle, self._idle = self._idle, []
-        for conn in idle:
+        self._closed = True
+        conn, self._idle = self._idle, None
+        if conn is not None:
             conn.close()
 
     # -- accounting --------------------------------------------------------
@@ -250,42 +222,41 @@ class RpcClient:
     def take_log_delta(self) -> NetLog:
         """Wire-level activity since the last take, as a fresh :class:`NetLog`.
 
-        The baseline advances atomically with the read (one lock covers
-        both), so consecutive takes partition the client's activity: every
-        RPC is reported exactly once across all deltas.  This is how
-        process workers ship their reconnected clients' wire counts back
-        without double-counting (see
+        The baseline advances with the read, so consecutive takes
+        partition the client's activity: every RPC is reported exactly
+        once across all deltas.  This is how process workers ship their
+        reconnected clients' wire counts back without double-counting (see
         :func:`repro.telemetry.bridge.net_delta_to_registry`).
         """
         self._leave_parent()
-        with self._lock:
-            log, base = self.log, self._log_base
-            delta = NetLog(
-                rpcs=log.rpcs - base.rpcs,
-                retries=log.retries - base.retries,
-                deadline_hits=log.deadline_hits - base.deadline_hits,
-                bytes_sent=log.bytes_sent - base.bytes_sent,
-                bytes_received=log.bytes_received - base.bytes_received,
-                per_op={
-                    op: count - base.per_op.get(op, 0)
-                    for op, count in log.per_op.items()
-                    if count - base.per_op.get(op, 0)
-                },
-                latencies_s=log.latencies_s[self._latency_base :],
-            )
-            self._log_base = replace(log, per_op=dict(log.per_op), latencies_s=[])
-            self._latency_base = len(log.latencies_s)
+        log, base = self.log, self._log_base
+        delta = NetLog(
+            rpcs=log.rpcs - base.rpcs,
+            retries=log.retries - base.retries,
+            deadline_hits=log.deadline_hits - base.deadline_hits,
+            bytes_sent=log.bytes_sent - base.bytes_sent,
+            bytes_received=log.bytes_received - base.bytes_received,
+            per_op={
+                op: count - base.per_op.get(op, 0)
+                for op, count in log.per_op.items()
+                if count - base.per_op.get(op, 0)
+            },
+            latencies_s=log.latencies_s[self._latency_base :],
+        )
+        self._log_base = replace(log, per_op=dict(log.per_op), latencies_s=[])
+        self._latency_base = len(log.latencies_s)
         return delta
 
-    # -- the call path -----------------------------------------------------
+    # -- spans -------------------------------------------------------------
     #
     # The rpc.call span is recorded manually rather than via ``with
     # tracer.span(...)``: the span id must cross the wire before the span
-    # completes, and the manual path costs two short lock acquisitions per
-    # call instead of a Span allocation plus stack traffic (see
-    # Tracer.open_wire_span / record_completed) — the difference is most of
-    # the tracing-enabled overhead the net_trace_overhead benchmark guards.
-    # The span helpers run only when the caller read ``tracer.enabled``.
+    # completes, and the manual path costs two short tracer-lock
+    # acquisitions per call instead of a Span allocation plus stack
+    # traffic (see Tracer.open_wire_span / record_completed) — the
+    # difference is most of the tracing-enabled overhead the
+    # net_trace_overhead benchmark guards.  The span helpers run only when
+    # the caller read ``tracer.enabled``.
 
     def _open_span(self) -> Tuple[int, Optional[int], float]:
         """``(span_id, parent_id, start)`` of one ``rpc.call`` span."""
@@ -311,12 +282,13 @@ class RpcClient:
             [(span[0], span[1], "rpc.call", span[2], tracer.now(), attrs)]
         )
 
+    # -- calls -------------------------------------------------------------
+
     def call(
         self,
         op: str,
         args: Optional[Dict[str, Any]] = None,
         *,
-        deadline: Optional[float] = None,
         session: Optional[int] = None,
         seq: Optional[int] = None,
     ) -> Any:
@@ -329,21 +301,20 @@ class RpcClient:
         value the payload codec cannot carry raises ``ValueError`` before
         any frame is sent.
         """
-        budget = self.deadline if deadline is None else deadline
-        return self._call(op, args, budget, session, seq)
+        return self._call(op, args, session, seq)
 
     def _call(
         self,
         op: str,
         args: Optional[Dict[str, Any]],
-        budget: float,
         session: Optional[int],
         seq: Optional[int],
         fault: Optional[TransportError] = None,
     ) -> Any:
-        """The retry loop of :meth:`call`.  A ``fault`` means attempt 0
-        already failed with it (in a window), so the loop starts at the
-        first retry and the policy's ``max_attempts`` covers both."""
+        """The retry loop of :meth:`call`: each attempt is a window of one.
+        A ``fault`` means attempt 0 already failed with it (in a window),
+        so the loop starts at the first retry and the policy's
+        ``max_attempts`` covers both."""
         attempts = max(1, self.retry.max_attempts)
         last = fault
         tracer = self.telemetry.tracer
@@ -352,8 +323,7 @@ class RpcClient:
         trace = self._trace(span) if traced else None
         for attempt in range(0 if fault is None else 1, attempts):
             if attempt:
-                with self._lock:
-                    self.log.retries += 1
+                self.log.retries += 1
                 delay = self.retry.backoff(attempt - 1, self._rng)
                 if traced:
                     backoff_start = tracer.now()
@@ -371,10 +341,9 @@ class RpcClient:
                 else:
                     self._sleep(delay)
             try:
-                result = self._attempt(op, args, budget, session, seq, trace)
+                (result,) = self._exchange(op, deque([args]), session, seq, trace)
             except DeadlineExceeded as exc:
-                with self._lock:
-                    self.log.deadline_hits += 1
+                self.log.deadline_hits += 1
                 last = exc
             except TransportError as exc:
                 last = exc
@@ -390,115 +359,107 @@ class RpcClient:
     def call_window(self, op: str, arg_list: List[Dict[str, Any]]) -> Iterator[Any]:
         """``call(op, args)`` for each of ``arg_list``, yielded in order.
 
-        Up to :data:`FETCH_AHEAD` requests ride one checked-out connection,
-        and the next goes out as each reply lands: the server encodes reply
-        i+1 while the caller consumes reply i.  The server answers a
-        connection's requests in order; replies are still matched by id,
-        so a stale duplicate is discarded.  A transport fault closes the
+        Up to :data:`FETCH_AHEAD` requests ride one connection, and the
+        next goes out as each reply lands: the server encodes reply i+1
+        while the caller consumes reply i.  A transport fault closes the
         connection; each request not yet answered counts that as its
         first attempt and goes on through :meth:`call`'s retry loop — so
         ``op`` must be a read, whose resend is safe.  At most
         :data:`FETCH_AHEAD` requests are ever unread.
         """
-        pending: Deque[Dict[str, Any]] = deque(arg_list)
+        pending: Deque[Optional[Dict[str, Any]]] = deque(arg_list)
         try:
-            yield from self._window(op, pending)
+            yield from self._exchange(op, pending)
         except TransportError as exc:
             if isinstance(exc, DeadlineExceeded):
-                with self._lock:
-                    self.log.deadline_hits += 1
+                self.log.deadline_hits += 1
             for args in pending:
-                yield self._call(op, args, self.deadline, None, None, exc)
+                yield self._call(op, args, None, None, exc)
 
-    def _window(self, op: str, pending: Deque[Dict[str, Any]]) -> Iterator[Any]:
-        """The fault-free path of :meth:`call_window`: pops each answered
-        request off ``pending``, so a fault leaves the unanswered ones."""
+    def _exchange(
+        self,
+        op: str,
+        pending: Deque[Optional[Dict[str, Any]]],
+        session: Optional[int] = None,
+        seq: Optional[int] = None,
+        trace: Optional[List[Any]] = None,
+    ) -> Iterator[Any]:
+        """The one request loop: the only place frames are sent and read.
+
+        Up to :data:`FETCH_AHEAD` requests ride one connection; replies
+        are matched by id (a stale duplicate is discarded), and each
+        answered request is popped off ``pending`` as its result is
+        yielded, so a transport fault leaves the unanswered ones.  Each
+        request waits at most :attr:`deadline` from its send.  The
+        connection returns to the idle slot only with nothing in flight
+        — so an ERROR reply to a lone request keeps it.  ``session``/
+        ``seq``/``trace`` tag a :meth:`call` attempt; without ``trace``,
+        a traced client opens an ``rpc.call`` span per request here.
+        """
         if not pending:
             return
-        traced = self.telemetry.tracer.enabled
-        conn = self._checkout(self.deadline)
+        spans = trace is None and self.telemetry.tracer.enabled
+        log = self.log
+        conn = self._checkout()
         sent: Deque[Tuple[int, float, Any]] = deque()  # (id, start, span)
         landed: Dict[int, Tuple[MessageType, Dict[str, Any]]] = {}
-        healthy = False
+        keep = True  # nothing in flight on conn, and it has not misbehaved
         try:
             while pending:
                 while len(sent) < min(FETCH_AHEAD, len(pending)):
-                    span = self._open_span() if traced else None
-                    req_id, frame = self._request(
-                        op,
-                        pending[len(sent)],
-                        None,
-                        None,
-                        self._trace(span) if traced else None,
-                    )
+                    span = self._open_span() if spans else None
+                    self._next_id += 1
+                    req_id = self._next_id
+                    message: Dict[str, Any] = {
+                        "id": req_id,
+                        "op": op,
+                        "args": pending[len(sent)] or {},
+                    }
+                    if seq is not None:
+                        message["session"] = session
+                        message["seq"] = seq
+                    context = self._trace(span) if spans else trace
+                    if context is not None:
+                        message["trace"] = context
+                    payload, flags = encode_message(message)
+                    frame = encode_frame(MessageType.REQUEST, payload, flags=flags)
                     sent.append((req_id, self._clock(), span))
-                    self._send(conn, op, frame)
+                    keep = False
+                    log.rpcs += 1
+                    log.per_op[op] = log.per_op.get(op, 0) + 1
+                    conn.send(frame)
+                    log.bytes_sent += len(frame)
                 req_id, start, span = sent[0]
                 while req_id not in landed:
-                    msg_type, reply = self._receive(
-                        conn, start + self.deadline, op, self.deadline
-                    )
+                    remaining = start + self.deadline - self._clock()
+                    if remaining <= 0:
+                        raise DeadlineExceeded(
+                            f"{op}: deadline of {self.deadline}s expired"
+                        )
+                    msg_type, flags, payload = conn.recv_frame(remaining)
+                    log.bytes_received += len(payload)
+                    reply = decode_message(payload, flags)
                     if any(reply.get("id") == other for other, _, _ in sent):
                         landed[reply["id"]] = (msg_type, reply)
                 sent.popleft()
                 pending.popleft()
-                result = self._result(*landed.pop(req_id))
-                with self._lock:
-                    self.log.observe_latency(self._clock() - start)
-                if traced:
+                msg_type, reply = landed.pop(req_id)
+                keep = not sent and msg_type is not MessageType.REQUEST
+                result = self._result(msg_type, reply)
+                log.observe_latency(self._clock() - start)
+                if spans:
                     self._close_span(span, op, 1)
                 yield result
-            healthy = True
         except TransportError as exc:
-            if traced:
+            if spans:
                 for _, _, span in sent:
                     self._close_span(span, op, 1, exc)
             raise
         finally:
-            if healthy:
-                self._checkin(conn)
+            if keep and self._idle is None and not self._closed:
+                self._idle = conn
             else:
                 conn.close()
-
-    def _request(
-        self,
-        op: str,
-        args: Optional[Dict[str, Any]],
-        session: Optional[int],
-        seq: Optional[int],
-        trace: Optional[List[Any]],
-    ) -> Tuple[int, bytes]:
-        """A fresh request id and its encoded frame (nothing sent yet)."""
-        with self._lock:
-            self._next_id += 1
-            req_id = self._next_id
-        message: Dict[str, Any] = {"id": req_id, "op": op, "args": args or {}}
-        if seq is not None:
-            message["session"] = session
-            message["seq"] = seq
-        if trace is not None:
-            message["trace"] = trace
-        payload, flags = encode_message(message)
-        return req_id, encode_frame(MessageType.REQUEST, payload, flags=flags)
-
-    def _send(self, conn: _Connection, op: str, frame: bytes) -> None:
-        with self._lock:
-            self.log.rpcs += 1
-            self.log.per_op[op] = self.log.per_op.get(op, 0) + 1
-        conn.send(frame)
-        with self._lock:
-            self.log.bytes_sent += len(frame)
-
-    def _receive(
-        self, conn: _Connection, deadline_at: float, op: str, budget: float
-    ) -> Tuple[MessageType, Dict[str, Any]]:
-        remaining = deadline_at - self._clock()
-        if remaining <= 0:
-            raise DeadlineExceeded(f"{op}: deadline of {budget}s expired")
-        msg_type, flags, payload = conn.recv_frame(remaining)
-        with self._lock:
-            self.log.bytes_received += len(payload)
-        return msg_type, decode_message(payload, flags)
 
     @staticmethod
     def _result(msg_type: MessageType, reply: Dict[str, Any]) -> Any:
@@ -512,34 +473,3 @@ class RpcClient:
         if msg_type is not MessageType.RESPONSE:
             raise ProtocolError(f"unexpected {msg_type.name} frame from server")
         return reply.get("result")
-
-    def _attempt(
-        self,
-        op: str,
-        args: Optional[Dict[str, Any]],
-        budget: float,
-        session: Optional[int],
-        seq: Optional[int],
-        trace: Optional[List[Any]] = None,
-    ) -> Any:
-        req_id, frame = self._request(op, args, session, seq, trace)
-        start = self._clock()
-        conn = self._checkout(budget)
-        healthy = False
-        try:
-            self._send(conn, op, frame)
-            while True:
-                msg_type, reply = self._receive(conn, start + budget, op, budget)
-                if reply.get("id") == req_id:
-                    break  # else a stale duplicate from an earlier attempt
-            # the server survives its own app errors: the connection is fine
-            healthy = msg_type is not MessageType.REQUEST
-            result = self._result(msg_type, reply)
-            with self._lock:
-                self.log.observe_latency(self._clock() - start)
-            return result
-        finally:
-            if healthy:
-                self._checkin(conn)
-            else:
-                conn.close()

@@ -35,7 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import TesseractError
 from repro.net.errors import NetError, ProtocolError, TruncatedFrameError
-from repro.net.frames import MAX_PAYLOAD, MessageType, encode_frame, read_frame
+from repro.net.frames import MessageType, encode_frame, read_frame
 from repro.net.rpc import LATENCY_SAMPLE_CAP
 from repro.net.wire import (
     RecordsPayload,
@@ -72,13 +72,11 @@ class StoreServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_payload: int = MAX_PAYLOAD,
         max_batch: int = MAX_BATCH,
         telemetry: Optional[Telemetry] = None,
         clock=time.monotonic,
     ) -> None:
         self.store = store
-        self.max_payload = max_payload
         self.max_batch = max_batch
         self.telemetry = ensure(telemetry)
         self._clock = clock
@@ -164,9 +162,7 @@ class StoreServer:
         try:
             while True:
                 try:
-                    msg_type, flags, payload = read_frame(
-                        conn.recv, max_payload=self.max_payload
-                    )
+                    msg_type, flags, payload = read_frame(conn.recv)
                     if msg_type is not MessageType.REQUEST:
                         raise ProtocolError(f"client sent a {msg_type.name} frame")
                     request = decode_message(payload, flags)

@@ -120,9 +120,3 @@ class ExplorationView:
         label = self.store.vertex_label_at(v, self.ts - 1 if pre else self.ts)
         self._label_cache[key] = label
         return label
-
-    def pre_snapshot(self) -> SnapshotView:
-        return SnapshotView(self.store, self.ts - 1)
-
-    def post_snapshot(self) -> SnapshotView:
-        return SnapshotView(self.store, self.ts)

@@ -360,6 +360,3 @@ class IngressNode:
     @property
     def next_timestamp(self) -> Timestamp:
         return self._next_ts
-
-    def pending_count(self) -> int:
-        return len(self._pending)

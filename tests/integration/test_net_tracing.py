@@ -235,15 +235,18 @@ class TestOpsSurface:
         addr = self.addr(telemetry_server)
         client.add_edge(1, 2, 1)  # dedup state: the sessions gauge counts it
         stop = threading.Event()
+        # one thread per client: each hammer thread gets its own
+        hammer_clients = [NetStoreClient(server.address) for _ in range(2)]
 
-        def hammer(base):
+        def hammer(own, base):
             i = 0
             while not stop.is_set():
-                client.has_vertex(base + i)
+                own.has_vertex(base + i)
                 i += 1
 
         workers = [
-            threading.Thread(target=hammer, args=(1000 * n,)) for n in range(2)
+            threading.Thread(target=hammer, args=(own, 1000 * n))
+            for n, own in enumerate(hammer_clients)
         ]
         for t in workers:
             t.start()
@@ -260,6 +263,8 @@ class TestOpsSurface:
             stop.set()
             for t in workers:
                 t.join()
+            for own in hammer_clients:
+                own.close()
         assert "repro_server_requests_total" in metrics
         assert "repro_server_request_seconds_bucket" in metrics
         assert "repro_server_inflight_requests" in metrics

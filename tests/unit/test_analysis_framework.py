@@ -221,13 +221,13 @@ INJECTED = {
     ),
     "RL002": ("runtime/backend.py", [("runtime/backend.py", _nest_slice_worker)]),
     "RL003": (
-        "net/client.py",
+        "net/server.py",
         [
             (
-                "net/client.py",
+                "net/server.py",
                 _replace(
-                    "        with self._lock:\n            self._seq += 1\n",
-                    "        self._seq += 1\n        with self._lock:\n",
+                    "        with self._lock:\n            self._inflight += 1\n",
+                    "        self._inflight += 1\n        with self._lock:\n",
                 ),
             )
         ],

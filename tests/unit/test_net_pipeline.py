@@ -1,10 +1,11 @@
 """Fetch-ahead, batch plumbing and the coalesced ``put_edges`` write path.
 
-The pooled ``call()`` path keeps its own tests in ``test_net_rpc.py``;
-this file covers ``call_window()`` — several ``multi_get`` requests in
-flight on one connection, replies matched by id, a transport fault
-sending what is unanswered back through ``call()`` — plus the end-to-end
-``batch_size`` configuration and ``put_edges``.
+``call()`` — a window of one request on the client's one connection —
+keeps its own tests in ``test_net_rpc.py``; this file covers
+``call_window()`` — several ``multi_get`` requests in flight on one
+connection, replies matched by id, a transport fault sending what is
+unanswered back through ``call()`` — plus the end-to-end ``batch_size``
+configuration and ``put_edges``.
 """
 
 import socket
@@ -141,9 +142,10 @@ class TestFetchAheadWindow:
 
         threading.Thread(target=serve_then_die, daemon=True).start()
         client = make_client(server, deadline=1.0)
-        # pool a connection to the dying server; redials reach the real one
+        # park a connection to the dying server in the idle slot; redials
+        # reach the real one
         client.host, client.port = scripted.address
-        client._checkin(client._checkout(1.0))
+        client._idle = client._checkout()
         client.host, client.port = server.address
         assert list(client.call_window("ping", [{}, {}])) == [{}, {}]
         assert client.log.retries >= 1
@@ -190,6 +192,41 @@ class TestFetchAheadWindow:
         client.call("ping", {})
         with server._lock:
             assert len(server._conns) == 1  # the call reused the window's
+        client.close()
+
+    def test_a_call_inside_a_window_dials_its_own_connection(self, served_store):
+        """The window holds the one connection, so a call made while it
+        runs dials another; whichever finishes second finds the idle slot
+        full and closes its connection."""
+        _, server = served_store
+        client = make_client(server)
+        client.call("ping", {})
+        window_conn = client._idle
+        replies = client.call_window("ping", [{}] * 2)
+        assert next(replies) == {}
+        assert client._idle is None  # the window holds it
+        assert client.call("ping", {}) == {}
+        call_conn = client._idle
+        assert call_conn is not None and call_conn is not window_conn
+        assert list(replies) == [{}]
+        assert client._idle is call_conn and window_conn.sock.fileno() == -1
+        client.close()
+        assert call_conn.sock.fileno() == -1
+
+    def test_an_error_reply_in_flight_with_others_drops_the_connection(
+        self, served_store
+    ):
+        """An ERROR reply keeps the connection only when nothing else is
+        in flight on it (``call``); mid-window, the connection goes."""
+        _, server = served_store
+        client = make_client(server)
+        replies = client.call_window("no_such_op", [{}, {}])
+        with pytest.raises(ApplicationError):
+            next(replies)
+        assert client._idle is None
+        with pytest.raises(ApplicationError):
+            client.call("no_such_op", {})
+        assert client._idle is not None
         client.close()
 
 

@@ -1,4 +1,4 @@
-"""RPC core behavior: deadlines, retries, backoff, pooling, exactly-once.
+"""RPC core behavior: deadlines, retries, backoff, reuse, exactly-once.
 
 Fault scheduling is made deterministic by injecting the clock, sleep, and
 RNG into :class:`~repro.net.rpc.RpcClient` — the same injectability that
@@ -94,7 +94,19 @@ class TestCallPath:
             client.call("ping", {})
         with server._lock:
             live_conns = len(server._conns)
-        assert live_conns == 1  # one pooled connection served all calls
+        assert live_conns == 1  # the one idle connection served all calls
+        client.close()
+
+    def test_an_application_error_keeps_the_connection(self, served_store):
+        """The server survives its own application errors: with nothing
+        else in flight, the connection goes back to the idle slot."""
+        _, server = served_store
+        client = make_client(server)
+        client.call("ping", {})
+        conn = client._idle
+        with pytest.raises(ApplicationError):
+            client.call("no_such_op", {})
+        assert client._idle is conn
         client.close()
 
 

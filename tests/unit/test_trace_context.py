@@ -232,38 +232,57 @@ class TestConcurrentExport:
                 t.join()
 
 
+def sum_logs(logs):
+    """Field-wise sum of :class:`NetLog` deltas (latency samples in order)."""
+    total = NetLog()
+    for log in logs:
+        total.rpcs += log.rpcs
+        total.retries += log.retries
+        total.deadline_hits += log.deadline_hits
+        total.bytes_sent += log.bytes_sent
+        total.bytes_received += log.bytes_received
+        for op, count in log.per_op.items():
+            total.per_op[op] = total.per_op.get(op, 0) + count
+        total.latencies_s.extend(log.latencies_s)
+    return total
+
+
 class TestNetLogAccounting:
-    def make_log(self, **kwargs):
-        log = NetLog(**kwargs)
-        return log
-
-    def test_merge_adds_counts_and_per_op(self):
-        a = NetLog(rpcs=3, retries=1, bytes_sent=10, per_op={"ping": 3})
-        b = NetLog(
-            rpcs=2,
-            deadline_hits=1,
-            bytes_received=7,
-            per_op={"ping": 1, "add_edge": 1},
-            latencies_s=[0.1, 0.2],
-        )
-        a.merge(b)
-        assert a.rpcs == 5
-        assert a.retries == 1
-        assert a.deadline_hits == 1
-        assert a.bytes_sent == 10
-        assert a.bytes_received == 7
-        assert a.per_op == {"ping": 4, "add_edge": 1}
-        assert a.latencies_s == [0.1, 0.2]
-
-    def test_merge_respects_the_latency_cap(self):
-        a = NetLog(latencies_s=[0.0] * (LATENCY_SAMPLE_CAP - 1))
-        a.merge(NetLog(latencies_s=[0.5, 0.6, 0.7]))
-        assert len(a.latencies_s) == LATENCY_SAMPLE_CAP
-        assert a.latencies_s[-1] == 0.5
-
-    def test_take_log_delta_partitions_activity(self):
+    def test_deltas_add_counts_and_per_op(self):
         # RpcClient only dials on call(), so a bare instance is a pure
         # accounting fixture
+        client = RpcClient("127.0.0.1", 1)
+        log = client.log
+        log.rpcs, log.retries, log.bytes_sent = 3, 1, 10
+        log.per_op = {"ping": 3}
+        first = client.take_log_delta()
+        log.rpcs += 2
+        log.deadline_hits += 1
+        log.bytes_received += 7
+        log.per_op["ping"] += 1
+        log.per_op["add_edge"] = 1
+        log.observe_latency(0.1)
+        log.observe_latency(0.2)
+        total = sum_logs([first, client.take_log_delta()])
+        assert total.rpcs == 5
+        assert total.retries == 1
+        assert total.deadline_hits == 1
+        assert total.bytes_sent == 10
+        assert total.bytes_received == 7
+        assert total.per_op == {"ping": 4, "add_edge": 1}
+        assert total.latencies_s == [0.1, 0.2]
+
+    def test_observe_latency_respects_the_cap(self):
+        client = RpcClient("127.0.0.1", 1)
+        client.log.latencies_s = [0.0] * (LATENCY_SAMPLE_CAP - 1)
+        client.take_log_delta()
+        for sample in (0.5, 0.6, 0.7):
+            client.log.observe_latency(sample)
+        assert len(client.log.latencies_s) == LATENCY_SAMPLE_CAP
+        assert client.log.latencies_s[-1] == 0.5
+        assert client.take_log_delta().latencies_s == [0.5]
+
+    def test_take_log_delta_partitions_activity(self):
         client = RpcClient("127.0.0.1", 1)
         client.log.rpcs = 3
         client.log.bytes_sent = 30
@@ -294,10 +313,11 @@ class TestNetLogAccounting:
 
     def test_deltas_sum_to_the_cumulative_log(self):
         client = RpcClient("127.0.0.1", 1)
-        total = NetLog()
+        deltas = []
         for round_rpcs in (2, 0, 5):
             client.log.rpcs += round_rpcs
             client.log.per_op["ping"] = client.log.per_op.get("ping", 0) + round_rpcs
-            total.merge(client.take_log_delta())
+            deltas.append(client.take_log_delta())
+        total = sum_logs(deltas)
         assert total.rpcs == client.log.rpcs == 7
         assert total.per_op == client.log.per_op
