@@ -10,7 +10,6 @@ engine code is what each distributed worker runs.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 from repro.core.api import MiningAlgorithm
@@ -60,27 +59,46 @@ class TesseractEngine:
     ) -> List[MatchDelta]:
         """Run the exploration task for one edge update.
 
-        With telemetry enabled this opens a ``task`` span (child of the
-        session's current ``window`` span) and observes the task's wall
-        time; the disabled path adds a single attribute test.
+        With telemetry enabled the task is one ``task`` span (child of the
+        session's current ``window`` span) recorded through the tracer's
+        manual path, and the same two clock readings give the wall time
+        observed into ``repro_engine_task_seconds``; the disabled path adds
+        a single attribute test.
         """
         telemetry = self.telemetry
         if not telemetry.enabled:
             return self.explorer.explore_update(ExplorationView(self.store, ts), update)
-        with telemetry.tracer.span(
-            "task",
-            ts=ts,
-            u=update.u,
-            v=update.v,
-            added=update.added,
-            worker=self.worker_label,
-        ) as span:
-            start = time.perf_counter()
-            emits_before = self.metrics.emits
+        tracer = telemetry.tracer
+        # On the stack until exit_span, so spans opened inside the task
+        # (an RPC's wire span) parent under it.
+        span_id, parent_id = tracer.enter_span()
+        emits_before = self.metrics.emits
+        start = tracer.now()
+        try:
             deltas = self.explorer.explore_update(ExplorationView(self.store, ts), update)
-            elapsed = time.perf_counter() - start
-            self._hist_task_seconds.observe(elapsed)
-            span.set(deltas=len(deltas), emits=self.metrics.emits - emits_before)
+        except BaseException:
+            attrs = {
+                "ts": ts,
+                "u": update.u,
+                "v": update.v,
+                "added": update.added,
+                "worker": self.worker_label,
+            }
+            tracer.exit_span(span_id, parent_id, "task", start, tracer.now(), attrs)
+            raise
+        end = tracer.now()
+        self._hist_task_seconds.observe(end - start)
+        # built whole, not grown from the failure path's five keys (a resize)
+        attrs = {
+            "ts": ts,
+            "u": update.u,
+            "v": update.v,
+            "added": update.added,
+            "worker": self.worker_label,
+            "deltas": len(deltas),
+            "emits": self.metrics.emits - emits_before,
+        }
+        tracer.exit_span(span_id, parent_id, "task", start, end, attrs)
         return deltas
 
     # -- window / stream processing -----------------------------------------

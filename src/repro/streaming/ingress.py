@@ -121,9 +121,13 @@ class IngressNode:
         time-based windowing enabled, when ``window_seconds`` have elapsed
         since it opened.
         """
+        self._c_submitted.inc()
+        self._submit(update)
+
+    def _submit(self, update: Update) -> None:
+        """:meth:`submit` without the submitted-updates count."""
         if self._window_opened_at is None:
             self._window_opened_at = self._clock()
-        self._c_submitted.inc()
         self._apply_to_pending(update)
         while len(self._pending) >= self.window_size:
             self._close_window()
@@ -155,8 +159,9 @@ class IngressNode:
         fetches the records of every endpoint in the chunk at once; the
         sanitisation probes and the apply-time fill then find them held
         instead of paying one blocking fetch each.  Each update then goes
-        through :meth:`submit`, so windows, timestamps and verdicts are
-        those of per-update submission.  :meth:`submit` alone reads
+        through :meth:`submit`'s body, so windows, timestamps and verdicts
+        are those of per-update submission; the submitted-updates counter
+        moves once per chunk.  :meth:`submit` alone reads
         nothing ahead, and neither does a store whose copy cache is
         bounded (``cache_capacity``): its FIFO may evict what was read
         ahead before sanitisation reads it, a round trip spent for nothing.
@@ -168,8 +173,9 @@ class IngressNode:
         while chunk := list(itertools.islice(updates, self.window_size)):
             if prefetch is not None:
                 prefetch([v for u in chunk for v in (u.src, u.dst) if v is not None])
+            self._c_submitted.inc(len(chunk))
             for update in chunk:
-                self.submit(update)
+                self._submit(update)
 
     def flush(self) -> None:
         """Close any open window and drain deferred updates."""

@@ -125,16 +125,23 @@ class WorkQueue:
 
     def poll(self) -> Optional[WorkItem]:
         """Take the lowest-offset ready item, marking it in flight."""
-        return self._take() if self._ready else None
+        if not self._ready:
+            return None
+        item = self._take()
+        if self._telemetry_on:
+            self._g_depth.set(len(self._ready))
+        return item
 
     def _take(self) -> WorkItem:
-        """Move the head of the ready heap into flight."""
+        """Move the head of the ready heap into flight.
+
+        The depth gauge is the caller's to set, once it is done taking.
+        """
         offset = heapq.heappop(self._ready)
         item = self._items[offset]
         self._in_flight[offset] = item
         if self._telemetry_on:
             self._poll_times[offset] = time.perf_counter()
-            self._g_depth.set(len(self._ready))
         return item
 
     def ack(self, offset: int) -> None:
@@ -244,6 +251,8 @@ class WorkQueue:
                         self.redeliver(item.offset)
                         continue
                 items.append(item)
+            if self._telemetry_on:
+                self._g_depth.set(len(self._ready))
             if not items:
                 return
             yield items[0].timestamp, items

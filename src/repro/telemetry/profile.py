@@ -15,9 +15,11 @@ Design constraints, mirroring the telemetry subsystem:
   :class:`~repro.core.metrics.Metrics`.  A profiled task is one
   :meth:`ExplorationProfile.record` call with the
   :meth:`~repro.core.metrics.Metrics.counts` snapshots taken before and
-  after it; every field of its :class:`UpdateProfile` is derived from that
-  difference and the task's deltas.  An unprofiled task takes no snapshot
-  (benchmarked in ``benchmarks/test_telemetry_overhead.py``).
+  after it, which adds that difference (and the task's delta counts) into
+  one flat int vector per update key.  Every field of an
+  :class:`UpdateProfile` is derived from its key's vector, when a reader
+  asks for the rows.  An unprofiled task takes no snapshot (benchmarked
+  in ``benchmarks/test_telemetry_overhead.py``).
 * **Order-independent merge.**  Per-worker profiles are keyed by the
   update they attribute to; :meth:`ExplorationProfile.merge` sums records
   key-wise (addition commutes, ``max_depth`` takes the max), so merging
@@ -34,6 +36,7 @@ Design constraints, mirroring the telemetry subsystem:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.metrics import Metrics
@@ -142,15 +145,68 @@ class UpdateProfile:
         return record
 
 
+def _vector_row(
+    key: UpdateKey, vector: List[int], vertex_induced: bool
+) -> UpdateProfile:
+    """The :class:`UpdateProfile` of one accumulated task vector (see
+    :meth:`ExplorationProfile.record` for its layout)."""
+    (
+        tasks,
+        deltas,
+        rem,
+        filter_calls,
+        filter_passes,
+        match_calls,
+        attempts,
+        expansions,
+        emits,
+        rule2,
+        edges_excluded,
+        *depths,
+    ) = vector
+    # each task's root is one 2-vertex node; expansions build the deeper ones
+    shape = [0, 0, tasks] + depths[3:]
+    while len(shape) > 3 and not shape[-1]:
+        shape.pop()
+    ts, u, v, added = key
+    return UpdateProfile(
+        ts=ts,
+        u=u,
+        v=v,
+        added=added,
+        nodes=tasks + expansions,
+        attempts=attempts,
+        pruned_same_window=(
+            attempts - expansions - rule2 if vertex_induced else edges_excluded
+        ),
+        pruned_rule2=rule2,
+        expansions=expansions,
+        filter_calls=filter_calls,
+        filter_rejected=filter_calls - filter_passes,
+        match_calls=match_calls,
+        match_rejected=match_calls - emits,
+        new=deltas - rem,
+        rem=rem,
+        max_depth=len(shape) - 1,
+        depth_nodes=shape,
+    )
+
+
 class ExplorationProfile:
     """Accumulates per-update search-tree statistics; merges key-wise.
 
     One instance is held per worker (no shared soft state); the session
-    merges worker profiles at collection time.
+    merges worker profiles at collection time.  A recorded task only adds
+    into a flat int vector per update key; the :class:`UpdateProfile`
+    rows are built from those vectors when something reads them.
     """
 
     def __init__(self) -> None:
         self._updates: Dict[UpdateKey, UpdateProfile] = {}
+        # Task vectors not yet folded into ``_updates``, one dict per
+        # CAN_EXPAND mode (indexed by ``vertex_induced``): the two modes
+        # derive ``pruned_same_window`` from different counters.
+        self._vectors: Tuple[Dict[UpdateKey, List[int]], ...] = ({}, {})
 
     def record(
         self,
@@ -162,52 +218,25 @@ class ExplorationProfile:
         vertex_induced: bool,
     ) -> None:
         """Attribute one task to its update: ``after - before`` of
-        :meth:`Metrics.counts`, and the deltas it emitted."""
+        :meth:`Metrics.counts`, and the deltas it emitted.
+
+        The task becomes the vector ``[1, deltas, rem, *(after - before)]``
+        — one task, its delta count, its REM count, then the counter
+        differences — and is added element-wise into its key's vector.
+        """
         if len(before) < len(after):  # the task reached a new depth
             before += (0,) * (len(after) - len(before))
-        (
-            filter_calls,
-            filter_passes,
-            match_calls,
-            attempts,
-            expansions,
-            emits,
-            rule2,
-            edges_excluded,
-            *depths,
-        ) = [a - b for a, b in zip(after, before)]
-        key = (ts, update.u, update.v, update.added)
-        record = self._updates.get(key)
-        if record is None:
-            record = self._updates[key] = UpdateProfile(
-                ts=ts, u=update.u, v=update.v, added=update.added
-            )
         rem = 0
         for delta in deltas:
             if delta.status is MatchStatus.REM:
                 rem += 1
-        record.nodes += 1 + expansions
-        record.attempts += attempts
-        record.pruned_rule2 += rule2
-        record.pruned_same_window += (
-            attempts - expansions - rule2 if vertex_induced else edges_excluded
+        task = [1, len(deltas), rem, *map(sub, after, before)]
+        vector = self._vectors[vertex_induced].setdefault(
+            (ts, update.u, update.v, update.added), task
         )
-        record.expansions += expansions
-        record.filter_calls += filter_calls
-        record.filter_rejected += filter_calls - filter_passes
-        record.match_calls += match_calls
-        record.match_rejected += match_calls - emits
-        record.new += len(deltas) - rem
-        record.rem += rem
-        # the root is one 2-vertex node; expansions build the deeper ones
-        shape = [0, 0, 1] + depths[3:]
-        while len(shape) > 3 and not shape[-1]:
-            shape.pop()
-        record.max_depth = max(record.max_depth, len(shape) - 1)
-        depth_nodes = record.depth_nodes
-        depth_nodes.extend([0] * (len(shape) - len(depth_nodes)))
-        for depth, n in enumerate(shape):
-            depth_nodes[depth] += n
+        if vector is not task:  # the key ran before: a redelivered update
+            vector.extend([0] * (len(task) - len(vector)))
+            vector[: len(task)] = map(add, vector, task)
 
     # -- merge / introspection --------------------------------------------
 
@@ -222,14 +251,26 @@ class ExplorationProfile:
             mine.absorb(theirs)
 
     def update_records(self) -> Dict[UpdateKey, UpdateProfile]:
-        return self._updates
+        """Per-update records by key, with every recorded task folded in."""
+        updates = self._updates
+        for vertex_induced, vectors in enumerate(self._vectors):
+            for key, vector in vectors.items():
+                row = _vector_row(key, vector, bool(vertex_induced))
+                mine = updates.get(key)
+                if mine is None:
+                    updates[key] = row
+                else:
+                    mine.absorb(row)
+            vectors.clear()
+        return updates
 
     def updates(self) -> List[UpdateProfile]:
         """Per-update records in deterministic (timestamp, edge) order."""
-        return [self._updates[key] for key in sorted(self._updates)]
+        updates = self.update_records()
+        return [updates[key] for key in sorted(updates)]
 
     def num_updates(self) -> int:
-        return len(self._updates)
+        return len(self.update_records())
 
     def totals(self) -> Dict[str, Any]:
         """Whole-run aggregate of every counter plus depth shape."""
@@ -237,7 +278,7 @@ class ExplorationProfile:
         max_depth = 0
         depth_nodes: List[int] = []
         cost = 0.0
-        for record in self._updates.values():
+        for record in self.update_records().values():
             for attr in _SUM_FIELDS:
                 out[attr] += getattr(record, attr)
             if record.max_depth > max_depth:
@@ -248,7 +289,7 @@ class ExplorationProfile:
                 depth_nodes[i] += n
             cost += record.cost
         out["pruned"] = out["pruned_same_window"] + out["pruned_rule2"]
-        out["updates"] = len(self._updates)
+        out["updates"] = len(self.update_records())
         out["max_depth"] = max_depth
         out["depth_nodes"] = depth_nodes
         out["cost"] = cost
@@ -257,7 +298,7 @@ class ExplorationProfile:
     def window_rows(self) -> List[Dict[str, Any]]:
         """Per-window aggregates (one row per timestamp, ascending)."""
         by_ts: Dict[Timestamp, List[UpdateProfile]] = {}
-        for record in self._updates.values():
+        for record in self.update_records().values():
             by_ts.setdefault(record.ts, []).append(record)
         rows: List[Dict[str, Any]] = []
         for ts in sorted(by_ts):
@@ -283,7 +324,7 @@ class ExplorationProfile:
         merge and insertion order.
         """
         ranked = sorted(
-            self._updates.values(), key=lambda r: (-r.cost, r.key)
+            self.update_records().values(), key=lambda r: (-r.cost, r.key)
         )
         return ranked[: max(k, 0)]
 

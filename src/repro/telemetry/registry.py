@@ -229,10 +229,11 @@ class Family:
 
     Calling instrument methods (``inc``/``set``/``observe``/...) directly
     on the family operates on its unlabeled child, so simple metrics need
-    no ``labels()`` call.
+    no ``labels()`` call.  The first such call binds that child (creating
+    it, as ``labels()`` would); later ones go straight to it.
     """
 
-    __slots__ = ("name", "kind", "help", "buckets", "children")
+    __slots__ = ("name", "kind", "help", "buckets", "children", "_unlabeled")
 
     def __init__(
         self,
@@ -248,6 +249,7 @@ class Family:
         self.help = help
         self.buckets = tuple(buckets) if buckets is not None else None
         self.children: Dict[LabelKey, Any] = {}
+        self._unlabeled = None
 
     def labels(self, **labels: Any):
         """The child instrument for this label set (created on first use)."""
@@ -263,20 +265,24 @@ class Family:
 
     # Convenience pass-throughs to the unlabeled child.
 
+    def _bind(self):
+        self._unlabeled = self.labels()
+        return self._unlabeled
+
     def inc(self, n: float = 1) -> None:
-        self.labels().inc(n)
+        (self._unlabeled or self._bind()).inc(n)
 
     def dec(self, n: float = 1) -> None:
-        self.labels().dec(n)
+        (self._unlabeled or self._bind()).dec(n)
 
     def set(self, value: float) -> None:
-        self.labels().set(value)
+        (self._unlabeled or self._bind()).set(value)
 
     def set_total(self, value: float) -> None:
-        self.labels().set_total(value)
+        (self._unlabeled or self._bind()).set_total(value)
 
     def observe(self, value: float) -> None:
-        self.labels().observe(value)
+        (self._unlabeled or self._bind()).observe(value)
 
     def merge(self, other: "Family") -> None:
         if other.kind != self.kind:

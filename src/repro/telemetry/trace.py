@@ -4,7 +4,8 @@ A :class:`Tracer` produces *spans* — named, timed, attributed intervals —
 that nest naturally (window → task → explore phases) via a per-thread span
 stack.  Completed spans land in a fixed-capacity ring buffer (oldest spans
 are evicted first), so tracing a long run costs bounded memory, and can be
-exported as JSON lines for offline analysis.
+exported as JSON lines for offline analysis.  The ring holds each span as a
+plain field tuple; :class:`SpanRecord` objects are built when it is read.
 
 Two properties make the tracer safe to wire through hot paths:
 
@@ -122,13 +123,16 @@ class Tracer:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._clock = clock
+        #: this tracer's span clock; one call is one reading (spans opened
+        #: with ``span()`` read it too, manual records call it themselves)
+        self.now = clock
         #: process identity stamped on exports (``trace.meta``); ``None``
         #: keeps exports byte-identical to tracers predating trace contexts
         self.node = node
         #: run-wide trace id propagated across the wire with every RPC
         self.trace_id = trace_id if trace_id is not None else _new_trace_id()
-        self._ring: "deque[SpanRecord]" = deque(maxlen=capacity)
+        #: completed spans as ``(span_id, parent_id, name, start, end, attrs)``
+        self._ring: "deque[tuple]" = deque(maxlen=capacity)
         self._local = threading.local()
         self._lock = threading.Lock()
         self._next_id = 0
@@ -144,7 +148,8 @@ class Tracer:
         """Open a new span; enter the returned object as a context manager."""
         return Span(self, name, attrs)
 
-    def _stack(self) -> List[Span]:
+    def _stack(self) -> List[int]:
+        """This thread's open span ids, innermost last."""
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
@@ -155,41 +160,37 @@ class Tracer:
             self._next_id += 1
             return self._next_id
 
+    def _extend(self, records: List[tuple]) -> None:
+        """Append a batch of field tuples in one lock acquisition; eviction
+        accounting matches appending the records one by one."""
+        with self._lock:
+            overflow = len(self._ring) + len(records) - self.capacity
+            if overflow > 0:
+                self.dropped_spans += overflow
+            self._ring.extend(records)
+            self.spans_recorded += len(records)
+
     def _enter(self, span: Span) -> None:
-        stack = self._stack()
-        span.span_id = self._new_id()
-        span.parent_id = stack[-1].span_id if stack else None
-        stack.append(span)
-        span.start = self._clock()
+        span.span_id, span.parent_id = self.enter_span()
+        span.start = self.now()
 
     def _exit(self, span: Span) -> None:
-        end = self._clock()
-        stack = self._stack()
-        if stack and stack[-1] is span:
-            stack.pop()
-        record = SpanRecord(
-            span_id=span.span_id,
-            parent_id=span.parent_id,
-            name=span.name,
-            start=span.start,
-            end=end,
-            attrs=span.attrs,
+        end = self.now()
+        self.exit_span(
+            span.span_id, span.parent_id, span.name, span.start, end, span.attrs
         )
-        with self._lock:
-            if len(self._ring) == self.capacity:
-                self.dropped_spans += 1
-            self._ring.append(record)
-            self.spans_recorded += 1
 
-    # -- manual recording (the wire hot path) ------------------------------
+    # -- manual recording (the per-task and wire hot paths) ----------------
     #
-    # `with tracer.span(...)` costs a Span allocation, thread-local stack
-    # traffic, and two lock acquisitions per span — fine for window/task
-    # granularity, too heavy for a per-RPC path that opens three spans per
-    # call.  The RPC client and server instead time their work with clock
-    # readings they already take and append finished records through these
-    # primitives: one lock covers id allocation + parent resolution, one
-    # more covers the whole batch append.
+    # `with tracer.span(...)` costs a Span allocation, a kwargs dict, and
+    # the calls around thread-local stack traffic and two lock
+    # acquisitions per span — fine for window granularity, too heavy for
+    # the per-task path and a per-RPC path that opens three spans per call.
+    # The engine brackets each task with enter_span/exit_span and its own
+    # two clock readings; the RPC client and server time their work with
+    # clock readings they already take and append finished records through
+    # these primitives: one lock covers id allocation + parent resolution,
+    # one more covers the whole batch append.
     #
     # Pipelined RPC makes these spans *overlap*: a client may hold many
     # in-flight futures whose spans were opened (ids allocated, sent on
@@ -200,10 +201,6 @@ class Tracer:
     # per-RPC clock offsets independently) assumes span intervals nest or
     # that record order matches id order.
 
-    def now(self) -> float:
-        """One reading of this tracer's span clock (for manual records)."""
-        return self._clock()
-
     def open_wire_span(self) -> "tuple[int, Optional[int]]":
         """``(span_id, parent_id)`` for a manually recorded span.
 
@@ -213,7 +210,36 @@ class Tracer:
         thread's own and read lock-free.
         """
         stack = getattr(self._local, "stack", None)
-        return self._new_id(), stack[-1].span_id if stack else None
+        return self._new_id(), stack[-1] if stack else None
+
+    def enter_span(self) -> "tuple[int, Optional[int]]":
+        """Open a manually recorded span on this thread: ``(span_id, parent_id)``.
+
+        As :meth:`open_wire_span`, and the id is pushed on this thread's
+        span stack as well, so every span opened before the matching
+        :meth:`exit_span` — a ``span()``, an RPC's wire span — parents
+        under it.
+        """
+        stack = self._stack()
+        span_id = self._new_id()
+        parent_id = stack[-1] if stack else None
+        stack.append(span_id)
+        return span_id, parent_id
+
+    def exit_span(
+        self,
+        span_id: int,
+        parent_id: Optional[int],
+        name: str,
+        start: float,
+        end: float,
+        attrs: Dict[str, Any],
+    ) -> None:
+        """Close a span :meth:`enter_span` opened: pop it and record it."""
+        stack = getattr(self._local, "stack", None)
+        if stack and stack[-1] == span_id:
+            stack.pop()
+        self._extend([(span_id, parent_id, name, start, end, attrs)])
 
     def reserve_ids(self, n: int) -> int:
         """Allocate ``n`` consecutive span ids; returns the first."""
@@ -230,19 +256,10 @@ class Tracer:
         Each entry is a ``(span_id, parent_id, name, start, end, attrs)``
         tuple; callers take span ids from :meth:`open_wire_span` /
         :meth:`reserve_ids` (the :class:`SpanRecord` itself is only ever
-        built here, so the ring and the id sequence stay the tracer's).
+        built by the tracer, so the ring and the id sequence stay its own).
         Eviction accounting matches the one-at-a-time paths exactly.
         """
-        records = [
-            SpanRecord(span_id, parent_id, name, start, end, attrs)
-            for span_id, parent_id, name, start, end, attrs in spans
-        ]
-        with self._lock:
-            overflow = len(self._ring) + len(records) - self.capacity
-            if overflow > 0:
-                self.dropped_spans += overflow
-            self._ring.extend(records)
-            self.spans_recorded += len(records)
+        self._extend([tuple(span) for span in spans])
 
     def record(
         self,
@@ -253,20 +270,9 @@ class Tracer:
         **attrs: Any,
     ) -> SpanRecord:
         """Append a pre-timed span record directly (no stack interaction)."""
-        record = SpanRecord(
-            span_id=self._new_id(),
-            parent_id=parent_id,
-            name=name,
-            start=start,
-            end=end,
-            attrs=attrs,
-        )
-        with self._lock:
-            if len(self._ring) == self.capacity:
-                self.dropped_spans += 1
-            self._ring.append(record)
-            self.spans_recorded += 1
-        return record
+        span_id = self._new_id()
+        self._extend([(span_id, parent_id, name, start, end, attrs)])
+        return SpanRecord(span_id, parent_id, name, start, end, attrs)
 
     # -- cross-worker shipping ---------------------------------------------
 
@@ -275,46 +281,40 @@ class Tracer:
     ) -> None:
         """Merge spans recorded elsewhere, re-parenting their roots here.
 
-        Ids are re-assigned from this tracer's sequence (preserving the
-        internal parent structure of the absorbed batch); root spans of the
-        batch attach to ``parent_id``, else the current open span.
+        Ids are re-assigned from this tracer's sequence in one
+        :meth:`reserve_ids` call, in batch order (preserving the internal
+        parent structure of the absorbed batch); root spans of the batch
+        attach to ``parent_id``, else the current open span.
         """
         records = list(records)
         if not records:
             return
         if parent_id is None:
             stack = self._stack()
-            parent_id = stack[-1].span_id if stack else None
-        id_map: Dict[int, int] = {}
-        for record in records:
-            id_map[record.span_id] = self._new_id()
-        with self._lock:
-            for record in records:
-                remapped_parent = (
-                    id_map[record.parent_id]
-                    if record.parent_id in id_map
-                    else parent_id
+            parent_id = stack[-1] if stack else None
+        first = self.reserve_ids(len(records))
+        id_map = {record.span_id: first + i for i, record in enumerate(records)}
+        self._extend(
+            [
+                (
+                    id_map[record.span_id],
+                    id_map.get(record.parent_id, parent_id),
+                    record.name,
+                    record.start,
+                    record.end,
+                    record.attrs,
                 )
-                if len(self._ring) == self.capacity:
-                    self.dropped_spans += 1
-                self._ring.append(
-                    SpanRecord(
-                        span_id=id_map[record.span_id],
-                        parent_id=remapped_parent,
-                        name=record.name,
-                        start=record.start,
-                        end=record.end,
-                        attrs=record.attrs,
-                    )
-                )
-                self.spans_recorded += 1
+                for record in records
+            ]
+        )
 
     # -- introspection / export --------------------------------------------
 
     def records(self) -> List[SpanRecord]:
         """Buffered span records, oldest first."""
         with self._lock:
-            return list(self._ring)
+            fields = list(self._ring)
+        return [SpanRecord(*f) for f in fields]
 
     def clear(self) -> None:
         """Empty the ring (and the truncation counter describing it)."""
@@ -337,7 +337,7 @@ class Tracer:
         earlier releases), then the spans, oldest first.
         """
         with self._lock:
-            records = list(self._ring)
+            fields = list(self._ring)
             dropped = self.dropped_spans
             recorded = self.spans_recorded
         lines: List[str] = []
@@ -366,9 +366,10 @@ class Tracer:
                 )
             )
         lines.extend(
-            json.dumps(r.to_dict(), sort_keys=True, default=str) for r in records
+            json.dumps(SpanRecord(*f).to_dict(), sort_keys=True, default=str)
+            for f in fields
         )
-        return lines, len(records)
+        return lines, len(fields)
 
     def to_jsonl(self) -> str:
         """The buffered spans as JSON lines (one span per line).
@@ -437,6 +438,12 @@ class NullTracer:
 
     def open_wire_span(self) -> "tuple[int, Optional[int]]":
         return 0, None
+
+    def enter_span(self) -> "tuple[int, Optional[int]]":
+        return 0, None
+
+    def exit_span(self, span_id, parent_id, name, start, end, attrs) -> None:
+        return None
 
     def reserve_ids(self, n: int) -> int:
         return 0

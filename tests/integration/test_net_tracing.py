@@ -94,6 +94,40 @@ class TestWireTracing:
         assert (skew.client_node, skew.server_node) == ("client", "server")
         assert skew.consistent
 
+    def test_rpc_issued_inside_a_task_parents_under_that_task(self):
+        """A task's span is on the tracer's stack while it explores, so a
+        record fetch it misses goes out as an ``rpc.call`` child of it."""
+        telemetry = Telemetry()
+        graph = erdos_renyi(30, 90, seed=5)
+        # a two-record copy cache: the ingress reads nothing ahead, and
+        # tasks fetch the records they explore over the wire
+        store = make_store("net", graph=graph, cache_size=2, telemetry=telemetry)
+        session = StreamingSession(
+            CliqueMining(3, min_size=3),
+            "serial",
+            window_size=5,
+            store=store,
+            telemetry=telemetry,
+        )
+        try:
+            session.process(
+                Update.delete_edge(u, v) for u, v in graph.sorted_edges()[:20]
+            )
+        finally:
+            session.close()
+            store.close()
+        records = telemetry.tracer.records()
+        tasks = [r for r in records if r.name == "task"]
+        assert len(tasks) == 20
+        inside = 0
+        for rpc in (r for r in records if r.name == "rpc.call"):
+            owner = [t for t in tasks if t.start <= rpc.start and rpc.end <= t.end]
+            if owner:
+                (task,) = owner
+                assert rpc.parent_id == task.span_id
+                inside += 1
+        assert inside > 0
+
     def test_mine_cli_and_trace_merge_cli(self, tmp_path, capsys):
         """The full acceptance flow: mine --store net --trace-out against a
         traced server, then 'repro trace-merge' on the two files."""

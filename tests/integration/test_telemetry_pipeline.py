@@ -14,10 +14,12 @@ import pytest
 
 from repro.apps import CliqueMining
 from repro.cli import main
+from repro.core.engine import TesseractEngine
 from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.session import StreamingSession
-from repro.telemetry import Telemetry
-from repro.types import Update
+from repro.store.mvstore import MultiVersionStore
+from repro.telemetry import Telemetry, Tracer
+from repro.types import EdgeUpdate, Update
 
 EDGES = list(itertools.combinations(range(7), 2))
 
@@ -78,6 +80,34 @@ def test_every_task_span_nests_under_its_window(backend):
     tasks = [r for r in records if r.name == "task"]
     assert len(tasks) == len(EDGES)
     assert all(t.parent_id in windows for t in tasks)
+
+
+def test_task_spans_overflow_the_ring_like_context_manager_spans():
+    """The engine records its task spans through the tracer's manual path;
+    past the ring's capacity that path must count, evict and number spans
+    exactly as ``with tracer.span("task", ...)`` does."""
+    updates = [EdgeUpdate(u, v, added=True) for u, v in EDGES]
+    store = MultiVersionStore()
+    store.apply_edge_updates(1, updates)
+    telemetry = Telemetry(trace_capacity=8)
+    engine = TesseractEngine(store, CliqueMining(3, min_size=3), telemetry=telemetry)
+    with telemetry.tracer.span("window"):
+        emitted = [len(engine.process_update(1, update)) for update in updates]
+    reference = Tracer(capacity=8)
+    with reference.span("window"):
+        for update, deltas in zip(updates, emitted):
+            with reference.span(
+                "task", ts=1, u=update.u, v=update.v, added=True, worker=0
+            ) as span:
+                span.set(deltas=deltas, emits=deltas)
+    tracer = telemetry.tracer
+    assert tracer.dropped_spans == reference.dropped_spans == len(EDGES) + 1 - 8
+    assert tracer.spans_recorded == reference.spans_recorded == len(EDGES) + 1
+
+    def shape(records):
+        return [(r.span_id, r.parent_id, r.name, r.attrs) for r in records]
+
+    assert shape(tracer.records()) == shape(reference.records())
 
 
 def test_process_backend_ships_spans_from_workers():

@@ -8,10 +8,20 @@ per-level depth histograms add element-wise.  The property: merging any
 permutation of worker profiles, in any pairwise grouping, yields an
 identical serialized document (which covers totals, window rows, imbalance,
 and top-k ordering all at once).
+
+Also here: the profile a real run records — task vectors summed per update
+key — serializes to the same document as the per-task oracle
+(``scenarios.OracleProfile``) on every backend, crashes and reruns
+included.
 """
 
-from hypothesis import given, settings, strategies as st
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+from scenarios import PROFILED_APPS, OracleProfile, crashy_profile, profiles_of
+
+from repro.runtime.backend import BACKEND_NAMES
 from repro.telemetry import ExplorationProfile, UpdateProfile
 
 #: a small universe of update keys so permuted workers overlap on them
@@ -117,3 +127,17 @@ def test_top_updates_deterministic_and_sorted(records):
         single.update_records()[record.key] = record
         again.merge(single)
     assert [r.key for r in again.top_updates(3)] == [r.key for r in top]
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("app", PROFILED_APPS, ids=[name for name, _ in PROFILED_APPS])
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_recorded_profile_equals_the_per_task_oracle(backend, app, seed):
+    _, make_algorithm = app
+    with profiles_of(OracleProfile):
+        oracle = crashy_profile(backend, make_algorithm(), seed)
+    recorded = crashy_profile(backend, make_algorithm(), seed)
+    # the rerun window recorded some update key twice: two tasks, two roots
+    assert any(u["depth_nodes"][2] == 2 for u in oracle["updates"])
+    assert oracle["totals"]["max_depth"] >= 3
+    assert json.dumps(recorded, sort_keys=True) == json.dumps(oracle, sort_keys=True)

@@ -1,5 +1,5 @@
-"""Seeded scenarios for the differential tests: streams, preload paths and
-the delta-stream encoding they compare.
+"""Seeded scenarios for the differential tests: streams, preload paths,
+the delta-stream encoding they compare, and the per-task profile oracle.
 
 A scenario is replayable from its arguments alone: the update stream is
 drawn from one ``random.Random(seed)``, and a store is preloaded through one
@@ -17,12 +17,16 @@ import random
 from contextlib import contextmanager
 from typing import List, Optional
 
-from repro.core.api import MiningAlgorithm
+from repro.apps import CliqueMining
+from repro.core.api import InducedMode, MiningAlgorithm
+from repro.errors import WorkerCrashed
 from repro.graph.adjacency import AdjacencyGraph
+from repro.runtime.fault import CrashPlan, FaultInjector
 from repro.store.api import make_store
 from repro.store.checkpoint import store_from_dict, store_to_dict
 from repro.store.mvstore import MultiVersionStore
-from repro.types import Update
+from repro.telemetry import ExplorationProfile, UpdateProfile
+from repro.types import MatchStatus, Update
 
 #: how a store receives its initial graph (``bulk_load`` is ``net`` only)
 PRELOAD_PATHS = ("graph", "put_record", "checkpoint", "bulk_load")
@@ -172,3 +176,143 @@ def preloaded(kind: str, graph: AdjacencyGraph, path: str):
     finally:
         for close in closers:
             close()
+
+
+# -- the exploration profile against its per-task oracle -----------------------
+
+
+class OracleProfile(ExplorationProfile):
+    """An :class:`ExplorationProfile` whose ``record`` builds the task's
+    :class:`UpdateProfile` row field by field, as every task once did; the
+    oracle for the accumulated task vectors."""
+
+    def record(self, ts, update, before, after, deltas, vertex_induced):
+        if len(before) < len(after):  # the task reached a new depth
+            before += (0,) * (len(after) - len(before))
+        (
+            filter_calls,
+            filter_passes,
+            match_calls,
+            attempts,
+            expansions,
+            emits,
+            rule2,
+            edges_excluded,
+            *depths,
+        ) = [a - b for a, b in zip(after, before)]
+        key = (ts, update.u, update.v, update.added)
+        records = self.update_records()
+        record = records.get(key)
+        if record is None:
+            record = records[key] = UpdateProfile(
+                ts=ts, u=update.u, v=update.v, added=update.added
+            )
+        rem = 0
+        for delta in deltas:
+            if delta.status is MatchStatus.REM:
+                rem += 1
+        record.nodes += 1 + expansions
+        record.attempts += attempts
+        record.pruned_rule2 += rule2
+        record.pruned_same_window += (
+            attempts - expansions - rule2 if vertex_induced else edges_excluded
+        )
+        record.expansions += expansions
+        record.filter_calls += filter_calls
+        record.filter_rejected += filter_calls - filter_passes
+        record.match_calls += match_calls
+        record.match_rejected += match_calls - emits
+        record.new += len(deltas) - rem
+        record.rem += rem
+        # the root is one 2-vertex node; expansions build the deeper ones
+        shape = [0, 0, 1] + depths[3:]
+        while len(shape) > 3 and not shape[-1]:
+            shape.pop()
+        record.max_depth = max(record.max_depth, len(shape) - 1)
+        depth_nodes = record.depth_nodes
+        depth_nodes.extend([0] * (len(shape) - len(depth_nodes)))
+        for depth, n in enumerate(shape):
+            depth_nodes[depth] += n
+
+
+@contextmanager
+def profiles_of(profile_class):
+    """Backends built inside hand their engines (and forked slice workers)
+    ``profile_class()`` for an exploration profile."""
+    from repro.runtime import backend
+
+    saved = backend.ExplorationProfile
+    backend.ExplorationProfile = profile_class
+    try:
+        yield
+    finally:
+        backend.ExplorationProfile = saved
+
+
+def churn_stream(seed: int, n: int = 8, length: int = 48) -> List[Update]:
+    """Adds and deletes over vertices ``0..n-1``, drawn from ``seed``."""
+    rng = random.Random(seed)
+    possible = list(itertools.combinations(range(n), 2))
+    present = set()
+    ops: List[Update] = []
+    while len(ops) < length:
+        e = rng.choice(possible)
+        if e in present:
+            if rng.random() < 0.4:
+                present.discard(e)
+                ops.append(Update.delete_edge(*e))
+        else:
+            present.add(e)
+            ops.append(Update.add_edge(*e))
+    return ops
+
+
+def crashy_profile(backend: str, algorithm: MiningAlgorithm, seed: int) -> dict:
+    """``collect_profile().to_dict()`` of a profiled, crashy run of
+    :func:`churn_stream` (``seed``) in windows of 6.
+
+    Two crashes: a :class:`~repro.runtime.fault.FaultInjector` point fired
+    as the queue hands out the fifth item (redelivered before it ran), and
+    a second ``run_tasks`` call that raises after every task of its window
+    ran, so the rerun records each of those update keys a second time.
+    """
+    from repro.runtime.session import StreamingSession
+
+    session = StreamingSession(
+        algorithm,
+        backend,
+        window_size=6,
+        num_workers=2,
+        profile=True,
+        fault_injector=FaultInjector(CrashPlan(((0, 4),))),
+    )
+    run_tasks = session.backend.run_tasks
+    calls = itertools.count(1)
+
+    def crash_after_second_window(tasks):
+        deltas = run_tasks(tasks)
+        if next(calls) == 2:
+            raise WorkerCrashed(1, 0)
+        return deltas
+
+    session.backend.run_tasks = crash_after_second_window
+    try:
+        session.submit_many(churn_stream(seed))
+        try:
+            session.flush()
+        except WorkerCrashed:
+            session.run_pending()
+        else:
+            raise AssertionError("the second window did not crash")
+        return session.collect_profile().to_dict()
+    finally:
+        session.close()
+
+
+#: (name, algorithm factory) pairs the profile oracle runs: a vertex-induced
+#: app three levels deep and an edge-induced one (its same-window prunes are
+#: the excluded edges)
+PROFILED_APPS = (
+    ("clique4", lambda: CliqueMining(4, min_size=3)),
+    ("reads-everything-edge", lambda: ReadsEverything(InducedMode.EDGE)),
+)
