@@ -249,6 +249,23 @@ def record_bench(experiment: str, data: Dict) -> None:
     _merge_json(BENCH_PATH, experiment, data)
 
 
+def time_best_interleaved(stages: Dict, rounds: int) -> Dict[str, float]:
+    """Best-of-``rounds`` seconds per stage, one round of every stage at a
+    time.
+
+    The stages are compared as ratios to a ``raw`` floor; a box that
+    changes speed between two stages' loops would move the ratios, so every
+    round visits all of them.
+    """
+    best = {name: float("inf") for name in stages}
+    for _ in range(rounds):
+        for name, fn in stages.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best
+
+
 def fmt_seconds(s: Optional[float]) -> str:
     if s is None:
         return "—"

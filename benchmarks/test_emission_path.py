@@ -16,10 +16,15 @@ stages interleaved round by round, minimizes scheduler noise.  Results land in t
 (see ``_harness.BENCH_PATH``).
 """
 
-import time
 from collections import Counter
 
-from _harness import lj_bench, print_table, record_bench, timed_static_run
+from _harness import (
+    lj_bench,
+    print_table,
+    record_bench,
+    time_best_interleaved,
+    timed_static_run,
+)
 
 from repro.apps import MotifCounting
 from repro.dataflow.aggregation import SumAggregator
@@ -30,22 +35,6 @@ from repro.graph.subgraph import SubgraphView
 from repro.types import MatchDelta
 
 ROUNDS = 7
-
-
-def _time_best_interleaved(stages, rounds=ROUNDS):
-    """Best-of-N per stage, one round of every stage at a time.
-
-    The stages are compared as ratios to the ``raw`` floor; a box that
-    changes speed between two stages' loops would move the ratios, so every
-    round visits all of them.
-    """
-    best = {name: float("inf") for name in stages}
-    for _ in range(rounds):
-        for name, fn in stages.items():
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return best
 
 
 def _leaf_views(matches):
@@ -83,14 +72,15 @@ def test_emission_path(benchmark):
     misses_before = _shape_form.cache_info().misses
 
     def measure():
-        return _time_best_interleaved(
+        return time_best_interleaved(
             {
                 "raw": lambda: [(1, status, tuple(v.vertices())) for v in views],
                 "freeze": freeze_all,
                 "delta": lambda: [MatchDelta(1, status, m) for m in matches],
                 "key": lambda: [motif_of(m) for m in matches],
                 "push": lambda: source.push_deltas(deltas),
-            }
+            },
+            ROUNDS,
         )
 
     results = benchmark.pedantic(measure, rounds=1, iterations=1)

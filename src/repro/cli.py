@@ -42,6 +42,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import sys
 import time
@@ -254,44 +255,84 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    """Self-check: incremental mining == brute force on random graphs."""
-    import itertools
+def _is_clique(vertices, edges) -> bool:
+    return len(edges) == len(vertices) * (len(vertices) - 1) // 2
 
-    from repro.core.engine import TesseractEngine, collect_matches
-    from repro.graph.adjacency import AdjacencyGraph
-    from repro.runtime.session import StreamingSession
+
+def _is_connected(vertices, edges) -> bool:
+    reached = {vertices[0]}
+    grew = True
+    while grew:
+        grew = False
+        for u, v in edges:
+            if (u in reached) != (v in reached):
+                reached.update((u, v))
+                grew = True
+    return len(reached) == len(vertices)
+
+
+#: what ``verify`` mines: (name, algorithm factory, largest match, whether
+#: a vertex set with these induced edges is a match).  Each predicate is
+#: the app's definition, written without the engine or the app's code.
+_VERIFIED = (
+    ("4-C", lambda: CliqueMining(4, min_size=3), 4, _is_clique),
+    ("3-MC", lambda: MotifCounting(3, min_size=3), 3, _is_connected),
+)
+
+
+def _brute_force_matches(n: int, edges, max_size: int, is_match) -> set:
+    """``MatchSubgraph.identity`` of every match of the graph on vertices
+    ``0..n-1``: every vertex set of 3 to ``max_size`` vertices is tried."""
+    present = set(edges)
+    found = set()
+    for size in range(3, max_size + 1):
+        for vertices in itertools.combinations(range(n), size):
+            induced = frozenset(
+                e for e in itertools.combinations(vertices, 2) if e in present
+            )
+            if is_match(vertices, induced):
+                found.add((frozenset(vertices), induced))
+    return found
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    """Self-check: incremental mining == brute force on random graphs.
+
+    Each trial mines one random add/delete stream on at most 9 vertices
+    with 4-C and with 3-MC (where most nodes keep both graph versions
+    live), and compares the matches the deltas leave with an enumeration
+    of every vertex set of the final graph.
+    """
+    from repro.core.engine import collect_matches
 
     rng = random.Random(args.seed)
     failures = 0
     for trial in range(args.trials):
         n = rng.randint(5, 9)
         possible = list(itertools.combinations(range(n), 2))
-        session = StreamingSession(
-            CliqueMining(4, min_size=3), window_size=rng.choice([1, 3, 5])
-        )
+        window_size = rng.choice([1, 3, 5])
         present = set()
+        updates = []
         for _ in range(30):
             e = rng.choice(possible)
             if e in present and rng.random() < 0.4:
                 present.discard(e)
-                session.submit(Update.delete_edge(*e))
+                updates.append(Update.delete_edge(*e))
             elif e not in present:
                 present.add(e)
-                session.submit(Update.add_edge(*e))
-        live = collect_matches(session.flush())
-        session.close()
-        final = AdjacencyGraph.from_edges(sorted(present))
-        for v in range(n):
-            final.add_vertex(v)
-        expected = collect_matches(
-            TesseractEngine.run_static(final, CliqueMining(4, min_size=3))
-        )
-        status = "ok" if live == expected else "MISMATCH"
-        failures += status != "ok"
-        if not args.quiet or status != "ok":
-            print(f"trial {trial:>3}: {len(present):>2} edges, "
-                  f"{len(live):>3} matches ... {status}")
+                updates.append(Update.add_edge(*e))
+        exact = True
+        for name, factory, max_size, is_match in _VERIFIED:
+            session = StreamingSession(factory(), window_size=window_size)
+            session.submit_many(updates)
+            live = collect_matches(session.flush())
+            session.close()
+            ok = live == _brute_force_matches(n, present, max_size, is_match)
+            exact = exact and ok
+            if not args.quiet or not ok:
+                print(f"trial {trial:>3} {name:>4}: {len(present):>2} edges, "
+                      f"{len(live):>3} matches ... {'ok' if ok else 'MISMATCH'}")
+        failures += not exact
     print(f"{args.trials - failures}/{args.trials} trials exact")
     return 1 if failures else 0
 

@@ -16,8 +16,12 @@ Most nodes are built, rejected by ``filter`` and torn down again, so a node
 is kept cheap: the two :class:`~repro.graph.subgraph.SubgraphView` objects
 are built once per engine over the live vertex list and matrices, re-rooted
 by every update and re-used by every node, expanding and backtracking are
-O(1) row operations, and attempts and expansions are accounted once per
-EXPLORE call.  :class:`~repro.core.metrics.Metrics` is the one record the
+O(1) row operations, a node is evaluated in the frame that built it, and
+attempts and expansions are accounted once per EXPLORE call.  Once one
+version's ``filter`` has failed, the rest of the subtree is single-version
+(DDSL's observation: only embeddings that still hold an updated edge in
+both versions need two-version treatment), so an EXPLORE call with one
+live version binds that version once and runs its own loop.  :class:`~repro.core.metrics.Metrics` is the one record the
 search writes; a profiled task is the difference of its counters across
 the task.  What the views resolve from the store follows the store's
 capability facts, read once per update: on a store where no vertex ever had
@@ -44,9 +48,6 @@ from repro.graph.subgraph import SubgraphView
 from repro.store.api import CAPABILITY_FACTS
 from repro.store.snapshot import ExplorationView
 from repro.types import EdgeUpdate, MatchDelta, MatchStatus, VertexId
-
-#: outcomes of evaluating one subgraph version
-_REJECTED, _KEPT, _MATCHED = range(3)
 
 #: what a store that declares no capability facts answers: every fact True
 _ALL_FACTS = SimpleNamespace(**dict.fromkeys(CAPABILITY_FACTS, True))
@@ -252,9 +253,22 @@ class Explorer:
         # and with equal masks no edge to the candidate was updated in this
         # window, so there is no same-window edge to reject either.
         at_root = depth == 3
+        # With one live version (the other's filter failed higher up, and a
+        # dropped flag stays down for the whole subtree) every child is a
+        # single-version node: it is evaluated here, in this frame, against
+        # that version's view, matrix and filter, bound once per call.
+        one = not (c_pre and c_post)
+        if one:
+            s, matrix, side = (
+                (self._s_post, post, 1) if c_post else (self._s_pre, pre, 0)
+            )
+            status = MatchStatus.NEW if c_post else MatchStatus.REM
+            algorithm = self.algorithm
+            keeps = algorithm.filter
         expansions = rule2 = 0
         for v in sorted(candidates):
-            pre_bits, post_bits = candidates[v]
+            bits = candidates[v]
+            pre_bits, post_bits = bits
             if timing:
                 start = time.perf_counter()
                 reason = vertex_expansion_reason(
@@ -273,18 +287,41 @@ class Explorer:
                 continue
             expansions += 1
             verts.append(v)
-            # A version whose flag dropped stays down for the whole subtree
-            # and its matrix is never read there: only live versions grow.
-            if c_pre:
+            if one:
+                # DETECT_CHANGES for the one live version, inline; a call is
+                # counted once it returned
+                matrix.append_row(bits[side])
+                s.rebind()
+                if timing:
+                    start = time.perf_counter()
+                    keep = keeps(s)
+                    metrics.filter_seconds += time.perf_counter() - start
+                else:
+                    keep = keeps(s)
+                metrics.filter_calls += 1
+                if keep:
+                    metrics.filter_passes += 1
+                    if s.is_connected():
+                        if timing:
+                            start = time.perf_counter()
+                            matched = algorithm.match(s)
+                            metrics.match_seconds += time.perf_counter() - start
+                        else:
+                            matched = algorithm.match(s)
+                        metrics.match_calls += 1
+                        if matched:
+                            self._emit(status, s)
+                    if descend:
+                        self._explore_v(pre, post, start_key, c_pre, c_post)
+                matrix.pop_row()
+            else:
+                # Both versions live: each grows and is evaluated.
                 pre.append_row(pre_bits)
-            if c_post:
                 post.append_row(post_bits)
-            c_pre2, c_post2 = self._detect_changes(c_pre, c_post)
-            if descend and (c_pre2 or c_post2):
-                self._explore_v(pre, post, start_key, c_pre2, c_post2)
-            if c_pre:
+                c_pre2, c_post2 = self._detect_changes(True, True)
+                if descend and (c_pre2 or c_post2):
+                    self._explore_v(pre, post, start_key, c_pre2, c_post2)
                 pre.pop_row()
-            if c_post:
                 post.pop_row()
             verts.pop()
         self._account(len(candidates), expansions, rule2, depth)
@@ -332,58 +369,66 @@ class Explorer:
     def _detect_changes(self, c_pre: bool, c_post: bool):
         """DETECT_CHANGES (Algorithm 2 lines 8-18) at the current node.
 
-        Returns the continuation flags: a version's flag drops when its
-        ``filter`` fails.  Edge-induced callers pass a flag already lowered
-        for a version in which a chosen edge is missing: that version does
-        not exist, here or in any extension.
-        """
-        if c_pre:
-            s = self._s_pre
-            s.rebind()
-            state = self._evaluate(s)
-            if state == _MATCHED:
-                self._emit(MatchStatus.REM, s)
-            elif state == _REJECTED:
-                c_pre = False
-        if c_post:
-            s = self._s_post
-            s.rebind()
-            state = self._evaluate(s)
-            if state == _MATCHED:
-                self._emit(MatchStatus.NEW, s)
-            elif state == _REJECTED:
-                c_post = False
-        return c_pre, c_post
-
-    def _evaluate(self, s: SubgraphView) -> int:
-        """filter -> connectivity -> match, as a tri-state.
-
-        A failed filter (stop exploring this version) is distinct from a
-        subgraph that is kept but is not a match.  A call is counted once
-        it returned, so a task that raised counts only what it finished.
+        Each live version runs filter -> connectivity -> match -> emit, in
+        this frame.  Returns the continuation flags: a version's flag drops
+        when its ``filter`` fails; a subgraph that passes but is not a match
+        is kept.  Edge-induced callers pass a flag already lowered for a
+        version in which a chosen edge is missing: that version does not
+        exist, here or in any extension.  A call is counted once it
+        returned, so a task that raised counts only what it finished.
         """
         algorithm = self.algorithm
         metrics = self.metrics
-        if metrics.timing_enabled:
-            start = time.perf_counter()
-            keep = algorithm.filter(s)
-            metrics.filter_seconds += time.perf_counter() - start
-        else:
-            keep = algorithm.filter(s)
-        metrics.filter_calls += 1
-        if not keep:
-            return _REJECTED
-        metrics.filter_passes += 1
-        if not s.is_connected():
-            return _KEPT
-        if metrics.timing_enabled:
-            start = time.perf_counter()
-            matched = algorithm.match(s)
-            metrics.match_seconds += time.perf_counter() - start
-        else:
-            matched = algorithm.match(s)
-        metrics.match_calls += 1
-        return _MATCHED if matched else _KEPT
+        timing = metrics.timing_enabled
+        if c_pre:
+            s = self._s_pre
+            s.rebind()
+            if timing:
+                start = time.perf_counter()
+                keep = algorithm.filter(s)
+                metrics.filter_seconds += time.perf_counter() - start
+            else:
+                keep = algorithm.filter(s)
+            metrics.filter_calls += 1
+            if not keep:
+                c_pre = False
+            else:
+                metrics.filter_passes += 1
+                if s.is_connected():
+                    if timing:
+                        start = time.perf_counter()
+                        matched = algorithm.match(s)
+                        metrics.match_seconds += time.perf_counter() - start
+                    else:
+                        matched = algorithm.match(s)
+                    metrics.match_calls += 1
+                    if matched:
+                        self._emit(MatchStatus.REM, s)
+        if c_post:
+            s = self._s_post
+            s.rebind()
+            if timing:
+                start = time.perf_counter()
+                keep = algorithm.filter(s)
+                metrics.filter_seconds += time.perf_counter() - start
+            else:
+                keep = algorithm.filter(s)
+            metrics.filter_calls += 1
+            if not keep:
+                c_post = False
+            else:
+                metrics.filter_passes += 1
+                if s.is_connected():
+                    if timing:
+                        start = time.perf_counter()
+                        matched = algorithm.match(s)
+                        metrics.match_seconds += time.perf_counter() - start
+                    else:
+                        matched = algorithm.match(s)
+                    metrics.match_calls += 1
+                    if matched:
+                        self._emit(MatchStatus.NEW, s)
+        return c_pre, c_post
 
     def _emit(self, status: MatchStatus, s: SubgraphView) -> None:
         self.metrics.emits += 1

@@ -82,14 +82,19 @@ class STesseractEngine:
     def _explore(self, matrix: BitMatrix, start_key: EdgeKey) -> None:
         metrics = self.metrics
         verts = self._verts
+        algorithm = self.algorithm
         # Same frontier rule as ``Explorer``: ``max_size`` is a leaf.
-        descend = len(verts) + 1 < self.algorithm.max_size
+        descend = len(verts) + 1 < algorithm.max_size
         graph = self._graph
         members = set(verts)
         candidates = sorted(
             {n for w in verts for n in graph.neighbors(w)} - members
         )
         timing = metrics.timing_enabled
+        # Like ``Explorer``'s one-live-version loop: each child is evaluated
+        # in this frame (the root goes through :meth:`_detect`).
+        s = self._s
+        keeps = algorithm.filter
         expansions = 0
         for v in candidates:
             if timing:
@@ -103,8 +108,27 @@ class STesseractEngine:
             expansions += 1
             verts.append(v)
             matrix.append_row(bits)
-            if self._detect() and descend:
-                self._explore(matrix, start_key)
+            s.rebind()
+            metrics.filter_calls += 1
+            if timing:
+                start = time.perf_counter()
+                keep = keeps(s)
+                metrics.filter_seconds += time.perf_counter() - start
+            else:
+                keep = keeps(s)
+            if keep:
+                if s.is_connected():
+                    metrics.match_calls += 1
+                    if timing:
+                        start = time.perf_counter()
+                        matched = algorithm.match(s)
+                        metrics.match_seconds += time.perf_counter() - start
+                    else:
+                        matched = algorithm.match(s)
+                    if matched:
+                        self._emit(s)
+                if descend:
+                    self._explore(matrix, start_key)
             matrix.pop_row()
             verts.pop()
         metrics.explore_calls += 1
@@ -162,6 +186,9 @@ class STesseractEngine:
             else:
                 matched = algorithm.match(s)
             if matched:
-                self.metrics.emits += 1
-                self._out.append(MatchDelta(1, MatchStatus.NEW, s.freeze()))
+                self._emit(s)
         return True
+
+    def _emit(self, s: SubgraphView) -> None:
+        self.metrics.emits += 1
+        self._out.append(MatchDelta(1, MatchStatus.NEW, s.freeze()))

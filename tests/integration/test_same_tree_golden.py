@@ -17,6 +17,12 @@ The labelled cases relabel vertices mid-stream: ingress lands the label
 change and the deletion of the vertex's incident edges in one window, so
 those explorations read a pre-window label that differs from the
 post-window one.
+
+The node path is held to ``OracleExplorer`` (``tests/scenarios.py``),
+which sends every node through ``_detect_changes`` and ``_evaluate`` as
+the explorer once did: the same ``filter``/``match`` calls in the same
+order, the same bytes and the same counters, with timing on and off and
+when a ``filter`` raises mid-tree.
 """
 
 import hashlib
@@ -49,6 +55,7 @@ from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
 from repro.streaming.ingress import Window
 from repro.types import EdgeUpdate, Update, UpdateKind
+from scenarios import FilterRaised, LoggingAlgorithm, OracleExplorer, stream_bytes
 
 LABELS = ("a", "b", "c", "d")
 
@@ -407,3 +414,72 @@ def test_unlabelled_app_on_a_labelled_store_reads_emitted_labels_only():
         ExplorationView(lonely, 2), EdgeUpdate(3, 4, added=True)
     )
     assert out == [] and lonely.label_reads == 0
+
+
+#: the node-path cases, each on add/delete/relabel streams: name ->
+#: (algorithm factory, stream parameters).  On 4-C and 4-CL most nodes sit
+#: under a root where one version failed ``filter`` (one live version);
+#: 3-MC keeps both versions live at every node; FSM is edge-induced.
+NODE_PATH = {
+    "4-C": (lambda: CliqueMining(4, min_size=3), dict(_DENSE, labelled=True)),
+    "3-MC": (lambda: MotifCounting(3), dict(_SPARSE, labelled=True)),
+    "4-CL": (lambda: LabeledCliqueMining(4, min_size=3), dict(_DENSE, labelled=True)),
+    "3-FSM": (lambda: FrequentSubgraphMining(3), dict(_SPARSE, labelled=True)),
+}
+
+
+def node_path(explorer_class, name, seed, timing=False, raise_at=None):
+    """The call log, delta bytes and ``Metrics.counts()`` of one serial run
+    of ``NODE_PATH[name]`` whose engine explores with ``explorer_class``;
+    with ``raise_at``, of the run up to the ``filter`` call that raised."""
+    factory, params = NODE_PATH[name]
+    params = dict(params, seed=seed)
+    window_size = params.pop("window_size")
+    graph, updates = seeded_stream(**params)
+    algorithm = LoggingAlgorithm(factory(), raise_at=raise_at)
+    session = StreamingSession(
+        algorithm, window_size=window_size, initial_graph=graph
+    )
+    try:
+        engine = session.backend.engine
+        engine.metrics.timing_enabled = timing
+        engine.explorer = explorer_class(algorithm, metrics=engine.metrics)
+        algorithm.watch(engine.explorer)
+        session.submit_many(updates)
+        if raise_at is None:
+            session.flush()
+        else:
+            with pytest.raises(FilterRaised):
+                session.flush()
+        if timing:
+            assert engine.metrics.filter_seconds > 0
+        return algorithm.log, stream_bytes(session.deltas()), engine.metrics.counts()
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("timing", [False, True], ids=["untimed", "timed"])
+@pytest.mark.parametrize("seed", [11, 12])
+@pytest.mark.parametrize("name", sorted(NODE_PATH))
+def test_node_path_makes_the_oracle_calls_in_the_oracle_order(name, seed, timing):
+    log, deltas, counts = node_path(Explorer, name, seed, timing)
+    oracle_log, oracle_deltas, oracle_counts = node_path(
+        OracleExplorer, name, seed, timing
+    )
+    assert deltas
+    assert {version for _, version, *_ in log} == {"pre", "post"}
+    assert log == oracle_log
+    assert deltas == oracle_deltas
+    assert counts == oracle_counts
+
+
+@pytest.mark.parametrize("raise_at, size", [(1, 2), (2, 2), (40, 3), (1001, 4)])
+def test_a_filter_that_raises_leaves_the_oracle_counts(raise_at, size):
+    """A call is counted once it returned: up to a raise, the log, the
+    deltas and the counters are the oracle's, whether the raising call is
+    at a root or at a ``size``-vertex node below it."""
+    full_log = node_path(OracleExplorer, "4-C", 11)[0]
+    filters = [entry for entry in full_log if entry[0] == "filter"]
+    assert len(filters[raise_at - 1][2]) == size
+    got = node_path(Explorer, "4-C", 11, raise_at=raise_at)
+    assert got == node_path(OracleExplorer, "4-C", 11, raise_at=raise_at)

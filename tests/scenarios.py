@@ -1,5 +1,6 @@
 """Seeded scenarios for the differential tests: streams, preload paths,
-the delta-stream encoding they compare, and the per-task profile oracle.
+the delta-stream encoding they compare, the per-task profile oracle, and
+the per-node exploration oracle.
 
 A scenario is replayable from its arguments alone: the update stream is
 drawn from one ``random.Random(seed)``, and a store is preloaded through one
@@ -14,11 +15,14 @@ from __future__ import annotations
 import itertools
 import pickle
 import random
+import time
 from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.apps import CliqueMining
 from repro.core.api import InducedMode, MiningAlgorithm
+from repro.core.canonicality import ALLOWED, PRUNED_RULE2, vertex_expansion_reason
+from repro.core.explore import Explorer
 from repro.errors import WorkerCrashed
 from repro.graph.adjacency import AdjacencyGraph
 from repro.runtime.fault import CrashPlan, FaultInjector
@@ -316,3 +320,147 @@ PROFILED_APPS = (
     ("clique4", lambda: CliqueMining(4, min_size=3)),
     ("reads-everything-edge", lambda: ReadsEverything(InducedMode.EDGE)),
 )
+
+
+# -- the exploration node path against its two-frame oracle -------------------
+
+#: outcomes of evaluating one subgraph version
+_REJECTED, _KEPT, _MATCHED = range(3)
+
+
+class OracleExplorer(Explorer):
+    """An :class:`~repro.core.explore.Explorer` whose every node goes
+    through ``_detect_changes`` and then ``_evaluate`` for each live
+    version, as every node once did; the oracle for the explorer's inline,
+    one-live-version node path (same tree, same calls, same counts)."""
+
+    def _explore_v(self, pre, post, start_key, c_pre, c_post):
+        metrics = self.metrics
+        verts = self._verts
+        depth = len(verts) + 1
+        descend = depth < self.algorithm.max_size
+        candidates = self._candidate_bits()
+        timing = metrics.timing_enabled
+        at_root = depth == 3
+        expansions = rule2 = 0
+        for v in sorted(candidates):
+            pre_bits, post_bits = candidates[v]
+            if timing:
+                start = time.perf_counter()
+                reason = vertex_expansion_reason(
+                    verts, start_key, v, pre_bits, post_bits
+                )
+                metrics.can_expand_seconds += time.perf_counter() - start
+            elif at_root and pre_bits == post_bits:
+                reason = ALLOWED
+            else:
+                reason = vertex_expansion_reason(
+                    verts, start_key, v, pre_bits, post_bits
+                )
+            if reason != ALLOWED:
+                if reason == PRUNED_RULE2:
+                    rule2 += 1
+                continue
+            expansions += 1
+            verts.append(v)
+            if c_pre:
+                pre.append_row(pre_bits)
+            if c_post:
+                post.append_row(post_bits)
+            c_pre2, c_post2 = self._detect_changes(c_pre, c_post)
+            if descend and (c_pre2 or c_post2):
+                self._explore_v(pre, post, start_key, c_pre2, c_post2)
+            if c_pre:
+                pre.pop_row()
+            if c_post:
+                post.pop_row()
+            verts.pop()
+        self._account(len(candidates), expansions, rule2, depth)
+
+    def _detect_changes(self, c_pre, c_post):
+        if c_pre:
+            s = self._s_pre
+            s.rebind()
+            state = self._evaluate(s)
+            if state == _MATCHED:
+                self._emit(MatchStatus.REM, s)
+            elif state == _REJECTED:
+                c_pre = False
+        if c_post:
+            s = self._s_post
+            s.rebind()
+            state = self._evaluate(s)
+            if state == _MATCHED:
+                self._emit(MatchStatus.NEW, s)
+            elif state == _REJECTED:
+                c_post = False
+        return c_pre, c_post
+
+    def _evaluate(self, s) -> int:
+        algorithm = self.algorithm
+        metrics = self.metrics
+        if metrics.timing_enabled:
+            start = time.perf_counter()
+            keep = algorithm.filter(s)
+            metrics.filter_seconds += time.perf_counter() - start
+        else:
+            keep = algorithm.filter(s)
+        metrics.filter_calls += 1
+        if not keep:
+            return _REJECTED
+        metrics.filter_passes += 1
+        if not s.is_connected():
+            return _KEPT
+        if metrics.timing_enabled:
+            start = time.perf_counter()
+            matched = algorithm.match(s)
+            metrics.match_seconds += time.perf_counter() - start
+        else:
+            matched = algorithm.match(s)
+        metrics.match_calls += 1
+        return _MATCHED if matched else _KEPT
+
+
+class FilterRaised(Exception):
+    """What :class:`LoggingAlgorithm` raises at its ``raise_at``-th filter call."""
+
+
+class LoggingAlgorithm(MiningAlgorithm):
+    """``inner``, logging every ``filter`` and ``match`` call in call order
+    as ``(call, version, tuple(s), s.num_edges())``.
+
+    ``version`` is ``"pre"`` or ``"post"``: which of the watched explorer's
+    two views was handed over (see :meth:`watch`).  With ``raise_at`` the
+    ``raise_at``-th filter call raises :class:`FilterRaised` instead of
+    answering, and is not logged.
+    """
+
+    def __init__(self, inner: MiningAlgorithm, raise_at: Optional[int] = None):
+        self.inner = inner
+        self.max_size = inner.max_size
+        self.induced = inner.induced
+        self.ordered_output = inner.ordered_output
+        self.uses_edge_labels = inner.uses_edge_labels
+        self.uses_directions = inner.uses_directions
+        self.raise_at = raise_at
+        self.filter_calls = 0
+        self.log: list = []
+        self._pre = None
+
+    def watch(self, explorer: Explorer) -> None:
+        self._pre = explorer._s_pre
+
+    def _record(self, call, s) -> None:
+        version = "pre" if s is self._pre else "post"
+        self.log.append((call, version, tuple(s), s.num_edges()))
+
+    def filter(self, s):
+        self.filter_calls += 1
+        if self.filter_calls == self.raise_at:
+            raise FilterRaised(self.raise_at)
+        self._record("filter", s)
+        return self.inner.filter(s)
+
+    def match(self, s):
+        self._record("match", s)
+        return self.inner.match(s)

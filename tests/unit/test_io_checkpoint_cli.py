@@ -279,3 +279,35 @@ class TestVerifyCommand:
         assert main(["verify", "--trials", "3", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "3/3 trials exact" in out
+
+    def test_verify_checks_both_apps(self, capsys):
+        from repro.cli import main
+
+        assert main(["verify", "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" 4-C: ") == 2 and out.count("3-MC: ") == 2
+
+    @pytest.mark.parametrize("plant", ["edge-is-a-clique", "explorer-drops-4-vertex"])
+    def test_a_planted_wrong_match_fails_the_check(self, capsys, monkeypatch, plant):
+        """The oracle is an enumeration of vertex sets, not the engine: a
+        wrong answer that the engine would give on a static graph too (an
+        app that calls an edge a clique, an explorer that loses every
+        4-vertex match) still fails the check."""
+        from repro.apps import CliqueMining
+        from repro.cli import main
+        from repro.core.explore import Explorer
+
+        if plant == "edge-is-a-clique":
+            monkeypatch.setattr(CliqueMining, "match", lambda self, s: True)
+        else:
+            emit = Explorer._emit
+
+            def lossy_emit(self, status, s):
+                if len(s) != 4:
+                    emit(self, status, s)
+
+            monkeypatch.setattr(Explorer, "_emit", lossy_emit)
+        assert main(["verify", "--trials", "5", "--quiet"]) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCH" in out and "/5 trials exact" in out
+        assert "5/5 trials exact" not in out
