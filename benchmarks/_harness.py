@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.engine import TesseractEngine
-from repro.core.metrics import Metrics
+from repro.core.metrics import Metrics, OperationTimer
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.datasets import GKS_LABELS, load_dataset
 from repro.graph.generators import (
@@ -86,14 +86,14 @@ def labeled(graph: AdjacencyGraph, num_labels: int = 3, seed: int = 13) -> Adjac
 # -- engine drivers -----------------------------------------------------------
 
 
-def timed_static_run(graph, algorithm, timing=False):
+def timed_static_run(graph, algorithm):
     """Run Tesseract statically; returns (deltas, seconds, metrics, tasks).
 
     ``tasks`` are the ``(timestamp, EdgeUpdate)`` pairs it mined, every edge
     of ``graph`` at timestamp 1 of ``MultiVersionStore.from_adjacency(graph,
     ts=1)``.
     """
-    metrics = Metrics(timing_enabled=timing)
+    metrics = Metrics()
     store = MultiVersionStore.from_adjacency(graph, ts=1)
     engine = TesseractEngine(store, algorithm, metrics=metrics)
     tasks = [(1, EdgeUpdate(u, v, added=True)) for u, v in graph.sorted_edges()]
@@ -131,15 +131,18 @@ def run_updates(
     algorithm,
     edge_stream: Sequence[Tuple[Tuple[int, int], bool]],
     window: int = WINDOW,
-    timing: bool = False,
+    timer: Optional[OperationTimer] = None,
 ):
     """Feed (edge, added) updates through the streaming session; time mining only.
 
     Returns (deltas, mining_seconds, metrics, tasks) — ``tasks`` are the
-    ``(timestamp, EdgeUpdate)`` pairs the session mined, in order.
+    ``(timestamp, EdgeUpdate)`` pairs the session mined, in order.  A
+    ``timer`` is attached to the engine's explorer before mining starts.
     """
-    metrics = Metrics(timing_enabled=timing)
+    metrics = Metrics()
     exec_backend = _TaskLog(store, algorithm, metrics=metrics)
+    if timer is not None:
+        timer.attach(exec_backend.engine.explorer)
     session = StreamingSession(algorithm, exec_backend, window_size=window, store=store)
     for (u, v), added in edge_stream:
         session.submit(Update.add_edge(u, v) if added else Update.delete_edge(u, v))

@@ -174,7 +174,7 @@ class DeterminismRule(Rule):
                 node,
                 self.rule_id,
                 f"non-monotonic wall clock {name}() is banned: time only via "
-                "time.perf_counter/time.monotonic into Metrics *_seconds, "
+                "time.perf_counter/time.monotonic into an OperationTimer, "
                 "gauges, or histograms",
             )
         elif (

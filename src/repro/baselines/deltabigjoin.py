@@ -52,20 +52,6 @@ class BigJoinStats:
     matches_found: int = 0
     wall_seconds: float = 0.0
 
-    def simulated_makespan(
-        self,
-        num_machines: int,
-        workers_per_machine: int = 16,
-        work_per_prefix: float = 3.0,
-        network_units_per_mb: float = 120.0,
-    ) -> float:
-        """Distributed makespan: parallel join work + network transfer time."""
-        workers = num_machines * workers_per_machine
-        parallel = self.prefixes_extended * work_per_prefix / workers
-        cross_traffic = self.bytes_shuffled * (1.0 - 1.0 / num_machines)
-        network = (cross_traffic / 1e6) * network_units_per_mb / num_machines
-        return parallel + network
-
 
 class DeltaBigJoin:
     """One fixed-pattern query with incremental (delta query) evaluation.

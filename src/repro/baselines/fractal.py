@@ -97,9 +97,3 @@ class FractalModel:
             num_tasks=graph.num_edges(),
             metrics=metrics,
         )
-
-    def run_on_evolving(
-        self, snapshots: List[AdjacencyGraph]
-    ) -> List[FractalRun]:
-        """Recompute from scratch after every increment (Figure 3 setup)."""
-        return [self.run(g) for g in snapshots]

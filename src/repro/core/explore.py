@@ -30,7 +30,6 @@ a label, an emitted match reads no label.
 
 from __future__ import annotations
 
-import time
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import List, Optional
@@ -80,6 +79,11 @@ class Explorer:
 
         self.algorithm = algorithm
         self.metrics = metrics if metrics is not None else Metrics()
+        # The two CAN_EXPAND functions, held per explorer so that an
+        # :class:`~repro.core.metrics.OperationTimer` can wrap them; each
+        # EXPLORE call binds the one it uses once.
+        self.vertex_expansion_reason = vertex_expansion_reason
+        self.edge_expansion_pool_ex = edge_expansion_pool_ex
         # Decided once: a task is profiled iff this explorer was handed a
         # profile, and then costs two counter snapshots and one record.
         self.profile = profile
@@ -248,7 +252,7 @@ class Explorer:
         # evaluated like any other but never expanded.
         descend = depth < self.algorithm.max_size
         candidates = self._candidate_bits()
-        timing = metrics.timing_enabled
+        reason_of = self.vertex_expansion_reason
         # For a child of the root rule 2 is vacuous (it looks at slots 2..),
         # and with equal masks no edge to the candidate was updated in this
         # window, so there is no same-window edge to reject either.
@@ -269,18 +273,10 @@ class Explorer:
         for v in sorted(candidates):
             bits = candidates[v]
             pre_bits, post_bits = bits
-            if timing:
-                start = time.perf_counter()
-                reason = vertex_expansion_reason(
-                    verts, start_key, v, pre_bits, post_bits
-                )
-                metrics.can_expand_seconds += time.perf_counter() - start
-            elif at_root and pre_bits == post_bits:
+            if at_root and pre_bits == post_bits:
                 reason = ALLOWED
             else:
-                reason = vertex_expansion_reason(
-                    verts, start_key, v, pre_bits, post_bits
-                )
+                reason = reason_of(verts, start_key, v, pre_bits, post_bits)
             if reason != ALLOWED:
                 if reason == PRUNED_RULE2:
                     rule2 += 1
@@ -292,22 +288,12 @@ class Explorer:
                 # counted once it returned
                 matrix.append_row(bits[side])
                 s.rebind()
-                if timing:
-                    start = time.perf_counter()
-                    keep = keeps(s)
-                    metrics.filter_seconds += time.perf_counter() - start
-                else:
-                    keep = keeps(s)
+                keep = keeps(s)
                 metrics.filter_calls += 1
                 if keep:
                     metrics.filter_passes += 1
                     if s.is_connected():
-                        if timing:
-                            start = time.perf_counter()
-                            matched = algorithm.match(s)
-                            metrics.match_seconds += time.perf_counter() - start
-                        else:
-                            matched = algorithm.match(s)
+                        matched = algorithm.match(s)
                         metrics.match_calls += 1
                         if matched:
                             self._emit(status, s)
@@ -379,52 +365,31 @@ class Explorer:
         """
         algorithm = self.algorithm
         metrics = self.metrics
-        timing = metrics.timing_enabled
         if c_pre:
             s = self._s_pre
             s.rebind()
-            if timing:
-                start = time.perf_counter()
-                keep = algorithm.filter(s)
-                metrics.filter_seconds += time.perf_counter() - start
-            else:
-                keep = algorithm.filter(s)
+            keep = algorithm.filter(s)
             metrics.filter_calls += 1
             if not keep:
                 c_pre = False
             else:
                 metrics.filter_passes += 1
                 if s.is_connected():
-                    if timing:
-                        start = time.perf_counter()
-                        matched = algorithm.match(s)
-                        metrics.match_seconds += time.perf_counter() - start
-                    else:
-                        matched = algorithm.match(s)
+                    matched = algorithm.match(s)
                     metrics.match_calls += 1
                     if matched:
                         self._emit(MatchStatus.REM, s)
         if c_post:
             s = self._s_post
             s.rebind()
-            if timing:
-                start = time.perf_counter()
-                keep = algorithm.filter(s)
-                metrics.filter_seconds += time.perf_counter() - start
-            else:
-                keep = algorithm.filter(s)
+            keep = algorithm.filter(s)
             metrics.filter_calls += 1
             if not keep:
                 c_post = False
             else:
                 metrics.filter_passes += 1
                 if s.is_connected():
-                    if timing:
-                        start = time.perf_counter()
-                        matched = algorithm.match(s)
-                        metrics.match_seconds += time.perf_counter() - start
-                    else:
-                        matched = algorithm.match(s)
+                    matched = algorithm.match(s)
                     metrics.match_calls += 1
                     if matched:
                         self._emit(MatchStatus.NEW, s)
@@ -450,20 +415,11 @@ class Explorer:
         depth = len(verts) + 1
         descend = depth < self.algorithm.max_size
         candidates = self._candidate_bits()
-        timing = metrics.timing_enabled
+        pool_of = self.edge_expansion_pool_ex
         expansions = rule2 = excluded_edges = 0
         for v in sorted(candidates):
             pre_bits, post_bits = candidates[v]
-            if timing:
-                start = time.perf_counter()
-                pool, excluded = edge_expansion_pool_ex(
-                    verts, start_key, v, pre_bits, post_bits
-                )
-                metrics.can_expand_seconds += time.perf_counter() - start
-            else:
-                pool, excluded = edge_expansion_pool_ex(
-                    verts, start_key, v, pre_bits, post_bits
-                )
+            pool, excluded = pool_of(verts, start_key, v, pre_bits, post_bits)
             if pool is None:
                 rule2 += 1
                 continue

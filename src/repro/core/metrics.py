@@ -1,22 +1,25 @@
-"""Operation counters and timers for the mining engine.
+"""Operation counters for the mining engine, and a timer beside them.
 
-The paper's Figure 6 breaks runtime down into ``match``, ``filter``,
-``CAN_EXPAND``, and ``other``; this module records exactly those categories,
-plus the raw counters the simulated cluster uses as task work units.  It is
-the one record EXPLORE writes: what one task did is :meth:`Metrics.counts`
-after the task minus the same snapshot before it (see
-:meth:`~repro.telemetry.profile.ExplorationProfile.record`).
+:class:`Metrics` counts the paper's Figure 6 categories (``match``,
+``filter``, ``CAN_EXPAND``) plus the raw counters the simulated cluster uses
+as task work units.  It is the one record EXPLORE writes: what one task did
+is :meth:`Metrics.counts` after the task minus the same snapshot before it
+(see :meth:`~repro.telemetry.profile.ExplorationProfile.record`).
+
+Figure 6's runtime split comes from :class:`OperationTimer`, which wraps an
+explorer's operations from the outside: the explorer itself reads no clock.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 
 @dataclass
 class Metrics:
-    """Counts and cumulative seconds per engine operation."""
+    """Counts per engine operation."""
 
     filter_calls: int = 0
     match_calls: int = 0
@@ -36,16 +39,6 @@ class Metrics:
     #: ``depth_expansions[k]``: expansions that built a ``k``-vertex subgraph
     depth_expansions: List[int] = field(default_factory=list)
 
-    filter_seconds: float = 0.0
-    match_seconds: float = 0.0
-    can_expand_seconds: float = 0.0
-
-    timing_enabled: bool = False
-
-    def reset(self) -> None:
-        snapshot = Metrics(timing_enabled=self.timing_enabled)
-        self.__dict__.update(snapshot.__dict__)
-
     # -- work accounting ---------------------------------------------------
 
     def work_units(self) -> float:
@@ -63,7 +56,7 @@ class Metrics:
         )
 
     def merge(self, other: "Metrics") -> None:
-        """Accumulate another worker's counters and timers into this one."""
+        """Accumulate another worker's counters into this one."""
         self.filter_calls += other.filter_calls
         self.match_calls += other.match_calls
         self.can_expand_calls += other.can_expand_calls
@@ -77,20 +70,6 @@ class Metrics:
         mine.extend([0] * (len(other.depth_expansions) - len(mine)))
         for depth, n in enumerate(other.depth_expansions):
             mine[depth] += n
-        self.filter_seconds += other.filter_seconds
-        self.match_seconds += other.match_seconds
-        self.can_expand_seconds += other.can_expand_seconds
-
-    def breakdown(self, wall_seconds: float) -> Dict[str, float]:
-        """The Figure 6 decomposition of ``wall_seconds``: match / filter /
-        CAN_EXPAND / other."""
-        accounted = self.filter_seconds + self.match_seconds + self.can_expand_seconds
-        return {
-            "match": self.match_seconds,
-            "filter": self.filter_seconds,
-            "can_expand": self.can_expand_seconds,
-            "other": max(wall_seconds - accounted, 0.0),
-        }
 
     def counts(self) -> Tuple[int, ...]:
         """Every counter one task moves, flat: ``filter_calls``,
@@ -108,3 +87,61 @@ class Metrics:
             self.edges_excluded,
             *self.depth_expansions,
         )
+
+
+class OperationTimer:
+    """Cumulative seconds an :class:`~repro.core.explore.Explorer` spends in
+    ``filter``, ``match`` and CAN_EXPAND: the measured half of Figure 6.
+
+    :meth:`attach` swaps the explorer's algorithm for a proxy whose
+    ``filter`` and ``match`` time the real call, and wraps the explorer's
+    two CAN_EXPAND callables the same way; the explorer runs its one path
+    and never knows.  What a wrapper costs beyond the timed call lands in
+    ``other``.
+    """
+
+    def __init__(self) -> None:
+        self.seconds: Dict[str, float] = dict.fromkeys(
+            ("match", "filter", "can_expand"), 0.0
+        )
+
+    def attach(self, explorer) -> "OperationTimer":
+        explorer.algorithm = _TimedOperations(explorer.algorithm, self)
+        explorer.vertex_expansion_reason = self._timed(
+            "can_expand", explorer.vertex_expansion_reason
+        )
+        explorer.edge_expansion_pool_ex = self._timed(
+            "can_expand", explorer.edge_expansion_pool_ex
+        )
+        return self
+
+    def _timed(self, category: str, fn):
+        seconds = self.seconds
+        clock = time.perf_counter
+
+        def timed(*args):
+            start = clock()
+            result = fn(*args)
+            seconds[category] += clock() - start
+            return result
+
+        return timed
+
+    def breakdown(self, wall_seconds: float) -> Dict[str, float]:
+        """The Figure 6 decomposition of ``wall_seconds``: match / filter /
+        CAN_EXPAND / other."""
+        other = max(wall_seconds - sum(self.seconds.values()), 0.0)
+        return {**self.seconds, "other": other}
+
+
+class _TimedOperations:
+    """A mining algorithm whose ``filter`` and ``match`` are timed; every
+    other attribute is the wrapped algorithm's."""
+
+    def __init__(self, inner, timer: OperationTimer) -> None:
+        self._inner = inner
+        self.filter = timer._timed("filter", inner.filter)
+        self.match = timer._timed("match", inner.match)
+
+    def __getattr__(self, name: str):
+        return getattr(self._inner, name)

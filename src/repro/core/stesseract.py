@@ -16,7 +16,6 @@ identical to ``TesseractEngine.run_static``; only the machinery differs.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional
 
 from repro.core.api import InducedMode, MiningAlgorithm
@@ -90,19 +89,13 @@ class STesseractEngine:
         candidates = sorted(
             {n for w in verts for n in graph.neighbors(w)} - members
         )
-        timing = metrics.timing_enabled
         # Like ``Explorer``'s one-live-version loop: each child is evaluated
         # in this frame (the root goes through :meth:`_detect`).
         s = self._s
         keeps = algorithm.filter
         expansions = 0
         for v in candidates:
-            if timing:
-                start = time.perf_counter()
-                bits = self._can_expand(v)
-                metrics.can_expand_seconds += time.perf_counter() - start
-            else:
-                bits = self._can_expand(v)
+            bits = self._can_expand(v)
             if bits is None:
                 continue
             expansions += 1
@@ -110,21 +103,11 @@ class STesseractEngine:
             matrix.append_row(bits)
             s.rebind()
             metrics.filter_calls += 1
-            if timing:
-                start = time.perf_counter()
-                keep = keeps(s)
-                metrics.filter_seconds += time.perf_counter() - start
-            else:
-                keep = keeps(s)
+            keep = keeps(s)
             if keep:
                 if s.is_connected():
                     metrics.match_calls += 1
-                    if timing:
-                        start = time.perf_counter()
-                        matched = algorithm.match(s)
-                        metrics.match_seconds += time.perf_counter() - start
-                    else:
-                        matched = algorithm.match(s)
+                    matched = algorithm.match(s)
                     if matched:
                         self._emit(s)
                 if descend:
@@ -165,26 +148,15 @@ class STesseractEngine:
         """Filter/connectivity/match on the single (static) subgraph version."""
         algorithm = self.algorithm
         metrics = self.metrics
-        timing = metrics.timing_enabled
         s = self._s
         s.rebind()
         metrics.filter_calls += 1
-        if timing:
-            start = time.perf_counter()
-            keep = algorithm.filter(s)
-            metrics.filter_seconds += time.perf_counter() - start
-        else:
-            keep = algorithm.filter(s)
+        keep = algorithm.filter(s)
         if not keep:
             return False
         if s.is_connected():
             metrics.match_calls += 1
-            if timing:
-                start = time.perf_counter()
-                matched = algorithm.match(s)
-                metrics.match_seconds += time.perf_counter() - start
-            else:
-                matched = algorithm.match(s)
+            matched = algorithm.match(s)
             if matched:
                 self._emit(s)
         return True

@@ -246,9 +246,10 @@ class StreamingSession:
     # -- introspection ---------------------------------------------------
 
     def metrics(self) -> Metrics:
-        """Merged worker metrics: operation counts and, in timing mode,
-        per-category seconds.  Per-window wall time is in
-        :attr:`window_stats`."""
+        """Merged worker metrics: operation counts only.  Per-window wall
+        time is in :attr:`window_stats`; seconds per operation come from an
+        :class:`~repro.core.metrics.OperationTimer` attached to an
+        explorer."""
         return self.backend.metrics()
 
     def stats(self) -> SystemStats:

@@ -44,10 +44,6 @@ class AccessStats:
         self.per_shard[shard] = self.per_shard.get(shard, 0) + 1
         self.total += 1
 
-    def reset(self) -> None:
-        self.per_shard.clear()
-        self.total = 0
-
     def imbalance(self) -> float:
         """Max/mean shard load ratio (1.0 = perfectly balanced).
 

@@ -27,6 +27,7 @@ from repro.errors import InvalidUpdateError
 from repro.store.api import GraphStore, ReclaimStats
 from repro.streaming.queue import WorkQueue
 from repro.types import (
+    Direction,
     EdgeKey,
     EdgeUpdate,
     Label,
@@ -188,6 +189,10 @@ class IngressNode:
         """Whether the edge is alive as of the last applied window."""
         return self.store.edge_alive_at(key[0], key[1], self._next_ts - 1)
 
+    def _direction_now(self, key: EdgeKey) -> Direction:
+        """The edge's direction, in key order, as of the last applied window."""
+        return self.store.edge_direction_at(key[0], key[1], self._next_ts - 1)
+
     def _apply_to_pending(self, update: Update) -> None:
         kind = update.kind
         if kind is UpdateKind.ADD_EDGE:
@@ -234,8 +239,9 @@ class IngressNode:
         else:
             # delete followed by add within one window: the delete stays in
             # this window, the add is deferred to the next so each window
-            # remains a consistent snapshot.
-            self._deferred[key] = Update.add_edge(key[0], key[1], label)
+            # remains a consistent snapshot.  ``direction`` is already in
+            # key order, which the re-add keeps.
+            self._deferred[key] = Update.add_edge(key[0], key[1], label, direction)
             self.updates_accepted += 1
 
     def _pend_delete(self, key: EdgeKey) -> None:
@@ -287,22 +293,32 @@ class IngressNode:
             key = edge_key(v, nbr)
             old_label = self.store.edge_label_at(key[0], key[1], self._next_ts - 1)
             self._pend_delete(key)
-            self._deferred[key] = Update.add_edge(key[0], key[1], old_label)
+            self._deferred[key] = Update.add_edge(
+                key[0], key[1], old_label, self._direction_now(key)
+            )
         self._close_window(limit=False)  # label + all deletes, atomically
         if self._pending or self._deferred:
             self._close_window(limit=False)  # the re-adds
 
     def _pend_edge_relabel(self, key: EdgeKey, label: Label) -> None:
-        if key in self._deferred:
+        """Relabel = delete now, re-add with ``label`` and the edge's
+        direction next window."""
+        deferred = self._deferred.get(key)
+        if deferred is not None:
             # The edge is being re-added next window; relabel that re-add
             # (assigning to a held key keeps its place in the order).
-            self._deferred[key] = Update.add_edge(key[0], key[1], label)
-            return
-        if not self._edge_exists_now(key) and key not in self._pending:
-            self.updates_dropped += 1
-            return
-        self._pend_delete(key)
-        self._deferred[key] = Update.add_edge(key[0], key[1], label)
+            direction = deferred.direction
+        else:
+            pending = self._pending.get(key)
+            if pending is not None and pending.added:
+                direction = pending.direction  # added in this window
+            elif pending is not None or self._edge_exists_now(key):
+                direction = self._direction_now(key)
+            else:
+                self.updates_dropped += 1
+                return
+            self._pend_delete(key)
+        self._deferred[key] = Update.add_edge(key[0], key[1], label, direction)
 
     # -- window application ----------------------------------------------
 

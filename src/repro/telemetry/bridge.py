@@ -30,31 +30,16 @@ ENGINE_COUNTERS = (
     ("explore_calls", "repro_engine_explore_calls_total"),
 )
 
-ENGINE_SECONDS = (
-    ("filter_seconds", "repro_engine_filter_seconds"),
-    ("match_seconds", "repro_engine_match_seconds"),
-    ("can_expand_seconds", "repro_engine_can_expand_seconds"),
-)
-
-
 def metrics_to_registry(registry: "MetricsRegistry", metrics: "Metrics") -> None:
     """Project a merged :class:`Metrics` snapshot into engine counters.
 
     The call counters are the paper's Figure 6 categories (match / filter /
     CAN_EXPAND) plus the expansion/emit/explore counts the simulated cluster
-    (SimulatedBackend) uses as work units; the ``*_seconds`` gauges carry the
-    cumulative per-category time when ``timing_enabled`` was on (wall
-    time per window is ``repro_session_window_seconds``).
+    (SimulatedBackend) uses as work units (wall time per window is
+    ``repro_session_window_seconds``).
     """
     for attr, name in ENGINE_COUNTERS:
         registry.counter(name, f"cumulative engine {attr}").set_total(
-            getattr(metrics, attr)
-        )
-    # Wall-clock seconds are real measurements — nondeterministic across
-    # runs and backends — so they are gauges, keeping ``counter_totals()``
-    # (the cross-backend determinism contract) free of timing noise.
-    for attr, name in ENGINE_SECONDS:
-        registry.gauge(name, f"cumulative engine {attr}").set(
             getattr(metrics, attr)
         )
     registry.counter(

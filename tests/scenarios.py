@@ -15,13 +15,12 @@ from __future__ import annotations
 import itertools
 import pickle
 import random
-import time
 from contextlib import contextmanager
 from typing import List, Optional
 
 from repro.apps import CliqueMining
 from repro.core.api import InducedMode, MiningAlgorithm
-from repro.core.canonicality import ALLOWED, PRUNED_RULE2, vertex_expansion_reason
+from repro.core.canonicality import ALLOWED, PRUNED_RULE2
 from repro.core.explore import Explorer
 from repro.errors import WorkerCrashed
 from repro.graph.adjacency import AdjacencyGraph
@@ -253,6 +252,18 @@ def profiles_of(profile_class):
         backend.ExplorationProfile = saved
 
 
+def readded_arc_windows(u: int, v: int, w: int) -> List[List[Update]]:
+    """A feed-forward loop of arcs ``u->v``, ``v->w``, ``u->w`` in one
+    window, then ``u->w`` deleted and re-added in the next: ingress defers
+    the re-add a window, and the loop is back only if the deferred re-add
+    kept the arc's direction."""
+    arcs = [(u, v), (v, w), (u, w)]
+    return [
+        [Update.add_edge(a, b, direction="fwd") for a, b in arcs],
+        [Update.delete_edge(u, w), Update.add_edge(u, w, direction="fwd")],
+    ]
+
+
 def churn_stream(seed: int, n: int = 8, length: int = 48) -> List[Update]:
     """Adds and deletes over vertices ``0..n-1``, drawn from ``seed``."""
     rng = random.Random(seed)
@@ -340,23 +351,15 @@ class OracleExplorer(Explorer):
         depth = len(verts) + 1
         descend = depth < self.algorithm.max_size
         candidates = self._candidate_bits()
-        timing = metrics.timing_enabled
+        reason_of = self.vertex_expansion_reason
         at_root = depth == 3
         expansions = rule2 = 0
         for v in sorted(candidates):
             pre_bits, post_bits = candidates[v]
-            if timing:
-                start = time.perf_counter()
-                reason = vertex_expansion_reason(
-                    verts, start_key, v, pre_bits, post_bits
-                )
-                metrics.can_expand_seconds += time.perf_counter() - start
-            elif at_root and pre_bits == post_bits:
+            if at_root and pre_bits == post_bits:
                 reason = ALLOWED
             else:
-                reason = vertex_expansion_reason(
-                    verts, start_key, v, pre_bits, post_bits
-                )
+                reason = reason_of(verts, start_key, v, pre_bits, post_bits)
             if reason != ALLOWED:
                 if reason == PRUNED_RULE2:
                     rule2 += 1
@@ -399,24 +402,14 @@ class OracleExplorer(Explorer):
     def _evaluate(self, s) -> int:
         algorithm = self.algorithm
         metrics = self.metrics
-        if metrics.timing_enabled:
-            start = time.perf_counter()
-            keep = algorithm.filter(s)
-            metrics.filter_seconds += time.perf_counter() - start
-        else:
-            keep = algorithm.filter(s)
+        keep = algorithm.filter(s)
         metrics.filter_calls += 1
         if not keep:
             return _REJECTED
         metrics.filter_passes += 1
         if not s.is_connected():
             return _KEPT
-        if metrics.timing_enabled:
-            start = time.perf_counter()
-            matched = algorithm.match(s)
-            metrics.match_seconds += time.perf_counter() - start
-        else:
-            matched = algorithm.match(s)
+        matched = algorithm.match(s)
         metrics.match_calls += 1
         return _MATCHED if matched else _KEPT
 

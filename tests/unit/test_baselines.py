@@ -81,10 +81,16 @@ class TestFractal:
         assert m1 / m8 < 8  # ...but sublinearly (master serialization)
 
     def test_evolving_means_recompute(self):
+        """An evolving graph is one ``run`` per snapshot, each from scratch:
+        every edge of the snapshot is a task, not just the increment."""
         g1 = erdos_renyi(10, 20, seed=2)
         g2 = erdos_renyi(10, 25, seed=2)
-        runs = FractalModel(CliqueMining(3)).run_on_evolving([g1, g2])
-        assert len(runs) == 2
+        model = FractalModel(CliqueMining(3))
+        for g in (g1, g2):
+            run = model.run(g)
+            assert run.num_tasks == g.num_edges()
+            expected = collect_matches(TesseractEngine.run_static(g, CliqueMining(3)))
+            assert collect_matches(run.matches) == expected
 
 
 class TestArabesque:
@@ -207,8 +213,15 @@ class TestDeltaBigJoin:
         assert len(deltas) == 1
         assert deltas[0].is_new()
 
-    def test_simulated_makespan_monotone(self):
+    def test_join_cost_grows_with_the_stream(self):
         g = erdos_renyi(14, 40, seed=12)
         dbj = DeltaBigJoin(Pattern.clique(4))
-        dbj.process_stream([(e, True) for e in g.sorted_edges()])
-        assert dbj.stats.simulated_makespan(8) < dbj.stats.simulated_makespan(1)
+        edges = [(e, True) for e in g.sorted_edges()]
+        half = len(edges) // 2
+        dbj.process_stream(edges[:half])
+        prefixes, shuffled = dbj.stats.prefixes_extended, dbj.stats.bytes_shuffled
+        assert prefixes > 0 and shuffled > 0
+        first = AdjacencyGraph.from_edges([e for e, _ in edges[:half]])
+        dbj.process_stream(edges[half:], initial=first)
+        assert dbj.stats.prefixes_extended > prefixes
+        assert dbj.stats.bytes_shuffled > shuffled

@@ -8,7 +8,7 @@ import pytest
 from repro.apps import CliqueMining, PathMining
 from repro.core.api import EdgeInduced, MiningAlgorithm, VertexInduced
 from repro.core.explore import Explorer
-from repro.core.metrics import Metrics
+from repro.core.metrics import Metrics, OperationTimer
 from repro.core.stesseract import STesseractEngine
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.bitset import BitMatrix
@@ -273,8 +273,9 @@ class TestVerdictsReachTheProfile:
 
 
 class TestTimingMode:
-    """Timing mode adds ``perf_counter`` differences to the three
-    ``*_seconds`` fields; with it off the explorer never reads the clock."""
+    """An attached :class:`OperationTimer` adds ``perf_counter``
+    differences to its three categories; the explorer itself never reads
+    the clock."""
 
     ALGORITHMS = {
         "vertex-induced": lambda: CliqueMining(4, min_size=3),
@@ -282,9 +283,11 @@ class TestTimingMode:
     }
 
     @staticmethod
-    def explore_all(metrics, algorithm):
+    def explore_all(metrics, algorithm, timer=None):
         store, updates = TestVerdictsReachTheProfile.store_and_updates()
         explorer = Explorer(algorithm, metrics=metrics)
+        if timer is not None:
+            timer.attach(explorer)
         for update in updates:
             explorer.explore_update(ExplorationView(store, 2), update)
 
@@ -293,24 +296,24 @@ class TestTimingMode:
         import time
 
         def no_clock():  # pragma: no cover - must never run
-            raise AssertionError("clock read with timing off")
+            raise AssertionError("clock read by the explorer")
 
         metrics = Metrics()
         monkeypatch.setattr(time, "perf_counter", no_clock)
         self.explore_all(metrics, self.ALGORITHMS[mode]())
         monkeypatch.undo()
-        assert metrics.filter_calls and metrics.can_expand_calls
-        assert metrics.filter_seconds == metrics.match_seconds == 0.0
-        assert metrics.can_expand_seconds == 0.0
+        assert metrics.filter_calls and metrics.match_calls
+        assert metrics.can_expand_calls
 
     @pytest.mark.parametrize("mode", sorted(ALGORITHMS))
     def test_timing_on_grows_the_three_seconds_fields(self, mode):
-        metrics = Metrics(timing_enabled=True)
-        self.explore_all(metrics, self.ALGORITHMS[mode]())
+        metrics = Metrics()
+        timer = OperationTimer()
+        self.explore_all(metrics, self.ALGORITHMS[mode](), timer)
         assert metrics.match_calls
-        assert metrics.filter_seconds > 0.0
-        assert metrics.match_seconds > 0.0
-        assert metrics.can_expand_seconds > 0.0
+        assert timer.seconds["filter"] > 0.0
+        assert timer.seconds["match"] > 0.0
+        assert timer.seconds["can_expand"] > 0.0
 
 
 class TestEdgeInducedMode:

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.apps import FeedForwardLoops
+from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
 from repro.types import Update
+from scenarios import readded_arc_windows
 
 
 def make_ingress(window_size=2):
@@ -308,3 +311,61 @@ class TestTimeWindows:
         clock["now"] = 8.0
         ingress.submit(Update.add_edge(3, 4))  # only 2s into window 2
         assert ingress.windows_applied == 1
+
+
+class TestDirectionSurvivesReAdd:
+    """A deferred re-add carries the edge's direction, in key order."""
+
+    @staticmethod
+    def arc_then(*updates):
+        """Arc 3->1 (``rev`` in key order), then ``updates``; the store."""
+        store, queue, ing = make_ingress(window_size=10)
+        ing.submit(Update.add_edge(3, 1, direction="fwd"))
+        ing.flush()
+        for update in updates:
+            ing.submit(update)
+        ing.flush()
+        return store
+
+    def test_delete_then_add_in_one_window(self):
+        store = self.arc_then(
+            Update.delete_edge(1, 3), Update.add_edge(3, 1, direction="fwd")
+        )
+        ts = store.latest_timestamp
+        assert ts == 3 and not store.edge_alive_at(1, 3, 2)
+        assert store.edge_direction_at(1, 3, ts) == "rev"
+
+    def test_edge_relabel(self):
+        store = self.arc_then(Update.set_edge_label(1, 3, "x"))
+        ts = store.latest_timestamp
+        assert store.edge_label_at(1, 3, ts) == "x"
+        assert store.edge_direction_at(1, 3, ts) == "rev"
+
+    def test_relabel_of_an_arc_added_in_the_open_window(self):
+        store, queue, ing = make_ingress(window_size=10)
+        ing.submit(Update.add_edge(3, 1, direction="fwd"))
+        ing.submit(Update.set_edge_label(1, 3, "x"))
+        ing.flush()
+        ts = store.latest_timestamp
+        assert store.edge_label_at(1, 3, ts) == "x"
+        assert store.edge_direction_at(1, 3, ts) == "rev"
+
+    def test_vertex_relabel(self):
+        store = self.arc_then(Update.set_vertex_label(1, "red"))
+        ts = store.latest_timestamp
+        assert ts == 3 and store.edge_alive_at(1, 3, ts)
+        assert store.edge_direction_at(1, 3, ts) == "rev"
+
+    def test_feed_forward_loop_survives_delete_and_readd(self):
+        """Arcs 1->2, 2->3, 1->3; deleting and re-adding 1->3 in one window
+        removes the loop at ts 2 and brings it back at ts 3."""
+        session = StreamingSession(FeedForwardLoops(), window_size=10)
+        try:
+            for window in readded_arc_windows(1, 2, 3):
+                session.submit_many(window)
+                session.flush()
+            deltas = [(d.timestamp, d.status.name) for d in session.deltas()]
+            assert deltas == [(1, "NEW"), (2, "REM"), (3, "NEW")]
+            assert len(session.live_matches()) == 1
+        finally:
+            session.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.metrics import Metrics
+from repro.core.metrics import Metrics, OperationTimer
 from repro.store.shard import AccessStats, ShardMap
 from repro.types import (
     EdgeUpdate,
@@ -95,11 +95,11 @@ class TestMetrics:
         assert m.work_units() == 2 * 2.0 + 3.0
 
     def test_merge(self):
-        a = Metrics(filter_calls=1, emits=2, filter_seconds=1.0)
-        b = Metrics(filter_calls=3, emits=1, filter_seconds=0.5)
+        a = Metrics(filter_calls=1, emits=2, pruned_rule2=1)
+        b = Metrics(filter_calls=3, emits=1, edges_excluded=2)
         a.merge(b)
         assert a.filter_calls == 4 and a.emits == 3
-        assert a.filter_seconds == pytest.approx(1.5)
+        assert (a.pruned_rule2, a.edges_excluded) == (1, 2)
 
     def test_merge_sums_expansions_per_depth(self):
         a = Metrics(depth_expansions=[0, 0, 0, 2])
@@ -112,25 +112,24 @@ class TestMetrics:
         m = Metrics(filter_calls=3, filter_passes=1, depth_expansions=[0, 0, 0, 5])
         assert m.counts() == (3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5)
 
+    def test_fresh_metrics_count_nothing(self):
+        m = Metrics()
+        assert not any(m.counts())
+        assert m.work_units() == 0.0
+
+
+class TestOperationTimer:
     def test_breakdown_sums_to_total(self):
-        m = Metrics(
-            filter_seconds=1.0,
-            match_seconds=0.5,
-            can_expand_seconds=0.25,
-        )
-        b = m.breakdown(3.0)
+        t = OperationTimer()
+        t.seconds.update(filter=1.0, match=0.5, can_expand=0.25)
+        b = t.breakdown(3.0)
         assert b["other"] == pytest.approx(1.25)
         assert sum(b.values()) == pytest.approx(3.0)
 
     def test_breakdown_never_negative(self):
-        m = Metrics(filter_seconds=5.0)
-        assert m.breakdown(1.0)["other"] == 0.0
-
-    def test_reset(self):
-        m = Metrics(filter_calls=5, timing_enabled=True)
-        m.reset()
-        assert m.filter_calls == 0
-        assert m.timing_enabled
+        t = OperationTimer()
+        t.seconds["filter"] = 5.0
+        assert t.breakdown(1.0)["other"] == 0.0
 
 
 class TestShardMap:
@@ -153,15 +152,14 @@ class TestShardMap:
 
 
 class TestAccessStats:
-    def test_record_and_reset(self):
+    def test_record(self):
         st = AccessStats()
+        assert st.total == 0 and st.per_shard == {}
         st.record(0)
         st.record(0)
         st.record(1)
         assert st.total == 3
         assert st.per_shard == {0: 2, 1: 1}
-        st.reset()
-        assert st.total == 0
 
     def test_imbalance(self):
         st = AccessStats()
