@@ -7,13 +7,17 @@ work queue.  Timestamp assignment is window-based: ``window_size`` updates
 share one timestamp (the paper's default window is 100K updates; snapshots
 get increasing integer timestamps, section 6.1).
 
-Update translation follows section 4.1: vertex deletions become deletions of
-all incident edges; vertex additions create the (isolated) vertex; label
-modifications delete the associated edges and re-add them with the new label
-in the *following* window, so each window stays a consistent atomic snapshot.
-
-Sanitization drops no-op updates (adding an edge that exists, deleting one
-that does not) and collapses add+delete of the same edge within one window.
+Sanitization holds a window to what applying its updates one at a time
+leaves.  :func:`fold` (its docstring holds the transition table) takes each
+edge update into its key's open-window state: an add of a present edge and
+a delete or relabel of an absent one are dropped, an add and a delete of
+one edge in one window cancel, and an edge alive when the window opened
+that a relabel or a delete+add brings back is deleted now and re-added in
+the *following* window, so each window stays a consistent atomic snapshot.
+A vertex delete deletes, and a vertex relabel relabels to its own label,
+every incident key as the open window leaves it; a vertex add creates the
+(isolated) vertex.  Each submitted update is counted once, accepted or
+dropped.
 """
 
 from __future__ import annotations
@@ -47,13 +51,52 @@ class Window:
     updates: List[EdgeUpdate] = field(default_factory=list)
 
 
-@dataclass
-class _PendingOp:
-    """Net effect of updates to one edge within the open window."""
+#: ``now`` of an edge alive when the window opened and untouched since
+STORED = object()
+#: a relabel's label that keeps the edge's own (a vertex relabel)
+_OWN = object()
+_EDGE_OPS = (UpdateKind.ADD_EDGE, UpdateKind.DELETE_EDGE, UpdateKind.SET_EDGE_LABEL)
+#: what one op did to one key (see :meth:`IngressNode._fold`)
+_SAME, _CHANGED, _CANCELLED = range(3)
 
-    added: bool
-    label: Label = None
-    direction: Optional[str] = None
+
+def fold(key: EdgeKey, start: bool, now, op: UpdateKind, label=None, direction=None):
+    """One op on one edge key, as applying it alone would see it.
+
+    ``start`` is whether the edge was alive when the open window opened;
+    ``now`` is its state after the window's earlier ops: None (absent),
+    :data:`STORED`, or ``(label, direction)``, which a relabel of a STORED
+    edge is given.  ``op`` is ``ADD_EDGE`` (``label``, ``direction`` in key
+    order), ``DELETE_EDGE`` or ``SET_EDGE_LABEL`` (``label``)::
+
+        op          absent now          present now
+        add         present (l, d)      unchanged (a duplicate)
+        delete      unchanged           absent
+        relabel     unchanged           present (l, its own direction)
+
+    Returns the state after ``op``, then the :class:`EdgeUpdate` this
+    window writes and the ``(label, direction)`` the next re-adds (each or
+    None), which follow from ``start`` and that state::
+
+        start       absent after        present (l, d) after
+        absent      nothing             add (l, d)
+        alive       delete              delete, next window re-adds (l, d);
+                                        nothing while STORED
+    """
+    if op is UpdateKind.ADD_EDGE:
+        after = (label, direction) if now is None else now
+    elif op is UpdateKind.DELETE_EDGE or now is None:
+        after = None
+    else:
+        after = (now[0] if label is _OWN else label, now[1])
+    u, v = key
+    if after is None:
+        return None, EdgeUpdate(u, v, False) if start else None, None
+    if not start:
+        return after, EdgeUpdate(u, v, True, *after), None
+    if after is STORED:
+        return after, None, None
+    return after, EdgeUpdate(u, v, False), after
 
 
 class IngressNode:
@@ -101,10 +144,9 @@ class IngressNode:
         self._window_opened_at: Optional[float] = None
         self.gc_enabled = gc_enabled
         self._next_ts: Timestamp = store.latest_timestamp + 1
-        self._pending: Dict[EdgeKey, _PendingOp] = {}
-        #: edge re-adds deferred to the next window (label re-adds,
-        #: delete+add conflicts), by edge key in the order they were deferred
-        self._deferred: Dict[EdgeKey, Update] = {}
+        #: the keys the open window writes: key -> (alive when the window
+        #: opened, then :func:`fold`'s state, write and re-add)
+        self._open: Dict[EdgeKey, tuple] = {}
         self._vertex_labels: List[Tuple[int, Label]] = []
         self.windows_applied = 0
         self.updates_dropped = 0
@@ -129,12 +171,12 @@ class IngressNode:
         """:meth:`submit` without the submitted-updates count."""
         if self._window_opened_at is None:
             self._window_opened_at = self._clock()
-        self._apply_to_pending(update)
-        while len(self._pending) >= self.window_size:
+        self._sanitize(update)
+        while len(self._open) >= self.window_size:
             self._close_window()
         if (
             self.window_seconds is not None
-            and self._pending
+            and self._open
             and self._clock() - self._window_opened_at >= self.window_seconds
         ):
             self._close_window()
@@ -145,7 +187,7 @@ class IngressNode:
         Returns whether a window was applied.  Gives data sources control
         over snapshot boundaries without waiting for the size limit.
         """
-        if not (self._pending or self._deferred or self._vertex_labels):
+        if not (self._open or self._vertex_labels):
             return False
         self._close_window()
         return True
@@ -179,103 +221,85 @@ class IngressNode:
                 self._submit(update)
 
     def flush(self) -> None:
-        """Close any open window and drain deferred updates."""
-        while self._pending or self._deferred or self._vertex_labels:
+        """Close any open window and drain the re-adds it defers."""
+        while self._open or self._vertex_labels:
             self._close_window()
 
     # -- sanitization ----------------------------------------------------
 
-    def _edge_exists_now(self, key: EdgeKey) -> bool:
-        """Whether the edge is alive as of the last applied window."""
-        return self.store.edge_alive_at(key[0], key[1], self._next_ts - 1)
-
-    def _direction_now(self, key: EdgeKey) -> Direction:
-        """The edge's direction, in key order, as of the last applied window."""
-        return self.store.edge_direction_at(key[0], key[1], self._next_ts - 1)
-
-    def _apply_to_pending(self, update: Update) -> None:
-        kind = update.kind
-        if kind is UpdateKind.ADD_EDGE:
-            self._pend_add(
-                edge_key(update.src, update.dst),
-                update.label,
-                normalize_direction(update.src, update.dst, update.direction),
-            )
-        elif kind is UpdateKind.DELETE_EDGE:
-            self._pend_delete(edge_key(update.src, update.dst))
-        elif kind is UpdateKind.ADD_VERTEX:
-            self.store.ensure_vertex(update.src)
-            if update.label is not None:
-                self._vertex_labels.append((update.src, update.label))
-            self.updates_accepted += 1
+    def _sanitize(self, update: Update) -> None:
+        kind, src = update.kind, update.src
+        if kind in _EDGE_OPS:
+            key = edge_key(src, update.dst)
+            direction = normalize_direction(src, update.dst, update.direction)
+            verdicts = [self._fold(key, kind, update.label, direction)]
         elif kind is UpdateKind.DELETE_VERTEX:
-            self._pend_delete_vertex(update.src)
+            verdicts = [
+                self._fold(key, UpdateKind.DELETE_EDGE) for key in self._incident(src)
+            ]
         elif kind is UpdateKind.SET_VERTEX_LABEL:
-            self._pend_vertex_relabel(update.src, update.label)
-        elif kind is UpdateKind.SET_EDGE_LABEL:
-            self._pend_edge_relabel(
-                edge_key(update.src, update.dst), update.label
-            )
+            self._relabel_vertex(src, update.label)
+            verdicts = [_CHANGED]
+        elif kind is UpdateKind.ADD_VERTEX:
+            new = not self.store.has_vertex(src)
+            self.store.ensure_vertex(src)
+            if update.label is not None:
+                self._vertex_labels.append((src, update.label))
+            verdicts = [_CHANGED if new or update.label is not None else _SAME]
         else:  # pragma: no cover - enum is closed
             raise InvalidUpdateError(f"unknown update kind {kind!r}")
+        # One submitted update is counted once: accepted when it changed
+        # some key, else dropped; each add it cancelled becomes dropped too.
+        cancelled = verdicts.count(_CANCELLED)
+        changed = _CHANGED in verdicts
+        self.updates_accepted += changed - cancelled
+        self.updates_dropped += (not changed) + cancelled
 
-    def _pend_add(
-        self, key: EdgeKey, label: Label, direction: Optional[str] = None
-    ) -> None:
-        if key in self._deferred:
-            self.updates_dropped += 1  # already being re-added next window
-            return
-        pending = self._pending.get(key)
-        if pending is None:
-            if self._edge_exists_now(key):
-                self.updates_dropped += 1  # duplicate add
-            else:
-                self._pending[key] = _PendingOp(
-                    added=True, label=label, direction=direction
-                )
-                self.updates_accepted += 1
-        elif pending.added:
-            self.updates_dropped += 1  # duplicate add within window
+    def _fold(
+        self,
+        key: EdgeKey,
+        op: UpdateKind,
+        label: Label = _OWN,
+        direction: Direction = None,
+    ) -> int:
+        """Fold ``op`` into ``key``'s open-window state; what it did.
+
+        :data:`_SAME` when the op left the key's state as it was,
+        :data:`_CANCELLED` when a delete took away the add or re-add the
+        window held, else :data:`_CHANGED`.
+        """
+        held = self._open.get(key)
+        if held is not None:
+            start, before = held[0], held[1]
+            now = before
         else:
-            # delete followed by add within one window: the delete stays in
-            # this window, the add is deferred to the next so each window
-            # remains a consistent snapshot.  ``direction`` is already in
-            # key order, which the re-add keeps.
-            self._deferred[key] = Update.add_edge(key[0], key[1], label, direction)
-            self.updates_accepted += 1
+            u, v = key
+            ts = self._next_ts - 1
+            start = self.store.edge_alive_at(u, v, ts)
+            now = before = STORED if start else None
+            if start and op is UpdateKind.SET_EDGE_LABEL:
+                # only a relabel of an untouched live edge reads what it holds
+                own = self.store.edge_label_at(u, v, ts) if label is _OWN else None
+                now = (own, self.store.edge_direction_at(u, v, ts))
+        after, write, readd = fold(key, start, now, op, label, direction)
+        if write is not None:
+            self._open[key] = (start, after, write, readd)
+        elif held is not None:
+            del self._open[key]
+        if after == before:
+            return _SAME
+        if after is None and before is not STORED:
+            return _CANCELLED
+        return _CHANGED
 
-    def _pend_delete(self, key: EdgeKey) -> None:
-        if key in self._deferred:
-            # The edge is scheduled for re-addition next window; cancelling
-            # that re-add makes this delete a net no-op.
-            del self._deferred[key]
-            self.updates_dropped += 2
-            self.updates_accepted -= 1
-            return
-        pending = self._pending.get(key)
-        if pending is None:
-            if self._edge_exists_now(key):
-                self._pending[key] = _PendingOp(added=False)
-                self.updates_accepted += 1
-            else:
-                self.updates_dropped += 1  # delete of missing edge
-        elif pending.added:
-            # add followed by delete within one window: net no-op.
-            del self._pending[key]
-            self.updates_dropped += 2
-            self.updates_accepted -= 1
-        else:
-            self.updates_dropped += 1  # duplicate delete
+    def _incident(self, v: int) -> set:
+        """Keys at ``v`` as the open window leaves them: alive when it
+        opened, or written in it."""
+        alive = self.store.neighbors_at(v, self._next_ts - 1)
+        return {edge_key(v, w) for w in alive} | {k for k in self._open if v in k}
 
-    def _pend_delete_vertex(self, v: int) -> None:
-        if not self.store.has_vertex(v):
-            self.updates_dropped += 1
-            return
-        for nbr in self.store.neighbors_at(v, self._next_ts - 1):
-            self._pend_delete(edge_key(v, nbr))
-
-    def _pend_vertex_relabel(self, v: int, label: Label) -> None:
-        """Relabel = delete incident edges now, re-add next window (§4.1).
+    def _relabel_vertex(self, v: int, label: Label) -> None:
+        """Relabel = relabel every incident edge to its own label (§4.1).
 
         The label change and the deletion of every incident edge must land
         in one atomic window: otherwise a snapshot could pair the new label
@@ -286,39 +310,14 @@ class IngressNode:
         ignoring the size limit.
         """
         self.store.ensure_vertex(v)
-        if self._pending or self._vertex_labels or self._deferred:
+        if self._open or self._vertex_labels:
             self._close_window(limit=False)
         self._vertex_labels.append((v, label))
-        for nbr in self.store.neighbors_at(v, self._next_ts - 1):
-            key = edge_key(v, nbr)
-            old_label = self.store.edge_label_at(key[0], key[1], self._next_ts - 1)
-            self._pend_delete(key)
-            self._deferred[key] = Update.add_edge(
-                key[0], key[1], old_label, self._direction_now(key)
-            )
+        for key in self._incident(v):
+            self._fold(key, UpdateKind.SET_EDGE_LABEL)
         self._close_window(limit=False)  # label + all deletes, atomically
-        if self._pending or self._deferred:
+        if self._open:
             self._close_window(limit=False)  # the re-adds
-
-    def _pend_edge_relabel(self, key: EdgeKey, label: Label) -> None:
-        """Relabel = delete now, re-add with ``label`` and the edge's
-        direction next window."""
-        deferred = self._deferred.get(key)
-        if deferred is not None:
-            # The edge is being re-added next window; relabel that re-add
-            # (assigning to a held key keeps its place in the order).
-            direction = deferred.direction
-        else:
-            pending = self._pending.get(key)
-            if pending is not None and pending.added:
-                direction = pending.direction  # added in this window
-            elif pending is not None or self._edge_exists_now(key):
-                direction = self._direction_now(key)
-            else:
-                self.updates_dropped += 1
-                return
-            self._pend_delete(key)
-        self._deferred[key] = Update.add_edge(key[0], key[1], label, direction)
 
     # -- window application ----------------------------------------------
 
@@ -346,31 +345,26 @@ class IngressNode:
         for v, label in self._vertex_labels:
             self.store.set_vertex_label(v, ts, label)
         self._vertex_labels = []
-        items = sorted(self._pending.items())
-        cut = self.window_size if limit else len(items)
-        overflow = items[cut:]
-        for key, op in items[:cut]:
-            u, v = key
-            window.updates.append(
-                EdgeUpdate(
-                    u, v, added=op.added, label=op.label, direction=op.direction
-                )
-            )
+        keys = sorted(self._open)
+        cut = self.window_size if limit else len(keys)
+        applied = [(key, self._open[key]) for key in keys[:cut]]
+        window.updates = [write for _, (_, _, write, _) in applied]
         # One coalesced application: stores that batch over the wire
         # (NetStoreClient) ship the whole window in a few put_edges RPCs
         # instead of one add_edge/delete_edge round trip per update.
         self.store.apply_edge_updates(ts, window.updates)
-        self._pending = dict(overflow)
+        # keys past the size limit wait, unapplied, for the next window
+        self._open = {key: self._open[key] for key in keys[cut:]}
         if self.queue is not None:
             self.queue.append_window(ts, window.updates)
         self._next_ts += 1
         self.windows_applied += 1
-        # Deferred updates (label re-adds, delete+add conflicts) seed the
-        # next window.
+        # The re-adds (relabels, delete+add) are the next window's adds.
         self._window_opened_at = self._clock()
-        deferred, self._deferred = self._deferred, {}
-        for update in deferred.values():
-            self._apply_to_pending(update)
+        for key, (_, _, _, readd) in applied:
+            if readd is not None:
+                state = fold(key, False, None, UpdateKind.ADD_EDGE, *readd)
+                self._open[key] = (False, *state)
         if self.gc_enabled and self.queue is not None:
             stats = self.store.reclaim(self.queue.low_watermark())
             self.gc_reclaimed += stats.reclaimed

@@ -51,17 +51,22 @@ def metrics_to_registry(registry: "MetricsRegistry", metrics: "Metrics") -> None
 def ingress_to_registry(registry: "MetricsRegistry", ingress: "IngressNode") -> None:
     """Project the ingress node's net acceptance counters.
 
-    Accepted/dropped are *net* quantities (an add cancelled by a delete in
-    the same window retro-drops both), so they are bridged at snapshot time
-    rather than incremented live.
+    Each submitted update is counted once, in one of the two: dropped when
+    sanitization finds it changes nothing (a duplicate add, a delete or
+    relabel of a missing edge), else accepted.  They are *net*
+    quantities (an add cancelled by a delete in the same window moves to
+    dropped with that delete), so they are bridged at snapshot time rather
+    than incremented live; together they equal the submitted updates.
     """
     registry.counter(
         "repro_ingress_updates_accepted_total",
-        "updates accepted into a window (net of same-window cancellations)",
+        "submitted updates that changed the graph (net of same-window "
+        "cancellations)",
     ).set_total(ingress.updates_accepted)
     registry.counter(
         "repro_ingress_updates_dropped_total",
-        "updates dropped by sanitization (duplicates, no-ops, cancellations)",
+        "submitted updates that changed nothing (duplicates, no-ops, "
+        "cancellations)",
     ).set_total(ingress.updates_dropped)
     registry.counter(
         "repro_ingress_gc_reclaimed_total",

@@ -18,6 +18,9 @@ import random
 from contextlib import contextmanager
 from typing import List, Optional
 
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, rule
+
 from repro.apps import CliqueMining
 from repro.core.api import InducedMode, MiningAlgorithm
 from repro.core.canonicality import ALLOWED, PRUNED_RULE2
@@ -28,8 +31,9 @@ from repro.runtime.fault import CrashPlan, FaultInjector
 from repro.store.api import make_store
 from repro.store.checkpoint import store_from_dict, store_to_dict
 from repro.store.mvstore import MultiVersionStore
+from repro.streaming.ingress import IngressNode
 from repro.telemetry import ExplorationProfile, UpdateProfile
-from repro.types import MatchStatus, Update
+from repro.types import MatchStatus, Update, edge_key, normalize_direction
 
 #: how a store receives its initial graph (``bulk_load`` is ``net`` only)
 PRELOAD_PATHS = ("graph", "put_record", "checkpoint", "bulk_load")
@@ -457,3 +461,144 @@ class LoggingAlgorithm(MiningAlgorithm):
     def match(self, s):
         self._record("match", s)
         return self.inner.match(s)
+
+
+# -- the ingress against one-at-a-time application ----------------------------
+
+#: the vertices the ingress machine's updates touch: few, so keys collide
+MACHINE_VERTICES = range(5)
+MACHINE_PAIRS = list(itertools.permutations(MACHINE_VERTICES, 2))
+MACHINE_KEYS = list(itertools.combinations(MACHINE_VERTICES, 2))
+
+
+def machine_settings(examples: int):
+    """Fixed examples (``derandomize``), each up to 50 steps long."""
+    return settings(
+        derandomize=True,
+        max_examples=examples,
+        stateful_step_count=50,
+        deadline=None,
+    )
+
+
+class IngressMachine(RuleBasedStateMachine):
+    """The ingress node against a plain dict that applies each update alone.
+
+    The oracle applies every submitted update in submission order, as if
+    each were a window of its own: an add of a live edge and a delete or
+    relabel of a missing one change nothing, a relabel keeps the edge's
+    direction, a vertex delete takes every incident edge with it.  After
+    every flush the store's latest snapshot must hold the oracle's edges
+    with their labels and directions, and its vertex labels.  Every window
+    must be a consistent snapshot: an edge alive on both sides of a window
+    boundary kept its label and direction.  Each submitted update is
+    counted once, accepted or dropped, and one the oracle finds changes
+    nothing is dropped.  Small window sizes close windows mid-stream.
+    """
+
+    kind = "mv"
+    #: pairs added so far: deletes and relabels draw from them, so they
+    #: hit live and once-live keys
+    added = Bundle("added")
+
+    # Hypothesis draws the first entries most; a window of 1 holds no two
+    # updates to one key, so it comes last.
+    @initialize(window=st.sampled_from([3, 2, 100, 1]))
+    def open_store(self, window):
+        self.store = make_store(self.kind)
+        self.ingress = IngressNode(self.store, window_size=window)
+        self.edges = {}  # key -> (label, direction in key order)
+        self.labels = {}
+        self.submitted = 0
+        self.checked_ts = 0
+
+    def teardown(self):
+        if not hasattr(self, "store"):
+            return
+        try:
+            self.flush()  # every run ends on a checked snapshot
+        finally:
+            self.store.close()
+
+    def submit(self, update, changes_nothing):
+        """Submit ``update``: counted once, and dropped if ``changes_nothing``."""
+        ingress = self.ingress
+        before = ingress.updates_accepted, ingress.updates_dropped
+        ingress.submit(update)
+        self.submitted += 1
+        after = ingress.updates_accepted, ingress.updates_dropped
+        assert sum(after) == self.submitted and after[0] >= 0
+        if changes_nothing:
+            assert after == (before[0], before[1] + 1)
+
+    @rule(
+        target=added,
+        pair=st.sampled_from(MACHINE_PAIRS),
+        label=st.sampled_from([None, "a", "b"]),
+        direction=st.sampled_from([None, "fwd", "rev", "both"]),
+    )
+    def add_edge(self, pair, label, direction):
+        key = edge_key(*pair)
+        live = key in self.edges
+        if not live:
+            self.edges[key] = (label, normalize_direction(*pair, direction))
+        self.submit(Update.add_edge(*pair, label, direction), live)
+        return pair
+
+    @rule(pair=added)
+    def delete_edge(self, pair):
+        missing = self.edges.pop(edge_key(*pair), None) is None
+        self.submit(Update.delete_edge(*pair), missing)
+
+    @rule(pair=added, label=st.sampled_from("ac"))
+    def set_edge_label(self, pair, label):
+        key = edge_key(*pair)
+        missing = key not in self.edges
+        if not missing:
+            self.edges[key] = (label, self.edges[key][1])
+        self.submit(Update.set_edge_label(*pair, label), missing)
+
+    @rule(v=st.sampled_from(MACHINE_VERTICES), label=st.sampled_from(["x", "y"]))
+    def set_vertex_label(self, v, label):
+        self.labels[v] = label
+        self.submit(Update.set_vertex_label(v, label), False)
+
+    @rule(v=st.sampled_from(MACHINE_VERTICES), label=st.sampled_from([None, "x"]))
+    def add_vertex(self, v, label):
+        if label is not None:
+            self.labels[v] = label
+        self.submit(Update.add_vertex(v, label), False)
+
+    @rule(v=st.sampled_from(MACHINE_VERTICES))
+    def delete_vertex(self, v):
+        incident = [key for key in self.edges if v in key]
+        for key in incident:
+            del self.edges[key]
+        self.submit(Update.delete_vertex(v), not incident)
+
+    @rule()
+    def flush(self):
+        self.ingress.flush()
+        store, ts = self.store, self.store.latest_timestamp
+
+        def state(key, t):
+            if not store.edge_alive_at(*key, t):
+                return None
+            return store.edge_label_at(*key, t), store.edge_direction_at(*key, t)
+
+        assert {key: state(key, ts) for key in MACHINE_KEYS} == {
+            key: self.edges.get(key) for key in MACHINE_KEYS
+        }
+        for v in MACHINE_VERTICES:
+            assert store.vertex_label_at(v, ts) == self.labels.get(v)
+        for t in range(max(self.checked_ts, 1), ts + 1):
+            for key in MACHINE_KEYS:
+                pre, post = state(key, t - 1), state(key, t)
+                assert pre is None or post is None or pre == post, (key, t)
+        self.checked_ts = ts
+
+
+class NetIngressMachine(IngressMachine):
+    """:class:`IngressMachine` with its store behind a loopback server."""
+
+    kind = "net"
