@@ -22,6 +22,7 @@ Scale notes
 
 from __future__ import annotations
 
+import gc
 import json
 import time
 from pathlib import Path
@@ -101,6 +102,18 @@ def timed_static_run(graph, algorithm):
     deltas = [d for ts, update in tasks for d in engine.process_update(ts, update)]
     seconds = time.perf_counter() - start
     return deltas, seconds, metrics, tasks
+
+
+def collected(measure):
+    """Run ``measure()`` with the collector emptied and its heap frozen, so
+    neither side of an alternating comparison pays for collecting garbage
+    the other left behind."""
+    gc.collect()
+    gc.freeze()
+    try:
+        return measure()
+    finally:
+        gc.unfreeze()
 
 
 def incremental_setup(

@@ -30,7 +30,7 @@ from repro.apps import MotifCounting
 from repro.dataflow.aggregation import SumAggregator
 from repro.dataflow.stream import Stream
 from repro.graph.bitset import BitMatrix
-from repro.graph.canonical import _shape_form, motif_of
+from repro.graph.canonical import _triangle_form, motif_of
 from repro.graph.subgraph import SubgraphView
 from repro.types import MatchDelta
 
@@ -69,7 +69,7 @@ def test_emission_path(benchmark):
 
     source = Stream.source()
     sink = source.group_by(motif_of).agg(SumAggregator(lambda _match: 1))
-    misses_before = _shape_form.cache_info().misses
+    misses_before = _triangle_form.cache_info().misses
 
     def measure():
         return time_best_interleaved(
@@ -89,7 +89,7 @@ def test_emission_path(benchmark):
     census = Counter(motif_of(match) for match in matches)
     assert sink.state() == {form: ROUNDS * count for form, count in census.items()}
     # three wedges (one per middle slot) and the triangle
-    assert _shape_form.cache_info().misses - misses_before <= 4
+    assert _triangle_form.cache_info().misses - misses_before <= 4
 
     stages = ["raw", "freeze", "delta", "key", "push"]
     print_table(

@@ -20,7 +20,6 @@ general engine) lands between Peregrine and a bounded multiple of
 PeregrineMat.
 """
 
-import gc
 import statistics
 import time
 
@@ -28,6 +27,7 @@ import pytest
 
 from _harness import (
     cluster_seconds,
+    collected,
     fmt_seconds,
     lj_bench,
     print_table,
@@ -111,17 +111,6 @@ def test_table5_single_node(benchmark, graph):
 COST_ROUNDS = 9
 
 
-def _collected(measure):
-    """Run ``measure()`` with the collector emptied and its heap frozen, so
-    neither side pays for collecting garbage the other left behind."""
-    gc.collect()
-    gc.freeze()
-    try:
-        return measure()
-    finally:
-        gc.unfreeze()
-
-
 def test_table5_cost_metric(benchmark, graph):
     """The COST metric of section 6.4: the number of workers at which
     Tesseract outperforms the efficient single-threaded implementation
@@ -145,9 +134,9 @@ def test_table5_cost_metric(benchmark, graph):
         for round_ in range(COST_ROUNDS):
             for side in (mat, tess) if round_ % 2 == 0 else (tess, mat):
                 if side is mat:
-                    mat_samples.append(_collected(mat))
+                    mat_samples.append(collected(mat))
                 else:
-                    deltas, seconds, metrics, tasks = _collected(tess)
+                    deltas, seconds, metrics, tasks = collected(tess)
                     tess_samples.append(seconds)
         mat_seconds = statistics.median(mat_samples)
         tess_seconds = statistics.median(tess_samples)

@@ -34,10 +34,11 @@ from repro.graph.canonical import (
     CanonicalForm,
     automorphism_orbits,
     canonical_form_with_mapping,
+    slot_edge_labels,
 )
 from repro.graph.pattern import Pattern
 from repro.graph.subgraph import SubgraphView
-from repro.types import MatchDelta, MatchSubgraph, Timestamp, VertexId
+from repro.types import MatchDelta, MatchSubgraph, Timestamp, VertexId, slot_edges
 
 
 class FrequentSubgraphMining(MiningAlgorithm):
@@ -77,17 +78,13 @@ def pattern_of(match: MatchSubgraph) -> Tuple[CanonicalForm, Tuple[int, ...]]:
     with differently labeled edges is a different pattern, and its support
     is maintained separately.
     """
-    index = {v: i for i, v in enumerate(match.vertices)}
-    slot_edges = [(index[u], index[v]) for u, v in match.edges]
+    edges = slot_edges(match.mask)
     labels = match.vertex_labels if match.vertex_labels else None
     edge_label_map = None
     if match.edge_labels:
-        edge_label_map = {}
-        for (u, v), label in match.edge_labels:
-            i, j = index[u], index[v]
-            edge_label_map[(i, j) if i < j else (j, i)] = label
+        edge_label_map = slot_edge_labels(match, edges)
     return canonical_form_with_mapping(
-        len(match.vertices), slot_edges, labels, edge_label_map
+        len(match.vertices), edges, labels, edge_label_map
     )
 
 

@@ -218,12 +218,23 @@ class Explorer:
             self._s_pre.reroot(True)
             self._s_post.reroot(True)
         if vertex_induced:
-            c_pre, c_post = self._detect_changes(True, True)
+            # a two-vertex root is connected exactly where its edge is alive
+            c_pre, c_post, _, _ = self._detect_changes(
+                True, True, alive_pre, alive_post
+            )
             if (c_pre or c_post) and 2 < self.algorithm.max_size:
-                self._explore_v(self._pre, self._post, update.key, c_pre, c_post)
+                self._explore_v(
+                    self._pre,
+                    self._post,
+                    update.key,
+                    c_pre,
+                    c_post,
+                    alive_pre,
+                    alive_post,
+                )
         else:
             # a version in which the update edge is missing does not exist
-            c_pre, c_post = self._detect_changes(alive_pre, alive_post)
+            c_pre, c_post, _, _ = self._detect_changes(alive_pre, alive_post)
             if (c_pre or c_post) and 2 < self.algorithm.max_size:
                 self._explore_e(
                     self._pre,
@@ -244,7 +255,16 @@ class Explorer:
         start_key,
         c_pre: bool,
         c_post: bool,
+        linked_pre: bool,
+        linked_post: bool,
     ) -> None:
+        """Expand the current node, whose versions are live per ``c_pre`` /
+        ``c_post`` and connected per ``linked_pre`` / ``linked_post``.
+
+        Connectivity is inherited: a child of a connected version is
+        connected exactly when its new row is non-zero, so only a child of a
+        disconnected one asks :meth:`SubgraphView.is_connected`.
+        """
         metrics = self.metrics
         verts = self._verts
         depth = len(verts) + 1
@@ -263,8 +283,10 @@ class Explorer:
         # that version's view, matrix and filter, bound once per call.
         one = not (c_pre and c_post)
         if one:
-            s, matrix, side = (
-                (self._s_post, post, 1) if c_post else (self._s_pre, pre, 0)
+            s, matrix, side, linked = (
+                (self._s_post, post, 1, linked_post)
+                if c_post
+                else (self._s_pre, pre, 0, linked_pre)
             )
             status = MatchStatus.NEW if c_post else MatchStatus.REM
             algorithm = self.algorithm
@@ -286,27 +308,50 @@ class Explorer:
             if one:
                 # DETECT_CHANGES for the one live version, inline; a call is
                 # counted once it returned
-                matrix.append_row(bits[side])
+                row = bits[side]
+                matrix.append_row(row)
                 s.rebind()
                 keep = keeps(s)
                 metrics.filter_calls += 1
                 if keep:
                     metrics.filter_passes += 1
-                    if s.is_connected():
+                    child_linked = row != 0 if linked else s.is_connected()
+                    if child_linked:
                         matched = algorithm.match(s)
                         metrics.match_calls += 1
                         if matched:
                             self._emit(status, s)
                     if descend:
-                        self._explore_v(pre, post, start_key, c_pre, c_post)
+                        self._explore_v(
+                            pre,
+                            post,
+                            start_key,
+                            c_pre,
+                            c_post,
+                            child_linked,
+                            child_linked,
+                        )
                 matrix.pop_row()
             else:
                 # Both versions live: each grows and is evaluated.
                 pre.append_row(pre_bits)
                 post.append_row(post_bits)
-                c_pre2, c_post2 = self._detect_changes(True, True)
+                c_pre2, c_post2, linked_pre2, linked_post2 = self._detect_changes(
+                    True,
+                    True,
+                    pre_bits != 0 if linked_pre else None,
+                    post_bits != 0 if linked_post else None,
+                )
                 if descend and (c_pre2 or c_post2):
-                    self._explore_v(pre, post, start_key, c_pre2, c_post2)
+                    self._explore_v(
+                        pre,
+                        post,
+                        start_key,
+                        c_pre2,
+                        c_post2,
+                        linked_pre2,
+                        linked_post2,
+                    )
                 pre.pop_row()
                 post.pop_row()
             verts.pop()
@@ -352,11 +397,21 @@ class Explorer:
                     entry[1] |= bit
         return candidates
 
-    def _detect_changes(self, c_pre: bool, c_post: bool):
+    def _detect_changes(
+        self,
+        c_pre: bool,
+        c_post: bool,
+        linked_pre: Optional[bool] = None,
+        linked_post: Optional[bool] = None,
+    ):
         """DETECT_CHANGES (Algorithm 2 lines 8-18) at the current node.
 
         Each live version runs filter -> connectivity -> match -> emit, in
-        this frame.  Returns the continuation flags: a version's flag drops
+        this frame.  A version's connectivity is ``linked_pre`` /
+        ``linked_post`` where the caller knows it, else
+        :meth:`SubgraphView.is_connected` answers.  Returns the
+        continuation flags, then each version's connectivity (meaningful
+        only where its flag stayed up): a version's flag drops
         when its ``filter`` fails; a subgraph that passes but is not a match
         is kept.  Edge-induced callers pass a flag already lowered for a
         version in which a chosen edge is missing: that version does not
@@ -374,7 +429,9 @@ class Explorer:
                 c_pre = False
             else:
                 metrics.filter_passes += 1
-                if s.is_connected():
+                if linked_pre is None:
+                    linked_pre = s.is_connected()
+                if linked_pre:
                     matched = algorithm.match(s)
                     metrics.match_calls += 1
                     if matched:
@@ -388,12 +445,14 @@ class Explorer:
                 c_post = False
             else:
                 metrics.filter_passes += 1
-                if s.is_connected():
+                if linked_post is None:
+                    linked_post = s.is_connected()
+                if linked_post:
                     matched = algorithm.match(s)
                     metrics.match_calls += 1
                     if matched:
                         self._emit(MatchStatus.NEW, s)
-        return c_pre, c_post
+        return c_pre, c_post, linked_pre, linked_post
 
     def _emit(self, status: MatchStatus, s: SubgraphView) -> None:
         self.metrics.emits += 1
@@ -443,7 +502,7 @@ class Explorer:
                 # An edge-induced version exists only when all chosen edges
                 # are alive in that snapshot; a missing edge stays missing in
                 # every extension, so the flag drops permanently.
-                c_pre2, c_post2 = self._detect_changes(
+                c_pre2, c_post2, _, _ = self._detect_changes(
                     c_pre and not child_missing_pre,
                     c_post and not child_missing_post,
                 )

@@ -17,11 +17,12 @@ large graphs (the paper uses bliss [35] as an alternative there).
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.types import Label, MatchSubgraph
+from repro.types import Label, MatchSubgraph, slot_edges
 
 #: Slot-level edge within a small graph: (i, j) with i < j.
 SlotEdge = Tuple[int, int]
@@ -42,6 +43,22 @@ class CanonicalForm:
     edges: Tuple[SlotEdge, ...]
     labels: Tuple[Label, ...]
     edge_labels: Tuple[Tuple[SlotEdge, Label], ...] = ()
+
+    def __hash__(self) -> int:
+        """The hash of the four fields, computed once: a GROUPBY(MOTIF)
+        hashes its key twice per record.  A string label hashes differently
+        in another process, so the cached value is not pickled."""
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(
+                (self.num_vertices, self.edges, self.labels, self.edge_labels)
+            )
+        return cached
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def num_edges(self) -> int:
         return len(self.edges)
@@ -278,16 +295,38 @@ def automorphism_orbits(form: CanonicalForm) -> Tuple[int, ...]:
 #: bound on the distinct unlabeled shapes :func:`motif_of` remembers
 SHAPE_TABLE_SIZE = 4096
 
+#: one instance per distinct form handed out by :func:`motif_of`: matches of
+#: one motif key a GROUPBY by the same object, so its dict lookup hits on
+#: identity; weak, so a form no table or state holds is let go
+_INTERNED: "weakref.WeakValueDictionary[CanonicalForm, CanonicalForm]" = (
+    weakref.WeakValueDictionary()
+)
+
 
 @lru_cache(maxsize=SHAPE_TABLE_SIZE)
-def _shape_form(n: int, mask: int) -> CanonicalForm:
-    """Unlabeled form of the ``n``-slot graph with edge (i, j) at bit ``i * n + j``."""
-    slot_edges = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        slot_edges.append(divmod(low.bit_length() - 1, n))
-    return canonical_form(n, slot_edges)
+def _triangle_form(n: int, mask: int) -> CanonicalForm:
+    """Unlabeled form of the ``n``-slot graph whose packed lower triangle
+    (:func:`~repro.types.slot_mask`) is ``mask``."""
+    form = canonical_form(n, slot_edges(mask))
+    return _INTERNED.setdefault(form, form)
+
+
+def slot_edge_labels(
+    match: MatchSubgraph, edges: Sequence[SlotEdge]
+) -> Dict[SlotEdge, Label]:
+    """``match.edge_labels`` keyed by slot edge; ``edges`` is
+    :func:`~repro.types.slot_edges` of ``match.mask``."""
+    verts = match.vertices
+    slot_of = {}
+    for j, i in edges:
+        u, v = verts[j], verts[i]
+        slot_of[(u, v) if u <= v else (v, u)] = (j, i)
+    labels = {}
+    for key, label in match.edge_labels:
+        if key not in slot_of:
+            raise ValueError(f"edge label on missing edge {key}")
+        labels[slot_of[key]] = label
+    return labels
 
 
 def motif_of(
@@ -298,26 +337,20 @@ def motif_of(
     """The MOTIF helper (Table 2): canonical form of an emitted match.
 
     Without labels the form depends on the shape alone, so it is looked up
-    by ``(n, slot-edge bitmask)``: sorting, validation and the canonical
-    search run once per shape, not once per match.
+    by ``(n, match.mask)``, the match's own packed triangle: the canonical
+    search runs once per shape, not once per match, and every match of one
+    motif gets the same form instance.  With labels the slot edges come
+    from the mask too, and the labelled form is searched for.
     """
-    index = {v: i for i, v in enumerate(match.vertices)}
     n = len(match.vertices)
     if not (with_labels or with_edge_labels):
-        mask = 0
-        for u, v in match.edges:
-            i, j = index[u], index[v]
-            mask |= 1 << (i * n + j if i < j else j * n + i)
-        return _shape_form(n, mask)
-    slot_edges = [(index[u], index[v]) for u, v in match.edges]
+        return _triangle_form(n, match.mask)
+    edges = slot_edges(match.mask)
     labels = match.vertex_labels if with_labels and match.vertex_labels else None
     edge_labels = None
     if with_edge_labels and match.edge_labels:
-        edge_labels = {}
-        for (u, v), label in match.edge_labels:
-            i, j = index[u], index[v]
-            edge_labels[(i, j) if i < j else (j, i)] = label
-    return canonical_form(n, slot_edges, labels, edge_labels)
+        edge_labels = slot_edge_labels(match, edges)
+    return canonical_form(n, edges, labels, edge_labels)
 
 
 def is_isomorphic(

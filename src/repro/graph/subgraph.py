@@ -25,7 +25,17 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.graph.bitset import BitMatrix
-from repro.types import EdgeKey, Label, MatchSubgraph, VertexId, edge_key
+from repro.types import (
+    EdgeKey,
+    Label,
+    MatchSubgraph,
+    VertexId,
+    edge_key,
+    slot_edges,
+)
+
+#: the label tuple of an unlabelled subgraph, by vertex count
+_NO_LABELS = tuple((None,) * n for n in range(16))
 
 
 class SubgraphView:
@@ -163,7 +173,10 @@ class SubgraphView:
 
     def labels(self) -> Tuple[Label, ...]:
         if self._labels is None and self._label_fn is None:
-            return (None,) * len(self._vertices)
+            n = len(self._vertices)
+            # one shared tuple per size: every match of a label-free run
+            # holds it instead of a copy
+            return _NO_LABELS[n] if n < len(_NO_LABELS) else (None,) * n
         return tuple(self._resolved_labels())
 
     def count_label(self, label: Label) -> int:
@@ -242,26 +255,28 @@ class SubgraphView:
     def freeze(self) -> MatchSubgraph:
         """Materialize an immutable :class:`MatchSubgraph` for emission.
 
-        One pass over the stored triangle: each set bit is one edge, keyed
-        and (when edge labels are loaded) labelled where it is found.
+        The match's edges are the stored triangle itself: each row is
+        shifted to its offset in the packed mask
+        (:func:`~repro.types.slot_mask`), and the edge keys are derived
+        from it only when read.  The bits are walked here only when edge
+        labels are loaded, each edge keyed and labelled where it is found.
         """
         verts = self._vertices
-        edge_label_fn = self._edge_label_fn
-        edges = []
-        labelled = []
+        mask = offset = 0
         for i, bits in enumerate(self._matrix.lower_rows()):
-            v = verts[i]
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                u = verts[low.bit_length() - 1]
-                key = (u, v) if u <= v else (v, u)
-                edges.append(key)
-                if edge_label_fn is not None:
-                    labelled.append((key, edge_label_fn(*key)))
+            mask |= bits << offset
+            offset += i
+        edge_label_fn = self._edge_label_fn
+        if edge_label_fn is None:
+            return MatchSubgraph.from_mask(tuple(verts), mask, self.labels())
+        labelled = []
+        for j, i in slot_edges(mask):
+            u, v = verts[j], verts[i]
+            key = (u, v) if u <= v else (v, u)
+            labelled.append((key, edge_label_fn(*key)))
         labelled.sort()
-        return MatchSubgraph(
-            tuple(verts), frozenset(edges), self.labels(), tuple(labelled)
+        return MatchSubgraph.from_mask(
+            tuple(verts), mask, self.labels(), tuple(labelled)
         )
 
     def __repr__(self) -> str:

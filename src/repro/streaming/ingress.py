@@ -16,7 +16,8 @@ that a relabel or a delete+add brings back is deleted now and re-added in
 the *following* window, so each window stays a consistent atomic snapshot.
 A vertex delete deletes, and a vertex relabel relabels to its own label,
 every incident key as the open window leaves it; a vertex add creates the
-(isolated) vertex.  Each submitted update is counted once, accepted or
+vertex, and its label on a vertex that has incident keys is a vertex
+relabel.  Each submitted update is counted once, accepted or
 dropped.
 """
 
@@ -243,9 +244,16 @@ class IngressNode:
         elif kind is UpdateKind.ADD_VERTEX:
             new = not self.store.has_vertex(src)
             self.store.ensure_vertex(src)
-            if update.label is not None:
+            if update.label is None:
+                verdicts = [_CHANGED if new else _SAME]
+            elif self._incident(src):
+                # a label on a vertex with edges is a relabel: its edges
+                # must mark the matches the label changes
+                self._relabel_vertex(src, update.label)
+                verdicts = [_CHANGED]
+            else:
                 self._vertex_labels.append((src, update.label))
-            verdicts = [_CHANGED if new or update.label is not None else _SAME]
+                verdicts = [_CHANGED]
         else:  # pragma: no cover - enum is closed
             raise InvalidUpdateError(f"unknown update kind {kind!r}")
         # One submitted update is counted once: accepted when it changed

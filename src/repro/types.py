@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 VertexId = int
 Timestamp = int
@@ -150,27 +150,161 @@ class MatchStatus(enum.Enum):
     REM = "REM"
 
 
-@dataclass(frozen=True, slots=True)
+#: bit ``b`` of a packed lower triangle -> the slot pair ``(j, i)``, ``j < i``,
+#: it stands for (see :func:`slot_mask`); rebuilt longer for a wider match
+_SLOT_PAIRS: List[Tuple[int, int]] = [(j, i) for i in range(8) for j in range(i)]
+
+
+def _slot_pairs(bits: int) -> List[Tuple[int, int]]:
+    """:data:`_SLOT_PAIRS`, long enough to decode a ``bits``-bit mask."""
+    if len(_SLOT_PAIRS) < bits:
+        n = 2
+        while n * (n - 1) // 2 < bits:
+            n += 1
+        _SLOT_PAIRS[:] = [(j, i) for i in range(n) for j in range(i)]
+    return _SLOT_PAIRS
+
+
+def slot_mask(vertices: Sequence[VertexId], edges: Iterable[EdgeKey]) -> int:
+    """The packed lower triangle of ``edges`` over the slots of ``vertices``.
+
+    Edge ``{vertices[j], vertices[i]}`` with ``j < i`` is bit
+    ``i * (i - 1) // 2 + j``: row ``i`` of a
+    :class:`~repro.graph.bitset.BitMatrix` shifted to offset
+    ``i * (i - 1) // 2``.  An edge given twice, or as ``(u, v)`` and
+    ``(v, u)``, is one bit.  A self-loop is a ``ValueError``, an endpoint
+    outside ``vertices`` a ``KeyError``.
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    mask = 0
+    for u, v in edges:
+        i, j = index[u], index[v]
+        if i == j:
+            raise ValueError(f"self-loop edge ({u}, {v})")
+        if i < j:
+            i, j = j, i
+        mask |= 1 << (i * (i - 1) // 2 + j)
+    return mask
+
+
+def slot_edges(mask: int) -> List[Tuple[int, int]]:
+    """The slot pairs ``(j, i)``, ``j < i``, of a packed lower triangle, in
+    bit order."""
+    pairs = _slot_pairs(mask.bit_length())
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(pairs[low.bit_length() - 1])
+    return out
+
+
 class MatchSubgraph:
     """An immutable subgraph emitted as part of a match delta.
 
-    ``vertices`` preserves the (canonical) exploration order.  ``edges`` is a
-    frozenset of normalized edge keys.  ``vertex_labels`` maps each vertex to
-    its label at the relevant snapshot; unlabeled graphs map to ``None``.
+    ``vertices`` preserves the (canonical) exploration order.  The edges
+    are held as ``mask``, the packed lower triangle over those slots (see
+    :func:`slot_mask`; what :meth:`SubgraphView.freeze` reads off the
+    explorer's matrix), so a match costs one int however many edges it
+    has, and a pickle ships that int.  ``edges``, the frozenset of
+    normalized edge keys, is derived from the mask on first read and kept.
+    ``vertex_labels`` holds each vertex's label at the relevant snapshot
+    (``None`` on an unlabelled graph); ``edge_labels`` holds
+    ``((u, v), label)`` pairs sorted by edge, and is empty unless the
+    algorithm declared ``uses_edge_labels`` (edge labels are loaded
+    lazily).
+
+    ``MatchSubgraph(vertices, edges, ...)`` computes the mask from the
+    edges; :meth:`from_mask` takes it as it is.  Equality, hashing and
+    ``repr`` mean what they meant when the edges were stored: two matches
+    are equal iff their vertex orders, edge sets and labels are.
     """
 
-    vertices: Tuple[VertexId, ...]
-    edges: FrozenSet[EdgeKey]
-    vertex_labels: Tuple[Label, ...] = ()
-    #: ((u, v), label) pairs, sorted by edge; empty unless the algorithm
-    #: declared ``uses_edge_labels`` (edge labels are loaded lazily)
-    edge_labels: Tuple[Tuple[EdgeKey, Label], ...] = ()
+    __slots__ = ("vertices", "mask", "vertex_labels", "edge_labels", "_edges")
 
-    def __post_init__(self) -> None:
-        if self.vertex_labels and len(self.vertex_labels) != len(self.vertices):
+    vertices: Tuple[VertexId, ...]
+    mask: int
+    vertex_labels: Tuple[Label, ...]
+    edge_labels: Tuple[Tuple[EdgeKey, Label], ...]
+
+    def __init__(
+        self,
+        vertices: Tuple[VertexId, ...],
+        edges: Iterable[EdgeKey],
+        vertex_labels: Tuple[Label, ...] = (),
+        edge_labels: Tuple[Tuple[EdgeKey, Label], ...] = (),
+    ) -> None:
+        mask = slot_mask(vertices, edges)
+        if vertex_labels and len(vertex_labels) != len(vertices):
             raise ValueError("vertex_labels must align with vertices")
-        if self.edge_labels and len(self.edge_labels) != len(self.edges):
+        if edge_labels and len(edge_labels) != mask.bit_count():
             raise ValueError("edge_labels must align with edges")
+        _set_vertices(self, vertices)
+        _set_mask(self, mask)
+        _set_vertex_labels(self, vertex_labels)
+        _set_edge_labels(self, edge_labels)
+
+    @classmethod
+    def from_mask(
+        cls,
+        vertices: Tuple[VertexId, ...],
+        mask: int,
+        vertex_labels: Tuple[Label, ...] = (),
+        edge_labels: Tuple[Tuple[EdgeKey, Label], ...] = (),
+    ) -> "MatchSubgraph":
+        """The match with the edges of ``mask`` over ``vertices``, unchecked."""
+        match = _new(cls)
+        _set_vertices(match, vertices)
+        _set_mask(match, mask)
+        _set_vertex_labels(match, vertex_labels)
+        _set_edge_labels(match, edge_labels)
+        return match
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (
+            self.__class__.from_mask,
+            (self.vertices, self.mask, self.vertex_labels, self.edge_labels),
+        )
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.mask, self.vertex_labels, self.edge_labels)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()  # type: ignore[union-attr]
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"MatchSubgraph(vertices={self.vertices!r}, edges={self.edges!r}, "
+            f"vertex_labels={self.vertex_labels!r}, "
+            f"edge_labels={self.edge_labels!r})"
+        )
+
+    @property
+    def edges(self) -> FrozenSet[EdgeKey]:
+        """The normalized edge keys, derived from ``mask`` once."""
+        try:
+            return self._edges
+        except AttributeError:
+            pass
+        verts = self.vertices
+        keys = []
+        for j, i in slot_edges(self.mask):
+            u, v = verts[j], verts[i]
+            keys.append((u, v) if u <= v else (v, u))
+        edges = frozenset(keys)
+        _set_edges(self, edges)
+        return edges
 
     @property
     def identity(self) -> Tuple[FrozenSet[VertexId], FrozenSet[EdgeKey]]:
@@ -181,7 +315,7 @@ class MatchSubgraph:
         return len(self.vertices)
 
     def num_edges(self) -> int:
-        return len(self.edges)
+        return self.mask.bit_count()
 
     def label_of(self, v: VertexId) -> Label:
         if not self.vertex_labels:
@@ -200,6 +334,14 @@ class MatchSubgraph:
             if pair == key:
                 return label
         return None
+
+
+_new = object.__new__
+_set_vertices = MatchSubgraph.vertices.__set__  # type: ignore[attr-defined]
+_set_mask = MatchSubgraph.mask.__set__  # type: ignore[attr-defined]
+_set_vertex_labels = MatchSubgraph.vertex_labels.__set__  # type: ignore[attr-defined]
+_set_edge_labels = MatchSubgraph.edge_labels.__set__  # type: ignore[attr-defined]
+_set_edges = MatchSubgraph._edges.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, slots=True)

@@ -453,6 +453,9 @@ def test_unlabelled_app_on_a_labelled_store_reads_emitted_labels_only():
 NODE_PATH = {
     "4-C": (lambda: CliqueMining(4, min_size=3), dict(_DENSE, labelled=True)),
     "3-MC": (lambda: MotifCounting(3), dict(_SPARSE, labelled=True)),
+    # 4-vertex nodes whose parent is disconnected in one version: the
+    # connectivity the explorer hands down is held to the oracle's BFS
+    "4-MC": (lambda: MotifCounting(4), dict(_SPARSE, labelled=True)),
     "4-CL": (lambda: LabeledCliqueMining(4, min_size=3), dict(_DENSE, labelled=True)),
     "3-FSM": (lambda: FrequentSubgraphMining(3), dict(_SPARSE, labelled=True)),
 }

@@ -347,9 +347,11 @@ class OracleExplorer(Explorer):
     """An :class:`~repro.core.explore.Explorer` whose every node goes
     through ``_detect_changes`` and then ``_evaluate`` for each live
     version, as every node once did; the oracle for the explorer's inline,
-    one-live-version node path (same tree, same calls, same counts)."""
+    one-live-version node path (same tree, same calls, same counts).  It
+    asks ``is_connected`` at every node that passed ``filter``, and ignores
+    the connectivity the explorer would hand down."""
 
-    def _explore_v(self, pre, post, start_key, c_pre, c_post):
+    def _explore_v(self, pre, post, start_key, c_pre, c_post, *_linked):
         metrics = self.metrics
         verts = self._verts
         depth = len(verts) + 1
@@ -374,7 +376,7 @@ class OracleExplorer(Explorer):
                 pre.append_row(pre_bits)
             if c_post:
                 post.append_row(post_bits)
-            c_pre2, c_post2 = self._detect_changes(c_pre, c_post)
+            c_pre2, c_post2, _, _ = self._detect_changes(c_pre, c_post)
             if descend and (c_pre2 or c_post2):
                 self._explore_v(pre, post, start_key, c_pre2, c_post2)
             if c_pre:
@@ -384,7 +386,7 @@ class OracleExplorer(Explorer):
             verts.pop()
         self._account(len(candidates), expansions, rule2, depth)
 
-    def _detect_changes(self, c_pre, c_post):
+    def _detect_changes(self, c_pre, c_post, *_linked):
         if c_pre:
             s = self._s_pre
             s.rebind()
@@ -401,7 +403,7 @@ class OracleExplorer(Explorer):
                 self._emit(MatchStatus.NEW, s)
             elif state == _REJECTED:
                 c_post = False
-        return c_pre, c_post
+        return c_pre, c_post, None, None
 
     def _evaluate(self, s) -> int:
         algorithm = self.algorithm
@@ -491,9 +493,12 @@ class IngressMachine(RuleBasedStateMachine):
     every flush the store's latest snapshot must hold the oracle's edges
     with their labels and directions, and its vertex labels.  Every window
     must be a consistent snapshot: an edge alive on both sides of a window
-    boundary kept its label and direction.  Each submitted update is
-    counted once, accepted or dropped, and one the oracle finds changes
-    nothing is dropped.  Small window sizes close windows mid-stream.
+    boundary kept its label and direction, and its endpoints their labels
+    (a vertex label changes only in the window that deletes its edges, so
+    they mark the matches it changes; a labelled vertex add included).
+    Each submitted update is counted once, accepted or dropped, and one the
+    oracle finds changes nothing is dropped.  Small window sizes close
+    windows mid-stream.
     """
 
     kind = "mv"
@@ -563,7 +568,9 @@ class IngressMachine(RuleBasedStateMachine):
         self.labels[v] = label
         self.submit(Update.set_vertex_label(v, label), False)
 
-    @rule(v=st.sampled_from(MACHINE_VERTICES), label=st.sampled_from([None, "x"]))
+    @rule(
+        v=st.sampled_from(MACHINE_VERTICES), label=st.sampled_from([None, "x", "y"])
+    )
     def add_vertex(self, v, label):
         if label is not None:
             self.labels[v] = label
@@ -594,7 +601,13 @@ class IngressMachine(RuleBasedStateMachine):
         for t in range(max(self.checked_ts, 1), ts + 1):
             for key in MACHINE_KEYS:
                 pre, post = state(key, t - 1), state(key, t)
-                assert pre is None or post is None or pre == post, (key, t)
+                if pre is None or post is None:
+                    continue
+                assert pre == post, (key, t)
+                for v in key:
+                    assert store.vertex_label_at(v, t - 1) == store.vertex_label_at(
+                        v, t
+                    ), (key, v, t)
         self.checked_ts = ts
 
 

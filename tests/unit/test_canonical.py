@@ -8,7 +8,7 @@ import pytest
 from repro.graph.canonical import (
     SHAPE_TABLE_SIZE,
     _canonical_cached,
-    _shape_form,
+    _triangle_form,
     automorphism_orbits,
     canonical_form,
     canonical_form_with_mapping,
@@ -230,7 +230,8 @@ def _uncached(n, slot_edges):
 
 
 class TestShapeTable:
-    """``motif_of`` without labels answers from ``(n, slot-edge bitmask)``."""
+    """``motif_of`` without labels answers from ``(n, match.mask)``, the
+    match's packed lower triangle."""
 
     #: graphs on n vertices up to isomorphism (OEIS A000088)
     CLASSES = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34}
@@ -255,6 +256,16 @@ class TestShapeTable:
                     assert want == _uncached(n, [(slot[i], slot[j]) for i, j in subset])
         assert len(forms) == self.CLASSES[n]
 
+    def test_every_vertex_order_of_a_motif_keys_one_form_instance(self):
+        """The wedge's three masks (one per middle slot) hand a GROUPBY one
+        object, so its dict lookup hits on identity."""
+        wedges = [
+            MatchSubgraph(order, frozenset({(1, 2), (2, 3)}))
+            for order in itertools.permutations((1, 2, 3))
+        ]
+        assert len({wedge.mask for wedge in wedges}) == 3
+        assert len({id(motif_of(wedge)) for wedge in wedges}) == 1
+
     def test_labelled_calls_bypass_the_table(self):
         match = MatchSubgraph(
             (10, 20, 30),
@@ -263,7 +274,7 @@ class TestShapeTable:
             (((10, 20), "s"), ((20, 30), "w")),
         )
         plain = motif_of(match)
-        before = _shape_form.cache_info()
+        before = _triangle_form.cache_info()
         path = [(0, 1), (1, 2)]
         assert motif_of(match, with_labels=True) == canonical_form(3, path, "aba")
         assert motif_of(match, with_edge_labels=True) == canonical_form(
@@ -272,9 +283,9 @@ class TestShapeTable:
         assert motif_of(match, True, True) == canonical_form(
             3, path, "aba", {(0, 1): "s", (1, 2): "w"}
         )
-        assert _shape_form.cache_info() == before
+        assert _triangle_form.cache_info() == before
         assert motif_of(match) is plain
-        assert _shape_form.cache_info().hits == before.hits + 1
+        assert _triangle_form.cache_info().hits == before.hits + 1
 
     def test_invalid_matches_are_still_rejected(self):
         with pytest.raises(ValueError):
@@ -297,7 +308,7 @@ class TestShapeTable:
         )
 
     def test_table_stays_within_its_bound(self):
-        assert _shape_form.cache_info().maxsize == SHAPE_TABLE_SIZE
+        assert _triangle_form.cache_info().maxsize == SHAPE_TABLE_SIZE
         rng = random.Random(9)
         n = 9  # 2**36 shapes, nearly all asymmetric: one permutation each
         possible = list(itertools.combinations(range(n), 2))
@@ -306,7 +317,7 @@ class TestShapeTable:
             shapes.add(frozenset(e for e in possible if rng.random() < 0.5))
         for edges in shapes:
             motif_of(MatchSubgraph(tuple(range(n)), edges))
-        info = _shape_form.cache_info()
+        info = _triangle_form.cache_info()
         assert info.currsize == SHAPE_TABLE_SIZE
         # an evicted shape is recomputed, not lost
         triangle = MatchSubgraph((1, 2, 3), frozenset({(1, 2), (2, 3), (1, 3)}))

@@ -4,6 +4,8 @@ import pytest
 from hypothesis.stateful import run_state_machine_as_test
 
 from repro.apps import FeedForwardLoops
+from repro.core.api import VertexInduced
+from repro.core.engine import collect_matches
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
@@ -11,6 +13,7 @@ from repro.streaming.queue import WorkQueue
 from repro.types import Update
 from scenarios import (
     IngressMachine,
+    ReadsEverything,
     NetIngressMachine,
     machine_settings,
     readded_arc_windows,
@@ -394,6 +397,30 @@ class TestOneAtATime:
         """The state machine of ``scenarios.IngressMachine``, on fixed
         examples: about 4 s on ``mv`` and 1 s on ``net``."""
         run_state_machine_as_test(machine, settings=machine_settings(examples))
+
+    @pytest.mark.parametrize("window", [10, 1])
+    def test_a_labelled_vertex_add_relabels_like_set_vertex_label(self, window):
+        """A label on an added vertex that has edges is a relabel: the
+        edges at the vertex mark every match the new label changes."""
+
+        def live(labelling):
+            session = StreamingSession(
+                ReadsEverything(VertexInduced), window_size=window
+            )
+            try:
+                session.submit_many([Update.add_edge(1, 2), Update.add_edge(2, 3)])
+                session.flush()
+                session.submit(labelling)
+                session.flush()
+                store = session.store
+                assert store.vertex_label_at(1, store.latest_timestamp) == "a"
+                return collect_matches(session.deltas())
+            finally:
+                session.close()
+
+        relabelled = live(Update.set_vertex_label(1, "a"))
+        assert live(Update.add_vertex(1, "a")) == relabelled
+        assert len(relabelled) == 1
 
     def test_relabel_after_a_delete_in_one_window_is_dropped(self):
         store, queue, ing = make_ingress(window_size=10)
