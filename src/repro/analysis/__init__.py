@@ -3,11 +3,11 @@
 Run it as ``python -m repro.analysis src/repro`` (or ``repro lint``): one
 run parses the whole tree once and applies every rule.  The framework
 lives in :mod:`repro.analysis.core` (driver, registry, suppressions), the
-per-module invariants in :mod:`repro.analysis.rules` (RL001–RL007), the
-whole-program engine in :mod:`repro.analysis.project` /
-:mod:`repro.analysis.callgraph` / :mod:`repro.analysis.dataflow` with
-its cross-module rules in :mod:`repro.analysis.project_rules`
-(RL008–RL011), and output formats in :mod:`repro.analysis.reporters`.
+per-module invariants in :mod:`repro.analysis.rules` (RL001–RL007 and
+RL010), the project loader in :mod:`repro.analysis.project`, the class
+index in :mod:`repro.analysis.classindex` with its one cross-module rule
+in :mod:`repro.analysis.project_rules` (RL011), and output formats in
+:mod:`repro.analysis.reporters`.
 See ``docs/internals.md`` ("Static analysis") for what each rule
 protects and the suppression syntax.
 """
@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based invariant checker: determinism, backend purity, "
-            "lock and telemetry discipline, plus whole-program call-graph "
-            "rules (RL001-RL011)"
+            "lock and telemetry discipline, exception taxonomy and "
+            "protocol conformance"
         ),
     )
     parser.add_argument(

@@ -154,11 +154,10 @@ class ProjectRule:
     """Base class for cross-module rules; registered via :func:`project_rule`.
 
     A project rule sees the whole :class:`~repro.analysis.project.\
-ProjectContext` at once instead of one module — it can walk the call
-    graph, chase taint through helpers, or compare a class against a
-    protocol defined three modules away.  Suppression comments still work:
-    the driver routes each finding back through the owning module's
-    ``# repro: ignore[...]`` index.
+ProjectContext` at once instead of one module, so it can compare a
+    class against a protocol defined three modules away.  Suppression
+    comments still work: the driver routes each finding back through the
+    owning module's ``# repro: ignore[...]`` index.
     """
 
     rule_id: str = "RL???"

@@ -1,19 +1,14 @@
 """Whole-program loading: every module of the linted tree, parsed once.
 
-Per-module rules (RL001–RL007) see one file at a time; the cross-module
-rules (RL008–RL011) need *all* of them — a call graph cannot resolve an
-edge into a module it never parsed.  :func:`load_project` walks the
-given paths (normally ``src/repro``), parses every ``.py`` file into the
-same :class:`~repro.analysis.core.ModuleContext` the per-module rules
-use, and wraps them in a :class:`ProjectContext`:
-
-* **Deterministic iteration.**  Modules are keyed by dotted name and
-  stored sorted, so every project-scope analysis visits them in the same
-  order on every run — a precondition for byte-identical JSON reports.
-* **Shared analyses.**  Expensive project-scope structures (the call
-  graph, the taint fixpoint) are built once per run and memoized on the
-  context via :meth:`ProjectContext.shared`, so RL008 and RL009 do not
-  each build their own call graph.
+Per-module rules (RL001–RL007, RL010) see one file at a time; protocol
+conformance (RL011) needs *all* of them — a protocol and its
+implementations live in different modules.  :func:`load_project` walks
+the given paths (normally ``src/repro``), parses every ``.py`` file into
+the same :class:`~repro.analysis.core.ModuleContext` the per-module
+rules use, and wraps them in a :class:`ProjectContext`.  Modules are
+keyed by dotted name and stored sorted, so every project-scope analysis
+visits them in the same order on every run — a precondition for
+byte-identical JSON reports.
 
 Like the rest of the analyzer, nothing here imports the code under
 analysis — the project is a set of syntax trees, never a set of modules.
@@ -23,7 +18,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.analysis.core import (
     ModuleContext,
@@ -70,7 +65,6 @@ class ProjectContext:
         self._by_path: Dict[str, ModuleContext] = {
             ctx.path: ctx for ctx in self.modules.values()
         }
-        self._shared: Dict[str, object] = {}
 
     def __iter__(self) -> Iterator[ModuleContext]:
         return iter(self.modules.values())
@@ -83,12 +77,6 @@ class ProjectContext:
 
     def module_for_path(self, path: str) -> Optional[ModuleContext]:
         return self._by_path.get(path)
-
-    def shared(self, key: str, build: Callable[["ProjectContext"], object]):
-        """Memoize one project-scope analysis under ``key`` (built once)."""
-        if key not in self._shared:
-            self._shared[key] = build(self)
-        return self._shared[key]
 
     def suppressed(self, violation: Violation) -> bool:
         """Apply the owning module's ``# repro: ignore[...]`` comments."""

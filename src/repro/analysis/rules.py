@@ -1,4 +1,4 @@
-"""The shipped repro-lint rules, RL001–RL007.
+"""The per-module repro-lint rules, RL001–RL007 and RL010.
 
 Each rule encodes an invariant of this reproduction that example-based
 tests can only spot-check (the paper sections cited are the ones whose
@@ -7,13 +7,16 @@ correctness argument the invariant carries — see ``docs/internals.md``,
 
 ==========  ================================================================
 RL001       Determinism: no wall-clock or process-global RNG feeding
-            counters or result streams (paper §4.5; PR 2's cross-backend
-            identical-counter-totals contract).
+            counters or result streams, nor a clock reading laundered
+            through a helper of the same module into a counter (paper
+            §4.5; PR 2's cross-backend identical-counter-totals contract).
 RL002       Process-backend purity: a ``Process(target=...)`` target must be
             a module-level function that does not mutate module globals
             (paper §5 worker model).
 RL003       Thread-safety: classes that own a lock must hold it for every
-            post-``__init__`` attribute write (paper §5.3 queue contract).
+            post-``__init__`` attribute write, and never take a held
+            non-reentrant ``Lock`` again, by nesting or through their own
+            ``self.m()`` calls (paper §5.3 queue contract).
 RL004       Span discipline: ``Span``/``NullSpan``/``SpanRecord`` are only
             constructed in ``repro.telemetry.trace``, by ``Tracer``.
 RL005       Algorithm purity: ``filter``/``match``/``process`` of a
@@ -28,13 +31,19 @@ RL007       Network encapsulation: raw sockets (``socket``/``selectors``)
             are only touched inside ``repro.net``; everything else speaks
             the framed RPC layer, which is where deadlines, retries, and
             the exactly-once write discipline live (PR 7).
+RL010       Exception-taxonomy discipline: handlers in ``repro.net``
+            must re-raise through the NetError taxonomy; nothing may
+            swallow ``ApplicationError``; bare ``except:`` is banned
+            project-wide outside tests (PR 7's retry contract —
+            application errors are never retried, so eating one turns
+            a permanent failure into silence).
 ==========  ================================================================
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import (
     ModuleContext,
@@ -128,18 +137,17 @@ def _resolve_name(name: Optional[str], aliases: Dict[str, str]) -> Optional[str]
     return name
 
 
-def _is_clock_call(node: ast.Call, aliases: Dict[str, str]) -> bool:
-    name = _resolve_name(dotted_name(node.func), aliases)
-    return name in WALL_CLOCK_CALLS or name in MONOTONIC_CLOCK_CALLS
-
-
-def _contains_clock(
-    node: ast.AST, tainted: Set[str], aliases: Dict[str, str]
-) -> bool:
-    for call in calls_within(node):
-        if _is_clock_call(call, aliases):
-            return True
-    return bool(names_within(node) & tainted)
+def _local_callee(func: ast.AST) -> Optional[str]:
+    """The name a ``helper()`` or ``self.helper()`` call looks up in its module."""
+    if isinstance(func, ast.Name):
+        return func.id
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id in {"self", "cls"}
+    ):
+        return func.attr
+    return None
 
 
 @rule
@@ -154,6 +162,7 @@ class DeterminismRule(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Violation]:
         self._aliases = _import_aliases(ctx)
+        self._find_clock_helpers(ctx)
         for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node)
@@ -166,6 +175,58 @@ class DeterminismRule(Rule):
                 yield from self._check_local_import(ctx, node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_counter_feeds(ctx, node)
+
+    def _contains_clock(self, node: ast.AST, tainted: Set[str]) -> bool:
+        """Whether ``node`` reads a clock, directly or through a module helper."""
+        for call in calls_within(node):
+            name = _resolve_name(dotted_name(call.func), self._aliases)
+            if name in WALL_CLOCK_CALLS or name in MONOTONIC_CLOCK_CALLS:
+                return True
+            if _local_callee(call.func) in self._clock_helpers:
+                return True
+        return bool(names_within(node) & tainted)
+
+    def _clock_taint(self, func: ast.AST) -> Tuple[List[ast.AST], Set[str]]:
+        """``func``'s body nodes and the local names that hold a clock reading."""
+        tainted: Set[str] = set()
+        body_nodes = [n for stmt in func.body for n in ast.walk(stmt)]  # type: ignore[attr-defined]
+        for node in body_nodes:
+            if isinstance(node, (ast.Assign, ast.AugAssign)) and node.value is not None:
+                if self._contains_clock(node.value, tainted):
+                    for target in assignment_targets(node):
+                        if isinstance(target, ast.Name):
+                            tainted.add(target.id)
+        return body_nodes, tainted
+
+    def _find_clock_helpers(self, ctx: ModuleContext) -> None:
+        """Collect the names of this module's functions that return a clock reading.
+
+        A helper that returns ``time.perf_counter() - start`` launders a
+        monotonic reading, which is legal at its origin; its callers in
+        the same module are then held to the counter-feed check below.
+        """
+        self._clock_helpers: Set[str] = set()
+        functions = [
+            node
+            for node in ctx.nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        changed = True
+        while changed:  # a helper of a helper is a helper
+            changed = False
+            for func in functions:
+                if func.name in self._clock_helpers:
+                    continue
+                body_nodes, tainted = self._clock_taint(func)
+                if any(
+                    isinstance(node, ast.Return)
+                    and node.value is not None
+                    and ctx.enclosing_function(node) is func
+                    and self._contains_clock(node.value, tainted)
+                    for node in body_nodes
+                ):
+                    self._clock_helpers.add(func.name)
+                    changed = True
 
     def _check_call(self, ctx: ModuleContext, node: ast.Call) -> Iterator[Violation]:
         name = _resolve_name(dotted_name(node.func), self._aliases)
@@ -229,16 +290,7 @@ class DeterminismRule(Rule):
         self, ctx: ModuleContext, func: ast.AST
     ) -> Iterator[Violation]:
         """Flag clock-derived values flowing into counter instruments."""
-        tainted: Set[str] = set()
-        body_nodes = [n for stmt in func.body for n in ast.walk(stmt)]  # type: ignore[attr-defined]
-        # Pass 1: names assigned from expressions containing a clock read.
-        for node in body_nodes:
-            if isinstance(node, (ast.Assign, ast.AugAssign)) and node.value is not None:
-                if _contains_clock(node.value, tainted, self._aliases):
-                    for target in assignment_targets(node):
-                        if isinstance(target, ast.Name):
-                            tainted.add(target.id)
-        # Pass 2: tainted values reaching counter mutations.
+        body_nodes, tainted = self._clock_taint(func)
         for node in body_nodes:
             if isinstance(node, ast.Call):
                 method = base_name(node.func)
@@ -246,10 +298,7 @@ class DeterminismRule(Rule):
                     node.func, ast.Attribute
                 ):
                     feeds = list(node.args) + [kw.value for kw in node.keywords]
-                    if any(
-                        _contains_clock(arg, tainted, self._aliases)
-                        for arg in feeds
-                    ):
+                    if any(self._contains_clock(arg, tainted) for arg in feeds):
                         yield ctx.violation(
                             node,
                             self.rule_id,
@@ -258,8 +307,8 @@ class DeterminismRule(Rule):
                             "durations in histograms or gauges",
                         )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                if node.value is None or not _contains_clock(
-                    node.value, tainted, self._aliases
+                if node.value is None or not self._contains_clock(
+                    node.value, tainted
                 ):
                     continue
                 for target in assignment_targets(node):
@@ -351,11 +400,25 @@ LOCK_FACTORY_SUFFIXES = ("Lock", "RLock")
 INIT_METHODS = {"__init__", "__post_init__", "__new__", "__init_subclass__"}
 
 
-def _is_lock_factory(value: ast.AST) -> bool:
+def _lock_factory(value: ast.AST) -> Optional[bool]:
+    """None unless ``value`` creates a lock, else whether it is reentrant."""
     if not isinstance(value, ast.Call):
-        return False
+        return None
     name = base_name(value.func)
-    return name is not None and name.endswith(LOCK_FACTORY_SUFFIXES)
+    if name is None or not name.endswith(LOCK_FACTORY_SUFFIXES):
+        return None
+    return name.endswith("RLock")
+
+
+def _self_attr(node: ast.AST) -> Optional[str]:
+    """``X`` for a ``self.X`` expression, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
 
 
 def _mentions_lock(node: ast.AST) -> bool:
@@ -370,14 +433,54 @@ def _mentions_lock(node: ast.AST) -> bool:
     return False
 
 
+def _takes_lock(node: ast.AST, lock: str) -> bool:
+    """Whether ``node`` is a ``with`` block that acquires ``self.<lock>``."""
+    return isinstance(node, (ast.With, ast.AsyncWith)) and any(
+        _self_attr(item.context_expr) == lock for item in node.items
+    )
+
+
+def _runs_now(stmts: List[ast.stmt]) -> Iterator[ast.AST]:
+    """Nodes of ``stmts``, minus the bodies of defs, lambdas and classes
+    (those run later, not under the locks held where they are defined)."""
+    stack: List[ast.AST] = list(reversed(stmts))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+        ):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _may_take(
+    methods: Dict[str, ast.AST], name: Optional[str], lock: str, seen: Set[str]
+) -> bool:
+    """Whether calling ``self.<name>()`` may acquire ``self.<lock>``,
+    directly or through further ``self.m()`` calls of the same class."""
+    if name is None or name in seen or name not in methods:
+        return False
+    seen.add(name)
+    for node in ast.walk(methods[name]):
+        if _takes_lock(node, lock):
+            return True
+        if isinstance(node, ast.Call) and _may_take(
+            methods, _self_attr(node.func), lock, seen
+        ):
+            return True
+    return False
+
+
 @rule
 class LockDisciplineRule(Rule):
-    """RL003: lock-owning classes write shared attributes under the lock."""
+    """RL003: lock-owning classes write shared attributes under the lock
+    and never take a held non-reentrant lock again."""
 
     rule_id = "RL003"
     summary = (
         "classes that own a lock must hold it (a 'with <lock>:' ancestor) "
-        "for every attribute write outside __init__"
+        "for every attribute write outside __init__, and must not take a "
+        "held non-reentrant Lock again"
     )
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Violation]:
@@ -388,20 +491,27 @@ class LockDisciplineRule(Rule):
     def _check_class(
         self, ctx: ModuleContext, cls: ast.ClassDef
     ) -> Iterator[Violation]:
-        owns_lock = any(
-            isinstance(node, ast.Assign)
-            and _is_lock_factory(node.value)
-            and any(
-                isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == "self"
-                for t in node.targets
-            )
-            for node in ast.walk(cls)
-        )
-        if not owns_lock:
-            return
+        #: lock attribute -> reentrant (an RLock)
+        locks: Dict[str, bool] = {}
         for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                reentrant = _lock_factory(node.value)
+                for target in node.targets:
+                    attr = _self_attr(target)
+                    if reentrant is not None and attr is not None:
+                        locks.setdefault(attr, reentrant)
+        if not locks:
+            return
+        methods = {
+            stmt.name: stmt
+            for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for node in ast.walk(cls):
+            if isinstance(node, (ast.With, ast.AsyncWith)):
+                if ctx.enclosing_class(node) is cls:
+                    yield from self._check_reacquire(ctx, cls.name, locks, methods, node)
+                continue
             if not isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 continue
             if ctx.enclosing_class(node) is not cls:
@@ -410,17 +520,13 @@ class LockDisciplineRule(Rule):
             if function is None or function.name in INIT_METHODS:  # type: ignore[union-attr]
                 continue
             self_targets = [
-                t
-                for t in assignment_targets(node)
-                if isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == "self"
+                t for t in assignment_targets(node) if _self_attr(t) is not None
             ]
             if not self_targets:
                 continue
             if self._under_lock(ctx, node):
                 continue
-            attrs = ", ".join(f"self.{t.attr}" for t in self_targets)
+            attrs = ", ".join(f"self.{t.attr}" for t in self_targets)  # type: ignore[attr-defined]
             yield ctx.violation(
                 node,
                 self.rule_id,
@@ -428,6 +534,38 @@ class LockDisciplineRule(Rule):
                 "under a held lock; guard it with 'with <lock>:' or justify "
                 "it with '# repro: ignore[RL003]'",
             )
+
+    def _check_reacquire(
+        self,
+        ctx: ModuleContext,
+        owner: str,
+        locks: Dict[str, bool],
+        methods: Dict[str, ast.AST],
+        held: ast.AST,
+    ) -> Iterator[Violation]:
+        """Inside ``with self.<lock>:`` on a non-reentrant lock, neither a
+        nested ``with`` nor a ``self.m()`` call may take that lock again:
+        the thread would wait on itself forever."""
+        for item in held.items:  # type: ignore[attr-defined]
+            lock = _self_attr(item.context_expr)
+            if lock is None or locks.get(lock, True):
+                continue
+            for node in _runs_now(held.body):  # type: ignore[attr-defined]
+                if _takes_lock(node, lock):
+                    how = "a nested 'with' takes it again"
+                elif isinstance(node, ast.Call) and _may_take(
+                    methods, _self_attr(node.func), lock, set()
+                ):
+                    how = f"self.{_self_attr(node.func)}() takes it again"
+                else:
+                    continue
+                yield ctx.violation(
+                    node,
+                    self.rule_id,
+                    f"self.{lock} in {owner} is a non-reentrant Lock held "
+                    f"here, and {how}; the thread deadlocks on itself — "
+                    "move the work outside the lock or make it an RLock",
+                )
 
     @staticmethod
     def _under_lock(ctx: ModuleContext, node: ast.AST) -> bool:
@@ -711,3 +849,124 @@ class NetEncapsulationRule(Rule):
                         "retries, and exactly-once write deduplication — use "
                         "RpcClient/StoreServer (or NetStoreClient) instead",
                     )
+
+
+# -- RL010: exception-taxonomy discipline ------------------------------------
+
+#: catching one of these without re-raising swallows ApplicationError
+#: (every ApplicationError IS-A NetError IS-A Exception)
+BROAD_TYPES = {"Exception", "BaseException", "NetError", "ApplicationError"}
+
+#: raw transport-ish exceptions: a repro.net handler may clean up and
+#: bail, but any *handling* must translate into the NetError taxonomy so
+#: retry classification (TransportError: retryable, ProtocolError: fatal,
+#: ApplicationError: never retried) stays decidable for callers
+RAW_TRANSPORT_TYPES = {
+    "OSError",
+    "IOError",
+    "ConnectionError",
+    "ConnectionResetError",
+    "ConnectionAbortedError",
+    "ConnectionRefusedError",
+    "BrokenPipeError",
+    "InterruptedError",
+    "TimeoutError",
+    "timeout",  # socket.timeout
+    "UnicodeDecodeError",
+    "JSONDecodeError",
+    "error",  # struct.error
+}
+
+
+def _handler_type_names(handler: ast.ExceptHandler) -> List[str]:
+    if handler.type is None:
+        return []
+    exprs = (
+        list(handler.type.elts)
+        if isinstance(handler.type, ast.Tuple)
+        else [handler.type]
+    )
+    names = []
+    for expr in exprs:
+        name = base_name(expr)
+        if name is not None:
+            names.append(name)
+    return names
+
+
+def _contains_raise(handler: ast.ExceptHandler) -> bool:
+    for stmt in handler.body:
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Raise):
+                return True
+    return False
+
+
+def _is_pure_cleanup(handler: ast.ExceptHandler) -> bool:
+    """True when the body only unwinds: pass/continue/break/bare return."""
+    for stmt in handler.body:
+        if isinstance(stmt, (ast.Pass, ast.Continue, ast.Break)):
+            continue
+        if isinstance(stmt, ast.Return) and stmt.value is None:
+            continue
+        return False
+    return True
+
+
+def _is_test_module(module: str) -> bool:
+    return any("test" in part for part in module.split("."))
+
+
+@rule
+class ExceptionTaxonomyRule(Rule):
+    """RL010: repro.net excepts re-raise; ApplicationError is never eaten."""
+
+    rule_id = "RL010"
+    summary = (
+        "bare except banned project-wide; repro.net handlers must "
+        "re-raise through the NetError taxonomy and never swallow "
+        "ApplicationError"
+    )
+
+    def check_module(self, ctx: ModuleContext) -> Iterator[Violation]:
+        in_net = ctx.module.startswith("repro.net")
+        for node in ctx.nodes:
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            if node.type is None:
+                if not _is_test_module(ctx.module):
+                    yield ctx.violation(
+                        node,
+                        self.rule_id,
+                        "bare 'except:' catches SystemExit and "
+                        "KeyboardInterrupt and hides the failure class; "
+                        "name the exceptions this handler can actually "
+                        "recover from",
+                    )
+                continue
+            if not in_net or _contains_raise(node):
+                continue
+            names = _handler_type_names(node)
+            broad = sorted(set(names) & BROAD_TYPES)
+            if broad:
+                yield ctx.violation(
+                    node,
+                    self.rule_id,
+                    f"handler catches {', '.join(broad)} without "
+                    "re-raising; this swallows ApplicationError, which "
+                    "the taxonomy says is never retried and never "
+                    "silenced — catch the narrow NetError subtype or "
+                    "re-raise",
+                )
+                continue
+            raw = sorted(set(names) & RAW_TRANSPORT_TYPES)
+            if raw and not _is_pure_cleanup(node):
+                yield ctx.violation(
+                    node,
+                    self.rule_id,
+                    f"handler catches raw {', '.join(raw)} and handles "
+                    "it in place; repro.net must translate transport "
+                    "failures into the NetError taxonomy (raise "
+                    "TransportError/ProtocolError ... from exc) so "
+                    "retry classification stays decidable",
+                )

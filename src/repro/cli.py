@@ -674,7 +674,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace_merge)
 
     p = sub.add_parser(
-        "lint", help="run the repro-lint invariant checker (rules RL001-RL011)"
+        "lint", help="run the repro-lint invariant checker (every rule, one run)"
     )
     p.add_argument(
         "paths",

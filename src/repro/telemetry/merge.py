@@ -23,7 +23,7 @@ module resolves those references and derives two artifacts:
   ``wire_s``       the remainder: serialization + socket + scheduling
   ===============  ========================================================
 
-Clock-skew handling (repro-lint RL001/RL008 stays clean: no wall clocks
+Clock-skew handling (repro-lint RL001 stays clean: no wall clocks
 anywhere).  All timestamps are **monotonic-clock readings local to their
 node** — two files' time axes are incomparable absolute values with some
 unknown per-pair offset.  For every matched RPC the nesting constraint

@@ -1,12 +1,11 @@
-"""Tests for the whole-program engine: loader, call graph, fixpoint, CLI."""
+"""Tests for the whole-program engine: loader, class index, CLI."""
 
 import textwrap
 
 import pytest
 
 from repro.analysis import main
-from repro.analysis.callgraph import build_callgraph
-from repro.analysis.dataflow import MONO, WALL, build_return_taint, fixpoint
+from repro.analysis.classindex import ClassIndex
 from repro.analysis.project import load_project, module_name_for
 
 
@@ -74,7 +73,7 @@ class TestLoader:
         assert project.module("repro.broken") is None
 
     def test_identical_files_get_distinct_trees(self, tmp_path):
-        # node-identity-keyed analyses (call targets) need per-module trees
+        # findings anchor at nodes of their own module's tree
         root = make_project(
             tmp_path, {"a.py": "value = 1\n", "b.py": "value = 1\n"}
         )
@@ -82,154 +81,73 @@ class TestLoader:
         assert project.module("repro.a").tree is not project.module("repro.b").tree
 
 
-CALLGRAPH_FILES = {
-    "util.py": """
-        def helper():
-            return 7
-        """,
-    "impl.py": """
-        from repro.util import helper as aliased
+CLASS_INDEX_FILES = {
+    "proto.py": """
+        import abc
 
-        class Base:
+        class Base(abc.ABC):
+            @abc.abstractmethod
             def hook(self):
+                ...
+
+            @property
+            def size(self):
                 return 0
 
-        class Sub(Base):
-            def hook(self):
-                return aliased()
-
-        class Holder:
-            def __init__(self, member: "Base"):
-                self.member = member
-
-            def poke(self):
-                return self.member.hook()
+            @staticmethod
+            def make():
+                return None
         """,
-    "factory.py": """
-        from repro.impl import Base, Sub
+    "impl.py": """
+        from repro.proto import Base as Aliased
+        from repro import proto
 
-        def make(kind):
-            if kind == "sub":
-                cls = Sub
-            else:
-                cls = Base
-            return cls()
+        class Sub(Aliased):
+            def hook(self):
+                return 1
+
+        class Leaf(Sub, proto.Base):
+            pass
+
+        class Foreign(dict):
+            pass
         """,
 }
 
 
-class TestCallGraph:
+class TestClassIndex:
     @pytest.fixture()
-    def graph(self, tmp_path):
-        root = make_project(tmp_path, CALLGRAPH_FILES)
-        return build_callgraph(load_project(root))
+    def index(self, tmp_path):
+        root = make_project(tmp_path, CLASS_INDEX_FILES)
+        return ClassIndex(load_project(root))
 
-    def test_aliased_import_resolves(self, graph):
-        assert "repro.util.helper" in graph.callees("repro.impl.Sub.hook")
+    def test_aliased_import_resolves(self, index):
+        # ``from repro.proto import Base as Aliased`` and ``proto.Base``
+        # both name the class defined in repro.proto
+        assert index.classes["repro.impl.Sub"].base_quals == ["repro.proto.Base"]
+        assert index.classes["repro.impl.Leaf"].base_quals == [
+            "repro.impl.Sub",
+            "repro.proto.Base",
+        ]
 
-    def test_method_dispatch_includes_subclass_overrides(self, graph):
-        # a call through a Base-typed attribute may reach either override
-        callees = graph.callees("repro.impl.Holder.poke")
-        assert "repro.impl.Base.hook" in callees
-        assert "repro.impl.Sub.hook" in callees
+    def test_subclass_ancestry_reaches_the_protocol(self, index):
+        # RL011 finds the abstract method a subclass overrides via the MRO
+        assert index.mro("repro.impl.Leaf") == [
+            "repro.impl.Leaf",
+            "repro.impl.Sub",
+            "repro.proto.Base",
+        ]
 
-    def test_registry_indirection_reaches_constructors(self, graph):
-        # the make_store pattern: cls = Impl; cls(**kwargs)
-        callees = graph.callees("repro.factory.make")
-        assert "repro.impl.Holder.__init__" not in callees
-        # Base/Sub define no __init__, so the local-alias resolution has
-        # no constructor to land on — but the aliases themselves resolved:
-        assert graph.classes["repro.impl.Sub"].base_quals == ["repro.impl.Base"]
+    def test_non_project_bases_are_left_out(self, index):
+        assert index.classes["repro.impl.Foreign"].base_quals == []
+        assert index.classes["repro.proto.Base"].base_quals == []
 
-    def test_denylisted_names_produce_no_fallback_edge(self, tmp_path):
-        root = make_project(
-            tmp_path,
-            {
-                "box.py": """
-                class Box:
-                    def append(self, item):
-                        return item
-
-                def stuff(bag):
-                    bag.append(1)
-                """,
-            },
-        )
-        graph = build_callgraph(load_project(root))
-        assert graph.callees("repro.box.stuff") == ()
-
-    def test_single_definer_fallback_resolves_unique_names(self, tmp_path):
-        root = make_project(
-            tmp_path,
-            {
-                "box.py": """
-                class Box:
-                    def unique_verb(self):
-                        return 1
-
-                def stuff(bag):
-                    return bag.unique_verb()
-                """,
-            },
-        )
-        graph = build_callgraph(load_project(root))
-        assert graph.callees("repro.box.stuff") == ("repro.box.Box.unique_verb",)
-
-
-class TestFixpoint:
-    def test_converges_on_a_cycle(self):
-        # a -> b -> c -> a; a seed fact at a must reach every node
-        edges = {"a": ["b"], "b": ["c"], "c": ["a"]}
-
-        def transfer(node, facts):
-            out = {"seed"} if node == "a" else set()
-            for succ in edges[node]:
-                out |= facts[succ]
-            return out
-
-        facts, rounds = fixpoint(sorted(edges), transfer)
-        assert all(facts[n] == {"seed"} for n in edges)
-        assert rounds <= len(edges) + 2
-
-    def test_return_taint_terminates_on_mutual_recursion(self, tmp_path):
-        root = make_project(
-            tmp_path,
-            {
-                "loop.py": """
-                import time
-
-                def ping(n):
-                    if n <= 0:
-                        return time.time()
-                    return pong(n - 1)
-
-                def pong(n):
-                    return ping(n - 1)
-                """,
-            },
-        )
-        taint = build_return_taint(load_project(root))
-        assert WALL in taint.returns["repro.loop.ping"]
-        assert WALL in taint.returns["repro.loop.pong"]
-
-    def test_monotonic_and_wall_kinds_are_distinct(self, tmp_path):
-        root = make_project(
-            tmp_path,
-            {
-                "clocks.py": """
-                import time
-
-                def wall():
-                    return time.time()
-
-                def mono():
-                    return time.perf_counter()
-                """,
-            },
-        )
-        taint = build_return_taint(load_project(root))
-        assert taint.returns["repro.clocks.wall"] == frozenset({WALL})
-        assert taint.returns["repro.clocks.mono"] == frozenset({MONO})
+    def test_method_facts(self, index):
+        methods = index.classes["repro.proto.Base"].methods
+        assert methods["hook"].is_abstract and not methods["hook"].is_property
+        assert methods["size"].is_property and not methods["size"].is_abstract
+        assert methods["make"].is_static
+        assert not index.classes["repro.impl.Sub"].methods["hook"].is_abstract
 
 
 class TestDeterminism:
@@ -264,8 +182,17 @@ class TestDeterminism:
         assert main([root.as_posix(), "--json-output", str(out)]) == 0
         capsys.readouterr()
         doc = json.loads(out.read_text())
-        for rule_id in ["RL001", "RL007", "RL008", "RL009", "RL010", "RL011"]:
-            assert rule_id in doc["rules"]
+        assert sorted(doc["rules"]) == [
+            "RL001",
+            "RL002",
+            "RL003",
+            "RL004",
+            "RL005",
+            "RL006",
+            "RL007",
+            "RL010",
+            "RL011",
+        ]
 
 
 class TestProjectCli:

@@ -1,8 +1,9 @@
-"""Fixture tests for the project-scope rules RL008–RL011.
+"""Fixture tests run over a whole materialized tree: RL001 across
+modules, RL010 and the project-scope rule RL011.
 
-Each rule gets a seeded positive (the violation the issue names), a
-negative (the idiomatic version that must stay clean), and a suppression
-case (``# repro: ignore[RLxxx]`` on the reported line).
+Each rule gets a seeded positive, a negative (the idiomatic version that
+must stay clean), and a suppression case (``# repro: ignore[RLxxx]`` on
+the reported line).
 """
 
 import textwrap
@@ -34,7 +35,7 @@ def run(tmp_path, files, select):
     return [v for v in violations if v.rule_id in select]
 
 
-# -- RL008 -------------------------------------------------------------------
+# -- RL001 across modules -----------------------------------------------------
 
 LAUNDERED_COUNTER = {
     "clockutil.py": """
@@ -53,12 +54,18 @@ LAUNDERED_COUNTER = {
 }
 
 
-class TestRL008:
+def paths(violations):
+    return [Path(v.path).name for v in violations]
+
+
+class TestLaunderedClockRL001:
+    """A wall clock or global RNG behind a helper in another module is
+    flagged where it is read, in the helper: no caller can launder it."""
+
     def test_laundered_wall_clock_into_counter(self, tmp_path):
-        violations = run(tmp_path, LAUNDERED_COUNTER, ("RL008",))
-        assert [v.rule_id for v in violations] == ["RL008"]
-        assert "stamp()" in violations[0].message
-        assert violations[0].path.endswith("sink.py")
+        violations = run(tmp_path, LAUNDERED_COUNTER, ("RL001",))
+        assert paths(violations) == ["clockutil.py"]
+        assert "time.time()" in violations[0].message
 
     def test_rng_through_helper_into_payload(self, tmp_path):
         files = {
@@ -78,9 +85,9 @@ class TestRL008:
                     return encode_payload("op", roll())
                 """,
         }
-        violations = run(tmp_path, files, ("RL008",))
-        assert [v.rule_id for v in violations] == ["RL008"]
-        assert "wire payload" in violations[0].message
+        violations = run(tmp_path, files, ("RL001",))
+        assert paths(violations) == ["rng.py"]
+        assert "process-global RNG" in violations[0].message
 
     def test_tainted_value_reaching_emit(self, tmp_path):
         files = {
@@ -97,9 +104,7 @@ class TestRL008:
                     topic.emit((subgraph, stamp()))
                 """,
         }
-        violations = run(tmp_path, files, ("RL008",))
-        assert [v.rule_id for v in violations] == ["RL008"]
-        assert "result stream" in violations[0].message
+        assert paths(run(tmp_path, files, ("RL001",))) == ["clockutil.py"]
 
     def test_monotonic_duration_into_histogram_is_clean(self, tmp_path):
         files = {
@@ -113,7 +118,7 @@ class TestRL008:
                     histogram.observe(elapsed(start))
                 """,
         }
-        assert run(tmp_path, files, ("RL008",)) == []
+        assert run(tmp_path, files, ("RL001",)) == []
 
     def test_monotonic_duration_into_emit_is_clean(self, tmp_path):
         # durations on streams are telemetry data, not result payload
@@ -128,9 +133,9 @@ class TestRL008:
                     topic.emit(elapsed(start))
                 """,
         }
-        assert run(tmp_path, files, ("RL008",)) == []
+        assert run(tmp_path, files, ("RL001",)) == []
 
-    def test_direct_clock_in_same_function_is_rl001_not_rl008(self, tmp_path):
+    def test_direct_clock_in_same_function_is_flagged_there(self, tmp_path):
         files = {
             "direct.py": """
                 import time
@@ -139,131 +144,15 @@ class TestRL008:
                     counter.inc(time.time())
                 """,
         }
-        assert run(tmp_path, files, ("RL008",)) == []
+        violations = run(tmp_path, files, ("RL001",))
+        assert {(Path(v.path).name, v.line) for v in violations} == {("direct.py", 5)}
 
-    def test_suppression_on_sink_line(self, tmp_path):
+    def test_suppression_on_helper_line(self, tmp_path):
         files = dict(LAUNDERED_COUNTER)
-        files["sink.py"] = files["sink.py"].replace(
-            "counter.inc(value)", "counter.inc(value)  # repro: ignore[RL008]"
+        files["clockutil.py"] = files["clockutil.py"].replace(
+            "return time.time()", "return time.time()  # repro: ignore[RL001]"
         )
-        assert run(tmp_path, files, ("RL008",)) == []
-
-
-# -- RL009 -------------------------------------------------------------------
-
-LOCK_CYCLE = {
-    "locky.py": """
-        import threading
-
-        class A:
-            def __init__(self, b: "B"):
-                self._lock = threading.Lock()
-                self.b = b
-
-            def use(self):
-                with self._lock:
-                    self.b.hit()
-
-            def hit(self):
-                with self._lock:
-                    pass
-
-        class B:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.a = A(self)
-
-            def hit(self):
-                with self._lock:
-                    pass
-
-            def use(self):
-                with self._lock:
-                    self.a.hit()
-        """,
-}
-
-
-class TestRL009:
-    def test_two_lock_cycle_is_flagged(self, tmp_path):
-        violations = run(tmp_path, LOCK_CYCLE, ("RL009",))
-        assert [v.rule_id for v in violations] == ["RL009"]
-        message = violations[0].message
-        assert "repro.locky.A._lock" in message
-        assert "repro.locky.B._lock" in message
-
-    def test_consistent_order_is_clean(self, tmp_path):
-        files = {
-            "locky.py": """
-                import threading
-
-                class A:
-                    def __init__(self, b: "B"):
-                        self._lock = threading.Lock()
-                        self.b = b
-
-                    def use(self):
-                        with self._lock:
-                            self.b.hit()
-
-                class B:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-
-                    def hit(self):
-                        with self._lock:
-                            pass
-                """,
-        }
-        assert run(tmp_path, files, ("RL009",)) == []
-
-    def test_reentrant_self_acquisition_is_clean(self, tmp_path):
-        files = {
-            "locky.py": """
-                import threading
-
-                class Server:
-                    def __init__(self):
-                        self._lock = threading.RLock()
-
-                    def outer(self):
-                        with self._lock:
-                            self.inner()
-
-                    def inner(self):
-                        with self._lock:
-                            pass
-                """,
-        }
-        assert run(tmp_path, files, ("RL009",)) == []
-
-    def test_nonreentrant_self_acquisition_is_flagged(self, tmp_path):
-        files = {
-            "locky.py": """
-                import threading
-
-                class Server:
-                    def __init__(self):
-                        self._lock = threading.Lock()
-
-                    def outer(self):
-                        with self._lock:
-                            self.inner()
-
-                    def inner(self):
-                        with self._lock:
-                            pass
-                """,
-        }
-        violations = run(tmp_path, files, ("RL009",))
-        assert [v.rule_id for v in violations] == ["RL009"]
-
-    def test_suppression_on_anchor_line(self, tmp_path):
-        files = dict(LOCK_CYCLE)
-        files["locky.py"] = files["locky.py"].replace(
-            "self.b.hit()", "self.b.hit()  # repro: ignore[RL009]"
-        )
-        assert run(tmp_path, files, ("RL009",)) == []
+        assert run(tmp_path, files, ("RL001",)) == []
 
 
 # -- RL010 -------------------------------------------------------------------
@@ -577,6 +466,59 @@ class TestRL011:
                 """,
         }
         assert run(tmp_path, files, ("RL011",)) == []
+
+    def test_protocol_named_through_a_module_alias_is_checked(self, tmp_path):
+        files = {
+            "proto.py": PROTOCOL,
+            "impl.py": """
+                from repro import proto as api
+
+                class Drifted(api.Store):
+                    def add_edge(self, source, dest, ts, label=None):
+                        pass
+
+                    def reclaim(self, horizon):
+                        pass
+
+                    @property
+                    def latest_timestamp(self):
+                        return 0
+                """,
+        }
+        violations = run(tmp_path, files, ("RL011",))
+        assert [v.rule_id for v in violations] == ["RL011"]
+        assert "repro.proto.Store.add_edge" in violations[0].message
+
+    def test_drift_below_an_abstract_intermediate_is_flagged(self, tmp_path):
+        files = {
+            "proto.py": PROTOCOL,
+            "impl.py": """
+                import abc
+                from repro.proto import Store
+
+                class Middle(Store):
+                    @abc.abstractmethod
+                    def extra_hook(self):
+                        ...
+
+                class Leaf(Middle):
+                    def add_edge(self, source, dest, ts, label=None):
+                        pass
+
+                    def reclaim(self, horizon):
+                        pass
+
+                    def extra_hook(self):
+                        pass
+
+                    @property
+                    def latest_timestamp(self):
+                        return 0
+                """,
+        }
+        violations = run(tmp_path, files, ("RL011",))
+        assert [v.rule_id for v in violations] == ["RL011"]
+        assert "repro.impl.Leaf.add_edge" in violations[0].message
 
     def test_suppression_on_class_line(self, tmp_path):
         files = {

@@ -1,4 +1,4 @@
-"""Fixture-verified true positives and true negatives for RL001-RL007.
+"""Fixture-verified true positives and true negatives for the module rules.
 
 Each rule gets at least one snippet it MUST flag and one it MUST NOT.
 Snippets are linted through :func:`repro.analysis.lint_source` with
@@ -84,6 +84,50 @@ class TestDeterminismRL001:
             def stamp():
                 return now()
         """
+        assert rules_hit(src) == ["RL001"]
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            """
+            import time
+
+            def elapsed(start):
+                return time.perf_counter() - start
+
+            def account(counter, start):
+                counter.inc(elapsed(start))
+            """,
+            """
+            import time
+
+            class Timed:
+                def _now(self):
+                    now = time.monotonic()
+                    return now
+
+                def account(self, metrics):
+                    metrics.expansions += self._now()
+            """,
+            """
+            import time
+
+            def account(counter, start):
+                taken = elapsed(start)
+                counter.set_total(taken)
+
+            def elapsed(start):
+                return _read() - start
+
+            def _read():
+                return time.perf_counter_ns()
+            """,
+        ],
+        ids=["helper", "method", "helper-of-helper"],
+    )
+    def test_flags_monotonic_reading_laundered_through_a_helper(self, src):
+        # the reading is legal where it is taken; feeding it to a counter
+        # from a same-module helper's return value is not
         assert rules_hit(src) == ["RL001"]
 
     def test_allows_seeded_rng_and_gauge_timing(self):
@@ -216,6 +260,140 @@ class TestLockDisciplineRL003:
 
                 def set(self, value):
                     self.value = value
+        """
+        assert rules_hit(src) == []
+
+    def test_allows_reentrant_self_acquisition(self):
+        src = """
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.RLock()
+
+                def outer(self):
+                    with self._lock:
+                        self.inner()
+
+                def inner(self):
+                    with self._lock:
+                        pass
+        """
+        assert rules_hit(src) == []
+
+    def test_flags_nonreentrant_self_acquisition(self):
+        src = """
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def outer(self):
+                    with self._lock:
+                        self.inner()
+
+                def inner(self):
+                    with self._lock:
+                        pass
+        """
+        violations = lint_source(textwrap.dedent(src), "src/repro/runtime/_f.py")
+        assert [(v.rule_id, v.line) for v in violations] == [("RL003", 10)]
+        assert "self.inner() takes it again" in violations[0].message
+
+    def test_flags_self_acquisition_through_a_second_self_method(self):
+        src = """
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def outer(self):
+                    with self._lock:
+                        return self.middle()
+
+                def middle(self):
+                    return self.inner()
+
+                def inner(self):
+                    with self._lock:
+                        pass
+        """
+        assert rules_hit(src) == ["RL003"]
+
+    def test_flags_directly_nested_acquisition(self):
+        src = """
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def twice(self):
+                    with self._lock:
+                        with self._lock:
+                            pass
+        """
+        assert rules_hit(src) == ["RL003"]
+
+    def test_allows_acquisition_deferred_to_a_nested_def(self):
+        # the closure runs later, after the with block released the lock
+        src = """
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def schedule(self, pool):
+                    with self._lock:
+                        pool.submit(lambda: self.inner())
+
+                def inner(self):
+                    with self._lock:
+                        pass
+        """
+        assert rules_hit(src) == []
+
+    def test_allows_another_objects_lock_under_a_held_lock(self):
+        src = """
+            import threading
+
+            class A:
+                def __init__(self, b):
+                    self._lock = threading.Lock()
+                    self.b = b
+
+                def use(self):
+                    with self._lock:
+                        self.b.hit()
+
+            class B:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def hit(self):
+                    with self._lock:
+                        pass
+        """
+        assert rules_hit(src) == []
+
+    def test_allows_self_acquisition_justified_by_suppression(self):
+        src = """
+            import threading
+
+            class Server:
+                def __init__(self):
+                    self._lock = threading.Lock()
+
+                def outer(self):
+                    with self._lock:
+                        self.inner()  # repro: ignore[RL003]
+
+                def inner(self):
+                    with self._lock:
+                        pass
         """
         assert rules_hit(src) == []
 
@@ -492,6 +670,20 @@ class TestNetEncapsulationRL007:
                 return client.prefetch(frontier)
         """
         assert rules_hit(src, path="src/repro/runtime/_fixture.py") == []
+
+
+class TestExceptionTaxonomyRL010:
+    def test_one_module_is_enough(self):
+        # the full fixture set runs over a tree in test_analysis_project_rules
+        src = """
+            def eat(fn):
+                try:
+                    return fn()
+                except Exception:
+                    return None
+        """
+        assert rules_hit(src, "src/repro/net/_fixture.py") == ["RL010"]
+        assert rules_hit(src, "src/repro/store/_fixture.py") == []
 
 
 class TestSyntaxErrors:
