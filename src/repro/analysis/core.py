@@ -260,7 +260,7 @@ def lint_source(
     except SyntaxError as exc:
         return [syntax_violation(path, exc)]
     ctx = ModuleContext(path, source, tree, module=module)
-    out: Set[Violation] = set()  # set: nested defs may be walked twice
+    out: Set[Violation] = set()
     for checker in active_rules():
         for violation in checker.check_module(ctx):
             if not ctx.suppressed(violation):
@@ -323,16 +323,6 @@ def chain_root(node: ast.AST) -> Optional[str]:
     if isinstance(current, ast.Name):
         return current.id
     return None
-
-
-def calls_within(node: ast.AST) -> Iterator[ast.Call]:
-    for child in ast.walk(node):
-        if isinstance(child, ast.Call):
-            yield child
-
-
-def names_within(node: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
 def assignment_targets(node: ast.AST) -> Iterable[ast.expr]:

@@ -115,12 +115,16 @@ class ProtocolConformanceRule(ProjectRule):
                 return method
         return None
 
+    @staticmethod
     def _nearest_abstract(
-        self, index: ClassIndex, ancestry: Sequence[str], name: str
+        index: ClassIndex, ancestry: Sequence[str], name: str
     ) -> Optional[MethodInfo]:
-        found = self._nearest_definition(index, ancestry, name)
-        if found is not None and found.is_abstract:
-            return found
+        """The protocol declaration an override answers to: the nearest
+        abstract ``name`` in the ancestry, even below a concrete one."""
+        for ancestor in ancestry:
+            method = index.classes[ancestor].methods.get(name)
+            if method is not None and method.is_abstract:
+                return method
         return None
 
     def _compare(

@@ -51,10 +51,8 @@ from repro.analysis.core import (
     Violation,
     assignment_targets,
     base_name,
-    calls_within,
     chain_root,
     dotted_name,
-    names_within,
     rule,
 )
 
@@ -90,6 +88,9 @@ MONOTONIC_CLOCK_CALLS = {
 
 #: ``random`` module attributes that are *not* the seeded-instance escape
 RANDOM_SAFE_ATTRS = {"Random", "SystemRandom"}
+
+#: counter instrument methods whose arguments must not carry a clock reading
+COUNTER_METHODS = {"inc", "set_total"}
 
 #: integer Metrics fields covered by the cross-backend determinism contract
 METRICS_COUNTER_FIELDS = {
@@ -162,7 +163,19 @@ class DeterminismRule(Rule):
 
     def check_module(self, ctx: ModuleContext) -> Iterator[Violation]:
         self._aliases = _import_aliases(ctx)
-        self._find_clock_helpers(ctx)
+        functions = [
+            node
+            for node in ctx.nodes
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        bodies = {func: self._walk_body(func) for func in functions}
+        self._find_clock_helpers(bodies)
+        # outer functions come first in the walk: a nested def starts from
+        # the names its enclosing function tainted (it may close over them)
+        tainted: Dict[ast.AST, Set[str]] = {}
+        for func in functions:
+            outer = tainted.get(ctx.enclosing_function(func), set())
+            tainted[func] = self._taint(bodies[func], outer)
         for node in ctx.nodes:
             if isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node)
@@ -174,31 +187,81 @@ class DeterminismRule(Rule):
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 yield from self._check_local_import(ctx, node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_counter_feeds(ctx, node)
+                yield from self._check_counter_feeds(ctx, bodies[node], tainted[node])
 
-    def _contains_clock(self, node: ast.AST, tainted: Set[str]) -> bool:
-        """Whether ``node`` reads a clock, directly or through a module helper."""
-        for call in calls_within(node):
-            name = _resolve_name(dotted_name(call.func), self._aliases)
+    def _walk_body(self, func: ast.AST) -> "_Body":
+        """Gather ``func``'s body in one walk that skips nested defs."""
+        body = _Body()
+        for stmt in func.body:  # type: ignore[attr-defined]
+            self._gather(stmt, body)
+        return body
+
+    def _gather(self, node: ast.AST, body: "_Body") -> "_Reads":
+        """What ``node`` reads; records assignments, returns and counter
+        feeds into ``body`` on the way up."""
+        reads = _Reads()
+        value = None
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.Return)):
+            value = node.value
+        fed = None
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in COUNTER_METHODS
+        ):
+            fed = _Reads()  # what the arguments read, not the counter
+        value_reads = None
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue  # a body of its own
+            child_reads = self._gather(child, body)
+            reads.absorb(child_reads)
+            if child is value:
+                value_reads = child_reads
+            elif fed is not None and child is not node.func:
+                fed.absorb(child_reads)
+        if isinstance(node, ast.Call):
+            name = _resolve_name(dotted_name(node.func), self._aliases)
             if name in WALL_CLOCK_CALLS or name in MONOTONIC_CLOCK_CALLS:
-                return True
-            if _local_callee(call.func) in self._clock_helpers:
-                return True
-        return bool(names_within(node) & tainted)
+                reads.clock = True
+            callee = _local_callee(node.func)
+            if callee is not None:
+                reads.callees.add(callee)
+            if fed is not None:
+                body.feeds.append((node, fed))
+        elif isinstance(node, ast.Name):
+            reads.names.add(node.id)
+        elif value_reads is not None:
+            if isinstance(node, ast.Return):
+                body.returns.append(value_reads)
+            else:
+                body.assigns.append((node, value_reads))
+        return reads
 
-    def _clock_taint(self, func: ast.AST) -> Tuple[List[ast.AST], Set[str]]:
-        """``func``'s body nodes and the local names that hold a clock reading."""
-        tainted: Set[str] = set()
-        body_nodes = [n for stmt in func.body for n in ast.walk(stmt)]  # type: ignore[attr-defined]
-        for node in body_nodes:
-            if isinstance(node, (ast.Assign, ast.AugAssign)) and node.value is not None:
-                if self._contains_clock(node.value, tainted):
-                    for target in assignment_targets(node):
-                        if isinstance(target, ast.Name):
-                            tainted.add(target.id)
-        return body_nodes, tainted
+    def _reads_clock(self, reads: "_Reads", tainted: Set[str]) -> bool:
+        """Whether ``reads`` takes in a clock, directly or through a module helper."""
+        return (
+            reads.clock
+            or not reads.callees.isdisjoint(self._clock_helpers)
+            or not reads.names.isdisjoint(tainted)
+        )
 
-    def _find_clock_helpers(self, ctx: ModuleContext) -> None:
+    def _taint(self, body: "_Body", tainted: Set[str]) -> Set[str]:
+        """The local names that hold a clock reading, starting from ``tainted``."""
+        tainted = set(tainted)
+        changed = True
+        while changed:  # a name assigned from a tainted name is tainted
+            changed = False
+            for node, reads in body.assigns:
+                if not self._reads_clock(reads, tainted):
+                    continue
+                for target in assignment_targets(node):
+                    if isinstance(target, ast.Name) and target.id not in tainted:
+                        tainted.add(target.id)
+                        changed = True
+        return tainted
+
+    def _find_clock_helpers(self, bodies: Dict[ast.AST, "_Body"]) -> None:
         """Collect the names of this module's functions that return a clock reading.
 
         A helper that returns ``time.perf_counter() - start`` launders a
@@ -206,25 +269,14 @@ class DeterminismRule(Rule):
         the same module are then held to the counter-feed check below.
         """
         self._clock_helpers: Set[str] = set()
-        functions = [
-            node
-            for node in ctx.nodes
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
         changed = True
         while changed:  # a helper of a helper is a helper
             changed = False
-            for func in functions:
-                if func.name in self._clock_helpers:
+            for func, body in bodies.items():
+                if func.name in self._clock_helpers or not body.returns:
                     continue
-                body_nodes, tainted = self._clock_taint(func)
-                if any(
-                    isinstance(node, ast.Return)
-                    and node.value is not None
-                    and ctx.enclosing_function(node) is func
-                    and self._contains_clock(node.value, tainted)
-                    for node in body_nodes
-                ):
+                tainted = self._taint(body, set())
+                if any(self._reads_clock(reads, tainted) for reads in body.returns):
                     self._clock_helpers.add(func.name)
                     changed = True
 
@@ -287,42 +339,62 @@ class DeterminismRule(Rule):
                 )
 
     def _check_counter_feeds(
-        self, ctx: ModuleContext, func: ast.AST
+        self, ctx: ModuleContext, body: "_Body", tainted: Set[str]
     ) -> Iterator[Violation]:
         """Flag clock-derived values flowing into counter instruments."""
-        body_nodes, tainted = self._clock_taint(func)
-        for node in body_nodes:
-            if isinstance(node, ast.Call):
-                method = base_name(node.func)
-                if method in {"inc", "set_total"} and isinstance(
-                    node.func, ast.Attribute
+        for node, reads in body.feeds:
+            if self._reads_clock(reads, tainted):
+                yield ctx.violation(
+                    node,
+                    self.rule_id,
+                    f"clock-derived value feeds counter .{base_name(node.func)}(); "
+                    "counters must be identical across backends — put "
+                    "durations in histograms or gauges",
+                )
+        for node, reads in body.assigns:
+            if not self._reads_clock(reads, tainted):
+                continue
+            for target in assignment_targets(node):
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in METRICS_COUNTER_FIELDS
                 ):
-                    feeds = list(node.args) + [kw.value for kw in node.keywords]
-                    if any(self._contains_clock(arg, tainted) for arg in feeds):
-                        yield ctx.violation(
-                            node,
-                            self.rule_id,
-                            f"clock-derived value feeds counter .{method}(); "
-                            "counters must be identical across backends — put "
-                            "durations in histograms or gauges",
-                        )
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                if node.value is None or not self._contains_clock(
-                    node.value, tainted
-                ):
-                    continue
-                for target in assignment_targets(node):
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr in METRICS_COUNTER_FIELDS
-                    ):
-                        yield ctx.violation(
-                            node,
-                            self.rule_id,
-                            f"clock-derived value written to Metrics counter "
-                            f"field '{target.attr}'; counter fields are part "
-                            "of the cross-backend determinism contract",
-                        )
+                    yield ctx.violation(
+                        node,
+                        self.rule_id,
+                        f"clock-derived value written to Metrics counter "
+                        f"field '{target.attr}'; counter fields are part "
+                        "of the cross-backend determinism contract",
+                    )
+
+
+class _Reads:
+    """What an expression reads: a clock call, calls of module-level
+    names, and names."""
+
+    __slots__ = ("clock", "callees", "names")
+
+    def __init__(self) -> None:
+        self.clock = False
+        self.callees: Set[str] = set()
+        self.names: Set[str] = set()
+
+    def absorb(self, other: "_Reads") -> None:
+        self.clock = self.clock or other.clock
+        self.callees |= other.callees
+        self.names |= other.names
+
+
+class _Body:
+    """One function body's assignments, returns and counter feeds, each
+    with what its value reads."""
+
+    __slots__ = ("assigns", "returns", "feeds")
+
+    def __init__(self) -> None:
+        self.assigns: List[Tuple[ast.AST, _Reads]] = []
+        self.returns: List[_Reads] = []
+        self.feeds: List[Tuple[ast.Call, _Reads]] = []
 
 
 # -- RL002: process-backend purity -------------------------------------------

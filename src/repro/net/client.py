@@ -303,7 +303,14 @@ class NetStoreClient(CachedRecordClient):
                     yield v, record
 
     def _send_reclaim(self, horizon: Timestamp) -> ReclaimStats:
-        stats = decode_reclaim_stats(self._rpc.call("reclaim", {"horizon": horizon}))
+        # sequenced like a write: a retry must replay the stats of the pass
+        # that ran, not run a second pass that finds nothing left to count
+        self._seq += 1
+        stats = decode_reclaim_stats(
+            self._rpc.call(
+                "reclaim", {"horizon": horizon}, session=self._session, seq=self._seq
+            )
+        )
         self._updated_memo = None
         return stats
 

@@ -61,8 +61,10 @@ def store_from_dict(data: dict) -> GraphStore:
             f"unsupported checkpoint format {data.get('format')!r}"
         )
     store = make_store(data.get("kind", "mv"), num_shards=data["num_shards"])
-    # Edge intervals are shared between both endpoints' records; rebuild
-    # each undirected edge once and attach the same object to both sides.
+    # Edge intervals are shared between both endpoints' records, as
+    # ``add_edge`` shares them: rebuild each undirected edge's intervals
+    # once and give each side its own list of them.  One list on both
+    # sides would take every later write of the edge twice.
     built = {}
     restored = {}
     for v_str, rec_data in data["records"].items():
@@ -85,7 +87,7 @@ def store_from_dict(data: dict) -> GraphStore:
                     )
                     for entry in versions
                 ]
-            restored[v].edges[dst] = built[key]
+            restored[v].edges[dst] = list(built[key])
     for v_str in data["records"]:
         v = int(v_str)
         store.put_record(v, restored[v])

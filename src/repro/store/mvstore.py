@@ -545,8 +545,8 @@ class BaseRecordStore(CapabilityFacts, GraphStore):
         keys = {entry[1:] for entry in log[:due]}
         del log[:due]
         for key in keys:
-            # lower endpoint first: where both records hold one list (a
-            # restored checkpoint), its pass finds the versions and counts
+            # lower endpoint first: its pass counts the versions, and
+            # finds them even where both records hold one list
             for u, v in (key, key[::-1]):
                 record = self._get_rec(u)
                 versions = record.edges.get(v) if record is not None else None

@@ -24,7 +24,7 @@ this process, :class:`~repro.net.client.NetStoreClient` a
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.store.api import CapabilityFacts, GraphStore, ReclaimStats
@@ -59,7 +59,6 @@ class FetchLog:
     fetches: int = 0
     records_bytes_proxy: int = 0  # adjacency entries shipped
     simulated_seconds: float = 0.0
-    per_shard: Dict[int, int] = field(default_factory=dict)
     #: record reads served by a held copy / that had to fetch first
     hits: int = 0
     misses: int = 0
@@ -160,14 +159,14 @@ class CachedRecordClient(CapabilityFacts, GraphStore):
     def _hold(self, v: VertexId, record: VertexRecord) -> int:
         """Charge one shipped record and hold it, FIFO-evicting at capacity.
 
-        Returns its entry count: the caller charges the latency, one round
-        trip per single fetch or per batch of them.
+        The fetch is charged to the log and to the owning shard's
+        ``access_stats``.  Returns its entry count: the caller charges the
+        latency, one round trip per single fetch or per batch of them.
         """
         entries = sum(map(len, record.edges.values()))
         self.log.fetches += 1
         self.log.records_bytes_proxy += max(entries, 1)
-        shard = self.shards.shard_of(v)
-        self.log.per_shard[shard] = self.log.per_shard.get(shard, 0) + 1
+        self.access_stats.record(self.shards.shard_of(v))
         if (
             self.cache_capacity is not None
             and len(self._cache) >= self.cache_capacity
@@ -293,6 +292,9 @@ class CachedRecordClient(CapabilityFacts, GraphStore):
         stats = self._backing_stats()
         stats["kind"] = self.kind
         stats.update(self.log.stats(len(self._cache)))
+        # the fetches are this client's: a server reads no record for it
+        stats["access_total"] = self.access_stats.total
+        stats["access_imbalance"] = self.access_stats.imbalance()
         return stats
 
 

@@ -80,7 +80,7 @@ class TestFetchAccountingParity:
             assert net.log.simulated_seconds == pytest.approx(
                 remote.log.simulated_seconds
             )
-            assert net.log.per_shard == remote.log.per_shard
+            assert net.access_stats.per_shard == remote.access_stats.per_shard
         finally:
             net.close()
 

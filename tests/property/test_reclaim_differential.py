@@ -2,14 +2,14 @@
 
 :meth:`BaseRecordStore.reclaim` pops a deletion log and rewrites only the
 version lists of the edges it names.  The scan it replaced read every
-record and every neighbour; it lives on as :func:`oracles.\
-reference_reclaim`.  Two stores of one kind are built the same way, one
+record and every neighbour; it lives on here as
+:func:`reference_reclaim`.  Two stores of one kind are built the same way, one
 reclaims through the protocol and the other through the scan, and they
 must agree on every :class:`ReclaimStats` field, on every record
 afterwards and on every read above the horizon — for all four store kinds,
 for stores installed by ``put_record`` (whose endpoints share no
-``EdgeInterval``), for restored checkpoints (whose endpoints share one
-list), and with the delta index off.
+``EdgeInterval``), for restored checkpoints (whose endpoints share each
+``EdgeInterval``, in a list each), and with the delta index off.
 """
 
 import contextlib
@@ -19,7 +19,6 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from oracles import reference_reclaim
 from repro.net import NetStoreClient, StoreServer
 from repro.store.api import STORE_NAMES, ReclaimStats
 from repro.store.checkpoint import store_from_dict, store_to_dict
@@ -31,6 +30,50 @@ from tests.property.test_store_equivalence import (
     edit_scripts,
     observations,
 )
+
+def reference_reclaim(store, horizon):
+    """The whole-store ``reclaim`` scan :class:`~repro.store.mvstore.\
+    BaseRecordStore` ran before it kept a deletion log, as the oracle.
+
+    ``store`` is an in-process record store (for the ``remote`` and
+    ``net`` kinds, the store behind the client).  Every record and every
+    neighbour is read.  One change from the code that was deleted:
+    records are visited in vertex order, so an edge's lower endpoint comes
+    first; the scan counted a version at its lower endpoint only, and
+    where both endpoints held one version list (checkpoints were once
+    restored so) visiting the higher one first emptied the list and the
+    version went uncounted.
+    """
+    stats = ReclaimStats(horizon=horizon)
+    for u, record in sorted(store.iter_records()):
+        empty_neighbors = []
+        for v, versions in record.edges.items():
+            dead = [
+                iv
+                for iv in versions
+                if iv.deleted_ts is not None and iv.deleted_ts <= horizon
+            ]
+            if dead:
+                key = (u, v) if u < v else (v, u)
+                if store._delta_enabled:
+                    for iv in dead:
+                        stats.index_pruned += store._delta.discard(iv.added_ts, key)
+                        stats.index_pruned += store._delta.discard(iv.deleted_ts, key)
+                if u < v:
+                    stats.reclaimed += len(dead)
+                    shard = store.shards.shard_of(u)
+                    stats.per_shard[shard] = stats.per_shard.get(shard, 0) + len(dead)
+                versions[:] = [
+                    iv
+                    for iv in versions
+                    if iv.deleted_ts is None or iv.deleted_ts > horizon
+                ]
+            if not versions:
+                empty_neighbors.append(v)
+        for v in empty_neighbors:
+            del record.edges[v]
+    return stats
+
 
 SETTINGS = settings(
     max_examples=10,
@@ -157,7 +200,7 @@ class TestAgainstTheScan:
     @SETTINGS
     @given(scripts_and_horizons())
     def test_restored_checkpoints(self, case):
-        """A restored store's endpoints share one version *list*."""
+        """A restored store's endpoints share each version's interval."""
         script, horizons = case
         for kind in ("mv", "sharded"):
             with opened(kind) as (src, _):
@@ -215,9 +258,9 @@ class TestNamedCases:
 
     @pytest.mark.parametrize("kind", ("mv", "sharded"))
     def test_restored_checkpoint_counts_at_the_lower_endpoint(self, kind):
-        """``add_edge(5, 2)`` creates record 5 first, and a restored store's
-        two records hold one list: the scan in record order emptied it at
-        vertex 5 and counted nothing at vertex 2."""
+        """``add_edge(5, 2)`` creates record 5 first; when a restored
+        store's two records held one list, the scan in record order
+        emptied it at vertex 5 and counted nothing at vertex 2."""
         with opened(kind) as (src, _):
             src.add_edge(5, 2, 1)
             src.delete_edge(5, 2, 2)

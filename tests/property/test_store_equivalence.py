@@ -4,26 +4,20 @@ The :class:`~repro.store.api.GraphStore` protocol promises that the flat
 ``mv`` store, the physically sharded store, the remote fetch-boundary
 client, and the wire-backed ``net`` client (real sockets, loopback) are
 interchangeable: identical ``SnapshotView``/``ExplorationView`` reads at
-every timestamp, identical mining output on every backend, and identical
-reads before and after :meth:`~repro.store.api.GraphStore.reclaim` at any
-valid horizon.  These tests drive randomized evolving workloads through
-all kinds and compare them observation by observation — including one
-run with a fault-injection proxy (drops + duplicates) on the wire.
+every timestamp, and identical reads before and after
+:meth:`~repro.store.api.GraphStore.reclaim` at any valid horizon.  These
+tests drive randomized evolving workloads through all kinds and compare
+them observation by observation.  Mining output on every kind, backend
+and wire-fault schedule is ``test_differential.py``'s.
 """
 
 import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.apps import CliqueMining
-from repro.core.engine import collect_matches
-from repro.runtime.backend import BACKEND_NAMES
-from repro.runtime.session import StreamingSession
 from repro.store.api import STORE_NAMES, make_store
 from repro.store.mvstore import VertexRecord, neighbor_states
 from repro.store.snapshot import ExplorationView, SnapshotView
-from repro.types import Update
-from scenarios import stream_bytes
 
 SETTINGS = settings(
     max_examples=12,
@@ -216,116 +210,3 @@ class TestStoreReadEquivalence:
             assert store.tombstone_count() == 0
             # idempotent: a second pass at the same horizon finds nothing
             assert store.reclaim(last_ts).reclaimed == 0
-
-
-class TestStoreMiningEquivalence:
-    @SETTINGS
-    @given(edit_scripts(length=20))
-    def test_mining_byte_identical_across_stores_and_backends(self, script):
-        """The acceptance-criteria matrix: store × backend, one stream."""
-        updates = [
-            Update.add_edge(*key) if added else Update.delete_edge(*key)
-            for _, key, added in script
-        ]
-        reference = None
-        for kind in STORE_NAMES:
-            for backend in BACKEND_NAMES:
-                session = StreamingSession(
-                    CliqueMining(4, min_size=3),
-                    backend,
-                    window_size=3,
-                    store=kind,
-                    num_workers=2,
-                    gc_enabled=True,
-                )
-                session.submit_many(updates)
-                session.flush()
-                deltas = session.deltas()
-                session.close()
-                if reference is None:
-                    reference = deltas
-                    reference_bytes = stream_bytes(deltas)
-                    reference_live = collect_matches(deltas)
-                else:
-                    assert deltas == reference, f"{kind}×{backend} diverged"
-                    assert stream_bytes(deltas) == reference_bytes, (
-                        f"{kind}×{backend} stream not byte-identical"
-                    )
-                    assert collect_matches(deltas) == reference_live
-
-    @SETTINGS
-    @given(edit_scripts(length=18))
-    def test_mining_output_survives_mid_stream_reclaim(self, script):
-        """GC between flushes never changes the remaining delta stream."""
-        updates = [
-            Update.add_edge(*key) if added else Update.delete_edge(*key)
-            for _, key, added in script
-        ]
-        half = len(updates) // 2
-
-        def run(kind, reclaim_mid):
-            session = StreamingSession(
-                CliqueMining(3, min_size=3), "serial", window_size=2, store=kind
-            )
-            session.submit_many(updates[:half])
-            session.flush()
-            if reclaim_mid:
-                session.store.reclaim(session.queue.low_watermark())
-            session.submit_many(updates[half:])
-            session.flush()
-            deltas = session.deltas()
-            session.close()
-            return deltas
-
-        for kind in STORE_NAMES:
-            assert run(kind, True) == run(kind, False), (
-                f"mid-stream reclaim changed {kind} output"
-            )
-
-    @settings(max_examples=5, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(edit_scripts(length=16))
-    def test_mining_byte_identical_through_faulty_wire(self, script):
-        """Acceptance run: the net store behind a fault proxy injecting
-        frame drops *and* duplicates still yields a byte-identical delta
-        stream — retries, dedup, and id-matching are invisible in output."""
-        if len({key for _, key, _ in script}) < 4:
-            return  # degenerate toggle scripts conflate to ~no wire traffic
-        from net_proxy import FaultProxy
-
-        from repro.net import NetStoreClient, RetryPolicy, StoreServer
-        from repro.store.mvstore import MultiVersionStore
-
-        updates = [
-            Update.add_edge(*key) if added else Update.delete_edge(*key)
-            for _, key, added in script
-        ]
-
-        def run(store):
-            session = StreamingSession(
-                CliqueMining(3, min_size=3), "serial", window_size=3, store=store
-            )
-            session.submit_many(updates)
-            session.flush()
-            deltas = session.deltas()
-            session.close()
-            return deltas
-
-        reference = run("mv")
-        server = StoreServer(MultiVersionStore()).start()
-        proxy = FaultProxy(server.address, drop_every=21, dup_every=5).start()
-        client = NetStoreClient(
-            proxy.address,
-            deadline=0.15,
-            retry=RetryPolicy(max_attempts=5, base_delay=0.01, max_delay=0.05),
-        )
-        try:
-            deltas = run(client)
-            assert stream_bytes(deltas) == stream_bytes(reference)
-            # the dup schedule fires deterministically once traffic exists
-            # (frame 5 is relayed twice unless it was also dropped)
-            if proxy.frames >= 5:
-                assert proxy.duplicated > 0 or proxy.dropped > 0
-        finally:
-            client.close()
-            proxy.close()
-            server.close()

@@ -429,6 +429,33 @@ class TestRL011:
         }
         assert run(tmp_path, files, ("RL011",)) == []
 
+    def test_drift_below_a_concrete_implementation_is_flagged(self, tmp_path):
+        files = {
+            "proto.py": PROTOCOL,
+            "impl.py": """
+                from repro.proto import Store
+
+                class Faithful(Store):
+                    def add_edge(self, u, v, ts, label=None):
+                        pass
+
+                    def reclaim(self, horizon):
+                        pass
+
+                    @property
+                    def latest_timestamp(self):
+                        return 0
+
+                class Drifted(Faithful):
+                    def reclaim(self, cutoff, extra):
+                        pass
+                """,
+        }
+        violations = run(tmp_path, files, ("RL011",))
+        assert [v.rule_id for v in violations] == ["RL011"]
+        assert "repro.impl.Drifted.reclaim" in violations[0].message
+        assert "repro.proto.Store.reclaim" in violations[0].message
+
     def test_abstract_intermediate_is_not_flagged_for_completeness(self, tmp_path):
         files = {
             "proto.py": PROTOCOL,

@@ -122,8 +122,19 @@ class TestDeterminismRL001:
             def _read():
                 return time.perf_counter_ns()
             """,
+            """
+            import time
+
+            def account(counter):
+                start = time.perf_counter()
+
+                def later():
+                    counter.inc(start)
+
+                return later
+            """,
         ],
-        ids=["helper", "method", "helper-of-helper"],
+        ids=["helper", "method", "helper-of-helper", "closure"],
     )
     def test_flags_monotonic_reading_laundered_through_a_helper(self, src):
         # the reading is legal where it is taken; feeding it to a counter

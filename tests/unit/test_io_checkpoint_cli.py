@@ -132,6 +132,20 @@ class TestCheckpoint:
         assert not r.edge_alive_at(1, 2, 5)
         assert not r.edge_alive_at(2, 1, 5)
 
+    @pytest.mark.parametrize("kind", ["mv", "remote"])
+    def test_restored_edge_takes_a_write_once(self, kind):
+        """Each endpoint holds its own list of the shared intervals, as
+        ``add_edge`` leaves them: a re-add appends one interval, and a
+        ``remote`` client's copy of it is tombstoned by the next delete."""
+        r = store_from_dict({**store_to_dict(self.make_store()), "kind": kind})
+        r.neighbor_states_at(1, 3)  # a remote client now holds a copy of 1
+        r.delete_edge(1, 2, ts=4)
+        r.add_edge(2, 1, ts=5)
+        r.delete_edge(1, 2, ts=6)
+        assert len(r.get_record(1).edges[2]) == len(r.get_record(2).edges[1]) == 3
+        assert not r.edge_alive_at(1, 2, 6)
+        assert r.neighbor_states_at(1, 6) == {2: (True, False)}
+
     def test_restored_store_accepts_new_updates(self, tmp_path):
         s = self.make_store()
         path = tmp_path / "ckpt.json"

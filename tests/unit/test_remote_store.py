@@ -6,6 +6,7 @@ from repro.apps import CliqueMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.explore import Explorer
 from repro.graph.generators import erdos_renyi, shuffled_edges
+from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.store.remote import FetchCosts, RemoteStoreClient
 from repro.store.snapshot import ExplorationView
@@ -106,7 +107,25 @@ class TestAccounting:
         client = RemoteStoreClient(store)
         for v in range(1, 12):
             client.neighbors_at(v, 1)
-        assert sum(client.log.per_shard.values()) == client.log.fetches == 11
+        assert sum(client.access_stats.per_shard.values()) == client.log.fetches == 11
+        assert store.access_stats.total == 11  # charged to the backing store
+
+    @pytest.mark.parametrize("kind", ["remote", "net"])
+    def test_session_fetches_reach_the_report(self, kind):
+        """Every held fetch is charged to a shard, so the run report's
+        shard-skew line counts the fetches the session made."""
+        session = StreamingSession(
+            CliqueMining(3, min_size=3), store=kind, window_size=2, profile=True
+        )
+        try:
+            session.process(
+                Update.add_edge(u, v) for u, v in [(0, 1), (1, 2), (0, 2), (2, 3)]
+            )
+            fetches = session.store.log.fetches
+            assert session.store.store_stats()["access_total"] == fetches > 0
+            assert f"({fetches} fetches)" in session.run_report().render()
+        finally:
+            session.close()
 
     def test_cache_capacity_evicts(self):
         store = MultiVersionStore()
