@@ -13,7 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.graph.adjacency import AdjacencyGraph
-from repro.graph.datasets import figure1_graph, figure1_updates
+from repro.graph.datasets import figure1_graph
 from repro.graph.generators import erdos_renyi
 
 
@@ -60,11 +60,6 @@ def k4_graph() -> AdjacencyGraph:
 @pytest.fixture
 def figure1():
     return figure1_graph()
-
-
-@pytest.fixture
-def figure1_ups():
-    return figure1_updates()
 
 
 @pytest.fixture

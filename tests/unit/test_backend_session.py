@@ -20,7 +20,6 @@ from repro.runtime.backend import (
 from repro.runtime.session import StreamingSession
 from repro.runtime.stats import LatencySummary, summarize_latencies
 from repro.store.mvstore import MultiVersionStore
-from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
 from repro.types import EdgeUpdate, Update
 

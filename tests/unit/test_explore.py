@@ -10,7 +10,6 @@ from repro.core.api import EdgeInduced, MiningAlgorithm, VertexInduced
 from repro.core.explore import Explorer
 from repro.core.metrics import Metrics, OperationTimer
 from repro.core.stesseract import STesseractEngine
-from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.bitset import BitMatrix
 from repro.graph.generators import erdos_renyi
 from repro.graph.subgraph import SubgraphView

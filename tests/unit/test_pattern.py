@@ -1,7 +1,5 @@
 """Unit tests for pattern graphs and symmetry breaking."""
 
-import itertools
-
 import pytest
 
 from repro.errors import PatternError

@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from repro.apps import CycleMining, DiamondMining, PatternQuery
-from repro.apps.cliques import CliqueMining
 from repro.baselines.static_engine import PatternMatcher
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
