@@ -38,6 +38,10 @@ class CliqueMining(MiningAlgorithm):
     def match(self, s: SubgraphView) -> bool:
         return len(s) >= self.min_size
 
+    def required_row(self, n: int) -> int:
+        # a complete subgraph stays complete only with a vertex adjacent to all
+        return (1 << n) - 1
+
 
 class LabeledCliqueMining(CliqueMining):
     """k-CL: cliques whose vertices all carry distinct labels.

@@ -69,23 +69,6 @@ def vertex_expansion_reason(
     return ALLOWED
 
 
-def vertex_expansion(
-    verts: List[VertexId],
-    start_key: EdgeKey,
-    v: VertexId,
-    pre_bits: int,
-    post_bits: int,
-) -> bool:
-    """CAN_EXPAND for vertex-induced mode (Algorithm 3).
-
-    Returns whether expanding the subgraph ``verts`` with ``v`` is allowed.
-    """
-    return (
-        vertex_expansion_reason(verts, start_key, v, pre_bits, post_bits)
-        == ALLOWED
-    )
-
-
 def edge_expansion_pool_ex(
     verts: List[VertexId],
     start_key: EdgeKey,
@@ -119,17 +102,6 @@ def edge_expansion_pool_ex(
             continue
         pool.append((i, alive_pre, alive_post))
     return pool, excluded
-
-
-def edge_expansion_pool(
-    verts: List[VertexId],
-    start_key: EdgeKey,
-    v: VertexId,
-    pre_bits: int,
-    post_bits: int,
-) -> Optional[List[Tuple[int, bool, bool]]]:
-    """CAN_EXPAND for edge-induced mode (pool only; see the ``_ex`` form)."""
-    return edge_expansion_pool_ex(verts, start_key, v, pre_bits, post_bits)[0]
 
 
 def rule2_ok(verts: List[VertexId], union_bits: int, v: VertexId) -> bool:

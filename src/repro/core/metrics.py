@@ -21,6 +21,10 @@ from typing import Dict, List, Tuple
 class Metrics:
     """Counts per engine operation."""
 
+    #: ``filter`` verdicts, including the children a vertex-induced
+    #: explorer rejected on their row (``MiningAlgorithm.required_row``)
+    #: without calling ``filter``: each counts as a call that rejected, so
+    #: the count is the same with and without the veto
     filter_calls: int = 0
     match_calls: int = 0
     can_expand_calls: int = 0
@@ -28,7 +32,7 @@ class Metrics:
     emits: int = 0
     explore_calls: int = 0
 
-    #: ``filter`` calls that kept their subgraph
+    #: ``filter`` calls that kept their subgraph (a veto never does)
     filter_passes: int = 0
     #: candidates CAN_EXPAND rejected by update canonicality rule 2 (§4.4.1)
     pruned_rule2: int = 0

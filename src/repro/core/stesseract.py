@@ -93,12 +93,17 @@ class STesseractEngine:
         # in this frame (the root goes through :meth:`_detect`).
         s = self._s
         keeps = algorithm.filter
+        # ``Explorer``'s required-row veto, counted as a rejecting filter call
+        need = algorithm.required_row(len(verts))
         expansions = 0
         for v in candidates:
             bits = self._can_expand(v)
             if bits is None:
                 continue
             expansions += 1
+            if bits & need != need:
+                metrics.filter_calls += 1
+                continue
             verts.append(v)
             matrix.append_row(bits)
             s.rebind()

@@ -25,7 +25,17 @@ import pytest
 
 from repro.runtime.backend import BACKEND_NAMES
 from repro.store.api import STORE_NAMES
-from scenarios import APPS, FAULT_COUNTS, PRELOAD_PATHS, SINKS, Scenario, replay
+from scenarios import (
+    APPS,
+    FAULT_COUNTS,
+    PRELOAD_PATHS,
+    SINKS,
+    Scenario,
+    UnvetoedCliqueMining,
+    mine,
+    replay,
+    stream_bytes,
+)
 
 FIRST_SEED = 0
 
@@ -50,6 +60,31 @@ def replayed(seed, app, store, backend):
 )
 def test_cell(seed, app, store, backend):
     replayed(seed, app, store, backend)
+
+
+CLIQUE_CELLS = [cell for cell in CELLS if cell[1] == "4-C"]
+
+
+@pytest.mark.parametrize(
+    "seed, app, store, backend",
+    CLIQUE_CELLS,
+    ids=["-".join(map(str, c)) for c in CLIQUE_CELLS],
+)
+def test_clique_veto_is_invisible(seed, app, store, backend):
+    """4-C rejects a child on its row before it is built; the twin that asks
+    ``filter`` about every child emits the same bytes and records the same
+    counter totals and profile, since a veto counts as a rejecting call."""
+    vetoed = replayed(seed, app, store, backend)
+    twin = mine(
+        Scenario.from_seed(seed),
+        app,
+        store,
+        backend,
+        algorithm=UnvetoedCliqueMining(4, min_size=3),
+    )
+    assert stream_bytes(twin.deltas) == stream_bytes(vetoed.deltas)
+    assert twin.counters == vetoed.counters
+    assert twin.profile == vetoed.profile
 
 
 def test_net_fault_schedules_fire():

@@ -667,6 +667,15 @@ APPS = {
     ),
 }
 
+
+class UnvetoedCliqueMining(CliqueMining):
+    """4-C without the required-row veto: ``filter`` is asked about every
+    child, as before the hook; what a session observes must not differ."""
+
+    def required_row(self, n: int) -> int:
+        return 0
+
+
 #: the sinks a scenario may attach to the session's output stream
 SINKS = (None, "count", "motif")
 
@@ -801,12 +810,19 @@ FAULT_COUNTS = {
 PROXY_COUNTS = ("frames", *FAULT_COUNTS.values())
 
 
-def mine(scenario: Scenario, app: str, kind: str, backend: str) -> Mined:
-    """Run ``scenario`` on one cell: ``app`` on a ``kind`` store and a
-    ``backend`` backend (``process``: ``scenario.processes`` processes, a
-    slice worker under every window of two or more tasks), telemetry and
-    profile on."""
-    algorithm = APPS[app][0]()
+def mine(
+    scenario: Scenario,
+    app: str,
+    kind: str,
+    backend: str,
+    algorithm: Optional[MiningAlgorithm] = None,
+) -> Mined:
+    """Run ``scenario`` on one cell: ``app`` (or ``algorithm`` in its place)
+    on a ``kind`` store and a ``backend`` backend (``process``:
+    ``scenario.processes`` processes, a slice worker under every window of
+    two or more tasks), telemetry and profile on."""
+    if algorithm is None:
+        algorithm = APPS[app][0]()
     faults = scenario.faults if kind == "net" else None
     path = scenario.preload_path
     if path == "bulk_load" and kind != "net":

@@ -6,9 +6,11 @@ import pytest
 
 from repro.core.api import EdgeInduced, MiningAlgorithm
 from repro.core.canonicality import (
-    edge_expansion_pool,
+    ALLOWED,
+    PRUNED_SAME_WINDOW,
+    edge_expansion_pool_ex,
     rule2_ok,
-    vertex_expansion,
+    vertex_expansion_reason,
 )
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.explore import Explorer
@@ -85,23 +87,35 @@ class TestVertexExpansion:
         # exploring from start edge (2, 3); candidate 1 connects via edge
         # (1, 2) updated in this window (pre != post) and (1, 2) < (2, 3)
         verts = [2, 3]
-        assert not vertex_expansion(verts, (2, 3), 1, pre_bits=0b00, post_bits=0b01)
+        reason = vertex_expansion_reason(
+            verts, (2, 3), 1, pre_bits=0b00, post_bits=0b01
+        )
+        assert reason == PRUNED_SAME_WINDOW
 
     def test_same_window_higher_edge_allowed(self):
         # start edge (1, 2); candidate 3 connects via updated edge (2, 3):
         # (2, 3) > (1, 2) -> allowed
         verts = [1, 2]
-        assert vertex_expansion(verts, (1, 2), 3, pre_bits=0b00, post_bits=0b10)
+        reason = vertex_expansion_reason(
+            verts, (1, 2), 3, pre_bits=0b00, post_bits=0b10
+        )
+        assert reason == ALLOWED
 
     def test_old_edges_never_rejected_by_window_rule(self):
         # stable edge (pre == post bits) is not a window update
         verts = [2, 3]
-        assert vertex_expansion(verts, (2, 3), 1, pre_bits=0b01, post_bits=0b01)
+        reason = vertex_expansion_reason(
+            verts, (2, 3), 1, pre_bits=0b01, post_bits=0b01
+        )
+        assert reason == ALLOWED
 
     def test_deleted_lower_edge_also_rejected(self):
         # deletion: alive pre, dead post, lower than start
         verts = [2, 3]
-        assert not vertex_expansion(verts, (2, 3), 1, pre_bits=0b01, post_bits=0b00)
+        reason = vertex_expansion_reason(
+            verts, (2, 3), 1, pre_bits=0b01, post_bits=0b00
+        )
+        assert reason == PRUNED_SAME_WINDOW
 
 
 class TestEdgeExpansionPool:
@@ -110,13 +124,15 @@ class TestEdgeExpansionPool:
         # stable edge (1,3).  The vertex stays expandable; only the lower
         # updated edge leaves the pool.
         verts = [2, 3]
-        pool = edge_expansion_pool(verts, (2, 3), 1, pre_bits=0b10, post_bits=0b11)
+        pool = edge_expansion_pool_ex(
+            verts, (2, 3), 1, pre_bits=0b10, post_bits=0b11
+        )[0]
         assert pool is not None
         assert [(slot, pre, post) for slot, pre, post in pool] == [(1, True, True)]
 
     def test_rule2_still_rejects_vertex(self):
         verts = [1, 2, 5]
-        assert edge_expansion_pool(verts, (1, 2), 3, 0b001, 0b001) is None
+        assert edge_expansion_pool_ex(verts, (1, 2), 3, 0b001, 0b001)[0] is None
 
 
 class TestEdgeInducedSameWindowRegression:

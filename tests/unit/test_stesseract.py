@@ -7,6 +7,7 @@ from repro.apps.fsm import FrequentSubgraphMining
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.stesseract import STesseractEngine
 from repro.graph.generators import erdos_renyi
+from scenarios import UnvetoedCliqueMining
 
 
 class TestEquivalence:
@@ -57,3 +58,19 @@ class TestCostAdvantage:
         assert m_static.filter_calls <= m_dyn.filter_calls
         assert m_static.expansions == m_dyn.expansions
         assert m_static.emits == m_dyn.emits
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_veto_leaves_the_unvetoed_twin_s_matches_and_counts(seed):
+    """STesseract rejects a clique child on its row as ``Explorer`` does,
+    and counts it as the ``filter`` call that rejects it."""
+    from repro.core.metrics import Metrics
+
+    g = erdos_renyi(20, 60, seed=seed)
+    runs = []
+    for alg in (CliqueMining(4, min_size=3), UnvetoedCliqueMining(4, min_size=3)):
+        metrics = Metrics()
+        matches = collect_matches(STesseractEngine(alg, metrics=metrics).run(g))
+        runs.append((matches, metrics.counts()))
+    assert runs[0] == runs[1]
+    assert runs[0][0]
