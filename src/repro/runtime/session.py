@@ -130,10 +130,8 @@ class StreamingSession:
         self.window_stats: List[WindowStats] = []
         self._deltas: List[MatchDelta] = []
         self._streams: List[Stream] = []
-        self._c_restarts = self.telemetry.registry.counter(
-            "repro_session_worker_restarts_total",
-            "worker crashes recovered by queue redelivery",
-        )
+        #: worker crashes this session recovered by queue redelivery
+        self.worker_restarts = 0
         # Set-up is over: what exists now (the preloaded store above all)
         # lives as long as the session, so Python's collector need not
         # walk it on every full collection.  Process-wide; close() undoes it.
@@ -167,15 +165,15 @@ class StreamingSession:
         """Per-item fault-injection hook run as the queue hands out a window.
 
         The session injects as worker 0.  A fired crash point raises
-        :class:`WorkerCrashed`; the counter and ``worker.restart`` trace
-        marker record the recovery, then the exception propagates so
-        :meth:`WorkQueue.drain_windows` redelivers the item to the
-        (logically restarted) worker.
+        :class:`WorkerCrashed`; :attr:`worker_restarts` and the
+        ``worker.restart`` trace marker record the recovery, then the
+        exception propagates so :meth:`WorkQueue.drain_windows` redelivers
+        the item to the (logically restarted) worker.
         """
         try:
             self.fault_injector.on_task_start(0, item.offset)
         except WorkerCrashed:
-            self._c_restarts.inc()
+            self.worker_restarts += 1
             now = time.perf_counter()
             self.telemetry.tracer.record(
                 "worker.restart", now, now, offset=item.offset, ts=item.timestamp
@@ -264,27 +262,20 @@ class StreamingSession:
         """A fresh :class:`~repro.telemetry.MetricsRegistry` snapshot.
 
         Builds a new registry on every call (so it is idempotent): the
-        session's live registry, which its backend's engines record into,
-        is merged in once, then the engine's merged :class:`Metrics`, the
-        ingress node's net counters, and the per-window stats are bridged
-        on top.  Works even with telemetry disabled — the bridged portions
-        come from state the pipeline always maintains.
+        session's live registry, which holds the clock readings its
+        components and its backend's engines record, is merged in once,
+        then every count the components keep is projected on top
+        (:func:`~repro.telemetry.bridge.session_to_registry`).  With
+        telemetry disabled the counts read the same; only the clock
+        readings are missing.
         """
-        from repro.runtime.stats import window_stats_to_registry
         from repro.telemetry import MetricsRegistry
-        from repro.telemetry.bridge import (
-            ingress_to_registry,
-            metrics_to_registry,
-            store_to_registry,
-        )
+        from repro.telemetry.bridge import session_to_registry
 
         out = MetricsRegistry()
         if self.telemetry.enabled:
             out.merge(self.telemetry.registry)
-        metrics_to_registry(out, self.metrics())
-        ingress_to_registry(out, self.ingress)
-        store_to_registry(out, self.store)
-        window_stats_to_registry(out, self.window_stats)
+        session_to_registry(out, self)
         return out
 
     def collect_profile(self):

@@ -68,41 +68,6 @@ def summarize_latencies(wall_seconds: Sequence[float]) -> LatencySummary:
     )
 
 
-def window_stats_to_registry(registry, window_stats) -> None:
-    """Project per-window stats into session-level metrics.
-
-    Counters are set with ``set_total`` (idempotent on re-bridge); the
-    histograms are *rebuilt* from the stats list, so this must only be
-    called on a freshly built registry (see
-    :meth:`~repro.runtime.session.StreamingSession.collect_registry`),
-    never repeatedly on a live one.
-    """
-    from repro.telemetry import SIZE_BUCKETS
-
-    registry.counter(
-        "repro_session_windows_total", "snapshot windows executed"
-    ).set_total(len(window_stats))
-    registry.counter(
-        "repro_session_updates_total", "edge updates executed across windows"
-    ).set_total(sum(w.num_updates for w in window_stats))
-    deltas = registry.counter(
-        "repro_session_deltas_total", "match deltas emitted across windows"
-    )
-    deltas.labels(kind="new").set_total(sum(w.num_new for w in window_stats))
-    deltas.labels(kind="rem").set_total(sum(w.num_rem for w in window_stats))
-    h_seconds = registry.histogram(
-        "repro_session_window_seconds", "wall seconds per executed window"
-    )
-    h_updates = registry.histogram(
-        "repro_session_window_updates",
-        "edge updates per executed window",
-        buckets=SIZE_BUCKETS,
-    )
-    for w in window_stats:
-        h_seconds.observe(w.wall_seconds)
-        h_updates.observe(w.num_updates)
-
-
 @dataclass
 class SystemStats:
     """A point-in-time snapshot of a :class:`StreamingSession`."""
@@ -127,7 +92,6 @@ class SystemStats:
         """Snapshot every component counter of a running session."""
         metrics = session.metrics()
         ts = session.store.latest_timestamp
-        injector = session.fault_injector
         return cls(
             windows_applied=session.ingress.windows_applied,
             updates_accepted=session.ingress.updates_accepted,
@@ -139,7 +103,7 @@ class SystemStats:
             queue_acked=session.queue.acked_count(),
             low_watermark=session.queue.low_watermark(),
             deltas_published=sum(w.num_deltas for w in session.window_stats),
-            worker_crashes=injector.crash_count if injector is not None else 0,
+            worker_crashes=session.worker_restarts,
             filter_calls=metrics.filter_calls,
             match_calls=metrics.match_calls,
             emits=metrics.emits,

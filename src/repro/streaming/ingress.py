@@ -113,27 +113,13 @@ class IngressNode:
         gc_enabled: bool = False,
         telemetry=None,
     ) -> None:
-        from repro.telemetry import SIZE_BUCKETS, ensure
+        from repro.telemetry import ensure
 
         if window_size < 1:
             raise ValueError("window_size must be positive")
         if window_seconds is not None and window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        telemetry = ensure(telemetry)
-        self._telemetry = telemetry
-        registry = telemetry.registry
-        self._c_submitted = registry.counter(
-            "repro_ingress_updates_submitted_total",
-            "raw updates submitted to the ingress node",
-        )
-        self._c_windows = registry.counter(
-            "repro_ingress_windows_total", "snapshot windows applied"
-        )
-        self._h_window_updates = registry.histogram(
-            "repro_ingress_window_updates",
-            "edge updates per applied window",
-            buckets=SIZE_BUCKETS,
-        )
+        self._telemetry = ensure(telemetry)
         self.store = store
         self.queue = queue
         self.window_size = window_size
@@ -163,13 +149,9 @@ class IngressNode:
 
         A window closes when it reaches ``window_size`` updates or, with
         time-based windowing enabled, when ``window_seconds`` have elapsed
-        since it opened.
+        since it opened.  A window opens with the first update submitted
+        while nothing is held open.
         """
-        self._c_submitted.inc()
-        self._submit(update)
-
-    def _submit(self, update: Update) -> None:
-        """:meth:`submit` without the submitted-updates count."""
         if self._window_opened_at is None:
             self._window_opened_at = self._clock()
         self._sanitize(update)
@@ -203,9 +185,8 @@ class IngressNode:
         fetches the records of every endpoint in the chunk at once; the
         sanitisation probes and the apply-time fill then find them held
         instead of paying one blocking fetch each.  Each update then goes
-        through :meth:`submit`'s body, so windows, timestamps and verdicts
-        are those of per-update submission; the submitted-updates counter
-        moves once per chunk.  :meth:`submit` alone reads
+        through :meth:`submit`, so windows, timestamps and verdicts are
+        those of per-update submission.  :meth:`submit` alone reads
         nothing ahead, and neither does a store whose copy cache is
         bounded (``cache_capacity``): its FIFO may evict what was read
         ahead before sanitisation reads it, a round trip spent for nothing.
@@ -217,9 +198,8 @@ class IngressNode:
         while chunk := list(itertools.islice(updates, self.window_size)):
             if prefetch is not None:
                 prefetch([v for u in chunk for v in (u.src, u.dst) if v is not None])
-            self._c_submitted.inc(len(chunk))
             for update in chunk:
-                self._submit(update)
+                self.submit(update)
 
     def flush(self) -> None:
         """Close any open window and drain the re-adds it defers."""
@@ -333,50 +313,42 @@ class IngressNode:
         """Apply the open window atomically and enqueue its edge updates.
 
         With ``limit=False`` every pending operation is applied regardless
-        of the window size (used to keep relabels atomic).  With telemetry
-        enabled the application is wrapped in an ``ingress.window`` span
-        and the window size lands in ``repro_ingress_window_updates``.
+        of the window size (used to keep relabels atomic).  The application
+        runs in an ``ingress.window`` span.
         """
-        if not self._telemetry.enabled:
-            return self._apply_window(limit)
         with self._telemetry.tracer.span("ingress.window") as span:
-            window = self._apply_window(limit)
-            span.set(ts=window.timestamp, updates=len(window.updates))
-        self._c_windows.inc()
-        self._h_window_updates.observe(len(window.updates))
-        return window
-
-    def _apply_window(self, limit: bool = True) -> Window:
-        ts = self._next_ts
-        window = Window(timestamp=ts)
-        # Vertex labels take effect at this window's timestamp.
-        for v, label in self._vertex_labels:
-            self.store.set_vertex_label(v, ts, label)
-        self._vertex_labels = []
-        keys = sorted(self._open)
-        cut = self.window_size if limit else len(keys)
-        applied = [(key, self._open[key]) for key in keys[:cut]]
-        window.updates = [write for _, (_, _, write, _) in applied]
-        # One coalesced application: stores that batch over the wire
-        # (NetStoreClient) ship the whole window in a few put_edges RPCs
-        # instead of one add_edge/delete_edge round trip per update.
-        self.store.apply_edge_updates(ts, window.updates)
-        # keys past the size limit wait, unapplied, for the next window
-        self._open = {key: self._open[key] for key in keys[cut:]}
-        if self.queue is not None:
-            self.queue.append_window(ts, window.updates)
-        self._next_ts += 1
-        self.windows_applied += 1
-        # The re-adds (relabels, delete+add) are the next window's adds.
-        self._window_opened_at = self._clock()
-        for key, (_, _, _, readd) in applied:
-            if readd is not None:
-                state = fold(key, False, None, UpdateKind.ADD_EDGE, *readd)
-                self._open[key] = (False, *state)
-        if self.gc_enabled and self.queue is not None:
-            stats = self.store.reclaim(self.queue.low_watermark())
-            self.gc_reclaimed += stats.reclaimed
-            self.last_reclaim = stats
+            ts = self._next_ts
+            window = Window(timestamp=ts)
+            # Vertex labels take effect at this window's timestamp.
+            for v, label in self._vertex_labels:
+                self.store.set_vertex_label(v, ts, label)
+            self._vertex_labels = []
+            keys = sorted(self._open)
+            cut = self.window_size if limit else len(keys)
+            applied = [(key, self._open[key]) for key in keys[:cut]]
+            window.updates = [write for _, (_, _, write, _) in applied]
+            # One coalesced application: stores that batch over the wire
+            # (NetStoreClient) ship the whole window in a few put_edges RPCs
+            # instead of one add_edge/delete_edge round trip per update.
+            self.store.apply_edge_updates(ts, window.updates)
+            # keys past the size limit wait, unapplied, for the next window
+            self._open = {key: self._open[key] for key in keys[cut:]}
+            if self.queue is not None:
+                self.queue.append_window(ts, window.updates)
+            self._next_ts += 1
+            self.windows_applied += 1
+            # The re-adds (relabels, delete+add) are the next window's adds.
+            for key, (_, _, _, readd) in applied:
+                if readd is not None:
+                    state = fold(key, False, None, UpdateKind.ADD_EDGE, *readd)
+                    self._open[key] = (False, *state)
+            # What stays open opens the next window now, else its first update.
+            self._window_opened_at = self._clock() if self._open else None
+            if self.gc_enabled and self.queue is not None:
+                stats = self.store.reclaim(self.queue.low_watermark())
+                self.gc_reclaimed += stats.reclaimed
+                self.last_reclaim = stats
+            span.set(ts=ts, updates=len(window.updates))
         return window
 
     # -- introspection -------------------------------------------------------

@@ -51,25 +51,13 @@ class WorkQueue:
         self._ready: List[int] = []  # min-heap of offsets ready to poll
         self._in_flight: Dict[int, WorkItem] = {}
         self._acked = 0
+        #: in-flight items returned to the queue by :meth:`redeliver`
+        self.redelivered = 0
         self._closed = False
         self._last_ts: Timestamp = 0
         telemetry = ensure(telemetry)
         self._telemetry_on = telemetry.enabled
-        registry = telemetry.registry
-        self._c_appended = registry.counter(
-            "repro_queue_appended_total", "work items durably appended"
-        )
-        self._c_acked = registry.counter(
-            "repro_queue_acked_total", "work items fully processed and acked"
-        )
-        self._c_redelivered = registry.counter(
-            "repro_queue_redelivered_total",
-            "in-flight items returned to the queue after a worker crash",
-        )
-        self._g_depth = registry.gauge(
-            "repro_queue_depth", "items currently ready to poll"
-        )
-        self._h_ack_latency = registry.histogram(
+        self._h_ack_latency = telemetry.registry.histogram(
             "repro_queue_ack_latency_seconds",
             "seconds between an item's poll and its ack",
         )
@@ -87,8 +75,8 @@ class WorkQueue:
     ) -> range:
         """Durably append one window's updates; returns their offsets.
 
-        Everything :meth:`append` does per item — counter, depth gauge —
-        happens once for the window.  A closed queue or a regressing
+        Everything :meth:`append` does per item — the checks, the offset
+        count — happens once for the window.  A closed queue or a regressing
         timestamp raises before anything is appended; an empty window
         appends nothing and checks nothing, like zero appends.
         """
@@ -113,8 +101,6 @@ class WorkQueue:
         # A new offset exceeds every offset in the heap (redelivered
         # ones are older), so appending it is what heappush would do.
         self._ready.extend(offsets)
-        self._c_appended.inc(offset - first)
-        self._g_depth.set(len(self._ready))
         return offsets
 
     def close(self) -> None:
@@ -125,18 +111,10 @@ class WorkQueue:
 
     def poll(self) -> Optional[WorkItem]:
         """Take the lowest-offset ready item, marking it in flight."""
-        if not self._ready:
-            return None
-        item = self._take()
-        if self._telemetry_on:
-            self._g_depth.set(len(self._ready))
-        return item
+        return self._take() if self._ready else None
 
     def _take(self) -> WorkItem:
-        """Move the head of the ready heap into flight.
-
-        The depth gauge is the caller's to set, once it is done taking.
-        """
+        """Move the head of the ready heap into flight."""
         offset = heapq.heappop(self._ready)
         item = self._items[offset]
         self._in_flight[offset] = item
@@ -151,9 +129,9 @@ class WorkQueue:
     def ack_window(self, offsets: Sequence[int]) -> None:
         """Mark a window's in-flight items fully processed, in order.
 
-        One counter bump for the window.  An offset that is not in flight
-        raises :class:`~repro.errors.OffsetError` once the offsets before
-        it are acked, as acking them one by one would.
+        An offset that is not in flight raises
+        :class:`~repro.errors.OffsetError` once the offsets before it are
+        acked, as acking them one by one would.
         """
         in_flight, items = self._in_flight, self._items
         now = time.perf_counter() if self._telemetry_on else 0.0
@@ -168,9 +146,7 @@ class WorkQueue:
                 polled_at = self._poll_times.pop(offset, None)
                 if polled_at is not None:
                     self._h_ack_latency.observe(now - polled_at)
-        if acked:
-            self._acked += acked
-            self._c_acked.inc(acked)
+        self._acked += acked
         if acked < len(offsets):
             raise OffsetError(f"offset {offsets[acked]} is not in flight")
 
@@ -180,10 +156,8 @@ class WorkQueue:
             raise OffsetError(f"offset {offset} is not in flight")
         del self._in_flight[offset]
         heapq.heappush(self._ready, offset)
-        self._c_redelivered.inc()
-        if self._telemetry_on:
-            self._poll_times.pop(offset, None)
-            self._g_depth.set(len(self._ready))
+        self.redelivered += 1
+        self._poll_times.pop(offset, None)
 
     def redeliver_all(self, offsets: List[int]) -> None:
         for offset in offsets:
@@ -251,8 +225,6 @@ class WorkQueue:
                         self.redeliver(item.offset)
                         continue
                 items.append(item)
-            if self._telemetry_on:
-                self._g_depth.set(len(self._ready))
             if not items:
                 return
             yield items[0].timestamp, items

@@ -8,9 +8,10 @@ The subsystem has three parts (see ``docs/internals.md``, "Telemetry"):
 * :mod:`repro.telemetry.registry` — a :class:`MetricsRegistry` of named
   counters, gauges, and histograms with label support, order-independent
   merge semantics, and Prometheus-text / JSON exposition;
-* :mod:`repro.telemetry.bridge` — idempotent projections of the engine's
-  cumulative :class:`~repro.core.metrics.Metrics` counters into the
-  registry.
+* :mod:`repro.telemetry.bridge` — idempotent projections into the
+  registry of every count the pipeline keeps as a plain integer (the
+  engine's :class:`~repro.core.metrics.Metrics`, the ingress node, the
+  work queue, the session); components record only clock readings live.
 
 Everything is wired through one façade, :class:`Telemetry`, which
 components accept as an optional constructor argument.  When no telemetry

@@ -1,23 +1,28 @@
-"""Bridges from the engine's cumulative counters into the registry.
+"""Projections of the pipeline's own counts into a registry.
 
-The exploration hot path keeps accumulating into the light-weight
-:class:`~repro.core.metrics.Metrics` dataclass (one integer add per
-operation — cheaper than any registry lookup); these bridges project those
-cumulative totals into a :class:`~repro.telemetry.registry.MetricsRegistry`
-at snapshot points (end of run, metrics dump).  All bridges use
-``set_total`` so re-bridging the same source is idempotent, and every value
-is deterministic for a given input stream — the basis of the cross-backend
-"identical counter totals" contract.
+Each count is kept once, as a plain integer, by the component that owns
+it (the engine's :class:`~repro.core.metrics.Metrics`, the ingress node,
+the work queue, the session); :func:`session_to_registry` projects them
+into a fresh :class:`~repro.telemetry.registry.MetricsRegistry` at
+snapshot points (end of run, metrics dump), with telemetry on or off.
+Only clock readings are recorded live.  Projections use ``set_total``, so
+re-projecting is idempotent, and every count is deterministic for a given
+input stream — the basis of the cross-backend "identical counter totals"
+contract.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.telemetry.registry import SIZE_BUCKETS
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.metrics import Metrics
+    from repro.runtime.session import StreamingSession
     from repro.store.api import GraphStore
     from repro.streaming.ingress import IngressNode
+    from repro.streaming.queue import WorkQueue
     from repro.telemetry.registry import MetricsRegistry
 
 #: the Figure 6 operation categories as (metrics attr stem, metric stem)
@@ -48,16 +53,54 @@ def metrics_to_registry(registry: "MetricsRegistry", metrics: "Metrics") -> None
     ).set_total(metrics.work_units())
 
 
+def _count(registry: "MetricsRegistry", name: str, help_text: str, value: int) -> None:
+    """Declare counter ``name``; set it once ``value`` is nonzero, as a live
+    counter showed no series before its first increment."""
+    counter = registry.counter(name, help_text)
+    if value:
+        counter.set_total(value)
+
+
+def session_to_registry(
+    registry: "MetricsRegistry", session: "StreamingSession"
+) -> None:
+    """Project every count a session's components keep into a freshly
+    built ``registry`` (see :func:`window_stats_to_registry`)."""
+    metrics_to_registry(registry, session.metrics())
+    ingress_to_registry(registry, session.ingress)
+    queue_to_registry(registry, session.queue)
+    store_to_registry(registry, session.store)
+    window_stats_to_registry(registry, session.window_stats)
+    _count(
+        registry,
+        "repro_session_worker_restarts_total",
+        "worker crashes recovered by queue redelivery",
+        session.worker_restarts,
+    )
+
+
 def ingress_to_registry(registry: "MetricsRegistry", ingress: "IngressNode") -> None:
-    """Project the ingress node's net acceptance counters.
+    """Project the ingress node's acceptance and window counts.
 
     Each submitted update is counted once, in one of the two: dropped when
     sanitization finds it changes nothing (a duplicate add, a delete or
     relabel of a missing edge), else accepted.  They are *net*
     quantities (an add cancelled by a delete in the same window moves to
-    dropped with that delete), so they are bridged at snapshot time rather
-    than incremented live; together they equal the submitted updates.
+    dropped with that delete); together they are the submitted updates,
+    less any that sanitization rejected as invalid.
     """
+    _count(
+        registry,
+        "repro_ingress_updates_submitted_total",
+        "raw updates submitted to the ingress node",
+        ingress.updates_accepted + ingress.updates_dropped,
+    )
+    _count(
+        registry,
+        "repro_ingress_windows_total",
+        "snapshot windows applied",
+        ingress.windows_applied,
+    )
     registry.counter(
         "repro_ingress_updates_accepted_total",
         "submitted updates that changed the graph (net of same-window "
@@ -72,6 +115,56 @@ def ingress_to_registry(registry: "MetricsRegistry", ingress: "IngressNode") -> 
         "repro_ingress_gc_reclaimed_total",
         "store records reclaimed by garbage collection",
     ).set_total(ingress.gc_reclaimed)
+
+
+def queue_to_registry(registry: "MetricsRegistry", queue: "WorkQueue") -> None:
+    """Project the work queue's offset counts and its ready depth."""
+    for stem, help_text, value in (
+        ("appended", "work items durably appended", queue.total_appended()),
+        ("acked", "work items fully processed and acked", queue.acked_count()),
+        (
+            "redelivered",
+            "in-flight items returned to the queue after a worker crash",
+            queue.redelivered,
+        ),
+    ):
+        _count(registry, f"repro_queue_{stem}_total", help_text, value)
+    registry.gauge("repro_queue_depth", "items currently ready to poll").set(
+        len(queue)
+    )
+
+
+def window_stats_to_registry(registry: "MetricsRegistry", window_stats) -> None:
+    """Project per-window stats into session-level metrics.
+
+    Counters are set with ``set_total`` (idempotent on re-bridge); the
+    histograms are *rebuilt* from the stats list, so this must only be
+    called on a freshly built registry (see
+    :meth:`~repro.runtime.session.StreamingSession.collect_registry`),
+    never repeatedly on a live one.
+    """
+    registry.counter(
+        "repro_session_windows_total", "snapshot windows executed"
+    ).set_total(len(window_stats))
+    registry.counter(
+        "repro_session_updates_total", "edge updates executed across windows"
+    ).set_total(sum(w.num_updates for w in window_stats))
+    deltas = registry.counter(
+        "repro_session_deltas_total", "match deltas emitted across windows"
+    )
+    deltas.labels(kind="new").set_total(sum(w.num_new for w in window_stats))
+    deltas.labels(kind="rem").set_total(sum(w.num_rem for w in window_stats))
+    h_seconds = registry.histogram(
+        "repro_session_window_seconds", "wall seconds per executed window"
+    )
+    h_updates = registry.histogram(
+        "repro_session_window_updates",
+        "edge updates per executed window",
+        buckets=SIZE_BUCKETS,
+    )
+    for w in window_stats:
+        h_seconds.observe(w.wall_seconds)
+        h_updates.observe(w.num_updates)
 
 
 #: numeric store_stats keys bridged as gauges, with help text; the

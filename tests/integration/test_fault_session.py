@@ -151,6 +151,19 @@ def test_crashes_counted_and_traced():
     assert deltas == clean
 
 
+def test_stats_count_only_this_sessions_restarts():
+    """An injector shared across sessions (a restore) or with other workers
+    does not carry its crashes into another session's dashboard."""
+    injector = FaultInjector(CrashPlan.every_nth(0, 3, times=2))
+    _, crashed = run_session(fault_injector=injector)
+    session, _, _ = open_session(fault_injector=injector)
+    session.process(k7_stream())
+    assert crashed.stats().worker_crashes == crashed.worker_restarts == 2
+    assert session.stats().worker_crashes == session.worker_restarts == 0
+    assert injector.crash_count == 2
+    session.close()
+
+
 def test_crash_free_plan_leaves_no_restart_artifacts():
     telemetry = Telemetry()
     injector = FaultInjector(CrashPlan())

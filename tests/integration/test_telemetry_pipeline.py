@@ -145,13 +145,19 @@ def test_disabled_telemetry_collects_bridged_counters_only():
     session = StreamingSession(CliqueMining(3, min_size=3), window_size=5)
     session.submit_many(Update.add_edge(u, v) for u, v in EDGES)
     session.flush()
-    totals = session.collect_registry().counter_totals()
-    # Bridged sources (engine metrics, ingress, window stats) still report...
+    registry = session.collect_registry()
+    totals = registry.counter_totals()
+    # Every count is a projection of what the components keep, so it reads
+    # the same with telemetry off (engine metrics, ingress, queue, windows)...
     assert totals["repro_session_updates_total"] == len(EDGES)
     assert totals["repro_ingress_updates_accepted_total"] == len(EDGES)
+    assert totals["repro_ingress_updates_submitted_total"] == len(EDGES)
+    assert totals["repro_queue_appended_total"] == len(EDGES)
+    assert totals["repro_queue_acked_total"] == len(EDGES)
     assert totals["repro_engine_explore_calls_total"] > 0
-    # ...but live-instrumented counters (queue) never recorded anything.
-    assert "repro_queue_acked_total" not in totals
+    # ...but the live clock readings never recorded anything.
+    for clock in ("repro_engine_task_seconds", "repro_queue_ack_latency_seconds"):
+        assert not registry.histogram(clock).children
     session.close()
 
 

@@ -5,11 +5,14 @@ Each cell mines one seeded :class:`scenarios.Scenario` — adds and deletes
 with and without labels and directions, relabels, vertex deletes, a window
 size and flush points, a preload path, mid-stream ``reclaim`` and
 checkpoint/restore, crashes, a wire-fault schedule for ``net``, and a
-dataflow sink — and :func:`scenarios.check` holds it to three things:
+dataflow sink — and :func:`scenarios.check` holds it to four things:
 after every flush the accumulated NEW − REM is the oracle's match set,
 exactly once; the delta stream is byte-identical to the serial ``mv``
-cell's; and so are the counter totals and the exploration profile.  A
-failure names the seed and the cell and prints a one-line replay command.
+cell's; so are the counter totals and the exploration profile; and the
+counts agree with each other (every submitted update accepted or dropped,
+every queued item acked and run, one restart per crash of the session's
+hook).  A failure names the seed and the cell and prints a one-line
+replay command.
 
 Here each app and store has a seed of its own, run on every backend:
 twenty scenarios, from the first run of twenty seeds that draws every

@@ -784,8 +784,9 @@ class Scenario:
 class Mined:
     """What one cell emitted: per flush, its deltas and the sink's state
     after them; the whole stream; the windows it ran; its counter totals
-    and exploration profile, summed over the sessions a restore spans; and
-    for a proxied ``net`` store, what the wire went through."""
+    and exploration profile, summed over the sessions a restore spans; the
+    crashes the sessions' own hook injected (worker 0's); and for a
+    proxied ``net`` store, what the wire went through."""
 
     flushes: List[tuple] = field(default_factory=list)
     deltas: list = field(default_factory=list)
@@ -793,6 +794,7 @@ class Mined:
     windows: Dict[int, Set[tuple]] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     profile: dict = field(default_factory=dict)
+    session_crashes: int = 0
     #: frames the proxies relayed (``frames``) and ``dropped``,
     #: ``duplicated``, ``delayed`` or ``reordered``; and the ``retries`` of
     #: the session's own ``net`` clients
@@ -934,6 +936,7 @@ def mine(
         finally:
             close_session(session)
     mined.profile = profile.to_dict()
+    mined.session_crashes = sum(worker == 0 for worker, _ in injector.crashes)
     for proxy in proxies:
         mined.wire.update({name: getattr(proxy, name) for name in PROXY_COUNTS})
     return mined
@@ -958,6 +961,9 @@ def check(scenario: Scenario, app: str, cell: tuple, mined: Mined, reference: Mi
        delta holds both endpoints of a task its window ran.
     2. The delta stream is byte-identical to the reference cell's.
     3. Counter totals and the exploration profile equal the reference's.
+    4. The counts agree with each other: every submitted update was
+       accepted or dropped, every appended queue item was acked and ran as
+       a task, and each crash of the session's hook is one restart.
     """
 
     def fail(what: str) -> ScenarioFailed:
@@ -1008,6 +1014,28 @@ def check(scenario: Scenario, app: str, cell: tuple, mined: Mined, reference: Mi
         raise fail(f"counter totals differ from the serial mv cell's: {diff}")
     if mined.profile != reference.profile:
         raise fail("the exploration profile differs from the serial mv cell's")
+
+    def count(name: str) -> float:
+        return mined.counters.get(f"repro_{name}_total", 0)
+
+    submitted = sum(len(batch) for batch in scenario.batches)
+    ingress = [
+        count(f"ingress_updates_{verdict}")
+        for verdict in ("submitted", "accepted", "dropped")
+    ]
+    if not ingress[0] == ingress[1] + ingress[2] == submitted:
+        raise fail(
+            f"{submitted} updates submitted; submitted, accepted and dropped "
+            f"read {ingress}"
+        )
+    items = [count("queue_appended"), count("queue_acked"), count("session_updates")]
+    if not items[0] == items[1] == items[2]:
+        raise fail(f"queue items appended, acked and run read {items}")
+    if count("session_worker_restarts") != mined.session_crashes:
+        raise fail(
+            f"{mined.session_crashes} session crashes, but "
+            f"{count('session_worker_restarts')} worker restarts"
+        )
 
 
 @functools.lru_cache(maxsize=None)

@@ -238,10 +238,12 @@ INJECTED = {
                 ),
             ),
             (
-                "streaming/ingress.py",
-                _replace("self._c_windows.inc()", "self._c_windows.inc(_wall_stamp())"),
+                "telemetry/bridge.py",
+                _replace(
+                    ").set_total(ingress.gc_reclaimed)", ").set_total(_wall_stamp())"
+                ),
             ),
-            ("streaming/ingress.py", _append("from repro.cli import _wall_stamp\n")),
+            ("telemetry/bridge.py", _append("from repro.cli import _wall_stamp\n")),
         ],
     ),
     "RL002": ("RL002", "runtime/backend.py", [("runtime/backend.py", _nest_slice_worker)]),

@@ -6,10 +6,12 @@ from hypothesis.stateful import run_state_machine_as_test
 from repro.apps import FeedForwardLoops
 from repro.core.api import VertexInduced
 from repro.core.engine import collect_matches
+from repro.errors import InvalidUpdateError
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkQueue
+from repro.telemetry import Telemetry
 from repro.types import Update
 from scenarios import (
     IngressMachine,
@@ -123,6 +125,21 @@ class TestSanitization:
         ing.flush()
         assert store.edge_alive_at(1, 2, store.latest_timestamp)
         assert store.tombstone_count() == 1
+
+    def test_rejected_update_is_not_counted_submitted(self):
+        """An update sanitisation rejects mid-chunk is neither accepted,
+        dropped nor submitted, and the chunk's rest is not submitted."""
+        session = StreamingSession(
+            FeedForwardLoops(), window_size=10, telemetry=Telemetry()
+        )
+        unknown = Update("unknown", 3)  # an update of no known kind
+        with pytest.raises(InvalidUpdateError):
+            session.submit_many([Update.add_edge(1, 2), unknown, Update.add_edge(4, 5)])
+        totals = session.collect_registry().counter_totals()
+        session.close()
+        assert totals["repro_ingress_updates_accepted_total"] == 1
+        assert totals["repro_ingress_updates_dropped_total"] == 0
+        assert totals["repro_ingress_updates_submitted_total"] == 1
 
 
 class TestDeferredOrder:
@@ -324,6 +341,31 @@ class TestTimeWindows:
         clock["now"] = 8.0
         ingress.submit(Update.add_edge(3, 4))  # only 2s into window 2
         assert ingress.windows_applied == 1
+
+    def test_idle_gap_does_not_close_the_next_window(self):
+        """A window opens with its first update, not when the last closed:
+        neither a time-closed window nor a flush starts the next one's clock."""
+        clock = {"now": 0.0}
+        store = MultiVersionStore()
+        ingress = IngressNode(
+            store, window_size=1000, window_seconds=5.0, clock=lambda: clock["now"]
+        )
+
+        def submit_at(now, u, v):
+            clock["now"] = now
+            ingress.submit(Update.add_edge(u, v))
+            return ingress.windows_applied
+
+        assert submit_at(0.0, 1, 2) == 0
+        assert submit_at(6.0, 2, 3) == 1  # closes window 1
+        assert submit_at(60.0, 3, 4) == 1  # opens window 2 after the gap
+        assert submit_at(64.0, 4, 5) == 1
+        assert submit_at(65.0, 5, 6) == 2  # 5s into window 2
+        assert submit_at(66.0, 6, 7) == 2
+        ingress.flush()
+        assert submit_at(200.0, 7, 8) == 3  # opens window 4 after the gap
+        assert store.edge_alive_at(3, 4, 2) and not store.edge_alive_at(3, 4, 1)
+        assert store.edge_alive_at(6, 7, 3) and not store.edge_alive_at(7, 8, 3)
 
 
 class TestDirectionSurvivesReAdd:

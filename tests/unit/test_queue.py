@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import OffsetError, QueueClosedError, WorkerCrashed
 from repro.streaming.queue import WorkQueue
-from repro.telemetry import Telemetry
+from repro.telemetry import MetricsRegistry, Telemetry
+from repro.telemetry.bridge import queue_to_registry
 from repro.types import EdgeUpdate
 
 
@@ -255,7 +256,9 @@ class TestWindowForms:
 
     @staticmethod
     def observable(q, telemetry):
-        totals = telemetry.registry.counter_totals()
+        projected = MetricsRegistry()
+        queue_to_registry(projected, q)
+        totals = projected.counter_totals()
         latency = telemetry.registry.histogram("repro_queue_ack_latency_seconds", "")
         return {
             "appended": q.total_appended(),
