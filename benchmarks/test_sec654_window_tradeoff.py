@@ -27,7 +27,6 @@ from _harness import (
 from repro.apps import CliqueMining
 from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.generators import shuffled_edges
-from repro.store.mvstore import MultiVersionStore
 
 WINDOW_SIZES = [10, 100, 1000]
 
@@ -38,11 +37,7 @@ def test_sec654_latency_throughput(benchmark):
     preload, pending = edges[: len(edges) // 2], edges[len(edges) // 2 :]
 
     def run_all():
-        import time
-
-        from repro.core.engine import TesseractEngine
-        from repro.streaming.ingress import IngressNode, Window
-        from repro.streaming.queue import WorkQueue
+        from repro.runtime.session import StreamingSession
         from repro.types import Update
 
         results = {}
@@ -52,30 +47,15 @@ def test_sec654_latency_throughput(benchmark):
                 base.add_vertex(v)
             for u, v in preload:
                 base.add_edge(u, v)
-            store = MultiVersionStore.from_adjacency(base, ts=1)
-            queue = WorkQueue()
-            ingress = IngressNode(store, queue, window_size=window)
-            for u, v in pending:
-                ingress.submit(Update.add_edge(u, v))
-            ingress.flush()
-            windows = {}
-            while True:
-                item = queue.poll()
-                if item is None:
-                    break
-                queue.ack(item.offset)
-                windows.setdefault(item.timestamp, Window(item.timestamp)).updates.append(
-                    item.update
-                )
-            engine = TesseractEngine(store, CliqueMining(4, min_size=3))
-            deltas = []
-            latencies = []
-            for ts in sorted(windows):
-                start = time.perf_counter()
-                deltas.extend(engine.process_window(windows[ts]))
-                latencies.append(time.perf_counter() - start)
+            session = StreamingSession(
+                CliqueMining(4, min_size=3), window_size=window, initial_graph=base
+            )
+            # every window is mined, published and acked before the next
+            deltas = session.process(Update.add_edge(u, v) for u, v in pending)
+            latencies = [w.wall_seconds for w in session.window_stats]
+            metrics = session.metrics()
+            session.close()
             seconds = sum(latencies)
-            metrics = engine.metrics
             results[window] = {
                 "throughput": len(deltas) / seconds if seconds else 0.0,
                 "mean_latency": sum(latencies) / len(latencies),

@@ -27,9 +27,8 @@ from _harness import (
 from repro.apps import LabeledCliqueMining
 from repro.core.api import EmptyAlgorithm
 from repro.graph.generators import assign_labels, shuffled_edges
+from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
-from repro.streaming.ingress import IngressNode
-from repro.streaming.queue import WorkQueue
 from repro.types import Update
 
 
@@ -40,19 +39,13 @@ def test_sec655_ingress_rate(benchmark):
 
     def run():
         # Empty algorithm: full ingress + queue + worker ack path, no mining.
-        store = MultiVersionStore()
-        queue = WorkQueue()
-        ingress = IngressNode(store, queue, window_size=100)
+        session = StreamingSession(EmptyAlgorithm(), window_size=100)
         start = time.perf_counter()
         for u, v in edges:
-            ingress.submit(Update.add_edge(u, v))
-        ingress.flush()
-        engine_deltas, mine_seconds, _, _ = (None, None, None, None)
-        from repro.core.engine import TesseractEngine
-
-        engine = TesseractEngine(store, EmptyAlgorithm())
-        engine.drain_queue(queue)
+            session.submit(Update.add_edge(u, v))
+        session.flush()
         ingest_seconds = time.perf_counter() - start
+        session.close()
         ingest_rate = len(edges) / ingest_seconds
 
         # Fastest real algorithm for comparison.

@@ -82,7 +82,7 @@ def incremental_run(graph, algorithm, num_updates, window=100, seed=5):
     for u, v in pending:
         ingress.submit(Update.add_edge(u, v))
     ingress.flush()
-    tasks = [(item.timestamp, item.update) for item in queue.drain()]
+    tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
     metrics = Metrics()
     engine = TesseractEngine(store, algorithm, metrics=metrics)
     import time

@@ -23,7 +23,7 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.graph.pattern import Pattern
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
-from repro.streaming.ingress import IngressNode, Window
+from repro.streaming.ingress import IngressNode
 from repro.streaming.queue import WorkItem, WorkQueue
 from repro.types import (
     EdgeUpdate,
@@ -57,7 +57,6 @@ __all__ = [
     "Update",
     "UpdateKind",
     "VertexInduced",
-    "Window",
     "WorkItem",
     "WorkQueue",
     "collect_matches",

@@ -8,8 +8,10 @@ correctness argument the invariant carries — see ``docs/internals.md``,
 ==========  ================================================================
 RL001       Determinism: no wall-clock or process-global RNG feeding
             counters or result streams, nor a clock reading laundered
-            through a helper of the same module into a counter (paper
-            §4.5; PR 2's cross-backend identical-counter-totals contract).
+            through a helper of the same module into a counter, whether
+            the helper returns the reading or writes its argument to one
+            (paper §4.5; PR 2's cross-backend identical-counter-totals
+            contract).
 RL002       Process-backend purity: a ``Process(target=...)`` target must be
             a module-level function that does not mutate module globals
             (paper §5 worker model).
@@ -43,6 +45,7 @@ RL010       Exception-taxonomy discipline: handlers in ``repro.net``
 from __future__ import annotations
 
 import ast
+import itertools
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import (
@@ -138,6 +141,14 @@ def _resolve_name(name: Optional[str], aliases: Dict[str, str]) -> Optional[str]
     return name
 
 
+def _params(func: ast.AST) -> List[str]:
+    """``func``'s parameter names in call order, less a method's
+    ``self``/``cls`` (a ``self.helper(x)`` call passes ``x`` first)."""
+    args = func.args  # type: ignore[attr-defined]
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return names[1:] if names and names[0] in {"self", "cls"} else names
+
+
 def _local_callee(func: ast.AST) -> Optional[str]:
     """The name a ``helper()`` or ``self.helper()`` call looks up in its module."""
     if isinstance(func, ast.Name):
@@ -170,6 +181,7 @@ class DeterminismRule(Rule):
         ]
         bodies = {func: self._walk_body(func) for func in functions}
         self._find_clock_helpers(bodies)
+        self._find_counter_sinks(bodies)
         # outer functions come first in the walk: a nested def starts from
         # the names its enclosing function tainted (it may close over them)
         tainted: Dict[ast.AST, Set[str]] = {}
@@ -211,11 +223,13 @@ class DeterminismRule(Rule):
         ):
             fed = _Reads()  # what the arguments read, not the counter
         value_reads = None
+        arg_reads: Dict[ast.AST, _Reads] = {}
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue  # a body of its own
             child_reads = self._gather(child, body)
             reads.absorb(child_reads)
+            arg_reads[child] = child_reads
             if child is value:
                 value_reads = child_reads
             elif fed is not None and child is not node.func:
@@ -227,6 +241,12 @@ class DeterminismRule(Rule):
             callee = _local_callee(node.func)
             if callee is not None:
                 reads.callees.add(callee)
+                positional = itertools.takewhile(  # unknown after a *args
+                    lambda arg: not isinstance(arg, ast.Starred), node.args
+                )
+                args = [(i, arg_reads[arg]) for i, arg in enumerate(positional)]
+                args += [(kw.arg, arg_reads[kw]) for kw in node.keywords]
+                body.calls.append((node, callee, args))
             if fed is not None:
                 body.feeds.append((node, fed))
         elif isinstance(node, ast.Name):
@@ -246,14 +266,18 @@ class DeterminismRule(Rule):
             or not reads.names.isdisjoint(tainted)
         )
 
-    def _taint(self, body: "_Body", tainted: Set[str]) -> Set[str]:
-        """The local names that hold a clock reading, starting from ``tainted``."""
+    def _taint(self, body: "_Body", tainted: Set[str], clock: bool = True) -> Set[str]:
+        """The local names that hold a clock reading, starting from
+        ``tainted``; with ``clock=False``, those that hold a value of a
+        name in ``tainted`` only."""
         tainted = set(tainted)
         changed = True
         while changed:  # a name assigned from a tainted name is tainted
             changed = False
             for node, reads in body.assigns:
-                if not self._reads_clock(reads, tainted):
+                if reads.names.isdisjoint(tainted) and not (
+                    clock and self._reads_clock(reads, tainted)
+                ):
                     continue
                 for target in assignment_targets(node):
                     if isinstance(target, ast.Name) and target.id not in tainted:
@@ -279,6 +303,33 @@ class DeterminismRule(Rule):
                 if any(self._reads_clock(reads, tainted) for reads in body.returns):
                     self._clock_helpers.add(func.name)
                     changed = True
+
+    def _find_counter_sinks(self, bodies: Dict[ast.AST, "_Body"]) -> None:
+        """Map each of this module's functions that writes a parameter to a
+        counter, itself or through another such function, to the
+        parameter's name and position: ``def _count(r, v):
+        r.counter("x").set_total(v)`` maps ``_count`` to ``{"v", 1}``."""
+        self._counter_sinks: Dict[str, Set[object]] = {}
+        changed = True
+        while changed:  # a helper that feeds a sink is a sink
+            changed = False
+            for func, body in bodies.items():
+                fed = [reads for _, reads in body.feeds]
+                for _, callee, args in body.calls:
+                    fed += self._sunk(callee, args)
+                sunk = self._counter_sinks.setdefault(func.name, set())
+                for i, param in enumerate(_params(func)):
+                    holds = self._taint(body, {param}, clock=False)
+                    if param in sunk or all(r.names.isdisjoint(holds) for r in fed):
+                        continue
+                    sunk.update((param, i))
+                    changed = True
+
+    def _sunk(self, callee: str, args: List[tuple]) -> List["_Reads"]:
+        """What the arguments a call hands to ``callee``'s counter-writing
+        parameters read."""
+        sunk = self._counter_sinks.get(callee, ())
+        return [reads for key, reads in args if key in sunk]
 
     def _check_call(self, ctx: ModuleContext, node: ast.Call) -> Iterator[Violation]:
         name = _resolve_name(dotted_name(node.func), self._aliases)
@@ -351,6 +402,14 @@ class DeterminismRule(Rule):
                     "counters must be identical across backends — put "
                     "durations in histograms or gauges",
                 )
+        for node, callee, args in body.calls:
+            if any(self._reads_clock(r, tainted) for r in self._sunk(callee, args)):
+                yield ctx.violation(
+                    node,
+                    self.rule_id,
+                    f"clock-derived value passed to {callee}(), which writes "
+                    "it to a counter — put durations in histograms or gauges",
+                )
         for node, reads in body.assigns:
             if not self._reads_clock(reads, tainted):
                 continue
@@ -386,15 +445,18 @@ class _Reads:
 
 
 class _Body:
-    """One function body's assignments, returns and counter feeds, each
-    with what its value reads."""
+    """One function body's assignments, returns, counter feeds and calls of
+    module-level names, each with what its value (a call: each argument)
+    reads."""
 
-    __slots__ = ("assigns", "returns", "feeds")
+    __slots__ = ("assigns", "returns", "feeds", "calls")
 
     def __init__(self) -> None:
         self.assigns: List[Tuple[ast.AST, _Reads]] = []
         self.returns: List[_Reads] = []
         self.feeds: List[Tuple[ast.Call, _Reads]] = []
+        #: (call, callee, [(parameter position or keyword, what it reads)])
+        self.calls: List[Tuple[ast.Call, str, List[tuple]]] = []
 
 
 # -- RL002: process-backend purity -------------------------------------------

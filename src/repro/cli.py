@@ -168,13 +168,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             # static mode: re-mine the provided graph as an addition stream
             session = StreamingSession(algorithm, args.backend, **session_kwargs)
             net = session.output_stream().agg(signed_sum)
-            for v in sorted(initial.vertices()):
-                label = initial.vertex_label(v)
-                session.submit(Update.add_vertex(v, label))
-            session.submit_many(
-                Update.add_edge(u, v, initial.edge_label(u, v))
-                for u, v in initial.sorted_edges()
-            )
+            session.submit_graph(initial)
         session.flush()
     except NetError as exc:
         raise SystemExit(f"mine: network store unavailable: {exc}")

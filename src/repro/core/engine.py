@@ -1,11 +1,12 @@
 """The single-worker Tesseract engine.
 
 The engine wires the exploration algorithm to the multiversioned store: it
-takes windows of edge updates (from the ingress node or the work queue),
-builds the window's exploration view, runs EXPLORE for every update, and
-returns the resulting match deltas.  Because change detection and duplicate
-elimination make every update's task independent (section 4.5), the same
-engine code is what each distributed worker runs.
+runs EXPLORE for one edge update on the exploration view of the update's
+window and returns the resulting match deltas.  Because change detection
+and duplicate elimination make every update's task independent (section
+4.5), the same engine code is what each distributed worker runs; what
+drives windows through it (ingress, queue, publish before ack) is
+:class:`~repro.runtime.session.StreamingSession`, the one pipeline.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from repro.graph.adjacency import AdjacencyGraph
 from repro.store.api import GraphStore
 from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
-from repro.streaming.ingress import Window
-from repro.streaming.queue import WorkQueue
 from repro.types import EdgeUpdate, MatchDelta, Timestamp
 
 
@@ -101,22 +100,6 @@ class TesseractEngine:
         tracer.exit_span(span_id, parent_id, "task", start, end, attrs)
         return deltas
 
-    # -- window / stream processing -----------------------------------------
-
-    def process_window(self, window: Window) -> List[MatchDelta]:
-        """Process every update of one atomically applied window."""
-        deltas: List[MatchDelta] = []
-        for update in window.updates:
-            deltas.extend(self.process_update(window.timestamp, update))
-        return deltas
-
-    def drain_queue(self, queue: WorkQueue) -> List[MatchDelta]:
-        """Pull, process, and ack every item currently in the work queue."""
-        deltas: List[MatchDelta] = []
-        for item in queue.drain():
-            deltas.extend(self.process_update(item.timestamp, item.update))
-        return deltas
-
     # -- static execution ------------------------------------------------
 
     @classmethod
@@ -134,14 +117,11 @@ class TesseractEngine:
         """
         store = MultiVersionStore.from_adjacency(graph, ts=1)
         engine = cls(store, algorithm, metrics=metrics)
-        window = Window(
-            timestamp=1,
-            updates=[
-                EdgeUpdate(u, v, added=True, label=graph.edge_label(u, v))
-                for u, v in graph.sorted_edges()
-            ],
-        )
-        return engine.process_window(window)
+        deltas: List[MatchDelta] = []
+        for u, v in graph.sorted_edges():
+            update = EdgeUpdate(u, v, added=True, label=graph.edge_label(u, v))
+            deltas.extend(engine.process_update(1, update))
+        return deltas
 
 
 def collect_matches(deltas: Sequence[MatchDelta]) -> set:

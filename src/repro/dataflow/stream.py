@@ -8,9 +8,9 @@ mining an evolving graph requires (paper section 3.3).
 
 Typical usage, mirroring the paper's motif-counting one-liner::
 
-    source = Stream.source()
+    source = session.output_stream()
     counts = source.group_by(lambda t: MOTIF(t)).count()
-    source.push_deltas(engine.process_window(window))
+    session.process(updates)   # pushes each window's deltas once it ran
     counts.state()   # {motif: count}
 
 Operators return new streams; terminal operators (``count``, ``agg``,

@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.net.errors import ConnectError, ConnectionLostError, ProtocolError
 from repro.net.server import StoreServer
 from repro.net.wire import split_address
+from repro.runtime.stats import percentile
 
 #: largest request head we will read before giving up on a client
 MAX_REQUEST_BYTES = 8192
@@ -224,14 +225,6 @@ def http_get(addr: str, path: str, timeout: float = 5.0) -> Tuple[int, str]:
 # -- 'repro top' rendering ---------------------------------------------------
 
 
-def _percentile(samples: List[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, max(0, int(q * (len(ordered) - 1) + 0.5)))
-    return ordered[index]
-
-
 def render_top(stats: Dict[str, Any], limit: int = 10) -> str:
     """The hot-methods text view of one ``/statz`` snapshot.
 
@@ -251,13 +244,12 @@ def render_top(stats: Dict[str, Any], limit: int = 10) -> str:
     ]
     ranked = sorted(requests.items(), key=lambda kv: (-kv[1], kv[0]))[:limit]
     for op, count in ranked:
-        samples = latencies.get(op, [])
+        ordered = sorted(latencies.get(op, [])) or [0.0]
+        p50, p95 = (percentile(ordered, q) * 1e3 for q in (0.50, 0.95))
         share = count / total if total else 0.0
         lines.append(
             f"{op:<18}{count:>8}{errors.get(op, 0):>7}{share:>7.1%}"
-            f"{_percentile(samples, 0.50) * 1e3:>9.2f}"
-            f"{_percentile(samples, 0.95) * 1e3:>9.2f}"
-            f"{(max(samples) if samples else 0.0) * 1e3:>9.2f}"
+            f"{p50:>9.2f}{p95:>9.2f}{ordered[-1] * 1e3:>9.2f}"
         )
     leftover = len(requests) - len(ranked)
     if leftover > 0:

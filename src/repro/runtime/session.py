@@ -145,6 +145,16 @@ class StreamingSession:
     def submit_many(self, updates: Iterable[Update]) -> None:
         self.ingress.submit_many(updates)
 
+    def submit_graph(self, graph: AdjacencyGraph) -> None:
+        """Submit ``graph`` as an addition stream: every vertex with its
+        label, then every edge in key order with its label and direction."""
+        for v in sorted(graph.vertices()):
+            self.submit(Update.add_vertex(v, graph.vertex_label(v)))
+        self.submit_many(
+            Update.add_edge(u, v, graph.edge_label(u, v), graph.edge_direction(u, v))
+            for u, v in graph.sorted_edges()
+        )
+
     def flush(self) -> List[MatchDelta]:
         """Close open windows and run every queued window on the backend.
 
@@ -348,9 +358,10 @@ class StreamingSession:
         """Mine a static graph through the full pipeline, on any backend.
 
         Mirrors :meth:`TesseractEngine.run_static` (paper §6.2.1): every
-        edge becomes an addition update in one snapshot window, and the
-        NEW deltas are exactly the match set — but here the window flows
-        through ingress, queue, and the chosen backend.
+        edge, with its label and direction, becomes an addition update in
+        one snapshot window (:meth:`submit_graph`), and the NEW deltas are
+        exactly the match set — but here the window flows through
+        ingress, queue, and the chosen backend.
         """
         session = cls(
             algorithm,
@@ -359,12 +370,7 @@ class StreamingSession:
             **kwargs,
         )
         try:
-            for v in sorted(graph.vertices()):
-                session.submit(Update.add_vertex(v, graph.vertex_label(v)))
-            session.submit_many(
-                Update.add_edge(u, v, graph.edge_label(u, v))
-                for u, v in graph.sorted_edges()
-            )
+            session.submit_graph(graph)
             return session.flush()
         finally:
             session.close()

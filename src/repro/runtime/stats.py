@@ -11,8 +11,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted, non-empty sequence."""
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted, non-empty sequence;
+    the rank ``q * (n - 1)`` rounds half to even."""
     rank = max(0, min(len(sorted_values) - 1, round(q * (len(sorted_values) - 1))))
     return sorted_values[rank]
 
@@ -60,9 +61,9 @@ def summarize_latencies(wall_seconds: Sequence[float]) -> LatencySummary:
         return LatencySummary(0, 0.0, 0.0, 0.0, 0.0, 0.0)
     return LatencySummary(
         windows=len(samples),
-        p50_seconds=_percentile(samples, 0.50),
-        p95_seconds=_percentile(samples, 0.95),
-        p99_seconds=_percentile(samples, 0.99),
+        p50_seconds=percentile(samples, 0.50),
+        p95_seconds=percentile(samples, 0.95),
+        p99_seconds=percentile(samples, 0.99),
         max_seconds=samples[-1],
         total_seconds=sum(samples),
     )

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import InvalidUpdateError
@@ -42,14 +41,6 @@ from repro.types import (
     edge_key,
     normalize_direction,
 )
-
-
-@dataclass
-class Window:
-    """One atomically applied snapshot window."""
-
-    timestamp: Timestamp
-    updates: List[EdgeUpdate] = field(default_factory=list)
 
 
 #: ``now`` of an edge alive when the window opened and untouched since
@@ -309,7 +300,7 @@ class IngressNode:
 
     # -- window application ----------------------------------------------
 
-    def _close_window(self, limit: bool = True) -> Window:
+    def _close_window(self, limit: bool = True) -> None:
         """Apply the open window atomically and enqueue its edge updates.
 
         With ``limit=False`` every pending operation is applied regardless
@@ -318,7 +309,6 @@ class IngressNode:
         """
         with self._telemetry.tracer.span("ingress.window") as span:
             ts = self._next_ts
-            window = Window(timestamp=ts)
             # Vertex labels take effect at this window's timestamp.
             for v, label in self._vertex_labels:
                 self.store.set_vertex_label(v, ts, label)
@@ -326,15 +316,15 @@ class IngressNode:
             keys = sorted(self._open)
             cut = self.window_size if limit else len(keys)
             applied = [(key, self._open[key]) for key in keys[:cut]]
-            window.updates = [write for _, (_, _, write, _) in applied]
+            updates = [write for _, (_, _, write, _) in applied]
             # One coalesced application: stores that batch over the wire
             # (NetStoreClient) ship the whole window in a few put_edges RPCs
             # instead of one add_edge/delete_edge round trip per update.
-            self.store.apply_edge_updates(ts, window.updates)
+            self.store.apply_edge_updates(ts, updates)
             # keys past the size limit wait, unapplied, for the next window
             self._open = {key: self._open[key] for key in keys[cut:]}
             if self.queue is not None:
-                self.queue.append_window(ts, window.updates)
+                self.queue.append_window(ts, updates)
             self._next_ts += 1
             self.windows_applied += 1
             # The re-adds (relabels, delete+add) are the next window's adds.
@@ -348,8 +338,7 @@ class IngressNode:
                 stats = self.store.reclaim(self.queue.low_watermark())
                 self.gc_reclaimed += stats.reclaimed
                 self.last_reclaim = stats
-            span.set(ts=ts, updates=len(window.updates))
-        return window
+            span.set(ts=ts, updates=len(updates))
 
     # -- introspection -------------------------------------------------------
 

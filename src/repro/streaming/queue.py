@@ -163,53 +163,25 @@ class WorkQueue:
         for offset in offsets:
             self.redeliver(offset)
 
-    def drain(
-        self, on_poll: Optional[Callable[[WorkItem], None]] = None
-    ) -> Iterator[WorkItem]:
-        """Yield every ready item, acking each one on successful consumption.
-
-        An item is acknowledged when the consumer asks for the next one —
-        i.e. after its loop body completed without raising.  If the consumer
-        raises or abandons the generator mid-item, that item stays in
-        flight and can be redelivered, preserving at-least-once delivery.
-
-        ``on_poll`` is invoked with each item right after it is taken; if
-        it raises :class:`~repro.errors.WorkerCrashed` the item is
-        redelivered (never yielded) and draining continues — the worker is
-        considered restarted with fresh soft state, and the redelivered
-        item is re-polled in offset order, so a crashy drain consumes
-        items in exactly the crash-free order.  The per-item contract is
-        what :meth:`TesseractEngine.drain_queue` consumes; the streaming
-        session consumes :meth:`drain_windows`.
-        """
-        while True:
-            item = self.poll()
-            if item is None:
-                return
-            if on_poll is not None:
-                try:
-                    on_poll(item)
-                except WorkerCrashed:
-                    self.redeliver(item.offset)
-                    continue
-            yield item
-            self.ack(item.offset)
-
     def drain_windows(
         self, on_poll: Optional[Callable[[WorkItem], None]] = None
     ) -> Iterator[Tuple[Timestamp, List[WorkItem]]]:
         """Yield ``(timestamp, items)`` per window, acking on completion.
 
-        Every ready item sharing the head's timestamp — one ingress
-        window, since the queue is FIFO in timestamp order — goes into
-        flight together; ``on_poll`` runs per item with
-        :meth:`drain`'s redeliver-and-continue on an injected
-        :class:`~repro.errors.WorkerCrashed`.  The window's items are acked
-        only when the consumer asks for the next window, i.e. after its
-        loop body ran (and published) without raising: paper section 5.5,
-        publish before ack.  A consumer that fails mid-window redelivers
-        the items it was handed (:meth:`redeliver_all`), so nothing is
-        left in flight and :meth:`low_watermark` stays below the window.
+        The queue's one consumer.  Every ready item sharing the head's
+        timestamp — one ingress window, since the queue is FIFO in
+        timestamp order — goes into flight together.  ``on_poll`` runs per
+        item as it is taken; if it raises
+        :class:`~repro.errors.WorkerCrashed` the item is redelivered (the
+        worker is considered restarted with fresh soft state) and taken
+        again in offset order, so a crashy drain hands out exactly the
+        crash-free windows.  The window's items are acked only when the
+        consumer asks for the next window, i.e. after its loop body ran
+        (and published) without raising: paper section 5.5, publish
+        before ack.  A consumer that fails mid-window redelivers the items
+        it was handed (:meth:`redeliver_all`), so nothing is left in flight
+        and :meth:`low_watermark` stays below the window; one that
+        abandons the generator leaves them in flight, to be redelivered.
         """
         while True:
             items: List[WorkItem] = []

@@ -9,6 +9,7 @@ from repro.apps.directed import CyclicTriads, FeedForwardLoops
 from repro.core.engine import TesseractEngine, collect_matches
 from repro.core.stesseract import STesseractEngine
 from repro.graph.adjacency import AdjacencyGraph
+from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.session import StreamingSession
 from repro.types import Update
 
@@ -80,6 +81,19 @@ class TestFFLMining:
         assert collect_matches(
             TesseractEngine.run_static(ffl_graph(), CyclicTriads())
         ) == set()
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize(
+        "graph, app",
+        [(ffl_graph, FeedForwardLoops), (cycle_graph, CyclicTriads)],
+        ids=["ffl", "cyclic-triad"],
+    )
+    def test_session_static_run_reads_directions(self, graph, app, backend):
+        """The pipeline's static mode submits each edge with its direction,
+        so it finds what the engine's finds, on every backend."""
+        want = TesseractEngine.run_static(graph(), app())
+        assert len(want) == 1
+        assert StreamingSession.run_static(graph(), app(), backend) == want
 
     def test_undirected_triangle_matches_neither(self):
         g = AdjacencyGraph.from_edges([(1, 2), (2, 3), (1, 3)])

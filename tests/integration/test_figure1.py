@@ -1,6 +1,6 @@
 """Integration test reproducing the paper's Figure 1 end to end."""
 
-from repro import IngressNode, MultiVersionStore, TesseractEngine, WorkQueue
+from repro import TesseractEngine
 from repro.apps import GraphKeywordSearch
 from repro.core.engine import collect_matches
 from repro.graph.datasets import figure1_graph, figure1_updates
@@ -24,14 +24,19 @@ class TestFigure1:
         live = collect_matches(TesseractEngine.run_static(figure1_graph(), ALG()))
         assert vsets(live) == BEFORE
 
+    @staticmethod
+    def mine_updates(window_size):
+        """Figure 1's updates through the pipeline, over its graph."""
+        session = StreamingSession(
+            ALG(), window_size=window_size, initial_graph=figure1_graph()
+        )
+        try:
+            return session.process(figure1_updates())
+        finally:
+            session.close()
+
     def test_update_deltas_exactly_as_paper(self):
-        store = MultiVersionStore.from_adjacency(figure1_graph(), ts=1)
-        queue = WorkQueue()
-        ingress = IngressNode(store, queue, window_size=100)
-        ingress.submit_many(figure1_updates())
-        ingress.flush()
-        engine = TesseractEngine(store, ALG())
-        deltas = engine.drain_queue(queue)
+        deltas = self.mine_updates(window_size=100)
         rems = {tuple(sorted(d.subgraph.vertices)) for d in deltas if d.is_rem()}
         news = {tuple(sorted(d.subgraph.vertices)) for d in deltas if d.is_new()}
         assert rems == REMOVED
@@ -48,13 +53,7 @@ class TestFigure1:
         assert vsets(final) == AFTER
 
     def test_single_update_windows_same_net_result(self):
-        store = MultiVersionStore.from_adjacency(figure1_graph(), ts=1)
-        queue = WorkQueue()
-        ingress = IngressNode(store, queue, window_size=1)
-        ingress.submit_many(figure1_updates())
-        ingress.flush()
-        engine = TesseractEngine(store, ALG())
-        deltas = engine.drain_queue(queue)
+        deltas = self.mine_updates(window_size=1)
         net = {}
         for d in deltas:
             key = tuple(sorted(d.subgraph.vertices))

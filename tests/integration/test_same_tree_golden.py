@@ -54,7 +54,6 @@ from repro.graph.pattern import Pattern
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.store.snapshot import ExplorationView
-from repro.streaming.ingress import Window
 from repro.types import EdgeUpdate, Update, UpdateKind
 from scenarios import FilterRaised, LoggingAlgorithm, OracleExplorer, stream_bytes
 
@@ -409,9 +408,9 @@ def mine_4c_window(one_label):
     for u, v in absent:
         store.add_edge(u, v, 2)
     engine = TesseractEngine(store, CliqueMining(4, min_size=3))
-    deltas = engine.process_window(
-        Window(timestamp=2, updates=[EdgeUpdate(u, v, added=True) for u, v in absent])
-    )
+    deltas = [
+        d for u, v in absent for d in engine.process_update(2, EdgeUpdate(u, v, added=True))
+    ]
     assert deltas and engine.metrics.expansions > len(deltas)
     assert all(set(d.subgraph.vertex_labels) == {None} for d in deltas)
     return store, deltas

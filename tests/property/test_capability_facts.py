@@ -213,14 +213,13 @@ def test_a_store_that_declares_no_facts_is_read_in_full():
     assert not store.has_vertex_labels
     explorer = Explorer(CliqueMining(3, min_size=3))
     fresh_reads = 0
-    for i, item in enumerate(queue.drain()):
+    tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+    for i, (ts, update) in enumerate(tasks):
         through = HidesFacts(store) if i % 2 else store
         before = store.label_reads
-        got = explorer.explore_update(
-            ExplorationView(through, item.timestamp), item.update
-        )
+        got = explorer.explore_update(ExplorationView(through, ts), update)
         want = Explorer(CliqueMining(3, min_size=3)).explore_update(
-            ExplorationView(store, item.timestamp), item.update
+            ExplorationView(store, ts), update
         )
         assert got == want
         if through is store:

@@ -17,10 +17,14 @@ replay command.
 Here each app and store has a seed of its own, run on every backend:
 twenty scenarios, from the first run of twenty seeds that draws every
 value of every dimension (:func:`test_tier1_scenarios_vary_every_dimension`).
+The static mode mines the preload graphs of the first twenty seeds that
+preload one, again one per app and store, on every backend
+(:func:`test_static_cell`).
 """
 
 import ast
 import functools
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -37,6 +41,7 @@ from scenarios import (
     UnvetoedCliqueMining,
     mine,
     replay,
+    replay_static,
     stream_bytes,
 )
 
@@ -63,6 +68,39 @@ def replayed(seed, app, store, backend):
 )
 def test_cell(seed, app, store, backend):
     replayed(seed, app, store, backend)
+
+
+#: the first seeds whose scenarios preload a graph, one per app and store
+_PRELOADING = (s for s in itertools.count(FIRST_SEED) if Scenario.from_seed(s).preload)
+STATIC_SEEDS = {(app, store): next(_PRELOADING) for store in STORE_NAMES for app in APPS}
+STATIC_CELLS = [
+    (STATIC_SEEDS[app, store], app, store, backend)
+    for store in STORE_NAMES
+    for app in APPS
+    for backend in BACKEND_NAMES
+]
+
+
+@pytest.mark.parametrize(
+    "seed, app, store, backend",
+    STATIC_CELLS,
+    ids=["-".join(map(str, c)) for c in STATIC_CELLS],
+)
+def test_static_cell(seed, app, store, backend):
+    """``StreamingSession.run_static`` on the scenario's preload graph emits
+    the oracle's match set, each match once, as the serial mv cell does."""
+    replay_static(seed, app, store, backend)
+
+
+def test_static_seeds_draw_labels_and_every_direction():
+    """The static cells' graphs carry vertex labels, edge labels and every
+    direction, also where the app reads them."""
+    drawn = {key: Scenario.from_seed(seed) for key, seed in STATIC_SEEDS.items()}
+    assert {d for s in drawn.values() for *_, d in s.preload} == {None, "fwd", "rev", "both"}
+    assert all(s.preload_labels for s in drawn.values())
+    reads = [s for (app, _), s in drawn.items() if app == "reads-everything"]
+    assert any(d in ("fwd", "rev") for s in reads for *_, d in s.preload)
+    assert any(label is not None for s in reads for _, _, label, _ in s.preload)
 
 
 CLIQUE_CELLS = [cell for cell in CELLS if cell[1] == "4-C"]

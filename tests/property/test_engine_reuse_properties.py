@@ -102,16 +102,13 @@ def test_long_lived_explorer_equals_a_fresh_one_per_update(make_algorithm, ops, 
     ingress.flush()
 
     veteran = Explorer(make_algorithm(), metrics=Metrics())
-    for item in queue.drain():
+    tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+    for ts, update in tasks:
         before = counters(veteran.metrics)
-        got = veteran.explore_update(
-            ExplorationView(store, item.timestamp), item.update
-        )
+        got = veteran.explore_update(ExplorationView(store, ts), update)
         spent = tuple(a - b for a, b in zip(counters(veteran.metrics), before))
 
         fresh = Explorer(make_algorithm(), metrics=Metrics())
-        want = fresh.explore_update(
-            ExplorationView(store, item.timestamp), item.update
-        )
+        want = fresh.explore_update(ExplorationView(store, ts), update)
         assert got == want
         assert spent == counters(fresh.metrics)

@@ -13,7 +13,10 @@ stream to the same bytes.
 The harness (:class:`Scenario`, :func:`mine`, :func:`check`, and
 :func:`replay`, which runs one cell and checks it) holds every app × store
 × backend cell to :mod:`oracles`, which applies each update alone to a
-plain dict graph and shares no code with the explorer.
+plain dict graph and shares no code with the explorer.  Its static mode
+(:func:`mine_static`, :func:`check_static`, :func:`replay_static`) mines a
+scenario's preload graph, labels and directions included, with
+:meth:`StreamingSession.run_static` and holds it to the same oracle.
 """
 
 from __future__ import annotations
@@ -953,6 +956,15 @@ class ScenarioFailed(AssertionError):
     """A cell broke one of the checks; the message says how to replay it."""
 
 
+def _failed(runner: str, seed: int, app: str, cell: tuple, what: str) -> ScenarioFailed:
+    store, backend = cell
+    return ScenarioFailed(
+        f"seed {seed}, cell {app}/{store}/{backend}: {what}\n"
+        f"replay: PYTHONPATH=src:tests python -c \"from scenarios import "
+        f"{runner}; {runner}({seed}, '{app}', '{store}', '{backend}')\""
+    )
+
+
 def check(scenario: Scenario, app: str, cell: tuple, mined: Mined, reference: Mined):
     """Hold one cell's run to the oracle and to the reference cell.
 
@@ -967,12 +979,7 @@ def check(scenario: Scenario, app: str, cell: tuple, mined: Mined, reference: Mi
     """
 
     def fail(what: str) -> ScenarioFailed:
-        store, backend = cell
-        return ScenarioFailed(
-            f"seed {scenario.seed}, cell {app}/{store}/{backend}: {what}\n"
-            f"replay: PYTHONPATH=src:tests python -c \"from scenarios import "
-            f"replay; replay({scenario.seed}, '{app}', '{store}', '{backend}')\""
-        )
+        return _failed("replay", scenario.seed, app, cell, what)
 
     oracle = APPS[app][1]
     graph = oracles.PlainGraph(scenario.preload, scenario.preload_labels)
@@ -1055,3 +1062,56 @@ def replay(seed: int, app: str, kind: str, backend: str) -> Mined:
     )
     check(scenario, app, (kind, backend), mined, reference)
     return mined
+
+
+# -- static mode -------------------------------------------------------------
+
+
+def mine_static(scenario: Scenario, app: str, kind: str, backend: str) -> list:
+    """Mine ``scenario``'s preload graph, labels and directions included,
+    with :meth:`StreamingSession.run_static` on one cell: a ``kind`` store
+    and a ``backend`` backend (``process``: ``scenario.processes``
+    workers)."""
+    workers = scenario.processes if backend == "process" else None
+    return StreamingSession.run_static(
+        scenario.graph(), APPS[app][0](), backend, store=kind, num_workers=workers
+    )
+
+
+def check_static(scenario: Scenario, app: str, cell: tuple, deltas, reference) -> None:
+    """Hold one cell's static run to the oracle on the preload graph (each
+    match emitted once, as NEW) and to the serial ``mv`` cell's bytes."""
+
+    def fail(what: str) -> ScenarioFailed:
+        return _failed("replay_static", scenario.seed, app, cell, what)
+
+    if any(not d.is_new() for d in deltas):
+        raise fail("a static run emitted a REM")
+    got = [d.subgraph.identity for d in deltas]
+    if len(set(got)) != len(got):
+        raise fail("a static run emitted a match twice")
+    expected = APPS[app][1](oracles.PlainGraph(scenario.preload, scenario.preload_labels))
+    if set(got) != expected:
+        missed = sorted(sorted(m[0]) for m in expected - set(got))
+        kept = sorted(sorted(m[0]) for m in set(got) - expected)
+        raise fail(f"the static run misses {missed} and emits {kept}")
+    if stream_bytes(deltas) != stream_bytes(reference):
+        raise fail("the static delta stream differs from the serial mv cell's")
+
+
+@functools.lru_cache(maxsize=None)
+def _static_reference(seed: int, app: str) -> list:
+    return mine_static(Scenario.from_seed(seed), app, "mv", "serial")
+
+
+def replay_static(seed: int, app: str, kind: str, backend: str) -> list:
+    """Mine scenario ``seed``'s preload graph statically on one cell and
+    check it; raises :class:`ScenarioFailed`, else returns the deltas."""
+    scenario = Scenario.from_seed(seed)
+    reference = _static_reference(seed, app)
+    deltas = (
+        reference if (kind, backend) == ("mv", "serial")
+        else mine_static(scenario, app, kind, backend)
+    )
+    check_static(scenario, app, (kind, backend), deltas, reference)
+    return deltas

@@ -246,6 +246,22 @@ INJECTED = {
             ("telemetry/bridge.py", _append("from repro.cli import _wall_stamp\n")),
         ],
     ),
+    # a clock reading handed to a helper that writes its argument to a
+    # counter is caught where it is passed
+    "RL001-argument": (
+        "RL001",
+        "telemetry/bridge.py",
+        [
+            (
+                "telemetry/bridge.py",
+                _replace(
+                    'f"repro_queue_{stem}_total", help_text, value)',
+                    'f"repro_queue_{stem}_total", help_text, time.perf_counter())',
+                ),
+            ),
+            ("telemetry/bridge.py", _append("import time\n")),
+        ],
+    ),
     "RL002": ("RL002", "runtime/backend.py", [("runtime/backend.py", _nest_slice_worker)]),
     "RL003": (
         "RL003",

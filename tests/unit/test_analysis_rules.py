@@ -133,8 +133,20 @@ class TestDeterminismRL001:
 
                 return later
             """,
+            """
+            import time
+
+            def _count(registry, value):
+                registry.counter("x_total").set_total(value)
+
+            def _count_twice(registry, total):
+                _count(registry, total)
+
+            def account(registry):
+                _count_twice(registry, total=time.perf_counter())
+            """,
         ],
-        ids=["helper", "method", "helper-of-helper", "closure"],
+        ids=["helper", "method", "helper-of-helper", "closure", "argument"],
     )
     def test_flags_monotonic_reading_laundered_through_a_helper(self, src):
         # the reading is legal where it is taken; feeding it to a counter

@@ -1,4 +1,5 @@
-"""Unit tests for execution backends, the streaming session, and WorkQueue.drain."""
+"""Unit tests for execution backends, the streaming session, and
+WorkQueue.drain_windows."""
 
 import multiprocessing
 import os
@@ -11,6 +12,7 @@ from repro.core.metrics import Metrics
 from repro.errors import WorkerCrashed
 from repro.graph.generators import erdos_renyi, shuffled_edges
 from repro.net.errors import TransportError
+from repro.net.ops import render_top
 from repro.runtime.backend import (
     BACKEND_NAMES,
     ProcessBackend,
@@ -25,38 +27,46 @@ from repro.types import EdgeUpdate, Update
 
 
 class TestWorkQueueDrain:
+    """``drain_windows``, the queue's one consumer: a window is acked when
+    the consumer asks for the next one, so a window whose body raised or
+    was abandoned stays in flight, whole."""
+
     def _loaded_queue(self, n=4):
+        """``n`` windows of one item each."""
         queue = WorkQueue()
         for i in range(n):
-            queue.append(1, EdgeUpdate(i, i + 100, added=True))
+            queue.append(i + 1, EdgeUpdate(i, i + 100, added=True))
         return queue
+
+    @staticmethod
+    def offsets(windows):
+        return [item.offset for _, items in windows for item in items]
 
     def test_drain_acks_every_item(self):
         queue = self._loaded_queue()
-        items = list(queue.drain())
-        assert [item.offset for item in items] == [0, 1, 2, 3]
+        assert self.offsets(queue.drain_windows()) == [0, 1, 2, 3]
         assert queue.is_drained()
         assert queue.acked_count() == 4
 
-    def test_consumer_exception_leaves_item_in_flight(self):
+    def test_consumer_exception_leaves_the_window_in_flight(self):
         queue = self._loaded_queue(3)
         with pytest.raises(RuntimeError):
-            for item in queue.drain():
-                if item.offset == 1:
+            for _, items in queue.drain_windows():
+                if items[0].offset == 1:
                     raise RuntimeError("worker crashed")
-        # offsets 0 acked; 1 still in flight (redeliverable); 2 untouched
+        # window 1 acked; window 2 still in flight (redeliverable); 3 untouched
         assert queue.acked_count() == 1
         assert queue.in_flight_offsets() == [1]
         queue.redeliver(1)
-        assert [item.offset for item in queue.drain()] == [1, 2]
+        assert self.offsets(queue.drain_windows()) == [1, 2]
         assert queue.is_drained()
 
-    def test_abandoned_generator_leaves_item_in_flight(self):
+    def test_abandoned_generator_leaves_the_window_in_flight(self):
         queue = self._loaded_queue(2)
-        gen = queue.drain()
-        item = next(gen)
+        gen = queue.drain_windows()
+        _, items = next(gen)
         gen.close()
-        assert queue.in_flight_offsets() == [item.offset]
+        assert queue.in_flight_offsets() == [item.offset for item in items]
 
 
 class TestProcessBackendMetrics:
@@ -118,6 +128,16 @@ class TestLatencySummary:
         assert summary.mean_seconds == pytest.approx(5.05)
         assert "p95" in summary.report()
         assert "p99" in summary.report()
+
+    def test_repro_top_ranks_a_sample_as_the_summary_does(self):
+        """An even-length sample puts p50's rank at a half: ``repro top``
+        and the session's summary round it the same way."""
+        samples = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        summary = summarize_latencies(samples)
+        view = render_top({"requests": {"get": 6}, "latencies_s": {"get": samples}})
+        p50_ms, p95_ms = map(float, view.splitlines()[-1].split()[4:6])
+        assert p50_ms == summary.p50_seconds * 1e3 == 3000.0
+        assert p95_ms == summary.p95_seconds * 1e3 == 6000.0
 
     def test_empty(self):
         summary = summarize_latencies([])

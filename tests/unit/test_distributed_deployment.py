@@ -23,7 +23,8 @@ def build_tasks(seed=0, n=16, m=40, window=4):
     ingress = IngressNode(store, queue, window_size=window)
     ingress.submit_many(Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=1))
     ingress.flush()
-    return g, store, [(item.timestamp, item.update) for item in queue.drain()]
+    tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+    return g, store, tasks
 
 
 def simulated(store, machines, workers=4, cache=10_000, algorithm=None, **options):

@@ -7,7 +7,6 @@ from repro.core.engine import TesseractEngine, collect_matches
 from repro.graph.adjacency import AdjacencyGraph
 from repro.store.mvstore import MultiVersionStore
 from repro.store.remote import RemoteStoreClient
-from repro.streaming.ingress import Window
 from repro.streaming.queue import WorkQueue
 from repro.types import EdgeUpdate, MatchDelta, MatchStatus, MatchSubgraph
 
@@ -36,25 +35,40 @@ class TestStaticRun:
 
 
 class TestWindowProcessing:
-    def test_process_window_returns_its_deltas(self):
+    @staticmethod
+    def _run_queue(engine, queue):
+        """The queue's windows through ``engine``, task by task; also the
+        acked count as each window's body ends."""
+        deltas, acked = [], []
+        for ts, items in queue.drain_windows():
+            for item in items:
+                deltas.extend(engine.process_update(ts, item.update))
+            acked.append(queue.acked_count())
+        return deltas, acked
+
+    def test_a_queued_window_returns_its_deltas(self):
         store = MultiVersionStore()
         store.add_edge(1, 2, ts=1)
         store.add_edge(2, 3, ts=1)
         store.add_edge(1, 3, ts=2)
+        queue = WorkQueue()
+        queue.append_window(2, [EdgeUpdate(1, 3, added=True)])
         engine = TesseractEngine(store, CliqueMining(3))
-        deltas = engine.process_window(
-            Window(timestamp=2, updates=[EdgeUpdate(1, 3, added=True)])
-        )
+        deltas, _ = self._run_queue(engine, queue)
         assert [(d.timestamp, d.status) for d in deltas] == [(2, MatchStatus.NEW)]
         assert engine.metrics.emits == 1
 
-    def test_drain_queue_acks_everything(self):
+    def test_a_window_is_acked_only_after_it_ran(self):
         store = MultiVersionStore()
         store.add_edge(1, 2, ts=1)
+        store.add_edge(2, 3, ts=2)
         queue = WorkQueue()
         queue.append(1, EdgeUpdate(1, 2, added=True))
+        queue.append(2, EdgeUpdate(2, 3, added=True))
         engine = TesseractEngine(store, CliqueMining(3))
-        engine.drain_queue(queue)
+        _, acked = self._run_queue(engine, queue)
+        # while a window's body runs, only the windows before it are acked
+        assert acked == [0, 1]
         assert queue.is_drained()
 
     @staticmethod

@@ -542,10 +542,10 @@ class TestOneViewPerUpdate:
         explorer = Explorer(checker)
         emitted = 0
         relabelled = set()
-        for item in queue.drain():
-            ts = item.timestamp
+        tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+        for ts, update in tasks:
             checker.versions = (ts - 1, ts)
-            for d in explorer.explore_update(ExplorationView(store, ts), item.update):
+            for d in explorer.explore_update(ExplorationView(store, ts), update):
                 chosen = None if induced is VertexInduced else d.subgraph.edges
                 assert d.subgraph == checker.frozen(
                     d.subgraph.vertices, ts if d.is_new() else ts - 1, chosen

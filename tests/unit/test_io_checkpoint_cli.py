@@ -190,7 +190,9 @@ class TestCheckpointRecovery:
         # recovery: restore the store, drain the remaining queue items
         recovered = restore_store(path)
         engine2 = TesseractEngine(recovered, CliqueMining(3, min_size=3))
-        deltas.extend(engine2.drain_queue(queue))
+        for ts, items in queue.drain_windows():
+            for item in items:
+                deltas.extend(engine2.process_update(ts, item.update))
         live = collect_matches(deltas)
         expected = collect_matches(
             TesseractEngine.run_static(g, CliqueMining(3, min_size=3))

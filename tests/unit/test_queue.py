@@ -241,7 +241,7 @@ class TestBoundedState:
         for ts in range(1, 41):
             for i in range(25):
                 q.append(ts, upd(i, i + 1))
-            assert sum(1 for _ in q.drain()) == 25
+            assert sum(len(items) for _, items in q.drain_windows()) == 25
             sizes.append(self.retained(q))
         assert sizes[-1] == sizes[0] == 0
         assert q.acked_count() == q.total_appended() == 1000
