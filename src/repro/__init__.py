@@ -24,7 +24,7 @@ from repro.graph.pattern import Pattern
 from repro.runtime.session import StreamingSession
 from repro.store.mvstore import MultiVersionStore
 from repro.streaming.ingress import IngressNode
-from repro.streaming.queue import WorkItem, WorkQueue
+from repro.streaming.queue import WorkQueue
 from repro.types import (
     EdgeUpdate,
     MatchDelta,
@@ -57,7 +57,6 @@ __all__ = [
     "Update",
     "UpdateKind",
     "VertexInduced",
-    "WorkItem",
     "WorkQueue",
     "collect_matches",
     "__version__",

@@ -44,10 +44,6 @@ class QueueError(TesseractError):
     """Base class for work-queue failures."""
 
 
-class QueueClosedError(QueueError):
-    """An operation was attempted on a closed queue."""
-
-
 class OffsetError(QueueError, ValueError):
     """A consumer referenced an invalid queue offset."""
 

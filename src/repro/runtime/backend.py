@@ -474,7 +474,6 @@ def make_backend(
     num_workers: Optional[int] = None,
     metrics: Optional[Metrics] = None,
     spec=None,
-    fetch_costs=None,
     telemetry=None,
     profile: bool = False,
 ) -> ExecutionBackend:
@@ -497,7 +496,6 @@ def make_backend(
             store,
             algorithm,
             spec=spec,
-            fetch_costs=fetch_costs,
             telemetry=telemetry,
             profile=profile,
         )

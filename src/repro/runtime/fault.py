@@ -1,14 +1,16 @@
 """Fault injection and exactly-once recovery (paper section 5.5).
 
-Workers hold only soft state: a crashed worker's in-flight update is
-redelivered by the durable work queue, and because the session publishes a
-window's deltas only once the whole window has run — and acks only after
-publishing — a crash leaves nothing published that a re-run could repeat,
-so the output of a crashy run equals the output of a crash-free run.
+Workers hold only soft state: an update whose worker crashed as the durable
+work queue handed it out is handed out again, a window whose run failed is
+redelivered whole, and because the session publishes a window's deltas only
+once the whole window has run — and acks the window only after publishing —
+a crash leaves nothing published that a re-run could repeat, so the output
+of a crashy run equals the output of a crash-free run.
 :class:`FaultInjector` deterministically injects
 :class:`~repro.errors.WorkerCrashed` at chosen (worker, task) points so
 tests and benchmarks can exercise that path; the
-:class:`~repro.runtime.session.StreamingSession` injects as worker 0.
+:class:`~repro.runtime.session.StreamingSession` injects as worker 0, once
+per update of a window the queue hands out, with that update's offset.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ the **work queue**; the session then takes the queue one window at a time,
 runs the window's tasks on the configured :class:`~repro.runtime.backend.\
 ExecutionBackend`, records a :class:`~repro.types.WindowStats`, publishes
 the window's deltas (the delta log and every attached **dataflow** sink),
-and only then acknowledges the window's queue items — section 5.5's rule
+and only then acknowledges the window in the queue — section 5.5's rule
 that a worker publishes before it acks, at window granularity.
 
 Switching from a serial debug run to a multi-process run (or a simulated
@@ -22,8 +22,8 @@ cluster) is a one-argument change::
     counts.value(), session.latency_summary().report()
 
 Crash recovery falls out of the loop's order.  If the backend raises while
-a window runs (a slice worker died, an algorithm threw), that window's
-items are redelivered and the exception propagates: every earlier window is
+a window runs (a slice worker died, an algorithm threw), that window is
+redelivered and the exception propagates: every earlier window is
 already published and acked, nothing is in flight, the queue's low
 watermark sits below the failed window, and nothing of it was published —
 so calling :meth:`StreamingSession.run_pending` again resumes to exactly
@@ -79,7 +79,6 @@ class StreamingSession:
         store_batch: Optional[int] = None,
         gc_enabled: bool = False,
         spec=None,
-        fetch_costs=None,
         telemetry=None,
         profile: bool = False,
         fault_injector=None,
@@ -100,7 +99,6 @@ class StreamingSession:
                 store if store is not None else "mv",
                 num_shards=num_shards,
                 graph=initial_graph,
-                fetch_costs=fetch_costs,
                 addr=store_addr,
                 batch_size=store_batch,
                 telemetry=telemetry,
@@ -123,7 +121,6 @@ class StreamingSession:
                 algorithm,
                 num_workers=num_workers,
                 spec=spec,
-                fetch_costs=fetch_costs,
                 telemetry=self.telemetry,
                 profile=profile,
             )
@@ -171,22 +168,22 @@ class StreamingSession:
 
     # -- the streaming loop ----------------------------------------------
 
-    def _on_poll(self, item) -> None:
-        """Per-item fault-injection hook run as the queue hands out a window.
+    def _on_hand_out(self, offset: int, ts: Timestamp) -> None:
+        """Per-update fault-injection hook run as the queue hands out a window.
 
         The session injects as worker 0.  A fired crash point raises
         :class:`WorkerCrashed`; :attr:`worker_restarts` and the
         ``worker.restart`` trace marker record the recovery, then the
-        exception propagates so :meth:`WorkQueue.drain_windows` redelivers
-        the item to the (logically restarted) worker.
+        exception propagates so :meth:`WorkQueue.drain_windows` hands the
+        update out again to the (logically restarted) worker.
         """
         try:
-            self.fault_injector.on_task_start(0, item.offset)
+            self.fault_injector.on_task_start(0, offset)
         except WorkerCrashed:
             self.worker_restarts += 1
             now = time.perf_counter()
             self.telemetry.tracer.record(
-                "worker.restart", now, now, offset=item.offset, ts=item.timestamp
+                "worker.restart", now, now, offset=offset, ts=ts
             )
             raise
 
@@ -194,9 +191,9 @@ class StreamingSession:
         """Run every queued window: backend, then publish, then ack.
 
         A window's deltas reach the delta log and the attached streams only
-        after the backend finished the whole window, and its queue items
-        are acked only after that.  If the backend raises, the window's
-        items are redelivered and the exception propagates; calling
+        after the backend finished the whole window, and the window is
+        acked in the queue only after that.  If the backend raises, the
+        window is redelivered and the exception propagates; calling
         :meth:`run_pending` again resumes with that window.
 
         With telemetry enabled each window runs inside a ``window`` span
@@ -205,9 +202,9 @@ class StreamingSession:
         """
         new_deltas: List[MatchDelta] = []
         tracer = self.telemetry.tracer
-        on_poll = self._on_poll if self.fault_injector is not None else None
-        for ts, items in self.queue.drain_windows(on_poll):
-            tasks = [(ts, item.update) for item in items]
+        on_hand_out = self._on_hand_out if self.fault_injector is not None else None
+        for ts, updates in self.queue.drain_windows(on_hand_out):
+            tasks = [(ts, update) for update in updates]
             try:
                 with tracer.span("window", ts=ts, updates=len(tasks)) as span:
                     start = time.perf_counter()
@@ -215,7 +212,7 @@ class StreamingSession:
                     elapsed = time.perf_counter() - start
                     span.set(deltas=len(deltas), seconds=elapsed)
             except BaseException:
-                self.queue.redeliver_all([item.offset for item in items])
+                self.queue.redeliver()
                 raise
             self.window_stats.append(
                 WindowStats.from_deltas(ts, len(tasks), deltas, elapsed)

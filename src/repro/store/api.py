@@ -362,7 +362,6 @@ def make_store(
     num_shards: int = 8,
     graph: Optional[AdjacencyGraph] = None,
     ts: Timestamp = 1,
-    fetch_costs=None,
     cache_size: Optional[int] = None,
     addr: Optional[str] = None,
     batch_size: Optional[int] = None,
@@ -372,11 +371,10 @@ def make_store(
 
     ``graph`` bulk-loads an initial snapshot at timestamp ``ts``.
     ``cache_size`` (``remote`` and ``net`` only) caps the client's held
-    record copies.  The ``remote`` kind
-    wraps a flat in-process store behind a
-    :class:`~repro.store.remote.RemoteStoreClient` fetch boundary, with
-    ``fetch_costs`` as its simulated latency model.  The ``net`` kind
-    reads and writes over real TCP: with ``addr`` (``"host:port"``) it
+    record copies.  The ``remote`` kind wraps a flat in-process store behind
+    a :class:`~repro.store.remote.RemoteStoreClient` fetch boundary, priced
+    by the default :class:`~repro.store.remote.FetchCosts`.  The ``net``
+    kind reads and writes over real TCP: with ``addr`` (``"host:port"``) it
     connects to a running ``repro serve-store`` server, without one it
     spawns an embedded loopback server of its own.  ``batch_size`` (also
     ``net`` only, the CLI's ``mine --store-batch``) sets its records-per-
@@ -399,21 +397,19 @@ def make_store(
             f"not {kind!r}"
         )
     if kind in ("remote", "net"):
-        from repro.store.remote import FetchCosts, RemoteStoreClient
+        from repro.store.remote import RemoteStoreClient
 
-        costs = fetch_costs if fetch_costs is not None else FetchCosts()
         if kind == "remote":
             inner = (
                 MultiVersionStore.from_adjacency(graph, ts=ts, num_shards=num_shards)
                 if graph is not None
                 else MultiVersionStore(num_shards=num_shards)
             )
-            return RemoteStoreClient(inner, costs=costs, cache_capacity=cache_size)
+            return RemoteStoreClient(inner, cache_capacity=cache_size)
         from repro.net.client import BATCH_SIZE, NetStoreClient
 
         return NetStoreClient(
             addr,
-            costs=costs,
             cache_capacity=cache_size,
             batch_size=batch_size if batch_size is not None else BATCH_SIZE,
             num_shards=num_shards,

@@ -1,10 +1,9 @@
 """Streaming substrate: ingress node and durable work queue."""
 
 from repro.streaming.ingress import IngressNode
-from repro.streaming.queue import WorkItem, WorkQueue
+from repro.streaming.queue import WorkQueue
 
 __all__ = [
     "IngressNode",
-    "WorkItem",
     "WorkQueue",
 ]

@@ -140,12 +140,15 @@ class IngressNode:
 
         A window closes when it reaches ``window_size`` updates or, with
         time-based windowing enabled, when ``window_seconds`` have elapsed
-        since it opened.  A window opens with the first update submitted
-        while nothing is held open.
+        since it opened.  A window opens with its first held key or vertex
+        label: an update that sanitisation drops opens none, and one that
+        cancels everything the window held leaves none open.
         """
-        if self._window_opened_at is None:
-            self._window_opened_at = self._clock()
         self._sanitize(update)
+        if not (self._open or self._vertex_labels):
+            self._window_opened_at = None
+        elif self._window_opened_at is None:
+            self._window_opened_at = self._clock()
         while len(self._open) >= self.window_size:
             self._close_window()
         if (

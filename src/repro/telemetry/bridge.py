@@ -120,16 +120,16 @@ def ingress_to_registry(registry: "MetricsRegistry", ingress: "IngressNode") -> 
 def queue_to_registry(registry: "MetricsRegistry", queue: "WorkQueue") -> None:
     """Project the work queue's offset counts and its ready depth."""
     for stem, help_text, value in (
-        ("appended", "work items durably appended", queue.total_appended()),
-        ("acked", "work items fully processed and acked", queue.acked_count()),
+        ("appended", "updates durably appended", queue.total_appended()),
+        ("acked", "updates of fully processed, acked windows", queue.acked_count()),
         (
             "redelivered",
-            "in-flight items returned to the queue after a worker crash",
+            "in-flight updates returned to the queue after a worker crash",
             queue.redelivered,
         ),
     ):
         _count(registry, f"repro_queue_{stem}_total", help_text, value)
-    registry.gauge("repro_queue_depth", "items currently ready to poll").set(
+    registry.gauge("repro_queue_depth", "updates waiting to be handed out").set(
         len(queue)
     )
 

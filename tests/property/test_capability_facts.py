@@ -213,7 +213,7 @@ def test_a_store_that_declares_no_facts_is_read_in_full():
     assert not store.has_vertex_labels
     explorer = Explorer(CliqueMining(3, min_size=3))
     fresh_reads = 0
-    tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+    tasks = [(ts, update) for ts, updates in queue.drain_windows() for update in updates]
     for i, (ts, update) in enumerate(tasks):
         through = HidesFacts(store) if i % 2 else store
         before = store.label_reads

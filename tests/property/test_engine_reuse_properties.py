@@ -102,7 +102,7 @@ def test_long_lived_explorer_equals_a_fresh_one_per_update(make_algorithm, ops, 
     ingress.flush()
 
     veteran = Explorer(make_algorithm(), metrics=Metrics())
-    tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+    tasks = [(ts, update) for ts, updates in queue.drain_windows() for update in updates]
     for ts, update in tasks:
         before = counters(veteran.metrics)
         got = veteran.explore_update(ExplorationView(store, ts), update)

@@ -58,15 +58,12 @@ class TestIngressProperties:
         ingress.submit_many(ops)
         ingress.flush()
         replay = AdjacencyGraph()
-        while True:
-            item = queue.poll()
-            if item is None:
-                break
-            queue.ack(item.offset)
-            if item.update.added:
-                assert replay.add_edge(item.update.u, item.update.v)
-            else:
-                assert replay.remove_edge(item.update.u, item.update.v)
+        for _, updates in queue.drain_windows():
+            for update in updates:
+                if update.added:
+                    assert replay.add_edge(update.u, update.v)
+                else:
+                    assert replay.remove_edge(update.u, update.v)
         assert set(replay.edges()) == present
 
     @SETTINGS
@@ -94,13 +91,7 @@ class TestSnapshotMonotonicity:
         ingress = IngressNode(store, queue, window_size=window)
         ingress.submit_many(ops)
         ingress.flush()
-        by_ts = {}
-        while True:
-            item = queue.poll()
-            if item is None:
-                break
-            queue.ack(item.offset)
-            by_ts.setdefault(item.timestamp, []).append(item.update)
+        by_ts = dict(queue.drain_windows())
         state = set()
         for ts in range(1, store.latest_timestamp + 1):
             for upd in by_ts.get(ts, []):

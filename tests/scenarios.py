@@ -788,7 +788,8 @@ class Mined:
     """What one cell emitted: per flush, its deltas and the sink's state
     after them; the whole stream; the windows it ran; its counter totals
     and exploration profile, summed over the sessions a restore spans; the
-    crashes the sessions' own hook injected (worker 0's); and for a
+    crashes the sessions' own hook injected (worker 0's); the queue as
+    each flush left it and each drawn reclaim's watermark; and for a
     proxied ``net`` store, what the wire went through."""
 
     flushes: List[tuple] = field(default_factory=list)
@@ -798,6 +799,12 @@ class Mined:
     counters: Dict[str, float] = field(default_factory=dict)
     profile: dict = field(default_factory=dict)
     session_crashes: int = 0
+    #: per flush, the queue's ready updates and in-flight offsets after it
+    queue_left: List[tuple] = field(default_factory=list)
+    #: per drawn reclaim: the flush, the watermark reclaimed at, the
+    #: timestamps of the windows that flush then ran, and the timestamp of
+    #: the session's last window before it (0: none)
+    reclaims: List[tuple] = field(default_factory=list)
     #: frames the proxies relayed (``frames``) and ``dropped``,
     #: ``duplicated``, ``delayed`` or ``reordered``; and the ``retries`` of
     #: the session's own ``net`` clients
@@ -912,14 +919,23 @@ def mine(
                 published = len(session.deltas())
                 session.submit_many(batch)
                 session.ingress.flush()
+                stats = session.window_stats
+                ran_before = len(stats)
+                last = stats[-1].timestamp if stats else 0
                 if i in scenario.reclaims:
-                    session.store.reclaim(session.queue.low_watermark())
+                    mark = session.queue.low_watermark()
+                    session.store.reclaim(mark)
                 while True:
                     try:
                         session.run_pending()
                         break
                     except WorkerCrashed:
                         pass  # the window is redelivered: run it again
+                if i in scenario.reclaims:
+                    ran = [w.timestamp for w in stats[ran_before:]]
+                    mined.reclaims.append((i, mark, ran, last))
+                queue = session.queue
+                mined.queue_left.append((len(queue), queue.in_flight_offsets()))
                 deltas = session.deltas()[published:]
                 mined.deltas.extend(deltas)
                 state = None
@@ -974,8 +990,11 @@ def check(scenario: Scenario, app: str, cell: tuple, mined: Mined, reference: Mi
     2. The delta stream is byte-identical to the reference cell's.
     3. Counter totals and the exploration profile equal the reference's.
     4. The counts agree with each other: every submitted update was
-       accepted or dropped, every appended queue item was acked and ran as
-       a task, and each crash of the session's hook is one restart.
+       accepted or dropped, every appended queue update was acked and ran
+       as a task, and each crash of the session's hook is one restart.
+       Every flush leaves nothing ready or in flight, and a drawn reclaim's
+       watermark sits one below the oldest window that flush then runs or,
+       when it runs none, at the last window the queue took in.
     """
 
     def fail(what: str) -> ScenarioFailed:
@@ -1037,7 +1056,20 @@ def check(scenario: Scenario, app: str, cell: tuple, mined: Mined, reference: Mi
         )
     items = [count("queue_appended"), count("queue_acked"), count("session_updates")]
     if not items[0] == items[1] == items[2]:
-        raise fail(f"queue items appended, acked and run read {items}")
+        raise fail(f"queue updates appended, acked and run read {items}")
+    for i, (ready, in_flight) in enumerate(mined.queue_left):
+        if ready or in_flight:
+            raise fail(
+                f"flush {i} left {ready} updates ready and offsets {in_flight} "
+                "in flight"
+            )
+    for i, mark, ran, last in mined.reclaims:
+        want = min(ran) - 1 if ran else last
+        if mark != want:
+            raise fail(
+                f"flush {i} reclaimed at watermark {mark}, not {want} (windows "
+                f"run {ran}, the last before them {last})"
+            )
     if count("session_worker_restarts") != mined.session_crashes:
         raise fail(
             f"{mined.session_crashes} session crashes, but "

@@ -1,6 +1,7 @@
 """Unit tests for execution backends, the streaming session, and
 WorkQueue.drain_windows."""
 
+import itertools
 import multiprocessing
 import os
 
@@ -19,6 +20,7 @@ from repro.runtime.backend import (
     SerialBackend,
     make_backend,
 )
+from repro.runtime.fault import CrashPlan, FaultInjector
 from repro.runtime.session import StreamingSession
 from repro.runtime.stats import LatencySummary, summarize_latencies
 from repro.store.mvstore import MultiVersionStore
@@ -32,41 +34,41 @@ class TestWorkQueueDrain:
     was abandoned stays in flight, whole."""
 
     def _loaded_queue(self, n=4):
-        """``n`` windows of one item each."""
+        """``n`` windows of one update each."""
         queue = WorkQueue()
         for i in range(n):
-            queue.append(i + 1, EdgeUpdate(i, i + 100, added=True))
+            queue.append_window(i + 1, [EdgeUpdate(i, i + 100, added=True)])
         return queue
 
     @staticmethod
-    def offsets(windows):
-        return [item.offset for _, items in windows for item in items]
+    def timestamps(windows):
+        return [ts for ts, _ in windows]
 
-    def test_drain_acks_every_item(self):
+    def test_drain_acks_every_window(self):
         queue = self._loaded_queue()
-        assert self.offsets(queue.drain_windows()) == [0, 1, 2, 3]
+        assert self.timestamps(queue.drain_windows()) == [1, 2, 3, 4]
         assert queue.is_drained()
         assert queue.acked_count() == 4
 
     def test_consumer_exception_leaves_the_window_in_flight(self):
         queue = self._loaded_queue(3)
         with pytest.raises(RuntimeError):
-            for _, items in queue.drain_windows():
-                if items[0].offset == 1:
+            for ts, _ in queue.drain_windows():
+                if ts == 2:
                     raise RuntimeError("worker crashed")
         # window 1 acked; window 2 still in flight (redeliverable); 3 untouched
         assert queue.acked_count() == 1
         assert queue.in_flight_offsets() == [1]
-        queue.redeliver(1)
-        assert self.offsets(queue.drain_windows()) == [1, 2]
+        queue.redeliver()
+        assert self.timestamps(queue.drain_windows()) == [2, 3]
         assert queue.is_drained()
 
     def test_abandoned_generator_leaves_the_window_in_flight(self):
         queue = self._loaded_queue(2)
         gen = queue.drain_windows()
-        _, items = next(gen)
+        _, updates = next(gen)
         gen.close()
-        assert queue.in_flight_offsets() == [item.offset for item in items]
+        assert queue.in_flight_offsets() == [0] and len(updates) == 1
 
 
 class TestProcessBackendMetrics:
@@ -193,6 +195,24 @@ class TestStreamingSession:
             TesseractEngine.run_static(g, CliqueMining(3, min_size=3))
         )
         assert session.live_matches() == expected
+
+    def test_fault_hook_picks_up_each_update_by_its_offset(self):
+        """The session injects as worker 0 once per update of a window the
+        queue hands out, with that update's offset; a crash hands the same
+        update out again, as the next pickup."""
+        edges = itertools.combinations(range(7), 2)
+        stream = [Update.add_edge(u, v) for u, v in edges] + [Update.delete_edge(0, 1)]
+        points = ((0, 0), (0, 2), (0, 3), (0, 7), (0, 11), (0, 26))
+        injector = FaultInjector(CrashPlan(points))
+        session = StreamingSession(
+            CliqueMining(3, min_size=3), window_size=5, fault_injector=injector
+        )
+        session.process(stream)
+        session.close()
+        # pickups 2 and 3 are both offset 1: it crashed, then crashed again
+        assert injector.crashes == [(0, 0), (0, 1), (0, 1), (0, 4), (0, 7), (0, 21)]
+        assert session.worker_restarts == session.queue.redelivered == 6
+        assert session.queue.acked_count() == len(stream) == 22
 
     def test_window_stats_recorded_per_window(self):
         session = StreamingSession(CliqueMining(3, min_size=3), window_size=1)

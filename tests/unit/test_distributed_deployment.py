@@ -23,7 +23,7 @@ def build_tasks(seed=0, n=16, m=40, window=4):
     ingress = IngressNode(store, queue, window_size=window)
     ingress.submit_many(Update.add_edge(u, v) for u, v in shuffled_edges(g, seed=1))
     ingress.flush()
-    tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+    tasks = [(ts, update) for ts, updates in queue.drain_windows() for update in updates]
     return g, store, tasks
 
 

@@ -40,9 +40,9 @@ class TestWindowProcessing:
         """The queue's windows through ``engine``, task by task; also the
         acked count as each window's body ends."""
         deltas, acked = [], []
-        for ts, items in queue.drain_windows():
-            for item in items:
-                deltas.extend(engine.process_update(ts, item.update))
+        for ts, updates in queue.drain_windows():
+            for update in updates:
+                deltas.extend(engine.process_update(ts, update))
             acked.append(queue.acked_count())
         return deltas, acked
 
@@ -63,8 +63,8 @@ class TestWindowProcessing:
         store.add_edge(1, 2, ts=1)
         store.add_edge(2, 3, ts=2)
         queue = WorkQueue()
-        queue.append(1, EdgeUpdate(1, 2, added=True))
-        queue.append(2, EdgeUpdate(2, 3, added=True))
+        queue.append_window(1, [EdgeUpdate(1, 2, added=True)])
+        queue.append_window(2, [EdgeUpdate(2, 3, added=True)])
         engine = TesseractEngine(store, CliqueMining(3))
         _, acked = self._run_queue(engine, queue)
         # while a window's body runs, only the windows before it are acked

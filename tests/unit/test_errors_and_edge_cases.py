@@ -5,7 +5,7 @@ import pytest
 from repro.errors import (
     InvalidUpdateError,
     OffsetError,
-    QueueClosedError,
+    QueueError,
     TesseractError,
     UnknownEdgeError,
     UnknownVertexError,
@@ -18,7 +18,7 @@ class TestErrorHierarchy:
         for exc_type in (
             InvalidUpdateError,
             OffsetError,
-            QueueClosedError,
+            QueueError,
             UnknownVertexError,
             UnknownEdgeError,
         ):

@@ -542,7 +542,7 @@ class TestOneViewPerUpdate:
         explorer = Explorer(checker)
         emitted = 0
         relabelled = set()
-        tasks = [(ts, item.update) for ts, items in queue.drain_windows() for item in items]
+        tasks = [(ts, update) for ts, updates in queue.drain_windows() for update in updates]
         for ts, update in tasks:
             checker.versions = (ts - 1, ts)
             for d in explorer.explore_update(ExplorationView(store, ts), update):

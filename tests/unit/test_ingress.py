@@ -28,6 +28,16 @@ def make_ingress(window_size=2):
     return store, queue, IngressNode(store, queue, window_size=window_size)
 
 
+def queued_after(queue, loaded):
+    """``(ts, update)`` of every queued update of a window after ``loaded``."""
+    return [
+        (ts, update)
+        for ts, updates in queue.drain_windows()
+        if ts > loaded
+        for update in updates
+    ]
+
+
 class TestWindowing:
     def test_window_closes_at_size(self):
         store, queue, ing = make_ingress(window_size=2)
@@ -41,8 +51,7 @@ class TestWindowing:
         store, queue, ing = make_ingress(window_size=3)
         for e in [(1, 2), (3, 4), (5, 6)]:
             ing.submit(Update.add_edge(*e))
-        items = [queue.poll() for _ in range(3)]
-        assert {i.timestamp for i in items} == {1}
+        assert [(ts, len(updates)) for ts, updates in queue.drain_windows()] == [(1, 3)]
 
     def test_flush_closes_partial_window(self):
         store, queue, ing = make_ingress(window_size=100)
@@ -55,8 +64,7 @@ class TestWindowing:
         store, queue, ing = make_ingress(window_size=1)
         ing.submit(Update.add_edge(1, 2))
         ing.submit(Update.add_edge(3, 4))
-        offsets = [queue.poll().timestamp for _ in range(2)]
-        assert offsets == [1, 2]
+        assert [ts for ts, _ in queue.drain_windows()] == [1, 2]
 
     def test_window_size_validation(self):
         with pytest.raises(ValueError):
@@ -161,15 +169,13 @@ class TestDeferredOrder:
 
         # two windows regardless of the size limit: deletes + label, re-adds
         assert ing.windows_applied == loaded + 2
-        items = [item for item in iter(queue.poll, None) if item.timestamp > loaded]
+        items = queued_after(queue, loaded)
         deletes, readds = items[:degree], items[degree:]
         keys = sorted((min(1000, v), max(1000, v)) for v in spokes)
-        assert [(i.timestamp, i.update.key, i.update.added) for i in deletes] == [
+        assert [(ts, u.key, u.added) for ts, u in deletes] == [
             (loaded + 1, key, False) for key in keys
         ]
-        assert [
-            (i.timestamp, i.update.key, i.update.added, i.update.label) for i in readds
-        ] == [
+        assert [(ts, u.key, u.added, u.label) for ts, u in readds] == [
             (loaded + 2, key, True, f"l{key[0] if key[1] == 1000 else key[1]}")
             for key in keys
         ]
@@ -199,11 +205,11 @@ class TestDeferredOrder:
         ing.flush()
         assert ing.updates_dropped == dropped
 
-        items = [item for item in iter(queue.poll, None) if item.timestamp > loaded]
-        assert [(i.timestamp, i.update.key, i.update.added) for i in items] == [
+        items = queued_after(queue, loaded)
+        assert [(ts, u.key, u.added) for ts, u in items] == [
             (loaded + 1, key, False) for key in edges
         ] + [(loaded + 2, key, True) for key in [(1, 2), (5, 6), (7, 8)]]
-        assert [i.update.label for i in items[4:]] == ["newer", "new", "new"]
+        assert [u.label for _, u in items[4:]] == ["newer", "new", "new"]
         ts = store.latest_timestamp
         assert [store.edge_label_at(u, v, ts) for u, v in edges] == [
             "newer", None, "new", "new",
@@ -279,11 +285,9 @@ class TestGC:
         queue = WorkQueue()
         ing = IngressNode(store, queue, window_size=1, gc_enabled=True)
         ing.submit(Update.add_edge(1, 2))
-        item = queue.poll()
-        queue.ack(item.offset)
+        list(queue.drain_windows())
         ing.submit(Update.delete_edge(1, 2))
-        item = queue.poll()
-        queue.ack(item.offset)
+        list(queue.drain_windows())
         # Next window triggers GC with watermark at the delete's ts.
         ing.submit(Update.add_edge(3, 4))
         assert ing.gc_reclaimed >= 1
@@ -366,6 +370,47 @@ class TestTimeWindows:
         assert submit_at(200.0, 7, 8) == 3  # opens window 4 after the gap
         assert store.edge_alive_at(3, 4, 2) and not store.edge_alive_at(3, 4, 1)
         assert store.edge_alive_at(6, 7, 3) and not store.edge_alive_at(7, 8, 3)
+
+
+    @staticmethod
+    def submitter(window_seconds=5.0):
+        """``submit_at(now, update) -> windows_applied`` on a clocked ingress."""
+        clock = {"now": 0.0}
+        ingress = IngressNode(
+            MultiVersionStore(),
+            window_size=1000,
+            window_seconds=window_seconds,
+            clock=lambda: clock["now"],
+        )
+
+        def submit_at(now, update):
+            clock["now"] = now
+            ingress.submit(update)
+            return ingress.windows_applied
+
+        return submit_at
+
+    def test_dropped_update_opens_no_window(self):
+        """A window opens with its first held key: a delete of an absent
+        edge holds nothing, so it starts no clock."""
+        submit_at = self.submitter()
+        assert submit_at(0.0, Update.add_edge(1, 2)) == 0
+        assert submit_at(6.0, Update.add_edge(2, 3)) == 1  # closes window 1
+        assert submit_at(7.0, Update.delete_edge(8, 9)) == 1  # dropped
+        assert submit_at(60.0, Update.add_edge(3, 4)) == 1  # opens window 2
+        assert submit_at(64.0, Update.add_edge(4, 5)) == 1
+        assert submit_at(65.0, Update.add_edge(5, 6)) == 2  # 5s into window 2
+
+    def test_cancelled_window_leaves_no_window_open(self):
+        """An add and a delete of one edge cancel: the window they opened
+        holds nothing, so its clock stops with them."""
+        submit_at = self.submitter()
+        assert submit_at(0.0, Update.add_edge(1, 2)) == 0
+        assert submit_at(6.0, Update.add_edge(2, 3)) == 1  # closes window 1
+        assert submit_at(7.0, Update.add_edge(8, 9)) == 1
+        assert submit_at(8.0, Update.delete_edge(8, 9)) == 1  # cancels the add
+        assert submit_at(60.0, Update.add_edge(3, 4)) == 1  # opens window 2
+        assert submit_at(65.0, Update.add_edge(4, 5)) == 2  # 5s into window 2
 
 
 class TestDirectionSurvivesReAdd:

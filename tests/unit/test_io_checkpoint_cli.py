@@ -178,21 +178,25 @@ class TestCheckpointRecovery:
         ingress = IngressNode(store, queue, window_size=3)
         ingress.submit_many(Update.add_edge(u, v) for u, v in edges)
         ingress.flush()
-        # process half the queue, checkpoint, 'crash'
+        # process half the queue, checkpoint, 'crash' with a window handed out
         engine = TesseractEngine(store, CliqueMining(3, min_size=3))
         deltas = []
-        for _ in range(queue.total_appended() // 2):
-            item = queue.poll()
-            deltas.extend(engine.process_update(item.timestamp, item.update))
-            queue.ack(item.offset)
+        for ts, updates in queue.drain_windows():
+            if queue.acked_count() >= queue.total_appended() // 2:
+                break
+            for update in updates:
+                deltas.extend(engine.process_update(ts, update))
+        assert queue.in_flight_offsets()
         path = tmp_path / "ckpt.json"
         checkpoint_store(store, path)
-        # recovery: restore the store, drain the remaining queue items
+        # recovery: restore the store, redeliver the crashed worker's
+        # window, drain the rest of the queue
         recovered = restore_store(path)
+        queue.redeliver()
         engine2 = TesseractEngine(recovered, CliqueMining(3, min_size=3))
-        for ts, items in queue.drain_windows():
-            for item in items:
-                deltas.extend(engine2.process_update(ts, item.update))
+        for ts, updates in queue.drain_windows():
+            for update in updates:
+                deltas.extend(engine2.process_update(ts, update))
         live = collect_matches(deltas)
         expected = collect_matches(
             TesseractEngine.run_static(g, CliqueMining(3, min_size=3))

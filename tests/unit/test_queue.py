@@ -1,8 +1,10 @@
-"""Unit tests for the durable work queue."""
+"""Unit tests for the durable work queue: a window is its unit."""
+
+from collections import deque
 
 import pytest
 
-from repro.errors import OffsetError, QueueClosedError, WorkerCrashed
+from repro.errors import OffsetError, WorkerCrashed
 from repro.streaming.queue import WorkQueue
 from repro.telemetry import MetricsRegistry, Telemetry
 from repro.telemetry.bridge import queue_to_registry
@@ -13,97 +15,131 @@ def upd(u, v, added=True):
     return EdgeUpdate(u, v, added=added)
 
 
-class TestAppendPoll:
+def keys(windows):
+    """``(ts, [edge keys])`` per drained window."""
+    return [(ts, [u.key for u in updates]) for ts, updates in windows]
+
+
+class TestAppend:
     def test_fifo_order(self):
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        q.append(1, upd(3, 4))
-        q.append(2, upd(5, 6))
-        assert q.poll().update.key == (1, 2)
-        assert q.poll().update.key == (3, 4)
-        assert q.poll().update.key == (5, 6)
-        assert q.poll() is None
+        q.append_window(1, [upd(1, 2), upd(3, 4)])
+        q.append_window(2, [upd(5, 6)])
+        assert keys(q.drain_windows()) == [(1, [(1, 2), (3, 4)]), (2, [(5, 6)])]
+        assert list(q.drain_windows()) == []
 
-    def test_offsets_monotonic(self):
+    def test_offsets_count_updates(self):
         q = WorkQueue()
-        assert q.append(1, upd(1, 2)) == 0
-        assert q.append(1, upd(2, 3)) == 1
+        assert q.append_window(1, [upd(1, 2), upd(2, 3)]) == range(0, 2)
+        assert q.append_window(1, [upd(3, 4)]) == range(2, 3)
+        assert q.total_appended() == len(q) == 3
 
     def test_timestamps_must_be_non_decreasing(self):
         q = WorkQueue()
-        q.append(5, upd(1, 2))
+        q.append_window(5, [upd(1, 2)])
         with pytest.raises(OffsetError):
-            q.append(4, upd(2, 3))
+            q.append_window(4, [upd(2, 3)])
 
-    def test_poll_guarantees_min_timestamp(self):
-        """Any pull receives ts <= every other queued item's ts."""
+    def test_hand_out_guarantees_min_timestamp(self):
+        """Any pull receives ts <= every other queued window's ts."""
         q = WorkQueue()
         for ts in (1, 1, 2, 3):
-            q.append(ts, upd(ts, ts + 10))
-        item = q.poll()
-        remaining = [q.poll().timestamp for _ in range(3)]
-        assert all(item.timestamp <= ts for ts in remaining)
+            q.append_window(ts, [upd(ts, ts + 10)])
+        windows = q.drain_windows()
+        first, _ = next(windows)
+        assert all(first <= ts for ts, _ in windows)
 
-    def test_closed_queue_rejects_append(self):
+    def test_regressing_timestamp_appends_nothing(self):
         q = WorkQueue()
-        q.close()
-        with pytest.raises(QueueClosedError):
-            q.append(1, upd(1, 2))
+        q.append_window(5, [upd(1, 2)])
+        with pytest.raises(OffsetError):
+            q.append_window(4, [upd(2, 3), upd(3, 4)])
+        assert q.total_appended() == 1 and len(q) == 1
+        assert list(q.append_window(5, [upd(2, 3)])) == [1]  # the clock did not move
 
-    def test_closed_queue_still_drains(self):
+    def test_empty_window_is_zero_appends(self):
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        q.close()
-        assert q.poll() is not None
+        q.append_window(3, [upd(1, 2)])
+        assert list(q.append_window(1, [])) == []  # nothing to refuse
+        assert [ts for ts, _ in q.drain_windows()] == [3]
+        assert q.total_appended() == 1 and q.low_watermark() == 3
+
+    def test_window_is_kept_apart_from_the_callers_list(self):
+        q = WorkQueue()
+        updates = [upd(1, 2)]
+        q.append_window(1, updates)
+        updates.append(upd(2, 3))
+        assert keys(q.drain_windows()) == [(1, [(1, 2)])]
 
 
 class TestAckRedeliver:
     def test_ack_completes(self):
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        item = q.poll()
-        q.ack(item.offset)
+        q.append_window(1, [upd(1, 2), upd(2, 3)])
+        assert len(list(q.drain_windows())) == 1
         assert q.is_drained()
-        assert q.acked_count() == 1
+        assert q.acked_count() == 2
 
-    def test_ack_unknown_offset(self):
+    def test_window_is_acked_when_the_next_is_asked_for(self):
         q = WorkQueue()
-        with pytest.raises(OffsetError):
-            q.ack(0)
+        q.append_window(1, [upd(1, 2), upd(2, 3)])
+        windows = q.drain_windows()
+        next(windows)
+        assert q.in_flight_offsets() == [0, 1] and len(q) == 0
+        assert q.acked_count() == 0 and not q.is_drained()
+        assert next(windows, None) is None
+        assert q.acked_count() == 2 and q.in_flight_offsets() == []
 
-    def test_redeliver_returns_item(self):
+    def test_redelivered_window_is_handed_out_again_first(self):
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        item = q.poll()
-        assert q.poll() is None
-        q.redeliver(item.offset)
-        again = q.poll()
-        assert again.offset == item.offset
-        assert again.update == item.update
+        q.append_window(1, [upd(1, 2), upd(2, 3)])
+        q.append_window(2, [upd(3, 4)])
+        windows = q.drain_windows()
+        ts, updates = next(windows)
+        q.redeliver()  # its worker died before any output
+        windows.close()
+        assert q.in_flight_offsets() == [] and len(q) == 3
+        again = list(q.drain_windows())
+        assert again[0] == (ts, updates)  # whole, and first
+        assert keys(again) == [(1, [(1, 2), (2, 3)]), (2, [(3, 4)])]
+        assert q.is_drained() and q.acked_count() == 3
 
-    def test_redelivered_item_keeps_fifo_priority(self):
+    def test_redeliver_counts_the_windows_updates(self):
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        q.append(1, upd(3, 4))
-        first = q.poll()
-        q.redeliver(first.offset)
-        assert q.poll().offset == first.offset  # lowest offset first again
+        q.append_window(1, [upd(1, 2), upd(2, 3), upd(3, 4)])
+        next(q.drain_windows())
+        q.redeliver()
+        assert q.redelivered == 3 and len(q) == 3
 
-    def test_redeliver_all(self):
+    def test_redeliver_with_nothing_in_flight_changes_nothing(self):
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        q.append(1, upd(3, 4))
-        a, b = q.poll(), q.poll()
-        q.redeliver_all([a.offset, b.offset])
-        assert len(q) == 2
+        q.append_window(1, [upd(1, 2)])
+        q.redeliver()
+        assert q.redelivered == 0 and len(q) == 1
+        assert q.in_flight_offsets() == []
 
-    def test_double_ack_rejected(self):
+    def test_ack_of_a_redelivered_window_rejected(self):
+        """A consumer that redelivers and then asks for the next window
+        cannot ack what it gave back."""
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        item = q.poll()
-        q.ack(item.offset)
-        with pytest.raises(OffsetError):
-            q.ack(item.offset)
+        q.append_window(1, [upd(1, 2)])
+        windows = q.drain_windows()
+        next(windows)
+        q.redeliver()
+        with pytest.raises(OffsetError, match="offset 0 is not in flight"):
+            next(windows)
+        assert q.acked_count() == 0 and len(q) == 1
+
+    def test_redelivered_windows_keep_their_order_ahead_of_new_ones(self):
+        q = WorkQueue()
+        q.append_window(1, [upd(1, 2), upd(2, 3)])
+        q.append_window(2, [upd(3, 4)])
+        next(q.drain_windows())  # window 1, abandoned in flight
+        next(q.drain_windows())  # window 2, abandoned in flight
+        assert q.in_flight_offsets() == [0, 1, 2]
+        q.redeliver()
+        q.append_window(3, [upd(4, 5)])
+        assert [ts for ts, _ in q.drain_windows()] == [1, 2, 3]
 
 
 class TestWatermark:
@@ -112,33 +148,38 @@ class TestWatermark:
 
     def test_all_acked(self):
         q = WorkQueue()
-        q.append(3, upd(1, 2))
-        q.ack(q.poll().offset)
+        q.append_window(3, [upd(1, 2)])
+        list(q.drain_windows())
         assert q.low_watermark() == 3
 
     def test_pending_blocks_watermark(self):
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        q.append(2, upd(3, 4))
-        item1 = q.poll()
-        q.ack(item1.offset)
+        q.append_window(1, [upd(1, 2)])
+        q.append_window(2, [upd(3, 4)])
+        windows = q.drain_windows()
+        next(windows)
+        next(windows)  # window 1 acked, window 2 in flight
         assert q.low_watermark() == 1  # ts=2 not yet processed
 
     def test_in_flight_blocks_watermark(self):
         q = WorkQueue()
-        q.append(2, upd(1, 2))
-        q.poll()  # in flight, not acked
+        q.append_window(2, [upd(1, 2)])
+        next(q.drain_windows())  # in flight, not acked
         assert q.low_watermark() == 1
 
-    def test_out_of_order_acks(self):
+    def test_abandoned_window_holds_the_watermark_below_a_later_ack(self):
+        """Windows acked out of order: the older one, still in flight,
+        holds the watermark until it is redelivered and acked."""
         q = WorkQueue()
-        q.append(1, upd(1, 2))
-        q.append(2, upd(3, 4))
-        a, b = q.poll(), q.poll()
-        q.ack(b.offset)
+        q.append_window(1, [upd(1, 2)])
+        q.append_window(2, [upd(3, 4)])
+        next(q.drain_windows())  # window 1, abandoned in flight
+        assert [ts for ts, _ in q.drain_windows()] == [2]  # and acked
+        assert q.acked_count() == 1
         assert q.low_watermark() == 0  # ts=1 still in flight
-        q.ack(a.offset)
-        assert q.low_watermark() == 2
+        q.redeliver()
+        assert [ts for ts, _ in q.drain_windows()] == [1]
+        assert q.low_watermark() == 2 and q.is_drained()
 
 
 class TestWindowWatermark:
@@ -150,14 +191,13 @@ class TestWindowWatermark:
     def three_windows():
         q = WorkQueue()
         for ts in (1, 2, 3):
-            for i in range(ts):
-                q.append(ts, upd(10 * ts + i, 10 * ts + i + 1))
+            q.append_window(ts, [upd(10 * ts + i, 10 * ts + i + 1) for i in range(ts)])
         return q
 
-    def test_drain_windows_groups_items_by_timestamp(self):
+    def test_drain_windows_yields_each_appended_window(self):
         q = self.three_windows()
-        windows = [(ts, [i.timestamp for i in items]) for ts, items in q.drain_windows()]
-        assert windows == [(1, [1]), (2, [2, 2]), (3, [3, 3, 3])]
+        windows = [(ts, len(updates)) for ts, updates in q.drain_windows()]
+        assert windows == [(1, 1), (2, 2), (3, 3)]
         assert q.is_drained()
 
     def test_watermark_reaches_a_window_only_once_it_is_acked(self):
@@ -172,28 +212,32 @@ class TestWindowWatermark:
         q = self.three_windows()
         windows = q.drain_windows()
         next(windows)
-        ts, items = next(windows)  # window 1 acked, window 2 in flight
-        q.redeliver_all([item.offset for item in items])
+        ts, _ = next(windows)  # window 1 acked, window 2 in flight
+        q.redeliver()
         windows.close()
         assert ts == 2 and q.low_watermark() == 1
         assert q.in_flight_offsets() == []
         # the next consumer resumes with the failed window, whole
-        resumed = [(ts, len(items)) for ts, items in q.drain_windows()]
+        resumed = [(ts, len(updates)) for ts, updates in q.drain_windows()]
         assert resumed == [(2, 2), (3, 3)]
         assert q.low_watermark() == 3
 
-    def test_injected_crash_redelivers_within_the_window(self):
+    def test_injected_crash_hands_the_update_out_again(self):
         q = self.three_windows()
-        crashed = set()
+        calls, crashed = [], set()
 
-        def on_poll(item):
-            if item.offset not in crashed:
-                crashed.add(item.offset)
-                raise WorkerCrashed(0, item.offset)
+        def on_hand_out(offset, ts):
+            calls.append((offset, ts))
+            if offset not in crashed:
+                crashed.add(offset)
+                raise WorkerCrashed(0, offset)
 
-        got = [[i.offset for i in items] for _, items in q.drain_windows(on_poll)]
-        assert got == [[0], [1, 2], [3, 4, 5]]
-        assert crashed == set(range(6))
+        got = [(ts, len(updates)) for ts, updates in q.drain_windows(on_hand_out)]
+        assert got == [(1, 1), (2, 2), (3, 3)]
+        # each update is handed out twice, back to back, in offset order
+        handed_out = list(enumerate((1, 2, 2, 3, 3, 3)))
+        assert calls == [pickup for pickup in handed_out for _ in range(2)]
+        assert q.redelivered == 6
         assert q.acked_count() == 6 and q.low_watermark() == 3
 
     def test_watermark_never_regresses(self):
@@ -201,19 +245,24 @@ class TestWindowWatermark:
 
         rng = random.Random(11)
         q = WorkQueue()
+        consumers = []
         ts, last = 0, 0
         for _ in range(400):
             op = rng.random()
             if op < 0.35:
                 ts += 1
-                for i in range(rng.randint(1, 3)):
-                    q.append(ts, upd(i, i + 1))
+                q.append_window(ts, [upd(i, i + 1) for i in range(rng.randint(1, 3))])
             elif op < 0.6:
-                q.poll()
-            elif op < 0.85 and q.in_flight_offsets():
-                q.ack(rng.choice(q.in_flight_offsets()))
-            elif q.in_flight_offsets():
-                q.redeliver(rng.choice(q.in_flight_offsets()))
+                consumer = q.drain_windows()
+                if next(consumer, None) is not None:
+                    consumers.append(consumer)
+            elif op < 0.85 and consumers:
+                consumer = rng.choice(consumers)
+                if next(consumer, None) is None:  # acks its window
+                    consumers.remove(consumer)
+            elif consumers:
+                q.redeliver()
+                consumers.clear()
             mark = q.low_watermark()
             assert last <= mark <= ts
             last = mark
@@ -232,26 +281,27 @@ class TestBoundedState:
         return sum(
             len(value)
             for value in vars(q).values()
-            if isinstance(value, (list, dict, set))
+            if isinstance(value, (list, dict, set, deque))
         )
 
     def test_state_after_drained_windows_does_not_grow(self):
         q = WorkQueue()
         sizes = []
         for ts in range(1, 41):
-            for i in range(25):
-                q.append(ts, upd(i, i + 1))
-            assert sum(len(items) for _, items in q.drain_windows()) == 25
+            q.append_window(ts, [upd(i, i + 1) for i in range(25)])
+            assert self.retained(q) == 1  # one entry per window
+            assert sum(len(updates) for _, updates in q.drain_windows()) == 25
             sizes.append(self.retained(q))
         assert sizes[-1] == sizes[0] == 0
         assert q.acked_count() == q.total_appended() == 1000
         assert q.is_drained() and q.low_watermark() == 40
 
 
-class TestWindowForms:
-    """``append_window`` / ``ack_window`` are N x ``append`` / ``ack`` under one lock."""
+class TestCounts:
+    """Offsets, counters and ack-latency samples count updates, though
+    the queue hands out and acks whole windows."""
 
-    # windows of 3, 1 and 4 updates, with a redelivery in the middle of the run
+    # windows of 3, 1 and 4 updates, the first redelivered once
     WINDOWS = [(1, 3), (2, 1), (4, 4)]
 
     @staticmethod
@@ -267,93 +317,54 @@ class TestWindowForms:
             "in_flight": q.in_flight_offsets(),
             "watermark": q.low_watermark(),
             "drained": q.is_drained(),
-            "c_appended": totals.get("repro_queue_appended_total"),
-            "c_acked": totals.get("repro_queue_acked_total"),
-            "c_redelivered": totals.get("repro_queue_redelivered_total"),
+            # a zero count projects no series
+            "c_appended": totals.get("repro_queue_appended_total", 0),
+            "c_acked": totals.get("repro_queue_acked_total", 0),
+            "c_redelivered": totals.get("repro_queue_redelivered_total", 0),
             "ack_latency_samples": latency.labels().count,
         }
 
-    def drive(self, windowed):
-        """The same schedule through either form; returns what it observed."""
+    def test_counts_are_per_update(self):
         telemetry = Telemetry()
         q = WorkQueue(telemetry=telemetry)
-        seen = []
-        for ts, n in self.WINDOWS:
-            updates = [upd(10 * ts + i, 10 * ts + i + 1) for i in range(n)]
-            if windowed:
-                offsets = list(q.append_window(ts, updates))
-            else:
-                offsets = [q.append(ts, update) for update in updates]
-            seen.append(("offsets", offsets))
-            seen.append(("after append", self.observable(q, telemetry)))
-        items = [q.poll() for _ in range(4)]  # window 1 and window 2
-        seen.append(("polled", [(i.offset, i.timestamp, i.update) for i in items]))
-        q.redeliver(items[1].offset)
-        first = [items[0].offset, items[2].offset]
-        if windowed:
-            q.ack_window(first)
-        else:
-            for offset in first:
-                q.ack(offset)
-        seen.append(("after first ack", self.observable(q, telemetry)))
-        rest = [item.offset for item in iter(q.poll, None)]
-        seen.append(("rest", rest))
-        rest.append(items[3].offset)
-        if windowed:
-            q.ack_window(rest)
-        else:
-            for offset in rest:
-                q.ack(offset)
-        seen.append(("after last ack", self.observable(q, telemetry)))
-        return seen
-
-    def test_window_forms_equal_the_one_item_forms(self):
-        windowed, one_by_one = self.drive(True), self.drive(False)
-        assert windowed == one_by_one
-        final = windowed[-1][1]
+        offsets = [
+            list(q.append_window(ts, [upd(10 * ts + i, 10 * ts + i + 1) for i in range(n)]))
+            for ts, n in self.WINDOWS
+        ]
+        assert offsets == [[0, 1, 2], [3], [4, 5, 6, 7]]
+        windows = q.drain_windows()
+        next(windows)
+        assert self.observable(q, telemetry) == {
+            "appended": 8, "acked": 0, "ready": 5, "in_flight": [0, 1, 2],
+            "watermark": 0, "drained": False, "c_appended": 8, "c_acked": 0,
+            "c_redelivered": 0, "ack_latency_samples": 0,
+        }
+        q.redeliver()
+        windows.close()
+        windows = q.drain_windows()
+        next(windows)
+        next(windows)  # window 1 acked, window 2 in flight
+        assert self.observable(q, telemetry) == {
+            "appended": 8, "acked": 3, "ready": 4, "in_flight": [3],
+            "watermark": 1, "drained": False, "c_appended": 8, "c_acked": 3,
+            "c_redelivered": 3, "ack_latency_samples": 3,
+        }
+        assert sum(1 for _ in windows) == 1
+        final = self.observable(q, telemetry)
         assert final["drained"] and final["watermark"] == 4
         assert final["c_appended"] == final["c_acked"] == final["acked"] == 8
-        assert final["c_redelivered"] == 1 and final["ack_latency_samples"] == 8
+        assert final["c_redelivered"] == 3 and final["ack_latency_samples"] == 8
 
-    def test_closed_queue_appends_nothing(self):
-        q = WorkQueue()
-        q.append_window(1, [upd(1, 2)])
-        q.close()
-        with pytest.raises(QueueClosedError):
-            q.append_window(2, [upd(2, 3), upd(3, 4)])
-        assert q.total_appended() == 1 and len(q) == 1
-
-    def test_regressing_timestamp_appends_nothing(self):
-        q = WorkQueue()
-        q.append_window(5, [upd(1, 2)])
-        with pytest.raises(OffsetError):
-            q.append_window(4, [upd(2, 3), upd(3, 4)])
-        assert q.total_appended() == 1 and len(q) == 1
-        assert list(q.append_window(5, [upd(2, 3)])) == [1]  # the clock did not move
-
-    def test_empty_window_is_zero_appends(self):
-        q = WorkQueue()
-        q.append_window(3, [upd(1, 2)])
-        q.close()
-        assert list(q.append_window(1, [])) == []  # nothing to refuse
-        q.ack(q.poll().offset)
-        assert q.total_appended() == 1 and q.low_watermark() == 3
-
-    def test_ack_window_stops_at_the_first_offset_not_in_flight(self):
-        q = WorkQueue()
-        q.append_window(1, [upd(1, 2), upd(2, 3), upd(3, 4)])
-        a, b, c = q.poll(), q.poll(), q.poll()
-        q.redeliver(b.offset)
-        with pytest.raises(OffsetError, match=f"offset {b.offset} is not in flight"):
-            q.ack_window([a.offset, b.offset, c.offset])
-        # as three acks would: the first landed, the third was never tried
-        assert q.acked_count() == 1 and q.in_flight_offsets() == [c.offset]
-
-    def test_window_append_keeps_redelivered_items_first(self):
+    def test_hook_runs_again_on_a_redelivered_window(self):
+        """A window handed out twice is two pickups of each of its updates."""
         q = WorkQueue()
         q.append_window(1, [upd(1, 2), upd(2, 3)])
-        first = q.poll()
-        q.poll()
-        q.redeliver(first.offset)
-        q.append_window(2, [upd(3, 4), upd(4, 5)])
-        assert [item.offset for item in iter(q.poll, None)] == [0, 2, 3]
+        q.append_window(2, [upd(3, 4)])
+        calls = []
+        windows = q.drain_windows(lambda offset, ts: calls.append((offset, ts)))
+        next(windows)
+        q.redeliver()
+        windows.close()
+        list(q.drain_windows(lambda offset, ts: calls.append((offset, ts))))
+        assert calls == [(0, 1), (1, 1), (0, 1), (1, 1), (2, 2)]
+        assert q.redelivered == 2 and q.acked_count() == 3

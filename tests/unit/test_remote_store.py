@@ -30,24 +30,15 @@ class TestTransparency:
         g, store, queue = build()
         direct_engine = TesseractEngine(store, CliqueMining(3, min_size=3))
         direct = []
-        items = []
-        while True:
-            item = queue.poll()
-            if item is None:
-                break
-            items.append(item)
-            queue.ack(item.offset)
-            direct.extend(direct_engine.process_update(item.timestamp, item.update))
+        tasks = [(ts, u) for ts, updates in queue.drain_windows() for u in updates]
+        for ts, update in tasks:
+            direct.extend(direct_engine.process_update(ts, update))
 
         client = RemoteStoreClient(store)
         explorer = Explorer(CliqueMining(3, min_size=3))
         remote = []
-        for item in items:
-            remote.extend(
-                explorer.explore_update(
-                    ExplorationView(client, item.timestamp), item.update
-                )
-            )
+        for ts, update in tasks:
+            remote.extend(explorer.explore_update(ExplorationView(client, ts), update))
         key = lambda d: (d.timestamp, d.status.value, d.subgraph.vertices)
         assert sorted(map(key, direct)) == sorted(map(key, remote))
         assert client.log.fetches > 0
@@ -58,19 +49,14 @@ class TestTransparency:
         explorer = Explorer(CliqueMining(3, min_size=3))
         deltas = []
         count = 0
-        while True:
-            item = queue.poll()
-            if item is None:
-                break
-            queue.ack(item.offset)
-            deltas.extend(
-                explorer.explore_update(
-                    ExplorationView(client, item.timestamp), item.update
+        for ts, updates in queue.drain_windows():
+            for update in updates:
+                deltas.extend(
+                    explorer.explore_update(ExplorationView(client, ts), update)
                 )
-            )
-            count += 1
-            if count % 5 == 0:
-                client.drop_cache()  # worker restart
+                count += 1
+                if count % 5 == 0:
+                    client.drop_cache()  # worker restart
         live = collect_matches(sorted(deltas, key=lambda d: d.timestamp))
         expected = collect_matches(
             TesseractEngine.run_static(
